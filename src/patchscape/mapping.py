@@ -186,52 +186,157 @@ def median_decimate(cloud: OrganizedCloud, factor: int = 2) -> OrganizedCloud:
     return OrganizedCloud(points=out, cov=cv, intrinsics=cloud.intrinsics.scaled(factor))
 
 
+def _decimated_source(
+    cloud: OrganizedCloud, pixel: Tuple[int, int], factor: int, point: np.ndarray
+) -> Tuple[int, int]:
+    """Full-resolution pixel of the block member median_decimate kept at pixel.
+
+    The decimated cloud holds an exact copy of that member's point, so the
+    member is found by comparing the block's points with it.
+    """
+    i0, j0 = pixel[0] * factor, pixel[1] * factor
+    block = cloud.points[i0 : i0 + factor, j0 : j0 + factor]
+    bi, bj = np.argwhere((block == point).all(axis=-1))[0]
+    return (i0 + int(bi), j0 + int(bj))
+
+
 # ---------------------------------------------------------------------------
 # Dense normals from integral images
 # ---------------------------------------------------------------------------
 
 
-def _integral(img: np.ndarray) -> np.ndarray:
-    """Zero-padded 2D running sum; window sums become four lookups."""
-    out = np.zeros((img.shape[0] + 1, img.shape[1] + 1) + img.shape[2:])
-    out[1:, 1:] = np.cumsum(np.cumsum(img, axis=0), axis=1)
-    return out
+# (row, col) of the six distinct entries of the symmetric p p^T, in the
+# order the moment image stores them after the count and the coordinates
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+# Closed-form eigenvectors are trusted down to this relative eigen-gap
+# (lam_mid - lam_min) / |lam|_max; see _smallest_eigvec for the bound.
+_GAP_MIN = np.finfo(float).eps ** (1.0 / 3.0)
+
+# Windows solved per vectorized block: small enough that the solver's few
+# dozen temporaries stay in a core's L2 cache, large enough to amortize
+# NumPy's per-call overhead.
+_BLOCK = 4096
 
 
-def _window_normals(points: np.ndarray, valid: np.ndarray, half: np.ndarray, min_support: int):
+def _moment_integral(points: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """(10, H + 1, W + 1) zero-padded running sums of [1, p, upper(p p^T)].
+
+    Any window's point count, coordinate sums and second moments are then
+    four lookups. The running sums are taken in place, so this image is the
+    only full-frame buffer.
+    """
     h, w = valid.shape
-    p0 = np.where(valid[..., None], points, 0.0)
-    prods = np.einsum("hwi,hwj->hwij", p0, p0).reshape(h, w, 9)
-    i_cnt = _integral(valid.astype(float))
-    i_s1 = _integral(p0)
-    i_s2 = _integral(prods)
+    ii = np.zeros((10, h + 1, w + 1))
+    m = ii[:, 1:, 1:]
+    m[0] = valid
+    for c in range(3):
+        np.copyto(m[1 + c], points[..., c], where=valid)
+    for c, (i, j) in enumerate(_UPPER):
+        np.multiply(m[1 + i], m[1 + j], out=m[4 + c])
+    np.cumsum(ii, axis=1, out=ii)
+    np.cumsum(ii, axis=2, out=ii)
+    return ii
 
-    vi = np.arange(h)[:, None]
-    ui = np.arange(w)[None, :]
-    lo_v = np.clip(vi - half, 0, h)
-    hi_v = np.clip(vi + half + 1, 0, h)
-    lo_u = np.clip(ui - half, 0, w)
-    hi_u = np.clip(ui + half + 1, 0, w)
 
-    def box(ii):
-        return ii[hi_v, hi_u] - ii[lo_v, hi_u] - ii[hi_v, lo_u] + ii[lo_v, lo_u]
+def _box_sums(ii: np.ndarray, v: np.ndarray, u: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """(10, n) moment sums over frame-clipped windows centered at pixels (v, u).
 
-    cnt = box(i_cnt)
-    s1 = box(i_s1)
-    s2 = box(i_s2).reshape(h, w, 3, 3)
+    Each window spans half[i] pixels on every side of its center.
+    """
+    _, h1, w1 = ii.shape
+    flat = ii.reshape(len(ii), -1)
+    lo_v = np.clip(v - half, 0, h1 - 1) * w1
+    hi_v = np.clip(v + half + 1, 0, h1 - 1) * w1
+    lo_u = np.clip(u - half, 0, w1 - 1)
+    hi_u = np.clip(u + half + 1, 0, w1 - 1)
+    s = flat[:, hi_v + hi_u]
+    s -= flat[:, lo_v + hi_u]
+    s -= flat[:, hi_v + lo_u]
+    s += flat[:, lo_v + lo_u]
+    return s
+
+
+def _null_vector(a, lam: np.ndarray) -> np.ndarray:
+    """Unit vector orthogonal to the two rows of A - lam I spanning most area.
+
+    a holds the six distinct entries of symmetric A in _UPPER order; the
+    result is (3, n) and not finite where A - lam I has rank below two.
+    """
+    a00, a01, a02, a11, a12, a22 = a
+    m00, m11, m22 = a00 - lam, a11 - lam, a22 - lam
+    c01 = np.array([a01 * a12 - a02 * m11, a02 * a01 - m00 * a12, m00 * m11 - a01 * a01])
+    c02 = np.array([a01 * m22 - a02 * a12, a02 * a02 - m00 * m22, m00 * a12 - a01 * a02])
+    c12 = np.array([m11 * m22 - a12 * a12, a12 * a02 - a01 * m22, a01 * a12 - m11 * a02])
+    n01, n02, n12 = (np.einsum("kn,kn->n", c, c) for c in (c01, c02, c12))
+    first = (n01 >= n02) & (n01 >= n12)
+    v = np.where(first, c01, np.where(n02 >= n12, c02, c12))
+    return v / np.sqrt(np.where(first, n01, np.maximum(n02, n12)))
+
+
+def _smallest_eigvec(a) -> Tuple[np.ndarray, np.ndarray]:
+    """Smallest-eigenvalue unit eigenvectors of symmetric 3x3 matrices.
+
+    a holds the six distinct entries in _UPPER order, each an (n,) array.
+    The eigenvalues come from the trigonometric solution of the
+    characteristic cubic (Kopp, arXiv:physics/0610206); the eigenvector is
+    the null vector of A - lam_min I, taken again at the Rayleigh quotient
+    of that first estimate. With gap = lam_mid - lam_min and |A| the
+    largest |lam|, the trigonometric lam_min is off by ~eps |A|^2 / gap,
+    which turns the first vector by ~eps (|A| / gap)^2. The Rayleigh
+    quotient is off by ~eps^2 |A|^4 / gap^3, so the second vector is off
+    by ~eps |A| / gap + eps^2 (|A| / gap)^4. The first term is the
+    conditioning of the eigenvector itself; it dominates while
+    gap / |A| >= eps^(1/3) (_GAP_MIN), where the error is below
+    ~eps^(2/3) ~ 4e-11 rad.
+
+    Returns ((3, n) vectors, certified). certified is False where the
+    vector is not finite or the relative gap is below _GAP_MIN.
+    """
+    a00, a01, a02, a11, a12, a22 = a
+    q = (a00 + a11 + a22) / 3.0
+    b00, b11, b22 = a00 - q, a11 - q, a22 - q
+    p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22 + 2.0 * (a01 * a01 + a02 * a02 + a12 * a12)) / 6.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        det = b00 * (b11 * b22 - a12 * a12) - a01 * (a01 * b22 - a12 * a02) + a02 * (a01 * a12 - b11 * a02)
+        phi = np.arccos(np.clip(det / (2.0 * p * p * p), -1.0, 1.0)) / 3.0
+        lam_max = q + 2.0 * p * np.cos(phi)
+        lam_min = q + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)
+        lam_mid = 3.0 * q - lam_max - lam_min
+        v = _null_vector(a, lam_min)
+        x, y, z = v
+        rayleigh = (
+            a00 * x * x + a11 * y * y + a22 * z * z
+            + 2.0 * (a01 * x * y + a02 * x * z + a12 * y * z)
+        )
+        v = _null_vector(a, rayleigh)
+        scale = np.maximum(np.abs(lam_max), np.abs(lam_min))
+        certified = np.isfinite(v).all(axis=0) & (lam_mid - lam_min > _GAP_MIN * scale)
+    return v, certified
+
+
+def _window_normals(s: np.ndarray, min_support: int) -> np.ndarray:
+    """(n, 3) camera-facing unit normals from (10, n) window moment sums.
+
+    NaN where the window holds fewer than min_support valid points.
+    """
+    cnt = s[0]
     good = cnt >= min_support
     cnt_safe = np.where(good, cnt, 1.0)
-    mu = s1 / cnt_safe[..., None]
-    cov = s2 / cnt_safe[..., None, None] - np.einsum("hwi,hwj->hwij", mu, mu)
+    mu = s[1:4] / cnt_safe
+    cov = [s[4 + c] / cnt_safe - mu[i] * mu[j] for c, (i, j) in enumerate(_UPPER)]
+    n, certified = _smallest_eigvec(cov)
 
-    cov_flat = cov.reshape(-1, 3, 3)
-    cov_flat = 0.5 * (cov_flat + np.swapaxes(cov_flat, -1, -2))
-    _, vecs = np.linalg.eigh(np.where(np.isfinite(cov_flat), cov_flat, 0.0))
-    n = vecs[:, :, 0].reshape(h, w, 3)  # smallest-eigenvalue direction
+    redo = np.flatnonzero(good & ~certified)
+    if len(redo):
+        full = np.empty((len(redo), 3, 3))
+        for c, (i, j) in enumerate(_UPPER):
+            full[:, i, j] = full[:, j, i] = cov[c][redo]
+        n[:, redo] = np.linalg.eigh(full)[1][:, :, 0].T
 
     # orient toward the camera: the window mean always sits in front of it
-    flip = np.einsum("hwi,hwi->hw", n, mu) > 0.0
-    n = np.where(flip[..., None], -n, n)
+    flip = np.einsum("kn,kn->n", n, mu) > 0.0
+    n = np.where(flip, -n, n).T
     n[~good] = np.nan
     return n
 
@@ -244,25 +349,39 @@ def integral_normals(
     Returns (N, N_s): N uses window size 2 r f / Z(i) pixels at each
     pixel, N_s half that, so both windows see roughly a metric r-ball
     (respectively r/2) on the surface. Normals are unit, oriented toward
-    the camera, and NaN where the window holds fewer than min_support
-    valid points.
+    the camera, and NaN at invalid pixels and where the window holds fewer
+    than min_support valid points.
+
+    One integral image of the count, coordinate sums and the six distinct
+    second moments serves both scales; window sums are taken at valid
+    pixels only. Each normal is the smallest-eigenvalue eigenvector of its
+    window covariance, in closed form (trigonometric eigenvalues, a
+    cross-product null vector and one Rayleigh-quotient refinement).
+    Windows whose relative eigen-gap (lam_mid - lam_min) / |lam|_max falls
+    below eps^(1/3), where the closed form's error bound no longer holds,
+    or whose result is not finite, are solved by np.linalg.eigh instead.
     """
     if r <= 0.0:
         raise ValueError("r must be positive")
     fpx = float(f) if f is not None else cloud.intrinsics.fx
     if fpx <= 0.0:
         raise ValueError("focal length must be positive")
-    z = cloud.points[..., 2]
     valid = cloud.valid_mask
+    v, u = np.nonzero(valid)
+    z = cloud.points[v, u, 2]
     with np.errstate(invalid="ignore", divide="ignore"):
-        wpx = np.where(valid & (z > 0.0), 2.0 * r * fpx / z, 0.0)
-    half = np.maximum((wpx / 2.0).astype(int), 1)
-    half_s = np.maximum((wpx / 4.0).astype(int), 1)
-    n = _window_normals(cloud.points, valid, half, min_support)
-    n_s = _window_normals(cloud.points, valid, half_s, min_support)
-    n[~valid] = np.nan
-    n_s[~valid] = np.nan
-    return n, n_s
+        wpx = np.where(z > 0.0, 2.0 * r * fpx / z, 0.0)
+    ii = _moment_integral(cloud.points, valid)
+    out = []
+    for div in (2.0, 4.0):
+        half = np.maximum((wpx / div).astype(int), 1)
+        n = np.full(cloud.points.shape, np.nan)
+        for b in range(0, len(v), _BLOCK):
+            blk = slice(b, b + _BLOCK)
+            s = _box_sums(ii, v[blk], u[blk], half[blk])
+            n[v[blk], u[blk]] = _window_normals(s, min_support)
+        out.append(n)
+    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +521,14 @@ def select_seeds(
 
     w = volume.v_s / v_g
     ij = np.floor(pts_vol[:, [0, 2]] / w).astype(int)
-    ingrid = ((ij >= 0) & (ij < v_g)).all(axis=1)
+    ingrid = np.flatnonzero(((ij >= 0) & (ij < v_g)).all(axis=1))
 
-    by_cell: Dict[Tuple[int, int], List[int]] = {}
-    for idx in np.flatnonzero(ingrid):
-        by_cell.setdefault((int(ij[idx, 0]), int(ij[idx, 1])), []).append(idx)
+    # group by cell; the stable sort keeps each cell's pixels in scan order
+    key = ij[ingrid, 0] * v_g + ij[ingrid, 1]
+    order = np.argsort(key, kind="stable")
+    cells, starts = np.unique(key[order], return_index=True)
+    groups = np.split(ingrid[order], starts[1:])
+    by_cell = {divmod(int(c), v_g): g for c, g in zip(cells, groups)}
 
     cam_xz = volume.c_t.t[[0, 2]]
     occupancy = volume.cell_counts()
@@ -509,19 +631,19 @@ def _resolve_seed(cloud: OrganizedCloud, seed) -> Tuple[Tuple[int, int], np.ndar
 
 def _ball_pixels_backprojection(
     cloud: OrganizedCloud, s: np.ndarray, r: float, margin: int
-) -> np.ndarray:
+) -> Tuple[slice, slice]:
     """Candidate pixel window: the sphere's image plus a safety margin.
 
     For any q with |q - s| <= r and depths z >= z_s - r, the pixel offset
     obeys |u_q - u_s| <= fx r (z_s + |x_s|) / (z_s (z_s - r)), and
     likewise for v; a sphere reaching the camera plane falls back to a
-    full scan.
+    full scan. Returns the (rows, cols) slices of the window.
     """
     intr = cloud.intrinsics
     h, w = cloud.points.shape[:2]
     z = float(s[2])
     if z - r <= 0.0:
-        return np.ones((h, w), dtype=bool)
+        return slice(0, h), slice(0, w)
     uv = project(intr, s)
     du = intr.fx * r * (z + abs(float(s[0]))) / (z * (z - r))
     dv = intr.fy * r * (z + abs(float(s[1]))) / (z * (z - r))
@@ -529,9 +651,7 @@ def _ball_pixels_backprojection(
     j1 = min(w, int(math.ceil(uv[0] + du)) + margin + 1)
     i0 = max(0, int(math.floor(uv[1] - dv)) - margin)
     i1 = min(h, int(math.ceil(uv[1] + dv)) + margin + 1)
-    win = np.zeros((h, w), dtype=bool)
-    win[i0:i1, j0:j1] = True
-    return win
+    return slice(i0, i1), slice(j0, j1)
 
 
 def mesh_triangles(
@@ -635,15 +755,15 @@ def neighborhood(
         raise ValueError("r must be positive")
     (si, sj), s = _resolve_seed(cloud, seed)
     h, w = cloud.points.shape[:2]
-    valid = cloud.valid_mask
 
     if index.variant == NeighborhoodVariant.BACKPROJECTION:
-        win = _ball_pixels_backprojection(cloud, s, r, index.pixel_margin) & valid
-        cand = np.argwhere(win)
-        d = np.linalg.norm(cloud.points[cand[:, 0], cand[:, 1]] - s, axis=1)
-        sel = cand[d <= r]
+        rows, cols = _ball_pixels_backprojection(cloud, s, r, index.pixel_margin)
+        win = cloud.points[rows, cols]
+        cand = np.argwhere(np.isfinite(win[..., 2]))
+        d = np.linalg.norm(win[cand[:, 0], cand[:, 1]] - s, axis=1)
+        sel = cand[d <= r] + (rows.start, cols.start)
     elif index.variant == NeighborhoodVariant.KDTREE:
-        flat_idx = np.flatnonzero(valid.ravel())
+        flat_idx = np.flatnonzero(cloud.valid_mask.ravel())
         tree = cKDTree(cloud.points.reshape(-1, 3)[flat_idx])
         hits = np.asarray(tree.query_ball_point(s, r), dtype=int)
         sel = np.stack(np.unravel_index(flat_idx[np.sort(hits)], (h, w)), axis=1)
@@ -710,7 +830,7 @@ class MapPatch:
     id: int
     patch: Patch
     cell: Tuple[int, int]
-    seed_pixel: Tuple[int, int]
+    seed_pixel: Tuple[int, int]  # (row, col) in the full-resolution frame
     seed_point: np.ndarray  # volume frame
     frame_index: int
     validation: "ValidationRecord"
@@ -1104,11 +1224,14 @@ def map_step(
 
         patch_vol, _ = transform_patch(patch_cam, state.c_t)
         seed_vol = _pose.xform_fwd(seed.point, state.c_t.r, state.c_t.t)
+        seed_pixel = seed.pixel
+        if sal_cloud is not cloud:
+            seed_pixel = _decimated_source(cloud, seed.pixel, config.decimate, seed.point)
         mp = MapPatch(
             id=state.next_id,
             patch=patch_vol,
             cell=seed.cell,
-            seed_pixel=seed.pixel,
+            seed_pixel=seed_pixel,
             seed_point=seed_vol,
             frame_index=state.frame_index,
             validation=ValidationRecord(

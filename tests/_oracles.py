@@ -105,3 +105,51 @@ def mc_chain_cov(links, covs, n, rng):
         samples[i, :3] = c.r
         samples[i, 3:] = c.t
     return np.cov(samples, rowvar=False)
+
+
+def eigh_integral_normals(cloud, r, f=None, min_support=6):
+    """Two-scale integral-image normals by batched LAPACK eigh at every pixel.
+
+    The direct form of patchscape.mapping.integral_normals: one set of
+    integral images per scale, a full-frame window covariance, and the
+    smallest-eigenvalue eigenvector from np.linalg.eigh. Same window
+    sizes, support rule and camera-facing orientation.
+    """
+    points = cloud.points
+    valid = cloud.valid_mask
+    h, w = valid.shape
+    fpx = float(f) if f is not None else cloud.intrinsics.fx
+    z = points[..., 2]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        wpx = np.where(valid & (z > 0.0), 2.0 * r * fpx / z, 0.0)
+
+    def integral(img):
+        out = np.zeros((h + 1, w + 1) + img.shape[2:])
+        out[1:, 1:] = np.cumsum(np.cumsum(img, axis=0), axis=1)
+        return out
+
+    p0 = np.where(valid[..., None], points, 0.0)
+    i_cnt = integral(valid.astype(float))
+    i_s1 = integral(p0)
+    i_s2 = integral(np.einsum("hwi,hwj->hwij", p0, p0).reshape(h, w, 9))
+    vi = np.arange(h)[:, None]
+    ui = np.arange(w)[None, :]
+    out = []
+    for half in (np.maximum((wpx / 2.0).astype(int), 1), np.maximum((wpx / 4.0).astype(int), 1)):
+        lo_v, hi_v = np.clip(vi - half, 0, h), np.clip(vi + half + 1, 0, h)
+        lo_u, hi_u = np.clip(ui - half, 0, w), np.clip(ui + half + 1, 0, w)
+
+        def box(ii):
+            return ii[hi_v, hi_u] - ii[lo_v, hi_u] - ii[hi_v, lo_u] + ii[lo_v, lo_u]
+
+        cnt = box(i_cnt)
+        good = cnt >= min_support
+        cnt_safe = np.where(good, cnt, 1.0)
+        mu = box(i_s1) / cnt_safe[..., None]
+        cov = box(i_s2).reshape(h, w, 3, 3) / cnt_safe[..., None, None]
+        cov = cov - np.einsum("hwi,hwj->hwij", mu, mu)
+        n = np.linalg.eigh(cov)[1][..., 0]
+        n = np.where((np.einsum("hwi,hwi->hw", n, mu) > 0.0)[..., None], -n, n)
+        n[~(good & valid)] = np.nan
+        out.append(n)
+    return out[0], out[1]

@@ -53,7 +53,7 @@ from patchscape.patch import (
     patch_frame,
     projected_area,
 )
-from patchscape.pose import ChainLink, Pose6, compose_pose, exp_map, pose_inverse, rxy_for_zdir, rxy_to_r
+from patchscape.pose import ChainLink, Pose6, compose_pose, exp_map, pose_inverse, rxy_for_zdir, rxy_to_r, xform_fwd
 from patchscape.sensor import (
     KINECT_640,
     OrganizedCloud,
@@ -62,7 +62,7 @@ from patchscape.sensor import (
     sample_scene,
 )
 
-from _oracles import mc_chain_cov
+from _oracles import eigh_integral_normals, mc_chain_cov
 
 S, B = SurfaceType, BoundaryType
 
@@ -309,6 +309,100 @@ def test_integral_normals_rejects_bad_inputs():
         integral_normals(cloud, 0.1, f=-1.0)
 
 
+def _sym_psd(rng, lam):
+    """Random-orientation symmetric matrices with eigenvalues lam (n, 3)."""
+    q, _ = np.linalg.qr(rng.normal(size=(len(lam), 3, 3)))
+    return np.einsum("nij,nj,nkj->nik", q, lam, q)
+
+
+def _upper(a):
+    return [a[:, i, j] for i, j in mapping._UPPER]
+
+
+def test_smallest_eigvec_matches_eigh_where_certified():
+    rng = np.random.default_rng(5)
+    n = 4000
+    lam_max = np.ones(n)
+    gap = 10.0 ** rng.uniform(-12.0, 0.0, n)  # straddles the certification gap
+    lam_min = rng.choice([0.0, 1e-3, 0.3], n) * (1.0 - gap)
+    lam = np.stack([lam_min, lam_min + gap * (1.0 - lam_min), lam_max], axis=1)
+    scale = 10.0 ** rng.uniform(-9.0, 3.0, n)
+    a = _sym_psd(rng, lam * scale[:, None])
+    v, certified = mapping._smallest_eigvec(_upper(a))
+    ref = np.linalg.eigh(a)[1][:, :, 0]
+    sin = np.linalg.norm(np.cross(v.T[certified], ref[certified]), axis=1)
+    assert sin.max() <= 1e-9
+    assert np.allclose(np.linalg.norm(v.T[certified], axis=1), 1.0, atol=1e-12)
+    rel_gap = (lam[:, 1] - lam[:, 0]) / lam[:, 2]
+    assert certified[rel_gap > 2.0 * mapping._GAP_MIN].all()
+    assert not certified[rel_gap < 0.5 * mapping._GAP_MIN].any()
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [
+        (0.0, 0.0, 0.0),  # rank 0
+        (0.0, 0.0, 1.0),  # rank 1
+        (2.0, 2.0, 5.0),  # repeated smallest eigenvalue
+        (3.0, 3.0, 3.0),  # isotropic
+        (1.0, 1.0 + 1e-12, 4.0),  # gap below eps^(1/3)
+    ],
+)
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e3])
+def test_smallest_eigvec_leaves_degenerate_windows_uncertified(lam, scale):
+    rng = np.random.default_rng(8)
+    a = _sym_psd(rng, np.tile(np.array(lam) * scale, (16, 1)))
+    _, certified = mapping._smallest_eigvec(_upper(a))
+    assert not certified.any()
+
+
+def test_smallest_eigvec_rank_two_is_certified():
+    rng = np.random.default_rng(9)
+    for scale in (1e-9, 1.0, 1e3):
+        a = _sym_psd(rng, np.tile([0.0, 0.5 * scale, scale], (64, 1)))
+        v, certified = mapping._smallest_eigvec(_upper(a))
+        assert certified.all()
+        ref = np.linalg.eigh(a)[1][:, :, 0]
+        assert np.linalg.norm(np.cross(v.T, ref), axis=1).max() <= 1e-9
+
+
+def test_integral_normals_falls_back_to_eigh_on_degenerate_windows(monkeypatch):
+    # one valid scan line: every window's points are collinear (rank 1)
+    z = np.full((TINY.height, TINY.width), np.nan)
+    z[30, 10:70] = 1.0
+    cloud = _depth_cloud(TINY, z)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def spy(a):
+        calls.append(len(a))
+        return eigh(a)
+
+    monkeypatch.setattr(mapping.np.linalg, "eigh", spy)
+    n, n_s = integral_normals(cloud, 0.1)
+    monkeypatch.setattr(mapping.np.linalg, "eigh", eigh)
+    assert sum(calls) == 2 * 60  # every window, at both scales
+    ref, ref_s = eigh_integral_normals(cloud, 0.1)
+    assert np.array_equal(n, ref, equal_nan=True)
+    assert np.array_equal(n_s, ref_s, equal_nan=True)
+
+
+@pytest.mark.parametrize("cfg", [SaliencyConfig(), ROCKY_SALIENCY])
+def test_integral_normals_saliency_matches_eigh_reference(rocky_cloud_noisy, cfg):
+    cloud = rocky_cloud_noisy
+    new = integral_normals(cloud, cfg.r)
+    ref = eigh_integral_normals(cloud, cfg.r)
+    for a, b in zip(new, ref):
+        assert np.array_equal(np.isfinite(a), np.isfinite(b))
+        ok = np.isfinite(a[..., 0])
+        assert np.linalg.norm(np.cross(a[ok], b[ok]), axis=1).max() <= 1e-9
+        assert (np.einsum("ij,ij->i", a[ok], b[ok]) > 0.0).all()
+    g = _gravity_cam()
+    mask = saliency_filter(cloud, new, g, cfg)
+    assert mask.any()
+    assert np.array_equal(mask, saliency_filter(cloud, ref, g, cfg))
+
+
 # ---------------------------------------------------------------------------
 # Saliency
 # ---------------------------------------------------------------------------
@@ -431,6 +525,48 @@ def test_select_seeds_n_g_override_allows_more():
     assert len(many) > len(select_seeds(cloud, cloud.valid_mask, state, rng_seed=1))
 
 
+def _loop_select_seeds(cloud, salient, volume, n_g, rng_seed):
+    """select_seeds with per-pixel dict grouping: the direct form."""
+    rng = np.random.default_rng(rng_seed)
+    pix = np.argwhere(salient)
+    pts_vol = xform_fwd(cloud.points[salient], volume.c_t.r, volume.c_t.t)
+    v_g = volume.grid.v_g
+    w = volume.v_s / v_g
+    by_cell = {}
+    for idx, p in enumerate(pts_vol):
+        ix, iz = math.floor(p[0] / w), math.floor(p[2] / w)
+        if 0 <= ix < v_g and 0 <= iz < v_g:
+            by_cell.setdefault((ix, iz), []).append(idx)
+    cam_xz = volume.c_t.t[[0, 2]]
+    occupancy = volume.cell_counts()
+
+    def rank(cell):
+        return (float(np.linalg.norm((np.array(cell, dtype=float) + 0.5) * w - cam_xz)), cell)
+
+    out = []
+    for cell in sorted(by_cell, key=rank):
+        room = n_g - occupancy.get(cell, 0)
+        if room <= 0:
+            continue
+        cands = by_cell[cell]
+        chosen = rng.choice(len(cands), size=min(room, len(cands)), replace=False)
+        out += [(tuple(int(x) for x in pix[cands[c]]), cell) for c in np.sort(chosen)]
+    return out
+
+
+def test_select_seeds_matches_loop_grouping(rocky_cloud_noisy):
+    cloud = rocky_cloud_noisy
+    state = init_volume()
+    first = select_seeds(cloud, cloud.valid_mask, state, rng_seed=3)
+    assert len({s.cell for s in first}) > 4
+    state.patches.append(_dummy_mappatch(first[0].cell))
+    for n_g in (1, 3):
+        seeds = select_seeds(cloud, cloud.valid_mask, state, n_g=n_g, rng_seed=7)
+        state.grid.n_g = n_g
+        ref = _loop_select_seeds(cloud, cloud.valid_mask, state, n_g, 7)
+        assert [(s.pixel, s.cell) for s in seeds] == ref
+
+
 def test_select_seeds_empty_mask():
     cloud = _plane_cloud(1.0)
     assert select_seeds(cloud, np.zeros_like(cloud.valid_mask), init_volume()) == []
@@ -468,6 +604,21 @@ def test_neighborhood_backprojection_matches_kdtree():
     sb = set(map(tuple, b.pixels))
     assert sa == sb
     assert (np.linalg.norm(a.points - cloud.points[seed], axis=1) <= 0.12).all()
+
+
+def test_neighborhood_backprojection_keeps_scan_order(rocky_cloud_noisy):
+    cloud = rocky_cloud_noisy
+    kd = NeighborhoodIndex(variant=NeighborhoodVariant.KDTREE)
+    seeds = [(240, 320), (100, 500), (400, 60), (2, 2)]
+    seeds = [sd for sd in seeds if np.isfinite(cloud.points[sd][2])]
+    assert len(seeds) >= 3
+    for seed in seeds:
+        a = neighborhood(NeighborhoodIndex(), cloud, np.array(seed), 0.15, n_f=10**9)
+        b = neighborhood(kd, cloud, np.array(seed), 0.15, n_f=10**9)
+        assert len(a.pixels) > 13
+        assert np.array_equal(a.pixels, b.pixels)  # row-major, element for element
+        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a.covs, b.covs)
 
 
 def test_neighborhood_subsamples_to_n_f():
@@ -747,6 +898,16 @@ def test_map_step_noisy_frame_still_yields_valid_patches(rocky_cloud_noisy):
     for mp in res.admitted:
         assert mp.validation.residual <= 0.01
         assert mp.validation.passed
+
+
+def test_map_step_decimated_seed_pixel_is_full_resolution(rocky_cloud):
+    cfg = replace(ROCKY_CONFIG, decimate=2, n_f=50)
+    state = init_volume()
+    res = map_step(state, rocky_cloud, _gravity_cam(), config=cfg, rng_seed=11)
+    assert res.admitted
+    for mp in res.admitted:
+        p = rocky_cloud.points[mp.seed_pixel]
+        assert np.array_equal(xform_fwd(p, state.c_t.r, state.c_t.t), mp.seed_point)
 
 
 def test_map_step_work_unit_budget(rocky_cloud):
