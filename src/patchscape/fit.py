@@ -18,27 +18,36 @@ The fit runs in stages:
    projected to the local xy plane, scaled so a Gaussian scatter is
    covered with probability gamma.
 
-Every stage carries the parameter covariance through its exact
-first-order Jacobian; the final patch covariance is ordered (k, d, r, t).
-
 Measurement weighting follows the implicit-surface normalization: each
 residual is divided by the standard deviation induced by its 3x3 point
 covariance through the surface gradient, and the residual Jacobian
 includes the derivative of that normalization.
 
-A side-wall constraint replaces the free position by t = t0 + a * n
-with scalar a, keeping the fitted patch centered on a known line (for
-example the intersection with a supporting wall); recentering moves are
-skipped so the final position stays on the line.
+Covariance flows through one path. Every solve returns the state
+(k, r, t) with its covariance: k the family's free curvatures, r the
+2-component r_xy of a 5-DoF frame or the full rotation vector, t the
+origin. A side-wall constraint replaces the free position by
+t = t0 + a * n with scalar a, keeping the fitted patch centered on a
+known line (for example the intersection with a supporting wall); the
+solver sees (k, r, a), and the solve lifts the result back to (k, r, t)
+through J = block_diag(I, n), the only place the line enters the
+covariance. Stages 2-3 then map (k, r, t) to a reduced (k, r, t) by
+block-diagonal Jacobians. One finisher takes the moments m of the
+projected points jointly with the state and maps (m, k, r, t) to the
+final (k, d, r, t): the extents d come from m, t moves to the moment
+centroid along the family's free in-plane axes (never on a side wall,
+so the position stays on the line), and a plane with a directional
+boundary turns its frame to the principal axes of m.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from functools import partial
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.special import erfinv
 
 from patchscape import pose as _pose
@@ -58,7 +67,6 @@ __all__ = [
     "coverage_scale",
 ]
 
-_ZHAT = np.array([0.0, 0.0, 1.0])
 _FLAT_EPS = 1e-2  # curvature magnitude below which a direction is flat
 _TINY_KAPPA = 1e-8  # cylinder curvature below which the frame rebuild is skipped
 
@@ -208,7 +216,7 @@ def wlm_minimize(model, p0, points, covs, config: WlmConfig = WlmConfig()) -> Wl
     A = best_J.T @ best_J
     # damping floor keeps gauge directions at a finite, documented variance
     A[np.diag_indices_from(A)] += config.damping_init
-    sigma = _sym(np.linalg.inv(A))
+    sigma = _pose.sym(np.linalg.inv(A))
     return WlmResult(
         p=best_p, sigma=sigma, chi2=best_chi2, iterations=iters, converged=converged
     )
@@ -217,24 +225,6 @@ def wlm_minimize(model, p0, points, covs, config: WlmConfig = WlmConfig()) -> Wl
 # ---------------------------------------------------------------------------
 # Frame helpers
 # ---------------------------------------------------------------------------
-
-
-def _lift(rxy) -> np.ndarray:
-    return np.array([rxy[0], rxy[1], 0.0])
-
-
-def _dz_drxy(rxy) -> np.ndarray:
-    dR = _pose.jac_exp(_lift(rxy))
-    return np.column_stack([dR[0][:, 2], dR[1][:, 2]])
-
-
-def _logdiff_jacobian(R_new: np.ndarray, dR_blocks) -> Tuple[np.ndarray, np.ndarray]:
-    """r' = log(R_new) and d r'/d(inputs) given dR_new/d(input_m) blocks."""
-    r_new, Jlog = _pose.log_map(R_new)
-    J = np.empty((3, len(dR_blocks)))
-    for m, dRm in enumerate(dR_blocks):
-        J[:, m] = np.einsum("iab,ab->i", Jlog, dRm)
-    return r_new, J
 
 
 def _frame_from_xz(x, z):
@@ -252,28 +242,18 @@ def _frame_from_xz(x, z):
     ny = np.linalg.norm(y_raw)
     yh = y_raw / ny
     Py = (np.eye(3) - np.outer(yh, yh)) / ny
-    zx = _skew(xh)
+    zx = _pose.skew(xh)
     dyraw_dz = zx.T  # d(z x xh)/dz = -[xh]_x
-    dyraw_dx = _skew(z) @ Px
+    dyraw_dx = _pose.skew(z) @ Px
     dy_dz = Py @ dyraw_dz
     dy_dx = Py @ dyraw_dx
     zh = np.cross(xh, yh)
-    dz_dx = -_skew(yh) @ Px + zx @ dy_dx
+    dz_dx = -_pose.skew(yh) @ Px + zx @ dy_dx
     dz_dz = zx @ dy_dz
-    R_l = np.column_stack([xh, yh, zh])
-    r_new, Jlog = _pose.log_map(R_l)
-    J_x = np.empty((3, 3))
-    J_z = np.empty((3, 3))
-    for m in range(3):
-        dRx = np.column_stack([Px[:, m], dy_dx[:, m], dz_dx[:, m]])
-        dRz = np.column_stack([np.zeros(3), dy_dz[:, m], dz_dz[:, m]])
-        J_x[:, m] = np.einsum("iab,ab->i", Jlog, dRx)
-        J_z[:, m] = np.einsum("iab,ab->i", Jlog, dRz)
-    return r_new, J_x, J_z
-
-
-def _skew(v) -> np.ndarray:
-    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+    dRx = [np.column_stack([Px[:, m], dy_dx[:, m], dz_dx[:, m]]) for m in range(3)]
+    dRz = [np.column_stack([np.zeros(3), dy_dz[:, m], dz_dz[:, m]]) for m in range(3)]
+    r_new, J = _pose.jac_log_of(np.column_stack([xh, yh, zh]), dRx + dRz)
+    return r_new, J[:, :3], J[:, 3:]
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +276,32 @@ def _recentre_on_plane(qbar, rxy, t):
     Returns (t', J) with J = d t'/d(zl, qbar, t) stacked (3 x 9); the zl
     dependence is later chained through d zl/d rxy.
     """
-    zl = _pose.exp_map(_lift(rxy))[:, 2]
+    zl = _pose.exp_map(_pose.rxy_to_r(rxy))[:, 2]
     w = qbar - t
     t_new = qbar - float(zl @ w) * zl
     dz = -(np.outer(zl, w) + float(zl @ w) * np.eye(3))
     dq = np.eye(3) - np.outer(zl, zl)
     dt = np.outer(zl, zl)
     return t_new, np.hstack([dz, dq, dt])
+
+
+def _recentred_sigma(rxy, J_t, sigma_qbar, sigma):
+    """Covariance of (rxy, t') from that of the solved (rxy, t).
+
+    The inputs are (zl, qbar, rxy, t) with J_t = d t'/d(zl, qbar, t). t'
+    also depends on rxy through zl; chaining it here alongside the
+    independent zl block double counts only at second order in the noise.
+    """
+    J_z = _pose.jac_zaxis(rxy)
+    J_zl, J_q, J_tt = J_t[:, :3], J_t[:, 3:6], J_t[:, 6:]
+    J = np.block(
+        [
+            [np.zeros((2, 6)), np.eye(2), np.zeros((2, 3))],
+            [J_zl, J_q, J_zl @ J_z, J_tt],
+        ]
+    )
+    S = block_diag(J_z @ sigma[:2, :2] @ J_z.T, sigma_qbar, sigma)
+    return J @ S @ J.T
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +338,9 @@ def _moment_joint_sigma(points, covs, R, t, dR_cols, sigma_state, nk):
     B = M @ R.T  # d m_i / d q_i, up to 1/n
     sigma_m = np.einsum("nab,nbc,ndc->ad", B, covs, B) / n**2
 
-    nr = len(dR_cols)
-    A = np.zeros((5, nk + nr + 3))
-    for j, dRj in enumerate(dR_cols):
-        V = d @ dRj  # local perturbation from rotation parameter j
-        A[:, nk + j] = np.einsum("nab,nb->a", M, V) / n
-    A[:, nk + nr :] = -B.mean(axis=0)
+    # d m / d(k, r, t): r moves ql by d @ dR_j, t by -R^T
+    A_r = np.column_stack([np.einsum("nab,nb->a", M, d @ dRj) for dRj in dR_cols]) / n
+    A = np.hstack([np.zeros((5, nk)), A_r, -B.mean(axis=0)])
 
     cross = A @ sigma_state
     top = sigma_m + cross @ A.T
@@ -440,6 +436,28 @@ def _plane_spread(m, gamma):
     return l_p, l_m, theta, dl_p, dl_m, dtheta, drho_dm
 
 
+def _extents_plane(m, gamma, boundary):
+    """Plane extents along the principal axes of the projected spread."""
+    l_p, l_m, _, dl_p, dl_m, _, drho = _plane_spread(m, gamma)
+    L = np.vstack([dl_p @ drho, dl_m @ drho])  # d(l+, l-)/dm
+    if boundary == BoundaryType.CIRCLE:
+        return np.array([max(l_p, l_m)]), L[:1]  # l+ >= l- always
+    if boundary in (BoundaryType.ELLIPSE, BoundaryType.AARECT):
+        return np.array([l_p, l_m]), L
+    # convex quad equivalent to the principal rectangle
+    dd = math.hypot(l_p, l_m)
+    gam = math.atan2(l_m, l_p)
+    dd_dl = np.array([l_p, l_m]) / dd
+    dgam_dl = np.array([-l_m, l_p]) / (l_p**2 + l_m**2)
+    return np.array([dd, dd, dd, dd, gam]), np.vstack([dd_dl @ L] * 4 + [dgam_dl @ L])
+
+
+def _plane_turn(m, gamma):
+    """Angle of the principal axes about local z, and its derivative in m."""
+    _, _, theta, _, _, dtheta, drho = _plane_spread(m, gamma)
+    return theta, dtheta @ drho
+
+
 # ---------------------------------------------------------------------------
 # Fit driver
 # ---------------------------------------------------------------------------
@@ -502,255 +520,151 @@ def fit_patch(
     if len(pts) < 13:
         raise ValueError("need at least 13 points to fit a patch")
     vp = np.asarray(viewpoint, dtype=float).reshape(3)
-    if side_wall is not None and side_wall is not True:
-        wall_t = np.asarray(side_wall[0], dtype=float).reshape(3)
-        wall_n = np.asarray(side_wall[1], dtype=float).reshape(3)
-        wall_n = wall_n / np.linalg.norm(wall_n)
-        t_line = (wall_t, wall_n)
-    else:
-        t_line = None
     lam_g = coverage_scale(gamma)
-
-    total_iters = 0
-    converged = True
-    chi2 = 0.0
 
     # ---- stage 1: plane ----------------------------------------------
     rxy0, qbar = _lls_plane(pts, vp)
     if side_wall is True:
         wall_t = qbar.copy()
-        wall_n = _pose.exp_map(_lift(rxy0))[:, 2]
-        t_line = (wall_t, wall_n)
-    sigma_qbar = cv.sum(axis=0) / len(pts) ** 2
-    plane_res = None
+        wall_n = _pose.exp_map(_pose.rxy_to_r(rxy0))[:, 2]
+    elif side_wall is not None:
+        wall_t = np.asarray(side_wall[0], dtype=float).reshape(3)
+        wall_n = np.asarray(side_wall[1], dtype=float).reshape(3)
+        wall_n = wall_n / np.linalg.norm(wall_n)
+    wall = side_wall is not None
+    runs = []
+
+    def solve(k3_map, r0, t0):
+        """Solve from zero curvature; return (k, r, t) and its covariance."""
+        nk = k3_map.shape[1]
+        model = _implicit_model(k3_map, len(r0), (wall_t, wall_n) if wall else None)
+        if not wall:
+            p0 = np.concatenate([np.zeros(nk), r0, t0])
+        else:
+            p0 = np.concatenate([np.zeros(nk), r0, [float(wall_n @ (t0 - wall_t))]])
+        res = wlm_minimize(model, p0, pts, cv, config)
+        runs.append(res)
+        if not wall:
+            return res.p[:nk], res.p[nk:-3], res.p[-3:], res.sigma
+        # the single side-wall lift: (k, r, a) -> (k, r, wall_t + a n)
+        J = block_diag(np.eye(len(res.p) - 1), wall_n[:, None])
+        t = wall_t + res.p[-1] * wall_n
+        return res.p[:nk], res.p[nk:-1], t, J @ res.sigma @ J.T
+
     if surface == "paraboloid":
-        t0 = qbar.copy()
-        if t_line is not None:
+        t0 = qbar
+        if wall:
             t0 = wall_t + float(wall_n @ (qbar - wall_t)) * wall_n
+        k2, r, t, sigma = solve(_K3_PARAB, _pose.rxy_to_r(rxy0), t0)
+        patch = _classify_paraboloid(pts, cv, k2, r, t, sigma, gamma, lam_g, wall)
     else:
-        model = _implicit_model(_K3_PLANE, 2, t_line)
-        if t_line is None:
-            p0 = np.concatenate([rxy0, qbar])
-        else:
-            p0 = np.concatenate([rxy0, [float(wall_n @ (qbar - wall_t))]])
-        plane_res = wlm_minimize(model, p0, pts, cv, config)
-        total_iters += plane_res.iterations
-        converged &= plane_res.converged
-        chi2 = plane_res.chi2
-        rxy0 = plane_res.p[:2]
-        if t_line is None:
-            t0 = plane_res.p[2:5].copy()
-            t0, _ = _recentre_on_plane(qbar, rxy0, t0)
-        else:
-            t0 = wall_t + plane_res.p[2] * wall_n
+        _, rxy0, t0, plane_sigma = solve(_K3_PLANE, rxy0, qbar)
+        if not wall:
+            t0, J_t = _recentre_on_plane(qbar, rxy0, t0)
+            sigma_qbar = cv.sum(axis=0) / len(pts) ** 2
+            plane_sigma = _recentred_sigma(rxy0, J_t, sigma_qbar, plane_sigma)
 
-    # ---- stages 2-3: surface solve and classification ----------------
+    # ---- stages 2-3: surface solve and finish ------------------------
     if surface == "plane":
-        state_sigma = _plane_state_sigma(
-            plane_res, rxy0, qbar, t0, sigma_qbar, t_line, wall_n if t_line else None
+        turn = partial(_plane_turn, gamma=gamma)
+        if plane_boundary == BoundaryType.CIRCLE:
+            turn = None  # a circle keeps the 5-DoF frame
+        patch = _finish(
+            pts, cv, SurfaceType.PLANE, plane_boundary, np.zeros(0), rxy0, t0,
+            plane_sigma, lambda m: _extents_plane(m, gamma, plane_boundary), (0, 1),
+            wall, turn,
         )
-        return _finish_plane(
-            pts, cv, rxy0, t0, state_sigma, plane_boundary, gamma, lam_g,
-            t_line is not None, converged, chi2, total_iters,
+    elif surface == "sphere":
+        k, rxy, t, sigma = solve(_K3_SPHERE, rxy0, t0)
+        patch = _finish(
+            pts, cv, SurfaceType.SPHERE, BoundaryType.CIRCLE, k, rxy, t, sigma,
+            lambda m: _extents_circle_from_vxy(m, lam_g), (), wall,
         )
-
-    if surface == "sphere":
-        model = _implicit_model(_K3_SPHERE, 2, t_line)
-        if t_line is None:
-            p0 = np.concatenate([[0.0], rxy0, t0])
-        else:
-            p0 = np.concatenate([[0.0], rxy0, [float(wall_n @ (t0 - wall_t))]])
-        res = wlm_minimize(model, p0, pts, cv, config)
-        total_iters += res.iterations
-        converged &= res.converged
-        kappa = res.p[0]
-        rxy = res.p[1:3]
-        if t_line is None:
-            t = res.p[3:6]
-            sigma = res.sigma
-        else:
-            t = wall_t + res.p[3] * wall_n
-            J = np.zeros((6, 4))
-            J[:3, :3] = np.eye(3)
-            J[3:, 3] = wall_n
-            sigma = J @ res.sigma @ J.T
-        return _finish_circular(
-            pts, cv, SurfaceType.SPHERE, kappa, rxy, t, sigma, lam_g,
-            converged, res.chi2, total_iters,
+    elif surface == "cylinder":
+        k, r, t, sigma = solve(_K3_CCYL, _pose.rxy_to_r(rxy0), t0)
+        if abs(k[0]) >= _TINY_KAPPA and not wall:
+            r, t, sigma = _ccyl_rebuild(k[0], r, t, sigma, rxy0, plane_sigma[:2, :2])
+        patch = _finish(
+            pts, cv, SurfaceType.CIRCULAR_CYLINDER, BoundaryType.AARECT, k, r, t,
+            sigma, lambda m: _extents_rect(m, lam_g), (0,), wall,
         )
-
-    if surface == "cylinder":
-        model = _implicit_model(_K3_CCYL, 3, t_line)
-        if t_line is None:
-            p0 = np.concatenate([[0.0], _lift(rxy0), t0])
-        else:
-            p0 = np.concatenate([[0.0], _lift(rxy0), [float(wall_n @ (t0 - wall_t))]])
-        res = wlm_minimize(model, p0, pts, cv, config)
-        total_iters += res.iterations
-        converged &= res.converged
-        kappa = res.p[0]
-        r = res.p[1:4].copy()
-        if t_line is None:
-            t = res.p[4:7].copy()
-            sigma = res.sigma
-        else:
-            t = wall_t + res.p[4] * wall_n
-            J = np.zeros((7, 5))
-            J[:4, :4] = np.eye(4)
-            J[4:, 4] = wall_n
-            sigma = J @ res.sigma @ J.T
-        if abs(kappa) >= _TINY_KAPPA and t_line is None:
-            r, t, sigma = _ccyl_rebuild(kappa, r, t, sigma, plane_res, rxy0)
-        return _finish_cylindric(
-            pts, cv, SurfaceType.CIRCULAR_CYLINDER, kappa, r, t, sigma, lam_g,
-            t_line is not None, converged, res.chi2, total_iters,
-        )
-
-    # general paraboloid
-    model = _implicit_model(_K3_PARAB, 3, t_line)
-    if t_line is None:
-        p0 = np.concatenate([[0.0, 0.0], _lift(rxy0), t0])
-    else:
-        p0 = np.concatenate([[0.0, 0.0], _lift(rxy0), [float(wall_n @ (t0 - wall_t))]])
-    res = wlm_minimize(model, p0, pts, cv, config)
-    total_iters += res.iterations
-    converged &= res.converged
-    chi2 = res.chi2
-    k2 = res.p[:2].copy()
-    r = res.p[2:5].copy()
-    if t_line is None:
-        t = res.p[5:8].copy()
-        sigma8 = res.sigma
-    else:
-        t = wall_t + res.p[5] * wall_n
-        J = np.zeros((8, 6))
-        J[:5, :5] = np.eye(5)
-        J[5:, 5] = wall_n
-        sigma8 = J @ res.sigma @ J.T
-
-    return _classify_paraboloid(
-        pts, cv, k2, r, t, sigma8, gamma, lam_g, t_line is not None,
-        converged, chi2, total_iters,
+    return FitResult(
+        patch,
+        all(res.converged for res in runs),
+        runs[-1].chi2,
+        sum(res.iterations for res in runs),
     )
 
 
 # ---------------------------------------------------------------------------
-# Path finishers
+# Stage maps and the finisher
 # ---------------------------------------------------------------------------
 
 
-def _plane_state_sigma(plane_res, rxy, qbar, t_new, sigma_qbar, t_line, wall_n):
-    """Covariance of the plane state (rxy, t) after recentering."""
-    if t_line is not None:
-        J = np.zeros((5, 3))
-        J[:2, :2] = np.eye(2)
-        J[2:, 2] = wall_n
-        return J @ plane_res.sigma @ J.T
-    sigma_wlm = plane_res.sigma  # over (rxy, t)
-    J_z = _dz_drxy(rxy)
-    sigma_zl = J_z @ sigma_wlm[:2, :2] @ J_z.T
-    t_old = plane_res.p[2:5]
-    _, J_t = _recentre_on_plane(qbar, rxy, t_old)  # 3 x (zl, qbar, t)
-    J = np.zeros((5, 11))
-    J[:2, 6:8] = np.eye(2)
-    J[2:, 0:3] = J_t[:, 0:3]
-    J[2:, 3:6] = J_t[:, 3:6]
-    # t' also depends on rxy through zl; chaining it here alongside the
-    # independent zl block double counts only at second order in the noise
-    J[2:, 6:8] = J_t[:, 0:3] @ J_z
-    J[2:, 8:11] = J_t[:, 6:9]
-    sigma_in = np.zeros((11, 11))
-    sigma_in[0:3, 0:3] = sigma_zl
-    sigma_in[3:6, 3:6] = sigma_qbar
-    sigma_in[6:11, 6:11] = sigma_wlm
-    return J @ sigma_in @ J.T
-
-
-def _ccyl_rebuild(kappa, r, t, sigma, plane_res, plane_rxy):
+def _ccyl_rebuild(kappa, r, t, sigma, plane_rxy, sigma_rxy):
     """Align the cylinder frame with the stage-1 plane normal.
 
     The fitted x axis is kept as the cylinder axis; y and z rebuild from
     the plane normal, and t shifts so the axis line {t + R (s, 0, 1/k)}
-    is unchanged.
+    is unchanged. sigma_rxy is the covariance of the plane's r_xy.
     """
     R_old = _pose.exp_map(r)
-    x_axis = R_old[:, 0]
-    z_plane = _pose.exp_map(_lift(plane_rxy))[:, 2]
-    r_new, J_x, J_z = _frame_from_xz(x_axis, z_plane)
-    R_new = _pose.exp_map(r_new)
-    t_new = t + (R_old - R_new) @ np.array([0.0, 0.0, 1.0 / kappa])
+    z_plane = _pose.exp_map(_pose.rxy_to_r(plane_rxy))[:, 2]
+    r_new, J_x, J_z = _frame_from_xz(R_old[:, 0], z_plane)
+    t_new = t + (R_old - _pose.exp_map(r_new)) @ np.array([0.0, 0.0, 1.0 / kappa])
 
-    dR = _pose.jac_exp(r)
-    dxdr = np.column_stack([dR[m][:, 0] for m in range(3)])
-    J_zplane = _dz_drxy(plane_rxy)
-    sigma_zpl = J_zplane @ plane_res.sigma[:2, :2] @ J_zplane.T
-    sigma_xl = dxdr @ sigma[1:4, 1:4] @ dxdr.T
-
-    J = np.zeros((7, 10))  # (kappa, r', t) from (z_pl, x_l, kappa, t)
-    J[0, 6] = 1.0
-    J[1:4, 0:3] = J_z
-    J[1:4, 3:6] = J_x
-    J[4:, 7:] = np.eye(3)
-    sigma_in = np.zeros((10, 10))
-    sigma_in[0:3, 0:3] = sigma_zpl
-    sigma_in[3:6, 3:6] = sigma_xl
-    sigma_in[6, 6] = sigma[0, 0]
-    sigma_in[7:, 7:] = sigma[4:, 4:]
-    sigma_in[6, 7:] = sigma[0, 4:]
-    sigma_in[7:, 6] = sigma[4:, 0]
-    return r_new, t_new, J @ sigma_in @ J.T
+    dx_dr = _pose.jac_exp(r)[:, :, 0].T
+    J_zpl = _pose.jac_zaxis(plane_rxy)
+    kt = [0, 4, 5, 6]
+    # (kappa, r', t) from (z_pl, x_l, kappa, t), with z_pl and x_l independent
+    S = block_diag(
+        J_zpl @ sigma_rxy @ J_zpl.T,
+        dx_dr @ sigma[1:4, 1:4] @ dx_dr.T,
+        sigma[np.ix_(kt, kt)],
+    )
+    J = np.block(
+        [
+            [np.zeros((1, 6)), np.eye(1, 4)],
+            [J_z, J_x, np.zeros((3, 4))],
+            [np.zeros((3, 7)), np.eye(3)],
+        ]
+    )
+    return r_new, t_new, J @ S @ J.T
 
 
-def _classify_paraboloid(
-    pts, cv, k2, r, t, sigma8, gamma, lam_g, wall, converged, chi2, iters
-):
+def _classify_paraboloid(pts, cv, k2, r, t, sigma8, gamma, lam_g, wall):
     """Reduce a fitted general paraboloid to its curvature class."""
+
+    def restate(J_k, J_r):
+        J = block_diag(J_k, J_r, np.eye(3))
+        return J @ sigma8 @ J.T
+
     ax, ay = abs(k2[0]), abs(k2[1])
     if max(ax, ay) < _FLAT_EPS:
-        rxy = _pose.rxy_from_r(r)
-        J = np.zeros((5, 8))
-        J[:2, 2:5] = _pose.jac_rxy(r)
-        J[2:, 5:] = np.eye(3)
-        state_sigma = J @ sigma8 @ J.T
-        return _finish_plane(
-            pts, cv, rxy, t, state_sigma, BoundaryType.ELLIPSE, gamma, lam_g,
-            wall, converged, chi2, iters,
+        sigma = restate(np.zeros((0, 2)), _pose.jac_rxy(r))
+        return _finish(
+            pts, cv, SurfaceType.PLANE, BoundaryType.ELLIPSE, np.zeros(0),
+            _pose.rxy_from_r(r), t, sigma,
+            lambda m: _extents_plane(m, gamma, BoundaryType.ELLIPSE), (0, 1), wall,
+            lambda m: _plane_turn(m, gamma),
         )
     if min(ax, ay) < _FLAT_EPS:
         # single curved direction; keep it on the local y axis
         if ay >= _FLAT_EPS:
-            kappa = k2[1]
-            J = np.zeros((7, 8))
-            J[0, 1] = 1.0
-            J[1:4, 2:5] = np.eye(3)
-            J[4:, 5:] = np.eye(3)
-            sigma = J @ sigma8 @ J.T
-            return _finish_cylindric(
-                pts, cv, SurfaceType.CYLINDRIC_PARABOLOID, kappa, r, t, sigma,
-                lam_g, wall, converged, chi2, iters,
-            )
-        kappa = k2[0]
-        r_new, J_r = _swap_frame(r)
-        J = np.zeros((7, 8))
-        J[0, 0] = 1.0
-        J[1:4, 2:5] = J_r
-        J[4:, 5:] = np.eye(3)
-        sigma = J @ sigma8 @ J.T
-        return _finish_cylindric(
-            pts, cv, SurfaceType.CYLINDRIC_PARABOLOID, kappa, r_new, t, sigma,
-            lam_g, wall, converged, chi2, iters,
+            k, sigma = k2[1:], restate([[0.0, 1.0]], np.eye(3))
+        else:
+            r_new, J_r = _swap_frame(r)
+            k, r, sigma = k2[:1], r_new, restate([[1.0, 0.0]], J_r)
+        return _finish(
+            pts, cv, SurfaceType.CYLINDRIC_PARABOLOID, BoundaryType.AARECT, k, r, t,
+            sigma, lambda m: _extents_rect(m, lam_g), (0,), wall,
         )
     if abs(k2[0] - k2[1]) < _FLAT_EPS:
-        kappa = 0.5 * (k2[0] + k2[1])
-        rxy = _pose.rxy_from_r(r)
-        J = np.zeros((6, 8))
-        J[0, 0] = J[0, 1] = 0.5
-        J[1:3, 2:5] = _pose.jac_rxy(r)
-        J[3:, 5:] = np.eye(3)
-        sigma = J @ sigma8 @ J.T
-        return _finish_circular(
-            pts, cv, SurfaceType.CIRCULAR_PARABOLOID, kappa, rxy, t, sigma,
-            lam_g, converged, chi2, iters,
+        return _finish(
+            pts, cv, SurfaceType.CIRCULAR_PARABOLOID, BoundaryType.CIRCLE,
+            np.array([0.5 * (k2[0] + k2[1])]), _pose.rxy_from_r(r), t,
+            restate([[0.5, 0.5]], _pose.jac_rxy(r)),
+            lambda m: _extents_circle_from_vxy(m, lam_g), (), wall,
         )
     stype = (
         SurfaceType.ELLIPTIC_PARABOLOID
@@ -760,195 +674,68 @@ def _classify_paraboloid(
     # canonical axes: |kx| < |ky|, ties broken by kx <= ky
     if ax > ay or (ax == ay and k2[0] > k2[1]):
         r_new, J_r = _swap_frame(r)
-        k2 = k2[::-1].copy()
-        J = np.zeros((8, 8))
-        J[0, 1] = J[1, 0] = 1.0
-        J[2:5, 2:5] = J_r
-        J[5:, 5:] = np.eye(3)
-        sigma8 = J @ sigma8 @ J.T
-        r = r_new
-    return _finish_ellhyp(
-        pts, cv, stype, k2, r, t, sigma8, lam_g, converged, chi2, iters
+        k2, r, sigma8 = k2[::-1].copy(), r_new, restate(np.eye(2)[::-1], J_r)
+    return _finish(
+        pts, cv, stype, BoundaryType.ELLIPSE, k2, r, t, sigma8,
+        lambda m: _extents_ellipse_uncentered(m, lam_g), (), wall,
     )
 
 
 def _swap_frame(r):
     """Quarter turn about local z (x takes the old y direction)."""
-    R_old = _pose.exp_map(r)
-    dR = _pose.jac_exp(r)
-    return _logdiff_jacobian(R_old @ _W_SWAP, [dR[m] @ _W_SWAP for m in range(3)])
+    return _pose.jac_log_of(_pose.exp_map(r) @ _W_SWAP, _pose.jac_exp(r) @ _W_SWAP)
 
 
-def _finish_cylindric(
-    pts, cv, stype, kappa, r, t, sigma, lam_g, wall, converged, chi2, iters
-):
-    R = _pose.exp_map(r)
-    dR = _pose.jac_exp(r)
+def _finish(pts, cv, stype, boundary, k, r, t, sigma, extents, shift, wall, turn=None):
+    """Bound a solved surface and carry its covariance to (k, d, r, t).
+
+    (k, r, t) is the solved state with covariance sigma, r a 2-vector
+    for a 5-DoF frame. extents(m) gives (d, dd/dm) from the moments m of
+    the projected points; t recentres on the moment centroid along the
+    local axes listed in shift, except on a side wall; turn(m), for a
+    plane with a directional boundary, gives the principal-axis angle
+    about local z and its derivative in m.
+    """
+    r3 = r if len(r) == 3 else _pose.rxy_to_r(r)
+    R, dR = _pose.exp_map(r3), _pose.jac_exp(r3)[: len(r)]
     m = _moments(pts, R, t)
-    joint = _moment_joint_sigma(pts, cv, R, t, list(dR), sigma, 1)
-    d, J_dm = _extents_rect(m, lam_g)
-    if not wall:
-        t_new = t + R @ np.array([m[0], 0.0, 0.0])
+    joint = _moment_joint_sigma(pts, cv, R, t, dR, sigma, len(k))
+    d, r_new, t_new, J = _bound(m, k, r, t, R, dR, extents, () if wall else shift, turn)
+    pose = Pose6(r_new, t_new) if len(r_new) == 3 else Pose5(r_new, t_new)
+    return Patch(stype, boundary, k, d, pose, _pose.sym(J @ joint @ J.T))
+
+
+def _bound(m, k, r, t, R, dR, extents, shift, turn):
+    """Final (d, r', t') from the moments m and the state (k, r, t).
+
+    R and dR are the frame R(r) and its derivative dR/dr. Also returns J,
+    the Jacobian of (k, d, r', t') with respect to (m, k, r, t).
+    """
+    nk, nr = len(k), len(r)
+    d, J_dm = extents(m)
+    axes = list(shift)
+    c = np.zeros(3)  # centroid offset on the shift axes: m[0], m[1] are mean x, y
+    c[axes] = m[axes]
+    t_new = t + R @ c
+    dt_dm = np.zeros((3, 5))
+    dt_dm[:, axes] = R[:, axes]
+    dt_dr = (dR @ c).T
+    if turn is None:
+        r_new, dr_dm, dr_dr = r, np.zeros((nr, 5)), np.eye(nr)
     else:
-        t_new = t
-    J = np.zeros((9, 12))  # (k, d, r, t') from (m, k, r, t)
-    J[0, 5] = 1.0
-    J[1:3, 0:5] = J_dm
-    J[3:6, 6:9] = np.eye(3)
-    J[6:, 9:] = np.eye(3)
-    if not wall:
-        J[6:, 0] = R[:, 0]
-        for j in range(3):
-            J[6:, 6 + j] = dR[j] @ np.array([m[0], 0.0, 0.0])
-    sigma_out = J @ joint @ J.T
-    patch = Patch(
-        stype, BoundaryType.AARECT, np.array([kappa]), d, Pose6(r, t_new),
-        _sym(sigma_out),
-    )
-    return FitResult(patch, converged, chi2, iters)
-
-
-def _finish_circular(pts, cv, stype, kappa, rxy, t, sigma, lam_g, converged, chi2, iters):
-    R = _pose.exp_map(_lift(rxy))
-    dR = _pose.jac_exp(_lift(rxy))
-    m = _moments(pts, R, t)
-    joint = _moment_joint_sigma(pts, cv, R, t, [dR[0], dR[1]], sigma, 1)
-    d, J_dm = _extents_circle_from_vxy(m, lam_g)
-    J = np.zeros((7, 11))  # (k, d, rxy, t) from (m, k, rxy, t)
-    J[0, 5] = 1.0
-    J[1, 0:5] = J_dm[0]
-    J[2:4, 6:8] = np.eye(2)
-    J[4:, 8:] = np.eye(3)
-    sigma_out = J @ joint @ J.T
-    patch = Patch(
-        stype, BoundaryType.CIRCLE, np.array([kappa]), d, Pose5(rxy, t),
-        _sym(sigma_out),
-    )
-    return FitResult(patch, converged, chi2, iters)
-
-
-def _finish_ellhyp(pts, cv, stype, k2, r, t, sigma, lam_g, converged, chi2, iters):
-    R = _pose.exp_map(r)
-    dR = _pose.jac_exp(r)
-    m = _moments(pts, R, t)
-    joint = _moment_joint_sigma(pts, cv, R, t, list(dR), sigma, 2)
-    d, J_dm = _extents_ellipse_uncentered(m, lam_g)
-    J = np.zeros((10, 13))  # (k2, d2, r, t) from (m, k2, r, t)
-    J[0:2, 5:7] = np.eye(2)
-    J[2:4, 0:5] = J_dm
-    J[4:7, 7:10] = np.eye(3)
-    J[7:, 10:] = np.eye(3)
-    sigma_out = J @ joint @ J.T
-    patch = Patch(
-        stype, BoundaryType.ELLIPSE, k2, d, Pose6(r, t), _sym(sigma_out)
-    )
-    return FitResult(patch, converged, chi2, iters)
-
-
-def _finish_plane(
-    pts, cv, rxy, t, state_sigma, boundary, gamma, lam_g, wall, converged, chi2, iters
-):
-    R = _pose.exp_map(_lift(rxy))
-    dR = _pose.jac_exp(_lift(rxy))
-    m = _moments(pts, R, t)
-    joint = _moment_joint_sigma(pts, cv, R, t, [dR[0], dR[1]], state_sigma, 0)
-    l_p, l_m, theta, dl_p, dl_m, dtheta, drho = _plane_spread(m, gamma)
-
-    if not wall:
-        t_new = t + R @ np.array([m[0], m[1], 0.0])
-        dtn_dm = np.zeros((3, 5))
-        dtn_dm[:, 0] = R[:, 0]
-        dtn_dm[:, 1] = R[:, 1]
-        dtn_drxy = np.column_stack(
-            [dR[j] @ np.array([m[0], m[1], 0.0]) for j in range(2)]
-        )
-    else:
-        t_new = t
-        dtn_dm = np.zeros((3, 5))
-        dtn_drxy = np.zeros((3, 2))
-
-    dlp_dm = dl_p @ drho
-    dlm_dm = dl_m @ drho
-    dth_dm = dtheta @ drho
-
-    if boundary == BoundaryType.CIRCLE:
-        d = np.array([max(l_p, l_m)])
-        J = np.zeros((6, 10))  # (d, rxy, t') from (m, rxy, t)
-        J[0, 0:5] = dlp_dm  # l+ >= l- always
-        J[1:3, 5:7] = np.eye(2)
-        J[3:, 0:5] = dtn_dm
-        J[3:, 5:7] = dtn_drxy
-        J[3:, 7:] = np.eye(3)
-        sigma_out = J @ joint @ J.T
-        patch = Patch(
-            SurfaceType.PLANE, boundary, np.array([]), d, Pose5(rxy, t_new),
-            _sym(sigma_out),
-        )
-        return FitResult(patch, converged, chi2, iters)
-
-    # principal-axis frame for directional boundaries
-    Rz = np.array(
+        theta, dth_dm = turn(m)
+        cs, sn = math.cos(theta), math.sin(theta)
+        Rz = np.array([[cs, -sn, 0.0], [sn, cs, 0.0], [0.0, 0.0, 1.0]])
+        dRz = np.array([[-sn, -cs, 0.0], [cs, -sn, 0.0], [0.0, 0.0, 0.0]])
+        r_new, J_log = _pose.jac_log_of(R @ Rz, [R @ dRz, *(dR @ Rz)])
+        dr_dm, dr_dr = np.outer(J_log[:, 0], dth_dm), J_log[:, 1:]
+    nd, nq = len(d), len(r_new)
+    J = np.block(
         [
-            [math.cos(theta), -math.sin(theta), 0.0],
-            [math.sin(theta), math.cos(theta), 0.0],
-            [0.0, 0.0, 1.0],
+            [np.zeros((nk, 5)), np.eye(nk), np.zeros((nk, nr + 3))],
+            [J_dm, np.zeros((nd, nk + nr + 3))],
+            [dr_dm, np.zeros((nq, nk)), dr_dr, np.zeros((nq, 3))],
+            [dt_dm, np.zeros((3, nk)), dt_dr, np.eye(3)],
         ]
     )
-    dRz = np.array(
-        [
-            [-math.sin(theta), -math.cos(theta), 0.0],
-            [math.cos(theta), -math.sin(theta), 0.0],
-            [0.0, 0.0, 0.0],
-        ]
-    )
-    R_new = R @ Rz
-    r_new, Jlog = _pose.log_map(R_new)
-    dr_dth = np.einsum("iab,ab->i", Jlog, R @ dRz)
-    dr_drxy = np.empty((3, 2))
-    for j in range(2):
-        dr_drxy[:, j] = np.einsum("iab,ab->i", Jlog, dR[j] @ Rz)
-    dr_dm = np.outer(dr_dth, dth_dm)
-
-    if boundary in (BoundaryType.ELLIPSE, BoundaryType.AARECT):
-        d = np.array([l_p, l_m])
-        J = np.zeros((8, 10))  # (d2, r3, t') from (m, rxy, t)
-        J[0, 0:5] = dlp_dm
-        J[1, 0:5] = dlm_dm
-        J[2:5, 0:5] = dr_dm
-        J[2:5, 5:7] = dr_drxy
-        J[5:, 0:5] = dtn_dm
-        J[5:, 5:7] = dtn_drxy
-        J[5:, 7:] = np.eye(3)
-        sigma_out = J @ joint @ J.T
-        patch = Patch(
-            SurfaceType.PLANE, boundary, np.array([]), d, Pose6(r_new, t_new),
-            _sym(sigma_out),
-        )
-        return FitResult(patch, converged, chi2, iters)
-
-    # convex quad equivalent to the principal rectangle
-    dd = math.hypot(l_p, l_m)
-    gam = math.atan2(l_m, l_p)
-    dq = np.array([dd, dd, dd, dd, gam])
-    dd_dl = np.array([l_p, l_m]) / dd
-    dgam_dl = np.array([-l_m, l_p]) / (l_p**2 + l_m**2)
-    L = np.vstack([dlp_dm, dlm_dm])  # d(l+, l-)/dm
-    J = np.zeros((11, 10))  # (d5, r3, t') from (m, rxy, t)
-    for i in range(4):
-        J[i, 0:5] = dd_dl @ L
-    J[4, 0:5] = dgam_dl @ L
-    J[5:8, 0:5] = dr_dm
-    J[5:8, 5:7] = dr_drxy
-    J[8:, 0:5] = dtn_dm
-    J[8:, 5:7] = dtn_drxy
-    J[8:, 7:] = np.eye(3)
-    sigma_out = J @ joint @ J.T
-    patch = Patch(
-        SurfaceType.PLANE, BoundaryType.CQUAD, np.array([]), dq,
-        Pose6(r_new, t_new), _sym(sigma_out),
-    )
-    return FitResult(patch, converged, chi2, iters)
-
-
-def _sym(a):
-    return 0.5 * (a + a.T)
+    return d, r_new, t_new, J

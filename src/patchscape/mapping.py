@@ -23,11 +23,10 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import block_diag
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
@@ -74,7 +73,6 @@ __all__ = [
     "MapBudgets",
     "MapStepResult",
     "map_step",
-    "chain_covariance",
 ]
 
 
@@ -1082,6 +1080,8 @@ class MapBudgets:
     time slice; wall_clock_s enforces a real time limit instead (used by
     the command line driver, inherently nondeterministic). area_target
     stops admissions once the summed projected patch areas reach it.
+    Once any cap is reached, the seeds not yet tried count as "budget"
+    drops.
     """
 
     n_s: Optional[int] = None
@@ -1152,14 +1152,16 @@ def map_step(
     gate = cfg.gate
 
     for pos, seed in enumerate(seeds):
-        if budgets.n_s is not None and len(state.patches) >= budgets.n_s:
-            break
-        if budgets.work_units is not None and result.n_attempts >= budgets.work_units:
+        if (
+            (budgets.n_s is not None and len(state.patches) >= budgets.n_s)
+            or (budgets.work_units is not None and result.n_attempts >= budgets.work_units)
+            or (
+                budgets.wall_clock_s is not None
+                and time.monotonic() - t_start > budgets.wall_clock_s
+            )
+            or (budgets.area_target is not None and area_sum >= budgets.area_target)
+        ):
             result.drops["budget"] += len(seeds) - pos
-            break
-        if budgets.wall_clock_s is not None and time.monotonic() - t_start > budgets.wall_clock_s:
-            break
-        if budgets.area_target is not None and area_sum >= budgets.area_target:
             break
         if counts.get(seed.cell, 0) >= state.grid.n_g:
             result.drops["cell_full"] += 1
@@ -1253,47 +1255,3 @@ def map_step(
     )
     result.timings["total"] = total
     return result
-
-
-# ---------------------------------------------------------------------------
-# Pose chain covariance
-# ---------------------------------------------------------------------------
-
-
-def chain_covariance(
-    links: Sequence[ChainLink],
-    link_covariances: Sequence[np.ndarray],
-    five_dof: bool = False,
-) -> np.ndarray:
-    """First-order covariance of a composed pose chain.
-
-    link_covariances[i] is the 6x6 (r, t) covariance of links[i]; the
-    result is Sigma_c = J_c S J_c^T with S block diagonal in the chain
-    Jacobian's column order. With five_dof, the composed rotation is
-    reduced to r_xy through its Jacobian, giving the 5x5 covariance of a
-    revolute patch pose.
-    """
-    if len(links) != len(link_covariances):
-        raise ValueError("need one covariance per link")
-    if len(links) == 0:
-        raise ValueError("empty chain")
-    covs = []
-    for c in link_covariances:
-        cc = np.asarray(c, dtype=float)
-        if cc.shape != (6, 6):
-            raise ValueError("link covariances must be 6x6")
-        if not np.allclose(cc, cc.T, atol=1e-9):
-            raise ValueError("link covariances must be symmetric")
-        covs.append(cc)
-    J = _pose.jac_chain(links)
-    S = block_diag(*covs[::-1])  # column blocks run last link first
-    sigma = J @ S @ J.T
-    sigma = 0.5 * (sigma + sigma.T)
-    if not five_dof:
-        return sigma
-    composed = _pose.compose_chain(links)
-    J5 = np.zeros((5, 6))
-    J5[:2, :3] = _pose.jac_rxy(composed.r)
-    J5[2:, 3:] = np.eye(3)
-    out = J5 @ sigma @ J5.T
-    return 0.5 * (out + out.T)

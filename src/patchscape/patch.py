@@ -28,6 +28,7 @@ from enum import Enum
 from typing import Optional, Tuple, Union
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from patchscape import pose as _pose
 from patchscape.pose import Pose5, Pose6
@@ -42,6 +43,7 @@ __all__ = [
     "explicit_eval",
     "boundary_contains",
     "projected_area",
+    "polygon_area",
     "quad_vertices",
     "flip_toward_viewpoint",
     "transform_patch",
@@ -310,8 +312,14 @@ def projected_area(patch: Patch) -> float:
         return math.pi * d[0] * d[0]
     if b == BoundaryType.AARECT:
         return 4.0 * d[0] * d[1]
-    v = quad_vertices(d)
-    x, y = v[:, 0], v[:, 1]
+    return polygon_area(quad_vertices(d))
+
+
+def polygon_area(poly: np.ndarray) -> float:
+    """Shoelace area of a simple polygon given as (N, 2) vertices."""
+    if len(poly) < 3:
+        return 0.0
+    x, y = poly[:, 0], poly[:, 1]
     return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)))
 
 
@@ -341,58 +349,31 @@ def flip_toward_viewpoint(patch: Patch, viewpoint) -> Patch:
 
 
 def _flip(patch: Patch, R: np.ndarray) -> Tuple[Patch, np.ndarray]:
-    nk = patch.k.size
-    nd = patch.d.size
-    p = patch_dof(patch)
-    J = np.zeros((p, p))
-    J[:nk, :nk] = -np.eye(nk)
-
     new_d = patch.d.copy()
+    J_d = np.eye(patch.d.size)
     if patch.b == BoundaryType.CQUAD:
         # pi about x mirrors the quad across the x axis; relabel the
         # vertices to keep them CCW: (d1 d2 d3 d4) -> (d4 d3 d2 d1).
-        perm = np.zeros((5, 5))
-        for i in range(4):
-            perm[i, 3 - i] = 1.0
-        perm[4, 4] = 1.0
-        new_d = perm @ patch.d
-        J[nk : nk + nd, nk : nk + nd] = perm
-    else:
-        J[nk : nk + nd, nk : nk + nd] = np.eye(nd)
+        J_d = block_diag(np.eye(4)[::-1], 1.0)
+        new_d = J_d @ patch.d
 
     if isinstance(patch.pose, Pose5):
-        zl_new = -R[:, 2]
-        rxy_new = _pose.rxy_for_zdir(zl_new)
+        rxy_new = _pose.rxy_for_zdir(-R[:, 2])
         # d rxy'/d rxy through the z-direction map, via the pseudo-inverse
         # of the (well-conditioned away from the pi fold) lift derivative.
-        dz_old = _dz_drxy(patch.pose.rxy)
-        dz_new = _dz_drxy(rxy_new)
-        J_r = np.linalg.pinv(dz_new) @ (-dz_old)
-        J[nk + nd : nk + nd + 2, nk + nd : nk + nd + 2] = J_r
-        J[nk + nd + 2 :, nk + nd + 2 :] = np.eye(3)
+        dz_old = _pose.jac_zaxis(patch.pose.rxy)
+        J_r = np.linalg.pinv(_pose.jac_zaxis(rxy_new)) @ (-dz_old)
         new_pose = Pose5(rxy_new, patch.pose.t)
     else:
-        R_new = R @ _RX_PI
-        r_new, Jlog = _pose.log_map(R_new)
         dR_old = _pose.jac_exp(patch.pose.r)
-        J_r = np.empty((3, 3))
-        for m in range(3):
-            J_r[:, m] = np.einsum("iab,ab->i", Jlog, dR_old[m] @ _RX_PI)
-        J[nk + nd : nk + nd + 3, nk + nd : nk + nd + 3] = J_r
-        J[nk + nd + 3 :, nk + nd + 3 :] = np.eye(3)
+        r_new, J_r = _pose.jac_log_of(R @ _RX_PI, dR_old @ _RX_PI)
         new_pose = Pose6(r_new, patch.pose.t)
+    J = block_diag(-np.eye(patch.k.size), J_d, J_r, np.eye(3))
 
     sigma = None
     if patch.sigma is not None:
         sigma = J @ patch.sigma @ J.T
     return replace(patch, k=-patch.k, d=new_d, pose=new_pose, sigma=sigma), J
-
-
-def _dz_drxy(rxy) -> np.ndarray:
-    """Derivative of the local z axis with respect to the 2-DoF rotation."""
-    r3 = _pose.rxy_to_r(rxy)
-    dR = _pose.jac_exp(r3)
-    return np.column_stack([dR[0][:, 2], dR[1][:, 2]])
 
 
 def transform_patch(patch: Patch, T: Pose6):
@@ -402,28 +383,19 @@ def transform_patch(patch: Patch, T: Pose6):
     canonical (k, d, r, t) order; sigma is carried through J when present.
     """
     R_T = _pose.exp_map(T.r)
-    nk = patch.k.size
-    nd = patch.d.size
-    p = patch_dof(patch)
-    J = np.eye(p)
     t_new = R_T @ patch.pose.t + T.t
     if isinstance(patch.pose, Pose5):
         zl_new = R_T @ _pose.exp_map(_pose.rxy_to_r(patch.pose.rxy))[:, 2]
         rxy_new = _pose.rxy_for_zdir(zl_new)
-        J_r = np.linalg.pinv(_dz_drxy(rxy_new)) @ (R_T @ _dz_drxy(patch.pose.rxy))
-        nr = 2
+        J_r = np.linalg.pinv(_pose.jac_zaxis(rxy_new)) @ (
+            R_T @ _pose.jac_zaxis(patch.pose.rxy)
+        )
         new_pose = Pose5(rxy_new, t_new)
     else:
         R_new = R_T @ _pose.exp_map(patch.pose.r)
-        r_new, Jlog = _pose.log_map(R_new)
-        dR_old = _pose.jac_exp(patch.pose.r)
-        J_r = np.empty((3, 3))
-        for m in range(3):
-            J_r[:, m] = np.einsum("iab,ab->i", Jlog, R_T @ dR_old[m])
-        nr = 3
+        r_new, J_r = _pose.jac_log_of(R_new, R_T @ _pose.jac_exp(patch.pose.r))
         new_pose = Pose6(r_new, t_new)
-    J[nk + nd : nk + nd + nr, nk + nd : nk + nd + nr] = J_r
-    J[nk + nd + nr :, nk + nd + nr :] = R_T
+    J = block_diag(np.eye(patch.k.size + patch.d.size), J_r, R_T)
     sigma = J @ patch.sigma @ J.T if patch.sigma is not None else None
     return replace(patch, pose=new_pose, sigma=sigma), J
 

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import block_diag
 
 __all__ = [
     "OrientationVector",
@@ -51,9 +52,14 @@ __all__ = [
     "pose_inverse",
     "compose_pose",
     "compose_chain",
+    "skew",
+    "sym",
     "jac_exp",
+    "jac_log_of",
     "jac_rxy",
+    "jac_zaxis",
     "jac_chain",
+    "chain_covariance",
 ]
 
 # A rotation vector: ndarray of shape (3,), axis * angle in radians.
@@ -132,6 +138,16 @@ def _as_vec3(x, name: str) -> np.ndarray:
     return v
 
 
+def skew(v) -> np.ndarray:
+    """Cross-product matrix [v]_x, so that [v]_x w = v x w."""
+    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+
+
+def sym(a) -> np.ndarray:
+    """Symmetric part of a square matrix (clears roundoff asymmetry)."""
+    return 0.5 * (a + a.T)
+
+
 # ---------------------------------------------------------------------------
 # Exponential map and friends
 # ---------------------------------------------------------------------------
@@ -190,7 +206,7 @@ def jac_exp(r) -> np.ndarray:
         b = (1.0 - ct) / t2
         da = ((t * ct - st) / t**3) * v
         db = ((t * st + 2.0 * ct - 2.0) / t**4) * v
-    K = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+    K = skew(v)
     K2 = K @ K
     out = np.empty((3, 3, 3))
     for m in range(3):
@@ -389,15 +405,21 @@ def _log_small(vx, vy, vz, theta, c, s, jacobian):
         return r, None
     eye = np.eye(3)
     if theta > _LOG_THETA_EPS:
-        rh = r / theta
-        rhx = np.array(
-            [[0.0, -rh[2], rh[1]], [rh[2], 0.0, -rh[0]], [-rh[1], rh[0], 0.0]]
-        )
-        dtheta = (c * rhx - s * eye) / 2.0
+        dtheta = (c * skew(r / theta) - s * eye) / 2.0
     else:
         dtheta = (c * (np.ones((3, 3)) - eye) - s * eye) / 2.0
     J = _E_BASIS / (2.0 * a) + lam * v[:, None, None] * dtheta[None, :, :]
     return r, J
+
+
+def jac_log_of(R, dR_blocks):
+    """r' = log(R) and dr'/dx, given the blocks dR/dx_m of each input x_m.
+
+    Returns (r', J) with J of shape (3, len(dR_blocks)): column m is the
+    log-map Jacobian contracted with dR/dx_m.
+    """
+    r, Jlog = log_map(R)
+    return r, np.einsum("iab,mab->im", Jlog, np.asarray(dR_blocks).reshape(-1, 3, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +433,12 @@ def rxy_to_r(rxy) -> np.ndarray:
     if v.shape != (2,):
         raise ValueError(f"rxy must have shape (2,), got {v.shape}")
     return np.array([v[0], v[1], 0.0])
+
+
+def jac_zaxis(rxy) -> np.ndarray:
+    """Derivative of the local z axis R((r_xy, 0)) zhat: shape (3, 2)."""
+    dR = jac_exp(rxy_to_r(rxy))
+    return np.column_stack([dR[0][:, 2], dR[1][:, 2]])
 
 
 def rxy_from_r(r) -> np.ndarray:
@@ -579,9 +607,6 @@ def jac_chain(links: Sequence[ChainLink]) -> np.ndarray:
         t_r.append(p.copy())
         right.append(Racc.copy())
 
-    Rc = right[n]
-    _, dr_dRc = log_map(Rc)
-
     # Suffix rotations: left[j] = R_n ... R_{j+1} (left[n] = I).
     left = [np.eye(3)] * (n + 1)
     Racc = np.eye(3)
@@ -590,6 +615,7 @@ def jac_chain(links: Sequence[ChainLink]) -> np.ndarray:
         Racc = Racc @ Rs[jdx]
 
     J = np.zeros((6, 6 * n))
+    dRc = []  # d R_c / d r_j, link-major
     for jdx in range(n):
         col = 6 * (n - 1 - jdx)  # layout [r_n t_n ... r_1 t_1]
         Rl = left[jdx]  # R_n ... R_{j+1}
@@ -598,8 +624,7 @@ def jac_chain(links: Sequence[ChainLink]) -> np.ndarray:
         link = links[jdx]
         for m in range(3):
             dRj = dRs[jdx][m]
-            dRc = Rl @ dRj @ Rr
-            J[0:3, col + m] = np.einsum("iab,ab->i", dr_dRc, dRc)
+            dRc.append(Rl @ dRj @ Rr)
             if link.phi == 1:
                 J[3:6, col + m] = Rl @ (dRj @ tr_prev)
             else:
@@ -608,4 +633,42 @@ def jac_chain(links: Sequence[ChainLink]) -> np.ndarray:
             J[3:6, col + 3 : col + 6] = Rl
         else:
             J[3:6, col + 3 : col + 6] = -(Rl @ Rs[jdx])
+    _, dr = jac_log_of(right[n], dRc)
+    for jdx in range(n):
+        col = 6 * (n - 1 - jdx)
+        J[0:3, col : col + 3] = dr[:, 3 * jdx : 3 * jdx + 3]
     return J
+
+
+def chain_covariance(
+    links: Sequence[ChainLink],
+    link_covariances: Sequence[np.ndarray],
+    five_dof: bool = False,
+) -> np.ndarray:
+    """First-order covariance of a composed pose chain.
+
+    link_covariances[i] is the 6x6 (r, t) covariance of links[i]; the
+    result is Sigma_c = J_c S J_c^T with S block diagonal in the chain
+    Jacobian's column order. With five_dof, the composed rotation is
+    reduced to r_xy through its Jacobian, giving the 5x5 covariance of a
+    revolute patch pose.
+    """
+    if len(links) != len(link_covariances):
+        raise ValueError("need one covariance per link")
+    if len(links) == 0:
+        raise ValueError("empty chain")
+    covs = []
+    for c in link_covariances:
+        cc = np.asarray(c, dtype=float)
+        if cc.shape != (6, 6):
+            raise ValueError("link covariances must be 6x6")
+        if not np.allclose(cc, cc.T, atol=1e-9):
+            raise ValueError("link covariances must be symmetric")
+        covs.append(cc)
+    J = jac_chain(links)
+    S = block_diag(*covs[::-1])  # column blocks run last link first
+    sigma = sym(J @ S @ J.T)
+    if not five_dof:
+        return sigma
+    J5 = block_diag(jac_rxy(compose_chain(links).r), np.eye(3))
+    return sym(J5 @ sigma @ J5.T)

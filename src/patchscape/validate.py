@@ -22,6 +22,7 @@ from .patch import (
     boundary_contains,
     curvature_k3,
     explicit_eval,
+    polygon_area,
     projected_area,
     quad_vertices,
 )
@@ -436,13 +437,6 @@ def _split_at_zero(lo: float, hi: float):
     return out
 
 
-def _poly_area(poly: np.ndarray) -> float:
-    if len(poly) < 3:
-        return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)))
-
-
 def _clip_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
     """Sutherland-Hodgman clip of a polygon against a CCW convex polygon."""
     out = [tuple(p) for p in subject]
@@ -484,7 +478,7 @@ def intersection_area(boundary: BoundaryType, d, cell_origin, w_c: float) -> flo
         cell = np.array(
             [[x0, y0], [x0 + w_c, y0], [x0 + w_c, y0 + w_c], [x0, y0 + w_c]]
         )
-        total = _poly_area(_clip_convex(cell, quad_vertices(d)))
+        total = polygon_area(_clip_convex(cell, quad_vertices(d)))
     else:
         a, b = (d[0], d[0]) if boundary == BoundaryType.CIRCLE else (d[0], d[1])
         total = 0.0
@@ -536,16 +530,6 @@ class CurvatureGate:
     def __post_init__(self):
         if not self.kappa_min <= self.kappa_max:
             raise ValueError("kappa_min must not exceed kappa_max")
-
-    @classmethod
-    def from_extents(cls, d) -> "CurvatureGate":
-        """Gate at +/- 1.5 max(d).
-
-        Note this ties a curvature (1/m) to a boundary extent (m); the
-        units do not balance, so prefer explicit thresholds.
-        """
-        m = 1.5 * float(np.max(np.asarray(d, dtype=float)))
-        return cls(-m, m)
 
 
 def curvature_gate(patch: Patch, gate: CurvatureGate = CurvatureGate()) -> bool:

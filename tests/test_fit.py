@@ -176,7 +176,7 @@ def test_recentre_jacobian_matches_fd():
     rxy = np.array([0.3, -0.2])
     qbar = np.array([0.2, 0.1, 1.1])
     t = np.array([0.15, 0.05, 0.95])
-    zl = ps.exp_map(pf._lift(rxy))[:, 2]
+    zl = ps.exp_map(ps.rxy_to_r(rxy))[:, 2]
     _, J = pf._recentre_on_plane(qbar, rxy, t)
 
     def f(x):
@@ -220,6 +220,55 @@ def test_plane_spread_derivatives_match_fd():
     J_fd = central_diff_jac(f, m)
     assert np.max(np.abs(J - J_fd)) < 1e-6
     assert l_p >= l_m > 0.0
+
+
+def _finisher_map(x, nk, nr, extents, shift, turn):
+    """(k, d, r', t') of the finisher and its Jacobian, from x = (m, k, r, t)."""
+    m, k, r, t = np.split(x, np.cumsum([5, nk, nr]))
+    r3 = r if nr == 3 else ps.rxy_to_r(r)
+    R, dR = ps.exp_map(r3), ps.jac_exp(r3)[:nr]
+    d, r_new, t_new, J = pf._bound(m, k, r, t, R, dR, extents, shift, turn)
+    return np.concatenate([k, d, r_new, t_new]), J
+
+
+_LAM = coverage_scale(0.95)
+_FINISHER_CASES = {
+    # name: (nk, nr, extents, shift, turn)
+    "cylindric_shift_x": (1, 3, lambda m: pf._extents_rect(m, _LAM), (0,), None),
+    "circular": (1, 2, lambda m: pf._extents_circle_from_vxy(m, _LAM), (), None),
+    "elliptic": (2, 3, lambda m: pf._extents_ellipse_uncentered(m, _LAM), (), None),
+    "plane_circle": (
+        0, 2, lambda m: pf._extents_plane(m, 0.95, B.CIRCLE), (0, 1), None,
+    ),
+    "plane_ellipse_turn": (
+        0, 2, lambda m: pf._extents_plane(m, 0.95, B.ELLIPSE), (0, 1),
+        lambda m: pf._plane_turn(m, 0.95),
+    ),
+    "plane_aarect_turn": (
+        0, 2, lambda m: pf._extents_plane(m, 0.95, B.AARECT), (0, 1),
+        lambda m: pf._plane_turn(m, 0.95),
+    ),
+    "plane_cquad_turn": (
+        0, 2, lambda m: pf._extents_plane(m, 0.95, B.CQUAD), (0, 1),
+        lambda m: pf._plane_turn(m, 0.95),
+    ),
+    "side_wall_no_shift": (1, 3, lambda m: pf._extents_rect(m, _LAM), (), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FINISHER_CASES))
+def test_finisher_jacobian_matches_fd(case):
+    args = _FINISHER_CASES[case]
+    nk, nr = args[:2]
+    m = np.array([0.05, -0.02, 0.04, 0.02, 0.005])
+    k = np.array([4.0, -2.5])[:nk]
+    r = np.array([0.4, -0.3, 0.2])[:nr]
+    t = np.array([0.1, -0.05, 1.0])
+    x = np.concatenate([m, k, r, t])
+    _, J = _finisher_map(x, *args)
+    J_fd = central_diff_jac(lambda q: _finisher_map(q, *args)[0], x)
+    assert J.shape == J_fd.shape
+    assert np.max(np.abs(J - J_fd)) < 1e-6
 
 
 def test_coverage_scale_value():
@@ -437,8 +486,11 @@ def test_side_wall_keeps_center_on_line(surface):
     t0 = np.asarray(_T_OFF) - 0.3 * n_dir
     res = fit_patch(pts, covs, surface=surface, side_wall=(t0, n_dir))
     t_fit = res.patch.pose.t
-    off_line = (np.eye(3) - np.outer(n_dir, n_dir)) @ (t_fit - t0)
-    assert np.linalg.norm(off_line) < 1e-9
+    P = np.eye(3) - np.outer(n_dir, n_dir)
+    assert np.linalg.norm(P @ (t_fit - t0)) < 1e-9
+    # the center's covariance lies on the line too
+    sig_t = res.patch.sigma[-3:, -3:]
+    assert np.linalg.norm(P @ sig_t @ P) <= 1e-12 * float(n_dir @ sig_t @ n_dir)
 
 
 def test_fit_rejects_bad_input():

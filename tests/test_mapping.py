@@ -30,7 +30,6 @@ from patchscape.mapping import (
     ValidationRecord,
     VolumeState,
     bilateral_filter,
-    chain_covariance,
     expected_patch_count,
     fixation_point,
     init_volume,
@@ -53,7 +52,7 @@ from patchscape.patch import (
     patch_frame,
     projected_area,
 )
-from patchscape.pose import ChainLink, Pose6, compose_pose, exp_map, pose_inverse, rxy_for_zdir, rxy_to_r, xform_fwd
+from patchscape.pose import ChainLink, Pose6, chain_covariance, compose_pose, exp_map, pose_inverse, rxy_for_zdir, rxy_to_r, xform_fwd
 from patchscape.sensor import (
     KINECT_640,
     OrganizedCloud,
@@ -910,6 +909,10 @@ def test_map_step_decimated_seed_pixel_is_full_resolution(rocky_cloud):
         assert np.array_equal(xform_fwd(p, state.c_t.r, state.c_t.t), mp.seed_point)
 
 
+def _assert_every_seed_counted(res):
+    assert res.n_seeds == len(res.admitted) + sum(res.drops.values())
+
+
 def test_map_step_work_unit_budget(rocky_cloud):
     state = init_volume()
     res = map_step(
@@ -922,6 +925,7 @@ def test_map_step_work_unit_budget(rocky_cloud):
     )
     assert res.n_attempts == 1
     assert res.drops["budget"] == res.n_seeds - 1
+    _assert_every_seed_counted(res)
 
 
 def test_map_step_patch_count_budget(rocky_cloud):
@@ -936,6 +940,23 @@ def test_map_step_patch_count_budget(rocky_cloud):
     )
     assert len(res.admitted) <= 1
     assert len(state.patches) <= 1
+    _assert_every_seed_counted(res)
+
+
+def test_map_step_wall_clock_budget_drops_every_seed(rocky_cloud):
+    state = init_volume()
+    res = map_step(
+        state,
+        rocky_cloud,
+        _gravity_cam(),
+        budgets=MapBudgets(wall_clock_s=0.0),
+        config=ROCKY_CONFIG,
+        rng_seed=11,
+    )
+    assert res.n_seeds > 0
+    assert res.n_attempts == 0 and res.admitted == []
+    assert res.drops["budget"] == res.n_seeds
+    _assert_every_seed_counted(res)
 
 
 def test_map_step_area_target_overshoots_at_most_one_patch(rocky_cloud):
@@ -953,6 +974,7 @@ def test_map_step_area_target_overshoots_at_most_one_patch(rocky_cloud):
     areas = [projected_area(mp.patch) for mp in res.admitted]
     assert sum(areas) >= target
     assert sum(areas) - max(areas) < target
+    _assert_every_seed_counted(res)
 
 
 def test_map_step_curvature_gate_blocks_everything(rocky_cloud):

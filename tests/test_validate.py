@@ -469,9 +469,6 @@ def test_curvature_gate_cases():
     assert not curvature_gate(sph, CurvatureGate(-30.0, 30.0))
 
 
-def test_curvature_gate_extent_policy():
-    g = CurvatureGate.from_extents([0.1, 0.2])
-    assert g.kappa_min == pytest.approx(-0.3)
-    assert g.kappa_max == pytest.approx(0.3)
+def test_curvature_gate_rejects_inverted_interval():
     with pytest.raises(ValueError):
         CurvatureGate(1.0, -1.0)
