@@ -3,7 +3,11 @@
 Five subcommands: simulate (render organized clouds of a synthetic
 scene), fit (one patch at a pixel), map (the full per-frame pipeline
 over a frame sequence), track (volume policy replay over a trajectory),
-and validate (re-run the gates of a stored map against a cloud).
+and validate (re-run the gates of a stored map against a cloud). fit
+and validate run map_step's own seed code from patchscape.mapping
+(neighborhood, fit_sample, gate_patch) under a MapConfig built from the
+fit flags or the config file, whose omitted values keep MapConfig's
+defaults.
 
 All numbers are serialized with 17 significant digits so files are
 byte-identical across runs and round-trip 64-bit floats exactly. Clouds
@@ -20,6 +24,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import MISSING, fields, is_dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,16 +35,17 @@ from .mapping import (
     MapBudgets,
     MapConfig,
     MovePolicy,
-    NeighborhoodIndex,
-    NeighborhoodVariant,
     SaliencyConfig,
+    ValidationRecord,
+    fit_sample,
+    gate_patch,
     init_volume,
     map_step,
     neighborhood,
     remap_patches,
     volume_update,
 )
-from .patch import BoundaryType, Patch, SurfaceType, patch_frame, transform_patch
+from .patch import BoundaryType, Patch, SurfaceType, transform_patch
 from .pose import Pose5, Pose6, pose_inverse, rxy_from_r, rxy_to_r
 from .sensor import (
     CameraIntrinsics,
@@ -52,13 +58,8 @@ from .sensor import (
     intrinsics_preset,
     sample_scene,
 )
-from .validate import (
-    CoverageConfig,
-    ResidualMethod,
-    coverage_eval,
-    curvature_gate,
-    residual,
-)
+# not called here; perfbench/layers.py still traces these names in this module
+from .validate import coverage_eval, curvature_gate, residual  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -120,24 +121,32 @@ def json_line(obj) -> str:
 _UT = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
 
 
+_NOISE = {cls.kind: cls for cls in (ConstantNoise, LinearNoise, QuadraticNoise, StereoNoise)}
+
+
+def _noise(kind: str, params):
+    """Noise model of a kind, None for "none".
+
+    params gives the model's fields by name (a dict) or in field order (a
+    sequence); fields it leaves out keep the model's defaults.
+    """
+    if kind == "none":
+        return None
+    if kind not in _NOISE:
+        raise ValueError(f"unknown noise model: {kind}")
+    cls = _NOISE[kind]
+    if not isinstance(params, dict):
+        params = dict(zip((f.name for f in fields(cls)), params))
+    return cls(**{
+        f.name: float(params[f.name])
+        for f in fields(cls) if f.name in params or f.default is MISSING
+    })
+
+
 def _noise_tag(noise) -> str:
     if noise is None:
         return "none"
-    if isinstance(noise, StereoNoise):
-        return f"stereo {_g17(noise.sigma_p)} {_g17(noise.sigma_m)}"
-    return f"{noise.kind} {_g17(noise.k)}"
-
-
-def _parse_noise_tag(tokens: Sequence[str]):
-    kind = tokens[0]
-    if kind == "none":
-        return None
-    if kind == "stereo":
-        return StereoNoise(sigma_p=float(tokens[1]), sigma_m=float(tokens[2]))
-    cls = {"constant": ConstantNoise, "linear": LinearNoise, "quadratic": QuadraticNoise}
-    if kind not in cls:
-        raise ValueError(f"unknown noise tag: {kind}")
-    return cls[kind](float(tokens[1]))
+    return " ".join([noise.kind] + [_g17(getattr(noise, f.name)) for f in fields(noise)])
 
 
 def write_cloud(path: str, cloud: OrganizedCloud, noise=None) -> None:
@@ -178,7 +187,8 @@ def read_cloud(path: str) -> Tuple[OrganizedCloud, object]:
         fx=float(vals[1]), fy=float(vals[2]), cx=float(vals[3]), cy=float(vals[4]),
         width=w, height=h, baseline=float(vals[5]),
     )
-    noise = _parse_noise_tag(lines[2].split()[1:])
+    tag = lines[2].split()
+    noise = _noise(tag[1], tag[2:])
     has_cov = bool(int(lines[3].split()[1]))
     n = w * h
     body = [ln for ln in lines[4:] if ln]
@@ -226,14 +236,18 @@ def patch_record(mp: _mapping.MapPatch) -> dict:
         "sigma": None if mp.patch.sigma is None else mp.patch.sigma,
         "seed_pixel": list(mp.seed_pixel),
         "frame_index": mp.frame_index,
-        "validation": {
-            "residual": mp.validation.residual,
-            "bad_cells": mp.validation.bad_cells,
-            "gates": {
-                "curvature": bool(mp.validation.curvature_ok),
-                "residual": bool(mp.validation.residual_ok),
-                "coverage": bool(mp.validation.coverage_ok),
-            },
+        "validation": _validation_fields(mp.validation),
+    }
+
+
+def _validation_fields(v: ValidationRecord) -> dict:
+    return {
+        "residual": v.residual,
+        "bad_cells": v.bad_cells,
+        "gates": {
+            "curvature": bool(v.curvature_ok),
+            "residual": bool(v.residual_ok),
+            "coverage": bool(v.coverage_ok),
         },
     }
 
@@ -268,27 +282,15 @@ def write_patch_map(path: str, state: _mapping.VolumeState) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _pose6(d: dict) -> Pose6:
+    """Pose6 of a JSON {"r": [...], "t": [...]}; a missing r is no rotation."""
+    return Pose6(np.asarray(d.get("r", [0.0, 0.0, 0.0]), float), np.asarray(d["t"], float))
+
+
 def _pose_from_spec(d: dict):
-    t = np.asarray(d["t"], float)
     if "rxy" in d:
-        return Pose5(np.asarray(d["rxy"], float), t)
-    return Pose6(np.asarray(d.get("r", [0.0, 0.0, 0.0]), float), t)
-
-
-def _noise_from_spec(d):
-    if d is None:
-        return None
-    model = d["model"]
-    if model == "none":
-        return None
-    if model == "stereo":
-        return StereoNoise(
-            sigma_p=float(d.get("sigma_p", 0.35)), sigma_m=float(d.get("sigma_m", 0.17))
-        )
-    cls = {"constant": ConstantNoise, "linear": LinearNoise, "quadratic": QuadraticNoise}
-    if model not in cls:
-        raise ValueError(f"unknown noise model: {model}")
-    return cls[model](float(d["k"]))
+        return Pose5(np.asarray(d["rxy"], float), np.asarray(d["t"], float))
+    return _pose6(d)
 
 
 def load_scene_spec(path: str):
@@ -300,11 +302,9 @@ def load_scene_spec(path: str):
         intr = intrinsics_preset(intr)
     else:
         intr = CameraIntrinsics(**intr)
-    cam = spec.get("camera")
-    cam = Pose6(np.zeros(3), np.zeros(3)) if cam is None else Pose6(
-        np.asarray(cam.get("r", [0.0, 0.0, 0.0]), float), np.asarray(cam["t"], float)
-    )
-    noise = _noise_from_spec(spec.get("noise"))
+    cam = _pose6(spec.get("camera") or {"t": [0.0, 0.0, 0.0]})
+    noise = spec.get("noise")
+    noise = None if noise is None else _noise(noise["model"], noise)
     surfaces = []
     for entry in spec["surfaces"]:
         kind = entry.get("type", "patch")
@@ -353,38 +353,33 @@ def _scene_truth(surfaces) -> List[dict]:
 
 
 def load_map_config(path: Optional[str]):
-    """Config JSON -> (MapConfig, MapBudgets, volume kwargs, seed or None)."""
+    """Config JSON -> (MapConfig, MapBudgets, initial VolumeState, seed or None).
+
+    Only the keys the spec gives are set; the rest keep the MapConfig,
+    MapBudgets and init_volume defaults. Each MapConfig value is cast to
+    the type of its field's default, and nested configs are built from
+    their objects. An unknown key or a bad value raises ValueError.
+    """
     spec = {}
     if path is not None:
         with open(path) as f:
             spec = json.load(f)
-    cfg = MapConfig(
-        saliency=SaliencyConfig(**spec.get("saliency", {})),
-        neighborhood=NeighborhoodIndex(
-            **{
-                k: (NeighborhoodVariant(v) if k == "variant" else v)
-                for k, v in spec.get("neighborhood", {}).items()
-            }
-        ),
-        n_f=int(spec.get("n_f", 50)),
-        surface=spec.get("surface", "paraboloid"),
-        gamma=float(spec.get("gamma", 0.95)),
-        d_max=float(spec.get("d_max", 0.01)),
-        coverage=CoverageConfig(**spec.get("coverage", {})),
-        check_coverage=bool(spec.get("check_coverage", True)),
-        decimate=int(spec.get("decimate", 0)),
-    )
-    b = spec.get("budgets", {})
-    budgets = MapBudgets(
-        n_s=b.get("n_s"),
-        work_units=b.get("work_units"),
-        wall_clock_s=b.get("wall_clock_s"),
-        area_target=b.get("area_target"),
-    )
-    vol = dict(spec.get("volume", {}))
-    if "policy" in vol:
-        vol["policy"] = MovePolicy(vol["policy"])
-    return cfg, budgets, vol, spec.get("seed")
+    if not isinstance(spec, dict):
+        raise ValueError("config must be a JSON object")
+    known = {f.name: f.default for f in fields(MapConfig)}
+    unknown = set(spec) - set(known) - {"budgets", "volume", "seed"}
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)}")
+    try:
+        cfg = MapConfig(**{
+            k: type(known[k])(**v) if is_dataclass(known[k]) else type(known[k])(v)
+            for k, v in spec.items() if k in known
+        })
+        budgets = MapBudgets(**spec.get("budgets", {}))
+        volume = init_volume(**spec.get("volume", {}))
+    except TypeError as e:
+        raise ValueError(str(e)) from e
+    return cfg, budgets, volume, spec.get("seed")
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +412,7 @@ def cmd_simulate(args) -> int:
         try:
             with open(args.trajectory) as f:
                 traj = json.load(f)
-            poses = [
-                Pose6(np.asarray(p.get("r", [0.0, 0.0, 0.0]), float), np.asarray(p["t"], float))
-                for p in traj
-            ]
+            poses = [_pose6(p) for p in traj]
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
             return _fail(f"bad trajectory: {e}")
 
@@ -452,72 +444,49 @@ def cmd_fit(args) -> int:
     except (OSError, ValueError) as e:
         return _fail(str(e))
     col, row = args.pixel
-    h, w = cloud.points.shape[:2]
-    if not (0 <= row < h and 0 <= col < w) or not np.isfinite(cloud.points[row, col, 2]):
-        return _fail(f"pixel ({col}, {row}) is out of range or has no return")
-    seed = _seed_or_env(args.seed)
-    index = NeighborhoodIndex()
     try:
-        nb = neighborhood(index, cloud, np.array([row, col]), args.radius, n_f=1 << 30)
+        cfg = MapConfig(
+            saliency=SaliencyConfig(r=args.radius), n_f=args.n_f, surface=args.surface,
+            gamma=args.gamma, d_max=args.d_max,
+        )
+        nb = neighborhood(cfg.neighborhood, cloud, np.array([row, col]), cfg.saliency.r)
     except ValueError as e:
         return _fail(str(e))
     if len(nb.points) < 13:
-        return _fail(f"only {len(nb.points)} neighbors within {args.radius} m")
-
-    rng = np.random.default_rng(seed)
-    if len(nb.points) > args.n_f:
-        pick = np.sort(rng.choice(len(nb.points), size=args.n_f, replace=False))
-        fit_pts = nb.points[pick]
-        fit_cvs = nb.covs[pick] if nb.covs is not None else None
-    else:
-        fit_pts, fit_cvs = nb.points, nb.covs
+        return _fail(f"only {len(nb.points)} neighbors within {cfg.saliency.r} m")
+    fit_pts, fit_cvs = fit_sample(nb, cfg.n_f, np.random.default_rng(_seed_or_env(args.seed)))
     try:
         fit = fit_patch(
             fit_pts,
             fit_cvs,
-            surface=args.surface,
+            surface=cfg.surface,
             plane_boundary=BoundaryType(args.boundary),
-            gamma=args.gamma,
+            gamma=cfg.gamma,
             viewpoint=np.zeros(3),
             side_wall=True,
         )
     except (ValueError, np.linalg.LinAlgError) as e:
         return _fail(f"fit failed: {e}")
 
-    patch = fit.patch
-    gate = SaliencyConfig().gate
-    curv_ok = curvature_gate(patch, gate)
-    R_l, t_l = patch_frame(patch)
-    res = float(residual(patch, (fit_pts - t_l) @ R_l, ResidualMethod.EXACT))
-    res_ok = res <= args.d_max
-    report = coverage_eval(patch, (nb.points - t_l) @ R_l, CoverageConfig())
-    cov_ok = bool(report.passed)
-
     rec = _mapping.MapPatch(
         id=0,
-        patch=patch,
+        patch=fit.patch,
         cell=(0, 0),
         seed_pixel=(row, col),
         seed_point=cloud.points[row, col],
         frame_index=0,
-        validation=_mapping.ValidationRecord(
-            residual=res,
-            bad_cells=len(report.bad_cells),
-            curvature_ok=curv_ok,
-            residual_ok=res_ok,
-            coverage_ok=cov_ok,
-        ),
+        validation=gate_patch(fit.patch, fit_pts, nb.points, cfg),
     )
     out = patch_record(rec)
-    out["gamma"] = args.gamma
+    out["gamma"] = cfg.gamma
     print(json_dumps(out))
-    return 0 if (curv_ok and res_ok and cov_ok) else 2
+    return 0 if rec.validation.passed else 2
 
 
 def cmd_map(args) -> int:
     try:
-        cfg, budgets, vol_kwargs, cfg_seed = load_map_config(args.config)
-    except (OSError, ValueError, TypeError, json.JSONDecodeError) as e:
+        cfg, budgets, state, cfg_seed = load_map_config(args.config)
+    except (OSError, ValueError, json.JSONDecodeError) as e:
         return _fail(f"bad config: {e}")
     seed = _seed_or_env(args.seed if args.seed is not None else cfg_seed)
 
@@ -533,7 +502,6 @@ def cmd_map(args) -> int:
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
             return _fail(f"bad gravity file: {e}")
 
-    state = init_volume(**vol_kwargs)
     stats_rows = []
     for i, frame in enumerate(args.frames):
         try:
@@ -575,10 +543,7 @@ def cmd_track(args) -> int:
     try:
         with open(args.trajectory) as f:
             traj = json.load(f)
-        poses = [
-            Pose6(np.asarray(p.get("r", [0.0, 0.0, 0.0]), float), np.asarray(p["t"], float))
-            for p in traj
-        ]
+        poses = [_pose6(p) for p in traj]
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         return _fail(f"bad trajectory: {e}")
     if not poses:
@@ -603,7 +568,7 @@ def cmd_track(args) -> int:
                         seed_pixel=tuple(rec["seed_pixel"]),
                         seed_point=t.copy(),
                         frame_index=int(rec["frame_index"]),
-                        validation=_mapping.ValidationRecord(
+                        validation=ValidationRecord(
                             residual=float(rec["validation"]["residual"]),
                             bad_cells=int(rec["validation"]["bad_cells"]),
                             curvature_ok=rec["validation"]["gates"]["curvature"],
@@ -664,39 +629,20 @@ def cmd_validate(args) -> int:
         return _fail(str(e))
     try:
         cfg, _, _, _ = load_map_config(args.config)
-    except (OSError, ValueError, TypeError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, json.JSONDecodeError) as e:
         return _fail(f"bad config: {e}")
 
-    cam = doc.get("camera_in_volume", {"r": [0.0, 0.0, 0.0], "t": [0.0, 0.0, 0.0]})
-    to_cam = pose_inverse(Pose6(np.asarray(cam["r"], float), np.asarray(cam["t"], float)))
-    gate = cfg.saliency.gate
+    to_cam = pose_inverse(_pose6(doc.get("camera_in_volume", {"t": [0.0, 0.0, 0.0]})))
     any_fail = False
     for rec in doc.get("patches", []):
-        patch_vol = _patch_from_record(rec)
-        patch, _ = transform_patch(patch_vol, to_cam)
-        row, col = rec["seed_pixel"]
+        patch, _ = transform_patch(_patch_from_record(rec), to_cam)
         entry = {"id": rec["id"]}
         try:
-            nb = neighborhood(
-                cfg.neighborhood, cloud, np.array([int(row), int(col)]),
-                cfg.saliency.r, n_f=1 << 30,
-            )
-            R_l, t_l = patch_frame(patch)
-            local = (nb.points - t_l) @ R_l
-            res = float(residual(patch, local, ResidualMethod.EXACT))
-            report = coverage_eval(patch, local, cfg.coverage)
-            entry.update(
-                {
-                    "residual": res,
-                    "bad_cells": len(report.bad_cells),
-                    "gates": {
-                        "curvature": bool(curvature_gate(patch, gate)),
-                        "residual": bool(res <= cfg.d_max),
-                        "coverage": bool(report.passed),
-                    },
-                }
-            )
-            entry["passed"] = all(entry["gates"].values())
+            pixel = np.array(rec["seed_pixel"], dtype=int)
+            nb = neighborhood(cfg.neighborhood, cloud, pixel, cfg.saliency.r)
+            v = gate_patch(patch, nb.points, nb.points, cfg)
+            entry.update(_validation_fields(v))
+            entry["passed"] = v.passed
         except ValueError as e:
             entry.update({"error": str(e), "passed": False})
         any_fail |= not entry["passed"]
@@ -725,17 +671,18 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True, help="output prefix")
     s.set_defaults(func=cmd_simulate)
 
+    defaults = MapConfig()
     f = sub.add_parser("fit", help="fit one bounded patch at a pixel")
     f.add_argument("--cloud", required=True, help="OPC1 cloud file")
     f.add_argument("--pixel", type=int, nargs=2, metavar=("U", "V"), required=True)
-    f.add_argument("--radius", type=float, default=0.1)
-    f.add_argument("--surface", default="paraboloid",
+    f.add_argument("--radius", type=float, default=defaults.saliency.r)
+    f.add_argument("--surface", default=defaults.surface,
                    choices=["paraboloid", "plane", "sphere", "cylinder"])
     f.add_argument("--boundary", default="ellipse",
                    choices=[b.value for b in BoundaryType])
-    f.add_argument("--gamma", type=float, default=0.95)
-    f.add_argument("--n-f", type=int, default=50)
-    f.add_argument("--d-max", type=float, default=0.01)
+    f.add_argument("--gamma", type=float, default=defaults.gamma)
+    f.add_argument("--n-f", type=int, default=defaults.n_f)
+    f.add_argument("--d-max", type=float, default=defaults.d_max)
     f.add_argument("--seed", type=int, default=None)
     f.set_defaults(func=cmd_fit)
 

@@ -583,7 +583,9 @@ def fit_patch(
     elif surface == "cylinder":
         k, r, t, sigma = solve(_K3_CCYL, _pose.rxy_to_r(rxy0), t0)
         if abs(k[0]) >= _TINY_KAPPA and not wall:
-            r, t, sigma = _ccyl_rebuild(k[0], r, t, sigma, rxy0, plane_sigma[:2, :2])
+            r, t, J = _ccyl_rebuild(rxy0, k[0], r, t)
+            # the plane's r_xy comes from another solve; taken as independent
+            sigma = J @ block_diag(plane_sigma[:2, :2], sigma) @ J.T
         patch = _finish(
             pts, cv, SurfaceType.CIRCULAR_CYLINDER, BoundaryType.AARECT, k, r, t,
             sigma, lambda m: _extents_rect(m, lam_g), (0,), wall,
@@ -601,35 +603,36 @@ def fit_patch(
 # ---------------------------------------------------------------------------
 
 
-def _ccyl_rebuild(kappa, r, t, sigma, plane_rxy, sigma_rxy):
+def _ccyl_rebuild(plane_rxy, kappa, r, t):
     """Align the cylinder frame with the stage-1 plane normal.
 
     The fitted x axis is kept as the cylinder axis; y and z rebuild from
     the plane normal, and t shifts so the axis line {t + R (s, 0, 1/k)}
-    is unchanged. sigma_rxy is the covariance of the plane's r_xy.
+    is unchanged. Returns (r', t', J) with
+    J = d(kappa, r', t') / d(plane_rxy, kappa, r, t).
     """
-    R_old = _pose.exp_map(r)
+    R_old, dR_old = _pose.exp_map(r), _pose.jac_exp(r)
     z_plane = _pose.exp_map(_pose.rxy_to_r(plane_rxy))[:, 2]
     r_new, J_x, J_z = _frame_from_xz(R_old[:, 0], z_plane)
-    t_new = t + (R_old - _pose.exp_map(r_new)) @ np.array([0.0, 0.0, 1.0 / kappa])
+    R_new = _pose.exp_map(r_new)
+    t_new = t + (R_old - R_new) @ np.array([0.0, 0.0, 1.0 / kappa])
 
-    dx_dr = _pose.jac_exp(r)[:, :, 0].T
-    J_zpl = _pose.jac_zaxis(plane_rxy)
-    kt = [0, 4, 5, 6]
-    # (kappa, r', t) from (z_pl, x_l, kappa, t), with z_pl and x_l independent
-    S = block_diag(
-        J_zpl @ sigma_rxy @ J_zpl.T,
-        dx_dr @ sigma[1:4, 1:4] @ dx_dr.T,
-        sigma[np.ix_(kt, kt)],
-    )
+    dr_dpl = J_z @ _pose.jac_zaxis(plane_rxy)
+    dr_dr = J_x @ dR_old[:, :, 0].T
+    dz_new = _pose.jac_exp(r_new)[:, :, 2].T  # d R(r')[:, 2] / dr'
     J = np.block(
         [
-            [np.zeros((1, 6)), np.eye(1, 4)],
-            [J_z, J_x, np.zeros((3, 4))],
-            [np.zeros((3, 7)), np.eye(3)],
+            [np.zeros((1, 2)), np.ones((1, 1)), np.zeros((1, 6))],
+            [dr_dpl, np.zeros((3, 1)), dr_dr, np.zeros((3, 3))],
+            [
+                -dz_new @ dr_dpl / kappa,
+                ((R_new[:, 2] - R_old[:, 2]) / kappa**2)[:, None],
+                (dR_old[:, :, 2].T - dz_new @ dr_dr) / kappa,
+                np.eye(3),
+            ],
         ]
     )
-    return r_new, t_new, J @ S @ J.T
+    return r_new, t_new, J
 
 
 def _classify_paraboloid(pts, cv, k2, r, t, sigma8, gamma, lam_g, wall):

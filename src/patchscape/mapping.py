@@ -59,6 +59,7 @@ __all__ = [
     "NeighborhoodIndex",
     "Neighborhood",
     "neighborhood",
+    "fit_sample",
     "mesh_triangles",
     "surface_area",
     "expected_patch_count",
@@ -70,6 +71,7 @@ __all__ = [
     "MapPatch",
     "ValidationRecord",
     "MapConfig",
+    "gate_patch",
     "MapBudgets",
     "MapStepResult",
     "map_step",
@@ -566,23 +568,27 @@ class NeighborhoodVariant(Enum):
     TRIANGLE_MESH = "triangle_mesh"
 
 
+# Pixels added on every side of the backprojected search window: measured
+# points can sit slightly off their pixel ray (stereo noise perturbs all
+# three coordinates), so the exact window for on-ray points is padded
+# before the per-pixel Euclidean check.
+_PIXEL_MARGIN = 6
+
+
 @dataclass(frozen=True)
 class NeighborhoodIndex:
     """Search method plus the triangle-mesh build thresholds.
 
-    pixel_margin widens the backprojected search window; measured points
-    can sit slightly off their pixel ray (stereo noise perturbs all three
-    coordinates), so the exact window for on-ray points is padded before
-    the per-pixel Euclidean check.
+    variant is a NeighborhoodVariant or its value.
     """
 
     variant: NeighborhoodVariant = NeighborhoodVariant.BACKPROJECTION
     t_es: float = 0.05
     t_ar: float = 5.0
     t_jump: float = 0.02
-    pixel_margin: int = 6
 
     def __post_init__(self):
+        object.__setattr__(self, "variant", NeighborhoodVariant(self.variant))
         if not self.t_es > 0.0:
             raise ValueError("t_es must be positive")
         if not self.t_ar >= 1.0:
@@ -599,36 +605,19 @@ class Neighborhood:
 
 
 def _resolve_seed(cloud: OrganizedCloud, seed) -> Tuple[Tuple[int, int], np.ndarray]:
-    """Seed as a (row, col) pixel or a camera-frame point near one."""
+    """The seed's (row, col) pixel and its point, which must be valid."""
     arr = np.asarray(seed)
+    if arr.shape != (2,) or not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError("seed must be an integer (row, col) pixel")
+    i, j = int(arr[0]), int(arr[1])
     h, w = cloud.points.shape[:2]
-    if arr.shape == (2,) and np.issubdtype(arr.dtype, np.integer):
-        i, j = int(arr[0]), int(arr[1])
-        if not (0 <= i < h and 0 <= j < w) or not np.isfinite(cloud.points[i, j, 2]):
-            raise ValueError(f"seed pixel ({i}, {j}) is out of range or invalid")
-        return (i, j), cloud.points[i, j]
-    if arr.shape == (3,):
-        p = arr.astype(float)
-        if not np.all(np.isfinite(p)):
-            raise ValueError("seed point must be finite")
-        uv = project(cloud.intrinsics, p)
-        j0, i0 = int(round(uv[0])), int(round(uv[1]))
-        best = None
-        for di in (-1, 0, 1, -2, 2):
-            for dj in (-1, 0, 1, -2, 2):
-                i, j = i0 + di, j0 + dj
-                if 0 <= i < h and 0 <= j < w and np.isfinite(cloud.points[i, j, 2]):
-                    dd = float(np.linalg.norm(cloud.points[i, j] - p))
-                    if best is None or dd < best[0]:
-                        best = (dd, (i, j))
-        if best is None:
-            raise ValueError("seed point does not reproject onto any valid pixel")
-        return best[1], cloud.points[best[1]]
-    raise ValueError("seed must be an integer (row, col) pixel or a 3-vector point")
+    if not (0 <= i < h and 0 <= j < w) or not np.isfinite(cloud.points[i, j, 2]):
+        raise ValueError(f"seed pixel (row {i}, col {j}) is out of range or has no return")
+    return (i, j), cloud.points[i, j]
 
 
 def _ball_pixels_backprojection(
-    cloud: OrganizedCloud, s: np.ndarray, r: float, margin: int
+    cloud: OrganizedCloud, s: np.ndarray, r: float
 ) -> Tuple[slice, slice]:
     """Candidate pixel window: the sphere's image plus a safety margin.
 
@@ -645,10 +634,10 @@ def _ball_pixels_backprojection(
     uv = project(intr, s)
     du = intr.fx * r * (z + abs(float(s[0]))) / (z * (z - r))
     dv = intr.fy * r * (z + abs(float(s[1]))) / (z * (z - r))
-    j0 = max(0, int(math.floor(uv[0] - du)) - margin)
-    j1 = min(w, int(math.ceil(uv[0] + du)) + margin + 1)
-    i0 = max(0, int(math.floor(uv[1] - dv)) - margin)
-    i1 = min(h, int(math.ceil(uv[1] + dv)) + margin + 1)
+    j0 = max(0, int(math.floor(uv[0] - du)) - _PIXEL_MARGIN)
+    j1 = min(w, int(math.ceil(uv[0] + du)) + _PIXEL_MARGIN + 1)
+    i0 = max(0, int(math.floor(uv[1] - dv)) - _PIXEL_MARGIN)
+    i1 = min(h, int(math.ceil(uv[1] + dv)) + _PIXEL_MARGIN + 1)
     return slice(i0, i1), slice(j0, j1)
 
 
@@ -734,20 +723,16 @@ def _mesh_graph(cloud: OrganizedCloud, index: NeighborhoodIndex) -> sparse.csr_m
 
 
 def neighborhood(
-    index: NeighborhoodIndex,
-    cloud: OrganizedCloud,
-    seed,
-    r: float,
-    n_f: int = 50,
-    rng_seed=None,
+    index: NeighborhoodIndex, cloud: OrganizedCloud, seed, r: float
 ) -> Neighborhood:
-    """Points within r of the seed, uniformly subsampled to at most n_f.
+    """All points within r of the seed, in row-major pixel order.
 
     Backprojection and k-d tree both return the exact Euclidean r-ball
     over valid points; the triangle mesh bounds the chain distance
     (shortest weighted edge path) instead, so its neighborhoods never
-    cross depth jumps. The seed is a (row, col) pixel or a camera-frame
-    point snapped to the nearest valid pixel.
+    cross depth jumps. The seed is a (row, col) pixel holding a valid
+    point; the ball is centered on that point. fit_sample draws the
+    points a fit runs on.
     """
     if r <= 0.0:
         raise ValueError("r must be positive")
@@ -755,7 +740,7 @@ def neighborhood(
     h, w = cloud.points.shape[:2]
 
     if index.variant == NeighborhoodVariant.BACKPROJECTION:
-        rows, cols = _ball_pixels_backprojection(cloud, s, r, index.pixel_margin)
+        rows, cols = _ball_pixels_backprojection(cloud, s, r)
         win = cloud.points[rows, cols]
         cand = np.argwhere(np.isfinite(win[..., 2]))
         d = np.linalg.norm(win[cand[:, 0], cand[:, 1]] - s, axis=1)
@@ -771,13 +756,24 @@ def neighborhood(
         reach = np.flatnonzero(np.isfinite(dist) & (dist <= r))
         sel = np.stack(np.unravel_index(reach, (h, w)), axis=1)
 
-    if len(sel) > n_f:
-        rng = np.random.default_rng(rng_seed)
-        keep = rng.choice(len(sel), size=n_f, replace=False)
-        sel = sel[np.sort(keep)]
     pts = cloud.points[sel[:, 0], sel[:, 1]]
     cvs = cloud.cov[sel[:, 0], sel[:, 1]] if cloud.cov is not None else None
     return Neighborhood(points=pts, covs=cvs, pixels=sel)
+
+
+def fit_sample(
+    nb: Neighborhood, n_f: int, rng: np.random.Generator
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Points and covariances a fit runs on: at most n_f of the neighborhood.
+
+    A uniform draw without replacement, kept in the neighborhood's order;
+    a neighborhood of at most n_f points is taken whole and draws nothing
+    from rng.
+    """
+    if len(nb.points) <= n_f:
+        return nb.points, nb.covs
+    pick = np.sort(rng.choice(len(nb.points), size=n_f, replace=False))
+    return nb.points[pick], (nb.covs[pick] if nb.covs is not None else None)
 
 
 # ---------------------------------------------------------------------------
@@ -890,7 +886,10 @@ def init_volume(
     v_g: int = 8,
     n_g: int = 1,
 ) -> VolumeState:
-    """Volume placed so the camera starts at pose c_0 in its frame."""
+    """Volume placed so the camera starts at pose c_0 in its frame.
+
+    policy is a MovePolicy or its value ("fv", "fc", "fd", "ff").
+    """
     if camera_world is None:
         camera_world = Pose6(np.zeros(3), np.zeros(3))
     pose_world = _pose.compose_chain(
@@ -899,7 +898,7 @@ def init_volume(
     return VolumeState(
         v_s=v_s,
         c_t=c_0,
-        policy=policy,
+        policy=MovePolicy(policy),
         c_d=c_d,
         c_a=c_a,
         grid=SeedGrid(v_g=v_g, n_g=n_g),
@@ -1110,6 +1109,33 @@ _DROP_REASONS = (
 )
 
 
+def gate_patch(
+    patch: Patch, fit_pts: np.ndarray, nb_pts: np.ndarray, config: MapConfig
+) -> ValidationRecord:
+    """Every gate of a camera-frame patch fitted at one seed, even after a failure.
+
+    Curvature is bounded by config.saliency.gate; the exact residual of
+    the fit points must not exceed config.d_max; coverage judges data
+    support, so it sees the whole neighborhood nb_pts, and passes with no
+    bad cells when config.check_coverage is off.
+    """
+    R_l, t_l = patch_frame(patch)
+    fit_local = (fit_pts - t_l) @ R_l
+    res = float(residual(patch, fit_local, ResidualMethod.EXACT))
+    cov_ok, n_bad = True, 0
+    if config.check_coverage:
+        nb_local = fit_local if nb_pts is fit_pts else (nb_pts - t_l) @ R_l
+        report = coverage_eval(patch, nb_local, config.coverage)
+        cov_ok, n_bad = bool(report.passed), len(report.bad_cells)
+    return ValidationRecord(
+        residual=res,
+        bad_cells=n_bad,
+        curvature_ok=curvature_gate(patch, config.saliency.gate),
+        residual_ok=res <= config.d_max,
+        coverage_ok=cov_ok,
+    )
+
+
 def map_step(
     state: VolumeState,
     cloud: OrganizedCloud,
@@ -1121,11 +1147,13 @@ def map_step(
 ) -> MapStepResult:
     """Run saliency, seeding, fitting, and gating over one frame.
 
-    Every admitted patch passed the curvature gate, the exact residual
-    threshold d_max, and (when enabled) coverage; admissions respect the
-    per-cell n_g bound and all budget caps. The cloud and the gravity
-    vector g are camera frame. Mutates state; deterministic for a fixed
-    rng_seed.
+    Each seed runs one procedure: neighborhood() around its pixel in the
+    full-resolution cloud, fit_sample() of at most n_f points, fit_patch(),
+    then gate_patch(). A seed failing a gate is dropped under the first
+    failing one, in the order curvature, residual, coverage; an admitted
+    patch carries its ValidationRecord. Admissions respect the per-cell
+    n_g bound and all budget caps. The cloud and the gravity vector g are
+    camera frame. Mutates state; deterministic for a fixed rng_seed.
     """
     t_start = time.monotonic()
     state.frame_index += 1
@@ -1141,15 +1169,10 @@ def map_step(
     seeds = select_seeds(sal_cloud, mask, state, rng_seed=rng_seed)
     result.timings["seeds"] = time.monotonic() - t_start - result.timings["saliency"]
     result.n_seeds = len(seeds)
-    if not seeds:
-        result.timings["fit_validate"] = 0.0
-        result.timings["total"] = time.monotonic() - t_start
-        return result
 
     rng = np.random.default_rng(rng_seed)
     area_sum = sum(projected_area(mp.patch) for mp in state.patches)
     counts = state.cell_counts()
-    gate = cfg.gate
 
     for pos, seed in enumerate(seeds):
         if (
@@ -1168,25 +1191,15 @@ def map_step(
             continue
 
         # seeds come from the (possibly decimated) saliency cloud; the
-        # search runs on the full cloud via the seed's 3D point
-        try:
-            nb = neighborhood(
-                config.neighborhood, cloud, seed.point, cfg.r, n_f=1 << 30
-            )
-        except ValueError:
-            result.drops["too_few_points"] += 1
-            continue
+        # search runs on the full cloud around the seed's own pixel there
+        seed_pixel = seed.pixel
+        if sal_cloud is not cloud:
+            seed_pixel = _decimated_source(cloud, seed.pixel, config.decimate, seed.point)
+        nb = neighborhood(config.neighborhood, cloud, seed_pixel, cfg.r)
         if len(nb.points) < 13:
             result.drops["too_few_points"] += 1
             continue
-        # the fit runs on at most n_f points; coverage judges data support,
-        # so it sees the whole neighborhood
-        if len(nb.points) > config.n_f:
-            pick = np.sort(rng.choice(len(nb.points), size=config.n_f, replace=False))
-            fit_pts = nb.points[pick]
-            fit_cvs = nb.covs[pick] if nb.covs is not None else None
-        else:
-            fit_pts, fit_cvs = nb.points, nb.covs
+        fit_pts, fit_cvs = fit_sample(nb, config.n_f, rng)
 
         result.n_attempts += 1
         try:
@@ -1202,33 +1215,19 @@ def map_step(
             result.drops["fit_failed"] += 1
             continue
         patch_cam = fit.patch
-
-        curv_ok = curvature_gate(patch_cam, gate)
-        if not curv_ok:
-            result.drops["curvature"] += 1
-            continue
-        R_l, t_l = patch_frame(patch_cam)
-        res = residual(patch_cam, (fit_pts - t_l) @ R_l, ResidualMethod.EXACT)
-        res_ok = res <= config.d_max
-        if not res_ok:
-            result.drops["residual"] += 1
-            continue
-        if config.check_coverage:
-            q_all = (nb.points - t_l) @ R_l
-            report = coverage_eval(patch_cam, q_all, config.coverage)
-            cov_ok = report.passed
-            n_bad = len(report.bad_cells)
-        else:
-            cov_ok, n_bad = True, 0
-        if not cov_ok:
-            result.drops["coverage"] += 1
+        record = gate_patch(patch_cam, fit_pts, nb.points, config)
+        if not record.passed:
+            # charged to the first failing gate
+            if not record.curvature_ok:
+                result.drops["curvature"] += 1
+            elif not record.residual_ok:
+                result.drops["residual"] += 1
+            else:
+                result.drops["coverage"] += 1
             continue
 
         patch_vol, _ = transform_patch(patch_cam, state.c_t)
         seed_vol = _pose.xform_fwd(seed.point, state.c_t.r, state.c_t.t)
-        seed_pixel = seed.pixel
-        if sal_cloud is not cloud:
-            seed_pixel = _decimated_source(cloud, seed.pixel, config.decimate, seed.point)
         mp = MapPatch(
             id=state.next_id,
             patch=patch_vol,
@@ -1236,13 +1235,7 @@ def map_step(
             seed_pixel=seed_pixel,
             seed_point=seed_vol,
             frame_index=state.frame_index,
-            validation=ValidationRecord(
-                residual=res,
-                bad_cells=n_bad,
-                curvature_ok=curv_ok,
-                residual_ok=res_ok,
-                coverage_ok=cov_ok,
-            ),
+            validation=record,
         )
         state.next_id += 1
         state.patches.append(mp)

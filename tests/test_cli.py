@@ -435,3 +435,39 @@ def test_validate_flags_tampered_patch(tmp_path, dome_dir, dome_map, capsys):
     assert rc == 2
     entries = [json.loads(ln) for ln in out.splitlines()]
     assert not entries[0]["gates"]["residual"]
+
+
+def test_validate_honours_check_coverage(tmp_path, dome_dir, dome_map, capsys):
+    doc = json.loads(dome_map.read_text())
+    # extents far past the 0.12 m neighborhood leave most coverage cells empty
+    doc["patches"][0]["d"] = [0.4, 0.4]
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(doc))
+    off = tmp_path / "no_coverage.json"
+    off.write_text(json.dumps(dict(MAP_CFG, check_coverage=False)))
+    argv = ["validate", "--map", str(wide), "--cloud", str(dome_dir / "dome_000.opc")]
+
+    assert cli.main(argv + ["--config", str(dome_dir / "cfg.json")]) == 2
+    gates = json.loads(capsys.readouterr().out.splitlines()[0])["gates"]
+    assert gates == {"curvature": True, "residual": True, "coverage": False}
+
+    assert cli.main(argv + ["--config", str(off)]) == 0
+    entry = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert entry["passed"] and entry["bad_cells"] == 0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [{"budgets": {"n_S": 1}}, {"n_ff": 50}, {"volume": {"v_size": 4}}],
+    ids=["budget_typo", "unknown_key", "volume_typo"],
+)
+def test_map_rejects_malformed_config(tmp_path, dome_dir, capsys, spec):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(spec))
+    rc = cli.main(
+        ["map", str(dome_dir / "dome_000.opc"), "--config", str(cfg),
+         "--out", str(tmp_path / "map.json")]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: bad config: ")
+    assert not (tmp_path / "map.json").exists()

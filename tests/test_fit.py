@@ -271,6 +271,21 @@ def test_finisher_jacobian_matches_fd(case):
     assert np.max(np.abs(J - J_fd)) < 1e-6
 
 
+def test_ccyl_rebuild_jacobian_matches_fd():
+    r = np.array([0.4, -0.3, 0.2])
+    x = np.concatenate([ps.rxy_from_r(r) + [0.05, -0.03], [2.5], r, [0.1, -0.05, 1.0]])
+
+    def rebuild(q):
+        return pf._ccyl_rebuild(q[:2], q[2], q[3:6], q[6:])
+
+    r_new, t_new, J = rebuild(x)
+    J_fd = central_diff_jac(lambda q: np.concatenate([q[2:3], *rebuild(q)[:2]]), x)
+    assert J.shape == J_fd.shape == (7, 9)
+    assert np.max(np.abs(J - J_fd)) < 1e-6
+    # t' depends on kappa and on r, not on t alone
+    assert np.max(np.abs(J[4:, 2:6])) > 1e-3
+
+
 def test_coverage_scale_value():
     # 95% central mass of a 1D normal lies within 1.96 std
     assert abs(coverage_scale(0.95) - 1.959964) < 1e-5

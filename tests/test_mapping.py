@@ -31,7 +31,9 @@ from patchscape.mapping import (
     VolumeState,
     bilateral_filter,
     expected_patch_count,
+    fit_sample,
     fixation_point,
+    gate_patch,
     init_volume,
     integral_normals,
     map_step,
@@ -51,6 +53,7 @@ from patchscape.patch import (
     SurfaceType,
     patch_frame,
     projected_area,
+    transform_patch,
 )
 from patchscape.pose import ChainLink, Pose6, chain_covariance, compose_pose, exp_map, pose_inverse, rxy_for_zdir, rxy_to_r, xform_fwd
 from patchscape.sensor import (
@@ -591,13 +594,12 @@ def test_select_seeds_orders_cells_near_camera_first():
 def test_neighborhood_backprojection_matches_kdtree():
     cloud = _plane_cloud(1.0)
     seed = (30, 40)
-    a = neighborhood(NeighborhoodIndex(), cloud, np.array(seed), 0.12, n_f=10**9)
+    a = neighborhood(NeighborhoodIndex(), cloud, np.array(seed), 0.12)
     b = neighborhood(
         NeighborhoodIndex(variant=NeighborhoodVariant.KDTREE),
         cloud,
         np.array(seed),
         0.12,
-        n_f=10**9,
     )
     sa = set(map(tuple, a.pixels))
     sb = set(map(tuple, b.pixels))
@@ -612,29 +614,33 @@ def test_neighborhood_backprojection_keeps_scan_order(rocky_cloud_noisy):
     seeds = [sd for sd in seeds if np.isfinite(cloud.points[sd][2])]
     assert len(seeds) >= 3
     for seed in seeds:
-        a = neighborhood(NeighborhoodIndex(), cloud, np.array(seed), 0.15, n_f=10**9)
-        b = neighborhood(kd, cloud, np.array(seed), 0.15, n_f=10**9)
+        a = neighborhood(NeighborhoodIndex(), cloud, np.array(seed), 0.15)
+        b = neighborhood(kd, cloud, np.array(seed), 0.15)
         assert len(a.pixels) > 13
         assert np.array_equal(a.pixels, b.pixels)  # row-major, element for element
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.covs, b.covs)
 
 
-def test_neighborhood_subsamples_to_n_f():
-    cloud = _plane_cloud(1.0)
-    full = neighborhood(NeighborhoodIndex(), cloud, (30, 40), 0.2, n_f=10**9)
-    sub = neighborhood(NeighborhoodIndex(), cloud, (30, 40), 0.2, n_f=50, rng_seed=9)
-    assert len(sub.points) == 50
-    assert set(map(tuple, sub.pixels)) <= set(map(tuple, full.pixels))
-    again = neighborhood(NeighborhoodIndex(), cloud, (30, 40), 0.2, n_f=50, rng_seed=9)
-    assert np.array_equal(again.pixels, sub.pixels)
-
-
-def test_neighborhood_seed_point_snaps_to_pixel():
-    cloud = _plane_cloud(1.0)
-    p = cloud.points[25, 33] + np.array([1e-4, -1e-4, 5e-5])
-    nb = neighborhood(NeighborhoodIndex(), cloud, p, 0.1, n_f=10**9)
-    assert (25, 33) in set(map(tuple, nb.pixels))
+def test_fit_sample_subsamples_to_n_f():
+    plane = _plane_cloud(1.0)
+    cov = np.arange(plane.points.size * 3, dtype=float).reshape(*plane.points.shape, 3)
+    cloud = OrganizedCloud(points=plane.points, cov=cov, intrinsics=plane.intrinsics)
+    full = neighborhood(NeighborhoodIndex(), cloud, (30, 40), 0.2)
+    pts, cvs = fit_sample(full, 50, np.random.default_rng(9))
+    assert len(pts) == 50 and len(cvs) == 50
+    # a uniform draw without replacement, kept in scan order
+    pick = np.sort(np.random.default_rng(9).choice(len(full.points), size=50, replace=False))
+    assert np.array_equal(pts, full.points[pick])
+    assert np.array_equal(cvs, full.covs[pick])
+    assert set(map(tuple, pts)) <= set(map(tuple, full.points))
+    again, _ = fit_sample(full, 50, np.random.default_rng(9))
+    assert np.array_equal(again, pts)
+    # a neighborhood within n_f is taken whole and draws nothing
+    rng = np.random.default_rng(9)
+    whole, whole_cvs = fit_sample(full, len(full.points), rng)
+    assert whole is full.points and whole_cvs is full.covs
+    assert rng.bit_generator.state == np.random.default_rng(9).bit_generator.state
 
 
 def test_neighborhood_mesh_does_not_cross_jumps():
@@ -642,7 +648,7 @@ def test_neighborhood_mesh_does_not_cross_jumps():
     z[:, 40:] = 1.5
     cloud = _depth_cloud(TINY, z)
     idx = NeighborhoodIndex(variant=NeighborhoodVariant.TRIANGLE_MESH)
-    nb = neighborhood(idx, cloud, (30, 40 - 5), 10.0, n_f=10**9)
+    nb = neighborhood(idx, cloud, (30, 40 - 5), 10.0)
     assert np.allclose(nb.points[:, 2], 1.0)
     assert len(nb.points) == (z == 1.0).sum()
 
@@ -650,8 +656,8 @@ def test_neighborhood_mesh_does_not_cross_jumps():
 def test_neighborhood_mesh_chain_distance_on_plane():
     cloud = _plane_cloud(1.0)
     idx = NeighborhoodIndex(variant=NeighborhoodVariant.TRIANGLE_MESH)
-    nb = neighborhood(idx, cloud, (30, 40), 0.1, n_f=10**9)
-    eucl = neighborhood(NeighborhoodIndex(), cloud, (30, 40), 0.1, n_f=10**9)
+    nb = neighborhood(idx, cloud, (30, 40), 0.1)
+    eucl = neighborhood(NeighborhoodIndex(), cloud, (30, 40), 0.1)
     mesh_set = set(map(tuple, nb.pixels))
     eucl_set = set(map(tuple, eucl.pixels))
     assert mesh_set <= eucl_set  # grid paths only lengthen distances
@@ -1020,6 +1026,63 @@ def test_map_step_resident_cells_get_no_new_seeds(rocky_cloud):
     assert second.n_seeds == first.n_seeds - len(first.admitted)
     assert taken.isdisjoint({mp.cell for mp in second.admitted})
     assert state.frame_index == 2
+
+
+def _half_covered_cap():
+    """Elliptic cap with exact surface samples over its x > 0 half only."""
+    patch = _paraboloid([0.0, 0.0, 1.0], np.zeros(3), -1.0, -1.2, 0.1, 0.1)
+    x, y = np.meshgrid(np.linspace(0.002, 0.1, 40), np.linspace(-0.1, 0.1, 80))
+    x, y = x.ravel(), y.ravel()
+    local = np.column_stack([x, y, 0.5 * (-1.0 * x * x - 1.2 * y * y)])
+    return patch, local + [0.0, 0.0, 1.0]
+
+
+def test_gate_patch_skips_coverage_when_disabled():
+    patch, pts = _half_covered_cap()
+    on = gate_patch(patch, pts, pts, MapConfig())
+    assert on.curvature_ok and on.residual_ok and on.residual < 1e-9
+    assert not on.coverage_ok and on.bad_cells > 0
+    off = gate_patch(patch, pts, pts, MapConfig(check_coverage=False))
+    assert off.coverage_ok and off.bad_cells == 0 and off.passed
+    assert off.residual == on.residual
+
+
+def test_gate_patch_evaluates_every_gate():
+    patch, pts = _half_covered_cap()
+    tight = MapConfig(saliency=SaliencyConfig(kappa_min=-0.5, kappa_max=0.5), d_max=0.0)
+    rec = gate_patch(patch, pts, pts, tight)
+    assert not (rec.curvature_ok or rec.coverage_ok or rec.passed)
+    ref = gate_patch(patch, pts, pts, MapConfig())
+    # the residual and coverage after a failed curvature gate are still real
+    assert rec.residual == ref.residual and rec.bad_cells == ref.bad_cells > 0
+    assert rec.residual_ok == (ref.residual <= 0.0)
+
+
+@pytest.fixture(scope="module")
+def rocky_cloud_off_ray():
+    # In this noise draw the valid pixel nearest the point of seed pixel
+    # (82, 453), among those around its projection, is (81, 451): a search
+    # that snapped the seed's point to a pixel would gate a neighborhood
+    # other than the one at the seed pixel.
+    return sample_scene(
+        _rocky_scene(), KINECT_640, camera_pose=CAM_POSE, noise=StereoNoise(), rng=12
+    )
+
+
+def test_map_step_validation_regates_at_the_seed_pixel(rocky_cloud_off_ray):
+    cloud = rocky_cloud_off_ray
+    cfg = replace(ROCKY_CONFIG, n_f=10**6)  # the fit sees the whole neighborhood
+    state = init_volume()
+    res = map_step(state, cloud, _gravity_cam(), config=cfg, rng_seed=11)
+    assert res.admitted
+    to_cam = pose_inverse(state.c_t)
+    for mp in res.admitted:
+        patch, _ = transform_patch(mp.patch, to_cam)
+        nb = neighborhood(cfg.neighborhood, cloud, mp.seed_pixel, cfg.saliency.r)
+        again = gate_patch(patch, nb.points, nb.points, cfg)
+        assert again.residual == pytest.approx(mp.validation.residual, rel=1e-9)
+        assert again.bad_cells == mp.validation.bad_cells
+        assert again.passed
 
 
 # ---------------------------------------------------------------------------
