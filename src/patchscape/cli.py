@@ -7,7 +7,11 @@ and validate (re-run the gates of a stored map against a cloud). fit
 and validate run map_step's own seed code from patchscape.mapping
 (neighborhood, fit_sample, gate_patch) under a MapConfig built from the
 fit flags or the config file, whose omitted values keep MapConfig's
-defaults.
+defaults. validate gates the residual over the whole neighborhood of a
+patch's seed pixel, while map_step gates it over the n_f points it
+fitted, so the residual validate reports for a patch can differ from the
+one its map stores, and a patch admitted just under d_max can fail
+validate on the frame it came from.
 
 All numbers are serialized with 17 significant digits so files are
 byte-identical across runs and round-trip 64-bit floats exactly. Clouds
@@ -45,8 +49,8 @@ from .mapping import (
     remap_patches,
     volume_update,
 )
-from .patch import BoundaryType, Patch, SurfaceType, transform_patch
-from .pose import Pose5, Pose6, pose_inverse, rxy_from_r, rxy_to_r
+from .patch import BoundaryType, Patch, SurfaceType, patch_rotvec, transform_patch
+from .pose import Pose5, Pose6, pose_inverse, rxy_from_r
 from .sensor import (
     CameraIntrinsics,
     ConstantNoise,
@@ -137,10 +141,10 @@ def _noise(kind: str, params):
     cls = _NOISE[kind]
     if not isinstance(params, dict):
         params = dict(zip((f.name for f in fields(cls)), params))
-    return cls(**{
-        f.name: float(params[f.name])
-        for f in fields(cls) if f.name in params or f.default is MISSING
-    })
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in params]
+    if missing:
+        raise ValueError(f"noise model {kind} needs {', '.join(missing)}")
+    return cls(**{f.name: float(params[f.name]) for f in fields(cls) if f.name in params})
 
 
 def _noise_tag(noise) -> str:
@@ -173,23 +177,28 @@ def write_cloud(path: str, cloud: OrganizedCloud, noise=None) -> None:
         f.write("\n".join(lines) + "\n")
 
 
+def _header(lines: List[str], i: int, key: str, n: int) -> List[str]:
+    """Values after key on OPC1 header line i; ValueError unless there are n."""
+    vals = lines[i].split() if i < len(lines) else []
+    if vals[:1] != [key] or len(vals) < n + 1:
+        raise ValueError(f"header line {i + 1} needs {key!r} and {n} value(s)")
+    return vals[1:]
+
+
 def read_cloud(path: str) -> Tuple[OrganizedCloud, object]:
     with open(path) as f:
         lines = [ln.strip() for ln in f]
     if not lines or not lines[0].startswith("OPC1 "):
         raise ValueError(f"{path}: not an OPC1 cloud file")
-    _, w, h = lines[0].split()
-    w, h = int(w), int(h)
-    vals = lines[1].split()
-    if vals[0] != "intrinsics":
-        raise ValueError(f"{path}: missing intrinsics line")
-    intr = CameraIntrinsics(
-        fx=float(vals[1]), fy=float(vals[2]), cx=float(vals[3]), cy=float(vals[4]),
-        width=w, height=h, baseline=float(vals[5]),
-    )
-    tag = lines[2].split()
-    noise = _noise(tag[1], tag[2:])
-    has_cov = bool(int(lines[3].split()[1]))
+    try:
+        w, h = (int(v) for v in _header(lines, 0, "OPC1", 2)[:2])
+        fx, fy, cx, cy, baseline = (float(v) for v in _header(lines, 1, "intrinsics", 5)[:5])
+        tag = _header(lines, 2, "noise", 1)
+        noise = _noise(tag[0], tag[1:])
+        has_cov = bool(int(_header(lines, 3, "cov", 1)[0]))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    intr = CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy, width=w, height=h, baseline=baseline)
     n = w * h
     body = [ln for ln in lines[4:] if ln]
     expect = n * (2 if has_cov else 1)
@@ -217,22 +226,15 @@ def read_cloud(path: str) -> Tuple[OrganizedCloud, object]:
 # ---------------------------------------------------------------------------
 
 
-def _pose_vectors(patch: Patch) -> Tuple[np.ndarray, np.ndarray]:
-    if isinstance(patch.pose, Pose5):
-        return rxy_to_r(patch.pose.rxy), np.asarray(patch.pose.t, float)
-    return np.asarray(patch.pose.r, float), np.asarray(patch.pose.t, float)
-
-
 def patch_record(mp: _mapping.MapPatch) -> dict:
-    r, t = _pose_vectors(mp.patch)
     return {
         "id": mp.id,
         "surface": mp.patch.s.value,
         "boundary": mp.patch.b.value,
         "k": mp.patch.k,
         "d": mp.patch.d,
-        "r": r,
-        "t": t,
+        "r": patch_rotvec(mp.patch),
+        "t": mp.patch.pose.t,
         "sigma": None if mp.patch.sigma is None else mp.patch.sigma,
         "seed_pixel": list(mp.seed_pixel),
         "frame_index": mp.frame_index,
@@ -332,7 +334,6 @@ def _scene_truth(surfaces) -> List[dict]:
         if isinstance(s, ScenePlane):
             out.append({"type": "plane", "normal": s.normal, "offset": s.offset})
         else:
-            r, t = _pose_vectors(s)
             out.append(
                 {
                     "type": "patch",
@@ -340,8 +341,8 @@ def _scene_truth(surfaces) -> List[dict]:
                     "boundary": s.b.value,
                     "k": s.k,
                     "d": s.d,
-                    "r": r,
-                    "t": t,
+                    "r": patch_rotvec(s),
+                    "t": s.pose.t,
                 }
             )
     return out
@@ -559,7 +560,7 @@ def cmd_track(args) -> int:
                 doc = json.load(f)
             for rec in doc["patches"]:
                 patch = _patch_from_record(rec)
-                _, t = _pose_vectors(patch)
+                t = patch.pose.t
                 state.patches.append(
                     _mapping.MapPatch(
                         id=int(rec["id"]),

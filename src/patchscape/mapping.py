@@ -908,7 +908,7 @@ def init_volume(
 
 
 def _rotation_angle(ra: np.ndarray, rb: np.ndarray) -> float:
-    rel, _ = _pose.log_map(_pose.exp_map(ra) @ _pose.exp_map(rb).T, jacobian=False)
+    rel = _pose.log_map(_pose.exp_map(ra) @ _pose.exp_map(rb).T)
     return float(np.linalg.norm(rel))
 
 
@@ -983,7 +983,7 @@ def volume_update(
     gv = np.asarray(g, dtype=float).reshape(3)
     fv = np.asarray(forward, dtype=float).reshape(3)
     R_target = _frame_down_forward(gv, fv, down_first=state.policy == MovePolicy.FD)
-    r_target, _ = _pose.log_map(R_target, jacobian=False)
+    r_target = _pose.log_map(R_target)
 
     moved = float(np.linalg.norm(drifted.t - state.c_fixed.t)) > state.c_d
     turned = _rotation_angle(state.pose_world.r, r_target) > state.c_a

@@ -1,10 +1,12 @@
 """Rotation vectors, rigid transforms, and their Jacobians.
 
 Orientation is carried as a rotation vector r (axis times angle, radians).
-The exponential map turns r into a rotation matrix via the Rodrigues form,
-the log map inverts it with an explicit branch structure that stays exact
-through theta = pi, and both directions come with closed-form Jacobians so
-downstream covariance propagation never needs finite differences.
+The exponential map turns r into a rotation matrix via the Rodrigues form
+and the log map inverts it exactly through theta = pi. Both derivatives
+come from one pair, the SO(3) right Jacobian J_r and its inverse (Sola,
+Deray, Atchuthan, "A micro Lie theory for state estimation in robotics",
+arXiv:1812.01537), so covariance propagation never needs finite
+differences.
 
 Conventions:
   - X_f(q, r, t) = R(r) q + t maps local coordinates to world.
@@ -19,9 +21,15 @@ Numerical policy:
   - Series branches for sin(theta)/theta style terms switch at
     theta <= eps(float64)^(1/4) ~ 1.22e-4, where the truncation error of the
     quoted series drops below machine epsilon.
-  - The log map picks its main branch with delta > 1e-10 and treats angles
-    within 1e-7 of 0 or pi specially. Those two constants are stability
-    thresholds, not model parameters.
+  - The log map splits at theta = pi/2. Below it r is the antisymmetric
+    part v = R - R^T scaled by theta / (2 sin theta), which stays accurate
+    down to 0. From pi/2 up it is read off the symmetric part, where
+    3 - tr(R) >= 2 does not cancel, and takes its sign from v.
+  - Within 1e-7 of pi, v is roundoff and the sign convention above picks
+    the sign. This band is a stability threshold, not a model parameter.
+  - dR/dr_m = R [J_r(r) e_m]_x and d log(R) = J_r^-1(r) vee(R^T dR): J_r and
+    J_r^-1 are the only rotation derivatives here. J_r^-1 stays finite up
+    to theta = pi.
   - exp_map and log_map run on plain Python floats internally. They sit in
     per-point loops (pose round trips, chain recomputation), and scalar
     arithmetic beats ndarray dispatch by an order of magnitude at this size.
@@ -69,9 +77,8 @@ OrientationVector = np.ndarray
 # sin(t)/t and (1-cos(t))/t^2 are exact to machine precision.
 _SERIES_EPS = float(np.finfo(np.float64).eps) ** 0.25
 
-# Log-map branch thresholds. delta = 2 (1 - cos t) zhat_i^2 with
-# zhat_i^2 >= 1/3, so delta <= 1e-10 forces t <= ~1.7e-5 (small branch).
-_LOG_DELTA_EPS = 1e-10
+# Angles within this of pi take their sign from _fix_pi_sign: there the
+# antisymmetric part of R is roundoff and cannot fix the sign.
 _LOG_THETA_EPS = 1e-7
 
 # Rejection tolerance for non-orthonormal log-map input.
@@ -80,16 +87,6 @@ _ORTHONORMAL_TOL = 1e-9
 # Relative magnitude below which a component does not count as the
 # "first nonzero" one when fixing the sign at theta = pi.
 _PI_SIGN_TOL = 1e-9
-
-# Skew-symmetric basis: _E_BASIS[m] = d[r]_x / dr_m.
-_E_BASIS = np.array(
-    [
-        [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
-        [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
-        [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
-    ]
-)
-
 
 @dataclass(frozen=True)
 class Pose6:
@@ -153,24 +150,11 @@ def sym(a) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def exp_map(r) -> np.ndarray:
-    """Rodrigues rotation matrix of a rotation vector.
+def _rodrigues_form(x, y, z, a, b) -> np.ndarray:
+    """I + a [r]_x + b [r]_x^2 for r = (x, y, z), built from plain floats.
 
-    R = I + [r]_x * a + [r]_x^2 * b with a = sin(t)/t, b = (1-cos(t))/t^2,
-    where t = ||r||. Series forms take over below the eps^(1/4) cutoff.
+    exp_map, J_r and J_r^-1 all have this form.
     """
-    v = np.asarray(r, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"rotation vector must have shape (3,), got {v.shape}")
-    x, y, z = v.tolist()
-    t2 = x * x + y * y + z * z
-    t = math.sqrt(t2)
-    if t <= _SERIES_EPS:
-        a = 1.0 - t2 / 6.0
-        b = 0.5 - t2 / 24.0
-    else:
-        a = math.sin(t) / t
-        b = (1.0 - math.cos(t)) / t2
     xx = b * x * x
     yy = b * y * y
     zz = b * z * z
@@ -189,30 +173,67 @@ def exp_map(r) -> np.ndarray:
     )
 
 
-def jac_exp(r) -> np.ndarray:
-    """Derivative of the Rodrigues matrix: shape (3, 3, 3), [m] = dR/dr_m."""
-    v = _as_vec3(r, "rotation vector")
-    t2 = float(v @ v)
+def exp_map(r) -> np.ndarray:
+    """Rodrigues rotation matrix of a rotation vector.
+
+    R = I + [r]_x * a + [r]_x^2 * b with a = sin(t)/t, b = (1-cos(t))/t^2,
+    where t = ||r||. Series forms take over below the eps^(1/4) cutoff.
+    """
+    v = np.asarray(r, dtype=float)
+    if v.shape != (3,):
+        raise ValueError(f"rotation vector must have shape (3,), got {v.shape}")
+    x, y, z = v.tolist()
+    t2 = x * x + y * y + z * z
     t = math.sqrt(t2)
     if t <= _SERIES_EPS:
         a = 1.0 - t2 / 6.0
         b = 0.5 - t2 / 24.0
-        da = (t2 / 30.0 - 1.0 / 3.0) * v
-        db = (t2 / 180.0 - 1.0 / 12.0) * v
     else:
-        st = math.sin(t)
-        ct = math.cos(t)
-        a = st / t
-        b = (1.0 - ct) / t2
-        da = ((t * ct - st) / t**3) * v
-        db = ((t * st + 2.0 * ct - 2.0) / t**4) * v
-    K = skew(v)
-    K2 = K @ K
-    out = np.empty((3, 3, 3))
-    for m in range(3):
-        Em = _E_BASIS[m]
-        out[m] = K * da[m] + Em * a + K2 * db[m] + (K @ Em + Em @ K) * b
-    return out
+        a = math.sin(t) / t
+        b = (1.0 - math.cos(t)) / t2
+    return _rodrigues_form(x, y, z, a, b)
+
+
+def _jr(r: np.ndarray) -> np.ndarray:
+    """SO(3) right Jacobian: J_r(r) = I - b [r]_x + c [r]_x^2.
+
+    b = (1 - cos t)/t^2 and c = (t - sin t)/t^3 with t = ||r||, so that
+    exp(r + dr) = exp(r) exp(J_r(r) dr) to first order.
+    """
+    x, y, z = r.tolist()
+    t2 = x * x + y * y + z * z
+    t = math.sqrt(t2)
+    if t <= _SERIES_EPS:
+        b = 0.5 - t2 / 24.0
+        c = 1.0 / 6.0 - t2 / 120.0
+    else:
+        b = 2.0 * math.sin(0.5 * t) ** 2 / t2  # 1 - cos t without cancellation
+        c = (t - math.sin(t)) / (t2 * t)
+    return _rodrigues_form(x, y, z, -b, c)
+
+
+def _jr_inv(r: np.ndarray) -> np.ndarray:
+    """Inverse right Jacobian: I + [r]_x / 2 + (1/t^2 - 1/(2 t tan(t/2))) [r]_x^2.
+
+    Finite up to t = pi, where the last coefficient tends to 1/pi^2.
+    """
+    x, y, z = r.tolist()
+    t2 = x * x + y * y + z * z
+    t = math.sqrt(t2)
+    if t <= _SERIES_EPS:
+        e = 1.0 / 12.0 + t2 / 720.0
+    else:
+        e = 1.0 / t2 - 1.0 / (2.0 * t * math.tan(0.5 * t))
+    return _rodrigues_form(x, y, z, 0.5, e)
+
+
+def jac_exp(r) -> np.ndarray:
+    """Derivative of the Rodrigues matrix: shape (3, 3, 3), [m] = dR/dr_m.
+
+    dR/dr_m = R(r) [J_r(r) e_m]_x.
+    """
+    v = _as_vec3(r, "rotation vector")
+    return exp_map(v) @ np.array([skew(c) for c in _jr(v).T.tolist()])
 
 
 def reparameterize(r) -> np.ndarray:
@@ -253,12 +274,13 @@ def _fix_pi_sign(r: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def log_map(R, jacobian: bool = True):
-    """Rotation vector of a rotation matrix, with d r / d R.
+def log_map(R) -> np.ndarray:
+    """Canonical rotation vector of a rotation matrix (||r|| <= pi).
 
-    Returns (r, J) where J has shape (3, 3, 3) and J[m, a, b] = dr_m/dR_ab,
-    or (r, None) when jacobian=False. The result is canonical (||r|| <= pi;
-    first-nonzero-positive at exactly pi).
+    Below theta = pi/2 the vector comes from the antisymmetric part of R,
+    from pi/2 up from its symmetric part; at exactly pi the first
+    non-negligible component is made positive. jac_log_of gives the
+    derivative.
 
     Raises ValueError if R is not orthonormal within 1e-9 or has negative
     determinant.
@@ -266,7 +288,8 @@ def log_map(R, jacobian: bool = True):
     M = np.asarray(R, dtype=float)
     if M.shape != (3, 3):
         raise ValueError(f"rotation matrix must have shape (3, 3), got {M.shape}")
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = M.ravel().tolist()
+    e = M.ravel().tolist()
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = e
 
     # Orthonormality: row Gram matrix within tolerance of the identity.
     g00 = r00 * r00 + r01 * r01 + r02 * r02 - 1.0
@@ -292,134 +315,51 @@ def log_map(R, jacobian: bool = True):
     vx = r21 - r12
     vy = r02 - r20
     vz = r10 - r01
-    c = (tr - 1.0) / 2.0
     s = 0.5 * math.sqrt(vx * vx + vy * vy + vz * vz)
-    theta = math.atan2(s, c)
+    theta = math.atan2(s, (tr - 1.0) / 2.0)
 
-    # Axis permutation by the largest diagonal entry keeps delta well away
-    # from cancellation for every input.
+    if theta < 0.5 * math.pi:
+        # v = 2 sin(theta) * axis; theta / sin(theta) by series near 0.
+        if theta <= _SERIES_EPS:
+            f = 0.5 + theta * theta / 12.0
+        else:
+            f = theta / (2.0 * s)
+        return np.array([f * vx, f * vy, f * vz])
+
+    # Symmetric part, permuted by the largest diagonal entry: here
+    # 3 - tr >= 2 and d^2 = 2 (1 - cos theta) zhat_i^2 >= 2/3, so neither
+    # cancels.
     if r00 >= r11 and r00 >= r22:
         i, j, k = 0, 1, 2
-        delta = 1.0 + r00 - r11 - r22
     elif r11 >= r22:
         i, j, k = 1, 2, 0
-        delta = 1.0 + r11 - r22 - r00
     else:
         i, j, k = 2, 0, 1
-        delta = 1.0 + r22 - r00 - r11
-
-    if delta > _LOG_DELTA_EPS:
-        e = (r00, r01, r02, r10, r11, r12, r20, r21, r22)
-        return _log_main(e, tr, theta, c, s, i, j, k, delta, jacobian)
-    return _log_small(vx, vy, vz, theta, c, s, jacobian)
-
-
-def _log_main(e, tr, theta, c, s, i, j, k, delta, jacobian):
-    # e is the row-major tuple of matrix entries; everything here runs on
-    # plain floats, one ndarray is built at the very end.
+    d = math.sqrt(1.0 + e[4 * i] - e[4 * j] - e[4 * k])
     gamma = theta / math.sqrt(3.0 - tr)
-    d = math.sqrt(delta)
-    sym_j = e[3 * j + i] + e[3 * i + j]
-    sym_k = e[3 * k + i] + e[3 * i + k]
-    r = [0.0, 0.0, 0.0]
-    r[i] = d * gamma
-    r[j] = gamma * sym_j / d
-    r[k] = gamma * sym_k / d
-
-    if theta < math.pi - _LOG_THETA_EPS:
-        # The branch fixes only r_i's sign; test the rotation's action on a
-        # vector perpendicular to the axis to recover the true sign.
-        h0, h1, h2 = r[0] / theta, r[1] / theta, r[2] / theta
-        if h0 * h0 + h1 * h1 < 0.25:
-            p0, p1, p2 = -h2, 0.0, h0  # rhat x yhat
-        else:
-            p0, p1, p2 = h1, -h0, 0.0  # rhat x zhat
-        m0 = e[0] * p0 + e[1] * p1 + e[2] * p2
-        m1 = e[3] * p0 + e[4] * p1 + e[5] * p2
-        m2 = e[6] * p0 + e[7] * p1 + e[8] * p2
-        x0 = h1 * p2 - h2 * p1
-        x1 = h2 * p0 - h0 * p2
-        x2 = h0 * p1 - h1 * p0
-        if m0 * x0 + m1 * x1 + m2 * x2 < 0.0:
-            r = [-r[0], -r[1], -r[2]]
-            d = -d
-    else:
-        tol = _PI_SIGN_TOL * math.pi
-        for comp in r:
-            if abs(comp) > tol:
-                if comp < 0.0:
-                    r = [-r[0], -r[1], -r[2]]
-                    d = -d
-                break
-
-    if not jacobian:
-        return np.array(r), None
-
-    rh = (r[0] / theta, r[1] / theta, r[2] / theta)
-    ch = 0.5 * c
-    # dtheta[a][b] = (c * [rhat]_x - s I)[a][b] / 2
-    dt = (
-        (-0.5 * s, -ch * rh[2], ch * rh[1]),
-        (ch * rh[2], -0.5 * s, -ch * rh[0]),
-        (-ch * rh[1], ch * rh[0], -0.5 * s),
-    )
-    tf = theta / (6.0 - 2.0 * tr)
-    rhi = rh[i]
-    g2d = gamma / (2.0 * d)
-    god = gamma / d
-    rows = [None, None, None]
-    Ji = [[0.0] * 3 for _ in range(3)]
-    Jj = [[0.0] * 3 for _ in range(3)]
-    Jk = [[0.0] * 3 for _ in range(3)]
-    for a in range(3):
-        for b in range(3):
-            ddg = rhi * (dt[a][b] + (tf if a == b else 0.0))
-            if a == b:
-                gdd = g2d if a == i else -g2d
-            else:
-                gdd = 0.0
-            core = (ddg - gdd) / delta
-            Ji[a][b] = gdd + ddg
-            Jj[a][b] = sym_j * core
-            Jk[a][b] = sym_k * core
-    Jj[j][i] += god
-    Jj[i][j] += god
-    Jk[k][i] += god
-    Jk[i][k] += god
-    rows[i] = Ji
-    rows[j] = Jj
-    rows[k] = Jk
-    return np.array(r), np.array(rows)
-
-
-def _log_small(vx, vy, vz, theta, c, s, jacobian):
-    if theta > _LOG_THETA_EPS:
-        a = s / theta
-        lam = (s - c * theta) / (2.0 * s * s)
-    else:
-        a = 1.0 - theta * theta / 6.0
-        lam = theta / 6.0
-    v = np.array([vx, vy, vz])
-    r = v / (2.0 * a)
-    if not jacobian:
-        return r, None
-    eye = np.eye(3)
-    if theta > _LOG_THETA_EPS:
-        dtheta = (c * skew(r / theta) - s * eye) / 2.0
-    else:
-        dtheta = (c * (np.ones((3, 3)) - eye) - s * eye) / 2.0
-    J = _E_BASIS / (2.0 * a) + lam * v[:, None, None] * dtheta[None, :, :]
-    return r, J
+    out = [0.0, 0.0, 0.0]
+    out[i] = d * gamma
+    out[j] = gamma * (e[3 * j + i] + e[3 * i + j]) / d
+    out[k] = gamma * (e[3 * k + i] + e[3 * i + k]) / d
+    r = np.array(out)
+    if theta >= math.pi - _LOG_THETA_EPS:
+        return _fix_pi_sign(r)
+    if out[0] * vx + out[1] * vy + out[2] * vz < 0.0:
+        return -r
+    return r
 
 
 def jac_log_of(R, dR_blocks):
     """r' = log(R) and dr'/dx, given the blocks dR/dx_m of each input x_m.
 
-    Returns (r', J) with J of shape (3, len(dR_blocks)): column m is the
-    log-map Jacobian contracted with dR/dx_m.
+    Returns (r', J) with J of shape (3, len(dR_blocks)), column m being
+    J_r^-1(r') vee(R^T dR/dx_m). Precondition: every block is tangent to
+    SO(3) at R (R^T dR/dx_m is skew), as it is for the derivative of any
+    function that stays on SO(3).
     """
-    r, Jlog = log_map(R)
-    return r, np.einsum("iab,mab->im", Jlog, np.asarray(dR_blocks).reshape(-1, 3, 3))
+    r = log_map(R)
+    A = np.asarray(R, dtype=float).T @ np.asarray(dR_blocks, dtype=float).reshape(-1, 3, 3)
+    return r, _jr_inv(r) @ np.array([A[:, 2, 1], A[:, 0, 2], A[:, 1, 0]])
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +508,7 @@ def compose_chain(links: Sequence[ChainLink]) -> Pose6:
         else:
             p = R.T @ (p - link.pose.t)
             Rc = R.T @ Rc
-    rc, _ = log_map(Rc, jacobian=False)
+    rc = log_map(Rc)
     return Pose6(rc, p)
 
 
@@ -583,14 +523,8 @@ def jac_chain(links: Sequence[ChainLink]) -> np.ndarray:
     if n == 0:
         raise ValueError("empty chain")
 
-    # Per-link signed rotations R_j = R(phi_j r_j) and their derivatives
-    # with respect to the stored r_j (the phi chain rule included).
-    Rs = []
-    dRs = []
-    for link in links:
-        arg = link.phi * link.pose.r
-        Rs.append(exp_map(arg))
-        dRs.append(link.phi * jac_exp(arg))
+    # Per-link signed rotations R_j = R(phi_j r_j).
+    Rs = [exp_map(link.phi * link.pose.r) for link in links]
 
     # Prefix transforms: t_r[j] is the image of the origin after links
     # 1..j; right[j] is R_{j} ... R_1 (right[0] = I).
@@ -614,29 +548,20 @@ def jac_chain(links: Sequence[ChainLink]) -> np.ndarray:
         left[jdx] = Racc.copy()
         Racc = Racc @ Rs[jdx]
 
+    # With R_c = Rl R_j Rr and dR_j/dr_j = phi R_j [J_r(phi r_j) e_m]_x,
+    # R_c^T dR_c = phi [Rr^T J_r e_m]_x, so dr_c/dr_j = phi J_r^-1(r_c) Rr^T J_r;
+    # the link moves the point u it acts on by -phi Rl R_j [u]_x J_r dr_j.
+    Jc_inv = _jr_inv(log_map(right[n]))
     J = np.zeros((6, 6 * n))
-    dRc = []  # d R_c / d r_j, link-major
-    for jdx in range(n):
+    for jdx, link in enumerate(links):
         col = 6 * (n - 1 - jdx)  # layout [r_n t_n ... r_1 t_1]
         Rl = left[jdx]  # R_n ... R_{j+1}
         Rr = right[jdx]  # R_{j-1} ... R_1
-        tr_prev = t_r[jdx]
-        link = links[jdx]
-        for m in range(3):
-            dRj = dRs[jdx][m]
-            dRc.append(Rl @ dRj @ Rr)
-            if link.phi == 1:
-                J[3:6, col + m] = Rl @ (dRj @ tr_prev)
-            else:
-                J[3:6, col + m] = Rl @ (dRj @ (tr_prev - link.pose.t))
-        if link.phi == 1:
-            J[3:6, col + 3 : col + 6] = Rl
-        else:
-            J[3:6, col + 3 : col + 6] = -(Rl @ Rs[jdx])
-    _, dr = jac_log_of(right[n], dRc)
-    for jdx in range(n):
-        col = 6 * (n - 1 - jdx)
-        J[0:3, col : col + 3] = dr[:, 3 * jdx : 3 * jdx + 3]
+        Jj = link.phi * _jr(link.phi * link.pose.r)
+        u = t_r[jdx] if link.phi == 1 else t_r[jdx] - link.pose.t
+        J[0:3, col : col + 3] = Jc_inv @ Rr.T @ Jj
+        J[3:6, col : col + 3] = -(Rl @ Rs[jdx] @ skew(u) @ Jj)
+        J[3:6, col + 3 : col + 6] = Rl if link.phi == 1 else -(Rl @ Rs[jdx])
     return J
 
 

@@ -151,6 +151,24 @@ def test_opc_rejects_garbage(tmp_path):
         cli.read_cloud(str(truncated))
 
 
+@pytest.mark.parametrize(
+    "index, line", [(2, "noise constant"), (2, "noise"), (1, "intrinsics 5 5"), (3, "cov")]
+)
+def test_opc_short_header_field_is_bad_input(tmp_path, capsys, index, line):
+    path = tmp_path / "short.opc"
+    cli.write_cloud(str(path), _toy_cloud(False), noise=ConstantNoise(1e-3))
+    lines = path.read_text().splitlines()
+    lines[index] = line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{path}: "):
+        cli.read_cloud(str(path))
+    capsys.readouterr()
+    assert cli.main(["map", str(path), "--out", str(tmp_path / "m.json")]) == 1
+    assert cli.main(["fit", "--cloud", str(path), "--pixel", "1", "1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(ln.startswith(f"error: {path}: ") for ln in err)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

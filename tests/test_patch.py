@@ -471,7 +471,7 @@ def _rotated_about_local_axis(patch, axis_idx, angle):
     R, t = patch_frame(patch)
     axis = R[:, axis_idx]
     R_new = ps.exp_map(axis * angle) @ R
-    r_new, _ = ps.log_map(R_new, jacobian=False)
+    r_new = ps.log_map(R_new)
     return Patch(patch.s, patch.b, patch.k, patch.d, Pose6(r_new, t))
 
 
