@@ -437,7 +437,9 @@ def jac_rxy(r) -> np.ndarray:
     theta = math.atan2(s, cth)
     if math.pi - theta <= 1e-6:
         return np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    dzl = np.stack([jac_exp(v)[m] @ np.array([0.0, 0.0, 1.0]) for m in range(3)], axis=1)
+    # column m is d(zl)/dr_m; copied to C order, since matmul on the
+    # transposed view rounds differently in the last bit
+    dzl = jac_exp(v)[:, :, 2].T.copy()
     zx = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])  # [zhat]_x
     if theta <= _SERIES_EPS:
         alpha = 1.0 - theta * theta / 6.0

@@ -52,6 +52,15 @@ class ResidualMethod(Enum):
 # ---------------------------------------------------------------------------
 # Exact closest point
 # ---------------------------------------------------------------------------
+#
+# One kernel solves every point of a patch at once; closest_point_exact is
+# its one-row case and residual(..., EXACT) calls it once per patch. Spheres
+# and circular cylinders reduce to center and axis geometry. Paraboloid
+# family members run Newton on the Lagrange multiplier of all rows together,
+# from the z-axis projection; each certification test is a mask over the
+# rows. Rows on a symmetry plane and rows left uncertified are solved one
+# at a time by the companion-matrix path, which also serves as the oracle
+# (solver="companion").
 
 # route to the companion path when a coordinate sits on a symmetry plane,
 # where backsubstitution denominators can vanish
@@ -61,23 +70,24 @@ _NEWTON_MAX = 50
 
 
 def _quintic_coeffs(k1: float, k2: float, q: np.ndarray) -> np.ndarray:
-    """Ascending coefficients of the closest-point polynomial in lambda.
+    """Ascending coefficients of the closest-point polynomial in lambda, per row.
 
     Substituting p(lam) = (I + lam K)^-1 (q + lam z) into the implicit
-    form and clearing (1 + lam k1)^2 (1 + lam k2)^2 gives a polynomial of
-    degree up to five.
+    form and clearing (1 + lam k1)^2 (1 + lam k2)^2 = (1 + s lam + p lam^2)^2,
+    with s = k1 + k2 and p = k1 k2, gives a polynomial of degree up to
+    five. q has shape (n, 3); the result has shape (n, 6).
     """
-    a, b, c = q[0] * q[0], q[1] * q[1], q[2]
-    d1 = np.array([1.0, k1])
-    d2 = np.array([1.0, k2])
-    d1sq = np.convolve(d1, d1)
-    d2sq = np.convolve(d2, d2)
-    poly = np.zeros(6)
-    poly[: len(d2sq)] += k1 * a * d2sq
-    poly[: len(d1sq)] += k2 * b * d1sq
-    prod = np.convolve(np.array([c, 1.0]), np.convolve(d1sq, d2sq))
-    poly[: len(prod)] -= 2.0 * prod
-    return poly
+    a, b, c = q[:, 0] * q[:, 0], q[:, 1] * q[:, 1], q[:, 2]
+    s, p = k1 + k2, k1 * k2
+    e1, e2, e3, e4 = 2.0 * s, s * s + 2.0 * p, 2.0 * s * p, p * p
+    out = np.empty((len(q), 6))
+    out[:, 0] = k1 * a + k2 * b - 2.0 * c
+    out[:, 1] = 2.0 * p * (a + b) - 2.0 * (c * e1 + 1.0)
+    out[:, 2] = p * (k2 * a + k1 * b) - 2.0 * (c * e2 + e1)
+    out[:, 3] = -2.0 * (c * e3 + e2)
+    out[:, 4] = -2.0 * (c * e4 + e3)
+    out[:, 5] = -2.0 * e4
+    return out
 
 
 def _polyval(coeffs: np.ndarray, x: float) -> float:
@@ -128,12 +138,19 @@ def _backsub(k1: float, k2: float, q: np.ndarray, lam: float) -> List[np.ndarray
     return [p]
 
 
-def _surface_gap(k1: float, k2: float, p: np.ndarray) -> float:
-    return abs(k1 * p[0] * p[0] + k2 * p[1] * p[1] - 2.0 * p[2])
+# both take one point (3,) or rows (n, 3)
+def _surface_gap(k1: float, k2: float, p: np.ndarray):
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    return abs(k1 * x * x + k2 * y * y - 2.0 * z)
 
 
-def _companion_closest(k1, k2, q) -> Tuple[np.ndarray, float]:
-    coeffs = _quintic_coeffs(k1, k2, q)
+def _gap_scale(k1: float, k2: float, q: np.ndarray):
+    x, y, z = q[..., 0], q[..., 1], q[..., 2]
+    return 1.0 + abs(k1) * x * x + abs(k2) * y * y + 2.0 * abs(z)
+
+
+def _companion_closest(k1, k2, q, coeffs) -> np.ndarray:
+    """Closest point to one row q from every real root of its polynomial."""
     desc = np.trim_zeros(coeffs[::-1], "f")
     dcoeffs = np.polynomial.polynomial.polyder(coeffs)
     cands: List[np.ndarray] = []
@@ -147,90 +164,104 @@ def _companion_closest(k1, k2, q) -> Tuple[np.ndarray, float]:
     for m, km in ((0, k1), (1, k2)):
         if km != 0.0 and abs(q[m]) <= _SYM_TOL:
             cands.extend(_backsub(k1, k2, q, -1.0 / km))
-    scale = 1.0 + abs(k1) * q[0] * q[0] + abs(k2) * q[1] * q[1] + 2.0 * abs(q[2])
+    scale = _gap_scale(k1, k2, q)
     for tol in (1e-10 * scale, 1e-7 * scale):
         onsurf = [p for p in cands if _surface_gap(k1, k2, p) <= tol]
         if onsurf:
-            d2 = [float(np.dot(q - p, q - p)) for p in onsurf]
-            i = int(np.argmin(d2))
-            return onsurf[i], math.sqrt(d2[i])
+            return onsurf[int(np.argmin([np.dot(q - p, q - p) for p in onsurf]))]
     # unreachable in practice; the z-axis projection is always feasible
-    p = np.array([q[0], q[1], 0.5 * (k1 * q[0] ** 2 + k2 * q[1] ** 2)])
-    return p, float(np.linalg.norm(q - p))
+    return np.array([q[0], q[1], 0.5 * (k1 * q[0] ** 2 + k2 * q[1] ** 2)])
 
 
-def _newton_closest(k1, k2, q):
-    """Fast path: Newton from the z-axis projection of q.
+def _newton_rows(k1, k2, q, coeffs, live):
+    """Newton from the z-axis projection on the rows flagged in live.
 
-    The result is accepted only when I + lam K stays positive definite,
-    which certifies the stationary point as the global minimum (the
-    Lagrangian is then convex in p). Returns None when uncertified.
+    Returns the surface points and the mask of certified rows. A row is
+    certified when Newton converges within _NEWTON_MAX steps through
+    finite multipliers with |lam| <= 1e8, when I + lam K stays positive
+    definite, which makes the stationary point the global minimum (the
+    Lagrangian is then convex in p), and when the point lies on the surface.
+    Points of the other rows are meaningless.
     """
-    if (k1 != 0.0 and abs(q[0]) <= _SYM_TOL) or (k2 != 0.0 and abs(q[1]) <= _SYM_TOL):
-        return None
-    coeffs = _quintic_coeffs(k1, k2, q)
-    dcoeffs = np.polynomial.polynomial.polyder(coeffs)
-    lam = 0.5 * (k1 * q[0] ** 2 + k2 * q[1] ** 2) - q[2]
+    polyval = np.polynomial.polynomial.polyval
+    dcoeffs = coeffs[:, 1:] * np.arange(1.0, 6.0)
+    lam = 0.5 * (k1 * q[:, 0] ** 2 + k2 * q[:, 1] ** 2) - q[:, 2]
+    converged = np.zeros(len(q), dtype=bool)
+    rows = np.flatnonzero(live)
     for _ in range(_NEWTON_MAX):
-        fp = _polyval(dcoeffs, lam)
-        if fp == 0.0 or not math.isfinite(lam) or abs(lam) > 1e8:
-            return None
-        step = _polyval(coeffs, lam) / fp
-        lam -= step
-        if abs(step) <= 1e-12 * (1.0 + abs(lam)):
+        if not rows.size:
             break
-    else:
-        return None
-    den = (1.0 + lam * k1, 1.0 + lam * k2)
-    if den[0] <= 1e-12 or den[1] <= 1e-12:
-        return None
-    p = np.array([q[0] / den[0], q[1] / den[1], q[2] + lam])
-    scale = 1.0 + abs(k1) * q[0] * q[0] + abs(k2) * q[1] * q[1] + 2.0 * abs(q[2])
-    if _surface_gap(k1, k2, p) > 1e-9 * scale:
-        return None
-    return p, float(np.linalg.norm(q - p))
+        lr = lam[rows]
+        fp = polyval(lr, dcoeffs[rows].T, tensor=False)
+        ok = (fp != 0.0) & np.isfinite(lr) & (np.abs(lr) <= 1e8)
+        rows, lr = rows[ok], lr[ok]
+        step = polyval(lr, coeffs[rows].T, tensor=False) / fp[ok]
+        lr = lr - step
+        lam[rows] = lr
+        done = np.abs(step) <= 1e-12 * (1.0 + np.abs(lr))
+        converged[rows[done]] = True
+        rows = rows[~done]
+    den1, den2 = 1.0 + lam * k1, 1.0 + lam * k2
+    cert = converged & (den1 > 1e-12) & (den2 > 1e-12)
+    p = np.column_stack([q[:, 0] / den1, q[:, 1] / den2, q[:, 2] + lam])
+    return p, cert & (_surface_gap(k1, k2, p) <= 1e-9 * _gap_scale(k1, k2, q))
 
 
-def _closest_paraboloid(k1, k2, q, solver):
-    if k1 == 0.0 and k2 == 0.0:
-        p = np.array([q[0], q[1], 0.0])
-        return p, abs(q[2])
-    if solver == "auto":
-        hit = _newton_closest(k1, k2, q)
-        if hit is not None:
-            return hit
-    return _companion_closest(k1, k2, q)
+def _closest_points(patch: Patch, q: np.ndarray, solver: str = "auto"):
+    """Closest points on the unbounded surface to the (n, 3) local-frame rows q.
 
-
-def closest_point_exact(patch: Patch, q, solver: str = "auto"):
-    """Closest point on the unbounded surface to a local-frame point.
-
-    Paraboloid family members solve the Lagrange stationarity polynomial
-    (degree up to five in the multiplier); spheres and circular cylinders
-    reduce to center and axis geometry. Returns (point, distance).
+    Returns (points, distances) with shapes (n, 3) and (n,).
     """
     if solver not in ("auto", "companion"):
         raise ValueError("solver must be 'auto' or 'companion'")
-    q = np.asarray(q, dtype=float).reshape(3)
     s = patch.s
-    if s == SurfaceType.SPHERE and patch.k[0] != 0.0:
+    if s in (SurfaceType.SPHERE, SurfaceType.CIRCULAR_CYLINDER) and patch.k[0] != 0.0:
         kap = patch.k[0]
-        c = np.array([0.0, 0.0, 1.0 / kap])
         radius = 1.0 / abs(kap)
+        # nearest center point: the sphere center, or the foot on the axis
+        c = np.zeros_like(q)
+        c[:, 2] = 1.0 / kap
+        if s == SurfaceType.CIRCULAR_CYLINDER:
+            c[:, 0] = q[:, 0]
         w = q - c
-        rho = float(np.linalg.norm(w))
-        u = w / rho if rho > 0.0 else np.array([0.0, 0.0, -math.copysign(1.0, kap)])
-        return c + radius * u, abs(rho - radius)
-    if s == SurfaceType.CIRCULAR_CYLINDER and patch.k[0] != 0.0:
-        kap = patch.k[0]
-        w = np.array([0.0, q[1], q[2] - 1.0 / kap])
-        radius = 1.0 / abs(kap)
-        rho = float(np.linalg.norm(w))
-        u = w / rho if rho > 0.0 else np.array([0.0, 0.0, -math.copysign(1.0, kap)])
-        p = np.array([q[0], 0.0, 1.0 / kap]) + radius * u
-        return p, abs(rho - radius)
-    k3 = curvature_k3(patch)
-    return _closest_paraboloid(k3[0], k3[1], q, solver)
+        rho = np.sqrt(np.sum(w * w, axis=1))
+        u = np.zeros_like(q)
+        u[:, 2] = -math.copysign(1.0, kap)
+        off = rho > 0.0
+        u[off] = w[off] / rho[off, None]
+        return c + radius * u, np.abs(rho - radius)
+    k1, k2 = curvature_k3(patch)[:2]
+    if k1 == 0.0 and k2 == 0.0:
+        p = q.copy()
+        p[:, 2] = 0.0
+        return p, np.abs(q[:, 2])
+    coeffs = _quintic_coeffs(k1, k2, q)
+    if solver == "auto":
+        sym = ((k1 != 0.0) & (np.abs(q[:, 0]) <= _SYM_TOL)) | (
+            (k2 != 0.0) & (np.abs(q[:, 1]) <= _SYM_TOL)
+        )
+        with np.errstate(all="ignore"):  # failed rows are masked, not used
+            p, cert = _newton_rows(k1, k2, q, coeffs, ~sym)
+    else:
+        p, cert = np.empty_like(q), np.zeros(len(q), dtype=bool)
+    for i in np.flatnonzero(~cert):
+        p[i] = _companion_closest(k1, k2, q[i], coeffs[i])
+    w = q - p
+    return p, np.sqrt(np.sum(w * w, axis=1))
+
+
+def closest_point_exact(patch: Patch, q, solver: str = "auto"):
+    """Closest point on the unbounded surface to one local-frame point.
+
+    The one-row case of the batch kernel that residual uses: batched Newton
+    on the Lagrange multiplier for paraboloid family members, certification
+    applied as a mask, and a per-point companion-matrix fallback for rows on
+    a symmetry plane or left uncertified (solver="companion" sends every
+    row there). Spheres and circular cylinders use center and axis
+    geometry. Returns (point, distance).
+    """
+    p, d = _closest_points(patch, np.asarray(q, dtype=float).reshape(1, 3), solver)
+    return p[0], float(d[0])
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +288,23 @@ def residual(
 ) -> float:
     """Euclidean deviation between local-frame points and the surface.
 
-    Aggregated as RMSE by default; "max" reports the single worst point
-    instead, useful for bounding bumps rather than average misfit.
+    EXACT solves every point in one call of the closest-point kernel:
+    batched Newton with its certification applied as a mask, and a
+    per-point companion-matrix fallback for the rows it leaves (see
+    closest_point_exact). The Taubin forms approximate that distance
+    without bounding it; VERTICAL is the height gap. Aggregated as RMSE by
+    default; "max" reports the single worst point instead, useful for
+    bounding bumps rather than average misfit. Points must be finite.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) == 0:
         raise ValueError("residual needs at least one point")
     if aggregate not in ("rmse", "max"):
         raise ValueError("aggregate must be 'rmse' or 'max'")
+    if not np.isfinite(pts).all():
+        raise ValueError("residual needs finite points")
     if method == ResidualMethod.EXACT:
-        d = np.array([closest_point_exact(patch, q, solver=solver)[1] for q in pts])
+        d = _closest_points(patch, pts, solver)[1]
     elif method == ResidualMethod.TAUBIN1:
         _, f, gnorm = _taubin_terms(patch, pts)
         with np.errstate(divide="ignore", invalid="ignore"):

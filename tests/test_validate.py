@@ -26,6 +26,7 @@ from patchscape.validate import (
     CoverageConfig,
     CurvatureGate,
     ResidualMethod,
+    _closest_points,
     closest_point_exact,
     coverage_eval,
     curvature_gate,
@@ -154,6 +155,71 @@ def test_closest_point_sphere_and_cylinder_geometric():
     assert np.allclose(p, [0.1, 0.0, 0.0], atol=1e-12)
 
 
+# elliptic, hyperbolic, one zero curvature and k1 = k2, each with both signs
+_K_MATRIX = [
+    (3.0, 1.5), (-4.0, -2.0), (2.0, -1.0), (-5.0, 3.0),
+    (0.0, 2.5), (0.0, -3.0), (2.0, 2.0), (-3.0, -3.0),
+]
+
+
+def _mixed_batch(patch, rng):
+    """Random rows plus the rows that need special handling."""
+    q = rng.uniform(-0.4, 0.4, (60, 3))
+    q[:8, 0] = 0.0  # on the x = 0 symmetry plane
+    q[8:16, 1] = 0.0  # on the y = 0 symmetry plane
+    q[16:22, :2] = 0.0  # on the z axis, below, at and beyond the vertex
+    q[16:22, 2] = [-0.3, 0.0, 0.1, 0.25, 0.5, 1.0]
+    on_surface = explicit_eval(patch, rng.uniform(-0.25, 0.25, (8, 2)), frame="local")
+    return np.vstack([q, on_surface])
+
+
+def _assert_rows_agree(d, ref):
+    err = np.abs(d - ref)
+    assert np.all((err <= 1e-12 * np.abs(ref)) | (err <= 1e-15)), float(err.max())
+
+
+def test_batch_kernel_matches_companion_per_row():
+    rng = np.random.default_rng(10)
+    for kx, ky in _K_MATRIX:
+        patch = _parab(kx, ky)
+        pts = _mixed_batch(patch, rng)
+        _, d = _closest_points(patch, pts)
+        ref = [closest_point_exact(patch, q, solver="companion")[1] for q in pts]
+        _assert_rows_agree(d, np.array(ref))
+
+
+def test_batch_kernel_sphere_and_cylinder_rows():
+    rng = np.random.default_rng(11)
+    for kap in (2.0, -3.0):
+        sph = Patch(S.SPHERE, B.CIRCLE, [kap], [0.3], _ID5)
+        cyl = Patch(S.CIRCULAR_CYLINDER, B.AARECT, [kap], [0.3, 0.2], _ID6)
+        pts = rng.uniform(-0.4, 0.4, (40, 3))
+        pts[0] = (0.0, 0.0, 1.0 / kap)  # sphere center, on the cylinder axis
+        pts[1] = (0.2, 0.0, 1.0 / kap)  # on the cylinder axis
+        # rows at the center (sphere) or on the axis (cylinder) lie one
+        # radius from the surface
+        for patch, centered in ((sph, [0]), (cyl, [0, 1])):
+            p, d = _closest_points(patch, pts)
+            one = [closest_point_exact(patch, q) for q in pts]
+            _assert_rows_agree(d, np.array([dist for _, dist in one]))
+            assert np.array_equal(p, [pt for pt, _ in one])
+            assert d[centered] == pytest.approx(1.0 / abs(kap), rel=1e-15)
+
+
+def test_residual_batch_equals_points_one_at_a_time():
+    rng = np.random.default_rng(12)
+    patches = [_parab(kx, ky) for kx, ky in _K_MATRIX] + [
+        Patch(S.SPHERE, B.CIRCLE, [2.0], [0.3], _ID5),
+        Patch(S.CIRCULAR_CYLINDER, B.AARECT, [-3.0], [0.3, 0.2], _ID6),
+        _PLANE_CIRCLE,
+    ]
+    for patch in patches:
+        pts = _mixed_batch(patch, rng)
+        d = np.array([closest_point_exact(patch, q)[1] for q in pts])
+        assert residual(patch, pts, aggregate="max") == float(np.max(d))
+        assert residual(patch, pts) == math.sqrt(float(np.mean(d * d)))
+
+
 # ---------------------------------------------------------------------------
 # Residual methods
 # ---------------------------------------------------------------------------
@@ -240,6 +306,15 @@ def test_residual_max_aggregate_and_empty_rejection():
     assert rho == pytest.approx(0.003, abs=1e-9)
     with pytest.raises(ValueError):
         residual(patch, np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("method", list(ResidualMethod))
+def test_residual_rejects_non_finite_points(method, bad):
+    pts = np.array([[0.01, 0.02, 0.0], [0.03, -0.01, 0.0]])
+    pts[1, 2] = bad
+    with pytest.raises(ValueError, match="residual needs finite points"):
+        residual(_parab(3.0, 1.5), pts, method=method)
 
 
 # ---------------------------------------------------------------------------
