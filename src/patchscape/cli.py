@@ -18,6 +18,15 @@ byte-identical across runs and round-trip 64-bit floats exactly. Clouds
 use the OPC1 text format; patch maps, scene specs, configs, and remap
 logs are JSON. Diagnostics go to stderr; stdout stays machine readable.
 Exit codes: 0 success, 1 bad input, 2 gate failure.
+
+An OPC1 file has four header lines, "OPC1 <width> <height>",
+"intrinsics <fx> <fy> <cx> <cy> <baseline>", "noise <kind> <field>..."
+and "cov <0|1>". Then come the width * height point records "x y z" in
+row-major pixel order and, when cov is 1, as many covariance records in
+the same order, each the upper triangle "xx xy xz yy yz zz". A record is
+"nan" (no return, or a non-finite covariance) or exactly 3 (point) or 6
+(covariance) numbers. Blank lines between records, surrounding spaces and
+CRLF line endings are accepted.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import MISSING, fields, is_dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -122,9 +132,6 @@ def json_line(obj) -> str:
 # OPC1 organized cloud files
 # ---------------------------------------------------------------------------
 
-_UT = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-
-
 _NOISE = {cls.kind: cls for cls in (ConstantNoise, LinearNoise, QuadraticNoise, StereoNoise)}
 
 
@@ -153,6 +160,13 @@ def _noise_tag(noise) -> str:
     return " ".join([noise.kind] + [_g17(getattr(noise, f.name)) for f in fields(noise)])
 
 
+def _records(rows: np.ndarray, ok: np.ndarray) -> str:
+    """OPC1 record lines: "%.17g ..." for each ok row of rows, "nan" for the rest."""
+    row = " ".join(["%.17g"] * rows.shape[1]) + "\n"
+    fmt = "".join(row if g else "nan\n" for g in ok.tolist())
+    return fmt % tuple(rows[ok].ravel().tolist())
+
+
 def write_cloud(path: str, cloud: OrganizedCloud, noise=None) -> None:
     intr = cloud.intrinsics
     lines = [
@@ -164,17 +178,12 @@ def write_cloud(path: str, cloud: OrganizedCloud, noise=None) -> None:
     ]
     pts = cloud.points.reshape(-1, 3)
     ok = np.isfinite(pts).all(axis=1)
-    for p, good in zip(pts, ok):
-        lines.append(" ".join(_g17(v) for v in p) if good else "nan")
-    if cloud.cov is not None:
-        cvs = cloud.cov.reshape(-1, 3, 3)
-        for c, good in zip(cvs, ok):
-            if good and np.isfinite(c).all():
-                lines.append(" ".join(_g17(c[i, j]) for i, j in _UT))
-            else:
-                lines.append("nan")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
+        f.write(_records(pts, ok))
+        if cloud.cov is not None:
+            cvs = cloud.cov.reshape(-1, 9)
+            f.write(_records(cvs[:, [0, 1, 2, 4, 5, 8]], ok & np.isfinite(cvs).all(axis=1)))
 
 
 def _header(lines: List[str], i: int, key: str, n: int) -> List[str]:
@@ -183,6 +192,19 @@ def _header(lines: List[str], i: int, key: str, n: int) -> List[str]:
     if vals[:1] != [key] or len(vals) < n + 1:
         raise ValueError(f"header line {i + 1} needs {key!r} and {n} value(s)")
     return vals[1:]
+
+
+def _parse_block(path: str, block: str, recs: List[str], k: int) -> np.ndarray:
+    """(len(recs), k) floats of one OPC1 record block; a "nan" record is a NaN row."""
+    nan = " ".join(["nan"] * k)
+    try:
+        vals = np.loadtxt([nan if r == "nan" else r for r in recs], dtype=float,
+                          comments=None, ndmin=2) if recs else np.empty((0, k))
+    except ValueError as e:
+        raise ValueError(f"{path}: {block} records: {e}") from None
+    if vals.shape[1] != k:
+        raise ValueError(f"{path}: {block} records: {vals.shape[1]} values, expected {k}")
+    return vals
 
 
 def read_cloud(path: str) -> Tuple[OrganizedCloud, object]:
@@ -204,19 +226,10 @@ def read_cloud(path: str) -> Tuple[OrganizedCloud, object]:
     expect = n * (2 if has_cov else 1)
     if len(body) != expect:
         raise ValueError(f"{path}: expected {expect} records, found {len(body)}")
-    pts = np.full((n, 3), np.nan)
-    for i, ln in enumerate(body[:n]):
-        if ln != "nan":
-            pts[i] = [float(t) for t in ln.split()]
+    pts = _parse_block(path, "point", body[:n], 3)
     cov = None
     if has_cov:
-        cov = np.full((n, 3, 3), np.nan)
-        for i, ln in enumerate(body[n:]):
-            if ln != "nan":
-                u = [float(t) for t in ln.split()]
-                for v, (a, b) in zip(u, _UT):
-                    cov[i, a, b] = v
-                    cov[i, b, a] = v
+        cov = _parse_block(path, "cov", body[n:], 6)[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]]
         cov = cov.reshape(h, w, 3, 3)
     return OrganizedCloud(points=pts.reshape(h, w, 3), cov=cov, intrinsics=intr), noise
 
@@ -505,10 +518,12 @@ def cmd_map(args) -> int:
 
     stats_rows = []
     for i, frame in enumerate(args.frames):
+        t0 = time.perf_counter()
         try:
             cloud, _ = read_cloud(frame)
         except (OSError, ValueError) as e:
             return _fail(str(e))
+        t_read = time.perf_counter() - t0
         if gravities is None:
             g = np.array([0.0, 1.0, 0.0])
         else:
@@ -523,6 +538,7 @@ def cmd_map(args) -> int:
             "admitted": len(res.admitted),
         }
         row.update({f"drop_{k}": v for k, v in res.drops.items()})
+        row["t_read_s"] = round(t_read, 6)
         row.update({f"t_{k}_s": round(res.timings.get(k, 0.0), 6) for k in
                     ("saliency", "seeds", "fit_validate", "total")})
         stats_rows.append(row)

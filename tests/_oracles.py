@@ -153,3 +153,66 @@ def eigh_integral_normals(cloud, r, f=None, min_support=6):
         n[~(good & valid)] = np.nan
         out.append(n)
     return out[0], out[1]
+
+
+_UT = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+
+
+def loop_write_cloud(path, cloud, noise=None):
+    """OPC1 writer with one Python format call per value and one line per record.
+
+    The per-line form of patchscape.cli.write_cloud: same header, same
+    %.17g text, same "nan" rules and record order.
+    """
+    from patchscape.cli import _g17, _noise_tag
+
+    intr = cloud.intrinsics
+    lines = [
+        f"OPC1 {intr.width} {intr.height}",
+        "intrinsics "
+        + " ".join(_g17(v) for v in (intr.fx, intr.fy, intr.cx, intr.cy, intr.baseline)),
+        "noise " + _noise_tag(noise),
+        f"cov {int(cloud.cov is not None)}",
+    ]
+    pts = cloud.points.reshape(-1, 3)
+    ok = np.isfinite(pts).all(axis=1)
+    for p, good in zip(pts, ok):
+        lines.append(" ".join(_g17(v) for v in p) if good else "nan")
+    if cloud.cov is not None:
+        cvs = cloud.cov.reshape(-1, 3, 3)
+        for c, good in zip(cvs, ok):
+            if good and np.isfinite(c).all():
+                lines.append(" ".join(_g17(c[i, j]) for i, j in _UT))
+            else:
+                lines.append("nan")
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def loop_read_body(path):
+    """(points, cov or None) of a well-formed OPC1 file, parsed record by record.
+
+    The per-line form of patchscape.cli.read_cloud's body parse: each
+    value goes through float(), and a "nan" record leaves its row NaN.
+    """
+    with open(path) as f:
+        lines = [ln.strip() for ln in f]
+    w, h = (int(v) for v in lines[0].split()[1:3])
+    has_cov = bool(int(lines[3].split()[1]))
+    n = w * h
+    body = [ln for ln in lines[4:] if ln]
+    pts = np.full((n, 3), np.nan)
+    for i, ln in enumerate(body[:n]):
+        if ln != "nan":
+            pts[i] = [float(t) for t in ln.split()]
+    cov = None
+    if has_cov:
+        cov = np.full((n, 3, 3), np.nan)
+        for i, ln in enumerate(body[n:]):
+            if ln != "nan":
+                u = [float(t) for t in ln.split()]
+                for v, (a, b) in zip(u, _UT):
+                    cov[i, a, b] = v
+                    cov[i, b, a] = v
+        cov = cov.reshape(h, w, 3, 3)
+    return pts.reshape(h, w, 3), cov

@@ -9,9 +9,12 @@ codes separate cleanly from fit quality.
 
 import json
 import os
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from _oracles import loop_read_body, loop_write_cloud
 
 from patchscape import cli
 from patchscape.pose import rxy_for_zdir, rxy_to_r
@@ -21,7 +24,9 @@ from patchscape.sensor import (
     LinearNoise,
     OrganizedCloud,
     QuadraticNoise,
+    ScenePlane,
     StereoNoise,
+    sample_scene,
 )
 
 SMALL_INTR = {
@@ -167,6 +172,89 @@ def test_opc_short_header_field_is_bad_input(tmp_path, capsys, index, line):
     assert cli.main(["fit", "--cloud", str(path), "--pixel", "1", "1"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(ln.startswith(f"error: {path}: ") for ln in err)
+
+
+def _planted_frame() -> OrganizedCloud:
+    """Seeded stereo frame of a floor plane, with edge-case values planted.
+
+    The upper half of the image has no return. Row 47 holds -0.0, the
+    smallest subnormal, the largest double and 1e-300, and a finite point
+    whose covariance has one NaN entry, which must be written as "nan".
+    """
+    intr = CameraIntrinsics(fx=40.0, fy=40.0, cx=31.5, cy=23.5, width=64, height=48,
+                            baseline=0.075)
+    cloud = sample_scene([ScenePlane(np.array([0.0, 1.0, 0.0]), 0.5)], intr,
+                         noise=StereoNoise(), rng=7)
+    pts, cov = cloud.points.copy(), cloud.cov.copy()
+    assert np.isfinite(pts[47, :3]).all() and np.isnan(pts[0]).all()
+    pts[47, 0] = [-0.0, 5e-324, 1.7976931348623157e308]
+    pts[47, 1, 0] = 1e-300
+    cov[47, 0] = [[1e-300, -0.0, 5e-324], [-0.0, 1.0, 2.0], [5e-324, 2.0, 1.7976931348623157e308]]
+    cov[47, 2, 2, 1] = np.nan
+    return OrganizedCloud(points=pts, cov=cov, intrinsics=intr)
+
+
+@pytest.mark.parametrize("frame", ["planted", "all_nan", "no_pixels"])
+def test_opc_matches_per_line_oracle(tmp_path, frame):
+    cloud = _planted_frame()
+    if frame == "all_nan":
+        cloud = OrganizedCloud(points=np.full_like(cloud.points, np.nan),
+                               cov=np.full_like(cloud.cov, np.nan), intrinsics=cloud.intrinsics)
+    elif frame == "no_pixels":  # empty record blocks never reach loadtxt
+        cloud = OrganizedCloud(points=cloud.points[:, :0], cov=cloud.cov[:, :0],
+                               intrinsics=replace(cloud.intrinsics, width=0))
+    path, oracle = tmp_path / "c.opc", tmp_path / "oracle.opc"
+    cli.write_cloud(str(path), cloud, noise=StereoNoise())
+    loop_write_cloud(str(oracle), cloud, noise=StereoNoise())
+    assert path.read_bytes() == oracle.read_bytes()
+    back, _ = cli.read_cloud(str(path))
+    for got, want in zip((back.points, back.cov), loop_read_body(str(path))):
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    if frame == "planted":
+        assert np.signbit(back.points[47, 0, 0]) and back.points[47, 0, 1] == 5e-324
+        assert np.isnan(back.cov[47, 2]).all() and np.isfinite(back.points[47, 2]).all()
+
+
+def test_opc_tolerates_crlf_blank_lines_and_spaces(tmp_path):
+    clean = tmp_path / "clean.opc"
+    cli.write_cloud(str(clean), _planted_frame(), noise=StereoNoise())
+    lines = clean.read_text().splitlines()
+    body = [ln + "  " + ("\r\n" if i % 7 == 0 else "") + (" " if i % 5 == 0 else "")
+            for i, ln in enumerate(lines[4:])]
+    messy = tmp_path / "messy.opc"
+    messy.write_bytes(("\r\n".join(lines[:4] + body) + "\r\n\r\n").encode())
+    want, want_noise = cli.read_cloud(str(clean))
+    got, got_noise = cli.read_cloud(str(messy))
+    assert got.intrinsics == want.intrinsics and got_noise == want_noise
+    np.testing.assert_array_equal(got.points, want.points)
+    np.testing.assert_array_equal(got.cov, want.cov)
+
+
+@pytest.mark.parametrize("every", [False, True], ids=["one", "every"])
+@pytest.mark.parametrize(
+    "block, record",
+    [("point", "1 2"), ("point", "1 2 3 4"), ("cov", "1 2 3 4 5"),
+     ("cov", "1 2 3 4 5 6 7"), ("point", "1 x 3"), ("cov", "1 2 3 # 5 6")],
+)
+def test_opc_rejects_bad_body_record(tmp_path, capsys, block, record, every):
+    path = tmp_path / "bad.opc"
+    cli.write_cloud(str(path), _toy_cloud(True))
+    lines = path.read_text().splitlines()
+    start = 4 if block == "point" else 16  # the toy cloud has 12 pixels
+    for i in range(start, start + 12) if every else [start + 1]:
+        lines[i] = record
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {block} records: "):
+        cli.read_cloud(str(path))
+    empty_map = tmp_path / "map.json"
+    empty_map.write_text(json.dumps({"patches": []}))
+    capsys.readouterr()
+    assert cli.main(["map", str(path), "--out", str(tmp_path / "m.json")]) == 1
+    assert cli.main(["fit", "--cloud", str(path), "--pixel", "1", "1"]) == 1
+    assert cli.main(["validate", "--map", str(empty_map), "--cloud", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all(ln.startswith(f"error: {path}: {block} records: ") for ln in err)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +423,12 @@ def test_map_admits_and_reports(dome_dir, dome_map):
     row = dict(zip(header, stats[1].split(",")))
     assert int(row["admitted"]) == len(doc["patches"])
     assert float(row["t_total_s"]) > 0
+
+
+def test_map_stats_time_the_read(dome_dir, dome_map):
+    stats = (dome_dir / "stats.csv").read_text().splitlines()
+    row = dict(zip(stats[0].split(","), stats[1].split(",")))
+    assert float(row["t_read_s"]) > 0
 
 
 def test_map_deterministic_bytes(dome_dir, dome_map):
