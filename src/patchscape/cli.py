@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -194,17 +195,44 @@ def _header(lines: List[str], i: int, key: str, n: int) -> List[str]:
     return vals[1:]
 
 
-def _parse_block(path: str, block: str, recs: List[str], k: int) -> np.ndarray:
-    """(len(recs), k) floats of one OPC1 record block; a "nan" record is a NaN row."""
+def _load_block(recs: List[str], k: int) -> np.ndarray:
+    """(len(recs), k) floats of OPC1 records; a "nan" record is a NaN row.
+
+    ValueError unless every record is "nan" or k numbers.
+    """
+    if not recs:
+        return np.empty((0, k))
     nan = " ".join(["nan"] * k)
-    try:
-        vals = np.loadtxt([nan if r == "nan" else r for r in recs], dtype=float,
-                          comments=None, ndmin=2) if recs else np.empty((0, k))
-    except ValueError as e:
-        raise ValueError(f"{path}: {block} records: {e}") from None
+    vals = np.loadtxt([nan if r == "nan" else r for r in recs], dtype=float,
+                      comments=None, ndmin=2)
     if vals.shape[1] != k:
-        raise ValueError(f"{path}: {block} records: {vals.shape[1]} values, expected {k}")
+        raise ValueError(f"{vals.shape[1]} values, expected {k}")
     return vals
+
+
+def _parse_block(path: str, block: str, recs: List[str], k: int, line_of) -> np.ndarray:
+    """_load_block of one record block; on bad input, name its first bad record.
+
+    line_of maps a record's index in recs to its 1-based file line. The
+    whole block is parsed in one call; only when that fails is the first
+    bad record found, by bisection, which parses about as many records
+    again.
+    """
+    try:
+        return _load_block(recs, k)
+    except ValueError:
+        pass
+    lo, hi = 0, len(recs)  # recs[:lo] parse; recs[lo:hi] hold a bad record
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _load_block(recs[lo:mid], k)
+            lo = mid
+        except ValueError:
+            hi = mid
+    raise ValueError(
+        f"{path}: line {line_of(lo)}: {block} record {recs[lo]!r} is not 'nan' or {k} numbers"
+    )
 
 
 def read_cloud(path: str) -> Tuple[OrganizedCloud, object]:
@@ -226,10 +254,15 @@ def read_cloud(path: str) -> Tuple[OrganizedCloud, object]:
     expect = n * (2 if has_cov else 1)
     if len(body) != expect:
         raise ValueError(f"{path}: expected {expect} records, found {len(body)}")
-    pts = _parse_block(path, "point", body[:n], 3)
+
+    def line_of(j: int) -> int:  # 1-based file line of body record j
+        return 5 + next(itertools.islice((i for i, ln in enumerate(lines[4:]) if ln), j, None))
+
+    pts = _parse_block(path, "point", body[:n], 3, line_of)
     cov = None
     if has_cov:
-        cov = _parse_block(path, "cov", body[n:], 6)[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]]
+        cov = _parse_block(path, "cov", body[n:], 6, lambda j: line_of(n + j))
+        cov = cov[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]]
         cov = cov.reshape(h, w, 3, 3)
     return OrganizedCloud(points=pts.reshape(h, w, 3), cov=cov, intrinsics=intr), noise
 
@@ -511,9 +544,13 @@ def cmd_map(args) -> int:
                 gspec = json.load(f)
             if "g_per_frame" in gspec:
                 gravities = [np.asarray(g, float) for g in gspec["g_per_frame"]]
+                if not gravities:
+                    raise ValueError("g_per_frame is empty")
             else:
                 gravities = [np.asarray(gspec["g"], float)]
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+            for g in gravities:
+                _mapping._unit_gravity(g)
+        except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as e:
             return _fail(f"bad gravity file: {e}")
 
     stats_rows = []

@@ -1,11 +1,14 @@
 """Sparse patch mapping over organized clouds and the moving local volume.
 
 The mapping pipeline runs in stages on each organized range frame:
-preprocessing filters (passthrough, bilateral, median decimation), dense
-two-scale normals via integral images, the hiking saliency filter (DtFP,
-DoN, DoNG), grid-based seed selection in the volume frame, per-seed
-neighborhood search (image backprojection, k-d tree, or triangle mesh),
-and patch fit/validate with curvature, residual, and coverage gates.
+preprocessing filters (passthrough, bilateral, median decimation), the
+hiking saliency filter, grid-based seed selection in the volume frame,
+per-seed neighborhood search (image backprojection, k-d tree, or triangle
+mesh), and patch fit/validate with curvature, residual, and coverage
+gates. Saliency runs its tests cheapest first: DtFP on the points, then
+DoNG on the coarse normal, then DoN on the fine one. Both normal scales
+come from one integral image of the frame, and each is solved only at the
+pixels that passed every test before it.
 
 The map lives in a cubic local volumetric workspace whose frame sits at a
 top corner with y pointing down. The volume follows the camera under one
@@ -23,7 +26,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -201,7 +204,7 @@ def _decimated_source(
 
 
 # ---------------------------------------------------------------------------
-# Dense normals from integral images
+# Two-scale normals from one integral image
 # ---------------------------------------------------------------------------
 
 
@@ -342,24 +345,35 @@ def _window_normals(s: np.ndarray, min_support: int) -> np.ndarray:
 
 
 def integral_normals(
-    cloud: OrganizedCloud, r: float, f: Optional[float] = None, min_support: int = 6
+    cloud: OrganizedCloud,
+    r: float,
+    f: Optional[float] = None,
+    min_support: int = 6,
+    *,
+    where: Optional[np.ndarray] = None,
+    keep: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Two-scale dense normals by windowed covariance over integral images.
+    """Two-scale normals by windowed covariance over one integral image.
 
-    Returns (N, N_s): N uses window size 2 r f / Z(i) pixels at each
-    pixel, N_s half that, so both windows see roughly a metric r-ball
-    (respectively r/2) on the surface. Normals are unit, oriented toward
-    the camera, and NaN at invalid pixels and where the window holds fewer
-    than min_support valid points.
+    Returns (N, N_s), two (H, W, 3) images: N uses window size 2 r f / Z(i)
+    pixels at each pixel, N_s half that, so both windows see roughly a
+    metric r-ball (respectively r/2) on the surface. Normals are unit and
+    oriented toward the camera. N is solved at the valid pixels of the
+    boolean image where (default: every valid pixel). keep maps the (m, 3)
+    coarse normals of those m pixels, in row-major order, to an (m,)
+    boolean mask of the pixels that also need N_s (default: all of them).
+    Both images are NaN wherever their scale was not solved, and where the
+    window holds fewer than min_support valid points.
 
     One integral image of the count, coordinate sums and the six distinct
-    second moments serves both scales; window sums are taken at valid
-    pixels only. Each normal is the smallest-eigenvalue eigenvector of its
-    window covariance, in closed form (trigonometric eigenvalues, a
-    cross-product null vector and one Rayleigh-quotient refinement).
-    Windows whose relative eigen-gap (lam_mid - lam_min) / |lam|_max falls
-    below eps^(1/3), where the closed form's error bound no longer holds,
-    or whose result is not finite, are solved by np.linalg.eigh instead.
+    second moments serves both scales. Each normal is the
+    smallest-eigenvalue eigenvector of its window covariance, in closed
+    form (trigonometric eigenvalues, a cross-product null vector and one
+    Rayleigh-quotient refinement). Windows whose relative eigen-gap
+    (lam_mid - lam_min) / |lam|_max falls below eps^(1/3), where the closed
+    form's error bound no longer holds, or whose result is not finite, are
+    solved by np.linalg.eigh instead. A pixel's normal does not depend on
+    which other pixels are solved.
     """
     if r <= 0.0:
         raise ValueError("r must be positive")
@@ -367,21 +381,26 @@ def integral_normals(
     if fpx <= 0.0:
         raise ValueError("focal length must be positive")
     valid = cloud.valid_mask
-    v, u = np.nonzero(valid)
-    z = cloud.points[v, u, 2]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        wpx = np.where(z > 0.0, 2.0 * r * fpx / z, 0.0)
     ii = _moment_integral(cloud.points, valid)
-    out = []
-    for div in (2.0, 4.0):
+
+    def solve(v: np.ndarray, u: np.ndarray, div: float) -> np.ndarray:
+        z = cloud.points[v, u, 2]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            wpx = np.where(z > 0.0, 2.0 * r * fpx / z, 0.0)
         half = np.maximum((wpx / div).astype(int), 1)
         n = np.full(cloud.points.shape, np.nan)
         for b in range(0, len(v), _BLOCK):
             blk = slice(b, b + _BLOCK)
             s = _box_sums(ii, v[blk], u[blk], half[blk])
             n[v[blk], u[blk]] = _window_normals(s, min_support)
-        out.append(n)
-    return out[0], out[1]
+        return n
+
+    v, u = np.nonzero(valid if where is None else valid & where)
+    n = solve(v, u, 2.0)
+    if keep is not None:
+        fine = keep(n[v, u])
+        v, u = v[fine], u[fine]
+    return n, solve(v, u, 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +442,18 @@ class SaliencyConfig:
         return CurvatureGate(self.kappa_min, self.kappa_max)
 
 
+def _unit_gravity(g) -> np.ndarray:
+    """g as a unit 3-vector; ValueError unless it is a finite, nonzero 3-vector."""
+    gv = np.asarray(g, dtype=float)
+    if gv.size != 3:
+        raise ValueError(f"gravity must have 3 components, got {gv.size}")
+    gv = gv.reshape(3)
+    norm = np.linalg.norm(gv)
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise ValueError(f"gravity must be finite and nonzero, got {gv.tolist()}")
+    return gv / norm
+
+
 def fixation_point(g, l_d: float = 1.0, l_f: float = 1.2) -> np.ndarray:
     """Estimated gaze point: l_d down plus l_f ahead of the camera.
 
@@ -433,31 +464,36 @@ def fixation_point(g, l_d: float = 1.0, l_f: float = 1.2) -> np.ndarray:
     return l_d * gv + l_f * np.cross(np.array([1.0, 0.0, 0.0]), gv)
 
 
-def saliency_filter(
-    cloud: OrganizedCloud,
-    normals: Tuple[np.ndarray, np.ndarray],
-    g,
-    cfg: SaliencyConfig = SaliencyConfig(),
-) -> np.ndarray:
-    """Boolean pixel mask of points passing DtFP, DoN, and DoNG.
+def saliency_filter(cloud: OrganizedCloud, g, cfg: SaliencyConfig = SaliencyConfig()) -> np.ndarray:
+    """Boolean pixel mask of points passing DtFP, DoNG and DoN.
 
-    DtFP keeps points within R of the fixation point; DoN drops pixels
-    whose fine and coarse normals disagree by more than phi_d; DoNG drops
-    slopes whose normal strays more than phi_g from the antigravity
-    direction. The mask depends only on per-pixel values, so it is
-    order-free.
+    DtFP keeps points within R of the fixation point; DoNG drops slopes
+    whose coarse normal N strays more than phi_g from the antigravity
+    direction; DoN drops pixels whose fine normal N_s and N disagree by
+    more than phi_d. The tests run cheapest first, and each normal scale
+    is solved only where every test before it passed: DtFP from the
+    points alone, N at the DtFP pixels, DoNG on N, N_s at the DoNG
+    survivors, then DoN. The mask equals running all three tests on
+    normals solved at every valid pixel, since a pixel's normal does not
+    depend on which others are solved; it depends only on per-pixel
+    values, so it is order-free. g is the camera-frame gravity direction;
+    ValueError unless it is a finite, nonzero 3-vector.
     """
-    gv = np.asarray(g, dtype=float).reshape(3)
-    gv = gv / np.linalg.norm(gv)
-    n, n_s = normals
-    ok = cloud.valid_mask & np.isfinite(n[..., 0]) & np.isfinite(n_s[..., 0])
-
+    gv = _unit_gravity(g)
     fix = fixation_point(gv, cfg.l_d, cfg.l_f)
+    cos_g = math.cos(math.radians(cfg.phi_g))
     with np.errstate(invalid="ignore"):
         near = np.linalg.norm(cloud.points - fix, axis=-1) <= cfg.R
-        don = np.einsum("hwi,hwi->hw", n, n_s) >= math.cos(math.radians(cfg.phi_d))
-        dong = -(n @ gv) >= math.cos(math.radians(cfg.phi_g))
-    return ok & near & don & dong
+
+    def dong(n: np.ndarray) -> np.ndarray:
+        with np.errstate(invalid="ignore"):
+            return -(n @ gv) >= cos_g
+
+    n, n_s = integral_normals(cloud, cfg.r, where=near, keep=dong)
+    # N_s is finite only at valid DtFP and DoNG pixels with N finite, and a
+    # NaN dot product fails DoN, so DoN alone is the mask
+    with np.errstate(invalid="ignore"):
+        return np.einsum("hwi,hwi->hw", n, n_s) >= math.cos(math.radians(cfg.phi_d))
 
 
 # ---------------------------------------------------------------------------
@@ -1091,6 +1127,13 @@ class MapBudgets:
 
 @dataclass
 class MapStepResult:
+    """One frame's admissions, seed accounting and stage times.
+
+    timings holds seconds per stage: "saliency" (decimation and
+    saliency_filter, including the normals it solves), "seeds",
+    "fit_validate" and "total".
+    """
+
     admitted: List[MapPatch]
     n_seeds: int
     n_attempts: int
@@ -1163,8 +1206,7 @@ def map_step(
 
     cfg = config.saliency
     sal_cloud = median_decimate(cloud, config.decimate) if config.decimate > 1 else cloud
-    n_grid, ns_grid = integral_normals(sal_cloud, cfg.r)
-    mask = saliency_filter(sal_cloud, (n_grid, ns_grid), g, cfg)
+    mask = saliency_filter(sal_cloud, g, cfg)
     result.timings["saliency"] = time.monotonic() - t_start
     seeds = select_seeds(sal_cloud, mask, state, rng_seed=rng_seed)
     result.timings["seeds"] = time.monotonic() - t_start - result.timings["saliency"]

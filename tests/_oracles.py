@@ -155,6 +155,30 @@ def eigh_integral_normals(cloud, r, f=None, min_support=6):
     return out[0], out[1]
 
 
+def dense_saliency(cloud, normals, g, cfg):
+    """Boolean mask of DtFP, DoN and DoNG over normals solved at every pixel.
+
+    The two-scale form of patchscape.mapping.saliency_filter: all three
+    tests run over the whole frame on full (N, N_s) images, such as those
+    of integral_normals with default arguments or eigh_integral_normals.
+    """
+    import math
+
+    from patchscape.mapping import fixation_point
+
+    gv = np.asarray(g, dtype=float).reshape(3)
+    gv = gv / np.linalg.norm(gv)
+    n, n_s = normals
+    ok = cloud.valid_mask & np.isfinite(n[..., 0]) & np.isfinite(n_s[..., 0])
+
+    fix = fixation_point(gv, cfg.l_d, cfg.l_f)
+    with np.errstate(invalid="ignore"):
+        near = np.linalg.norm(cloud.points - fix, axis=-1) <= cfg.R
+        don = np.einsum("hwi,hwi->hw", n, n_s) >= math.cos(math.radians(cfg.phi_d))
+        dong = -(n @ gv) >= math.cos(math.radians(cfg.phi_g))
+    return ok & near & don & dong
+
+
 _UT = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
 
 

@@ -245,7 +245,8 @@ def test_opc_rejects_bad_body_record(tmp_path, capsys, block, record, every):
     for i in range(start, start + 12) if every else [start + 1]:
         lines[i] = record
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {block} records: "):
+    where = f"{path}: line {start + 1 if every else start + 2}: {block} record "
+    with pytest.raises(ValueError, match=f"^{re.escape(where)}"):
         cli.read_cloud(str(path))
     empty_map = tmp_path / "map.json"
     empty_map.write_text(json.dumps({"patches": []}))
@@ -254,7 +255,28 @@ def test_opc_rejects_bad_body_record(tmp_path, capsys, block, record, every):
     assert cli.main(["fit", "--cloud", str(path), "--pixel", "1", "1"]) == 1
     assert cli.main(["validate", "--map", str(empty_map), "--cloud", str(path)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 3 and all(ln.startswith(f"error: {path}: {block} records: ") for ln in err)
+    assert len(err) == 3 and all(ln.startswith(f"error: {where}") for ln in err)
+
+
+@pytest.mark.parametrize("block", ["point", "cov"])
+@pytest.mark.parametrize("bad", ["token", "short", "long"])
+def test_opc_bad_record_names_its_file_line(tmp_path, block, bad):
+    k = 3 if block == "point" else 6
+    record = {"token": " ".join(["1"] * (k - 1) + ["x"]), "short": " ".join(["1"] * (k - 1)),
+              "long": " ".join(["1"] * (k + 1))}[bad]
+    path = tmp_path / "bad.opc"
+    cli.write_cloud(str(path), _toy_cloud(True))
+    lines = path.read_text().splitlines()
+    i = (4 if block == "point" else 16) + 7  # the 8th record of its block
+    lines[i] = record
+    # one blank line after the header and two right before the bad record
+    lines = lines[:4] + [""] + lines[4:i] + ["", ""] + lines[i:]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        cli.read_cloud(str(path))
+    assert str(err.value) == (
+        f"{path}: line {i + 4}: {block} record {record!r} is not 'nan' or {k} numbers"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +588,24 @@ def test_validate_honours_check_coverage(tmp_path, dome_dir, dome_map, capsys):
     assert cli.main(argv + ["--config", str(off)]) == 0
     entry = json.loads(capsys.readouterr().out.splitlines()[0])
     assert entry["passed"] and entry["bad_cells"] == 0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [{"g": [0.0, 0.0, 0.0]}, {"g": [0.0, float("nan"), 1.0]}, {"g": [0.0, 1.0]},
+     {"g_per_frame": []}, {"g_per_frame": [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]}],
+    ids=["zero", "nan", "two_components", "empty_list", "one_bad_frame"],
+)
+def test_map_rejects_bad_gravity(tmp_path, dome_dir, capsys, spec):
+    grav = tmp_path / "g.json"
+    grav.write_text(json.dumps(spec))
+    rc = cli.main(
+        ["map", str(dome_dir / "dome_000.opc"), "--gravity", str(grav),
+         "--config", str(dome_dir / "cfg.json"), "--out", str(tmp_path / "map.json")]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: bad gravity file: ")
+    assert not (tmp_path / "map.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -64,7 +64,7 @@ from patchscape.sensor import (
     sample_scene,
 )
 
-from _oracles import eigh_integral_normals, mc_chain_cov
+from _oracles import dense_saliency, eigh_integral_normals, mc_chain_cov
 
 S, B = SurfaceType, BoundaryType
 
@@ -400,9 +400,28 @@ def test_integral_normals_saliency_matches_eigh_reference(rocky_cloud_noisy, cfg
         assert np.linalg.norm(np.cross(a[ok], b[ok]), axis=1).max() <= 1e-9
         assert (np.einsum("ij,ij->i", a[ok], b[ok]) > 0.0).all()
     g = _gravity_cam()
-    mask = saliency_filter(cloud, new, g, cfg)
+    mask = saliency_filter(cloud, g, cfg)
     assert mask.any()
-    assert np.array_equal(mask, saliency_filter(cloud, ref, g, cfg))
+    assert np.array_equal(mask, dense_saliency(cloud, ref, g, cfg))
+
+
+def test_integral_normals_solves_only_where_asked(rocky_cloud_noisy):
+    cloud = median_decimate(rocky_cloud_noisy, 4)
+    dense_n, dense_ns = integral_normals(cloud, 0.15)
+    where = np.zeros(cloud.valid_mask.shape, dtype=bool)
+    where[::2] = True  # every other row, valid or not
+
+    def keep(n):
+        return n[:, 2] < -0.8
+
+    n, n_s = integral_normals(cloud, 0.15, where=where, keep=keep)
+    solved = where & cloud.valid_mask
+    with np.errstate(invalid="ignore"):
+        fine = solved & (dense_n[..., 2] < -0.8)
+    assert 0 < fine.sum() < solved.sum()
+    for got, want, at in ((n, dense_n, solved), (n_s, dense_ns, fine)):
+        assert np.array_equal(got[at], want[at], equal_nan=True)
+        assert np.isnan(got[~at]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +442,7 @@ def test_saliency_distance_to_fixation_bound():
     normals = integral_normals(cloud, 0.08)
     # g toward +z puts the fixation point on the plane dead ahead
     cfg = SaliencyConfig(r=0.08, l_d=1.0, l_f=0.0, R=0.3, phi_g=10.0)
-    mask = saliency_filter(cloud, normals, np.array([0.0, 0.0, 1.0]), cfg)
+    mask = saliency_filter(cloud, np.array([0.0, 0.0, 1.0]), cfg)
     assert mask.any()
     d = np.linalg.norm(cloud.points[mask] - np.array([0.0, 0.0, 1.0]), axis=1)
     assert d.max() <= 0.3 + 1e-12
@@ -434,12 +453,11 @@ def test_saliency_distance_to_fixation_bound():
 
 def test_saliency_slope_gate_cuts_tilted_gravity():
     cloud = _plane_cloud(1.0)
-    normals = integral_normals(cloud, 0.08)
     cfg = SaliencyConfig(r=0.08, l_d=1.0, l_f=0.0, R=0.5, phi_g=35.0)
-    ok = saliency_filter(cloud, normals, [0.0, 0.0, 1.0], cfg)
+    ok = saliency_filter(cloud, [0.0, 0.0, 1.0], cfg)
     assert ok.any()
     g_tilted = np.array([0.0, math.sin(math.radians(40.0)), math.cos(math.radians(40.0))])
-    none = saliency_filter(cloud, normals, g_tilted, cfg)
+    none = saliency_filter(cloud, g_tilted, cfg)
     assert not none.any()
 
 
@@ -450,14 +468,86 @@ def test_saliency_normal_disagreement_cuts_creases():
     u = (np.arange(TINY.width) - TINY.cx) / TINY.fx
     z = 1.0 + np.abs(u)[None, :] * np.ones((TINY.height, 1))
     cloud = _depth_cloud(TINY, z)
-    normals = integral_normals(cloud, 0.08)
     cfg = SaliencyConfig(r=0.08, l_d=1.0, l_f=0.0, R=10.0, phi_d=10.0, phi_g=80.0)
-    mask = saliency_filter(cloud, normals, [0.0, 0.0, 1.0], cfg)
+    mask = saliency_filter(cloud, [0.0, 0.0, 1.0], cfg)
     mid = TINY.width // 2
     band = mask[6:-6, mid - 8 : mid + 8]
     assert (~band).sum() >= 2 * band.shape[0]  # a cut column on each side
     assert mask[6:-6, 12 : mid - 12].all()
     assert mask[6:-6, mid + 12 : -12].all()
+
+
+def _holey(cloud):
+    """cloud at 1/8 resolution with 85% of its pixels knocked out.
+
+    Fine windows there hold as few as one or two points, so min_support
+    leaves some N_s unsolved where N exists.
+    """
+    small = median_decimate(cloud, 8)
+    pts = small.points.copy()
+    pts[np.random.default_rng(1).random(pts.shape[:2]) < 0.85] = np.nan
+    return OrganizedCloud(points=pts, cov=None, intrinsics=small.intrinsics)
+
+
+def _dtfp(cloud, g, cfg):
+    gv = np.asarray(g, dtype=float) / np.linalg.norm(g)
+    with np.errstate(invalid="ignore"):
+        return np.linalg.norm(cloud.points - fixation_point(gv, cfg.l_d, cfg.l_f), axis=-1) <= cfg.R
+
+
+@pytest.mark.parametrize(
+    "frame, cfg",
+    [("full", SaliencyConfig()), ("full", ROCKY_SALIENCY), ("decimated", ROCKY_SALIENCY),
+     ("holes", ROCKY_SALIENCY)],
+    ids=["default", "rocky", "decimated", "holes"],
+)
+def test_saliency_cascade_matches_dense_oracle(rocky_cloud_noisy, frame, cfg):
+    cloud = {"full": rocky_cloud_noisy, "decimated": median_decimate(rocky_cloud_noisy, 2),
+             "holes": _holey(rocky_cloud_noisy)}[frame]
+    g = _gravity_cam()
+    dense = integral_normals(cloud, cfg.r)
+    if frame == "holes":
+        near = cloud.valid_mask & _dtfp(cloud, g, cfg)
+        assert (near & np.isfinite(dense[0][..., 0]) & np.isnan(dense[1][..., 0])).any()
+    mask = saliency_filter(cloud, g, cfg)
+    assert mask.any()
+    assert np.array_equal(mask, dense_saliency(cloud, dense, g, cfg))
+    assert np.array_equal(mask, dense_saliency(cloud, eigh_integral_normals(cloud, cfg.r), g, cfg))
+
+
+@pytest.mark.parametrize("frame", ["full", "holes"])
+def test_saliency_cascade_solves_each_scale_only_where_needed(
+    rocky_cloud_noisy, monkeypatch, frame
+):
+    cloud = rocky_cloud_noisy if frame == "full" else _holey(rocky_cloud_noisy)
+    cfg, g = ROCKY_SALIENCY, _gravity_cam()
+    n, _ = integral_normals(cloud, cfg.r)
+    near = cloud.valid_mask & _dtfp(cloud, g, cfg)
+    with np.errstate(invalid="ignore"):
+        dong = -(n @ (g / np.linalg.norm(g))) >= math.cos(math.radians(cfg.phi_g))
+    n_coarse, n_fine = int(near.sum()), int((near & dong).sum())
+    assert 0 < n_fine < n_coarse < cloud.valid_mask.sum()
+
+    sizes = []
+    window_normals = mapping._window_normals
+
+    def spy(s, min_support):
+        sizes.append(s.shape[1])
+        return window_normals(s, min_support)
+
+    monkeypatch.setattr(mapping, "_window_normals", spy)
+    saliency_filter(cloud, g, cfg)
+
+    def blocks(m):
+        return [mapping._BLOCK] * (m // mapping._BLOCK) + [m % mapping._BLOCK] * bool(m % mapping._BLOCK)
+
+    assert sizes == blocks(n_coarse) + blocks(n_fine)
+
+
+@pytest.mark.parametrize("g", [[0.0, 0.0, 0.0], [0.0, np.nan, 1.0], [0.0, 1.0], [0.0, np.inf, 1.0]])
+def test_saliency_rejects_bad_gravity(g):
+    with pytest.raises(ValueError, match="gravity"):
+        saliency_filter(_plane_cloud(), g)
 
 
 def test_saliency_config_validation():
