@@ -45,7 +45,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import mapping as _mapping
-from .fit import fit_patch
+from .fit import MIN_FIT_POINTS, fit_patch
 from .mapping import (
     MapBudgets,
     MapConfig,
@@ -399,13 +399,31 @@ def _scene_truth(surfaces) -> List[dict]:
 # ---------------------------------------------------------------------------
 
 
+def _config_value(key: str, default, value):
+    """value as the type of a MapConfig field's default, without coercion
+    that would change it (int(8.9), bool("false"))."""
+    if is_dataclass(default):
+        return type(default)(**value)
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise ValueError(f"{key} must be true or false")
+        return value
+    if isinstance(default, int):
+        # bool is an int subclass: JSON true must not pass as 1
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{key} must be a JSON integer")
+        return value
+    return type(default)(value)
+
+
 def load_map_config(path: Optional[str]):
     """Config JSON -> (MapConfig, MapBudgets, initial VolumeState, seed or None).
 
     Only the keys the spec gives are set; the rest keep the MapConfig,
-    MapBudgets and init_volume defaults. Each MapConfig value is cast to
-    the type of its field's default, and nested configs are built from
-    their objects. An unknown key or a bad value raises ValueError.
+    MapBudgets and init_volume defaults. Nested configs are built from
+    their objects, int fields take only JSON integers and bool fields only
+    true or false, and other values are cast to the type of their field's
+    default. An unknown key or a bad value raises ValueError.
     """
     spec = {}
     if path is not None:
@@ -418,10 +436,7 @@ def load_map_config(path: Optional[str]):
     if unknown:
         raise ValueError(f"unknown keys {sorted(unknown)}")
     try:
-        cfg = MapConfig(**{
-            k: type(known[k])(**v) if is_dataclass(known[k]) else type(known[k])(v)
-            for k, v in spec.items() if k in known
-        })
+        cfg = MapConfig(**{k: _config_value(k, known[k], v) for k, v in spec.items() if k in known})
         budgets = MapBudgets(**spec.get("budgets", {}))
         volume = init_volume(**spec.get("volume", {}))
     except TypeError as e:
@@ -499,7 +514,7 @@ def cmd_fit(args) -> int:
         nb = neighborhood(cfg.neighborhood, cloud, np.array([row, col]), cfg.saliency.r)
     except ValueError as e:
         return _fail(str(e))
-    if len(nb.points) < 13:
+    if len(nb.points) < MIN_FIT_POINTS:
         return _fail(f"only {len(nb.points)} neighbors within {cfg.saliency.r} m")
     fit_pts, fit_cvs = fit_sample(nb, cfg.n_f, np.random.default_rng(_seed_or_env(args.seed)))
     try:

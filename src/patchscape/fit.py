@@ -65,7 +65,12 @@ __all__ = [
     "FitResult",
     "fit_patch",
     "coverage_scale",
+    "MIN_FIT_POINTS",
 ]
+
+# Fewest finite points fit_patch accepts; neighborhoods smaller than this
+# are dropped before a fit is attempted.
+MIN_FIT_POINTS = 13
 
 _FLAT_EPS = 1e-2  # curvature magnitude below which a direction is flat
 _TINY_KAPPA = 1e-8  # cylinder curvature below which the frame rebuild is skipped
@@ -517,8 +522,8 @@ def fit_patch(
         cv = np.broadcast_to(np.eye(3), (len(pts), 3, 3)).copy()
     else:
         cv = np.asarray(covs, dtype=float).reshape(-1, 3, 3)[keep]
-    if len(pts) < 13:
-        raise ValueError("need at least 13 points to fit a patch")
+    if len(pts) < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} points to fit a patch")
     vp = np.asarray(viewpoint, dtype=float).reshape(3)
     lam_g = coverage_scale(gamma)
 

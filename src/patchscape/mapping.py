@@ -1,20 +1,20 @@
 """Sparse patch mapping over organized clouds and the moving local volume.
 
 The mapping pipeline runs in stages on each organized range frame:
-preprocessing filters (passthrough, bilateral, median decimation), the
-hiking saliency filter, grid-based seed selection in the volume frame,
-per-seed neighborhood search (image backprojection, k-d tree, or triangle
-mesh), and patch fit/validate with curvature, residual, and coverage
-gates. Saliency runs its tests cheapest first: DtFP on the points, then
-DoNG on the coarse normal, then DoN on the fine one. Both normal scales
-come from one integral image of the frame, and each is solved only at the
-pixels that passed every test before it.
+optional median decimation of the saliency cloud, the hiking saliency
+filter, grid-based seed selection in the volume frame, per-seed
+neighborhood search (image backprojection, k-d tree, or triangle mesh),
+and patch fit/validate with curvature, residual, and coverage gates.
+Saliency runs its tests cheapest first: DtFP on the points, then DoNG on
+the coarse normal, then DoN on the fine one. Both normal scales come from
+one integral image of the frame, and each is solved only at the pixels
+that passed every test before it.
 
 The map lives in a cubic local volumetric workspace whose frame sits at a
 top corner with y pointing down. The volume follows the camera under one
 of four policies (fv, fc, fd, ff); when it remaps, resident patches are
 carried by the same rigid transform so their world poses are unchanged,
-then culled against the cube and, optionally, a behind-camera plane.
+then culled against the cube.
 
 Clouds are camera frame (x right, y down, z forward). Gravity and
 forward vectors handed to the volume policies are world frame.
@@ -26,7 +26,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -34,22 +34,19 @@ from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
 from patchscape import pose as _pose
-from patchscape.fit import FitResult, fit_patch
+from patchscape.fit import MIN_FIT_POINTS, FitResult, coverage_scale, fit_patch
 from patchscape.patch import Patch, patch_frame, projected_area, transform_patch
 from patchscape.pose import ChainLink, Pose6
 from patchscape.sensor import OrganizedCloud, project
 from patchscape.validate import (
     CoverageConfig,
     CurvatureGate,
-    ResidualMethod,
     coverage_eval,
     curvature_gate,
     residual,
 )
 
 __all__ = [
-    "passthrough",
-    "bilateral_filter",
     "median_decimate",
     "integral_normals",
     "SaliencyConfig",
@@ -64,8 +61,6 @@ __all__ = [
     "neighborhood",
     "fit_sample",
     "mesh_triangles",
-    "surface_area",
-    "expected_patch_count",
     "MovePolicy",
     "VolumeState",
     "init_volume",
@@ -81,77 +76,9 @@ __all__ = [
 ]
 
 
-_AXES = {"x": 0, "y": 1, "z": 2}
-
-
 # ---------------------------------------------------------------------------
-# Preprocessing filters
+# Preprocessing: median decimation
 # ---------------------------------------------------------------------------
-
-
-def _invalidate(points: np.ndarray, cov: Optional[np.ndarray], kill: np.ndarray):
-    pts = points.copy()
-    pts[kill] = np.nan
-    cv = None
-    if cov is not None:
-        cv = cov.copy()
-        cv[kill] = np.nan
-    return pts, cv
-
-
-def passthrough(cloud: OrganizedCloud, axis: Union[str, int], lo: float, hi: float) -> OrganizedCloud:
-    """Invalidate points whose camera-frame coordinate leaves [lo, hi].
-
-    Organization is preserved: removed entries become NaN rows.
-    """
-    ax = _AXES[axis] if isinstance(axis, str) else int(axis)
-    if ax not in (0, 1, 2):
-        raise ValueError("axis must be x, y, z or 0, 1, 2")
-    c = cloud.points[..., ax]
-    with np.errstate(invalid="ignore"):
-        kill = cloud.valid_mask & ((c < lo) | (c > hi))
-    pts, cv = _invalidate(cloud.points, cloud.cov, kill)
-    return OrganizedCloud(points=pts, cov=cv, intrinsics=cloud.intrinsics)
-
-
-def bilateral_filter(
-    cloud: OrganizedCloud, radius: int = 2, sigma_s: float = 2.0, sigma_r: float = 0.05
-) -> OrganizedCloud:
-    """Discontinuity-preserving bilateral filter on the depth image.
-
-    Each valid pixel's depth is replaced by a weighted mean over a
-    (2 radius + 1)^2 window, weights Gaussian in both pixel offset
-    (sigma_s, px) and depth difference (sigma_r, m), so depths across a
-    jump contribute almost nothing. Points move along their pixel rays
-    (scaled by z'/z); per-point covariances are carried unchanged, since
-    the filter's cross-pixel correlations are not tracked.
-    """
-    z = cloud.points[..., 2]
-    h, w = z.shape
-    valid = np.isfinite(z)
-    zp = np.full((h + 2 * radius, w + 2 * radius), np.nan)
-    zp[radius : radius + h, radius : radius + w] = z
-    num = np.zeros((h, w))
-    den = np.zeros((h, w))
-    inv_2ss = 1.0 / (2.0 * sigma_s * sigma_s)
-    inv_2sr = 1.0 / (2.0 * sigma_r * sigma_r)
-    for dv in range(-radius, radius + 1):
-        for du in range(-radius, radius + 1):
-            zn = zp[radius + dv : radius + dv + h, radius + du : radius + du + w]
-            ok = valid & np.isfinite(zn)
-            if not np.any(ok):
-                continue
-            dz = np.where(ok, zn - z, 0.0)
-            wgt = np.exp(-(du * du + dv * dv) * inv_2ss - dz * dz * inv_2sr)
-            wgt = np.where(ok, wgt, 0.0)
-            num += wgt * np.where(ok, zn, 0.0)
-            den += wgt
-    with np.errstate(invalid="ignore", divide="ignore"):
-        z_new = np.where(valid, num / den, np.nan)
-        scale = np.where(valid, z_new / z, np.nan)
-    pts = cloud.points * scale[..., None]
-    cv = cloud.cov.copy() if cloud.cov is not None else None
-    return OrganizedCloud(points=pts, cov=cv, intrinsics=cloud.intrinsics)
 
 
 def median_decimate(cloud: OrganizedCloud, factor: int = 2) -> OrganizedCloud:
@@ -220,6 +147,9 @@ _GAP_MIN = np.finfo(float).eps ** (1.0 / 3.0)
 # dozen temporaries stay in a core's L2 cache, large enough to amortize
 # NumPy's per-call overhead.
 _BLOCK = 4096
+
+# Fewest valid points a window needs for its normal to be solved.
+_MIN_SUPPORT = 6
 
 
 def _moment_integral(points: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -318,13 +248,13 @@ def _smallest_eigvec(a) -> Tuple[np.ndarray, np.ndarray]:
     return v, certified
 
 
-def _window_normals(s: np.ndarray, min_support: int) -> np.ndarray:
+def _window_normals(s: np.ndarray) -> np.ndarray:
     """(n, 3) camera-facing unit normals from (10, n) window moment sums.
 
-    NaN where the window holds fewer than min_support valid points.
+    NaN where the window holds fewer than _MIN_SUPPORT valid points.
     """
     cnt = s[0]
-    good = cnt >= min_support
+    good = cnt >= _MIN_SUPPORT
     cnt_safe = np.where(good, cnt, 1.0)
     mu = s[1:4] / cnt_safe
     cov = [s[4 + c] / cnt_safe - mu[i] * mu[j] for c, (i, j) in enumerate(_UPPER)]
@@ -347,8 +277,6 @@ def _window_normals(s: np.ndarray, min_support: int) -> np.ndarray:
 def integral_normals(
     cloud: OrganizedCloud,
     r: float,
-    f: Optional[float] = None,
-    min_support: int = 6,
     *,
     where: Optional[np.ndarray] = None,
     keep: Optional[Callable[[np.ndarray], np.ndarray]] = None,
@@ -356,14 +284,14 @@ def integral_normals(
     """Two-scale normals by windowed covariance over one integral image.
 
     Returns (N, N_s), two (H, W, 3) images: N uses window size 2 r f / Z(i)
-    pixels at each pixel, N_s half that, so both windows see roughly a
-    metric r-ball (respectively r/2) on the surface. Normals are unit and
-    oriented toward the camera. N is solved at the valid pixels of the
+    pixels at each pixel, with f = cloud.intrinsics.fx, and N_s half that,
+    so both windows see roughly a metric r-ball (respectively r/2) on the
+    surface. Normals are unit and oriented toward the camera. N is solved at the valid pixels of the
     boolean image where (default: every valid pixel). keep maps the (m, 3)
     coarse normals of those m pixels, in row-major order, to an (m,)
     boolean mask of the pixels that also need N_s (default: all of them).
     Both images are NaN wherever their scale was not solved, and where the
-    window holds fewer than min_support valid points.
+    window holds fewer than _MIN_SUPPORT valid points.
 
     One integral image of the count, coordinate sums and the six distinct
     second moments serves both scales. Each normal is the
@@ -377,7 +305,7 @@ def integral_normals(
     """
     if r <= 0.0:
         raise ValueError("r must be positive")
-    fpx = float(f) if f is not None else cloud.intrinsics.fx
+    fpx = cloud.intrinsics.fx
     if fpx <= 0.0:
         raise ValueError("focal length must be positive")
     valid = cloud.valid_mask
@@ -392,7 +320,7 @@ def integral_normals(
         for b in range(0, len(v), _BLOCK):
             blk = slice(b, b + _BLOCK)
             s = _box_sums(ii, v[blk], u[blk], half[blk])
-            n[v[blk], u[blk]] = _window_normals(s, min_support)
+            n[v[blk], u[blk]] = _window_normals(s)
         return n
 
     v, u = np.nonzero(valid if where is None else valid & where)
@@ -533,20 +461,16 @@ def select_seeds(
     cloud: OrganizedCloud,
     salient: np.ndarray,
     volume: "VolumeState",
-    v_g: Optional[int] = None,
-    n_g: Optional[int] = None,
     rng_seed=None,
 ) -> List[Seed]:
     """Pick up to n_g random salient seeds per occupied volume grid cell.
 
-    Points project onto the volume-frame xz plane; cells are visited in
-    increasing distance of their center from the projected camera, and
-    cells already holding n_g resident patches accept no new seeds.
-    Deterministic for a fixed rng_seed.
+    Points project onto the volume-frame xz plane of volume.grid's v_g x v_g
+    cells; cells are visited in increasing distance of their center from
+    the projected camera, and cells already holding n_g resident patches
+    accept no new seeds. Deterministic for a fixed rng_seed.
     """
-    grid = volume.grid
-    v_g = grid.v_g if v_g is None else v_g
-    n_g = grid.n_g if n_g is None else n_g
+    v_g, n_g = volume.grid.v_g, volume.grid.n_g
     rng = np.random.default_rng(rng_seed)
 
     pix = np.argwhere(salient)
@@ -813,30 +737,6 @@ def fit_sample(
 
 
 # ---------------------------------------------------------------------------
-# Area bookkeeping and termination
-# ---------------------------------------------------------------------------
-
-
-def surface_area(
-    cloud: OrganizedCloud, t_jump: float = 0.02, t_es: float = 0.05, t_ar: float = 5.0
-) -> float:
-    """Sampled surface area: the summed areas of the range-image mesh."""
-    tri = mesh_triangles(cloud, t_jump, t_es, t_ar)
-    if len(tri) == 0:
-        return 0.0
-    p = cloud.points.reshape(-1, 3)
-    cross = np.cross(p[tri[:, 1]] - p[tri[:, 0]], p[tri[:, 2]] - p[tri[:, 0]])
-    return float(0.5 * np.linalg.norm(cross, axis=1).sum())
-
-
-def expected_patch_count(s_area: float, r: float, nu: float) -> float:
-    """Patches needed to cover fraction nu of area S with r-ball fits."""
-    if s_area <= 0.0 or r <= 0.0 or nu <= 0.0:
-        raise ValueError("S, r, and nu must be positive")
-    return nu * s_area / (math.pi * r * r)
-
-
-# ---------------------------------------------------------------------------
 # Local volumetric workspace
 # ---------------------------------------------------------------------------
 
@@ -1040,17 +940,14 @@ def volume_update(
 def remap_patches(
     state: VolumeState,
     T: Pose6,
-    d_cp: Optional[float] = None,
     cull_excess: bool = False,
 ) -> VolumeState:
     """Carry resident patches through a volume remap transform T.
 
     Volume-frame poses compose with T (covariances ride the transform
     Jacobian), so world poses are unchanged. Patches whose origin leaves
-    the cube are removed; with d_cp set, so are patches more than d_cp
-    behind the camera's optical axis. Cells are reassigned from the
-    transformed seed points; with cull_excess, cells keep only their n_g
-    oldest patches.
+    the cube are removed. Cells are reassigned from the transformed seed
+    points; with cull_excess, cells keep only their n_g oldest patches.
     """
     kept: List[MapPatch] = []
     for mp in state.patches:
@@ -1059,10 +956,6 @@ def remap_patches(
         origin = new_patch.pose.t
         if np.any(origin < 0.0) or np.any(origin > state.v_s):
             continue
-        if d_cp is not None:
-            origin_cam = _pose.xform_rev(origin, state.c_t.r, state.c_t.t)
-            if origin_cam[2] < -d_cp:
-                continue
         cell = _cell_of(seed_v, state.v_s, state.grid.v_g)
         if cell is None:
             continue
@@ -1093,6 +986,8 @@ class MapConfig:
 
     The coverage cell size must be at least the projected sample pitch
     of the cloud, or regular grids of perfectly good data read as holes.
+    ValueError unless n_f is at least the fit minimum, 0 < gamma < 1,
+    d_max is finite and non-negative, and decimate is non-negative.
     """
 
     saliency: SaliencyConfig = SaliencyConfig()
@@ -1104,6 +999,15 @@ class MapConfig:
     coverage: CoverageConfig = CoverageConfig()
     check_coverage: bool = True
     decimate: int = 0  # block size for the saliency cloud; 0 disables
+
+    def __post_init__(self):
+        if not self.n_f >= MIN_FIT_POINTS:
+            raise ValueError(f"n_f must be at least {MIN_FIT_POINTS}, the fit minimum")
+        coverage_scale(self.gamma)  # the fit's own check: 0 < gamma < 1
+        if not (math.isfinite(self.d_max) and self.d_max >= 0.0):
+            raise ValueError("d_max must be finite and non-negative")
+        if not self.decimate >= 0:
+            raise ValueError("decimate must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -1164,7 +1068,7 @@ def gate_patch(
     """
     R_l, t_l = patch_frame(patch)
     fit_local = (fit_pts - t_l) @ R_l
-    res = float(residual(patch, fit_local, ResidualMethod.EXACT))
+    res = float(residual(patch, fit_local))
     cov_ok, n_bad = True, 0
     if config.check_coverage:
         nb_local = fit_local if nb_pts is fit_pts else (nb_pts - t_l) @ R_l
@@ -1183,7 +1087,6 @@ def map_step(
     state: VolumeState,
     cloud: OrganizedCloud,
     g,
-    viewpoint=(0.0, 0.0, 0.0),
     budgets: MapBudgets = MapBudgets(),
     config: MapConfig = MapConfig(),
     rng_seed=None,
@@ -1196,7 +1099,8 @@ def map_step(
     failing one, in the order curvature, residual, coverage; an admitted
     patch carries its ValidationRecord. Admissions respect the per-cell
     n_g bound and all budget caps. The cloud and the gravity vector g are
-    camera frame. Mutates state; deterministic for a fixed rng_seed.
+    camera frame, so each patch's local z axis faces the camera at the
+    origin. Mutates state; deterministic for a fixed rng_seed.
     """
     t_start = time.monotonic()
     state.frame_index += 1
@@ -1238,7 +1142,7 @@ def map_step(
         if sal_cloud is not cloud:
             seed_pixel = _decimated_source(cloud, seed.pixel, config.decimate, seed.point)
         nb = neighborhood(config.neighborhood, cloud, seed_pixel, cfg.r)
-        if len(nb.points) < 13:
+        if len(nb.points) < MIN_FIT_POINTS:
             result.drops["too_few_points"] += 1
             continue
         fit_pts, fit_cvs = fit_sample(nb, config.n_f, rng)
@@ -1250,7 +1154,6 @@ def map_step(
                 fit_cvs,
                 surface=config.surface,
                 gamma=config.gamma,
-                viewpoint=viewpoint,
                 side_wall=True,
             )
         except (ValueError, np.linalg.LinAlgError):

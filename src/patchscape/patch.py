@@ -37,17 +37,11 @@ __all__ = [
     "SurfaceType",
     "BoundaryType",
     "Patch",
-    "DomainError",
-    "MatchThresholds",
-    "implicit_eval",
-    "explicit_eval",
     "boundary_contains",
     "projected_area",
     "polygon_area",
     "quad_vertices",
-    "flip_toward_viewpoint",
     "transform_patch",
-    "match_patches",
     "patch_frame",
     "patch_rotvec",
     "patch_dof",
@@ -70,10 +64,6 @@ class BoundaryType(Enum):
     CIRCLE = "circle"
     AARECT = "aarect"
     CQUAD = "cquad"
-
-
-class DomainError(ValueError):
-    """Evaluation outside a sphere's or cylinder's reachable extent."""
 
 
 # Stored-curvature count. plane has none; two-curvature types store (kx, ky).
@@ -191,82 +181,6 @@ def curvature_k3(patch: Patch) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Surface evaluation
-# ---------------------------------------------------------------------------
-
-
-def implicit_eval(patch: Patch, q, frame: str = "world"):
-    """Unified implicit form and its domain flag.
-
-    Returns (value, in_domain). value is zero on the surface. For spheres
-    and cylinders the implicit form's zero set is the whole closed quadric;
-    in_domain marks the near half reachable by the explicit form
-    (0 <= k * z_local <= 1). Accepts a single point or an (N, 3) array.
-    """
-    pts = np.asarray(q, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if frame == "world":
-        R, t = patch_frame(patch)
-        pts = (pts - t) @ R
-    elif frame != "local":
-        raise ValueError("frame must be 'world' or 'local'")
-    k3 = curvature_k3(patch)
-    val = pts * pts @ k3 - 2.0 * pts[:, 2]
-    if patch.s in (SurfaceType.SPHERE, SurfaceType.CIRCULAR_CYLINDER):
-        kz = patch.k[0] * pts[:, 2]
-        ok = (kz >= 0.0) & (kz <= 1.0)
-    else:
-        ok = np.ones(len(pts), dtype=bool)
-    if single:
-        return float(val[0]), bool(ok[0])
-    return val, ok
-
-
-def explicit_eval(patch: Patch, u, frame: str = "world"):
-    """Surface point over local xy coordinates u.
-
-    Paraboloids and planes are global; spheres and cylinders raise
-    DomainError where |k| * extent exceeds 1. Accepts (2,) or (N, 2).
-    """
-    uu = np.asarray(u, dtype=float)
-    single = uu.ndim == 1
-    uu = np.atleast_2d(uu)
-    s = patch.s
-    if s == SurfaceType.PLANE:
-        z = np.zeros(len(uu))
-    elif s == SurfaceType.SPHERE:
-        kap = patch.k[0]
-        rho2 = np.einsum("ij,ij->i", uu, uu)
-        if kap == 0.0:
-            z = np.zeros(len(uu))
-        else:
-            root = 1.0 - kap * kap * rho2
-            if np.any(root < 0.0):
-                raise DomainError("xy point beyond the sphere's equator")
-            z = (1.0 - np.sqrt(root)) / kap
-    elif s == SurfaceType.CIRCULAR_CYLINDER:
-        kap = patch.k[0]
-        if kap == 0.0:
-            z = np.zeros(len(uu))
-        else:
-            root = 1.0 - kap * kap * uu[:, 1] ** 2
-            if np.any(root < 0.0):
-                raise DomainError("xy point beyond the cylinder's side")
-            z = (1.0 - np.sqrt(root)) / kap
-    else:
-        k3 = curvature_k3(patch)
-        z = 0.5 * (k3[0] * uu[:, 0] ** 2 + k3[1] * uu[:, 1] ** 2)
-    pts = np.column_stack([uu, z])
-    if frame == "world":
-        R, t = patch_frame(patch)
-        pts = pts @ R.T + t
-    elif frame != "local":
-        raise ValueError("frame must be 'world' or 'local'")
-    return pts[0] if single else pts
-
-
-# ---------------------------------------------------------------------------
 # Boundaries
 # ---------------------------------------------------------------------------
 
@@ -324,57 +238,8 @@ def polygon_area(poly: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Flip and rigid transform
+# Rigid transform
 # ---------------------------------------------------------------------------
-
-_RX_PI = np.diag([1.0, -1.0, -1.0])
-
-
-def flip_toward_viewpoint(patch: Patch, viewpoint) -> Patch:
-    """Make the local z axis face the viewpoint.
-
-    If zhat_l . (v - t) is already positive the patch returns unchanged.
-    Otherwise the frame rotates pi about its local x axis and curvatures
-    negate, which leaves the surface point set untouched. A viewpoint
-    exactly in the tangent plane is degenerate and leaves the patch as is.
-    Covariance, when present, is carried through the exact Jacobian of the
-    parameter change.
-    """
-    v = np.asarray(viewpoint, dtype=float).reshape(3)
-    R, t = patch_frame(patch)
-    facing = float(R[:, 2] @ (v - t))
-    if facing >= 0.0:
-        return patch
-    return _flip(patch, R)[0]
-
-
-def _flip(patch: Patch, R: np.ndarray) -> Tuple[Patch, np.ndarray]:
-    new_d = patch.d.copy()
-    J_d = np.eye(patch.d.size)
-    if patch.b == BoundaryType.CQUAD:
-        # pi about x mirrors the quad across the x axis; relabel the
-        # vertices to keep them CCW: (d1 d2 d3 d4) -> (d4 d3 d2 d1).
-        J_d = block_diag(np.eye(4)[::-1], 1.0)
-        new_d = J_d @ patch.d
-
-    if isinstance(patch.pose, Pose5):
-        rxy_new = _pose.rxy_for_zdir(-R[:, 2])
-        # d rxy'/d rxy through the z-direction map, via the pseudo-inverse
-        # of the (well-conditioned away from the pi fold) lift derivative.
-        dz_old = _pose.jac_zaxis(patch.pose.rxy)
-        J_r = np.linalg.pinv(_pose.jac_zaxis(rxy_new)) @ (-dz_old)
-        new_pose = Pose5(rxy_new, patch.pose.t)
-    else:
-        dR_old = _pose.jac_exp(patch.pose.r)
-        r_new, J_r = _pose.jac_log_of(R @ _RX_PI, dR_old @ _RX_PI)
-        new_pose = Pose6(r_new, patch.pose.t)
-    J = block_diag(-np.eye(patch.k.size), J_d, J_r, np.eye(3))
-
-    sigma = None
-    if patch.sigma is not None:
-        sigma = J @ patch.sigma @ J.T
-    return replace(patch, k=-patch.k, d=new_d, pose=new_pose, sigma=sigma), J
-
 
 def transform_patch(patch: Patch, T: Pose6):
     """Apply a deterministic rigid transform T to the patch pose.
@@ -398,52 +263,3 @@ def transform_patch(patch: Patch, T: Pose6):
     J = block_diag(np.eye(patch.k.size + patch.d.size), J_r, R_T)
     sigma = J @ patch.sigma @ J.T if patch.sigma is not None else None
     return replace(patch, pose=new_pose, sigma=sigma), J
-
-
-# ---------------------------------------------------------------------------
-# Matching
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MatchThresholds:
-    d_s: float = 0.015  # m, per boundary-extent component
-    k_s: float = 5.0  # 1/m, per curvature component
-    a_s: float = math.radians(20.0)  # rad, axis angle
-    r_s: float = 0.01  # m, center distance
-
-
-def _angle_between(a, b) -> float:
-    c = float(np.clip(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)), -1.0, 1.0))
-    return math.acos(c)
-
-
-def match_patches(a: Patch, b: Patch, thresholds: MatchThresholds = MatchThresholds()) -> bool:
-    """Decide whether two patches describe the same physical surface piece.
-
-    Checks type equality, componentwise extent and curvature gaps, the
-    angle between local z axes, and center distance. Types that are not
-    symmetric about z additionally require the local y axes to agree
-    directly or after a pi turn about z (the models are invariant to that
-    turn).
-    """
-    if a.s != b.s or a.b != b.b:
-        return False
-    if np.any(np.abs(a.d - b.d) >= thresholds.d_s):
-        return False
-    if a.k.size and np.any(np.abs(a.k - b.k) >= thresholds.k_s):
-        return False
-    Ra, ta = patch_frame(a)
-    Rb, tb = patch_frame(b)
-    if _angle_between(Ra[:, 2], Rb[:, 2]) >= thresholds.a_s:
-        return False
-    if float(np.linalg.norm(ta - tb)) >= thresholds.r_s:
-        return False
-    if not a.revolute:
-        ya, yb = Ra[:, 1], Rb[:, 1]
-        if (
-            _angle_between(ya, yb) >= thresholds.a_s
-            and _angle_between(ya, -yb) >= thresholds.a_s
-        ):
-            return False
-    return True

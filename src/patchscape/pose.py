@@ -42,23 +42,18 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import block_diag
 
 __all__ = [
-    "OrientationVector",
     "Pose6",
     "Pose5",
     "ChainLink",
     "exp_map",
     "log_map",
-    "reparameterize",
     "rxy_from_r",
     "rxy_to_r",
     "rxy_for_zdir",
     "xform_fwd",
-    "xform_rev",
     "pose_inverse",
-    "compose_pose",
     "compose_chain",
     "skew",
     "sym",
@@ -66,12 +61,7 @@ __all__ = [
     "jac_log_of",
     "jac_rxy",
     "jac_zaxis",
-    "jac_chain",
-    "chain_covariance",
 ]
-
-# A rotation vector: ndarray of shape (3,), axis * angle in radians.
-OrientationVector = np.ndarray
 
 # Series cutoff ~ eps^(1/4): below this the quoted Taylor forms of
 # sin(t)/t and (1-cos(t))/t^2 are exact to machine precision.
@@ -234,31 +224,6 @@ def jac_exp(r) -> np.ndarray:
     """
     v = _as_vec3(r, "rotation vector")
     return exp_map(v) @ np.array([skew(c) for c in _jr(v).T.tolist()])
-
-
-def reparameterize(r) -> np.ndarray:
-    """Canonical rotation vector for the same rotation, ||r|| <= pi.
-
-    The angle is wrapped modulo 2*pi, then folded into (-pi, pi]. A wrap
-    that lands exactly on zero returns the zero vector. At pi the sign
-    convention makes the first non-negligible component positive.
-    """
-    v = _as_vec3(r, "rotation vector")
-    t = float(np.linalg.norm(v))
-    if t == 0.0:
-        return v.copy()
-    tw = math.fmod(t, 2.0 * math.pi)
-    if tw < 0.0:
-        tw += 2.0 * math.pi
-    if tw == 0.0:
-        return np.zeros(3)
-    if tw <= math.pi:
-        out = v * (tw / t)
-    else:
-        out = v * ((tw - 2.0 * math.pi) / t)
-    if abs(abs(tw - math.pi)) <= _PI_SIGN_TOL * math.pi:
-        out = _fix_pi_sign(out)
-    return out
 
 
 def _fix_pi_sign(r: np.ndarray) -> np.ndarray:
@@ -471,25 +436,10 @@ def xform_fwd(q, r, t) -> np.ndarray:
     return pts @ R.T + tv
 
 
-def xform_rev(q, r, t) -> np.ndarray:
-    """World-to-local: R(r)^T (q - t). Accepts (3,) or (N, 3) points."""
-    pts = np.asarray(q, dtype=float)
-    R = exp_map(r)
-    tv = _as_vec3(t, "translation")
-    if pts.ndim == 1:
-        return R.T @ (pts - tv)
-    return (pts - tv) @ R
-
-
 def pose_inverse(pose: Pose6) -> Pose6:
     """Inverse rigid pose: (r, t)^-1 = (-r, -R(r)^T t)."""
     R = exp_map(pose.r)
     return Pose6(-pose.r, -(R.T @ pose.t))
-
-
-def compose_pose(outer: Pose6, inner: Pose6) -> Pose6:
-    """Pose of the map X_f(outer) after X_f(inner)."""
-    return compose_chain([ChainLink(inner, 1), ChainLink(outer, 1)])
 
 
 def compose_chain(links: Sequence[ChainLink]) -> Pose6:
@@ -512,90 +462,3 @@ def compose_chain(links: Sequence[ChainLink]) -> Pose6:
             Rc = R.T @ Rc
     rc = log_map(Rc)
     return Pose6(rc, p)
-
-
-def jac_chain(links: Sequence[ChainLink]) -> np.ndarray:
-    """Jacobian of the composed pose with respect to every link parameter.
-
-    Returns a (6, 6n) matrix: rows are (r_c, t_c), column blocks are
-    (r_n, t_n, ..., r_1, t_1), last link first, matching the right-to-left
-    application order.
-    """
-    n = len(links)
-    if n == 0:
-        raise ValueError("empty chain")
-
-    # Per-link signed rotations R_j = R(phi_j r_j).
-    Rs = [exp_map(link.phi * link.pose.r) for link in links]
-
-    # Prefix transforms: t_r[j] is the image of the origin after links
-    # 1..j; right[j] is R_{j} ... R_1 (right[0] = I).
-    t_r = [np.zeros(3)]
-    right = [np.eye(3)]
-    p = np.zeros(3)
-    Racc = np.eye(3)
-    for jdx, link in enumerate(links):
-        if link.phi == 1:
-            p = Rs[jdx] @ p + link.pose.t
-        else:
-            p = Rs[jdx] @ (p - link.pose.t)
-        Racc = Rs[jdx] @ Racc
-        t_r.append(p.copy())
-        right.append(Racc.copy())
-
-    # Suffix rotations: left[j] = R_n ... R_{j+1} (left[n] = I).
-    left = [np.eye(3)] * (n + 1)
-    Racc = np.eye(3)
-    for jdx in range(n - 1, -1, -1):
-        left[jdx] = Racc.copy()
-        Racc = Racc @ Rs[jdx]
-
-    # With R_c = Rl R_j Rr and dR_j/dr_j = phi R_j [J_r(phi r_j) e_m]_x,
-    # R_c^T dR_c = phi [Rr^T J_r e_m]_x, so dr_c/dr_j = phi J_r^-1(r_c) Rr^T J_r;
-    # the link moves the point u it acts on by -phi Rl R_j [u]_x J_r dr_j.
-    Jc_inv = _jr_inv(log_map(right[n]))
-    J = np.zeros((6, 6 * n))
-    for jdx, link in enumerate(links):
-        col = 6 * (n - 1 - jdx)  # layout [r_n t_n ... r_1 t_1]
-        Rl = left[jdx]  # R_n ... R_{j+1}
-        Rr = right[jdx]  # R_{j-1} ... R_1
-        Jj = link.phi * _jr(link.phi * link.pose.r)
-        u = t_r[jdx] if link.phi == 1 else t_r[jdx] - link.pose.t
-        J[0:3, col : col + 3] = Jc_inv @ Rr.T @ Jj
-        J[3:6, col : col + 3] = -(Rl @ Rs[jdx] @ skew(u) @ Jj)
-        J[3:6, col + 3 : col + 6] = Rl if link.phi == 1 else -(Rl @ Rs[jdx])
-    return J
-
-
-def chain_covariance(
-    links: Sequence[ChainLink],
-    link_covariances: Sequence[np.ndarray],
-    five_dof: bool = False,
-) -> np.ndarray:
-    """First-order covariance of a composed pose chain.
-
-    link_covariances[i] is the 6x6 (r, t) covariance of links[i]; the
-    result is Sigma_c = J_c S J_c^T with S block diagonal in the chain
-    Jacobian's column order. With five_dof, the composed rotation is
-    reduced to r_xy through its Jacobian, giving the 5x5 covariance of a
-    revolute patch pose.
-    """
-    if len(links) != len(link_covariances):
-        raise ValueError("need one covariance per link")
-    if len(links) == 0:
-        raise ValueError("empty chain")
-    covs = []
-    for c in link_covariances:
-        cc = np.asarray(c, dtype=float)
-        if cc.shape != (6, 6):
-            raise ValueError("link covariances must be 6x6")
-        if not np.allclose(cc, cc.T, atol=1e-9):
-            raise ValueError("link covariances must be symmetric")
-        covs.append(cc)
-    J = jac_chain(links)
-    S = block_diag(*covs[::-1])  # column blocks run last link first
-    sigma = sym(J @ S @ J.T)
-    if not five_dof:
-        return sigma
-    J5 = block_diag(jac_rxy(compose_chain(links).r), np.eye(3))
-    return sym(J5 @ sigma @ J5.T)

@@ -19,9 +19,8 @@ Per-point covariances are always evaluated at the noiseless intersection.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -47,12 +46,8 @@ __all__ = [
     "OrganizedCloud",
     "pixel_rays",
     "project",
-    "backproject",
-    "depth_from_disparity",
-    "disparity_from_depth",
     "point_covariance",
     "sample_scene",
-    "procrustes_align",
 ]
 
 
@@ -188,22 +183,6 @@ def project(intr: CameraIntrinsics, points) -> np.ndarray:
         v = pts[:, 1] * intr.fy / z + intr.cy
     out = np.column_stack([u, v])
     return out[0] if np.asarray(points).ndim == 1 else out
-
-
-def backproject(intr: CameraIntrinsics, pixels, depth) -> np.ndarray:
-    """Pixels plus depth (z) to camera-frame points."""
-    rays = pixel_rays(intr, pixels)
-    z = np.asarray(depth, dtype=float)
-    out = rays * z[..., None] if z.ndim else rays * z
-    return out[0] if np.asarray(pixels).ndim == 1 else out
-
-
-def depth_from_disparity(intr: CameraIntrinsics, disparity):
-    return intr.fx * intr.baseline / np.asarray(disparity, dtype=float)
-
-
-def disparity_from_depth(intr: CameraIntrinsics, depth):
-    return intr.fx * intr.baseline / np.asarray(depth, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -363,31 +342,3 @@ def sample_scene(
 
     pts[~hit] = np.nan
     return OrganizedCloud(points=pts.reshape(H, W, 3), cov=cov, intrinsics=intr)
-
-
-# ---------------------------------------------------------------------------
-# Gravity alignment
-# ---------------------------------------------------------------------------
-
-
-def procrustes_align(dirs_cam, dirs_ref) -> np.ndarray:
-    """Rotation R with R @ dirs_ref[i] ~ dirs_cam[i], least squares.
-
-    Solves the orthogonal Procrustes problem over paired direction
-    observations (for example, gravity seen by the camera and by an IMU).
-    Needs at least two non-collinear pairs; raises ValueError otherwise.
-    """
-    a = np.atleast_2d(np.asarray(dirs_cam, dtype=float))
-    b = np.atleast_2d(np.asarray(dirs_ref, dtype=float))
-    if a.shape != b.shape or a.shape[1] != 3:
-        raise ValueError("direction sets must both be (N, 3)")
-    if len(a) < 2:
-        raise ValueError("need at least two direction pairs")
-    for dirs in (a, b):
-        sv = np.linalg.svd(dirs, compute_uv=False)
-        if sv[1] <= 1e-9 * sv[0]:
-            raise ValueError("direction pairs are collinear; rotation is ambiguous")
-    B = a.T @ b
-    U, _, Vt = np.linalg.svd(B)
-    S = np.diag([1.0, 1.0, float(np.linalg.det(U @ Vt))])
-    return U @ S @ Vt

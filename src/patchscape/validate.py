@@ -1,16 +1,16 @@
 """Post-fit patch validation.
 
-Three independent tests: Euclidean residual against the unbounded surface,
-boundary coverage on a local-frame grid, and a curvature gate. Each is a
-pure function of a fitted patch and (for the first two) its local-frame
-sample points.
+Three independent tests: the RMS exact Euclidean distance of local-frame
+points to the unbounded surface, boundary coverage on a local-frame grid,
+and a curvature gate. Each is a pure function of a fitted patch and (for
+the first two) its local-frame sample points; mapping.gate_patch runs all
+three for the pipeline.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import List, Tuple
 
 import numpy as np
@@ -21,32 +21,22 @@ from .patch import (
     SurfaceType,
     boundary_contains,
     curvature_k3,
-    explicit_eval,
     polygon_area,
     projected_area,
     quad_vertices,
 )
 
 __all__ = [
-    "ResidualMethod",
     "closest_point_exact",
     "residual",
     "CoverageConfig",
     "CoverageReport",
     "coverage_eval",
     "intersection_area",
-    "secant_area_bound",
     "CurvatureGate",
     "curvature_gate",
     "principal_curvatures",
 ]
-
-
-class ResidualMethod(Enum):
-    EXACT = "exact"
-    TAUBIN1 = "taubin1"
-    TAUBIN2 = "taubin2"
-    VERTICAL = "vertical"
 
 
 # ---------------------------------------------------------------------------
@@ -54,12 +44,12 @@ class ResidualMethod(Enum):
 # ---------------------------------------------------------------------------
 #
 # One kernel solves every point of a patch at once; closest_point_exact is
-# its one-row case and residual(..., EXACT) calls it once per patch. Spheres
-# and circular cylinders reduce to center and axis geometry. Paraboloid
-# family members run Newton on the Lagrange multiplier of all rows together,
-# from the z-axis projection; each certification test is a mask over the
-# rows. Rows on a symmetry plane and rows left uncertified are solved one
-# at a time by the companion-matrix path, which also serves as the oracle
+# its one-row case and residual calls it once per patch. Spheres and
+# circular cylinders reduce to center and axis geometry. Paraboloid family
+# members run Newton on the Lagrange multiplier of all rows together, from
+# the z-axis projection; each certification test is a mask over the rows.
+# Rows on a symmetry plane and rows left uncertified are solved one at a
+# time by the companion-matrix path, which also serves as the oracle
 # (solver="companion").
 
 # route to the companion path when a coordinate sits on a symmetry plane,
@@ -269,65 +259,22 @@ def closest_point_exact(patch: Patch, q, solver: str = "auto"):
 # ---------------------------------------------------------------------------
 
 
-def _taubin_terms(patch: Patch, pts: np.ndarray):
-    k3 = curvature_k3(patch)
-    f = np.abs(pts * pts @ k3 - 2.0 * pts[:, 2])
-    gx = k3[0] * pts[:, 0]
-    gy = k3[1] * pts[:, 1]
-    gz = k3[2] * pts[:, 2] - 1.0
-    gnorm = 2.0 * np.sqrt(gx * gx + gy * gy + gz * gz)
-    return k3, f, gnorm
+def residual(patch: Patch, points) -> float:
+    """RMS Euclidean distance from local-frame points to the unbounded surface.
 
-
-def residual(
-    patch: Patch,
-    points,
-    method: ResidualMethod = ResidualMethod.EXACT,
-    aggregate: str = "rmse",
-    solver: str = "auto",
-) -> float:
-    """Euclidean deviation between local-frame points and the surface.
-
-    EXACT solves every point in one call of the closest-point kernel:
-    batched Newton with its certification applied as a mask, and a
-    per-point companion-matrix fallback for the rows it leaves (see
-    closest_point_exact). The Taubin forms approximate that distance
-    without bounding it; VERTICAL is the height gap. Aggregated as RMSE by
-    default; "max" reports the single worst point instead, useful for
-    bounding bumps rather than average misfit. Points must be finite.
+    Every point is solved in one call of the closest-point kernel: batched
+    Newton with its certification applied as a mask, and a per-point
+    companion-matrix fallback for the rows it leaves (see
+    closest_point_exact). Points must be finite. Taubin's first- and
+    second-order distances (Taubin 1991) approximate this distance
+    without bounding it, so the gate does not use them.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) == 0:
         raise ValueError("residual needs at least one point")
-    if aggregate not in ("rmse", "max"):
-        raise ValueError("aggregate must be 'rmse' or 'max'")
     if not np.isfinite(pts).all():
         raise ValueError("residual needs finite points")
-    if method == ResidualMethod.EXACT:
-        d = _closest_points(patch, pts, solver)[1]
-    elif method == ResidualMethod.TAUBIN1:
-        _, f, gnorm = _taubin_terms(patch, pts)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = np.where(f == 0.0, 0.0, f / gnorm)
-    elif method == ResidualMethod.TAUBIN2:
-        k3, f, gnorm = _taubin_terms(patch, pts)
-        f2 = -float(np.linalg.norm(k3))
-        if f2 == 0.0:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                d = np.where(f == 0.0, 0.0, f / gnorm)
-        else:
-            # min positive root of F2 d^2 + F1 d + F0 = 0 with F1 = -gnorm;
-            # F2 < 0 and F0 >= 0 keep the discriminant nonnegative
-            disc = np.sqrt(gnorm * gnorm - 4.0 * f2 * f)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                d = np.where(f == 0.0, 0.0, 2.0 * f / (gnorm + disc))
-    elif method == ResidualMethod.VERTICAL:
-        zs = explicit_eval(patch, pts[:, :2], frame="local")[:, 2]
-        d = np.abs(pts[:, 2] - zs)
-    else:
-        raise ValueError(f"unknown residual method: {method}")
-    if aggregate == "max":
-        return float(np.max(d))
+    d = _closest_points(patch, pts)[1]
     return float(math.sqrt(float(np.mean(d * d))))
 
 
@@ -503,8 +450,9 @@ def intersection_area(boundary: BoundaryType, d, cell_origin, w_c: float) -> flo
     """Overlap area between one grid cell and the projected boundary.
 
     Exact for rectangles and convex quads; ellipses and circles use a
-    secant approximation of the arc inside each cell (a one-sided
-    underestimate bounded by secant_area_bound).
+    secant approximation of the arc inside each cell, a one-sided
+    underestimate of at most the circular segment at the boundary's
+    largest curvature over the cell diagonal.
     """
     d = np.asarray(d, dtype=float)
     x0, y0 = float(cell_origin[0]), float(cell_origin[1])
@@ -530,24 +478,6 @@ def intersection_area(boundary: BoundaryType, d, cell_origin, w_c: float) -> flo
     if total < 1e-12 * w_c * w_c:
         return 0.0
     return min(total, w_c * w_c)
-
-
-def secant_area_bound(d, w_c: float) -> float:
-    """Worst-case per-cell underestimate of the ellipse secant areas.
-
-    The area between a convex arc and its chord is at most the circular
-    segment at the boundary's maximum curvature over the cell diagonal.
-    """
-    d = np.asarray(d, dtype=float)
-    a, b = (d[0], d[0]) if len(d) == 1 else (d[0], d[1])
-    radius = 1.0 / max(a / (b * b), b / (a * a))
-    chord = math.sqrt(2.0) * w_c
-    if chord >= 2.0 * radius:
-        seg = 0.5 * math.pi * radius * radius
-    else:
-        th = 2.0 * math.asin(chord / (2.0 * radius))
-        seg = 0.5 * radius * radius * (th - math.sin(th))
-    return min(seg, w_c * w_c)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,18 @@
 """Shared finite-difference and Monte-Carlo oracle helpers for the tests.
 
 Every closed-form Jacobian in the package is checked against one of these
-independent references before its value is trusted anywhere else.
+independent references before its value is trusted anywhere else. The
+surface evaluators (implicit_eval, explicit_eval) and secant_area_bound
+make test points and error bounds; the pipeline itself needs neither.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from patchscape.patch import SurfaceType, curvature_k3, patch_frame
 
 
 def central_diff_jac(f, x, h=1e-6):
@@ -80,31 +86,6 @@ def mc_region_area(contains, lo, hi, n, rng):
     u = lo + (hi - lo) * rng.random((n, 2))
     frac = float(np.count_nonzero(contains(u))) / n
     return frac * float(np.prod(hi - lo))
-
-
-def mc_chain_cov(links, covs, n, rng):
-    """Monte-Carlo covariance of a composed pose chain's (r, t) vector.
-
-    Perturbs each link's stored parameters with zero-mean Gaussian noise
-    of the given 6x6 covariance, recomposes, and returns the sample
-    covariance of the composed 6-vector. First-order propagation should
-    match this within sampling error for small link noise.
-    """
-    from patchscape.pose import ChainLink, Pose6, compose_chain
-
-    chols = [np.linalg.cholesky(np.asarray(c) + 1e-15 * np.eye(6)) for c in covs]
-    samples = np.empty((n, 6))
-    for i in range(n):
-        noisy = []
-        for link, L in zip(links, chols):
-            d = L @ rng.standard_normal(6)
-            noisy.append(
-                ChainLink(Pose6(link.pose.r + d[:3], link.pose.t + d[3:]), link.phi)
-            )
-        c = compose_chain(noisy)
-        samples[i, :3] = c.r
-        samples[i, 3:] = c.t
-    return np.cov(samples, rowvar=False)
 
 
 def eigh_integral_normals(cloud, r, f=None, min_support=6):
@@ -240,3 +221,96 @@ def loop_read_body(path):
                     cov[i, b, a] = v
         cov = cov.reshape(h, w, 3, 3)
     return pts.reshape(h, w, 3), cov
+
+
+class DomainError(ValueError):
+    """Evaluation outside a sphere's or cylinder's reachable extent."""
+
+
+def implicit_eval(patch, q, frame="world"):
+    """Unified implicit form and its domain flag.
+
+    Returns (value, in_domain). value is zero on the surface. For spheres
+    and cylinders the implicit form's zero set is the whole closed quadric;
+    in_domain marks the near half reachable by the explicit form
+    (0 <= k * z_local <= 1). Accepts a single point or an (N, 3) array.
+    """
+    pts = np.asarray(q, dtype=float)
+    single = pts.ndim == 1
+    pts = np.atleast_2d(pts)
+    if frame == "world":
+        R, t = patch_frame(patch)
+        pts = (pts - t) @ R
+    elif frame != "local":
+        raise ValueError("frame must be 'world' or 'local'")
+    k3 = curvature_k3(patch)
+    val = pts * pts @ k3 - 2.0 * pts[:, 2]
+    if patch.s in (SurfaceType.SPHERE, SurfaceType.CIRCULAR_CYLINDER):
+        kz = patch.k[0] * pts[:, 2]
+        ok = (kz >= 0.0) & (kz <= 1.0)
+    else:
+        ok = np.ones(len(pts), dtype=bool)
+    if single:
+        return float(val[0]), bool(ok[0])
+    return val, ok
+
+
+def explicit_eval(patch, u, frame="world"):
+    """Surface point over local xy coordinates u.
+
+    Paraboloids and planes are global; spheres and cylinders raise
+    DomainError where |k| * extent exceeds 1. Accepts (2,) or (N, 2).
+    """
+    uu = np.asarray(u, dtype=float)
+    single = uu.ndim == 1
+    uu = np.atleast_2d(uu)
+    s = patch.s
+    if s == SurfaceType.PLANE:
+        z = np.zeros(len(uu))
+    elif s == SurfaceType.SPHERE:
+        kap = patch.k[0]
+        rho2 = np.einsum("ij,ij->i", uu, uu)
+        if kap == 0.0:
+            z = np.zeros(len(uu))
+        else:
+            root = 1.0 - kap * kap * rho2
+            if np.any(root < 0.0):
+                raise DomainError("xy point beyond the sphere's equator")
+            z = (1.0 - np.sqrt(root)) / kap
+    elif s == SurfaceType.CIRCULAR_CYLINDER:
+        kap = patch.k[0]
+        if kap == 0.0:
+            z = np.zeros(len(uu))
+        else:
+            root = 1.0 - kap * kap * uu[:, 1] ** 2
+            if np.any(root < 0.0):
+                raise DomainError("xy point beyond the cylinder's side")
+            z = (1.0 - np.sqrt(root)) / kap
+    else:
+        k3 = curvature_k3(patch)
+        z = 0.5 * (k3[0] * uu[:, 0] ** 2 + k3[1] * uu[:, 1] ** 2)
+    pts = np.column_stack([uu, z])
+    if frame == "world":
+        R, t = patch_frame(patch)
+        pts = pts @ R.T + t
+    elif frame != "local":
+        raise ValueError("frame must be 'world' or 'local'")
+    return pts[0] if single else pts
+
+
+def secant_area_bound(d, w_c):
+    """Worst-case per-cell underestimate of the ellipse secant areas.
+
+    The area between a convex arc and its chord is at most the circular
+    segment at the boundary's maximum curvature over the cell diagonal.
+    """
+    d = np.asarray(d, dtype=float)
+    a, b = (d[0], d[0]) if len(d) == 1 else (d[0], d[1])
+    radius = 1.0 / max(a / (b * b), b / (a * a))
+    chord = math.sqrt(2.0) * w_c
+    if chord >= 2.0 * radius:
+        seg = 0.5 * math.pi * radius * radius
+    else:
+        th = 2.0 * math.asin(chord / (2.0 * radius))
+        seg = 0.5 * radius * radius * (th - math.sin(th))
+    return min(seg, w_c * w_c)

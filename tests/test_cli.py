@@ -610,8 +610,12 @@ def test_map_rejects_bad_gravity(tmp_path, dome_dir, capsys, spec):
 
 @pytest.mark.parametrize(
     "spec",
-    [{"budgets": {"n_S": 1}}, {"n_ff": 50}, {"volume": {"v_size": 4}}],
-    ids=["budget_typo", "unknown_key", "volume_typo"],
+    [{"budgets": {"n_S": 1}}, {"n_ff": 50}, {"volume": {"v_size": 4}},
+     {"gamma": 1.5}, {"n_f": 8.9}, {"n_f": 12}, {"check_coverage": "false"},
+     {"check_coverage": 0}, {"d_max": -0.01}, {"d_max": float("inf")}, {"decimate": -1}],
+    ids=["budget_typo", "unknown_key", "volume_typo", "gamma_above_one", "n_f_not_integer",
+         "n_f_below_fit_minimum", "bool_as_string", "bool_as_integer", "d_max_negative",
+         "d_max_infinite", "decimate_negative"],
 )
 def test_map_rejects_malformed_config(tmp_path, dome_dir, capsys, spec):
     cfg = tmp_path / "bad.json"

@@ -15,13 +15,11 @@ from patchscape.patch import (
     Patch,
     SurfaceType,
     boundary_contains,
-    explicit_eval,
-    implicit_eval,
     patch_frame,
 )
 from patchscape.pose import Pose5, Pose6
 
-from _oracles import central_diff_jac
+from _oracles import central_diff_jac, explicit_eval, implicit_eval
 
 S, B = SurfaceType, BoundaryType
 

@@ -1,10 +1,9 @@
 """Mapping pipeline tests.
 
-Dense normals are checked against analytic plane and sphere normals, the
-chain covariance against a Monte-Carlo recomposition oracle, and the
-frame-level machinery (filters, saliency, seeding, neighborhoods, volume
-bookkeeping) against small synthetic organized clouds built directly from
-camera intrinsics. The end-to-end map_step runs on a ray-cast rocky ramp
+Dense normals are checked against analytic plane and sphere normals, and
+the frame-level machinery (decimation, saliency, seeding, neighborhoods,
+volume bookkeeping) against small synthetic organized clouds built
+directly from camera intrinsics. The end-to-end map_step runs on a ray-cast rocky ramp
 whose ground truth curvatures are known.
 """
 
@@ -29,8 +28,6 @@ from patchscape.mapping import (
     SeedGrid,
     ValidationRecord,
     VolumeState,
-    bilateral_filter,
-    expected_patch_count,
     fit_sample,
     fixation_point,
     gate_patch,
@@ -40,11 +37,9 @@ from patchscape.mapping import (
     median_decimate,
     mesh_triangles,
     neighborhood,
-    passthrough,
     remap_patches,
     saliency_filter,
     select_seeds,
-    surface_area,
     volume_update,
 )
 from patchscape.patch import (
@@ -55,16 +50,16 @@ from patchscape.patch import (
     projected_area,
     transform_patch,
 )
-from patchscape.pose import ChainLink, Pose6, chain_covariance, compose_pose, exp_map, pose_inverse, rxy_for_zdir, rxy_to_r, xform_fwd
+from patchscape.pose import ChainLink, Pose6, compose_chain, exp_map, pose_inverse, rxy_for_zdir, rxy_to_r, xform_fwd
 from patchscape.sensor import (
     KINECT_640,
     OrganizedCloud,
     StereoNoise,
-    backproject,
+    pixel_rays,
     sample_scene,
 )
 
-from _oracles import dense_saliency, eigh_integral_normals, mc_chain_cov
+from _oracles import dense_saliency, eigh_integral_normals
 
 S, B = SurfaceType, BoundaryType
 
@@ -74,14 +69,7 @@ TINY = replace(KINECT_640, fx=100.0, fy=100.0, width=80, height=60, cx=39.5, cy=
 def _depth_cloud(intr, z):
     """Organized cloud from a (H, W) depth image (NaN = no return)."""
     z = np.broadcast_to(np.asarray(z, dtype=float), (intr.height, intr.width))
-    pts = backproject(intr, None, 0.0) if False else None
-    rays = np.empty((intr.height, intr.width, 3))
-    u = (np.arange(intr.width) - intr.cx) / intr.fx
-    v = (np.arange(intr.height) - intr.cy) / intr.fy
-    rays[..., 0] = u[None, :]
-    rays[..., 1] = v[:, None]
-    rays[..., 2] = 1.0
-    return OrganizedCloud(points=rays * z[..., None], cov=None, intrinsics=intr)
+    return OrganizedCloud(points=pixel_rays(intr) * z[..., None], cov=None, intrinsics=intr)
 
 
 def _plane_cloud(z0=1.0, intr=TINY):
@@ -152,70 +140,8 @@ def rocky_cloud_noisy():
 
 
 # ---------------------------------------------------------------------------
-# Organized filters
+# Median decimation
 # ---------------------------------------------------------------------------
-
-
-def test_passthrough_bands_on_each_axis():
-    cloud = _plane_cloud(2.0)
-    for axis in ("x", 0):
-        out = passthrough(cloud, axis, -0.2, 0.2)
-        x = cloud.points[..., 0]
-        gone = out.valid_mask == False  # noqa: E712
-        assert np.array_equal(gone, (x < -0.2) | (x > 0.2))
-        assert out.points.shape == cloud.points.shape
-    kept = passthrough(cloud, "z", 1.5, 2.5)
-    assert kept.valid_mask.all()
-    empty = passthrough(cloud, "z", 0.0, 1.0)
-    assert not empty.valid_mask.any()
-
-
-def test_passthrough_rejects_bad_axis():
-    cloud = _plane_cloud()
-    with pytest.raises((ValueError, KeyError)):
-        passthrough(cloud, "w", 0.0, 1.0)
-
-
-def test_passthrough_keeps_cov_rows_aligned():
-    cloud = _plane_cloud()
-    cov = np.tile(np.eye(3) * 1e-6, (TINY.height, TINY.width, 1, 1))
-    cloud = OrganizedCloud(points=cloud.points, cov=cov, intrinsics=TINY)
-    out = passthrough(cloud, "x", -0.1, 0.1)
-    dropped = ~out.valid_mask
-    assert np.isnan(out.cov[dropped]).all()
-    assert np.isfinite(out.cov[out.valid_mask]).all()
-
-
-def test_bilateral_identity_on_constant_depth():
-    cloud = _plane_cloud(1.5)
-    out = bilateral_filter(cloud, radius=3)
-    assert np.allclose(out.points, cloud.points, atol=1e-9)
-
-
-def test_bilateral_smooths_within_a_surface():
-    rng = np.random.default_rng(5)
-    z = 1.0 + 0.004 * rng.standard_normal((TINY.height, TINY.width))
-    cloud = _depth_cloud(TINY, z)
-    out = bilateral_filter(cloud, radius=2)
-    assert np.nanstd(out.points[..., 2]) < 0.5 * np.nanstd(z)
-
-
-def test_bilateral_does_not_bleed_across_jumps():
-    z = np.full((TINY.height, TINY.width), 1.0)
-    z[:, 40:] = 1.6
-    cloud = _depth_cloud(TINY, z)
-    out = bilateral_filter(cloud, radius=3, sigma_r=0.05)
-    assert np.allclose(out.points[:, :40, 2], 1.0, atol=1e-6)
-    assert np.allclose(out.points[:, 40:, 2], 1.6, atol=1e-6)
-
-
-def test_bilateral_preserves_nan_holes():
-    z = np.full((TINY.height, TINY.width), 1.0)
-    z[10:14, 20:25] = np.nan
-    cloud = _depth_cloud(TINY, z)
-    out = bilateral_filter(cloud)
-    assert np.isnan(out.points[10:14, 20:25, 2]).all()
-    assert out.valid_mask.sum() == np.isfinite(z).sum()
 
 
 def test_median_decimate_picks_lower_median_member():
@@ -308,7 +234,7 @@ def test_integral_normals_rejects_bad_inputs():
     with pytest.raises(ValueError):
         integral_normals(cloud, 0.0)
     with pytest.raises(ValueError):
-        integral_normals(cloud, 0.1, f=-1.0)
+        integral_normals(replace(cloud, intrinsics=replace(TINY, fx=-1.0)), 0.1)
 
 
 def _sym_psd(rng, lam):
@@ -480,7 +406,7 @@ def test_saliency_normal_disagreement_cuts_creases():
 def _holey(cloud):
     """cloud at 1/8 resolution with 85% of its pixels knocked out.
 
-    Fine windows there hold as few as one or two points, so min_support
+    Fine windows there hold as few as one or two points, so _MIN_SUPPORT
     leaves some N_s unsolved where N exists.
     """
     small = median_decimate(cloud, 8)
@@ -531,9 +457,9 @@ def test_saliency_cascade_solves_each_scale_only_where_needed(
     sizes = []
     window_normals = mapping._window_normals
 
-    def spy(s, min_support):
+    def spy(s):
         sizes.append(s.shape[1])
-        return window_normals(s, min_support)
+        return window_normals(s)
 
     monkeypatch.setattr(mapping, "_window_normals", spy)
     saliency_filter(cloud, g, cfg)
@@ -609,12 +535,14 @@ def test_select_seeds_respects_resident_occupancy():
 def test_select_seeds_n_g_override_allows_more():
     cloud = _plane_cloud(1.0)
     state = init_volume()
-    many = select_seeds(cloud, cloud.valid_mask, state, n_g=3, rng_seed=1)
+    one = select_seeds(cloud, cloud.valid_mask, state, rng_seed=1)
+    state.grid.n_g = 3
+    many = select_seeds(cloud, cloud.valid_mask, state, rng_seed=1)
     per_cell = {}
     for s in many:
         per_cell[s.cell] = per_cell.get(s.cell, 0) + 1
     assert max(per_cell.values()) <= 3
-    assert len(many) > len(select_seeds(cloud, cloud.valid_mask, state, rng_seed=1))
+    assert len(many) > len(one)
 
 
 def _loop_select_seeds(cloud, salient, volume, n_g, rng_seed):
@@ -653,8 +581,8 @@ def test_select_seeds_matches_loop_grouping(rocky_cloud_noisy):
     assert len({s.cell for s in first}) > 4
     state.patches.append(_dummy_mappatch(first[0].cell))
     for n_g in (1, 3):
-        seeds = select_seeds(cloud, cloud.valid_mask, state, n_g=n_g, rng_seed=7)
         state.grid.n_g = n_g
+        seeds = select_seeds(cloud, cloud.valid_mask, state, rng_seed=7)
         ref = _loop_select_seeds(cloud, cloud.valid_mask, state, n_g, 7)
         assert [(s.pixel, s.cell) for s in seeds] == ref
 
@@ -779,7 +707,7 @@ def test_neighborhood_index_validation():
 
 
 # ---------------------------------------------------------------------------
-# Mesh area and the patch-count termination estimate
+# Triangle mesh
 # ---------------------------------------------------------------------------
 
 
@@ -796,23 +724,6 @@ def test_mesh_triangles_prunes_jump_edges():
     p = _depth_cloud(TINY, z).points.reshape(-1, 3)[:, 2]
     spans = np.ptp(p[tri], axis=1)
     assert spans.max() < 1e-9  # no triangle mixes both depth levels
-
-
-def test_surface_area_of_fronto_plane():
-    cloud = _plane_cloud(2.0)
-    area = surface_area(cloud)
-    expect = (TINY.width - 1) * (TINY.height - 1) * (2.0 / TINY.fx) * (2.0 / TINY.fy)
-    assert area == pytest.approx(expect, rel=1e-9)
-
-
-def test_expected_patch_count_unit_case():
-    r = 0.17
-    assert expected_patch_count(math.pi * r * r, r, 1.0) == pytest.approx(1.0)
-    assert expected_patch_count(2.0, 0.1, 0.3) == pytest.approx(0.6 / (math.pi * 0.01))
-    with pytest.raises(ValueError):
-        expected_patch_count(0.0, 0.1, 1.0)
-    with pytest.raises(ValueError):
-        expected_patch_count(1.0, 0.1, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -894,14 +805,16 @@ def test_remap_preserves_world_poses():
     )
     rec = ValidationRecord(0.001, 3, True, True, True)
     state.patches.append(MapPatch(0, patch, (4, 1), (5, 5), patch.pose.t.copy(), 0, rec))
-    world_before = compose_pose(state.pose_world, patch.pose)
+    world_before = compose_chain([ChainLink(patch.pose, 1), ChainLink(state.pose_world, 1)])
 
     cam = Pose6(np.array([0.0, 0.06, 0.0]), np.array([0.35, 0.0, 0.1]))
     state, T = volume_update(state, cam)
     assert T is not None
     state = remap_patches(state, T)
     assert len(state.patches) == 1
-    world_after = compose_pose(state.pose_world, state.patches[0].patch.pose)
+    world_after = compose_chain(
+        [ChainLink(state.patches[0].patch.pose, 1), ChainLink(state.pose_world, 1)]
+    )
     assert np.allclose(world_after.r, world_before.r, atol=1e-9)
     assert np.allclose(world_after.t, world_before.t, atol=1e-9)
 
@@ -912,17 +825,6 @@ def test_remap_culls_patches_leaving_the_cube():
     push_out = Pose6(np.zeros(3), np.array([10.0, 0.0, 0.0]))
     state = remap_patches(state, push_out)
     assert state.patches == []
-
-
-def test_remap_behind_camera_cull_is_optional():
-    state = init_volume()
-    state.c_t = Pose6(np.zeros(3), np.array([2.0, 2.0, 2.0]))
-    state.patches.append(_dummy_mappatch((1, 1)))  # origin (2, 2, 0.6): 1.4 m behind
-    ident = Pose6(np.zeros(3), np.zeros(3))
-    kept = remap_patches(state, ident, d_cp=None)
-    assert len(kept.patches) == 1
-    gone = remap_patches(state, ident, d_cp=0.5)
-    assert gone.patches == []
 
 
 def test_remap_cull_excess_keeps_oldest():
@@ -1173,65 +1075,3 @@ def test_map_step_validation_regates_at_the_seed_pixel(rocky_cloud_off_ray):
         assert again.residual == pytest.approx(mp.validation.residual, rel=1e-9)
         assert again.bad_cells == mp.validation.bad_cells
         assert again.passed
-
-
-# ---------------------------------------------------------------------------
-# Pose chain covariance
-# ---------------------------------------------------------------------------
-
-
-def test_chain_covariance_identity_link_passes_through():
-    link = ChainLink(Pose6(np.zeros(3), np.zeros(3)), 1)
-    sig = np.diag([1e-4, 2e-4, 3e-4, 4e-4, 5e-4, 6e-4])
-    out = chain_covariance([link], [sig])
-    assert np.allclose(out, sig, atol=1e-12)
-
-
-def test_chain_covariance_zero_input_gives_zero():
-    links = [
-        ChainLink(Pose6(np.array([0.2, -0.1, 0.3]), np.array([1.0, 0.0, 0.5])), 1),
-        ChainLink(Pose6(np.array([0.1, 0.4, -0.2]), np.array([0.0, 2.0, 0.0])), -1),
-    ]
-    out = chain_covariance(links, [np.zeros((6, 6)), np.zeros((6, 6))])
-    assert np.allclose(out, 0.0)
-
-
-def test_chain_covariance_matches_monte_carlo():
-    rng = np.random.default_rng(7)
-    links = [
-        ChainLink(Pose6(np.array([0.3, -0.2, 0.5]), np.array([1.0, 0.2, -0.4])), 1),
-        ChainLink(Pose6(np.array([-0.1, 0.4, 0.2]), np.array([0.5, -1.0, 0.3])), -1),
-    ]
-    covs = [
-        np.diag([2e-4, 1e-4, 3e-4, 4e-4, 2e-4, 1e-4]),
-        np.diag([1e-4, 2e-4, 1e-4, 2e-4, 3e-4, 2e-4]),
-    ]
-    ana = chain_covariance(links, covs)
-    mc = mc_chain_cov(links, covs, 20000, rng)
-    assert np.abs(ana - mc).max() / np.abs(mc).max() < 0.1
-
-
-def test_chain_covariance_five_dof_projection():
-    links = [ChainLink(Pose6(np.array([0.2, 0.1, -0.3]), np.array([0.4, 0.0, 1.0])), 1)]
-    covs = [np.eye(6) * 1e-4]
-    full = chain_covariance(links, covs)
-    five = chain_covariance(links, covs, five_dof=True)
-    assert five.shape == (5, 5)
-    evals = np.linalg.eigvalsh(five)
-    assert (evals > -1e-15).all()
-    # translation block is untouched by the rotation reduction
-    assert np.allclose(five[2:, 2:], full[3:, 3:], atol=1e-12)
-
-
-def test_chain_covariance_input_validation():
-    link = ChainLink(Pose6(np.zeros(3), np.zeros(3)), 1)
-    with pytest.raises(ValueError):
-        chain_covariance([], [])
-    with pytest.raises(ValueError):
-        chain_covariance([link], [])
-    with pytest.raises(ValueError):
-        chain_covariance([link], [np.eye(5)])
-    bad = np.eye(6)
-    bad[0, 1] = 0.5
-    with pytest.raises(ValueError):
-        chain_covariance([link], [bad])

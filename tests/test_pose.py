@@ -174,46 +174,6 @@ def test_round_trip_property(r):
 
 
 # ---------------------------------------------------------------------------
-# reparameterize
-# ---------------------------------------------------------------------------
-
-
-def test_reparameterize_wraps_large_angles():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        r = axis * rng.uniform(0.0, 8.0 * math.pi)
-        rc = pose.reparameterize(r)
-        assert np.linalg.norm(rc) <= math.pi + 1e-12
-        np.testing.assert_allclose(pose.exp_map(rc), pose.exp_map(r), atol=1e-9)
-
-
-def test_reparameterize_idempotent():
-    rng = np.random.default_rng(4)
-    for _ in range(100):
-        r = pose.reparameterize(random_rotvec(rng, lo=0.0, hi=6.0))
-        np.testing.assert_allclose(pose.reparameterize(r), r, atol=1e-15)
-
-
-def test_reparameterize_full_turn_is_zero():
-    axis = np.array([0.0, 1.0, 0.0])
-    np.testing.assert_array_equal(pose.reparameterize(axis * 2.0 * math.pi), np.zeros(3))
-    np.testing.assert_array_equal(pose.reparameterize(axis * 4.0 * math.pi), np.zeros(3))
-
-
-def test_reparameterize_zero_is_zero():
-    np.testing.assert_array_equal(pose.reparameterize(np.zeros(3)), np.zeros(3))
-
-
-def test_reparameterize_pi_sign_convention():
-    r = np.array([0.0, -math.pi, 0.0])
-    rc = pose.reparameterize(r)
-    np.testing.assert_allclose(rc, np.array([0.0, math.pi, 0.0]), atol=1e-12)
-    np.testing.assert_allclose(pose.exp_map(rc), pose.exp_map(r), atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # Jacobians vs finite differences
 # ---------------------------------------------------------------------------
 
@@ -315,7 +275,7 @@ def test_xform_round_trip():
         r = random_rotvec(rng)
         t = rng.normal(size=3)
         q = rng.normal(size=(10, 3))
-        back = pose.xform_rev(pose.xform_fwd(q, r, t), r, t)
+        back = (pose.xform_fwd(q, r, t) - t) @ pose.exp_map(r)
         np.testing.assert_allclose(back, q, atol=1e-12)
 
 
@@ -346,7 +306,7 @@ def _apply_links(q, links):
         if link.phi == 1:
             p = pose.xform_fwd(p, link.pose.r, link.pose.t)
         else:
-            p = pose.xform_rev(p, link.pose.r, link.pose.t)
+            p = (p - link.pose.t) @ pose.exp_map(link.pose.r)
     return p
 
 
@@ -386,43 +346,6 @@ def test_compose_chain_empty_is_identity():
     c = pose.compose_chain([])
     np.testing.assert_array_equal(c.r, np.zeros(3))
     np.testing.assert_array_equal(c.t, np.zeros(3))
-
-
-def _chain_params(links):
-    # Parameter vector in the Jacobian's column layout [r_n t_n ... r_1 t_1].
-    return np.concatenate(
-        [np.concatenate([lk.pose.r, lk.pose.t]) for lk in reversed(links)]
-    )
-
-
-def _chain_from_params(x, phis):
-    n = len(phis)
-    links = []
-    for jdx in range(n):
-        blk = x[6 * (n - 1 - jdx) : 6 * (n - jdx)]
-        links.append(pose.ChainLink(pose.Pose6(blk[:3], blk[3:]), phis[jdx]))
-    return links
-
-
-def test_jac_chain_matches_fd():
-    rng = np.random.default_rng(44)
-    for n in (1, 2, 3):
-        for _ in range(15):
-            links = _random_chain(rng, n)
-            composed = pose.compose_chain(links)
-            ang = np.linalg.norm(composed.r)
-            if ang < 1e-2 or ang > math.pi - 1e-2:
-                continue  # keep the composed log away from its folds
-            phis = [lk.phi for lk in links]
-            x0 = _chain_params(links)
-
-            def f(x):
-                c = pose.compose_chain(_chain_from_params(x, phis))
-                return np.concatenate([c.r, c.t])
-
-            J = pose.jac_chain(links)
-            fd = central_diff_jac(f, x0)
-            assert rel_err(J, fd) < 1e-5
 
 
 def test_chain_link_rejects_bad_phi():

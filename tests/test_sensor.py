@@ -1,4 +1,4 @@
-"""Sensor tests: pixel geometry, ray casting, noise statistics, alignment."""
+"""Sensor tests: pixel geometry, ray casting and noise statistics."""
 
 import math
 from dataclasses import replace
@@ -6,8 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from patchscape import pose as ps
-from patchscape.patch import BoundaryType, Patch, SurfaceType, implicit_eval
+from patchscape.patch import BoundaryType, Patch, SurfaceType
 from patchscape.pose import Pose5, Pose6
 from patchscape.sensor import (
     KINECT_640,
@@ -16,16 +15,14 @@ from patchscape.sensor import (
     QuadraticNoise,
     ScenePlane,
     StereoNoise,
-    backproject,
-    depth_from_disparity,
-    disparity_from_depth,
     intrinsics_preset,
     pixel_rays,
     point_covariance,
-    procrustes_align,
     project,
     sample_scene,
 )
+
+from _oracles import implicit_eval
 
 S, B = SurfaceType, BoundaryType
 
@@ -53,7 +50,7 @@ def test_project_backproject_round_trip():
     rng = np.random.default_rng(0)
     pix = rng.uniform([0, 0], [639, 479], size=(50, 2))
     z = rng.uniform(0.5, 5.0, size=50)
-    pts = backproject(KINECT_640, pix, z)
+    pts = pixel_rays(KINECT_640, pix) * z[:, None]
     assert np.allclose(pts[:, 2], z)
     again = project(KINECT_640, pts)
     assert np.allclose(again, pix, atol=1e-9)
@@ -63,8 +60,7 @@ def test_ray_is_pixel_times_depth():
     m = pixel_rays(KINECT_640, (100.0, 200.0))
     assert m.shape == (1, 3) and m[0, 2] == 1.0
     assert np.isclose(m[0, 0], (100.0 - 319.5) / 525.0)
-    p = backproject(KINECT_640, (100.0, 200.0), 2.5)
-    assert np.allclose(p, m[0] * 2.5)
+    assert np.allclose(project(KINECT_640, m[0] * 2.5), (100.0, 200.0))
 
 
 def test_ray_grid_matches_per_pixel():
@@ -72,13 +68,6 @@ def test_ray_grid_matches_per_pixel():
     assert grid.shape == (48, 64, 3)
     one = pixel_rays(TINY, (5.0, 7.0))[0]
     assert np.allclose(grid[7, 5], one)
-
-
-def test_disparity_depth_round_trip():
-    z = np.array([0.7, 1.8, 4.0])
-    d = disparity_from_depth(KINECT_640, z)
-    assert np.allclose(depth_from_disparity(KINECT_640, d), z)
-    assert np.isclose(d[1], 525.0 * 0.075 / 1.8)
 
 
 # ---------------------------------------------------------------------------
@@ -266,41 +255,3 @@ def test_stereo_noise_depth_scaling():
     c_near = point_covariance(StereoNoise(), KINECT_640, (319.5, 239.5), 1.0)
     c_far = point_covariance(StereoNoise(), KINECT_640, (319.5, 239.5), 2.0)
     assert np.isclose(c_far[2, 2] / c_near[2, 2], 16.0)
-
-
-# ---------------------------------------------------------------------------
-# Gravity alignment
-# ---------------------------------------------------------------------------
-
-
-def test_procrustes_recovers_rotation():
-    rng = np.random.default_rng(11)
-    r = rng.uniform(-1, 1, size=3)
-    R_true = ps.exp_map(r)
-    g_ref = rng.standard_normal((8, 3))
-    g_ref /= np.linalg.norm(g_ref, axis=1, keepdims=True)
-    g_cam = g_ref @ R_true.T
-    R = procrustes_align(g_cam, g_ref)
-    assert np.allclose(R, R_true, atol=1e-12)
-    assert np.isclose(np.linalg.det(R), 1.0)
-
-
-def test_procrustes_noisy_two_pairs():
-    rng = np.random.default_rng(3)
-    R_true = ps.exp_map((0.4, -0.2, 0.9))
-    g_ref = np.array([[0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
-    g_cam = g_ref @ R_true.T + 1e-4 * rng.standard_normal((2, 3))
-    R = procrustes_align(g_cam, g_ref)
-    assert np.linalg.norm(R - R_true) < 1e-3
-    assert np.isclose(np.linalg.det(R), 1.0)
-
-
-def test_procrustes_rejects_collinear():
-    g = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, -1.0], [0.0, 0.0, -0.999]])
-    with pytest.raises(ValueError):
-        procrustes_align(g, g)
-
-
-def test_procrustes_rejects_single_pair():
-    with pytest.raises(ValueError):
-        procrustes_align([[0.0, 0.0, 1.0]], [[0.0, 1.0, 0.0]])

@@ -18,14 +18,12 @@ from patchscape.patch import (
     SurfaceType,
     boundary_contains,
     curvature_k3,
-    explicit_eval,
     quad_vertices,
 )
 from patchscape.pose import Pose5, Pose6
 from patchscape.validate import (
     CoverageConfig,
     CurvatureGate,
-    ResidualMethod,
     _closest_points,
     closest_point_exact,
     coverage_eval,
@@ -33,10 +31,9 @@ from patchscape.validate import (
     intersection_area,
     principal_curvatures,
     residual,
-    secant_area_bound,
 )
 
-from _oracles import brute_closest_paraboloid, mc_region_area
+from _oracles import brute_closest_paraboloid, explicit_eval, mc_region_area, secant_area_bound
 
 S, B = SurfaceType, BoundaryType
 _ID5 = Pose5((0.0, 0.0), (0.0, 0.0, 0.0))
@@ -216,12 +213,12 @@ def test_residual_batch_equals_points_one_at_a_time():
     for patch in patches:
         pts = _mixed_batch(patch, rng)
         d = np.array([closest_point_exact(patch, q)[1] for q in pts])
-        assert residual(patch, pts, aggregate="max") == float(np.max(d))
+        assert np.array_equal(_closest_points(patch, pts)[1], d)
         assert residual(patch, pts) == math.sqrt(float(np.mean(d * d)))
 
 
 # ---------------------------------------------------------------------------
-# Residual methods
+# Residual
 # ---------------------------------------------------------------------------
 
 
@@ -236,18 +233,16 @@ def _offset_along_normals(patch, u, delta):
     return pts + delta * g
 
 
-def test_residual_zero_on_surface_every_method():
+def test_residual_zero_on_surface():
     rng = np.random.default_rng(4)
     patch = _parab(3.0, 1.0)
     pts = explicit_eval(patch, rng.uniform(-0.2, 0.2, (40, 2)), frame="local")
-    for m in ResidualMethod:
-        assert residual(patch, pts, method=m) < 1e-8
+    assert residual(patch, pts) < 1e-8
 
 
 def test_residual_plane_single_point_height():
     h = 0.37
-    for m in ResidualMethod:
-        assert residual(_PLANE_CIRCLE, [(0.02, -0.01, h)], method=m) == pytest.approx(h)
+    assert residual(_PLANE_CIRCLE, [(0.02, -0.01, h)]) == pytest.approx(h)
 
 
 def test_residual_normal_offset_accuracy():
@@ -257,35 +252,8 @@ def test_residual_normal_offset_accuracy():
     for kx, ky in [(20.0, 5.0), (-20.0, 10.0), (12.0, -12.0)]:
         patch = _parab(kx, ky)
         pts = _offset_along_normals(patch, rng.uniform(-0.1, 0.1, (60, 2)), 0.005)
-        rho = residual(patch, pts, method=ResidualMethod.EXACT)
+        rho = residual(patch, pts)
         assert abs(rho - 0.005) < 0.005 * 0.01
-
-
-def test_residual_taubin_accuracy_and_vertical_gap():
-    # perturbation benchmark: both Taubin forms track exact within 10%
-    # while the vertical distance is materially worse. The second-order
-    # root never exceeds the first-order estimate (it is a one-sided
-    # underestimate by construction), which is checked per point.
-    rng = np.random.default_rng(6)
-    patch = _parab(1.0, 2.0)
-    u = rng.uniform(-0.4, 0.4, (100, 2))
-    deltas = rng.uniform(-0.001, 0.001, (100, 1))
-    pts = explicit_eval(patch, u, frame="local")
-    k = curvature_k3(patch)
-    g = np.column_stack([k[0] * pts[:, 0], k[1] * pts[:, 1], -np.ones(len(pts))])
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    pts = pts + deltas * g
-    exact = residual(patch, pts, method=ResidualMethod.EXACT)
-    t1 = residual(patch, pts, method=ResidualMethod.TAUBIN1)
-    t2 = residual(patch, pts, method=ResidualMethod.TAUBIN2)
-    vert = residual(patch, pts, method=ResidualMethod.VERTICAL)
-    assert abs(t1 - exact) < 0.1 * exact
-    assert abs(t2 - exact) < 0.1 * exact
-    assert abs(vert - exact) > 2.0 * abs(t1 - exact)
-    for q in pts[:20]:
-        d1 = residual(patch, [q], method=ResidualMethod.TAUBIN1)
-        d2 = residual(patch, [q], method=ResidualMethod.TAUBIN2)
-        assert d2 <= d1 + 1e-15
 
 
 def test_residual_sphere_radial_offsets_exact():
@@ -295,26 +263,21 @@ def test_residual_sphere_radial_offsets_exact():
     pts = explicit_eval(sph, u, frame="local")
     c = np.array([0.0, 0.0, 1.0 / 3.0])
     radial = (pts - c) / np.linalg.norm(pts - c, axis=1, keepdims=True)
-    rho = residual(sph, pts + 0.004 * radial, method=ResidualMethod.EXACT)
+    rho = residual(sph, pts + 0.004 * radial)
     assert rho == pytest.approx(0.004, abs=1e-10)
 
 
-def test_residual_max_aggregate_and_empty_rejection():
-    patch = _parab(1.0, 1.0)
-    pts = np.array([[0.0, 0.0, -0.001], [0.0, 0.0, -0.003]])
-    rho = residual(patch, pts, aggregate="max")
-    assert rho == pytest.approx(0.003, abs=1e-9)
+def test_residual_rejects_empty_points():
     with pytest.raises(ValueError):
-        residual(patch, np.zeros((0, 3)))
+        residual(_parab(1.0, 1.0), np.zeros((0, 3)))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("method", list(ResidualMethod))
-def test_residual_rejects_non_finite_points(method, bad):
+def test_residual_rejects_non_finite_points(bad):
     pts = np.array([[0.01, 0.02, 0.0], [0.03, -0.01, 0.0]])
     pts[1, 2] = bad
     with pytest.raises(ValueError, match="residual needs finite points"):
-        residual(_parab(3.0, 1.5), pts, method=method)
+        residual(_parab(3.0, 1.5), pts)
 
 
 # ---------------------------------------------------------------------------
