@@ -37,11 +37,14 @@ __all__ = [
     "SurfaceType",
     "BoundaryType",
     "Patch",
+    "MatchThresholds",
     "boundary_contains",
     "projected_area",
     "polygon_area",
     "quad_vertices",
+    "flip_toward_viewpoint",
     "transform_patch",
+    "match_patches",
     "patch_frame",
     "patch_rotvec",
     "patch_dof",
@@ -238,8 +241,57 @@ def polygon_area(poly: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Rigid transform
+# Flip and rigid transform
 # ---------------------------------------------------------------------------
+
+_RX_PI = np.diag([1.0, -1.0, -1.0])
+
+
+def flip_toward_viewpoint(patch: Patch, viewpoint) -> Patch:
+    """Make the local z axis face the viewpoint.
+
+    If zhat_l . (v - t) is already positive the patch returns unchanged.
+    Otherwise the frame rotates pi about its local x axis and curvatures
+    negate, which leaves the surface point set untouched. A viewpoint
+    exactly in the tangent plane is degenerate and leaves the patch as is.
+    Covariance, when present, is carried through the exact Jacobian of the
+    parameter change.
+    """
+    v = np.asarray(viewpoint, dtype=float).reshape(3)
+    R, t = patch_frame(patch)
+    facing = float(R[:, 2] @ (v - t))
+    if facing >= 0.0:
+        return patch
+    return _flip(patch, R)[0]
+
+
+def _flip(patch: Patch, R: np.ndarray) -> Tuple[Patch, np.ndarray]:
+    new_d = patch.d.copy()
+    J_d = np.eye(patch.d.size)
+    if patch.b == BoundaryType.CQUAD:
+        # pi about x mirrors the quad across the x axis; relabel the
+        # vertices to keep them CCW: (d1 d2 d3 d4) -> (d4 d3 d2 d1).
+        J_d = block_diag(np.eye(4)[::-1], 1.0)
+        new_d = J_d @ patch.d
+
+    if isinstance(patch.pose, Pose5):
+        rxy_new = _pose.rxy_for_zdir(-R[:, 2])
+        # d rxy'/d rxy through the z-direction map, via the pseudo-inverse
+        # of the (well-conditioned away from the pi fold) lift derivative.
+        dz_old = _pose.jac_zaxis(patch.pose.rxy)
+        J_r = np.linalg.pinv(_pose.jac_zaxis(rxy_new)) @ (-dz_old)
+        new_pose = Pose5(rxy_new, patch.pose.t)
+    else:
+        dR_old = _pose.jac_exp(patch.pose.r)
+        r_new, J_r = _pose.jac_log_of(R @ _RX_PI, dR_old @ _RX_PI)
+        new_pose = Pose6(r_new, patch.pose.t)
+    J = block_diag(-np.eye(patch.k.size), J_d, J_r, np.eye(3))
+
+    sigma = None
+    if patch.sigma is not None:
+        sigma = J @ patch.sigma @ J.T
+    return replace(patch, k=-patch.k, d=new_d, pose=new_pose, sigma=sigma), J
+
 
 def transform_patch(patch: Patch, T: Pose6):
     """Apply a deterministic rigid transform T to the patch pose.
@@ -263,3 +315,52 @@ def transform_patch(patch: Patch, T: Pose6):
     J = block_diag(np.eye(patch.k.size + patch.d.size), J_r, R_T)
     sigma = J @ patch.sigma @ J.T if patch.sigma is not None else None
     return replace(patch, pose=new_pose, sigma=sigma), J
+
+
+# ---------------------------------------------------------------------------
+# Matching
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MatchThresholds:
+    d_s: float = 0.015  # m, per boundary-extent component
+    k_s: float = 5.0  # 1/m, per curvature component
+    a_s: float = math.radians(20.0)  # rad, axis angle
+    r_s: float = 0.01  # m, center distance
+
+
+def _angle_between(a, b) -> float:
+    c = float(np.clip(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)), -1.0, 1.0))
+    return math.acos(c)
+
+
+def match_patches(a: Patch, b: Patch, thresholds: MatchThresholds = MatchThresholds()) -> bool:
+    """Decide whether two patches describe the same physical surface piece.
+
+    Checks type equality, componentwise extent and curvature gaps, the
+    angle between local z axes, and center distance. Types that are not
+    symmetric about z additionally require the local y axes to agree
+    directly or after a pi turn about z (the models are invariant to that
+    turn).
+    """
+    if a.s != b.s or a.b != b.b:
+        return False
+    if np.any(np.abs(a.d - b.d) >= thresholds.d_s):
+        return False
+    if a.k.size and np.any(np.abs(a.k - b.k) >= thresholds.k_s):
+        return False
+    Ra, ta = patch_frame(a)
+    Rb, tb = patch_frame(b)
+    if _angle_between(Ra[:, 2], Rb[:, 2]) >= thresholds.a_s:
+        return False
+    if float(np.linalg.norm(ta - tb)) >= thresholds.r_s:
+        return False
+    if not a.revolute:
+        ya, yb = Ra[:, 1], Rb[:, 1]
+        if (
+            _angle_between(ya, yb) >= thresholds.a_s
+            and _angle_between(ya, -yb) >= thresholds.a_s
+        ):
+            return False
+    return True

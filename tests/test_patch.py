@@ -1,4 +1,4 @@
-"""Patch model tests: forms, boundaries and rigid transforms."""
+"""Patch model tests: forms, boundaries, flips, transforms, matching."""
 
 import math
 
@@ -10,10 +10,14 @@ from hypothesis import strategies as st
 from patchscape import pose as ps
 from patchscape.patch import (
     BoundaryType,
+    MatchThresholds,
     Patch,
     SurfaceType,
+    _flip,
     boundary_contains,
     curvature_k3,
+    flip_toward_viewpoint,
+    match_patches,
     patch_dof,
     patch_frame,
     projected_area,
@@ -258,7 +262,7 @@ def test_projected_area_values():
 
 
 # ---------------------------------------------------------------------------
-# Rigid transform
+# Flip
 # ---------------------------------------------------------------------------
 
 
@@ -269,6 +273,43 @@ def _sample_world_points(patch, n=30, seed=5):
     u = u[boundary_contains(patch, u)][:n]
     assert len(u) == n
     return explicit_eval(patch, u)
+
+
+def test_flip_noop_when_facing():
+    patch = _mk(S.SPHERE, B.CIRCLE, [4.0], [0.2], r=(0, 0, 0), t=(0, 0, 1))
+    R, t = patch_frame(patch)
+    viewpoint = t + 2.0 * R[:, 2]
+    assert flip_toward_viewpoint(patch, viewpoint) is patch
+
+
+def test_flip_degenerate_viewpoint_in_tangent_plane():
+    patch = _mk(S.PLANE, B.AARECT, [], [0.3, 0.2], r=(0, 0, 0), t=(0, 0, 1))
+    R, t = patch_frame(patch)
+    viewpoint = t + 0.7 * R[:, 0]  # exactly in the tangent plane
+    assert flip_toward_viewpoint(patch, viewpoint) is patch
+
+
+@pytest.mark.parametrize("s,b,k,d", ALL_TYPES)
+def test_flip_preserves_surface_and_faces_viewpoint(s, b, k, d):
+    patch = _mk(s, b, k, d, r=(0.4, -0.3, 0.2), t=(0.1, 0.2, 1.5))
+    R, t = patch_frame(patch)
+    viewpoint = t - 1.5 * R[:, 2]  # behind the patch
+    flipped = flip_toward_viewpoint(patch, viewpoint)
+    assert flipped is not patch
+    Rf, tf = patch_frame(flipped)
+    assert float(Rf[:, 2] @ (viewpoint - tf)) > 0.0
+    assert np.allclose(tf, t)
+    pts = _sample_world_points(patch)
+    val, ok = implicit_eval(flipped, pts)
+    assert np.max(np.abs(val)) < 1e-9
+    assert np.all(ok)
+    # same world points stay inside the flipped boundary
+    local = (pts - tf) @ Rf
+    assert np.all(boundary_contains(flipped, local[:, :2]))
+    # and the flip is an involution on the surface geometry
+    back = flip_toward_viewpoint(flipped, t + 1.5 * R[:, 2])
+    val2, _ = implicit_eval(back, pts)
+    assert np.max(np.abs(val2)) < 1e-9
 
 
 def _pack(patch):
@@ -283,6 +324,46 @@ def _unpack(template, x):
     r, t = x[nk + nd : nk + nd + nr], x[nk + nd + nr :]
     pose = Pose5(r, t) if template.revolute else Pose6(r, t)
     return Patch(template.s, template.b, k, dd, pose)
+
+
+@pytest.mark.parametrize(
+    "s,b,k,d,r",
+    [
+        (S.ELLIPTIC_PARABOLOID, B.ELLIPSE, [3.0, 7.0], [0.3, 0.2], (2.2, 0.8, -0.4)),
+        (S.PLANE, B.CQUAD, [], [0.3, 0.3, 0.3, 0.3, 0.6], (2.0, -1.1, 0.5)),
+        (S.CIRCULAR_CYLINDER, B.AARECT, [4.0], [0.3, 0.2], (1.8, 1.2, 0.3)),
+        (S.SPHERE, B.CIRCLE, [4.0], [0.2], (0.9, 0.7, 0.0)),
+        (S.PLANE, B.CIRCLE, [], [0.25], (-0.8, 1.1, 0.0)),
+    ],
+)
+def test_flip_jacobian_matches_finite_differences(s, b, k, d, r):
+    patch = _mk(s, b, k, d, r=r, t=(0.3, -0.2, 1.1))
+    R, _ = patch_frame(patch)
+    _, J = _flip(patch, R)
+
+    def f(x):
+        p = _unpack(patch, x)
+        Rp, _ = patch_frame(p)
+        return _pack(_flip(p, Rp)[0])
+
+    J_fd = central_diff_jac(f, _pack(patch))
+    assert np.max(np.abs(J - J_fd)) < 1e-5
+
+
+def test_flip_transforms_sigma():
+    p0 = _mk(S.SPHERE, B.CIRCLE, [4.0], [0.2], r=(0.9, 0.7, 0.0))
+    sigma = np.diag([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
+    patch = Patch(p0.s, p0.b, p0.k, p0.d, p0.pose, sigma)
+    R, _ = patch_frame(patch)
+    flipped, J = _flip(patch, R)
+    assert np.allclose(flipped.sigma, J @ sigma @ J.T)
+    w = np.linalg.eigvalsh(flipped.sigma)
+    assert np.all(w > 0.0)  # stays positive definite
+
+
+# ---------------------------------------------------------------------------
+# Rigid transform
+# ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -333,6 +414,97 @@ def test_transform_carries_sigma():
     T = Pose6((0.3, 0.2, -0.1), (0.5, 0.1, -0.2))
     moved, J = transform_patch(patch, T)
     assert np.allclose(moved.sigma, J @ sigma @ J.T)
+
+
+# ---------------------------------------------------------------------------
+# Matching
+# ---------------------------------------------------------------------------
+
+
+def _base_pair():
+    a = _mk(S.CYLINDRIC_PARABOLOID, B.AARECT, [4.0], [0.3, 0.2],
+            r=(0.1, 0.2, 0.3), t=(0.5, -0.4, 1.2))
+    return a, _mk(S.CYLINDRIC_PARABOLOID, B.AARECT, [4.0], [0.3, 0.2],
+                  r=(0.1, 0.2, 0.3), t=(0.5, -0.4, 1.2))
+
+
+def test_match_identical():
+    a, b = _base_pair()
+    assert match_patches(a, b)
+
+
+def test_match_rejects_type_mismatch():
+    a, _ = _base_pair()
+    b = _mk(S.CIRCULAR_CYLINDER, B.AARECT, [4.0], [0.3, 0.2],
+            r=(0.1, 0.2, 0.3), t=(0.5, -0.4, 1.2))
+    assert not match_patches(a, b)
+
+
+def test_match_extent_threshold():
+    a, b = _base_pair()
+    near = Patch(b.s, b.b, b.k, b.d + np.array([0.014, 0.0]), b.pose)
+    far = Patch(b.s, b.b, b.k, b.d + np.array([0.016, 0.0]), b.pose)
+    assert match_patches(a, near)
+    assert not match_patches(a, far)
+
+
+def test_match_curvature_threshold():
+    a, b = _base_pair()
+    near = Patch(b.s, b.b, b.k + 4.9, b.d, b.pose)
+    far = Patch(b.s, b.b, b.k + 5.1, b.d, b.pose)
+    assert match_patches(a, near)
+    assert not match_patches(a, far)
+
+
+def test_match_center_threshold():
+    a, b = _base_pair()
+    near = Patch(b.s, b.b, b.k, b.d, Pose6(b.pose.r, b.pose.t + [0.009, 0, 0]))
+    far = Patch(b.s, b.b, b.k, b.d, Pose6(b.pose.r, b.pose.t + [0.011, 0, 0]))
+    assert match_patches(a, near)
+    assert not match_patches(a, far)
+
+
+def _rotated_about_local_axis(patch, axis_idx, angle):
+    R, t = patch_frame(patch)
+    axis = R[:, axis_idx]
+    R_new = ps.exp_map(axis * angle) @ R
+    r_new = ps.log_map(R_new)
+    return Patch(patch.s, patch.b, patch.k, patch.d, Pose6(r_new, t))
+
+
+def test_match_z_axis_angle_threshold():
+    a, b = _base_pair()
+    near = _rotated_about_local_axis(b, 0, math.radians(19.0))
+    far = _rotated_about_local_axis(b, 0, math.radians(21.0))
+    assert match_patches(a, near)
+    assert not match_patches(a, far)
+
+
+def test_match_y_axis_checked_up_to_half_turn():
+    a, b = _base_pair()
+    half_turn = _rotated_about_local_axis(b, 2, math.pi)  # y -> -y, same z
+    off = _rotated_about_local_axis(b, 2, math.radians(30.0))
+    assert match_patches(a, half_turn)
+    assert not match_patches(a, off)
+
+
+def test_match_revolute_skips_y_axis():
+    a = _mk(S.SPHERE, B.CIRCLE, [4.0], [0.2], r=(0.2, 0.1, 0.0))
+    b = _mk(S.SPHERE, B.CIRCLE, [4.0], [0.2], r=(0.2, 0.1, 0.0))
+    assert match_patches(a, b)
+    # a revolute pose has no y freedom to compare; only z angle and t matter
+    c = _mk(S.SPHERE, B.CIRCLE, [4.0], [0.2], r=(0.2, 0.5, 0.0))
+    assert not match_patches(a, c)  # z axis off by ~23 deg
+    d = _mk(S.SPHERE, B.CIRCLE, [4.0], [0.2], r=(0.2, 0.15, 0.0))
+    assert match_patches(a, d)  # ~3 deg stays inside the gate
+
+
+def test_match_custom_thresholds():
+    a, b = _base_pair()
+    tight = MatchThresholds(r_s=1e-6)
+    moved = Patch(b.s, b.b, b.k, b.d, Pose6(b.pose.r, b.pose.t + [1e-5, 0, 0]))
+    assert not match_patches(a, moved, tight)
+    assert match_patches(a, moved)
 
 
 # ---------------------------------------------------------------------------
