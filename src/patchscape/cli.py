@@ -1,4 +1,4 @@
-"""Command line front end and the textual file formats behind it.
+"""Command line front end and the file formats behind it.
 
 Five subcommands: simulate (render organized clouds of a synthetic
 scene), fit (one patch at a pixel), map (the full per-frame pipeline
@@ -13,34 +13,39 @@ fitted, so the residual validate reports for a patch can differ from the
 one its map stores, and a patch admitted just under d_max can fail
 validate on the frame it came from.
 
-All numbers are serialized with 17 significant digits so files are
-byte-identical across runs and round-trip 64-bit floats exactly. Clouds
-use the OPC1 text format; patch maps, scene specs, configs, and remap
-logs are JSON. Diagnostics go to stderr; stdout stays machine readable.
-Exit codes: 0 success, 1 bad input, 2 gate failure.
+JSON numbers and the text header of a cloud file are written with 17
+significant digits, so files are byte-identical across runs and
+round-trip 64-bit floats exactly. Clouds use the OPC2 format; patch maps,
+scene specs, configs, and remap logs are JSON. Diagnostics go to stderr;
+stdout stays machine readable. Exit codes: 0 success, 1 bad input, 2 gate
+failure.
 
-An OPC1 file has four header lines, "OPC1 <width> <height>",
-"intrinsics <fx> <fy> <cx> <cy> <baseline>", "noise <kind> <field>..."
-and "cov <0|1>". Then come the width * height point records "x y z" in
-row-major pixel order and, when cov is 1, as many covariance records in
-the same order, each the upper triangle "xx xy xz yy yz zz". A record is
-"nan" (no return, or a non-finite covariance) or exactly 3 (point) or 6
-(covariance) numbers. Blank lines between records, surrounding spaces and
-CRLF line endings are accepted.
+An OPC2 file starts with four ASCII header lines, "OPC2 <width> <height>",
+"intrinsics <fx> <fy> <cx> <cy> <baseline>", "noise <kind> <field>..." and
+"cov <0|1>", each ended by a newline. A binary body follows: width * height
+point rows of 3 little-endian float64 values "x y z" in row-major pixel
+order and, when cov is 1, as many covariance rows in the same order, each
+the upper triangle "xx xy xz yy yz zz" as 6 float64 values. A pixel with
+no return is an all-NaN point row; a covariance row is all NaN when its
+point or any of its entries is not finite. The body's size is exact, so a
+reader checks it against the header before parsing.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import math
 import os
 import sys
 import time
 from dataclasses import MISSING, fields, is_dataclass
-from typing import List, Optional, Sequence, Tuple
+from enum import Enum
+from inspect import isfunction
+from typing import (
+    List, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints,
+)
 
 import numpy as np
 
@@ -130,7 +135,7 @@ def json_line(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
-# OPC1 organized cloud files
+# OPC2 organized cloud files
 # ---------------------------------------------------------------------------
 
 _NOISE = {cls.kind: cls for cls in (ConstantNoise, LinearNoise, QuadraticNoise, StereoNoise)}
@@ -161,17 +166,19 @@ def _noise_tag(noise) -> str:
     return " ".join([noise.kind] + [_g17(getattr(noise, f.name)) for f in fields(noise)])
 
 
-def _records(rows: np.ndarray, ok: np.ndarray) -> str:
-    """OPC1 record lines: "%.17g ..." for each ok row of rows, "nan" for the rest."""
-    row = " ".join(["%.17g"] * rows.shape[1]) + "\n"
-    fmt = "".join(row if g else "nan\n" for g in ok.tolist())
-    return fmt % tuple(rows[ok].ravel().tolist())
+_UPPER = [0, 1, 2, 4, 5, 8]  # xx xy xz yy yz zz of a row-major 3x3
+_SYMMETRIC = [0, 1, 2, 1, 3, 4, 2, 4, 5]  # the 3x3 rebuilt from _UPPER's order
+
+
+def _rows(rows: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Little-endian float64 rows, the rows that are not ok all NaN."""
+    return np.ascontiguousarray(np.where(ok[:, None], rows, np.nan), dtype="<f8")
 
 
 def write_cloud(path: str, cloud: OrganizedCloud, noise=None) -> None:
     intr = cloud.intrinsics
     lines = [
-        f"OPC1 {intr.width} {intr.height}",
+        f"OPC2 {intr.width} {intr.height}",
         "intrinsics "
         + " ".join(_g17(v) for v in (intr.fx, intr.fy, intr.cx, intr.cy, intr.baseline)),
         "noise " + _noise_tag(noise),
@@ -179,90 +186,54 @@ def write_cloud(path: str, cloud: OrganizedCloud, noise=None) -> None:
     ]
     pts = cloud.points.reshape(-1, 3)
     ok = np.isfinite(pts).all(axis=1)
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-        f.write(_records(pts, ok))
+    with open(path, "wb") as f:
+        f.write(("\n".join(lines) + "\n").encode("ascii"))
+        f.write(_rows(pts, ok))
         if cloud.cov is not None:
             cvs = cloud.cov.reshape(-1, 9)
-            f.write(_records(cvs[:, [0, 1, 2, 4, 5, 8]], ok & np.isfinite(cvs).all(axis=1)))
+            f.write(_rows(cvs[:, _UPPER], ok & np.isfinite(cvs).all(axis=1)))
 
 
 def _header(lines: List[str], i: int, key: str, n: int) -> List[str]:
-    """Values after key on OPC1 header line i; ValueError unless there are n."""
-    vals = lines[i].split() if i < len(lines) else []
+    """Values after key on header line i; ValueError unless there are n."""
+    vals = lines[i].split()
     if vals[:1] != [key] or len(vals) < n + 1:
         raise ValueError(f"header line {i + 1} needs {key!r} and {n} value(s)")
     return vals[1:]
 
 
-def _load_block(recs: List[str], k: int) -> np.ndarray:
-    """(len(recs), k) floats of OPC1 records; a "nan" record is a NaN row.
-
-    ValueError unless every record is "nan" or k numbers.
-    """
-    if not recs:
-        return np.empty((0, k))
-    nan = " ".join(["nan"] * k)
-    vals = np.loadtxt([nan if r == "nan" else r for r in recs], dtype=float,
-                      comments=None, ndmin=2)
-    if vals.shape[1] != k:
-        raise ValueError(f"{vals.shape[1]} values, expected {k}")
-    return vals
-
-
-def _parse_block(path: str, block: str, recs: List[str], k: int, line_of) -> np.ndarray:
-    """_load_block of one record block; on bad input, name its first bad record.
-
-    line_of maps a record's index in recs to its 1-based file line. The
-    whole block is parsed in one call; only when that fails is the first
-    bad record found, by bisection, which parses about as many records
-    again.
-    """
-    try:
-        return _load_block(recs, k)
-    except ValueError:
-        pass
-    lo, hi = 0, len(recs)  # recs[:lo] parse; recs[lo:hi] hold a bad record
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            _load_block(recs[lo:mid], k)
-            lo = mid
-        except ValueError:
-            hi = mid
-    raise ValueError(
-        f"{path}: line {line_of(lo)}: {block} record {recs[lo]!r} is not 'nan' or {k} numbers"
-    )
-
-
 def read_cloud(path: str) -> Tuple[OrganizedCloud, object]:
-    with open(path) as f:
-        lines = [ln.strip() for ln in f]
-    if not lines or not lines[0].startswith("OPC1 "):
-        raise ValueError(f"{path}: not an OPC1 cloud file")
+    with open(path, "rb") as f:
+        head = [f.readline() for _ in range(4)]
+        body = f.read()
     try:
-        w, h = (int(v) for v in _header(lines, 0, "OPC1", 2)[:2])
+        lines = [ln.decode("ascii").strip() for ln in head]
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: the header is not ASCII text") from None
+    if lines[0].startswith("OPC1 "):
+        raise ValueError(f"{path}: an OPC1 text cloud; this version reads OPC2 binary clouds")
+    if not lines[0].startswith("OPC2 "):
+        raise ValueError(f"{path}: not an OPC2 cloud file")
+    try:
+        w, h = (int(v) for v in _header(lines, 0, "OPC2", 2)[:2])
         fx, fy, cx, cy, baseline = (float(v) for v in _header(lines, 1, "intrinsics", 5)[:5])
         tag = _header(lines, 2, "noise", 1)
         noise = _noise(tag[0], tag[1:])
         has_cov = bool(int(_header(lines, 3, "cov", 1)[0]))
+        if w < 0 or h < 0:
+            raise ValueError(f"width and height must be non-negative, got {w} {h}")
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
     intr = CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy, width=w, height=h, baseline=baseline)
     n = w * h
-    body = [ln for ln in lines[4:] if ln]
-    expect = n * (2 if has_cov else 1)
+    expect = n * (9 if has_cov else 3) * 8
     if len(body) != expect:
-        raise ValueError(f"{path}: expected {expect} records, found {len(body)}")
-
-    def line_of(j: int) -> int:  # 1-based file line of body record j
-        return 5 + next(itertools.islice((i for i, ln in enumerate(lines[4:]) if ln), j, None))
-
-    pts = _parse_block(path, "point", body[:n], 3, line_of)
+        raise ValueError(f"{path}: expected {expect} body bytes, found {len(body)}")
+    vals = np.frombuffer(body, dtype="<f8")
+    pts = vals[:3 * n].astype(float)
     cov = None
     if has_cov:
-        cov = _parse_block(path, "cov", body[n:], 6, lambda j: line_of(n + j))
-        cov = cov[:, [0, 1, 2, 1, 3, 4, 2, 4, 5]]
+        cov = np.take(vals[3 * n:].reshape(n, 6), _SYMMETRIC, axis=1).astype(float, copy=False)
         cov = cov.reshape(h, w, 3, 3)
     return OrganizedCloud(points=pts.reshape(h, w, 3), cov=cov, intrinsics=intr), noise
 
@@ -399,49 +370,80 @@ def _scene_truth(surfaces) -> List[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _config_value(key: str, default, value):
-    """value as the type of a MapConfig field's default, without coercion
-    that would change it (int(8.9), bool("false"))."""
-    if is_dataclass(default):
-        return type(default)(**value)
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ValueError(f"{key} must be true or false")
-        return value
-    if isinstance(default, int):
-        # bool is an int subclass: JSON true must not pass as 1
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{key} must be a JSON integer")
-        return value
-    return type(default)(value)
+_JSON_KIND = {  # config field type: (JSON values it takes, their name)
+    bool: (bool, "true or false"),
+    int: (int, "a JSON integer"),
+    float: ((int, float), "a JSON number"),
+    str: (str, "a JSON string"),
+}
+
+
+def _config_value(key: str, kind, value):
+    """value as a config field of type kind, without coercion that would
+    change it (int(8.9), bool("false"), float(true)).
+
+    kind is a dataclass or function, called with the fields of a JSON
+    object typed by its annotations; an Enum, built from its value; bool,
+    int, float or str; or Optional of one, which also takes null.
+    ValueError for any other kind.
+    """
+    if get_origin(kind) is Union:
+        if value is None:
+            return None
+        (kind,) = (a for a in get_args(kind) if a is not type(None))
+    if is_dataclass(kind) or isfunction(kind):
+        hints = get_type_hints(kind)
+        hints.pop("return", None)
+        return kind(**_config_fields(key, hints, value))
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        values = [m.value for m in kind]
+        if value not in values:
+            raise ValueError(f"{key} must be one of {values}")
+        return kind(value)
+    if kind not in _JSON_KIND:
+        raise ValueError(f"{key} cannot be set in a config")
+    accepted, name = _JSON_KIND[kind]
+    # bool is an int subclass: JSON true must not pass as 1 or 1.0
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"{key} must be {name}")
+    return float(value) if kind is float else value
+
+
+def _config_fields(key: str, kinds: dict, spec) -> dict:
+    """Keyword arguments from a JSON object, each value typed by kinds[name]."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{key or 'config'} must be a JSON object")
+    unknown = set(spec) - set(kinds)
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)}" + (f" in {key}" if key else ""))
+    return {k: _config_value(f"{key}.{k}" if key else k, kinds[k], v) for k, v in spec.items()}
 
 
 def load_map_config(path: Optional[str]):
     """Config JSON -> (MapConfig, MapBudgets, initial VolumeState, seed or None).
 
     Only the keys the spec gives are set; the rest keep the MapConfig,
-    MapBudgets and init_volume defaults. Nested configs are built from
-    their objects, int fields take only JSON integers and bool fields only
-    true or false, and other values are cast to the type of their field's
-    default. An unknown key or a bad value raises ValueError.
+    MapBudgets and init_volume defaults. Values are checked at every
+    level, nested configs included: int fields take only JSON integers,
+    bool fields only true or false, float fields only JSON numbers and
+    str fields only strings; an Enum field takes one of its values. An
+    unknown key or a bad value raises ValueError.
     """
     spec = {}
     if path is not None:
         with open(path) as f:
             spec = json.load(f)
-    if not isinstance(spec, dict):
-        raise ValueError("config must be a JSON object")
-    known = {f.name: f.default for f in fields(MapConfig)}
-    unknown = set(spec) - set(known) - {"budgets", "volume", "seed"}
-    if unknown:
-        raise ValueError(f"unknown keys {sorted(unknown)}")
+    kinds = {**get_type_hints(MapConfig), "budgets": MapBudgets, "volume": init_volume,
+             "seed": Optional[int]}
     try:
-        cfg = MapConfig(**{k: _config_value(k, known[k], v) for k, v in spec.items() if k in known})
-        budgets = MapBudgets(**spec.get("budgets", {}))
-        volume = init_volume(**spec.get("volume", {}))
-    except TypeError as e:
+        vals = _config_fields("", kinds, spec)
+        budgets = vals.pop("budgets", None) or MapBudgets()
+        volume = vals.pop("volume", None) or init_volume()
+        seed = vals.pop("seed", None)
+        cfg = MapConfig(**vals)
+    except (TypeError, OverflowError) as e:
         raise ValueError(str(e)) from e
-    return cfg, budgets, volume, spec.get("seed")
+    return cfg, budgets, volume, seed
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +526,6 @@ def cmd_fit(args) -> int:
             surface=cfg.surface,
             plane_boundary=BoundaryType(args.boundary),
             gamma=cfg.gamma,
-            viewpoint=np.zeros(3),
             side_wall=True,
         )
     except (ValueError, np.linalg.LinAlgError) as e:
@@ -742,7 +743,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     defaults = MapConfig()
     f = sub.add_parser("fit", help="fit one bounded patch at a pixel")
-    f.add_argument("--cloud", required=True, help="OPC1 cloud file")
+    f.add_argument("--cloud", required=True, help="OPC2 cloud file")
     f.add_argument("--pixel", type=int, nargs=2, metavar=("U", "V"), required=True)
     f.add_argument("--radius", type=float, default=defaults.saliency.r)
     f.add_argument("--surface", default=defaults.surface,
@@ -756,7 +757,7 @@ def _build_parser() -> argparse.ArgumentParser:
     f.set_defaults(func=cmd_fit)
 
     m = sub.add_parser("map", help="run the mapping pipeline over frames")
-    m.add_argument("frames", nargs="*", help="OPC1 frame files in order")
+    m.add_argument("frames", nargs="*", help="OPC2 frame files in order")
     m.add_argument("--gravity", help="JSON {g: [...]} or {g_per_frame: [[...], ...]}, camera frame")
     m.add_argument("--config", help="pipeline config JSON")
     m.add_argument("--out", required=True, help="patch map output path")

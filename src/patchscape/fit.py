@@ -3,10 +3,10 @@
 The fit runs in stages:
 
 1. A linear least-squares plane through the points (centroid plus the
-   smallest principal direction, oriented toward the viewpoint), refined
-   by a weighted nonlinear solve unless a general paraboloid was
-   requested, then re-anchored at the in-plane projection of the
-   centroid.
+   smallest principal direction, oriented toward the origin: points are
+   camera frame, so the plane faces the camera), refined by a weighted
+   nonlinear solve unless a general paraboloid was requested, then
+   re-anchored at the in-plane projection of the centroid.
 2. For curved families, a weighted Levenberg-Marquardt solve of the
    unified implicit quadric over curvature, orientation, and position.
    Circular cylinders then rebuild their frame so the cross-section axes
@@ -266,11 +266,12 @@ def _frame_from_xz(x, z):
 # ---------------------------------------------------------------------------
 
 
-def _lls_plane(points, viewpoint):
+def _lls_plane(points):
+    """Least-squares plane (r_xy, centroid), its normal facing the origin."""
     qbar = points.mean(axis=0)
     _, _, Vt = np.linalg.svd(points - qbar, full_matrices=False)
     n = Vt[-1]
-    if float(n @ (viewpoint - qbar)) < 0.0:
+    if float(n @ qbar) > 0.0:
         n = -n
     return _pose.rxy_for_zdir(n), qbar
 
@@ -493,7 +494,6 @@ def fit_patch(
     surface: str = "paraboloid",
     plane_boundary: BoundaryType = BoundaryType.ELLIPSE,
     gamma: float = 0.95,
-    viewpoint=(0.0, 0.0, 0.0),
     side_wall=None,
     config: WlmConfig = WlmConfig(),
 ) -> FitResult:
@@ -504,8 +504,9 @@ def fit_patch(
     hyperbolic); "plane", "sphere", and "cylinder" fit those families
     directly. plane_boundary picks the boundary for plane fits
     (classified planes take an ellipse). gamma sets the boundary coverage
-    probability of a Gaussian scatter. viewpoint orients the local z
-    axis. side_wall, when given as (t0, n), constrains the patch center
+    probability of a Gaussian scatter. Points are camera frame, and the
+    initial plane's local z axis faces the camera at the origin.
+    side_wall, when given as (t0, n), constrains the patch center
     to the line t0 + a n; True derives the line from the initial plane
     (data centroid along its normal), which keeps the patch centered on
     the data. Non-finite points are dropped.
@@ -524,11 +525,10 @@ def fit_patch(
         cv = np.asarray(covs, dtype=float).reshape(-1, 3, 3)[keep]
     if len(pts) < MIN_FIT_POINTS:
         raise ValueError(f"need at least {MIN_FIT_POINTS} points to fit a patch")
-    vp = np.asarray(viewpoint, dtype=float).reshape(3)
     lam_g = coverage_scale(gamma)
 
     # ---- stage 1: plane ----------------------------------------------
-    rxy0, qbar = _lls_plane(pts, vp)
+    rxy0, qbar = _lls_plane(pts)
     if side_wall is True:
         wall_t = qbar.copy()
         wall_n = _pose.exp_map(_pose.rxy_to_r(rxy0))[:, 2]

@@ -164,10 +164,13 @@ _UT = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
 
 
 def loop_write_cloud(path, cloud, noise=None):
-    """OPC1 writer with one Python format call per value and one line per record.
+    """OPC1 text writer, one Python format call per value and one line per record.
 
-    The per-line form of patchscape.cli.write_cloud: same header, same
-    %.17g text, same "nan" rules and record order.
+    OPC1 is the text cloud format that OPC2 replaced: the same header
+    under magic "OPC1", then one "%.17g" record per row, or "nan" under
+    the rules by which patchscape.cli.write_cloud writes an all-NaN row.
+    With loop_read_body it is the text round trip that the binary one
+    must match bit for bit. patchscape.cli.read_cloud rejects its files.
     """
     from patchscape.cli import _g17, _noise_tag
 
@@ -197,8 +200,7 @@ def loop_write_cloud(path, cloud, noise=None):
 def loop_read_body(path):
     """(points, cov or None) of a well-formed OPC1 file, parsed record by record.
 
-    The per-line form of patchscape.cli.read_cloud's body parse: each
-    value goes through float(), and a "nan" record leaves its row NaN.
+    Each value goes through float(), and a "nan" record leaves its row NaN.
     """
     with open(path) as f:
         lines = [ln.strip() for ln in f]

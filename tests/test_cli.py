@@ -90,7 +90,7 @@ def dome_map(dome_dir):
 
 
 # ---------------------------------------------------------------------------
-# OPC1 cloud files
+# OPC2 cloud files
 # ---------------------------------------------------------------------------
 
 
@@ -142,112 +142,15 @@ def test_opc_noise_tags(tmp_path):
             assert (back.sigma_p, back.sigma_m) == (0.4, 0.2)
 
 
-def test_opc_rejects_garbage(tmp_path):
-    bad = tmp_path / "bad.opc"
-    bad.write_text("PLY9 4 3\n")
-    with pytest.raises(ValueError):
-        cli.read_cloud(str(bad))
-    truncated = tmp_path / "trunc.opc"
-    cloud = _toy_cloud(False)
-    cli.write_cloud(str(truncated), cloud)
-    lines = truncated.read_text().splitlines()
-    truncated.write_text("\n".join(lines[:-2]) + "\n")
-    with pytest.raises(ValueError):
-        cli.read_cloud(str(truncated))
+def _edit_header(path, index, line):
+    """Replace header line index of a cloud file, keeping the binary body."""
+    lines = path.read_bytes().split(b"\n", 4)
+    lines[index] = line.encode()
+    path.write_bytes(b"\n".join(lines))
 
 
-@pytest.mark.parametrize(
-    "index, line", [(2, "noise constant"), (2, "noise"), (1, "intrinsics 5 5"), (3, "cov")]
-)
-def test_opc_short_header_field_is_bad_input(tmp_path, capsys, index, line):
-    path = tmp_path / "short.opc"
-    cli.write_cloud(str(path), _toy_cloud(False), noise=ConstantNoise(1e-3))
-    lines = path.read_text().splitlines()
-    lines[index] = line
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=f"^{path}: "):
-        cli.read_cloud(str(path))
-    capsys.readouterr()
-    assert cli.main(["map", str(path), "--out", str(tmp_path / "m.json")]) == 1
-    assert cli.main(["fit", "--cloud", str(path), "--pixel", "1", "1"]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2 and all(ln.startswith(f"error: {path}: ") for ln in err)
-
-
-def _planted_frame() -> OrganizedCloud:
-    """Seeded stereo frame of a floor plane, with edge-case values planted.
-
-    The upper half of the image has no return. Row 47 holds -0.0, the
-    smallest subnormal, the largest double and 1e-300, and a finite point
-    whose covariance has one NaN entry, which must be written as "nan".
-    """
-    intr = CameraIntrinsics(fx=40.0, fy=40.0, cx=31.5, cy=23.5, width=64, height=48,
-                            baseline=0.075)
-    cloud = sample_scene([ScenePlane(np.array([0.0, 1.0, 0.0]), 0.5)], intr,
-                         noise=StereoNoise(), rng=7)
-    pts, cov = cloud.points.copy(), cloud.cov.copy()
-    assert np.isfinite(pts[47, :3]).all() and np.isnan(pts[0]).all()
-    pts[47, 0] = [-0.0, 5e-324, 1.7976931348623157e308]
-    pts[47, 1, 0] = 1e-300
-    cov[47, 0] = [[1e-300, -0.0, 5e-324], [-0.0, 1.0, 2.0], [5e-324, 2.0, 1.7976931348623157e308]]
-    cov[47, 2, 2, 1] = np.nan
-    return OrganizedCloud(points=pts, cov=cov, intrinsics=intr)
-
-
-@pytest.mark.parametrize("frame", ["planted", "all_nan", "no_pixels"])
-def test_opc_matches_per_line_oracle(tmp_path, frame):
-    cloud = _planted_frame()
-    if frame == "all_nan":
-        cloud = OrganizedCloud(points=np.full_like(cloud.points, np.nan),
-                               cov=np.full_like(cloud.cov, np.nan), intrinsics=cloud.intrinsics)
-    elif frame == "no_pixels":  # empty record blocks never reach loadtxt
-        cloud = OrganizedCloud(points=cloud.points[:, :0], cov=cloud.cov[:, :0],
-                               intrinsics=replace(cloud.intrinsics, width=0))
-    path, oracle = tmp_path / "c.opc", tmp_path / "oracle.opc"
-    cli.write_cloud(str(path), cloud, noise=StereoNoise())
-    loop_write_cloud(str(oracle), cloud, noise=StereoNoise())
-    assert path.read_bytes() == oracle.read_bytes()
-    back, _ = cli.read_cloud(str(path))
-    for got, want in zip((back.points, back.cov), loop_read_body(str(path))):
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-    if frame == "planted":
-        assert np.signbit(back.points[47, 0, 0]) and back.points[47, 0, 1] == 5e-324
-        assert np.isnan(back.cov[47, 2]).all() and np.isfinite(back.points[47, 2]).all()
-
-
-def test_opc_tolerates_crlf_blank_lines_and_spaces(tmp_path):
-    clean = tmp_path / "clean.opc"
-    cli.write_cloud(str(clean), _planted_frame(), noise=StereoNoise())
-    lines = clean.read_text().splitlines()
-    body = [ln + "  " + ("\r\n" if i % 7 == 0 else "") + (" " if i % 5 == 0 else "")
-            for i, ln in enumerate(lines[4:])]
-    messy = tmp_path / "messy.opc"
-    messy.write_bytes(("\r\n".join(lines[:4] + body) + "\r\n\r\n").encode())
-    want, want_noise = cli.read_cloud(str(clean))
-    got, got_noise = cli.read_cloud(str(messy))
-    assert got.intrinsics == want.intrinsics and got_noise == want_noise
-    np.testing.assert_array_equal(got.points, want.points)
-    np.testing.assert_array_equal(got.cov, want.cov)
-
-
-@pytest.mark.parametrize("every", [False, True], ids=["one", "every"])
-@pytest.mark.parametrize(
-    "block, record",
-    [("point", "1 2"), ("point", "1 2 3 4"), ("cov", "1 2 3 4 5"),
-     ("cov", "1 2 3 4 5 6 7"), ("point", "1 x 3"), ("cov", "1 2 3 # 5 6")],
-)
-def test_opc_rejects_bad_body_record(tmp_path, capsys, block, record, every):
-    path = tmp_path / "bad.opc"
-    cli.write_cloud(str(path), _toy_cloud(True))
-    lines = path.read_text().splitlines()
-    start = 4 if block == "point" else 16  # the toy cloud has 12 pixels
-    for i in range(start, start + 12) if every else [start + 1]:
-        lines[i] = record
-    path.write_text("\n".join(lines) + "\n")
-    where = f"{path}: line {start + 1 if every else start + 2}: {block} record "
-    with pytest.raises(ValueError, match=f"^{re.escape(where)}"):
-        cli.read_cloud(str(path))
+def _assert_bad_input(tmp_path, capsys, path, where):
+    """map, fit and validate each exit 1 with one error line starting where."""
     empty_map = tmp_path / "map.json"
     empty_map.write_text(json.dumps({"patches": []}))
     capsys.readouterr()
@@ -258,25 +161,102 @@ def test_opc_rejects_bad_body_record(tmp_path, capsys, block, record, every):
     assert len(err) == 3 and all(ln.startswith(f"error: {where}") for ln in err)
 
 
-@pytest.mark.parametrize("block", ["point", "cov"])
-@pytest.mark.parametrize("bad", ["token", "short", "long"])
-def test_opc_bad_record_names_its_file_line(tmp_path, block, bad):
-    k = 3 if block == "point" else 6
-    record = {"token": " ".join(["1"] * (k - 1) + ["x"]), "short": " ".join(["1"] * (k - 1)),
-              "long": " ".join(["1"] * (k + 1))}[bad]
-    path = tmp_path / "bad.opc"
-    cli.write_cloud(str(path), _toy_cloud(True))
-    lines = path.read_text().splitlines()
-    i = (4 if block == "point" else 16) + 7  # the 8th record of its block
-    lines[i] = record
-    # one blank line after the header and two right before the bad record
-    lines = lines[:4] + [""] + lines[4:i] + ["", ""] + lines[i:]
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError) as err:
+def test_opc_rejects_garbage(tmp_path):
+    bad = tmp_path / "bad.opc"
+    bad.write_text("PLY9 4 3\n")
+    with pytest.raises(ValueError, match=f"^{bad}: not an OPC2 cloud file"):
+        cli.read_cloud(str(bad))
+    truncated = tmp_path / "trunc.opc"
+    cli.write_cloud(str(truncated), _toy_cloud(False))
+    truncated.write_bytes(truncated.read_bytes()[:-2 * 24])  # the last two point rows
+    with pytest.raises(ValueError, match=f"^{truncated}: "):
+        cli.read_cloud(str(truncated))
+
+
+@pytest.mark.parametrize(
+    "index, line", [(2, "noise constant"), (2, "noise"), (1, "intrinsics 5 5"), (3, "cov")]
+)
+def test_opc_short_header_field_is_bad_input(tmp_path, capsys, index, line):
+    path = tmp_path / "short.opc"
+    cli.write_cloud(str(path), _toy_cloud(False), noise=ConstantNoise(1e-3))
+    _edit_header(path, index, line)
+    with pytest.raises(ValueError, match=f"^{path}: "):
         cli.read_cloud(str(path))
-    assert str(err.value) == (
-        f"{path}: line {i + 4}: {block} record {record!r} is not 'nan' or {k} numbers"
-    )
+    _assert_bad_input(tmp_path, capsys, path, f"{path}: ")
+
+
+@pytest.mark.parametrize("edit", ["one_byte_short", "one_row_long", "opc1_text",
+                                  "header_not_ascii", "negative_size"])
+def test_opc_rejects_bad_file(tmp_path, capsys, edit):
+    """A body of the wrong size or an unreadable header is bad input, named by path."""
+    path = tmp_path / "bad.opc"
+    cloud = _toy_cloud(True)
+    cli.write_cloud(str(path), cloud)
+    size = 12 * 9 * 8  # the toy cloud: 12 pixels, a point and a covariance row each
+    if edit == "one_byte_short":
+        path.write_bytes(path.read_bytes()[:-1])
+        where = f"{path}: expected {size} body bytes, found {size - 1}"
+    elif edit == "one_row_long":
+        path.write_bytes(path.read_bytes() + np.ones(6).astype("<f8").tobytes())
+        where = f"{path}: expected {size} body bytes, found {size + 48}"
+    elif edit == "opc1_text":
+        loop_write_cloud(str(path), cloud)
+        where = f"{path}: an OPC1 text cloud"
+    elif edit == "header_not_ascii":
+        _edit_header(path, 2, "noise \u03c3")
+        where = f"{path}: the header is not ASCII text"
+    else:
+        _edit_header(path, 0, "OPC2 -4 -3")
+        where = f"{path}: width and height must be non-negative"
+    with pytest.raises(ValueError, match=f"^{re.escape(where)}"):
+        cli.read_cloud(str(path))
+    _assert_bad_input(tmp_path, capsys, path, where)
+
+
+def _planted_frame() -> OrganizedCloud:
+    """Seeded stereo frame of a floor plane, with edge-case values planted.
+
+    The upper half of the image has no return. Row 47 holds -0.0, the
+    smallest subnormal, the largest double and 1e-300, and a finite point
+    whose covariance has one NaN entry, which must be written as NaN.
+    """
+    intr = CameraIntrinsics(fx=40.0, fy=40.0, cx=31.5, cy=23.5, width=64, height=48,
+                            baseline=0.075)
+    cloud = sample_scene([ScenePlane(np.array([0.0, 1.0, 0.0]), 0.5)], intr,
+                         noise=StereoNoise(), rng=7)
+    pts, cov = cloud.points.copy(), cloud.cov.copy()
+    assert np.isfinite(pts[47, :3]).all() and np.isnan(pts[0]).all()
+    pts[47, 0] = [-0.0, 5e-324, 1.7976931348623157e308]
+    pts[47, 1, 0] = 1e-300
+    pts[47, 3, 1] = np.inf  # a point with one non-finite value is all NaN
+    cov[47, 0] = [[1e-300, -0.0, 5e-324], [-0.0, 1.0, 2.0], [5e-324, 2.0, 1.7976931348623157e308]]
+    cov[47, 2, 2, 1] = np.nan
+    return OrganizedCloud(points=pts, cov=cov, intrinsics=intr)
+
+
+@pytest.mark.parametrize("frame", ["planted", "all_nan", "no_pixels"])
+def test_opc_matches_per_line_oracle(tmp_path, frame):
+    """The binary round trip parses every value as the OPC1 text round trip did."""
+    cloud = _planted_frame()
+    if frame == "all_nan":
+        cloud = OrganizedCloud(points=np.full_like(cloud.points, np.nan),
+                               cov=np.full_like(cloud.cov, np.nan), intrinsics=cloud.intrinsics)
+    elif frame == "no_pixels":
+        cloud = OrganizedCloud(points=cloud.points[:, :0], cov=cloud.cov[:, :0],
+                               intrinsics=replace(cloud.intrinsics, width=0))
+    path, oracle = tmp_path / "c.opc", tmp_path / "oracle.opc"
+    cli.write_cloud(str(path), cloud, noise=StereoNoise())
+    loop_write_cloud(str(oracle), cloud, noise=StereoNoise())
+    back, _ = cli.read_cloud(str(path))
+    for got, want in zip((back.points, back.cov), loop_read_body(str(oracle))):
+        assert got.dtype == np.float64 and got.dtype.isnative
+        assert got.flags.c_contiguous and got.flags.writeable
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    if frame == "planted":
+        assert np.signbit(back.points[47, 0, 0]) and back.points[47, 0, 1] == 5e-324
+        assert np.isnan(back.points[47, 3]).all() and np.isnan(back.cov[47, 3]).all()
+        assert np.isnan(back.cov[47, 2]).all() and np.isfinite(back.points[47, 2]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -612,10 +592,12 @@ def test_map_rejects_bad_gravity(tmp_path, dome_dir, capsys, spec):
     "spec",
     [{"budgets": {"n_S": 1}}, {"n_ff": 50}, {"volume": {"v_size": 4}},
      {"gamma": 1.5}, {"n_f": 8.9}, {"n_f": 12}, {"check_coverage": "false"},
-     {"check_coverage": 0}, {"d_max": -0.01}, {"d_max": float("inf")}, {"decimate": -1}],
+     {"check_coverage": 0}, {"d_max": -0.01}, {"d_max": float("inf")}, {"decimate": -1},
+     {"coverage": {"w_c": True}}, {"volume": {"v_g": 2.5}}, {"budgets": {"n_s": "3"}}],
     ids=["budget_typo", "unknown_key", "volume_typo", "gamma_above_one", "n_f_not_integer",
          "n_f_below_fit_minimum", "bool_as_string", "bool_as_integer", "d_max_negative",
-         "d_max_infinite", "decimate_negative"],
+         "d_max_infinite", "decimate_negative", "nested_bool_as_float",
+         "nested_v_g_not_integer", "nested_string_as_integer"],
 )
 def test_map_rejects_malformed_config(tmp_path, dome_dir, capsys, spec):
     cfg = tmp_path / "bad.json"
