@@ -213,6 +213,43 @@ def test_opc_rejects_bad_file(tmp_path, capsys, edit):
     _assert_bad_input(tmp_path, capsys, path, where)
 
 
+@pytest.mark.parametrize("every", [False, True], ids=["one", "every"])
+@pytest.mark.parametrize(
+    "block, record",
+    [("point", "1 2"), ("point", "1 2 3 4"), ("cov", "1 2 3 4 5"),
+     ("cov", "1 2 3 4 5 6 7"), ("point", "1 x 3"), ("cov", "1 2 3 # 5 6")],
+)
+def test_opc_rejects_bad_body_record(tmp_path, capsys, block, record, every):
+    """A body row overwritten with a bad record changes the body's size and is bad input.
+
+    A numeric record becomes a binary row of its own width (one value short or
+    long); a record with a non-numeric token is written as its text, as a text
+    edit of the file would leave it. Either way the reader names the expected
+    and found body byte counts.
+    """
+    path = tmp_path / "bad.opc"
+    cli.write_cloud(str(path), _toy_cloud(True))
+    data = path.read_bytes()
+    head = len(b"\n".join(data.split(b"\n", 4)[:4])) + 1
+    k = 3 if block == "point" else 6
+    start = head if block == "point" else head + 12 * 3 * 8  # the toy cloud has 12 pixels
+    try:
+        row = np.array(record.split(), dtype=float).astype("<f8").tobytes()
+    except ValueError:
+        row = (record + "\n").encode()
+    rows = range(12) if every else [1]
+    body = bytearray(data)
+    for i in reversed(rows):
+        at = start + i * k * 8
+        body[at:at + k * 8] = row
+    path.write_bytes(bytes(body))
+    size = 12 * 9 * 8
+    where = f"{path}: expected {size} body bytes, found {size + len(rows) * (len(row) - k * 8)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(where)}$"):
+        cli.read_cloud(str(path))
+    _assert_bad_input(tmp_path, capsys, path, where)
+
+
 def _planted_frame() -> OrganizedCloud:
     """Seeded stereo frame of a floor plane, with edge-case values planted.
 
