@@ -185,21 +185,13 @@ def test_opc_short_header_field_is_bad_input(tmp_path, capsys, index, line):
     _assert_bad_input(tmp_path, capsys, path, f"{path}: ")
 
 
-@pytest.mark.parametrize("edit", ["one_byte_short", "one_row_long", "opc1_text",
-                                  "header_not_ascii", "negative_size"])
+@pytest.mark.parametrize("edit", ["opc1_text", "header_not_ascii", "negative_size"])
 def test_opc_rejects_bad_file(tmp_path, capsys, edit):
-    """A body of the wrong size or an unreadable header is bad input, named by path."""
+    """An OPC1 text file or an unreadable header is bad input, named by path."""
     path = tmp_path / "bad.opc"
     cloud = _toy_cloud(True)
     cli.write_cloud(str(path), cloud)
-    size = 12 * 9 * 8  # the toy cloud: 12 pixels, a point and a covariance row each
-    if edit == "one_byte_short":
-        path.write_bytes(path.read_bytes()[:-1])
-        where = f"{path}: expected {size} body bytes, found {size - 1}"
-    elif edit == "one_row_long":
-        path.write_bytes(path.read_bytes() + np.ones(6).astype("<f8").tobytes())
-        where = f"{path}: expected {size} body bytes, found {size + 48}"
-    elif edit == "opc1_text":
+    if edit == "opc1_text":
         loop_write_cloud(str(path), cloud)
         where = f"{path}: an OPC1 text cloud"
     elif edit == "header_not_ascii":
@@ -213,38 +205,52 @@ def test_opc_rejects_bad_file(tmp_path, capsys, edit):
     _assert_bad_input(tmp_path, capsys, path, where)
 
 
-@pytest.mark.parametrize("every", [False, True], ids=["one", "every"])
-@pytest.mark.parametrize(
-    "block, record",
-    [("point", "1 2"), ("point", "1 2 3 4"), ("cov", "1 2 3 4 5"),
-     ("cov", "1 2 3 4 5 6 7"), ("point", "1 x 3"), ("cov", "1 2 3 # 5 6")],
-)
-def test_opc_rejects_bad_body_record(tmp_path, capsys, block, record, every):
-    """A body row overwritten with a bad record changes the body's size and is bad input.
+_BAD_RECORDS = [("point", "1 2"), ("point", "1 2 3 4"), ("cov", "1 2 3 4 5"),
+                ("cov", "1 2 3 4 5 6 7"), ("point", "1 x 3"), ("cov", "1 2 3 # 5 6")]
 
-    A numeric record becomes a binary row of its own width (one value short or
-    long); a record with a non-numeric token is written as its text, as a text
-    edit of the file would leave it. Either way the reader names the expected
-    and found body byte counts.
+
+def _put_rows(block, record, rows):
+    """A body edit writing record over rows of the toy cloud's point or covariance block.
+
+    A numeric record becomes a binary row of its own width; a record with a
+    non-numeric token is written as its text, as a text edit of the file
+    would leave it. Row 12 is one past the last, so writing it appends a row.
+    """
+    k = 3 if block == "point" else 6
+    try:
+        row = np.array(record.split(), dtype=float).astype("<f8").tobytes()
+    except ValueError:
+        row = (record + "\n").encode()
+
+    def edit(body):
+        start = 0 if block == "point" else 12 * 3 * 8  # the toy cloud has 12 pixels
+        for i in reversed(rows):
+            body[start + i * k * 8:start + (i + 1) * k * 8] = row
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [pytest.param(_put_rows(block, record, rows), id=f"{block}-{record}-{name}")
+     for name, rows in (("one", [1]), ("every", range(12))) for block, record in _BAD_RECORDS]
+    + [pytest.param(bytearray.pop, id="one_byte_short"),  # drops the last byte
+       pytest.param(_put_rows("cov", "1 2 3 4 5 6", [12]), id="one_row_long")],
+)
+def test_opc_rejects_bad_body_record(tmp_path, capsys, edit):
+    """A body whose byte count differs from the header's is bad input.
+
+    The reader names the expected and found body byte counts, and map, fit
+    and validate exit 1 with that error.
     """
     path = tmp_path / "bad.opc"
     cli.write_cloud(str(path), _toy_cloud(True))
     data = path.read_bytes()
     head = len(b"\n".join(data.split(b"\n", 4)[:4])) + 1
-    k = 3 if block == "point" else 6
-    start = head if block == "point" else head + 12 * 3 * 8  # the toy cloud has 12 pixels
-    try:
-        row = np.array(record.split(), dtype=float).astype("<f8").tobytes()
-    except ValueError:
-        row = (record + "\n").encode()
-    rows = range(12) if every else [1]
-    body = bytearray(data)
-    for i in reversed(rows):
-        at = start + i * k * 8
-        body[at:at + k * 8] = row
-    path.write_bytes(bytes(body))
-    size = 12 * 9 * 8
-    where = f"{path}: expected {size} body bytes, found {size + len(rows) * (len(row) - k * 8)}"
+    body = bytearray(data[head:])
+    edit(body)
+    path.write_bytes(data[:head] + bytes(body))
+    where = f"{path}: expected {12 * 9 * 8} body bytes, found {len(body)}"
     with pytest.raises(ValueError, match=f"^{re.escape(where)}$"):
         cli.read_cloud(str(path))
     _assert_bad_input(tmp_path, capsys, path, where)
