@@ -21,7 +21,7 @@ The fit runs in stages:
 Measurement weighting follows the implicit-surface normalization: each
 residual is divided by the standard deviation induced by its 3x3 point
 covariance through the surface gradient, and the residual Jacobian
-includes the derivative of that normalization.
+includes the closed-form derivative of that normalization.
 
 Covariance flows through one path. Every solve returns the state
 (k, r, t) with its covariance: k the family's free curvatures, r the
@@ -45,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -74,6 +75,7 @@ MIN_FIT_POINTS = 13
 
 _FLAT_EPS = 1e-2  # curvature magnitude below which a direction is flat
 _TINY_KAPPA = 1e-8  # cylinder curvature below which the frame rebuild is skipped
+_rowdot = partial(np.einsum, "ni,ni->n")  # dot products of matching rows
 
 
 def coverage_scale(gamma: float) -> float:
@@ -108,69 +110,64 @@ class WlmResult:
     converged: bool
 
 
+class _Residual(NamedTuple):
+    """F = f / s at one p, with s = sqrt(max(g^T Sigma g, v_min)); jac() gives dF/dp."""
+
+    F: np.ndarray
+    f: np.ndarray
+    g: np.ndarray  # df/dq
+    jac: Callable[[], np.ndarray]
+
+
 def _implicit_model(k3_map: np.ndarray, rot_dof: int, t_line=None):
     """Residual model f(q; p) = ql^T K ql - 2 ql_z with ql = R^T (q - t).
 
-    p packs [k, r, t] (or [k, r, a] on a side-wall line). Returns a
-    callable giving (f, df/dp, df/dq, d2f/dq dp) for a point block.
+    p packs [k, r, t], or [k, r, a] on the side-wall line t0 + a n/|n| with
+    t_line = (t0, n). Returns model(points, covs, p, v_min) -> _Residual.
     """
     nk = k3_map.shape[1]
+    t0, T = np.zeros(3), np.eye(3)  # t = t0 + T p_t
     if t_line is not None:
-        t_base = np.asarray(t_line[0], dtype=float).reshape(3)
-        t_dir = np.asarray(t_line[1], dtype=float).reshape(3)
-        t_dir = t_dir / np.linalg.norm(t_dir)
-        nt = 1
-    else:
-        nt = 3
-    npar = nk + rot_dof + nt
+        t0, T = t_line[0], (t_line[1] / np.linalg.norm(t_line[1]))[:, None]
+    npar = nk + rot_dof + T.shape[1]
 
-    def model(points, p):
+    def model(points, covs, p, v_min) -> _Residual:
         k3 = k3_map @ p[:nk] if nk else np.zeros(3)
         r3 = np.zeros(3)
         r3[:rot_dof] = p[nk : nk + rot_dof]
-        t = t_base + p[-1] * t_dir if nt == 1 else p[nk + rot_dof :]
+        t = t0 + T @ p[nk + rot_dof :]
         R = _pose.exp_map(r3)
-        dR = _pose.jac_exp(r3)
         d = points - t
         ql = d @ R
         kql = ql * k3
-        f = np.einsum("ni,ni->n", ql, kql) - 2.0 * ql[:, 2]
+        f = _rowdot(ql, kql) - 2.0 * ql[:, 2]
         dfdql = 2.0 * kql
         dfdql[:, 2] -= 2.0
         g = dfdql @ R.T
+        cg = np.einsum("nij,nj->ni", covs, g)
+        v = np.maximum(_rowdot(g, cg), v_min)
+        s = np.sqrt(v)
 
-        n = len(points)
-        Jp = np.empty((n, npar))
-        H = np.empty((n, 3, npar))
-        for b in range(nk):
-            kb = k3_map[:, b]
-            Jp[:, b] = (ql * ql) @ kb
-            H[:, :, b] = 2.0 * (ql * kb) @ R.T
-        for m in range(rot_dof):
-            dql = d @ dR[m]  # = (dR_m^T) (q - t)
-            Jp[:, nk + m] = np.einsum("ni,ni->n", dfdql, dql)
-            H[:, :, nk + m] = dfdql @ dR[m].T + 2.0 * (dql * k3) @ R.T
-        dgdt = -2.0 * (R * k3) @ R.T
-        if nt == 1:
-            Jp[:, -1] = -(g @ t_dir)
-            H[:, :, -1] = (dgdt @ t_dir)[None, :]
-        else:
-            Jp[:, nk + rot_dof :] = -g
-            H[:, :, nk + rot_dof :] = np.broadcast_to(dgdt, (n, 3, 3))
-        return f, Jp, g, H
+        def jac():
+            # dF/dp = df/dp / s - f / (s v) cg^T d2f/dq dp, each parameter one
+            # row; the contraction comes in closed form from c_l = R^T cg
+            dR = _pose.jac_exp(r3)
+            cl = cg @ R
+            kcl = cl * k3
+            Jp, cgH = np.empty((2, npar, len(points)))
+            Jp[:nk] = k3_map.T @ (ql * ql).T
+            cgH[:nk] = 2.0 * k3_map.T @ (ql * cl).T
+            for m in range(rot_dof):
+                dql = d @ dR[m]  # = (dR_m^T) (q - t)
+                Jp[nk + m] = _rowdot(dfdql, dql)
+                cgH[nk + m] = _rowdot(cg @ dR[m], dfdql) + 2.0 * _rowdot(dql, kcl)
+            Jp[nk + rot_dof :] = -(g @ T).T
+            cgH[nk + rot_dof :] = (-2.0 * kcl @ R.T @ T).T
+            return np.ascontiguousarray((Jp / s - (f / (s * v)) * cgH).T)
+
+        return _Residual(f / s, f, g, jac)
 
     return model
-
-
-def _normalized_residual(model, points, covs, p, v_min):
-    f, Jp, g, H = model(points, p)
-    cg = np.einsum("nij,nj->ni", covs, g)
-    v = np.maximum(np.einsum("ni,ni->n", g, cg), v_min)
-    s = np.sqrt(v)
-    F = f / s
-    gSH = np.einsum("ni,nip->np", cg, H)
-    J = Jp / s[:, None] - (f / (s * v))[:, None] * gSH
-    return F, J
 
 
 def wlm_minimize(model, p0, points, covs, config: WlmConfig = WlmConfig()) -> WlmResult:
@@ -179,19 +176,21 @@ def wlm_minimize(model, p0, points, covs, config: WlmConfig = WlmConfig()) -> Wl
     Scaling every point covariance by a common factor rescales all
     residuals uniformly and leaves the minimizer unchanged. Gauge
     directions (parameter moves that do not change the surface) are kept
-    benign by the damping. On non-convergence the best parameters seen
+    benign by the damping. A trial step evaluates F only; J is built at p0
+    and at accepted steps. On non-convergence the best parameters seen
     are returned with converged False.
     """
     p = np.asarray(p0, dtype=float).copy()
     lam = config.damping_init
-    F, J = _normalized_residual(model, points, covs, p, config.v_min)
+    res = model(points, covs, p, config.v_min)
+    F, J = res.F, res.jac()
     chi2 = float(F @ F)
     best_p, best_chi2, best_J = p.copy(), chi2, J
     converged = False
     iters = 0
     for _ in range(config.max_iter):
         A = J.T @ J
-        A[np.diag_indices_from(A)] += lam
+        A.reshape(-1)[:: len(A) + 1] += lam  # strided view of the diagonal
         try:
             step = np.linalg.solve(A, -(J.T @ F))
         except np.linalg.LinAlgError:
@@ -202,12 +201,12 @@ def wlm_minimize(model, p0, points, covs, config: WlmConfig = WlmConfig()) -> Wl
             converged = True
             break
         iters += 1
-        F_t, J_t = _normalized_residual(model, points, covs, p + step, config.v_min)
-        chi2_t = float(F_t @ F_t)
+        trial = model(points, covs, p + step, config.v_min)
+        chi2_t = float(trial.F @ trial.F)
         if chi2_t < chi2:
             done = (chi2 - chi2_t) <= config.chi2_rtol * chi2
             p = p + step
-            F, J, chi2 = F_t, J_t, chi2_t
+            F, J, chi2 = trial.F, trial.jac(), chi2_t
             if chi2 < best_chi2:
                 best_p, best_chi2, best_J = p.copy(), chi2, J
             lam = max(lam / config.damping_down, 1e-14)
@@ -220,7 +219,7 @@ def wlm_minimize(model, p0, points, covs, config: WlmConfig = WlmConfig()) -> Wl
                 break
     A = best_J.T @ best_J
     # damping floor keeps gauge directions at a finite, documented variance
-    A[np.diag_indices_from(A)] += config.damping_init
+    A.reshape(-1)[:: len(A) + 1] += config.damping_init
     sigma = _pose.sym(np.linalg.inv(A))
     return WlmResult(
         p=best_p, sigma=sigma, chi2=best_chi2, iterations=iters, converged=converged
@@ -342,7 +341,7 @@ def _moment_joint_sigma(points, covs, R, t, dR_cols, sigma_state, nk):
     M[:, 4, 0] = y
     M[:, 4, 1] = x
     B = M @ R.T  # d m_i / d q_i, up to 1/n
-    sigma_m = np.einsum("nab,nbc,ndc->ad", B, covs, B) / n**2
+    sigma_m = np.tensordot(B @ covs, B, axes=([0, 2], [0, 2])) / n**2
 
     # d m / d(k, r, t): r moves ql by d @ dR_j, t by -R^T
     A_r = np.column_stack([np.einsum("nab,nb->a", M, d @ dRj) for dRj in dR_cols]) / n

@@ -4,6 +4,8 @@ Every closed-form Jacobian in the package is checked against one of these
 independent references before its value is trusted anywhere else. The
 surface evaluators (implicit_eval, explicit_eval) and secant_area_bound
 make test points and error bounds; the pipeline itself needs neither.
+tensor_model and tensor_normalized_residual are the fit's residual in its
+direct form, with the per-point second-derivative tensor.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 
 import numpy as np
 
+from patchscape import pose as ps
 from patchscape.patch import SurfaceType, curvature_k3, patch_frame
 
 
@@ -316,3 +319,71 @@ def secant_area_bound(d, w_c):
         th = 2.0 * math.asin(chord / (2.0 * radius))
         seg = 0.5 * radius * radius * (th - math.sin(th))
     return min(seg, w_c * w_c)
+
+
+def tensor_model(k3_map, rot_dof, t_line=None):
+    """The fit's implicit model, building H = d2f/dq dp per point.
+
+    f(q; p) = ql^T K ql - 2 ql_z with ql = R^T (q - t), p packing
+    [k, r, t] (or [k, r, a] on the side-wall line t_line = (t0, n)).
+    Returns model(points, p) -> (f, df/dp, df/dq, H), H of shape
+    (n, 3, npar).
+    """
+    nk = k3_map.shape[1]
+    if t_line is not None:
+        t_base = np.asarray(t_line[0], dtype=float).reshape(3)
+        t_dir = np.asarray(t_line[1], dtype=float).reshape(3)
+        t_dir = t_dir / np.linalg.norm(t_dir)
+        nt = 1
+    else:
+        nt = 3
+    npar = nk + rot_dof + nt
+
+    def model(points, p):
+        k3 = k3_map @ p[:nk] if nk else np.zeros(3)
+        r3 = np.zeros(3)
+        r3[:rot_dof] = p[nk : nk + rot_dof]
+        t = t_base + p[-1] * t_dir if nt == 1 else p[nk + rot_dof :]
+        R = ps.exp_map(r3)
+        dR = ps.jac_exp(r3)
+        d = points - t
+        ql = d @ R
+        kql = ql * k3
+        f = np.einsum("ni,ni->n", ql, kql) - 2.0 * ql[:, 2]
+        dfdql = 2.0 * kql
+        dfdql[:, 2] -= 2.0
+        g = dfdql @ R.T
+
+        n = len(points)
+        Jp = np.empty((n, npar))
+        H = np.empty((n, 3, npar))
+        for b in range(nk):
+            kb = k3_map[:, b]
+            Jp[:, b] = (ql * ql) @ kb
+            H[:, :, b] = 2.0 * (ql * kb) @ R.T
+        for m in range(rot_dof):
+            dql = d @ dR[m]
+            Jp[:, nk + m] = np.einsum("ni,ni->n", dfdql, dql)
+            H[:, :, nk + m] = dfdql @ dR[m].T + 2.0 * (dql * k3) @ R.T
+        dgdt = -2.0 * (R * k3) @ R.T
+        if nt == 1:
+            Jp[:, -1] = -(g @ t_dir)
+            H[:, :, -1] = (dgdt @ t_dir)[None, :]
+        else:
+            Jp[:, nk + rot_dof :] = -g
+            H[:, :, nk + rot_dof :] = np.broadcast_to(dgdt, (n, 3, 3))
+        return f, Jp, g, H
+
+    return model
+
+
+def tensor_normalized_residual(model, points, covs, p, v_min):
+    """(F, dF/dp) of F = f / sqrt(max(g^T Sigma g, v_min)) from a tensor_model."""
+    f, Jp, g, H = model(points, p)
+    cg = np.einsum("nij,nj->ni", covs, g)
+    v = np.maximum(np.einsum("ni,ni->n", g, cg), v_min)
+    s = np.sqrt(v)
+    F = f / s
+    gSH = np.einsum("ni,nip->np", cg, H)
+    J = Jp / s[:, None] - (f / (s * v))[:, None] * gSH
+    return F, J

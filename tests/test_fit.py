@@ -19,7 +19,13 @@ from patchscape.patch import (
 )
 from patchscape.pose import Pose5, Pose6
 
-from _oracles import central_diff_jac, explicit_eval, implicit_eval
+from _oracles import (
+    central_diff_jac,
+    explicit_eval,
+    implicit_eval,
+    tensor_model,
+    tensor_normalized_residual,
+)
 
 S, B = SurfaceType, BoundaryType
 
@@ -34,13 +40,37 @@ def _random_covs(rng, n, scale=1e-4):
 # ---------------------------------------------------------------------------
 
 
+# Each family's model (k3 map, rotation DoF, side-wall line) at a test p
+_WALL = (np.array([0.0, 0.0, 1.0]), np.array([0.3, -0.2, 0.9]))
+_MODEL_CASES = {
+    "paraboloid": (pf._K3_PARAB, 3, None, [2.0, 5.0, 0.2, -0.1, 0.3, 0.05, -0.02, 1.0]),
+    "sphere": (pf._K3_SPHERE, 2, None, [2.5, 0.4, -0.3, 0.1, 0.2, 0.9]),
+    "plane": (pf._K3_PLANE, 2, None, [0.3, -0.2, 0.05, 0.1, 1.0]),
+    "cylinder": (pf._K3_CCYL, 3, None, [4.0, 0.2, 0.1, -0.3, 0.05, 0.0, 1.1]),
+    "side_wall": (pf._K3_PARAB, 3, _WALL, [2.0, 5.0, 0.2, -0.1, 0.3, 0.07]),
+}
+
+
+def _model_case(name, seed, n):
+    k3_map, rot_dof, line, p = _MODEL_CASES[name]
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-0.25, 0.25, (n, 3)) + [0, 0, 1]
+    return pf._implicit_model(k3_map, rot_dof, line), np.array(p), pts, rng
+
+
+def _raw(model, pts, p):
+    """(f, df/dp): with zero covariances and v_min = 1 the normalizer is 1."""
+    res = model(pts, np.zeros((len(pts), 3, 3)), p, 1.0)
+    return res.f, res.jac()
+
+
 def test_model_parameter_jacobian_matches_fd():
     rng = np.random.default_rng(0)
     model = pf._implicit_model(pf._K3_PARAB, 3)
     p = np.array([3.0, -7.0, 0.3, -0.2, 0.4, 0.1, -0.05, 1.2])
     pts = rng.uniform(-0.3, 0.3, (20, 3)) + [0, 0, 1]
-    _, Jp, _, _ = model(pts, p)
-    J_fd = central_diff_jac(lambda q: model(pts, q)[0], p)
+    _, Jp = _raw(model, pts, p)
+    J_fd = central_diff_jac(lambda q: _raw(model, pts, q)[0], p)
     assert np.max(np.abs(Jp - J_fd)) < 1e-6
 
 
@@ -49,57 +79,73 @@ def test_model_point_gradient_matches_fd():
     model = pf._implicit_model(pf._K3_CCYL, 3)
     p = np.array([4.0, 0.2, 0.1, -0.3, 0.05, 0.0, 1.1])
     pts = rng.uniform(-0.3, 0.3, (5, 3)) + [0, 0, 1]
-    _, _, g, _ = model(pts, p)
+    covs = np.broadcast_to(np.eye(3), (len(pts), 3, 3))
+    g = model(pts, covs, p, 1e-12).g
     for i in range(len(pts)):
         def fi(q):
             varied = pts.copy()
             varied[i] = q
-            return np.array([model(varied, p)[0][i]])
+            return np.array([model(varied, covs, p, 1e-12).f[i]])
         g_fd = central_diff_jac(fi, pts[i])
         assert np.max(np.abs(g[i] - g_fd[0])) < 1e-6
 
 
 def test_model_mixed_derivative_matches_fd():
-    rng = np.random.default_rng(2)
-    model = pf._implicit_model(pf._K3_SPHERE, 2)
-    p = np.array([2.5, 0.4, -0.3, 0.1, 0.2, 0.9])
-    pts = rng.uniform(-0.2, 0.2, (6, 3)) + [0, 0, 1]
-    _, _, _, H = model(pts, p)
-
-    def g_flat(q):
-        return model(pts, q)[2].ravel()
-
-    H_fd = central_diff_jac(g_flat, p).reshape(len(pts), 3, -1)
-    assert np.max(np.abs(H - H_fd)) < 1e-5
+    # the solver uses d2f/dq dp only contracted with cg = Sigma g. Take that
+    # contraction out of J = df/dp / s - f / s^3 cg^T d2f/dq dp and check it
+    # against d(cg . g)/dp with cg held at its value at p, for every model
+    for case in _MODEL_CASES:
+        model, p, pts, rng = _model_case(case, 2, 12)
+        covs = _random_covs(rng, len(pts), scale=1.0)
+        res = model(pts, covs, p, 1e-12)
+        s = res.f / res.F
+        cgH = (_raw(model, pts, p)[1] / s[:, None] - res.jac()) * (s**3 / res.f)[:, None]
+        cg = np.einsum("nij,nj->ni", covs, res.g)
+        fd = central_diff_jac(
+            lambda q: np.einsum("ni,ni->n", cg, model(pts, covs, q, 1e-12).g), p
+        )
+        assert np.max(np.abs(cgH - fd)) / np.max(np.abs(fd)) < 1e-5, case
 
 
 def test_normalized_residual_jacobian_matches_fd():
-    rng = np.random.default_rng(3)
-    model = pf._implicit_model(pf._K3_PARAB, 3)
-    p = np.array([2.0, 5.0, 0.2, -0.1, 0.3, 0.05, -0.02, 1.0])
-    pts = rng.uniform(-0.25, 0.25, (15, 3)) + [0, 0, 1]
-    covs = _random_covs(rng, len(pts))
-    _, J = pf._normalized_residual(model, pts, covs, p, 1e-12)
-    J_fd = central_diff_jac(
-        lambda q: pf._normalized_residual(model, pts, covs, q, 1e-12)[0], p
+    for case in _MODEL_CASES:
+        model, p, pts, rng = _model_case(case, 3, 15)
+        covs = _random_covs(rng, len(pts))
+        J = model(pts, covs, p, 1e-12).jac()
+        J_fd = central_diff_jac(lambda q: model(pts, covs, q, 1e-12).F, p)
+        scale = np.max(np.abs(J_fd))
+        assert np.max(np.abs(J - J_fd)) / scale < 1e-5, case
+
+
+@pytest.mark.parametrize("case", list(_MODEL_CASES))
+def test_normalized_residual_matches_tensor_oracle(case):
+    # anisotropic covariances, and point 0 with a zero covariance, so its
+    # variance sits at the v_min floor
+    k3_map, rot_dof, line, _ = _MODEL_CASES[case]
+    model, p, pts, rng = _model_case(case, 8, 40)
+    covs = _random_covs(rng, len(pts)) * rng.uniform(0.1, 10.0, (len(pts), 1, 1))
+    covs[0] = 0.0
+    v_min = 1e-12
+    res = model(pts, covs, p, v_min)
+    v = np.einsum("ni,ni->n", res.g, np.einsum("nij,nj->ni", covs, res.g))
+    assert v[0] == 0.0 and np.all(v[1:] > 100.0 * v_min)
+    F_o, J_o = tensor_normalized_residual(
+        tensor_model(k3_map, rot_dof, line), pts, covs, p, v_min
     )
-    scale = np.max(np.abs(J_fd))
-    assert np.max(np.abs(J - J_fd)) / scale < 1e-5
+    J = res.jac()
+    # row by row, relative to each point's largest entry
+    assert np.all(np.abs(res.F - F_o) <= 1e-12 * np.abs(F_o))
+    assert np.all(np.abs(J - J_o) <= 1e-12 * np.max(np.abs(J_o), axis=1, keepdims=True))
 
 
 def test_side_wall_model_jacobian_matches_fd():
     rng = np.random.default_rng(4)
-    line = (np.array([0.0, 0.0, 1.0]), np.array([0.3, -0.2, 0.9]))
-    model = pf._implicit_model(pf._K3_PARAB, 3, line)
+    model = pf._implicit_model(pf._K3_PARAB, 3, _WALL)
     p = np.array([2.0, 5.0, 0.2, -0.1, 0.3, 0.07])
     pts = rng.uniform(-0.25, 0.25, (12, 3)) + [0, 0, 1]
-    _, Jp, _, H = model(pts, p)
-    J_fd = central_diff_jac(lambda q: model(pts, q)[0], p)
+    _, Jp = _raw(model, pts, p)
+    J_fd = central_diff_jac(lambda q: _raw(model, pts, q)[0], p)
     assert np.max(np.abs(Jp - J_fd)) < 1e-6
-    H_fd = central_diff_jac(lambda q: model(pts, q)[2].ravel(), p).reshape(
-        len(pts), 3, -1
-    )
-    assert np.max(np.abs(H - H_fd)) < 1e-5
 
 
 def test_wlm_invariant_to_uniform_cov_scale():
@@ -153,6 +199,48 @@ def test_wlm_reports_nonconvergence():
                        pts, covs, WlmConfig(max_iter=2))
     assert not res.converged
     assert res.iterations <= 2
+
+
+def test_wlm_builds_jacobian_only_at_accepted_steps():
+    rng = np.random.default_rng(1)
+    model = pf._implicit_model(pf._K3_SPHERE, 2)
+    true_p = np.array([3.0, 0.3, -0.2, 0.05, -0.1, 1.0])
+    pts = _sphere_points(true_p, rng, 60)
+    pts = pts + rng.normal(0, 1e-3, pts.shape)
+    covs = _random_covs(rng, len(pts), scale=1e-3)
+    calls = []  # per model call: [chi2, Jacobian builds]
+
+    def counted(points, cv, p, v_min):
+        res = model(points, cv, p, v_min)
+        entry = [float(res.F @ res.F), 0]
+        calls.append(entry)
+
+        def jac():
+            entry[1] += 1
+            return res.jac()
+
+        return res._replace(jac=jac)
+
+    def eager(points, cv, p, v_min):
+        res = model(points, cv, p, v_min)
+        J = res.jac()
+        return res._replace(jac=lambda: J)
+
+    lazy = wlm_minimize(counted, true_p + 0.3, pts, covs)
+    ref = wlm_minimize(eager, true_p + 0.3, pts, covs)
+    # one model call at p0 and one per trial; a trial is accepted when it
+    # lowers chi2 below that of the current point
+    assert len(calls) == 1 + lazy.iterations
+    accepted, chi2 = [0], calls[0][0]
+    for i, (chi2_t, _) in enumerate(calls[1:], 1):
+        if chi2_t < chi2:
+            accepted.append(i)
+            chi2 = chi2_t
+    assert len(accepted) < len(calls)  # the fit rejected some trials
+    assert [builds for _, builds in calls] == [int(i in accepted) for i in range(len(calls))]
+    assert lazy.converged == ref.converged and lazy.iterations == ref.iterations
+    assert lazy.chi2 == ref.chi2
+    assert np.array_equal(lazy.p, ref.p) and np.array_equal(lazy.sigma, ref.sigma)
 
 
 # ---------------------------------------------------------------------------
