@@ -50,7 +50,7 @@ from typing import (
 import numpy as np
 
 from . import mapping as _mapping
-from .fit import MIN_FIT_POINTS, fit_patch
+from .fit import MIN_FIT_POINTS, SURFACES, fit_patch
 from .mapping import (
     MapBudgets,
     MapConfig,
@@ -746,8 +746,7 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--cloud", required=True, help="OPC2 cloud file")
     f.add_argument("--pixel", type=int, nargs=2, metavar=("U", "V"), required=True)
     f.add_argument("--radius", type=float, default=defaults.saliency.r)
-    f.add_argument("--surface", default=defaults.surface,
-                   choices=["paraboloid", "plane", "sphere", "cylinder"])
+    f.add_argument("--surface", default=defaults.surface, choices=SURFACES)
     f.add_argument("--boundary", default="ellipse",
                    choices=[b.value for b in BoundaryType])
     f.add_argument("--gamma", type=float, default=defaults.gamma)

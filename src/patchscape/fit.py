@@ -67,6 +67,7 @@ __all__ = [
     "fit_patch",
     "coverage_scale",
     "MIN_FIT_POINTS",
+    "SURFACES",
 ]
 
 # Fewest finite points fit_patch accepts; neighborhoods smaller than this
@@ -484,7 +485,8 @@ _K3_PLANE = np.zeros((3, 0))
 # axis swap taking x to the old y direction (z fixed): R' = R W
 _W_SWAP = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
-_SURFACES = ("paraboloid", "plane", "sphere", "cylinder")
+# the families fit_patch fits, by the name its surface argument takes
+SURFACES = ("paraboloid", "plane", "sphere", "cylinder")
 
 
 def fit_patch(
@@ -494,7 +496,6 @@ def fit_patch(
     plane_boundary: BoundaryType = BoundaryType.ELLIPSE,
     gamma: float = 0.95,
     side_wall=None,
-    config: WlmConfig = WlmConfig(),
 ) -> FitResult:
     """Fit one bounded patch to points with per-point 3x3 covariances.
 
@@ -513,8 +514,8 @@ def fit_patch(
     Returns a FitResult whose patch carries the propagated (k, d, r, t)
     covariance.
     """
-    if surface not in _SURFACES:
-        raise ValueError(f"surface must be one of {_SURFACES}")
+    if surface not in SURFACES:
+        raise ValueError(f"surface must be one of {SURFACES}")
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     keep = np.isfinite(pts).all(axis=1)
     pts = pts[keep]
@@ -546,7 +547,7 @@ def fit_patch(
             p0 = np.concatenate([np.zeros(nk), r0, t0])
         else:
             p0 = np.concatenate([np.zeros(nk), r0, [float(wall_n @ (t0 - wall_t))]])
-        res = wlm_minimize(model, p0, pts, cv, config)
+        res = wlm_minimize(model, p0, pts, cv)
         runs.append(res)
         if not wall:
             return res.p[:nk], res.p[nk:-3], res.p[-3:], res.sigma

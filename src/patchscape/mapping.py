@@ -3,8 +3,10 @@
 The mapping pipeline runs in stages on each organized range frame:
 optional median decimation of the saliency cloud, the hiking saliency
 filter, grid-based seed selection in the volume frame, per-seed
-neighborhood search (image backprojection, k-d tree, or triangle mesh),
-and patch fit/validate with curvature, residual, and coverage gates.
+neighborhood search over the seed's backprojected window (Euclidean
+distance, or chain distance on a triangle mesh built over that window
+alone), and patch fit/validate with curvature, residual, and coverage
+gates.
 Saliency runs its tests cheapest first: DtFP on the points, then DoNG on
 the coarse normal, then DoN on the fine one. Both normal scales come from
 one integral image of the frame, and each is solved only at the pixels
@@ -24,17 +26,16 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import dijkstra
-from scipy.spatial import cKDTree
 
 from patchscape import pose as _pose
-from patchscape.fit import MIN_FIT_POINTS, FitResult, coverage_scale, fit_patch
+from patchscape.fit import MIN_FIT_POINTS, SURFACES, FitResult, coverage_scale, fit_patch
 from patchscape.patch import Patch, patch_frame, projected_area, transform_patch
 from patchscape.pose import ChainLink, Pose6
 from patchscape.sensor import OrganizedCloud, project
@@ -364,6 +365,7 @@ class SaliencyConfig:
             v = getattr(self, name)
             if not 0.0 < v < 90.0:
                 raise ValueError(f"{name} must lie in (0, 90) degrees")
+        self.gate  # CurvatureGate's own check: kappa_min <= kappa_max
 
     @property
     def gate(self) -> CurvatureGate:
@@ -524,7 +526,6 @@ def select_seeds(
 
 class NeighborhoodVariant(Enum):
     BACKPROJECTION = "backprojection"
-    KDTREE = "kdtree"
     TRIANGLE_MESH = "triangle_mesh"
 
 
@@ -539,7 +540,9 @@ _PIXEL_MARGIN = 6
 class NeighborhoodIndex:
     """Search method plus the triangle-mesh build thresholds.
 
-    variant is a NeighborhoodVariant or its value.
+    variant is a NeighborhoodVariant or its value: BACKPROJECTION (the
+    Euclidean r-ball) or TRIANGLE_MESH (the chain-distance r-ball). Both
+    search the seed's backprojected window only.
     """
 
     variant: NeighborhoodVariant = NeighborhoodVariant.BACKPROJECTION
@@ -577,9 +580,9 @@ def _resolve_seed(cloud: OrganizedCloud, seed) -> Tuple[Tuple[int, int], np.ndar
 
 
 def _ball_pixels_backprojection(
-    cloud: OrganizedCloud, s: np.ndarray, r: float
+    cloud: OrganizedCloud, s: np.ndarray, r: float, margin: int = _PIXEL_MARGIN
 ) -> Tuple[slice, slice]:
-    """Candidate pixel window: the sphere's image plus a safety margin.
+    """Candidate pixel window: the sphere's image plus margin pixels a side.
 
     For any q with |q - s| <= r and depths z >= z_s - r, the pixel offset
     obeys |u_q - u_s| <= fx r (z_s + |x_s|) / (z_s (z_s - r)), and
@@ -594,15 +597,15 @@ def _ball_pixels_backprojection(
     uv = project(intr, s)
     du = intr.fx * r * (z + abs(float(s[0]))) / (z * (z - r))
     dv = intr.fy * r * (z + abs(float(s[1]))) / (z * (z - r))
-    j0 = max(0, int(math.floor(uv[0] - du)) - _PIXEL_MARGIN)
-    j1 = min(w, int(math.ceil(uv[0] + du)) + _PIXEL_MARGIN + 1)
-    i0 = max(0, int(math.floor(uv[1] - dv)) - _PIXEL_MARGIN)
-    i1 = min(h, int(math.ceil(uv[1] + dv)) + _PIXEL_MARGIN + 1)
+    j0 = max(0, int(math.floor(uv[0] - du)) - margin)
+    j1 = min(w, int(math.ceil(uv[0] + du)) + margin + 1)
+    i0 = max(0, int(math.floor(uv[1] - dv)) - margin)
+    i1 = min(h, int(math.ceil(uv[1] + dv)) + margin + 1)
     return slice(i0, i1), slice(j0, j1)
 
 
 def mesh_triangles(
-    cloud: OrganizedCloud, t_jump: float = 0.02, t_es: float = 0.05, t_ar: float = 5.0
+    points: np.ndarray, t_jump: float = 0.02, t_es: float = 0.05, t_ar: float = 5.0
 ) -> np.ndarray:
     """Grid triangles surviving the jump, edge-length, and aspect prunes.
 
@@ -610,11 +613,11 @@ def mesh_triangles(
     block. Edges spanning a depth jump |dz| > t_jump are dropped before
     triangles form; surviving triangles are then pruned when their
     longest 3D side exceeds t_es or the longest-to-shortest ratio
-    exceeds t_ar. Returns (M, 3) flat pixel ids (row * W + col).
+    exceeds t_ar. points is an (H, W, 3) organized grid, NaN where there
+    is no return. Returns (M, 3) flat pixel ids (row * W + col).
     """
-    pts = cloud.points
-    h, w = pts.shape[:2]
-    z = pts[..., 2]
+    h, w = points.shape[:2]
+    z = points[..., 2]
     valid = np.isfinite(z)
 
     def edge_ok(a_idx, b_idx):
@@ -648,7 +651,7 @@ def mesh_triangles(
         return np.zeros((0, 3), dtype=int)
     tri = np.concatenate(tris, axis=0)
 
-    p = pts.reshape(-1, 3)
+    p = points.reshape(-1, 3)
     sides = np.stack(
         [
             np.linalg.norm(p[tri[:, 0]] - p[tri[:, 1]], axis=1),
@@ -663,9 +666,10 @@ def mesh_triangles(
     return tri[keep]
 
 
-def _mesh_graph(cloud: OrganizedCloud, index: NeighborhoodIndex) -> sparse.csr_matrix:
-    tri = mesh_triangles(cloud, index.t_jump, index.t_es, index.t_ar)
-    n = cloud.points.shape[0] * cloud.points.shape[1]
+def _mesh_graph(points: np.ndarray, index: NeighborhoodIndex) -> sparse.csr_matrix:
+    """Edge-length weighted graph of the mesh over an (H, W, 3) grid."""
+    tri = mesh_triangles(points, index.t_jump, index.t_es, index.t_ar)
+    n = points.shape[0] * points.shape[1]
     if len(tri) == 0:
         return sparse.csr_matrix((n, n))
     a = np.concatenate([tri[:, 0], tri[:, 1], tri[:, 2]])
@@ -675,7 +679,7 @@ def _mesh_graph(cloud: OrganizedCloud, index: NeighborhoodIndex) -> sparse.csr_m
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     uniq = np.unique(np.stack([lo, hi], axis=1), axis=0)
     a, b = uniq[:, 0], uniq[:, 1]
-    p = cloud.points.reshape(-1, 3)
+    p = points.reshape(-1, 3)
     wgt = np.linalg.norm(p[a] - p[b], axis=1)
     g = sparse.coo_matrix((wgt, (a, b)), shape=(n, n))
     g = g.maximum(g.T)  # symmetrize: undirected graph
@@ -687,34 +691,34 @@ def neighborhood(
 ) -> Neighborhood:
     """All points within r of the seed, in row-major pixel order.
 
-    Backprojection and k-d tree both return the exact Euclidean r-ball
-    over valid points; the triangle mesh bounds the chain distance
-    (shortest weighted edge path) instead, so its neighborhoods never
-    cross depth jumps. The seed is a (row, col) pixel holding a valid
-    point; the ball is centered on that point. fit_sample draws the
-    points a fit runs on.
+    Backprojection returns the exact Euclidean r-ball over valid points;
+    the triangle mesh bounds the chain distance (shortest weighted edge
+    path) instead, so its neighborhoods never cross depth jumps. Both
+    look only at the seed's backprojected window. The seed is a (row,
+    col) pixel holding a valid point; the ball is centered on that point.
+    fit_sample draws the points a fit runs on.
     """
     if r <= 0.0:
         raise ValueError("r must be positive")
     (si, sj), s = _resolve_seed(cloud, seed)
-    h, w = cloud.points.shape[:2]
 
     if index.variant == NeighborhoodVariant.BACKPROJECTION:
         rows, cols = _ball_pixels_backprojection(cloud, s, r)
         win = cloud.points[rows, cols]
         cand = np.argwhere(np.isfinite(win[..., 2]))
         d = np.linalg.norm(win[cand[:, 0], cand[:, 1]] - s, axis=1)
-        sel = cand[d <= r] + (rows.start, cols.start)
-    elif index.variant == NeighborhoodVariant.KDTREE:
-        flat_idx = np.flatnonzero(cloud.valid_mask.ravel())
-        tree = cKDTree(cloud.points.reshape(-1, 3)[flat_idx])
-        hits = np.asarray(tree.query_ball_point(s, r), dtype=int)
-        sel = np.stack(np.unravel_index(flat_idx[np.sort(hits)], (h, w)), axis=1)
+        sel = cand[d <= r]
     else:
-        graph = _mesh_graph(cloud, index)
-        dist = dijkstra(graph, directed=False, indices=si * w + sj, limit=r)
-        reach = np.flatnonzero(np.isfinite(dist) & (dist <= r))
-        sel = np.stack(np.unravel_index(reach, (h, w)), axis=1)
+        # A chain of length <= r never leaves the Euclidean r-ball, which
+        # lies in the window; one more pixel on every side keeps each
+        # triangle holding an edge between two in-ball pixels, so the
+        # window's mesh gives the whole frame's chain distances up to r.
+        rows, cols = _ball_pixels_backprojection(cloud, s, r, _PIXEL_MARGIN + 1)
+        win = cloud.points[rows, cols]
+        at = (si - rows.start) * win.shape[1] + (sj - cols.start)
+        dist = dijkstra(_mesh_graph(win, index), directed=False, indices=at, limit=r)
+        sel = np.argwhere(dist.reshape(win.shape[:2]) <= r)
+    sel = sel + (rows.start, cols.start)
 
     pts = cloud.points[sel[:, 0], sel[:, 1]]
     cvs = cloud.cov[sel[:, 0], sel[:, 1]] if cloud.cov is not None else None
@@ -825,7 +829,10 @@ def init_volume(
     """Volume placed so the camera starts at pose c_0 in its frame.
 
     policy is a MovePolicy or its value ("fv", "fc", "fd", "ff").
+    ValueError unless the cube size v_s is positive and finite.
     """
+    if not (math.isfinite(v_s) and v_s > 0.0):
+        raise ValueError("v_s must be positive and finite")
     if camera_world is None:
         camera_world = Pose6(np.zeros(3), np.zeros(3))
     pose_world = _pose.compose_chain(
@@ -986,8 +993,9 @@ class MapConfig:
 
     The coverage cell size must be at least the projected sample pitch
     of the cloud, or regular grids of perfectly good data read as holes.
-    ValueError unless n_f is at least the fit minimum, 0 < gamma < 1,
-    d_max is finite and non-negative, and decimate is non-negative.
+    ValueError unless n_f is at least the fit minimum, surface is one of
+    fit.SURFACES, 0 < gamma < 1, d_max is finite and non-negative, and
+    decimate is non-negative.
     """
 
     saliency: SaliencyConfig = SaliencyConfig()
@@ -1003,6 +1011,8 @@ class MapConfig:
     def __post_init__(self):
         if not self.n_f >= MIN_FIT_POINTS:
             raise ValueError(f"n_f must be at least {MIN_FIT_POINTS}, the fit minimum")
+        if self.surface not in SURFACES:
+            raise ValueError(f"surface must be one of {SURFACES}")
         coverage_scale(self.gamma)  # the fit's own check: 0 < gamma < 1
         if not (math.isfinite(self.d_max) and self.d_max >= 0.0):
             raise ValueError("d_max must be finite and non-negative")
@@ -1016,17 +1026,24 @@ class MapBudgets:
 
     n_s caps the total resident patch count. work_units caps the number
     of fit attempts this call, the deterministic stand-in for a per-frame
-    time slice; wall_clock_s enforces a real time limit instead (used by
-    the command line driver, inherently nondeterministic). area_target
-    stops admissions once the summed projected patch areas reach it.
-    Once any cap is reached, the seeds not yet tried count as "budget"
-    drops.
+    time slice; wall_clock_s enforces a real time limit instead (set only
+    from a map config file's budgets, no command line flag; inherently
+    nondeterministic). area_target stops admissions once the summed
+    projected patch areas reach it. Once any cap is reached, the seeds not
+    yet tried count as "budget" drops. None leaves a cap off; ValueError
+    for a negative or NaN cap.
     """
 
     n_s: Optional[int] = None
     work_units: Optional[int] = None
     wall_clock_s: Optional[float] = None
     area_target: Optional[float] = None
+
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is not None and not v >= 0:
+                raise ValueError(f"{f.name} must be non-negative")
 
 
 @dataclass

@@ -6,6 +6,8 @@ surface evaluators (implicit_eval, explicit_eval) and secant_area_bound
 make test points and error bounds; the pipeline itself needs neither.
 tensor_model and tensor_normalized_residual are the fit's residual in its
 direct form, with the per-point second-derivative tensor.
+kdtree_neighborhood and mesh_graph_neighborhood search the whole frame
+for the neighborhoods the pipeline finds in the seed's window.
 """
 
 from __future__ import annotations
@@ -13,8 +15,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import dijkstra
+from scipy.spatial import cKDTree
 
 from patchscape import pose as ps
+from patchscape.mapping import Neighborhood, mesh_triangles
 from patchscape.patch import SurfaceType, curvature_k3, patch_frame
 
 
@@ -161,6 +167,50 @@ def dense_saliency(cloud, normals, g, cfg):
         don = np.einsum("hwi,hwi->hw", n, n_s) >= math.cos(math.radians(cfg.phi_d))
         dong = -(n @ gv) >= math.cos(math.radians(cfg.phi_g))
     return ok & near & don & dong
+
+
+def _at_pixels(cloud, sel):
+    cvs = cloud.cov[sel[:, 0], sel[:, 1]] if cloud.cov is not None else None
+    return Neighborhood(points=cloud.points[sel[:, 0], sel[:, 1]], covs=cvs, pixels=sel)
+
+
+def kdtree_neighborhood(cloud, seed, r):
+    """Every valid point within Euclidean distance r of the seed pixel's point.
+
+    The direct form of the BACKPROJECTION neighborhood: one k-d tree over
+    all valid points of the frame, hits in row-major pixel order.
+    """
+    h, w = cloud.valid_mask.shape
+    flat_idx = np.flatnonzero(cloud.valid_mask.ravel())
+    tree = cKDTree(cloud.points.reshape(-1, 3)[flat_idx])
+    hits = np.asarray(tree.query_ball_point(cloud.points[tuple(seed)], r), dtype=int)
+    return _at_pixels(cloud, np.stack(np.unravel_index(flat_idx[np.sort(hits)], (h, w)), axis=1))
+
+
+def whole_frame_mesh_graph(cloud, index):
+    """Edge-length weighted graph of mesh_triangles over every pixel of the frame.
+
+    Each undirected edge is stored once, as (lower id, higher id).
+    """
+    h, w = cloud.valid_mask.shape
+    tri = mesh_triangles(cloud.points, index.t_jump, index.t_es, index.t_ar)
+    edges = np.sort(tri[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    key = np.unique(edges[:, 0] * (h * w) + edges[:, 1])
+    a, b = key // (h * w), key % (h * w)
+    p = cloud.points.reshape(-1, 3)
+    wgt = np.linalg.norm(p[a] - p[b], axis=1)
+    return sparse.coo_matrix((wgt, (a, b)), shape=(h * w, h * w)).tocsr()
+
+
+def mesh_graph_neighborhood(cloud, graph, seed, r):
+    """Every point within chain distance r of the seed on a whole-frame graph.
+
+    The direct form of the TRIANGLE_MESH neighborhood: one Dijkstra from
+    the seed pixel over whole_frame_mesh_graph, hits in row-major order.
+    """
+    h, w = cloud.valid_mask.shape
+    dist = dijkstra(graph, directed=False, indices=seed[0] * w + seed[1], limit=r)
+    return _at_pixels(cloud, np.argwhere(dist.reshape(h, w) <= r))
 
 
 _UT = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]

@@ -636,11 +636,16 @@ def test_map_rejects_bad_gravity(tmp_path, dome_dir, capsys, spec):
     [{"budgets": {"n_S": 1}}, {"n_ff": 50}, {"volume": {"v_size": 4}},
      {"gamma": 1.5}, {"n_f": 8.9}, {"n_f": 12}, {"check_coverage": "false"},
      {"check_coverage": 0}, {"d_max": -0.01}, {"d_max": float("inf")}, {"decimate": -1},
-     {"coverage": {"w_c": True}}, {"volume": {"v_g": 2.5}}, {"budgets": {"n_s": "3"}}],
+     {"coverage": {"w_c": True}}, {"volume": {"v_g": 2.5}}, {"budgets": {"n_s": "3"}},
+     {"surface": "torus"}, {"saliency": {"kappa_min": 5.0, "kappa_max": -5.0}},
+     {"budgets": {"n_s": -1}}, {"budgets": {"wall_clock_s": -1.0}},
+     {"volume": {"v_s": -4.0}}, {"neighborhood": {"variant": "kdtree"}}],
     ids=["budget_typo", "unknown_key", "volume_typo", "gamma_above_one", "n_f_not_integer",
          "n_f_below_fit_minimum", "bool_as_string", "bool_as_integer", "d_max_negative",
          "d_max_infinite", "decimate_negative", "nested_bool_as_float",
-         "nested_v_g_not_integer", "nested_string_as_integer"],
+         "nested_v_g_not_integer", "nested_string_as_integer", "surface_unknown",
+         "kappa_range_inverted", "budget_count_negative", "budget_seconds_negative",
+         "volume_size_negative", "variant_kdtree_removed"],
 )
 def test_map_rejects_malformed_config(tmp_path, dome_dir, capsys, spec):
     cfg = tmp_path / "bad.json"

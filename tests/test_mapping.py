@@ -59,7 +59,13 @@ from patchscape.sensor import (
     sample_scene,
 )
 
-from _oracles import dense_saliency, eigh_integral_normals
+from _oracles import (
+    dense_saliency,
+    eigh_integral_normals,
+    kdtree_neighborhood,
+    mesh_graph_neighborhood,
+    whole_frame_mesh_graph,
+)
 
 S, B = SurfaceType, BoundaryType
 
@@ -613,12 +619,7 @@ def test_neighborhood_backprojection_matches_kdtree():
     cloud = _plane_cloud(1.0)
     seed = (30, 40)
     a = neighborhood(NeighborhoodIndex(), cloud, np.array(seed), 0.12)
-    b = neighborhood(
-        NeighborhoodIndex(variant=NeighborhoodVariant.KDTREE),
-        cloud,
-        np.array(seed),
-        0.12,
-    )
+    b = kdtree_neighborhood(cloud, seed, 0.12)
     sa = set(map(tuple, a.pixels))
     sb = set(map(tuple, b.pixels))
     assert sa == sb
@@ -627,13 +628,12 @@ def test_neighborhood_backprojection_matches_kdtree():
 
 def test_neighborhood_backprojection_keeps_scan_order(rocky_cloud_noisy):
     cloud = rocky_cloud_noisy
-    kd = NeighborhoodIndex(variant=NeighborhoodVariant.KDTREE)
     seeds = [(240, 320), (100, 500), (400, 60), (2, 2)]
     seeds = [sd for sd in seeds if np.isfinite(cloud.points[sd][2])]
     assert len(seeds) >= 3
     for seed in seeds:
         a = neighborhood(NeighborhoodIndex(), cloud, np.array(seed), 0.15)
-        b = neighborhood(kd, cloud, np.array(seed), 0.15)
+        b = kdtree_neighborhood(cloud, seed, 0.15)
         assert len(a.pixels) > 13
         assert np.array_equal(a.pixels, b.pixels)  # row-major, element for element
         assert np.array_equal(a.points, b.points)
@@ -682,6 +682,22 @@ def test_neighborhood_mesh_chain_distance_on_plane():
     assert len(mesh_set) > 0.7 * len(eucl_set)
 
 
+def test_neighborhood_mesh_matches_whole_frame_oracle(rocky_cloud_noisy):
+    cloud = rocky_cloud_noisy
+    idx = NeighborhoodIndex(variant=NeighborhoodVariant.TRIANGLE_MESH)
+    graph = whole_frame_mesh_graph(cloud, idx)
+    valid = np.argwhere(cloud.valid_mask)
+    seeds = valid[np.random.default_rng(3).choice(len(valid), 5, replace=False)]
+    for r in (0.10, 0.15):
+        for seed in seeds:
+            a = neighborhood(idx, cloud, seed, r)
+            b = mesh_graph_neighborhood(cloud, graph, seed, r)
+            assert len(a.pixels) > 13
+            assert np.array_equal(a.pixels, b.pixels)  # row-major, element for element
+            assert np.array_equal(a.points, b.points)
+            assert np.array_equal(a.covs, b.covs)
+
+
 def test_neighborhood_rejects_bad_seeds():
     cloud = _plane_cloud(1.0)
     with pytest.raises(ValueError):
@@ -713,14 +729,14 @@ def test_neighborhood_index_validation():
 
 def test_mesh_triangles_full_grid_count():
     cloud = _plane_cloud(1.0)
-    tri = mesh_triangles(cloud)
+    tri = mesh_triangles(cloud.points)
     assert len(tri) == 2 * (TINY.height - 1) * (TINY.width - 1)
 
 
 def test_mesh_triangles_prunes_jump_edges():
     z = np.full((TINY.height, TINY.width), 1.0)
     z[:, 40:] = 1.5
-    tri = mesh_triangles(_depth_cloud(TINY, z))
+    tri = mesh_triangles(_depth_cloud(TINY, z).points)
     p = _depth_cloud(TINY, z).points.reshape(-1, 3)[:, 2]
     spans = np.ptp(p[tri], axis=1)
     assert spans.max() < 1e-9  # no triangle mixes both depth levels

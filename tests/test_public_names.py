@@ -15,11 +15,10 @@ SRC = Path(patchscape.__file__).parent
 
 # closest_point_exact has no caller in the package: it is the one-row entry
 # to the residual kernel that the benchmark traces by name, and the tests
-# use it with solver="companion" as their closest-point reference.
-# flip_toward_viewpoint and match_patches are the paper's patch flip and
-# patch match operations. No stage calls them yet; ROADMAP item 7 keeps them
-# open until a stage uses them or they go with their 27 tests.
-ALLOWED_UNREFERENCED = {"closest_point_exact", "flip_toward_viewpoint", "match_patches"}
+# use it with solver="companion" as their closest-point reference. It is the
+# only exception: any other name that loses its last package caller goes,
+# together with the tests that exercised it.
+ALLOWED_UNREFERENCED = {"closest_point_exact"}
 
 
 def _modules():
