@@ -526,7 +526,6 @@ def cmd_fit(args) -> int:
             surface=cfg.surface,
             plane_boundary=BoundaryType(args.boundary),
             gamma=cfg.gamma,
-            side_wall=True,
         )
     except (ValueError, np.linalg.LinAlgError) as e:
         return _fail(f"fit failed: {e}")

@@ -4,13 +4,13 @@ The fit runs in stages:
 
 1. A linear least-squares plane through the points (centroid plus the
    smallest principal direction, oriented toward the origin: points are
-   camera frame, so the plane faces the camera), refined by a weighted
-   nonlinear solve unless a general paraboloid was requested, then
-   re-anchored at the in-plane projection of the centroid.
+   camera frame, so the plane faces the camera). Its centroid and normal
+   define the side-wall line that holds the patch origin in every later
+   solve. The plane is refined by a weighted nonlinear solve unless a
+   general paraboloid was requested.
 2. For curved families, a weighted Levenberg-Marquardt solve of the
-   unified implicit quadric over curvature, orientation, and position.
-   Circular cylinders then rebuild their frame so the cross-section axes
-   stay consistent with the stage-1 plane normal.
+   unified implicit quadric over curvature, orientation, and the
+   position along the line.
 3. A general paraboloid is classified by its fitted curvatures: flat
    (plane), single-curved (cylindric), equal-curved (circular), or
    elliptic/hyperbolic, reducing parameters accordingly.
@@ -26,17 +26,15 @@ includes the closed-form derivative of that normalization.
 Covariance flows through one path. Every solve returns the state
 (k, r, t) with its covariance: k the family's free curvatures, r the
 2-component r_xy of a 5-DoF frame or the full rotation vector, t the
-origin. A side-wall constraint replaces the free position by
-t = t0 + a * n with scalar a, keeping the fitted patch centered on a
-known line (for example the intersection with a supporting wall); the
-solver sees (k, r, a), and the solve lifts the result back to (k, r, t)
-through J = block_diag(I, n), the only place the line enters the
-covariance. Stages 2-3 then map (k, r, t) to a reduced (k, r, t) by
-block-diagonal Jacobians. One finisher takes the moments m of the
-projected points jointly with the state and maps (m, k, r, t) to the
-final (k, d, r, t): the extents d come from m, t moves to the moment
-centroid along the family's free in-plane axes (never on a side wall,
-so the position stays on the line), and a plane with a directional
+origin. The origin lies on the side-wall line t = t0 + a * n through
+the data centroid t0 along the initial plane normal n, which keeps the
+fitted patch centered on its data; the solver sees (k, r, a), and the
+solve lifts the result back to (k, r, t) through J = block_diag(I, n),
+the only place the line enters the covariance. Stages 2-3 then map
+(k, r, t) to a reduced (k, r, t) by block-diagonal Jacobians. One
+finisher takes the moments m of the projected points jointly with the
+state and maps (m, k, r, t) to the final (k, d, r, t): the extents d
+come from m, t stays on the line, and a plane with a directional
 boundary turns its frame to the principal axes of m.
 """
 
@@ -75,7 +73,6 @@ __all__ = [
 MIN_FIT_POINTS = 13
 
 _FLAT_EPS = 1e-2  # curvature magnitude below which a direction is flat
-_TINY_KAPPA = 1e-8  # cylinder curvature below which the frame rebuild is skipped
 _rowdot = partial(np.einsum, "ni,ni->n")  # dot products of matching rows
 
 
@@ -120,17 +117,15 @@ class _Residual(NamedTuple):
     jac: Callable[[], np.ndarray]
 
 
-def _implicit_model(k3_map: np.ndarray, rot_dof: int, t_line=None):
+def _implicit_model(k3_map: np.ndarray, rot_dof: int, t_line):
     """Residual model f(q; p) = ql^T K ql - 2 ql_z with ql = R^T (q - t).
 
-    p packs [k, r, t], or [k, r, a] on the side-wall line t0 + a n/|n| with
+    p packs [k, r, a], with t = t0 + a n/|n| on the side-wall line
     t_line = (t0, n). Returns model(points, covs, p, v_min) -> _Residual.
     """
     nk = k3_map.shape[1]
-    t0, T = np.zeros(3), np.eye(3)  # t = t0 + T p_t
-    if t_line is not None:
-        t0, T = t_line[0], (t_line[1] / np.linalg.norm(t_line[1]))[:, None]
-    npar = nk + rot_dof + T.shape[1]
+    t0, T = t_line[0], (t_line[1] / np.linalg.norm(t_line[1]))[:, None]  # t = t0 + T a
+    npar = nk + rot_dof + 1
 
     def model(points, covs, p, v_min) -> _Residual:
         k3 = k3_map @ p[:nk] if nk else np.zeros(3)
@@ -228,40 +223,6 @@ def wlm_minimize(model, p0, points, covs, config: WlmConfig = WlmConfig()) -> Wl
 
 
 # ---------------------------------------------------------------------------
-# Frame helpers
-# ---------------------------------------------------------------------------
-
-
-def _frame_from_xz(x, z):
-    """Right-handed frame with x along x and z reconciled against z.
-
-    Returns (r', J_x, J_z): the log of the frame and its derivatives with
-    respect to the two input directions.
-    """
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    nx = np.linalg.norm(x)
-    xh = x / nx
-    Px = (np.eye(3) - np.outer(xh, xh)) / nx
-    y_raw = np.cross(z, xh)
-    ny = np.linalg.norm(y_raw)
-    yh = y_raw / ny
-    Py = (np.eye(3) - np.outer(yh, yh)) / ny
-    zx = _pose.skew(xh)
-    dyraw_dz = zx.T  # d(z x xh)/dz = -[xh]_x
-    dyraw_dx = _pose.skew(z) @ Px
-    dy_dz = Py @ dyraw_dz
-    dy_dx = Py @ dyraw_dx
-    zh = np.cross(xh, yh)
-    dz_dx = -_pose.skew(yh) @ Px + zx @ dy_dx
-    dz_dz = zx @ dy_dz
-    dRx = [np.column_stack([Px[:, m], dy_dx[:, m], dz_dx[:, m]]) for m in range(3)]
-    dRz = [np.column_stack([np.zeros(3), dy_dz[:, m], dz_dz[:, m]]) for m in range(3)]
-    r_new, J = _pose.jac_log_of(np.column_stack([xh, yh, zh]), dRx + dRz)
-    return r_new, J[:, :3], J[:, 3:]
-
-
-# ---------------------------------------------------------------------------
 # Stage 1: plane initialization
 # ---------------------------------------------------------------------------
 
@@ -274,40 +235,6 @@ def _lls_plane(points):
     if float(n @ qbar) > 0.0:
         n = -n
     return _pose.rxy_for_zdir(n), qbar
-
-
-def _recentre_on_plane(qbar, rxy, t):
-    """Move t to the in-plane projection of the centroid.
-
-    Returns (t', J) with J = d t'/d(zl, qbar, t) stacked (3 x 9); the zl
-    dependence is later chained through d zl/d rxy.
-    """
-    zl = _pose.exp_map(_pose.rxy_to_r(rxy))[:, 2]
-    w = qbar - t
-    t_new = qbar - float(zl @ w) * zl
-    dz = -(np.outer(zl, w) + float(zl @ w) * np.eye(3))
-    dq = np.eye(3) - np.outer(zl, zl)
-    dt = np.outer(zl, zl)
-    return t_new, np.hstack([dz, dq, dt])
-
-
-def _recentred_sigma(rxy, J_t, sigma_qbar, sigma):
-    """Covariance of (rxy, t') from that of the solved (rxy, t).
-
-    The inputs are (zl, qbar, rxy, t) with J_t = d t'/d(zl, qbar, t). t'
-    also depends on rxy through zl; chaining it here alongside the
-    independent zl block double counts only at second order in the noise.
-    """
-    J_z = _pose.jac_zaxis(rxy)
-    J_zl, J_q, J_tt = J_t[:, :3], J_t[:, 3:6], J_t[:, 6:]
-    J = np.block(
-        [
-            [np.zeros((2, 6)), np.eye(2), np.zeros((2, 3))],
-            [J_zl, J_q, J_zl @ J_z, J_tt],
-        ]
-    )
-    S = block_diag(J_z @ sigma[:2, :2] @ J_z.T, sigma_qbar, sigma)
-    return J @ S @ J.T
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +422,6 @@ def fit_patch(
     surface: str = "paraboloid",
     plane_boundary: BoundaryType = BoundaryType.ELLIPSE,
     gamma: float = 0.95,
-    side_wall=None,
 ) -> FitResult:
     """Fit one bounded patch to points with per-point 3x3 covariances.
 
@@ -505,11 +431,11 @@ def fit_patch(
     directly. plane_boundary picks the boundary for plane fits
     (classified planes take an ellipse). gamma sets the boundary coverage
     probability of a Gaussian scatter. Points are camera frame, and the
-    initial plane's local z axis faces the camera at the origin.
-    side_wall, when given as (t0, n), constrains the patch center
-    to the line t0 + a n; True derives the line from the initial plane
-    (data centroid along its normal), which keeps the patch centered on
-    the data. Non-finite points are dropped.
+    initial plane's local z axis faces the camera at the origin. The
+    patch origin is held on the side-wall line through the data centroid
+    along the initial plane normal, which keeps the patch centered on the
+    data. A point whose coordinates or covariance are not all finite is
+    dropped.
 
     Returns a FitResult whose patch carries the propagated (k, d, r, t)
     covariance.
@@ -517,57 +443,39 @@ def fit_patch(
     if surface not in SURFACES:
         raise ValueError(f"surface must be one of {SURFACES}")
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    keep = np.isfinite(pts).all(axis=1)
-    pts = pts[keep]
     if covs is None:
-        cv = np.broadcast_to(np.eye(3), (len(pts), 3, 3)).copy()
+        cv = np.broadcast_to(np.eye(3), (len(pts), 3, 3))
     else:
-        cv = np.asarray(covs, dtype=float).reshape(-1, 3, 3)[keep]
+        cv = np.asarray(covs, dtype=float).reshape(-1, 3, 3)
+    keep = np.isfinite(pts).all(axis=1) & np.isfinite(cv).all(axis=(1, 2))
+    pts, cv = pts[keep], cv[keep]
     if len(pts) < MIN_FIT_POINTS:
         raise ValueError(f"need at least {MIN_FIT_POINTS} points to fit a patch")
     lam_g = coverage_scale(gamma)
 
-    # ---- stage 1: plane ----------------------------------------------
+    # ---- stage 1: plane and the side-wall line -----------------------
     rxy0, qbar = _lls_plane(pts)
-    if side_wall is True:
-        wall_t = qbar.copy()
-        wall_n = _pose.exp_map(_pose.rxy_to_r(rxy0))[:, 2]
-    elif side_wall is not None:
-        wall_t = np.asarray(side_wall[0], dtype=float).reshape(3)
-        wall_n = np.asarray(side_wall[1], dtype=float).reshape(3)
-        wall_n = wall_n / np.linalg.norm(wall_n)
-    wall = side_wall is not None
+    wall_n = _pose.exp_map(_pose.rxy_to_r(rxy0))[:, 2]
     runs = []
 
     def solve(k3_map, r0, t0):
-        """Solve from zero curvature; return (k, r, t) and its covariance."""
+        """Solve from zero curvature and t0's place on the line; return
+        (k, r, t) and its covariance."""
         nk = k3_map.shape[1]
-        model = _implicit_model(k3_map, len(r0), (wall_t, wall_n) if wall else None)
-        if not wall:
-            p0 = np.concatenate([np.zeros(nk), r0, t0])
-        else:
-            p0 = np.concatenate([np.zeros(nk), r0, [float(wall_n @ (t0 - wall_t))]])
+        model = _implicit_model(k3_map, len(r0), (qbar, wall_n))
+        p0 = np.concatenate([np.zeros(nk), r0, [float(wall_n @ (t0 - qbar))]])
         res = wlm_minimize(model, p0, pts, cv)
         runs.append(res)
-        if not wall:
-            return res.p[:nk], res.p[nk:-3], res.p[-3:], res.sigma
-        # the single side-wall lift: (k, r, a) -> (k, r, wall_t + a n)
+        # the single side-wall lift: (k, r, a) -> (k, r, qbar + a n)
         J = block_diag(np.eye(len(res.p) - 1), wall_n[:, None])
-        t = wall_t + res.p[-1] * wall_n
+        t = qbar + res.p[-1] * wall_n
         return res.p[:nk], res.p[nk:-1], t, J @ res.sigma @ J.T
 
     if surface == "paraboloid":
-        t0 = qbar
-        if wall:
-            t0 = wall_t + float(wall_n @ (qbar - wall_t)) * wall_n
-        k2, r, t, sigma = solve(_K3_PARAB, _pose.rxy_to_r(rxy0), t0)
-        patch = _classify_paraboloid(pts, cv, k2, r, t, sigma, gamma, lam_g, wall)
+        k2, r, t, sigma = solve(_K3_PARAB, _pose.rxy_to_r(rxy0), qbar)
+        patch = _classify_paraboloid(pts, cv, k2, r, t, sigma, gamma, lam_g)
     else:
         _, rxy0, t0, plane_sigma = solve(_K3_PLANE, rxy0, qbar)
-        if not wall:
-            t0, J_t = _recentre_on_plane(qbar, rxy0, t0)
-            sigma_qbar = cv.sum(axis=0) / len(pts) ** 2
-            plane_sigma = _recentred_sigma(rxy0, J_t, sigma_qbar, plane_sigma)
 
     # ---- stages 2-3: surface solve and finish ------------------------
     if surface == "plane":
@@ -576,24 +484,19 @@ def fit_patch(
             turn = None  # a circle keeps the 5-DoF frame
         patch = _finish(
             pts, cv, SurfaceType.PLANE, plane_boundary, np.zeros(0), rxy0, t0,
-            plane_sigma, lambda m: _extents_plane(m, gamma, plane_boundary), (0, 1),
-            wall, turn,
+            plane_sigma, lambda m: _extents_plane(m, gamma, plane_boundary), turn,
         )
     elif surface == "sphere":
         k, rxy, t, sigma = solve(_K3_SPHERE, rxy0, t0)
         patch = _finish(
             pts, cv, SurfaceType.SPHERE, BoundaryType.CIRCLE, k, rxy, t, sigma,
-            lambda m: _extents_circle_from_vxy(m, lam_g), (), wall,
+            lambda m: _extents_circle_from_vxy(m, lam_g),
         )
     elif surface == "cylinder":
         k, r, t, sigma = solve(_K3_CCYL, _pose.rxy_to_r(rxy0), t0)
-        if abs(k[0]) >= _TINY_KAPPA and not wall:
-            r, t, J = _ccyl_rebuild(rxy0, k[0], r, t)
-            # the plane's r_xy comes from another solve; taken as independent
-            sigma = J @ block_diag(plane_sigma[:2, :2], sigma) @ J.T
         patch = _finish(
             pts, cv, SurfaceType.CIRCULAR_CYLINDER, BoundaryType.AARECT, k, r, t,
-            sigma, lambda m: _extents_rect(m, lam_g), (0,), wall,
+            sigma, lambda m: _extents_rect(m, lam_g),
         )
     return FitResult(
         patch,
@@ -608,39 +511,7 @@ def fit_patch(
 # ---------------------------------------------------------------------------
 
 
-def _ccyl_rebuild(plane_rxy, kappa, r, t):
-    """Align the cylinder frame with the stage-1 plane normal.
-
-    The fitted x axis is kept as the cylinder axis; y and z rebuild from
-    the plane normal, and t shifts so the axis line {t + R (s, 0, 1/k)}
-    is unchanged. Returns (r', t', J) with
-    J = d(kappa, r', t') / d(plane_rxy, kappa, r, t).
-    """
-    R_old, dR_old = _pose.exp_map(r), _pose.jac_exp(r)
-    z_plane = _pose.exp_map(_pose.rxy_to_r(plane_rxy))[:, 2]
-    r_new, J_x, J_z = _frame_from_xz(R_old[:, 0], z_plane)
-    R_new = _pose.exp_map(r_new)
-    t_new = t + (R_old - R_new) @ np.array([0.0, 0.0, 1.0 / kappa])
-
-    dr_dpl = J_z @ _pose.jac_zaxis(plane_rxy)
-    dr_dr = J_x @ dR_old[:, :, 0].T
-    dz_new = _pose.jac_exp(r_new)[:, :, 2].T  # d R(r')[:, 2] / dr'
-    J = np.block(
-        [
-            [np.zeros((1, 2)), np.ones((1, 1)), np.zeros((1, 6))],
-            [dr_dpl, np.zeros((3, 1)), dr_dr, np.zeros((3, 3))],
-            [
-                -dz_new @ dr_dpl / kappa,
-                ((R_new[:, 2] - R_old[:, 2]) / kappa**2)[:, None],
-                (dR_old[:, :, 2].T - dz_new @ dr_dr) / kappa,
-                np.eye(3),
-            ],
-        ]
-    )
-    return r_new, t_new, J
-
-
-def _classify_paraboloid(pts, cv, k2, r, t, sigma8, gamma, lam_g, wall):
+def _classify_paraboloid(pts, cv, k2, r, t, sigma8, gamma, lam_g):
     """Reduce a fitted general paraboloid to its curvature class."""
 
     def restate(J_k, J_r):
@@ -653,7 +524,7 @@ def _classify_paraboloid(pts, cv, k2, r, t, sigma8, gamma, lam_g, wall):
         return _finish(
             pts, cv, SurfaceType.PLANE, BoundaryType.ELLIPSE, np.zeros(0),
             _pose.rxy_from_r(r), t, sigma,
-            lambda m: _extents_plane(m, gamma, BoundaryType.ELLIPSE), (0, 1), wall,
+            lambda m: _extents_plane(m, gamma, BoundaryType.ELLIPSE),
             lambda m: _plane_turn(m, gamma),
         )
     if min(ax, ay) < _FLAT_EPS:
@@ -665,14 +536,14 @@ def _classify_paraboloid(pts, cv, k2, r, t, sigma8, gamma, lam_g, wall):
             k, r, sigma = k2[:1], r_new, restate([[1.0, 0.0]], J_r)
         return _finish(
             pts, cv, SurfaceType.CYLINDRIC_PARABOLOID, BoundaryType.AARECT, k, r, t,
-            sigma, lambda m: _extents_rect(m, lam_g), (0,), wall,
+            sigma, lambda m: _extents_rect(m, lam_g),
         )
     if abs(k2[0] - k2[1]) < _FLAT_EPS:
         return _finish(
             pts, cv, SurfaceType.CIRCULAR_PARABOLOID, BoundaryType.CIRCLE,
             np.array([0.5 * (k2[0] + k2[1])]), _pose.rxy_from_r(r), t,
             restate([[0.5, 0.5]], _pose.jac_rxy(r)),
-            lambda m: _extents_circle_from_vxy(m, lam_g), (), wall,
+            lambda m: _extents_circle_from_vxy(m, lam_g),
         )
     stype = (
         SurfaceType.ELLIPTIC_PARABOLOID
@@ -685,7 +556,7 @@ def _classify_paraboloid(pts, cv, k2, r, t, sigma8, gamma, lam_g, wall):
         k2, r, sigma8 = k2[::-1].copy(), r_new, restate(np.eye(2)[::-1], J_r)
     return _finish(
         pts, cv, stype, BoundaryType.ELLIPSE, k2, r, t, sigma8,
-        lambda m: _extents_ellipse_uncentered(m, lam_g), (), wall,
+        lambda m: _extents_ellipse_uncentered(m, lam_g),
     )
 
 
@@ -694,40 +565,33 @@ def _swap_frame(r):
     return _pose.jac_log_of(_pose.exp_map(r) @ _W_SWAP, _pose.jac_exp(r) @ _W_SWAP)
 
 
-def _finish(pts, cv, stype, boundary, k, r, t, sigma, extents, shift, wall, turn=None):
+def _finish(pts, cv, stype, boundary, k, r, t, sigma, extents, turn=None):
     """Bound a solved surface and carry its covariance to (k, d, r, t).
 
     (k, r, t) is the solved state with covariance sigma, r a 2-vector
-    for a 5-DoF frame. extents(m) gives (d, dd/dm) from the moments m of
-    the projected points; t recentres on the moment centroid along the
-    local axes listed in shift, except on a side wall; turn(m), for a
-    plane with a directional boundary, gives the principal-axis angle
-    about local z and its derivative in m.
+    for a 5-DoF frame, t on the side-wall line, where it stays.
+    extents(m) gives (d, dd/dm) from the moments m of the projected
+    points; turn(m), for a plane with a directional boundary, gives the
+    principal-axis angle about local z and its derivative in m.
     """
     r3 = r if len(r) == 3 else _pose.rxy_to_r(r)
     R, dR = _pose.exp_map(r3), _pose.jac_exp(r3)[: len(r)]
     m = _moments(pts, R, t)
     joint = _moment_joint_sigma(pts, cv, R, t, dR, sigma, len(k))
-    d, r_new, t_new, J = _bound(m, k, r, t, R, dR, extents, () if wall else shift, turn)
-    pose = Pose6(r_new, t_new) if len(r_new) == 3 else Pose5(r_new, t_new)
+    d, r_new, J = _bound(m, k, r, R, dR, extents, turn)
+    pose = Pose6(r_new, t) if len(r_new) == 3 else Pose5(r_new, t)
     return Patch(stype, boundary, k, d, pose, _pose.sym(J @ joint @ J.T))
 
 
-def _bound(m, k, r, t, R, dR, extents, shift, turn):
-    """Final (d, r', t') from the moments m and the state (k, r, t).
+def _bound(m, k, r, R, dR, extents, turn):
+    """Final (d, r') from the moments m and the state (k, r, t).
 
-    R and dR are the frame R(r) and its derivative dR/dr. Also returns J,
-    the Jacobian of (k, d, r', t') with respect to (m, k, r, t).
+    R and dR are the frame R(r) and its derivative dR/dr; t passes
+    through unchanged. Also returns J, the Jacobian of (k, d, r', t) with
+    respect to (m, k, r, t).
     """
     nk, nr = len(k), len(r)
     d, J_dm = extents(m)
-    axes = list(shift)
-    c = np.zeros(3)  # centroid offset on the shift axes: m[0], m[1] are mean x, y
-    c[axes] = m[axes]
-    t_new = t + R @ c
-    dt_dm = np.zeros((3, 5))
-    dt_dm[:, axes] = R[:, axes]
-    dt_dr = (dR @ c).T
     if turn is None:
         r_new, dr_dm, dr_dr = r, np.zeros((nr, 5)), np.eye(nr)
     else:
@@ -743,7 +607,7 @@ def _bound(m, k, r, t, R, dR, extents, shift, turn):
             [np.zeros((nk, 5)), np.eye(nk), np.zeros((nk, nr + 3))],
             [J_dm, np.zeros((nd, nk + nr + 3))],
             [dr_dm, np.zeros((nq, nk)), dr_dr, np.zeros((nq, 3))],
-            [dt_dm, np.zeros((3, nk)), dt_dr, np.eye(3)],
+            [np.zeros((3, 5 + nk + nr)), np.eye(3)],
         ]
     )
-    return d, r_new, t_new, J
+    return d, r_new, J

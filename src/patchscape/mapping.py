@@ -1171,7 +1171,6 @@ def map_step(
                 fit_cvs,
                 surface=config.surface,
                 gamma=config.gamma,
-                side_wall=True,
             )
         except (ValueError, np.linalg.LinAlgError):
             result.drops["fit_failed"] += 1
