@@ -564,7 +564,7 @@ def cmd_map(args) -> int:
             else:
                 gravities = [np.asarray(gspec["g"], float)]
             for g in gravities:
-                _mapping._unit_gravity(g)
+                _mapping._unit_vector(g, "gravity")
         except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as e:
             return _fail(f"bad gravity file: {e}")
 
@@ -608,7 +608,6 @@ def cmd_map(args) -> int:
 def cmd_track(args) -> int:
     if args.policy not in [p.value for p in MovePolicy]:
         return _fail(f"unknown policy: {args.policy}")
-    policy = MovePolicy(args.policy)
     try:
         with open(args.trajectory) as f:
             traj = json.load(f)
@@ -618,9 +617,7 @@ def cmd_track(args) -> int:
     if not poses:
         return _fail("trajectory is empty")
 
-    g = np.asarray(args.g, float)
-    fwd = np.asarray(args.forward, float)
-    state = init_volume(poses[0], policy=policy, c_d=args.c_d, c_a=args.c_a)
+    state = init_volume(poses[0], policy=args.policy, c_d=args.c_d, c_a=args.c_a)
 
     if args.map is not None:
         try:
@@ -629,11 +626,14 @@ def cmd_track(args) -> int:
             for rec in doc["patches"]:
                 patch = _patch_from_record(rec)
                 t = patch.pose.t
+                inside, ij = _mapping._cells(state, t[None])
+                if not len(inside):  # outside the grid, as remap_patches drops it
+                    continue
                 state.patches.append(
                     _mapping.MapPatch(
                         id=int(rec["id"]),
                         patch=patch,
-                        cell=_mapping._cell_of(t, state.v_s, state.grid.v_g) or (0, 0),
+                        cell=tuple(ij[0].tolist()),
                         seed_pixel=tuple(rec["seed_pixel"]),
                         seed_point=t.copy(),
                         frame_index=int(rec["frame_index"]),
@@ -651,8 +651,10 @@ def cmd_track(args) -> int:
 
     lines = []
     for i, pose in enumerate(poses):
-        kwargs = {} if policy in (MovePolicy.FV, MovePolicy.FC) else {"g": g, "forward": fwd}
-        state, T = volume_update(state, pose, **kwargs)
+        try:
+            state, T = volume_update(state, pose, args.g, args.forward)
+        except ValueError as e:
+            return _fail(str(e))
         culled: List[int] = []
         if T is not None:
             before = {mp.id for mp in state.patches}

@@ -58,7 +58,6 @@ from patchscape.patch import (
 from patchscape.pose import Pose5, Pose6
 
 __all__ = [
-    "WlmConfig",
     "WlmResult",
     "wlm_minimize",
     "FitResult",
@@ -88,15 +87,13 @@ def coverage_scale(gamma: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WlmConfig:
-    max_iter: int = 50
-    chi2_rtol: float = 1e-8
-    step_tol: float = 1e-10
-    damping_init: float = 1e-3
-    damping_up: float = 10.0
-    damping_down: float = 10.0
-    v_min: float = 1e-12  # floor on the per-point residual variance
+_MAX_ITER = 50
+_CHI2_RTOL = 1e-8
+_STEP_TOL = 1e-10
+_DAMPING_INIT = 1e-3
+_DAMPING_UP = 10.0
+_DAMPING_DOWN = 10.0
+_V_MIN = 1e-12  # floor on the per-point residual variance
 
 
 @dataclass
@@ -166,7 +163,7 @@ def _implicit_model(k3_map: np.ndarray, rot_dof: int, t_line):
     return model
 
 
-def wlm_minimize(model, p0, points, covs, config: WlmConfig = WlmConfig()) -> WlmResult:
+def wlm_minimize(model, p0, points, covs) -> WlmResult:
     """Damped least squares on the variance-normalized implicit residual.
 
     Scaling every point covariance by a common factor rescales all
@@ -177,45 +174,45 @@ def wlm_minimize(model, p0, points, covs, config: WlmConfig = WlmConfig()) -> Wl
     are returned with converged False.
     """
     p = np.asarray(p0, dtype=float).copy()
-    lam = config.damping_init
-    res = model(points, covs, p, config.v_min)
+    lam = _DAMPING_INIT
+    res = model(points, covs, p, _V_MIN)
     F, J = res.F, res.jac()
     chi2 = float(F @ F)
     best_p, best_chi2, best_J = p.copy(), chi2, J
     converged = False
     iters = 0
-    for _ in range(config.max_iter):
+    for _ in range(_MAX_ITER):
         A = J.T @ J
         A.reshape(-1)[:: len(A) + 1] += lam  # strided view of the diagonal
         try:
             step = np.linalg.solve(A, -(J.T @ F))
         except np.linalg.LinAlgError:
-            lam *= config.damping_up
+            lam *= _DAMPING_UP
             continue
-        if float(np.linalg.norm(step)) <= config.step_tol:
+        if float(np.linalg.norm(step)) <= _STEP_TOL:
             # stationary for practical purposes, with or without a trial
             converged = True
             break
         iters += 1
-        trial = model(points, covs, p + step, config.v_min)
+        trial = model(points, covs, p + step, _V_MIN)
         chi2_t = float(trial.F @ trial.F)
         if chi2_t < chi2:
-            done = (chi2 - chi2_t) <= config.chi2_rtol * chi2
+            done = (chi2 - chi2_t) <= _CHI2_RTOL * chi2
             p = p + step
             F, J, chi2 = trial.F, trial.jac(), chi2_t
             if chi2 < best_chi2:
                 best_p, best_chi2, best_J = p.copy(), chi2, J
-            lam = max(lam / config.damping_down, 1e-14)
+            lam = max(lam / _DAMPING_DOWN, 1e-14)
             if done:
                 converged = True
                 break
         else:
-            lam *= config.damping_up
+            lam *= _DAMPING_UP
             if lam > 1e12:
                 break
     A = best_J.T @ best_J
     # damping floor keeps gauge directions at a finite, documented variance
-    A.reshape(-1)[:: len(A) + 1] += config.damping_init
+    A.reshape(-1)[:: len(A) + 1] += _DAMPING_INIT
     sigma = _pose.sym(np.linalg.inv(A))
     return WlmResult(
         p=best_p, sigma=sigma, chi2=best_chi2, iterations=iters, converged=converged

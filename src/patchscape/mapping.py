@@ -14,8 +14,10 @@ that passed every test before it.
 
 The map lives in a cubic local volumetric workspace whose frame sits at a
 top corner with y pointing down. The volume follows the camera under one
-of four policies (fv, fc, fd, ff); when it remaps, resident patches are
-carried by the same rigid transform so their world poses are unchanged,
+of four policies (fv, fc, fd, ff). fv never remaps; fc restores the
+camera's fixed pose c_fixed whole, while fd and ff restore its position
+under the attitude that gravity and forward give. Resident patches ride
+each remap's rigid transform, so their world poses are unchanged, and are
 then culled against the cube.
 
 Clouds are camera frame (x right, y down, z forward). Gravity and
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
@@ -53,7 +56,6 @@ __all__ = [
     "SaliencyConfig",
     "fixation_point",
     "saliency_filter",
-    "SeedGrid",
     "Seed",
     "select_seeds",
     "NeighborhoodVariant",
@@ -372,19 +374,18 @@ class SaliencyConfig:
         return CurvatureGate(self.kappa_min, self.kappa_max)
 
 
-def _unit_gravity(g) -> np.ndarray:
-    """g as a unit 3-vector; ValueError unless it is a finite, nonzero 3-vector."""
-    gv = np.asarray(g, dtype=float)
-    if gv.size != 3:
-        raise ValueError(f"gravity must have 3 components, got {gv.size}")
-    gv = gv.reshape(3)
-    norm = np.linalg.norm(gv)
+def _unit_vector(v, name: str) -> np.ndarray:
+    """v as a unit 3-vector; ValueError, naming v, unless it is a finite, nonzero 3-vector."""
+    vv = np.asarray(v, dtype=float)
+    if vv.size != 3:
+        raise ValueError(f"{name} must have 3 components, got {vv.size}")
+    norm = np.linalg.norm(vv)
     if not (np.isfinite(norm) and norm > 0.0):
-        raise ValueError(f"gravity must be finite and nonzero, got {gv.tolist()}")
-    return gv / norm
+        raise ValueError(f"{name} must be finite and nonzero, got {vv.ravel().tolist()}")
+    return vv.reshape(3) / norm
 
 
-def fixation_point(g, l_d: float = 1.0, l_f: float = 1.2) -> np.ndarray:
+def fixation_point(g, l_d: float, l_f: float) -> np.ndarray:
     """Estimated gaze point: l_d down plus l_f ahead of the camera.
 
     g is the unit gravity direction in camera frame (y points down, so a
@@ -409,7 +410,7 @@ def saliency_filter(cloud: OrganizedCloud, g, cfg: SaliencyConfig = SaliencyConf
     values, so it is order-free. g is the camera-frame gravity direction;
     ValueError unless it is a finite, nonzero 3-vector.
     """
-    gv = _unit_gravity(g)
+    gv = _unit_vector(g, "gravity")
     fix = fixation_point(gv, cfg.l_d, cfg.l_f)
     cos_g = math.cos(math.radians(cfg.phi_g))
     with np.errstate(invalid="ignore"):
@@ -431,18 +432,6 @@ def saliency_filter(cloud: OrganizedCloud, g, cfg: SaliencyConfig = SaliencyConf
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SeedGrid:
-    """Coarse xz grid imposed on the volume for uniform seed spread."""
-
-    v_g: int = 8
-    n_g: int = 1
-
-    def __post_init__(self):
-        if self.v_g < 1 or self.n_g < 1:
-            raise ValueError("v_g and n_g must be positive")
-
-
 @dataclass(frozen=True)
 class Seed:
     pixel: Tuple[int, int]  # (row, col) in the cloud it was selected from
@@ -450,13 +439,11 @@ class Seed:
     cell: Tuple[int, int]  # (ix, iz) on the volume xz grid
 
 
-def _cell_of(p_vol: np.ndarray, v_s: float, v_g: int) -> Optional[Tuple[int, int]]:
-    w = v_s / v_g
-    ix = math.floor(p_vol[0] / w)
-    iz = math.floor(p_vol[2] / w)
-    if 0 <= ix < v_g and 0 <= iz < v_g:
-        return (int(ix), int(iz))
-    return None
+def _cells(volume: "VolumeState", p_vol: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Indices of the (n, 3) volume-frame points inside the xz grid, and their (ix, iz) cells."""
+    q = np.floor(p_vol[:, [0, 2]] / (volume.v_s / volume.v_g))
+    inside = np.flatnonzero(((q >= 0) & (q < volume.v_g)).all(axis=1))
+    return inside, q[inside].astype(int)
 
 
 def select_seeds(
@@ -467,12 +454,12 @@ def select_seeds(
 ) -> List[Seed]:
     """Pick up to n_g random salient seeds per occupied volume grid cell.
 
-    Points project onto the volume-frame xz plane of volume.grid's v_g x v_g
+    Points project onto the volume-frame xz plane of the volume's v_g x v_g
     cells; cells are visited in increasing distance of their center from
-    the projected camera, and cells already holding n_g resident patches
-    accept no new seeds. Deterministic for a fixed rng_seed.
+    the projected camera, and a cell holding m resident patches gets at
+    most n_g - m seeds. Deterministic for a fixed rng_seed.
     """
-    v_g, n_g = volume.grid.v_g, volume.grid.n_g
+    v_g, n_g = volume.v_g, volume.n_g
     rng = np.random.default_rng(rng_seed)
 
     pix = np.argwhere(salient)
@@ -481,19 +468,18 @@ def select_seeds(
     pts_cam = cloud.points[pix[:, 0], pix[:, 1]]
     pts_vol = _pose.xform_fwd(pts_cam, volume.c_t.r, volume.c_t.t)
 
-    w = volume.v_s / v_g
-    ij = np.floor(pts_vol[:, [0, 2]] / w).astype(int)
-    ingrid = np.flatnonzero(((ij >= 0) & (ij < v_g)).all(axis=1))
+    ingrid, ij = _cells(volume, pts_vol)
 
     # group by cell; the stable sort keeps each cell's pixels in scan order
-    key = ij[ingrid, 0] * v_g + ij[ingrid, 1]
+    key = ij[:, 0] * v_g + ij[:, 1]
     order = np.argsort(key, kind="stable")
     cells, starts = np.unique(key[order], return_index=True)
     groups = np.split(ingrid[order], starts[1:])
     by_cell = {divmod(int(c), v_g): g for c, g in zip(cells, groups)}
 
     cam_xz = volume.c_t.t[[0, 2]]
-    occupancy = volume.cell_counts()
+    occupancy = Counter(mp.cell for mp in volume.patches)
+    w = volume.v_s / v_g
 
     def cell_rank(cell):
         center = (np.array(cell, dtype=float) + 0.5) * w
@@ -604,17 +590,15 @@ def _ball_pixels_backprojection(
     return slice(i0, i1), slice(j0, j1)
 
 
-def mesh_triangles(
-    points: np.ndarray, t_jump: float = 0.02, t_es: float = 0.05, t_ar: float = 5.0
-) -> np.ndarray:
+def mesh_triangles(points: np.ndarray, index: NeighborhoodIndex) -> np.ndarray:
     """Grid triangles surviving the jump, edge-length, and aspect prunes.
 
     Valid pixels connect along rows, columns, and one diagonal per 2x2
-    block. Edges spanning a depth jump |dz| > t_jump are dropped before
-    triangles form; surviving triangles are then pruned when their
-    longest 3D side exceeds t_es or the longest-to-shortest ratio
-    exceeds t_ar. points is an (H, W, 3) organized grid, NaN where there
-    is no return. Returns (M, 3) flat pixel ids (row * W + col).
+    block. Edges spanning a depth jump |dz| > index.t_jump are dropped
+    before triangles form; surviving triangles are then pruned when their
+    longest 3D side exceeds index.t_es or the longest-to-shortest ratio
+    exceeds index.t_ar. points is an (H, W, 3) organized grid, NaN where
+    there is no return. Returns (M, 3) flat pixel ids (row * W + col).
     """
     h, w = points.shape[:2]
     z = points[..., 2]
@@ -623,7 +607,7 @@ def mesh_triangles(
     def edge_ok(a_idx, b_idx):
         ok = valid[a_idx] & valid[b_idx]
         with np.errstate(invalid="ignore"):
-            ok &= np.abs(z[a_idx] - z[b_idx]) <= t_jump
+            ok &= np.abs(z[a_idx] - z[b_idx]) <= index.t_jump
         return ok
 
     ii, jj = np.meshgrid(np.arange(h - 1), np.arange(w - 1), indexing="ij")
@@ -662,13 +646,13 @@ def mesh_triangles(
     )
     longest = sides.max(axis=1)
     shortest = sides.min(axis=1)
-    keep = (longest <= t_es) & (shortest > 0.0) & (longest <= t_ar * shortest)
+    keep = (longest <= index.t_es) & (shortest > 0.0) & (longest <= index.t_ar * shortest)
     return tri[keep]
 
 
 def _mesh_graph(points: np.ndarray, index: NeighborhoodIndex) -> sparse.csr_matrix:
     """Edge-length weighted graph of the mesh over an (H, W, 3) grid."""
-    tri = mesh_triangles(points, index.t_jump, index.t_es, index.t_ar)
+    tri = mesh_triangles(points, index)
     n = points.shape[0] * points.shape[1]
     if len(tri) == 0:
         return sparse.csr_matrix((n, n))
@@ -788,27 +772,24 @@ class VolumeState:
     """Cubic workspace: size, camera pose, moving policy, resident patches.
 
     c_t maps camera to volume frame; pose_world maps volume to world.
-    c_fixed is the camera pose the fc policy restores (and whose position
-    fd/ff pin). The volume y-axis is the designated down direction.
+    c_fixed is the camera pose a remap restores: fc restores it whole, fd
+    and ff its position under the attitude that gravity and forward give.
+    The volume y-axis is the designated down direction. The xz plane holds
+    v_g x v_g seed cells of at most n_g patches each.
     """
 
-    v_s: float = 4.0
-    c_t: Pose6 = DEFAULT_CAMERA_IN_VOLUME
-    policy: MovePolicy = MovePolicy.FD
-    c_d: float = 0.3
-    c_a: float = 0.05
-    grid: SeedGrid = field(default_factory=SeedGrid)
+    v_s: float
+    c_t: Pose6
+    policy: MovePolicy
+    c_d: float
+    c_a: float
+    v_g: int
+    n_g: int
+    pose_world: Pose6
+    c_fixed: Pose6
     patches: List[MapPatch] = field(default_factory=list)
-    pose_world: Pose6 = Pose6(np.zeros(3), np.zeros(3))
-    c_fixed: Pose6 = DEFAULT_CAMERA_IN_VOLUME
     frame_index: int = 0
     next_id: int = 0
-
-    def cell_counts(self) -> Dict[Tuple[int, int], int]:
-        counts: Dict[Tuple[int, int], int] = {}
-        for mp in self.patches:
-            counts[mp.cell] = counts.get(mp.cell, 0) + 1
-        return counts
 
     def camera_world(self) -> Pose6:
         return _pose.compose_chain(
@@ -829,10 +810,12 @@ def init_volume(
     """Volume placed so the camera starts at pose c_0 in its frame.
 
     policy is a MovePolicy or its value ("fv", "fc", "fd", "ff").
-    ValueError unless the cube size v_s is positive and finite.
+    ValueError unless v_s is positive and finite, and v_g and n_g positive.
     """
     if not (math.isfinite(v_s) and v_s > 0.0):
         raise ValueError("v_s must be positive and finite")
+    if v_g < 1 or n_g < 1:
+        raise ValueError("v_g and n_g must be positive")
     if camera_world is None:
         camera_world = Pose6(np.zeros(3), np.zeros(3))
     pose_world = _pose.compose_chain(
@@ -844,25 +827,22 @@ def init_volume(
         policy=MovePolicy(policy),
         c_d=c_d,
         c_a=c_a,
-        grid=SeedGrid(v_g=v_g, n_g=n_g),
+        v_g=v_g,
+        n_g=n_g,
         pose_world=pose_world,
         c_fixed=c_0,
     )
 
 
-def _rotation_angle(ra: np.ndarray, rb: np.ndarray) -> float:
-    rel = _pose.log_map(_pose.exp_map(ra) @ _pose.exp_map(rb).T)
-    return float(np.linalg.norm(rel))
-
-
-def _frame_down_forward(g: np.ndarray, fwd: np.ndarray, down_first: bool) -> np.ndarray:
+def _frame_down_forward(g, fwd, down_first: bool) -> np.ndarray:
     """Volume world rotation with y down (g) and z ahead (fwd).
 
     down_first pins y = g exactly and swings z as close to fwd as the
     orthogonality allows; otherwise z = fwd exactly and y leans toward g.
+    ValueError unless g and fwd are finite, nonzero and not parallel.
     """
-    g = g / np.linalg.norm(g)
-    fwd = fwd / np.linalg.norm(fwd)
+    g = _unit_vector(g, "gravity")
+    fwd = _unit_vector(fwd, "forward")
     if down_first:
         y = g
         z = fwd - (fwd @ y) * y
@@ -890,12 +870,15 @@ def volume_update(
     """Advance the camera pose and remap the volume per its policy.
 
     Returns (state, T) where T carries old volume-frame coordinates to
-    new ones (None when no remap fired). fv never remaps. fc remaps when
-    the camera drifts past c_d meters or c_a radians from c_fixed,
-    restoring c_fixed exactly. fd and ff remap on the same thresholds
-    (position drift, or volume attitude vs the down/forward target),
-    rebuild the orientation from the world-frame g and forward vectors,
-    and keep the camera at the c_fixed position in volume frame.
+    new ones (None when no remap fired). fv never remaps. fc, fd and ff
+    differ only in the volume's target attitude R_target in the world:
+    R(camera) R(c_fixed)^T for fc, which puts the camera back at c_fixed,
+    and the frame of the world-frame g and forward vectors for fd and ff.
+    A remap fires when the camera drifts past c_d meters from the c_fixed
+    position or the volume attitude past c_a radians from R_target; it
+    sets the attitude to R_target and pins the camera at the c_fixed
+    position, t = camera.t - R_target c_fixed.t. ValueError if fd or ff
+    lacks g or forward, or they fail _frame_down_forward's checks.
     """
     drifted = _pose.compose_chain(
         [ChainLink(camera_world, 1), ChainLink(state.pose_world, -1)]
@@ -904,38 +887,21 @@ def volume_update(
     if state.policy == MovePolicy.FV:
         state.c_t = drifted
         return state, None
-
     if state.policy == MovePolicy.FC:
-        moved = float(np.linalg.norm(drifted.t - state.c_fixed.t)) > state.c_d
-        turned = _rotation_angle(drifted.r, state.c_fixed.r) > state.c_a
-        if not (moved or turned):
-            state.c_t = drifted
-            return state, None
-        new_world = _pose.compose_chain(
-            [ChainLink(_pose.pose_inverse(state.c_fixed), 1), ChainLink(camera_world, 1)]
-        )
-        T = _pose.compose_chain(
-            [ChainLink(state.pose_world, 1), ChainLink(new_world, -1)]
-        )
-        state.pose_world = new_world
-        state.c_t = state.c_fixed
-        return state, T
-
-    if g is None or forward is None:
+        R_target = _pose.exp_map(camera_world.r) @ _pose.exp_map(state.c_fixed.r).T
+    elif g is None or forward is None:
         raise ValueError(f"policy {state.policy.value} needs g and forward vectors")
-    gv = np.asarray(g, dtype=float).reshape(3)
-    fv = np.asarray(forward, dtype=float).reshape(3)
-    R_target = _frame_down_forward(gv, fv, down_first=state.policy == MovePolicy.FD)
-    r_target = _pose.log_map(R_target)
+    else:
+        R_target = _frame_down_forward(g, forward, down_first=state.policy == MovePolicy.FD)
 
     moved = float(np.linalg.norm(drifted.t - state.c_fixed.t)) > state.c_d
-    turned = _rotation_angle(state.pose_world.r, r_target) > state.c_a
+    off = _pose.log_map(_pose.exp_map(state.pose_world.r) @ R_target.T)
+    turned = float(np.linalg.norm(off)) > state.c_a
     if not (moved or turned):
         state.c_t = drifted
         return state, None
 
-    t_new = camera_world.t - R_target @ state.c_fixed.t
-    new_world = Pose6(r_target, t_new)
+    new_world = Pose6(_pose.log_map(R_target), camera_world.t - R_target @ state.c_fixed.t)
     T = _pose.compose_chain([ChainLink(state.pose_world, 1), ChainLink(new_world, -1)])
     state.pose_world = new_world
     state.c_t = _pose.compose_chain(
@@ -963,19 +929,18 @@ def remap_patches(
         origin = new_patch.pose.t
         if np.any(origin < 0.0) or np.any(origin > state.v_s):
             continue
-        cell = _cell_of(seed_v, state.v_s, state.grid.v_g)
-        if cell is None:
+        inside, ij = _cells(state, seed_v[None])
+        if not len(inside):
             continue
-        kept.append(replace(mp, patch=new_patch, seed_point=seed_v, cell=cell))
+        kept.append(replace(mp, patch=new_patch, seed_point=seed_v, cell=tuple(ij[0].tolist())))
 
     if cull_excess:
         # oldest patches (lowest ids) keep their cells
-        by_cell: Dict[Tuple[int, int], int] = {}
+        by_cell: Counter = Counter()
         survivors = set()
         for mp in sorted(kept, key=lambda m: m.id):
-            c = by_cell.get(mp.cell, 0)
-            if c < state.grid.n_g:
-                by_cell[mp.cell] = c + 1
+            by_cell[mp.cell] += 1
+            if by_cell[mp.cell] <= state.n_g:
                 survivors.add(mp.id)
         kept = [mp for mp in kept if mp.id in survivors]
     state.patches = kept
@@ -1050,9 +1015,10 @@ class MapBudgets:
 class MapStepResult:
     """One frame's admissions, seed accounting and stage times.
 
-    timings holds seconds per stage: "saliency" (decimation and
-    saliency_filter, including the normals it solves), "seeds",
-    "fit_validate" and "total".
+    Each seed not admitted counts once in drops: too_few_points,
+    fit_failed, its first failing gate, or budget. timings holds seconds
+    per stage: "saliency" (decimation and saliency_filter, including the
+    normals it solves), "seeds", "fit_validate" and "total".
     """
 
     admitted: List[MapPatch]
@@ -1063,7 +1029,6 @@ class MapStepResult:
 
 
 _DROP_REASONS = (
-    "cell_full",
     "too_few_points",
     "fit_failed",
     "curvature",
@@ -1114,10 +1079,11 @@ def map_step(
     full-resolution cloud, fit_sample() of at most n_f points, fit_patch(),
     then gate_patch(). A seed failing a gate is dropped under the first
     failing one, in the order curvature, residual, coverage; an admitted
-    patch carries its ValidationRecord. Admissions respect the per-cell
-    n_g bound and all budget caps. The cloud and the gravity vector g are
-    camera frame, so each patch's local z axis faces the camera at the
-    origin. Mutates state; deterministic for a fixed rng_seed.
+    patch carries its ValidationRecord. A cell gets no more seeds than it
+    has room for under n_g, and admissions respect all budget caps. The
+    cloud and the gravity vector g are camera frame, so each patch's local
+    z axis faces the camera at the origin. Mutates state; deterministic
+    for a fixed rng_seed.
     """
     t_start = time.monotonic()
     state.frame_index += 1
@@ -1135,7 +1101,6 @@ def map_step(
 
     rng = np.random.default_rng(rng_seed)
     area_sum = sum(projected_area(mp.patch) for mp in state.patches)
-    counts = state.cell_counts()
 
     for pos, seed in enumerate(seeds):
         if (
@@ -1149,9 +1114,6 @@ def map_step(
         ):
             result.drops["budget"] += len(seeds) - pos
             break
-        if counts.get(seed.cell, 0) >= state.grid.n_g:
-            result.drops["cell_full"] += 1
-            continue
 
         # seeds come from the (possibly decimated) saliency cloud; the
         # search runs on the full cloud around the seed's own pixel there
@@ -1200,7 +1162,6 @@ def map_step(
         )
         state.next_id += 1
         state.patches.append(mp)
-        counts[seed.cell] = counts.get(seed.cell, 0) + 1
         area_sum += projected_area(patch_cam)
         result.admitted.append(mp)
     total = time.monotonic() - t_start

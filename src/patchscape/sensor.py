@@ -11,7 +11,7 @@ with NaN rows for pixels that miss the scene.
 
 Range noise models perturb the measured point. The power-law models are
 rank one along the ray: the ray parameter moves by a zero-mean normal
-with variance k, k*r, or k*r^2 (k in squared meters), giving point
+with variance k, k*r, or k*r^2 (k in m^2, m, unitless), giving point
 covariance k * r^p * m m^T. The stereo model propagates pixel matching
 noise through the disparity relation d = fx * b / z and is full rank.
 Per-point covariances are always evaluated at the noiseless intersection.
@@ -19,6 +19,7 @@ Per-point covariances are always evaluated at the noiseless intersection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
@@ -105,22 +106,30 @@ class ScenePlane:
 
 
 @dataclass(frozen=True)
-class ConstantNoise:
-    k: float  # ray-parameter variance, m^2
+class _PowerNoise:
+    """Ray-parameter variance k * r^power, k in m^(2 - power), finite and >= 0."""
+
+    k: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.k) and self.k >= 0.0):
+            raise ValueError(f"{self.kind} noise k must be finite and non-negative, got {self.k}")
+
+
+@dataclass(frozen=True)
+class ConstantNoise(_PowerNoise):
     kind = "constant"
     power = 0
 
 
 @dataclass(frozen=True)
-class LinearNoise:
-    k: float  # variance per meter of range, m
+class LinearNoise(_PowerNoise):
     kind = "linear"
     power = 1
 
 
 @dataclass(frozen=True)
-class QuadraticNoise:
-    k: float  # variance per squared meter of range, unitless
+class QuadraticNoise(_PowerNoise):
     kind = "quadratic"
     power = 2
 
@@ -130,6 +139,11 @@ class StereoNoise:
     sigma_p: float = 0.35  # pixel matching std, px
     sigma_m: float = 0.17  # disparity matching std, px
     kind = "stereo"
+
+    def __post_init__(self):
+        if not all(math.isfinite(v) and v > 0.0 for v in (self.sigma_p, self.sigma_m)):
+            raise ValueError(f"stereo noise sigma_p and sigma_m must be finite and positive, "
+                             f"got {self.sigma_p} and {self.sigma_m}")
 
 
 NoiseModel = Union[ConstantNoise, LinearNoise, QuadraticNoise, StereoNoise]

@@ -492,15 +492,15 @@ def principal_curvatures(patch: Patch) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CurvatureGate:
-    kappa_min: float = -30.0
-    kappa_max: float = 30.0
+    kappa_min: float
+    kappa_max: float
 
     def __post_init__(self):
         if not self.kappa_min <= self.kappa_max:
             raise ValueError("kappa_min must not exceed kappa_max")
 
 
-def curvature_gate(patch: Patch, gate: CurvatureGate = CurvatureGate()) -> bool:
+def curvature_gate(patch: Patch, gate: CurvatureGate) -> bool:
     """Pass iff both principal curvatures lie in the closed gate interval."""
     k = principal_curvatures(patch)
     return bool(gate.kappa_min <= k.min() and k.max() <= gate.kappa_max)

@@ -193,7 +193,7 @@ def whole_frame_mesh_graph(cloud, index):
     Each undirected edge is stored once, as (lower id, higher id).
     """
     h, w = cloud.valid_mask.shape
-    tri = mesh_triangles(cloud.points, index.t_jump, index.t_es, index.t_ar)
+    tri = mesh_triangles(cloud.points, index)
     edges = np.sort(tri[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
     key = np.unique(edges[:, 0] * (h * w) + edges[:, 1])
     a, b = key // (h * w), key % (h * w)

@@ -185,7 +185,10 @@ def test_opc_short_header_field_is_bad_input(tmp_path, capsys, index, line):
     _assert_bad_input(tmp_path, capsys, path, f"{path}: ")
 
 
-@pytest.mark.parametrize("edit", ["opc1_text", "header_not_ascii", "negative_size"])
+@pytest.mark.parametrize(
+    "edit", ["opc1_text", "header_not_ascii", "negative_size", "noise_k_negative",
+             "noise_sigma_zero"]
+)
 def test_opc_rejects_bad_file(tmp_path, capsys, edit):
     """An OPC1 text file or an unreadable header is bad input, named by path."""
     path = tmp_path / "bad.opc"
@@ -197,9 +200,15 @@ def test_opc_rejects_bad_file(tmp_path, capsys, edit):
     elif edit == "header_not_ascii":
         _edit_header(path, 2, "noise \u03c3")
         where = f"{path}: the header is not ASCII text"
-    else:
+    elif edit == "negative_size":
         _edit_header(path, 0, "OPC2 -4 -3")
         where = f"{path}: width and height must be non-negative"
+    elif edit == "noise_k_negative":
+        _edit_header(path, 2, "noise constant -1e-06")
+        where = f"{path}: constant noise k must be finite and non-negative"
+    else:
+        _edit_header(path, 2, "noise stereo 0 0.17")
+        where = f"{path}: stereo noise sigma_p and sigma_m must be finite and positive"
     with pytest.raises(ValueError, match=f"^{re.escape(where)}"):
         cli.read_cloud(str(path))
     _assert_bad_input(tmp_path, capsys, path, where)
@@ -380,6 +389,20 @@ def test_simulate_rejects_bad_scene(tmp_path):
     assert cli.main(["simulate", "--scene", str(p), "--out", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize(
+    "noise",
+    [{"model": "constant", "k": -1e-6}, {"model": "linear", "k": float("inf")},
+     {"model": "stereo", "sigma_p": 0.0}, {"model": "stereo", "sigma_m": 0.0}],
+    ids=["k_negative", "k_infinite", "sigma_p_zero", "sigma_m_zero"],
+)
+def test_simulate_rejects_bad_noise(tmp_path, capsys, noise):
+    p = tmp_path / "scene.json"
+    p.write_text(json.dumps(_dome_spec(noise)))
+    assert cli.main(["simulate", "--scene", str(p), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.startswith("error: bad scene spec: ")
+    assert not (tmp_path / "x_000.opc").exists()
+
+
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------
@@ -551,6 +574,37 @@ def test_track_down_policy_accepts_gravity(tmp_path, capsys):
     assert "final" in lines[-1]
 
 
+@pytest.mark.parametrize(
+    "policy, vectors, message",
+    [("fd", ["--g", "0", "0", "0"], "gravity must be finite and nonzero"),
+     ("ff", ["--forward", "0", "nan", "1"], "forward must be finite and nonzero"),
+     ("fd", ["--g", "0", "0", "1", "--forward", "0", "0", "1"], "forward is parallel to down"),
+     ("ff", ["--g", "0", "0", "1", "--forward", "0", "0", "1"], "down is parallel to forward")],
+    ids=["fd_zero_gravity", "ff_nan_forward", "fd_parallel", "ff_parallel"],
+)
+def test_track_rejects_bad_down_forward(tmp_path, capsys, policy, vectors, message):
+    traj = _write_traj(tmp_path, n=3)
+    assert cli.main(["track", "--trajectory", str(traj), "--policy", policy, *vectors]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {message}")
+
+
+def test_track_drops_preloaded_patch_outside_grid(tmp_path, dome_map, capsys):
+    """A preloaded patch whose xz lies outside the volume grid is dropped at load."""
+    doc = json.loads(dome_map.read_text())
+    rec = doc["patches"][0]
+    outside = dict(rec, id=rec["id"] + 100, t=[-0.3, rec["t"][1], rec["t"][2]])
+    doc["patches"] = [rec, outside]
+    pmap = tmp_path / "map.json"
+    pmap.write_text(json.dumps(doc))
+    traj = _write_traj(tmp_path, n=2)
+    argv = ["track", "--trajectory", str(traj), "--policy", "fv", "--map", str(pmap)]
+    assert cli.main(argv) == 0
+    final = json.loads(capsys.readouterr().out.splitlines()[-1])["final"]
+    assert final["patch_ids"] == [rec["id"]]
+
+
 def test_track_unknown_policy(tmp_path, capsys):
     traj = _write_traj(tmp_path)
     assert cli.main(["track", "--trajectory", str(traj), "--policy", "warp"]) == 1
@@ -639,13 +693,14 @@ def test_map_rejects_bad_gravity(tmp_path, dome_dir, capsys, spec):
      {"coverage": {"w_c": True}}, {"volume": {"v_g": 2.5}}, {"budgets": {"n_s": "3"}},
      {"surface": "torus"}, {"saliency": {"kappa_min": 5.0, "kappa_max": -5.0}},
      {"budgets": {"n_s": -1}}, {"budgets": {"wall_clock_s": -1.0}},
-     {"volume": {"v_s": -4.0}}, {"neighborhood": {"variant": "kdtree"}}],
+     {"volume": {"v_s": -4.0}}, {"neighborhood": {"variant": "kdtree"}},
+     {"volume": {"n_g": 0}}],
     ids=["budget_typo", "unknown_key", "volume_typo", "gamma_above_one", "n_f_not_integer",
          "n_f_below_fit_minimum", "bool_as_string", "bool_as_integer", "d_max_negative",
          "d_max_infinite", "decimate_negative", "nested_bool_as_float",
          "nested_v_g_not_integer", "nested_string_as_integer", "surface_unknown",
          "kappa_range_inverted", "budget_count_negative", "budget_seconds_negative",
-         "volume_size_negative", "variant_kdtree_removed"],
+         "volume_size_negative", "variant_kdtree_removed", "volume_n_g_zero"],
 )
 def test_map_rejects_malformed_config(tmp_path, dome_dir, capsys, spec):
     cfg = tmp_path / "bad.json"

@@ -9,7 +9,7 @@ import pytest
 
 from patchscape import fit as pf
 from patchscape import pose as ps
-from patchscape.fit import FitResult, WlmConfig, coverage_scale, fit_patch, wlm_minimize
+from patchscape.fit import FitResult, coverage_scale, fit_patch, wlm_minimize
 from patchscape.patch import (
     BoundaryType,
     Patch,
@@ -199,12 +199,13 @@ def test_wlm_converges_on_exact_sphere():
     assert np.allclose(res.sigma, res.sigma.T)
 
 
-def test_wlm_reports_nonconvergence():
+def test_wlm_reports_nonconvergence(monkeypatch):
+    monkeypatch.setattr(pf, "_MAX_ITER", 2)
     rng = np.random.default_rng(7)
     model = pf._implicit_model(pf._K3_SPHERE, 2, _SPHERE_LINE)
     pts = _sphere_points(_SPHERE_P, rng, 40)
     covs = np.broadcast_to(1e-8 * np.eye(3), (len(pts), 3, 3)).copy()
-    res = wlm_minimize(model, _SPHERE_P + 0.3, pts, covs, WlmConfig(max_iter=2))
+    res = wlm_minimize(model, _SPHERE_P + 0.3, pts, covs)
     assert not res.converged
     assert res.iterations <= 2
 

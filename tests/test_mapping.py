@@ -8,6 +8,7 @@ whose ground truth curvatures are known.
 """
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,6 @@ from patchscape.mapping import (
     NeighborhoodVariant,
     SaliencyConfig,
     Seed,
-    SeedGrid,
     ValidationRecord,
     VolumeState,
     fit_sample,
@@ -542,7 +542,7 @@ def test_select_seeds_n_g_override_allows_more():
     cloud = _plane_cloud(1.0)
     state = init_volume()
     one = select_seeds(cloud, cloud.valid_mask, state, rng_seed=1)
-    state.grid.n_g = 3
+    state.n_g = 3
     many = select_seeds(cloud, cloud.valid_mask, state, rng_seed=1)
     per_cell = {}
     for s in many:
@@ -556,7 +556,7 @@ def _loop_select_seeds(cloud, salient, volume, n_g, rng_seed):
     rng = np.random.default_rng(rng_seed)
     pix = np.argwhere(salient)
     pts_vol = xform_fwd(cloud.points[salient], volume.c_t.r, volume.c_t.t)
-    v_g = volume.grid.v_g
+    v_g = volume.v_g
     w = volume.v_s / v_g
     by_cell = {}
     for idx, p in enumerate(pts_vol):
@@ -564,7 +564,9 @@ def _loop_select_seeds(cloud, salient, volume, n_g, rng_seed):
         if 0 <= ix < v_g and 0 <= iz < v_g:
             by_cell.setdefault((ix, iz), []).append(idx)
     cam_xz = volume.c_t.t[[0, 2]]
-    occupancy = volume.cell_counts()
+    occupancy = {}
+    for mp in volume.patches:
+        occupancy[mp.cell] = occupancy.get(mp.cell, 0) + 1
 
     def rank(cell):
         return (float(np.linalg.norm((np.array(cell, dtype=float) + 0.5) * w - cam_xz)), cell)
@@ -587,7 +589,7 @@ def test_select_seeds_matches_loop_grouping(rocky_cloud_noisy):
     assert len({s.cell for s in first}) > 4
     state.patches.append(_dummy_mappatch(first[0].cell))
     for n_g in (1, 3):
-        state.grid.n_g = n_g
+        state.n_g = n_g
         seeds = select_seeds(cloud, cloud.valid_mask, state, rng_seed=7)
         ref = _loop_select_seeds(cloud, cloud.valid_mask, state, n_g, 7)
         assert [(s.pixel, s.cell) for s in seeds] == ref
@@ -603,7 +605,7 @@ def test_select_seeds_orders_cells_near_camera_first():
     state = init_volume()
     seeds = select_seeds(cloud, cloud.valid_mask, state, rng_seed=2)
     cam_xz = state.c_t.t[[0, 2]]
-    w = state.v_s / state.grid.v_g
+    w = state.v_s / state.v_g
     dists = [
         np.linalg.norm((np.array(s.cell, dtype=float) + 0.5) * w - cam_xz) for s in seeds
     ]
@@ -729,14 +731,14 @@ def test_neighborhood_index_validation():
 
 def test_mesh_triangles_full_grid_count():
     cloud = _plane_cloud(1.0)
-    tri = mesh_triangles(cloud.points)
+    tri = mesh_triangles(cloud.points, NeighborhoodIndex())
     assert len(tri) == 2 * (TINY.height - 1) * (TINY.width - 1)
 
 
 def test_mesh_triangles_prunes_jump_edges():
     z = np.full((TINY.height, TINY.width), 1.0)
     z[:, 40:] = 1.5
-    tri = mesh_triangles(_depth_cloud(TINY, z).points)
+    tri = mesh_triangles(_depth_cloud(TINY, z).points, NeighborhoodIndex())
     p = _depth_cloud(TINY, z).points.reshape(-1, 3)[:, 2]
     spans = np.ptp(p[tri], axis=1)
     assert spans.max() < 1e-9  # no triangle mixes both depth levels
@@ -773,14 +775,22 @@ def test_volume_update_fc_below_threshold_tracks_camera():
 
 
 def test_volume_update_fc_restores_fixed_pose_on_drift():
-    state = init_volume(policy=MovePolicy.FC)
-    cam = Pose6(np.zeros(3), np.array([0.4, 0.0, 0.0]))
-    state, T = volume_update(state, cam)
-    assert T is not None
-    assert np.allclose(state.c_t.r, DEFAULT_CAMERA_IN_VOLUME.r, atol=1e-12)
-    assert np.allclose(state.c_t.t, DEFAULT_CAMERA_IN_VOLUME.t, atol=1e-12)
-    back = state.camera_world()
-    assert np.allclose(back.t, cam.t, atol=1e-12)
+    # the default c_0 has no rotation; a rotated one checks that the remap
+    # restores the whole pose, attitude included
+    rotated = Pose6(np.array([0.3, -0.5, 0.2]), np.array([1.5, 2.5, 0.8]))
+    turn = Pose6(np.array([0.1, 0.2, -0.05]), np.array([0.4, 0.0, 0.0]))
+    for c_0, cam in (
+        (DEFAULT_CAMERA_IN_VOLUME, Pose6(np.zeros(3), np.array([0.4, 0.0, 0.0]))),
+        (rotated, turn),
+    ):
+        state = init_volume(policy=MovePolicy.FC, c_0=c_0)
+        state, T = volume_update(state, cam)
+        assert T is not None
+        assert np.allclose(state.c_t.r, c_0.r, atol=1e-12)
+        assert np.allclose(state.c_t.t, c_0.t, atol=1e-12)
+        back = state.camera_world()
+        assert np.allclose(back.r, cam.r, atol=1e-12)
+        assert np.allclose(back.t, cam.t, atol=1e-12)
 
 
 def test_volume_update_fd_realigns_down_axis():
@@ -1034,6 +1044,16 @@ def test_map_step_resident_cells_get_no_new_seeds(rocky_cloud):
     assert second.n_seeds == first.n_seeds - len(first.admitted)
     assert taken.isdisjoint({mp.cell for mp in second.admitted})
     assert state.frame_index == 2
+
+
+def test_map_step_keeps_every_cell_within_n_g(rocky_cloud):
+    # only select_seeds caps a cell: it leaves a seed per free place, and a
+    # seed admits at most one patch
+    state = init_volume(n_g=2)
+    for rng_seed in (11, 12):
+        res = map_step(state, rocky_cloud, _gravity_cam(), config=ROCKY_CONFIG, rng_seed=rng_seed)
+        _assert_every_seed_counted(res)
+    assert max(Counter(mp.cell for mp in state.patches).values()) == 2
 
 
 def _half_covered_cap():

@@ -211,6 +211,23 @@ def test_quadratic_noise_grows_with_range():
     assert abs(s_far / s_near - 3.0) < 0.2
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: ConstantNoise(-1e-6), lambda: LinearNoise(float("nan")),
+     lambda: QuadraticNoise(float("inf")), lambda: StereoNoise(sigma_p=0.0),
+     lambda: StereoNoise(sigma_m=-0.1), lambda: StereoNoise(sigma_m=float("inf"))],
+    ids=["constant_negative", "linear_nan", "quadratic_inf", "stereo_sigma_p_zero",
+         "stereo_sigma_m_negative", "stereo_sigma_m_inf"],
+)
+def test_noise_models_reject_bad_parameters(make):
+    with pytest.raises(ValueError, match="noise"):
+        make()
+
+
+def test_noise_models_accept_zero_power_k():
+    assert ConstantNoise(0.0).k == 0.0
+
+
 def test_power_noise_covariance_rank_one():
     cov = point_covariance(LinearNoise(2e-5), KINECT_640, (100.0, 150.0), 2.0)
     m = pixel_rays(KINECT_640, (100.0, 150.0))[0]
