@@ -13,6 +13,14 @@ fitted, so the residual validate reports for a patch can differ from the
 one its map stores, and a patch admitted just under d_max can fail
 validate on the frame it came from.
 
+Every random draw comes from one seed: --seed when given, else the
+config's "seed" (map only), else 0.
+
+A patch-map record stores the full rotation vector r of a patch. A
+revolute surface and boundary pair (patchscape.patch.is_revolute) reads
+back as a 5-DoF pose with r_xy = r[:2], so the record round-trips bit
+for bit; such a record whose r[2] is not 0 is a bad patch map.
+
 JSON numbers and the text header of a cloud file are written with 17
 significant digits, so files are byte-identical across runs and
 round-trip 64-bit floats exactly. Clouds use the OPC2 format; patch maps,
@@ -37,7 +45,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import MISSING, fields, is_dataclass
@@ -65,8 +72,8 @@ from .mapping import (
     remap_patches,
     volume_update,
 )
-from .patch import BoundaryType, Patch, SurfaceType, patch_rotvec, transform_patch
-from .pose import Pose5, Pose6, pose_inverse, rxy_from_r
+from .patch import BoundaryType, Patch, SurfaceType, is_revolute, patch_rotvec, transform_patch
+from .pose import Pose5, Pose6, pose_inverse
 from .sensor import (
     CameraIntrinsics,
     ConstantNoise,
@@ -93,14 +100,15 @@ def _g17(x: float) -> str:
     return "%.17g" % x
 
 
-def json_dumps(obj, indent: int = 0) -> str:
+def json_dumps(obj, indent: Optional[int] = 0) -> str:
     """JSON text with floats at 17 significant digits.
 
     The stdlib writer formats floats with repr, which is round-trip safe
     but not the pinned 17-digit form; this one keeps files byte-stable
-    under any interpreter.
+    under any interpreter. An object opens one line per key, indent
+    spaces in; indent None writes the whole document on one line, as log
+    records take it.
     """
-    pad = " " * indent
     if obj is None:
         return "null"
     if obj is True or obj is False:
@@ -112,26 +120,19 @@ def json_dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (np.ndarray, list, tuple)):
-        items = [json_dumps(v, indent) for v in obj]
-        return "[" + ", ".join(items) + "]"
+        return "[" + ", ".join(json_dumps(v, indent) for v in obj) + "]"
     if isinstance(obj, dict):
+        if indent is None:
+            return "{" + ", ".join(
+                json.dumps(str(k)) + ": " + json_dumps(v, None) for k, v in obj.items()
+            ) + "}"
+        pad = " " * indent
         inner = ",\n".join(
             pad + "  " + json.dumps(str(k)) + ": " + json_dumps(v, indent + 2)
             for k, v in obj.items()
         )
         return "{\n" + inner + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def json_line(obj) -> str:
-    """Single-line variant for log records, one JSON document per line."""
-    if isinstance(obj, dict):
-        return "{" + ", ".join(
-            json.dumps(str(k)) + ": " + json_line(v) for k, v in obj.items()
-        ) + "}"
-    if isinstance(obj, (np.ndarray, list, tuple)):
-        return "[" + ", ".join(json_line(v) for v in obj) + "]"
-    return json_dumps(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +221,9 @@ def read_cloud(path: str) -> Tuple[OrganizedCloud, object]:
         tag = _header(lines, 2, "noise", 1)
         noise = _noise(tag[0], tag[1:])
         has_cov = bool(int(_header(lines, 3, "cov", 1)[0]))
-        if w < 0 or h < 0:
-            raise ValueError(f"width and height must be non-negative, got {w} {h}")
+        intr = CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy, width=w, height=h, baseline=baseline)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
-    intr = CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy, width=w, height=h, baseline=baseline)
     n = w * h
     expect = n * (9 if has_cov else 3) * 8
     if len(body) != expect:
@@ -243,16 +242,17 @@ def read_cloud(path: str) -> Tuple[OrganizedCloud, object]:
 # ---------------------------------------------------------------------------
 
 
+def _patch_fields(p: Patch) -> dict:
+    """A patch's shape and pose as JSON fields; r is the full rotation vector."""
+    return {"surface": p.s.value, "boundary": p.b.value, "k": p.k, "d": p.d,
+            "r": patch_rotvec(p), "t": p.pose.t}
+
+
 def patch_record(mp: _mapping.MapPatch) -> dict:
     return {
         "id": mp.id,
-        "surface": mp.patch.s.value,
-        "boundary": mp.patch.b.value,
-        "k": mp.patch.k,
-        "d": mp.patch.d,
-        "r": patch_rotvec(mp.patch),
-        "t": mp.patch.pose.t,
-        "sigma": None if mp.patch.sigma is None else mp.patch.sigma,
+        **_patch_fields(mp.patch),
+        "sigma": mp.patch.sigma,
         "seed_pixel": list(mp.seed_pixel),
         "frame_index": mp.frame_index,
         "validation": _validation_fields(mp.validation),
@@ -272,15 +272,22 @@ def _validation_fields(v: ValidationRecord) -> dict:
 
 
 def _patch_from_record(rec: dict) -> Patch:
-    s = SurfaceType(rec["surface"])
-    b = BoundaryType(rec["boundary"])
-    r = np.asarray(rec["r"], float)
-    t = np.asarray(rec["t"], float)
+    """The Patch of a patch-map record, exactly as written.
+
+    A revolute pair takes the 5-DoF pose whose r_xy is r[:2], which
+    patch_rotvec wrote with r[2] = 0; a record with any other r[2] is
+    ValueError.
+    """
+    s, b = SurfaceType(rec["surface"]), BoundaryType(rec["boundary"])
+    r, t = np.asarray(rec["r"], float), np.asarray(rec["t"], float)
     sigma = None if rec.get("sigma") is None else np.asarray(rec["sigma"], float)
-    try:
-        return Patch(s, b, rec["k"], rec["d"], Pose6(r, t), sigma)
-    except ValueError:
-        return Patch(s, b, rec["k"], rec["d"], Pose5(rxy_from_r(r), t), sigma)
+    if not is_revolute(s, b):
+        pose = Pose6(r, t)
+    elif r.shape == (3,) and r[2] == 0.0:
+        pose = Pose5(r[:2], t)
+    else:
+        raise ValueError(f"a {s.value}/{b.value} patch needs r = [rx, ry, 0], got {rec['r']}")
+    return Patch(s, b, rec["k"], rec["d"], pose, sigma)
 
 
 def write_patch_map(path: str, state: _mapping.VolumeState) -> None:
@@ -351,17 +358,7 @@ def _scene_truth(surfaces) -> List[dict]:
         if isinstance(s, ScenePlane):
             out.append({"type": "plane", "normal": s.normal, "offset": s.offset})
         else:
-            out.append(
-                {
-                    "type": "patch",
-                    "surface": s.s.value,
-                    "boundary": s.b.value,
-                    "k": s.k,
-                    "d": s.d,
-                    "r": patch_rotvec(s),
-                    "t": s.pose.t,
-                }
-            )
+            out.append({"type": "patch", **_patch_fields(s)})
     return out
 
 
@@ -451,12 +448,6 @@ def load_map_config(path: Optional[str]):
 # ---------------------------------------------------------------------------
 
 
-def _seed_or_env(value) -> int:
-    if value is not None:
-        return int(value)
-    return int(os.environ.get("PATCHSCAPE_SEED", "0"))
-
-
 def _fail(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return 1
@@ -465,11 +456,10 @@ def _fail(msg: str) -> int:
 def cmd_simulate(args) -> int:
     try:
         surfaces, intr, cam, noise = load_scene_spec(args.scene)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, KeyError, TypeError) as e:
         return _fail(f"bad scene spec: {e}")
     if args.no_noise:
         noise = None
-    seed = _seed_or_env(args.seed)
 
     poses = [cam] * args.frames
     if args.trajectory is not None:
@@ -477,20 +467,22 @@ def cmd_simulate(args) -> int:
             with open(args.trajectory) as f:
                 traj = json.load(f)
             poses = [_pose6(p) for p in traj]
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+        except (OSError, ValueError, KeyError) as e:
             return _fail(f"bad trajectory: {e}")
 
     frame_paths = []
     for i, pose in enumerate(poses):
-        cloud = sample_scene(
-            surfaces, intr, camera_pose=pose, noise=noise, rng=np.random.default_rng((seed, i))
-        )
+        try:
+            cloud = sample_scene(surfaces, intr, camera_pose=pose, noise=noise,
+                                 rng=np.random.default_rng((args.seed, i)))
+        except ValueError as e:  # a noise model the camera cannot take
+            return _fail(f"bad scene spec: {e}")
         path = f"{args.out}_{i:03d}.opc"
         write_cloud(path, cloud, noise)
         frame_paths.append(path)
 
     truth = {
-        "seed": seed,
+        "seed": args.seed,
         "noise": _noise_tag(noise),
         "frames": frame_paths,
         "camera_per_frame": [{"r": p.r, "t": p.t} for p in poses],
@@ -518,7 +510,7 @@ def cmd_fit(args) -> int:
         return _fail(str(e))
     if len(nb.points) < MIN_FIT_POINTS:
         return _fail(f"only {len(nb.points)} neighbors within {cfg.saliency.r} m")
-    fit_pts, fit_cvs = fit_sample(nb, cfg.n_f, np.random.default_rng(_seed_or_env(args.seed)))
+    fit_pts, fit_cvs = fit_sample(nb, cfg.n_f, np.random.default_rng(args.seed))
     try:
         fit = fit_patch(
             fit_pts,
@@ -548,9 +540,9 @@ def cmd_fit(args) -> int:
 def cmd_map(args) -> int:
     try:
         cfg, budgets, state, cfg_seed = load_map_config(args.config)
-    except (OSError, ValueError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         return _fail(f"bad config: {e}")
-    seed = _seed_or_env(args.seed if args.seed is not None else cfg_seed)
+    seed = args.seed if args.seed is not None else (cfg_seed or 0)
 
     gravities = None
     if args.gravity is not None:
@@ -565,7 +557,7 @@ def cmd_map(args) -> int:
                 gravities = [np.asarray(gspec["g"], float)]
             for g in gravities:
                 _mapping._unit_vector(g, "gravity")
-        except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as e:
+        except (OSError, ValueError, TypeError, KeyError) as e:
             return _fail(f"bad gravity file: {e}")
 
     stats_rows = []
@@ -612,7 +604,7 @@ def cmd_track(args) -> int:
         with open(args.trajectory) as f:
             traj = json.load(f)
         poses = [_pose6(p) for p in traj]
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, KeyError) as e:
         return _fail(f"bad trajectory: {e}")
     if not poses:
         return _fail("trajectory is empty")
@@ -646,7 +638,7 @@ def cmd_track(args) -> int:
                         ),
                     )
                 )
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+        except (OSError, ValueError, KeyError) as e:
             return _fail(f"bad patch map: {e}")
 
     lines = []
@@ -660,27 +652,19 @@ def cmd_track(args) -> int:
             before = {mp.id for mp in state.patches}
             state = remap_patches(state, T, cull_excess=args.cull)
             culled = sorted(before - {mp.id for mp in state.patches})
-        lines.append(
-            json_line(
-                {
-                    "frame": i,
-                    "fired": T is not None,
-                    "T": None if T is None else {"r": T.r, "t": T.t},
-                    "culled": culled,
-                }
-            )
-        )
-    lines.append(
-        json_line(
-            {
-                "final": {
-                    "pose_world": {"r": state.pose_world.r, "t": state.pose_world.t},
-                    "camera_in_volume": {"r": state.c_t.r, "t": state.c_t.t},
-                    "patch_ids": [mp.id for mp in state.patches],
-                }
-            }
-        )
-    )
+        lines.append(json_dumps({
+            "frame": i,
+            "fired": T is not None,
+            "T": None if T is None else {"r": T.r, "t": T.t},
+            "culled": culled,
+        }, indent=None))
+    lines.append(json_dumps({
+        "final": {
+            "pose_world": {"r": state.pose_world.r, "t": state.pose_world.t},
+            "camera_in_volume": {"r": state.c_t.r, "t": state.c_t.t},
+            "patch_ids": [mp.id for mp in state.patches],
+        }
+    }, indent=None))
     text = "\n".join(lines) + "\n"
     if args.out is not None:
         with open(args.out, "w") as f:
@@ -696,17 +680,22 @@ def cmd_validate(args) -> int:
         with open(args.map) as f:
             doc = json.load(f)
         cloud, _ = read_cloud(args.cloud)
-    except (OSError, ValueError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         return _fail(str(e))
     try:
+        recs = doc.get("patches", [])
+        patches = [_patch_from_record(rec) for rec in recs]
+    except (ValueError, KeyError, TypeError) as e:
+        return _fail(f"bad patch map: {e}")
+    try:
         cfg, _, _, _ = load_map_config(args.config)
-    except (OSError, ValueError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         return _fail(f"bad config: {e}")
 
     to_cam = pose_inverse(_pose6(doc.get("camera_in_volume", {"t": [0.0, 0.0, 0.0]})))
     any_fail = False
-    for rec in doc.get("patches", []):
-        patch, _ = transform_patch(_patch_from_record(rec), to_cam)
+    for rec, patch in zip(recs, patches):
+        patch, _ = transform_patch(patch, to_cam)
         entry = {"id": rec["id"]}
         try:
             pixel = np.array(rec["seed_pixel"], dtype=int)
@@ -717,7 +706,7 @@ def cmd_validate(args) -> int:
         except ValueError as e:
             entry.update({"error": str(e), "passed": False})
         any_fail |= not entry["passed"]
-        print(json_line(entry))
+        print(json_dumps(entry, indent=None))
     return 2 if any_fail else 0
 
 
@@ -738,7 +727,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--frames", type=int, default=1)
     s.add_argument("--trajectory", help="JSON list of per-frame camera poses")
     s.add_argument("--no-noise", action="store_true", help="disable the spec's noise model")
-    s.add_argument("--seed", type=int, default=None)
+    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True, help="output prefix")
     s.set_defaults(func=cmd_simulate)
 
@@ -753,7 +742,7 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--gamma", type=float, default=defaults.gamma)
     f.add_argument("--n-f", type=int, default=defaults.n_f)
     f.add_argument("--d-max", type=float, default=defaults.d_max)
-    f.add_argument("--seed", type=int, default=None)
+    f.add_argument("--seed", type=int, default=0)
     f.set_defaults(func=cmd_fit)
 
     m = sub.add_parser("map", help="run the mapping pipeline over frames")

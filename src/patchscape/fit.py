@@ -10,7 +10,9 @@ The fit runs in stages:
    general paraboloid was requested.
 2. For curved families, a weighted Levenberg-Marquardt solve of the
    unified implicit quadric over curvature, orientation, and the
-   position along the line.
+   position along the line. Which curvatures a family frees, and whether
+   its frame is 5- or 6-DoF, come from the family table in
+   patchscape.patch (k3_map, is_revolute).
 3. A general paraboloid is classified by its fitted curvatures: flat
    (plane), single-curved (cylindric), equal-curved (circular), or
    elliptic/hyperbolic, reducing parameters accordingly.
@@ -35,7 +37,10 @@ the only place the line enters the covariance. Stages 2-3 then map
 finisher takes the moments m of the projected points jointly with the
 state and maps (m, k, r, t) to the final (k, d, r, t): the extents d
 come from m, t stays on the line, and a plane with a directional
-boundary turns its frame to the principal axes of m.
+boundary turns its frame to the principal axes of m. The finisher picks
+the extents rule and the turn itself, from the type, the boundary and
+gamma; the boundary is the plane_boundary of a plane fit and otherwise
+the first one the family lists.
 """
 
 from __future__ import annotations
@@ -50,11 +55,7 @@ from scipy.linalg import block_diag
 from scipy.special import erfinv
 
 from patchscape import pose as _pose
-from patchscape.patch import (
-    BoundaryType,
-    Patch,
-    SurfaceType,
-)
+from patchscape.patch import BoundaryType, Patch, SurfaceType, boundaries, is_revolute, k3_map
 from patchscape.pose import Pose5, Pose6
 
 __all__ = [
@@ -114,18 +115,19 @@ class _Residual(NamedTuple):
     jac: Callable[[], np.ndarray]
 
 
-def _implicit_model(k3_map: np.ndarray, rot_dof: int, t_line):
-    """Residual model f(q; p) = ql^T K ql - 2 ql_z with ql = R^T (q - t).
+def _implicit_model(K: np.ndarray, rot_dof: int, t_line):
+    """Residual model f(q; p) = ql^T diag(K k) ql - 2 ql_z with ql = R^T (q - t).
 
-    p packs [k, r, a], with t = t0 + a n/|n| on the side-wall line
-    t_line = (t0, n). Returns model(points, covs, p, v_min) -> _Residual.
+    K is a family's k3_map; p packs [k, r, a], with t = t0 + a n/|n| on the
+    side-wall line t_line = (t0, n). Returns model(points, covs, p, v_min)
+    -> _Residual.
     """
-    nk = k3_map.shape[1]
+    nk = K.shape[1]
     t0, T = t_line[0], (t_line[1] / np.linalg.norm(t_line[1]))[:, None]  # t = t0 + T a
     npar = nk + rot_dof + 1
 
     def model(points, covs, p, v_min) -> _Residual:
-        k3 = k3_map @ p[:nk] if nk else np.zeros(3)
+        k3 = K @ p[:nk] if nk else np.zeros(3)
         r3 = np.zeros(3)
         r3[:rot_dof] = p[nk : nk + rot_dof]
         t = t0 + T @ p[nk + rot_dof :]
@@ -148,8 +150,8 @@ def _implicit_model(k3_map: np.ndarray, rot_dof: int, t_line):
             cl = cg @ R
             kcl = cl * k3
             Jp, cgH = np.empty((2, npar, len(points)))
-            Jp[:nk] = k3_map.T @ (ql * ql).T
-            cgH[:nk] = 2.0 * k3_map.T @ (ql * cl).T
+            Jp[:nk] = K.T @ (ql * ql).T
+            cgH[:nk] = 2.0 * K.T @ (ql * cl).T
             for m in range(rot_dof):
                 dql = d @ dR[m]  # = (dR_m^T) (q - t)
                 Jp[nk + m] = _rowdot(dfdql, dql)
@@ -401,16 +403,17 @@ class FitResult:
     iterations: int
 
 
-_K3_PARAB = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-_K3_SPHERE = np.array([[1.0], [1.0], [1.0]])
-_K3_CCYL = np.array([[0.0], [1.0], [1.0]])
-_K3_PLANE = np.zeros((3, 0))
-
 # axis swap taking x to the old y direction (z fixed): R' = R W
 _W_SWAP = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
-# the families fit_patch fits, by the name its surface argument takes
-SURFACES = ("paraboloid", "plane", "sphere", "cylinder")
+# the families fit_patch fits, by the name its surface argument takes;
+# "paraboloid" fits a general paraboloid and classifies it
+_FITS = {
+    "plane": SurfaceType.PLANE,
+    "sphere": SurfaceType.SPHERE,
+    "cylinder": SurfaceType.CIRCULAR_CYLINDER,
+}
+SURFACES = ("paraboloid", *_FITS)
 
 
 def fit_patch(
@@ -425,8 +428,9 @@ def fit_patch(
     surface selects the family: "paraboloid" fits a general paraboloid
     and classifies it (plane, cylindric, circular, elliptic, or
     hyperbolic); "plane", "sphere", and "cylinder" fit those families
-    directly. plane_boundary picks the boundary for plane fits
-    (classified planes take an ellipse). gamma sets the boundary coverage
+    directly. plane_boundary picks the boundary for plane fits; every
+    other fitted type, classified planes included, takes the first
+    boundary its family lists. gamma sets the boundary coverage
     probability of a Gaussian scatter. Points are camera frame, and the
     initial plane's local z axis faces the camera at the origin. The
     patch origin is held on the side-wall line through the data centroid
@@ -448,18 +452,19 @@ def fit_patch(
     pts, cv = pts[keep], cv[keep]
     if len(pts) < MIN_FIT_POINTS:
         raise ValueError(f"need at least {MIN_FIT_POINTS} points to fit a patch")
-    lam_g = coverage_scale(gamma)
+    coverage_scale(gamma)  # the finisher's check, before any solve: 0 < gamma < 1
 
     # ---- stage 1: plane and the side-wall line -----------------------
     rxy0, qbar = _lls_plane(pts)
     wall_n = _pose.exp_map(_pose.rxy_to_r(rxy0))[:, 2]
     runs = []
 
-    def solve(k3_map, r0, t0):
-        """Solve from zero curvature and t0's place on the line; return
-        (k, r, t) and its covariance."""
-        nk = k3_map.shape[1]
-        model = _implicit_model(k3_map, len(r0), (qbar, wall_n))
+    def solve(stype, r0, t0):
+        """Solve a type's surface from zero curvature and t0's place on the
+        line; return (k, r, t) and its covariance."""
+        K = k3_map(stype)
+        nk = K.shape[1]
+        model = _implicit_model(K, len(r0), (qbar, wall_n))
         p0 = np.concatenate([np.zeros(nk), r0, [float(wall_n @ (t0 - qbar))]])
         res = wlm_minimize(model, p0, pts, cv)
         runs.append(res)
@@ -468,33 +473,19 @@ def fit_patch(
         t = qbar + res.p[-1] * wall_n
         return res.p[:nk], res.p[nk:-1], t, J @ res.sigma @ J.T
 
-    if surface == "paraboloid":
-        k2, r, t, sigma = solve(_K3_PARAB, _pose.rxy_to_r(rxy0), qbar)
-        patch = _classify_paraboloid(pts, cv, k2, r, t, sigma, gamma, lam_g)
-    else:
-        _, rxy0, t0, plane_sigma = solve(_K3_PLANE, rxy0, qbar)
-
     # ---- stages 2-3: surface solve and finish ------------------------
-    if surface == "plane":
-        turn = partial(_plane_turn, gamma=gamma)
-        if plane_boundary == BoundaryType.CIRCLE:
-            turn = None  # a circle keeps the 5-DoF frame
-        patch = _finish(
-            pts, cv, SurfaceType.PLANE, plane_boundary, np.zeros(0), rxy0, t0,
-            plane_sigma, lambda m: _extents_plane(m, gamma, plane_boundary), turn,
-        )
-    elif surface == "sphere":
-        k, rxy, t, sigma = solve(_K3_SPHERE, rxy0, t0)
-        patch = _finish(
-            pts, cv, SurfaceType.SPHERE, BoundaryType.CIRCLE, k, rxy, t, sigma,
-            lambda m: _extents_circle_from_vxy(m, lam_g),
-        )
-    elif surface == "cylinder":
-        k, r, t, sigma = solve(_K3_CCYL, _pose.rxy_to_r(rxy0), t0)
-        patch = _finish(
-            pts, cv, SurfaceType.CIRCULAR_CYLINDER, BoundaryType.AARECT, k, r, t,
-            sigma, lambda m: _extents_rect(m, lam_g),
-        )
+    if surface == "paraboloid":
+        # a general paraboloid frees kx and ky, as the elliptic family does
+        k2, r, t, sigma = solve(SurfaceType.ELLIPTIC_PARABOLOID, _pose.rxy_to_r(rxy0), qbar)
+        stype, k, r, sigma = _classify_paraboloid(k2, r, sigma)
+    else:
+        stype = _FITS[surface]
+        k, r, t, sigma = solve(SurfaceType.PLANE, rxy0, qbar)
+        if stype != SurfaceType.PLANE:
+            r0 = r if is_revolute(stype, boundaries(stype)[0]) else _pose.rxy_to_r(r)
+            k, r, t, sigma = solve(stype, r0, t)
+    boundary = plane_boundary if surface == "plane" else boundaries(stype)[0]
+    patch = _finish(pts, cv, stype, boundary, k, r, t, sigma, gamma)
     return FitResult(
         patch,
         all(res.converged for res in runs),
@@ -508,8 +499,11 @@ def fit_patch(
 # ---------------------------------------------------------------------------
 
 
-def _classify_paraboloid(pts, cv, k2, r, t, sigma8, gamma, lam_g):
-    """Reduce a fitted general paraboloid to its curvature class."""
+def _classify_paraboloid(k2, r, sigma8):
+    """Reduce a fitted general paraboloid to its curvature class.
+
+    Returns (type, k, r, sigma) with r a 2-vector for a revolute type.
+    """
 
     def restate(J_k, J_r):
         J = block_diag(J_k, J_r, np.eye(3))
@@ -518,29 +512,17 @@ def _classify_paraboloid(pts, cv, k2, r, t, sigma8, gamma, lam_g):
     ax, ay = abs(k2[0]), abs(k2[1])
     if max(ax, ay) < _FLAT_EPS:
         sigma = restate(np.zeros((0, 2)), _pose.jac_rxy(r))
-        return _finish(
-            pts, cv, SurfaceType.PLANE, BoundaryType.ELLIPSE, np.zeros(0),
-            _pose.rxy_from_r(r), t, sigma,
-            lambda m: _extents_plane(m, gamma, BoundaryType.ELLIPSE),
-            lambda m: _plane_turn(m, gamma),
-        )
+        return SurfaceType.PLANE, np.zeros(0), _pose.rxy_from_r(r), sigma
     if min(ax, ay) < _FLAT_EPS:
         # single curved direction; keep it on the local y axis
         if ay >= _FLAT_EPS:
-            k, sigma = k2[1:], restate([[0.0, 1.0]], np.eye(3))
-        else:
-            r_new, J_r = _swap_frame(r)
-            k, r, sigma = k2[:1], r_new, restate([[1.0, 0.0]], J_r)
-        return _finish(
-            pts, cv, SurfaceType.CYLINDRIC_PARABOLOID, BoundaryType.AARECT, k, r, t,
-            sigma, lambda m: _extents_rect(m, lam_g),
-        )
+            return SurfaceType.CYLINDRIC_PARABOLOID, k2[1:], r, restate([[0.0, 1.0]], np.eye(3))
+        r_new, J_r = _swap_frame(r)
+        return SurfaceType.CYLINDRIC_PARABOLOID, k2[:1], r_new, restate([[1.0, 0.0]], J_r)
     if abs(k2[0] - k2[1]) < _FLAT_EPS:
-        return _finish(
-            pts, cv, SurfaceType.CIRCULAR_PARABOLOID, BoundaryType.CIRCLE,
-            np.array([0.5 * (k2[0] + k2[1])]), _pose.rxy_from_r(r), t,
-            restate([[0.5, 0.5]], _pose.jac_rxy(r)),
-            lambda m: _extents_circle_from_vxy(m, lam_g),
+        return (
+            SurfaceType.CIRCULAR_PARABOLOID, np.array([0.5 * (k2[0] + k2[1])]),
+            _pose.rxy_from_r(r), restate([[0.5, 0.5]], _pose.jac_rxy(r)),
         )
     stype = (
         SurfaceType.ELLIPTIC_PARABOLOID
@@ -550,11 +532,8 @@ def _classify_paraboloid(pts, cv, k2, r, t, sigma8, gamma, lam_g):
     # canonical axes: |kx| < |ky|, ties broken by kx <= ky
     if ax > ay or (ax == ay and k2[0] > k2[1]):
         r_new, J_r = _swap_frame(r)
-        k2, r, sigma8 = k2[::-1].copy(), r_new, restate(np.eye(2)[::-1], J_r)
-    return _finish(
-        pts, cv, stype, BoundaryType.ELLIPSE, k2, r, t, sigma8,
-        lambda m: _extents_ellipse_uncentered(m, lam_g),
-    )
+        return stype, k2[::-1].copy(), r_new, restate(np.eye(2)[::-1], J_r)
+    return stype, k2, r, sigma8
 
 
 def _swap_frame(r):
@@ -562,37 +541,53 @@ def _swap_frame(r):
     return _pose.jac_log_of(_pose.exp_map(r) @ _W_SWAP, _pose.jac_exp(r) @ _W_SWAP)
 
 
-def _finish(pts, cv, stype, boundary, k, r, t, sigma, extents, turn=None):
+def _finish(pts, cv, stype, boundary, k, r, t, sigma, gamma):
     """Bound a solved surface and carry its covariance to (k, d, r, t).
 
-    (k, r, t) is the solved state with covariance sigma, r a 2-vector
-    for a 5-DoF frame, t on the side-wall line, where it stays.
-    extents(m) gives (d, dd/dm) from the moments m of the projected
-    points; turn(m), for a plane with a directional boundary, gives the
-    principal-axis angle about local z and its derivative in m.
+    (k, r, t) is the solved state of a surface of type stype with
+    covariance sigma, r a 2-vector for a 5-DoF frame, t on the side-wall
+    line, where it stays. The boundary's extents come from the moments m
+    of the projected points, by a rule that (stype, boundary, gamma)
+    fixes (see _bound); a plane whose boundary is not revolute also
+    turns its frame to the principal axes of m.
     """
     r3 = r if len(r) == 3 else _pose.rxy_to_r(r)
     R, dR = _pose.exp_map(r3), _pose.jac_exp(r3)[: len(r)]
     m = _moments(pts, R, t)
     joint = _moment_joint_sigma(pts, cv, R, t, dR, sigma, len(k))
-    d, r_new, J = _bound(m, k, r, R, dR, extents, turn)
+    d, r_new, J = _bound(m, k, r, R, dR, stype, boundary, gamma)
     pose = Pose6(r_new, t) if len(r_new) == 3 else Pose5(r_new, t)
     return Patch(stype, boundary, k, d, pose, _pose.sym(J @ joint @ J.T))
 
 
-def _bound(m, k, r, R, dR, extents, turn):
+# a curved family's extents from the moments, by its boundary
+_CURVED_EXTENTS = {
+    BoundaryType.ELLIPSE: _extents_ellipse_uncentered,
+    BoundaryType.CIRCLE: _extents_circle_from_vxy,
+    BoundaryType.AARECT: _extents_rect,
+}
+
+
+def _bound(m, k, r, R, dR, stype, boundary, gamma):
     """Final (d, r') from the moments m and the state (k, r, t).
 
-    R and dR are the frame R(r) and its derivative dR/dr; t passes
-    through unchanged. Also returns J, the Jacobian of (k, d, r', t) with
-    respect to (m, k, r, t).
+    A plane takes its extents along the principal axes of m, and turns
+    its frame to them unless its boundary is the revolute circle; a
+    curved type takes them along its own axes, scaled to cover a
+    Gaussian scatter with probability gamma. R and dR are the frame R(r)
+    and its derivative dR/dr; t passes through unchanged. Also returns
+    J, the Jacobian of (k, d, r', t) with respect to (m, k, r, t).
     """
     nk, nr = len(k), len(r)
-    d, J_dm = extents(m)
-    if turn is None:
+    plane = stype == SurfaceType.PLANE
+    if plane:
+        d, J_dm = _extents_plane(m, gamma, boundary)
+    else:
+        d, J_dm = _CURVED_EXTENTS[boundary](m, coverage_scale(gamma))
+    if not plane or is_revolute(stype, boundary):
         r_new, dr_dm, dr_dr = r, np.zeros((nr, 5)), np.eye(nr)
     else:
-        theta, dth_dm = turn(m)
+        theta, dth_dm = _plane_turn(m, gamma)
         cs, sn = math.cos(theta), math.sin(theta)
         Rz = np.array([[cs, -sn, 0.0], [sn, cs, 0.0], [0.0, 0.0, 1.0]])
         dRz = np.array([[-sn, -cs, 0.0], [cs, -sn, 0.0], [0.0, 0.0, 0.0]])

@@ -44,7 +44,6 @@ from patchscape.pose import ChainLink, Pose6
 from patchscape.sensor import OrganizedCloud, project
 from patchscape.validate import (
     CoverageConfig,
-    CurvatureGate,
     coverage_eval,
     curvature_gate,
     residual,
@@ -309,8 +308,6 @@ def integral_normals(
     if r <= 0.0:
         raise ValueError("r must be positive")
     fpx = cloud.intrinsics.fx
-    if fpx <= 0.0:
-        raise ValueError("focal length must be positive")
     valid = cloud.valid_mask
     ii = _moment_integral(cloud.points, valid)
 
@@ -367,11 +364,8 @@ class SaliencyConfig:
             v = getattr(self, name)
             if not 0.0 < v < 90.0:
                 raise ValueError(f"{name} must lie in (0, 90) degrees")
-        self.gate  # CurvatureGate's own check: kappa_min <= kappa_max
-
-    @property
-    def gate(self) -> CurvatureGate:
-        return CurvatureGate(self.kappa_min, self.kappa_max)
+        if not self.kappa_min <= self.kappa_max:
+            raise ValueError("kappa_min must not exceed kappa_max")
 
 
 def _unit_vector(v, name: str) -> np.ndarray:
@@ -1059,7 +1053,7 @@ def gate_patch(
     return ValidationRecord(
         residual=res,
         bad_cells=n_bad,
-        curvature_ok=curvature_gate(patch, config.saliency.gate),
+        curvature_ok=curvature_gate(patch, config.saliency.kappa_min, config.saliency.kappa_max),
         residual_ok=res <= config.d_max,
         coverage_ok=cov_ok,
     )

@@ -16,6 +16,13 @@ projection of the point. Surfaces symmetric about their z axis (circular
 paraboloid, sphere, plane-with-circle) carry a 5-DoF pose; everything
 else carries the full 6 DoF.
 
+The table _FAMILY is the one definition of a surface family: per type,
+which stored curvature fills each diag(k3) axis, the boundaries it can
+carry (a fit gives it the first), and the boundary that makes it
+revolute. The patch checks itself against it, and the fit and the
+patch-map reader take their rules from it through k3_map, boundaries and
+is_revolute.
+
 Parameter covariance, when present, is ordered (k, d, r, t) with r the
 2- or 3-vector matching the pose type.
 """
@@ -25,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -46,6 +53,9 @@ __all__ = [
     "patch_rotvec",
     "patch_dof",
     "curvature_k3",
+    "k3_map",
+    "boundaries",
+    "is_revolute",
 ]
 
 
@@ -66,17 +76,6 @@ class BoundaryType(Enum):
     CQUAD = "cquad"
 
 
-# Stored-curvature count. plane has none; two-curvature types store (kx, ky).
-_K_LEN = {
-    SurfaceType.ELLIPTIC_PARABOLOID: 2,
-    SurfaceType.HYPERBOLIC_PARABOLOID: 2,
-    SurfaceType.CYLINDRIC_PARABOLOID: 1,
-    SurfaceType.CIRCULAR_PARABOLOID: 1,
-    SurfaceType.PLANE: 0,
-    SurfaceType.SPHERE: 1,
-    SurfaceType.CIRCULAR_CYLINDER: 1,
-}
-
 _D_LEN = {
     BoundaryType.ELLIPSE: 2,
     BoundaryType.CIRCLE: 1,
@@ -84,35 +83,51 @@ _D_LEN = {
     BoundaryType.CQUAD: 5,
 }
 
-# Fixed surface->boundary pairing; a plane takes any boundary.
-_SURFACE_BOUNDARY = {
-    SurfaceType.ELLIPTIC_PARABOLOID: (BoundaryType.ELLIPSE,),
-    SurfaceType.HYPERBOLIC_PARABOLOID: (BoundaryType.ELLIPSE,),
-    SurfaceType.CYLINDRIC_PARABOLOID: (BoundaryType.AARECT,),
-    SurfaceType.CIRCULAR_PARABOLOID: (BoundaryType.CIRCLE,),
-    SurfaceType.SPHERE: (BoundaryType.CIRCLE,),
-    SurfaceType.CIRCULAR_CYLINDER: (BoundaryType.AARECT,),
-    SurfaceType.PLANE: (
-        BoundaryType.ELLIPSE,
-        BoundaryType.CIRCLE,
-        BoundaryType.AARECT,
-        BoundaryType.CQUAD,
-    ),
+
+class _Family(NamedTuple):
+    k3: Tuple[int, int, int]  # stored curvature on each diag(k3) axis, -1 a zero
+    boundaries: Tuple[BoundaryType, ...]  # those it can carry; a fit gives it the first
+    revolute: Optional[BoundaryType]  # the boundary that makes its pose 5-DoF
+
+
+_S, _B = SurfaceType, BoundaryType
+# The one definition of each surface family: the patch, the fit and the
+# patch-map reader all take their rules from here.
+_FAMILY = {
+    _S.ELLIPTIC_PARABOLOID: _Family((0, 1, -1), (_B.ELLIPSE,), None),
+    _S.HYPERBOLIC_PARABOLOID: _Family((0, 1, -1), (_B.ELLIPSE,), None),
+    _S.CYLINDRIC_PARABOLOID: _Family((-1, 0, -1), (_B.AARECT,), None),
+    _S.CIRCULAR_PARABOLOID: _Family((0, 0, -1), (_B.CIRCLE,), _B.CIRCLE),
+    _S.PLANE: _Family((-1, -1, -1), (_B.ELLIPSE, _B.CIRCLE, _B.AARECT, _B.CQUAD), _B.CIRCLE),
+    _S.SPHERE: _Family((0, 0, 0), (_B.CIRCLE,), _B.CIRCLE),
+    _S.CIRCULAR_CYLINDER: _Family((-1, 0, 0), (_B.AARECT,), None),
 }
 
-# Types whose pose is 5-DoF (surface plus boundary symmetric about z).
-_REVOLUTE = {
-    (SurfaceType.CIRCULAR_PARABOLOID, BoundaryType.CIRCLE),
-    (SurfaceType.SPHERE, BoundaryType.CIRCLE),
-    (SurfaceType.PLANE, BoundaryType.CIRCLE),
-}
+
+def _k_len(s: SurfaceType) -> int:
+    return max(_FAMILY[s].k3) + 1
+
+
+def k3_map(s: SurfaceType) -> np.ndarray:
+    """The (3, len(k)) 0/1 matrix taking the stored curvatures k of a type to diag(k3)."""
+    return (np.array(_FAMILY[s].k3)[:, None] == np.arange(_k_len(s))).astype(float)
+
+
+def boundaries(s: SurfaceType) -> Tuple[BoundaryType, ...]:
+    """The boundaries a surface type can carry; a fit gives it the first."""
+    return _FAMILY[s].boundaries
+
+
+def is_revolute(s: SurfaceType, b: BoundaryType) -> bool:
+    """Whether the pair is symmetric about local z, so that it takes a 5-DoF pose."""
+    return _FAMILY[s].revolute == b
 
 
 @dataclass(frozen=True)
 class Patch:
     s: SurfaceType
     b: BoundaryType
-    k: np.ndarray  # stored curvatures, see _K_LEN
+    k: np.ndarray  # stored curvatures, see _FAMILY
     d: np.ndarray  # boundary extents, see _D_LEN
     pose: Union[Pose5, Pose6]
     sigma: Optional[np.ndarray] = None  # (p, p) covariance over (k, d, r, t)
@@ -120,17 +135,17 @@ class Patch:
     def __post_init__(self):
         object.__setattr__(self, "k", np.asarray(self.k, dtype=float).reshape(-1))
         object.__setattr__(self, "d", np.asarray(self.d, dtype=float).reshape(-1))
-        if self.b not in _SURFACE_BOUNDARY[self.s]:
+        if self.b not in boundaries(self.s):
             raise ValueError(f"{self.s.value} cannot carry a {self.b.value} boundary")
-        if self.k.size != _K_LEN[self.s]:
+        if self.k.size != _k_len(self.s):
             raise ValueError(
-                f"{self.s.value} needs {_K_LEN[self.s]} curvatures, got {self.k.size}"
+                f"{self.s.value} needs {_k_len(self.s)} curvatures, got {self.k.size}"
             )
         if self.d.size != _D_LEN[self.b]:
             raise ValueError(
                 f"{self.b.value} needs {_D_LEN[self.b]} extents, got {self.d.size}"
             )
-        revolute = (self.s, self.b) in _REVOLUTE
+        revolute = is_revolute(self.s, self.b)
         if revolute and not isinstance(self.pose, Pose5):
             raise ValueError(f"{self.s.value}/{self.b.value} patches use a 5-DoF pose")
         if not revolute and not isinstance(self.pose, Pose6):
@@ -149,7 +164,7 @@ class Patch:
 
 def patch_dof(patch: Patch) -> int:
     nr = 2 if isinstance(patch.pose, Pose5) else 3
-    return _K_LEN[patch.s] + _D_LEN[patch.b] + nr + 3
+    return _k_len(patch.s) + _D_LEN[patch.b] + nr + 3
 
 
 def patch_rotvec(patch: Patch) -> np.ndarray:
@@ -166,18 +181,7 @@ def patch_frame(patch: Patch) -> Tuple[np.ndarray, np.ndarray]:
 
 def curvature_k3(patch: Patch) -> np.ndarray:
     """Expand stored curvatures to the diag(k3) of the unified implicit form."""
-    s = patch.s
-    if s in (SurfaceType.ELLIPTIC_PARABOLOID, SurfaceType.HYPERBOLIC_PARABOLOID):
-        return np.array([patch.k[0], patch.k[1], 0.0])
-    if s == SurfaceType.CYLINDRIC_PARABOLOID:
-        return np.array([0.0, patch.k[0], 0.0])
-    if s == SurfaceType.CIRCULAR_PARABOLOID:
-        return np.array([patch.k[0], patch.k[0], 0.0])
-    if s == SurfaceType.PLANE:
-        return np.zeros(3)
-    if s == SurfaceType.SPHERE:
-        return np.array([patch.k[0]] * 3)
-    return np.array([0.0, patch.k[0], patch.k[0]])  # circular cylinder
+    return np.append(patch.k, 0.0)[list(_FAMILY[patch.s].k3)]  # index -1: the 0.0
 
 
 # ---------------------------------------------------------------------------

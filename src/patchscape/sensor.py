@@ -62,6 +62,17 @@ class CameraIntrinsics:
     height: int
     baseline: float  # stereo baseline, m
 
+    def __post_init__(self):
+        if not all(math.isfinite(v) and v > 0.0 for v in (self.fx, self.fy)):
+            raise ValueError(f"fx and fy must be finite and positive, got {self.fx} and {self.fy}")
+        if not all(math.isfinite(v) for v in (self.cx, self.cy, self.baseline)):
+            raise ValueError(f"cx, cy and baseline must be finite, "
+                             f"got {self.cx}, {self.cy} and {self.baseline}")
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 0
+                   for v in (self.width, self.height)):
+            raise ValueError(f"width and height must be non-negative ints, "
+                             f"got {self.width!r} and {self.height!r}")
+
     def scaled(self, factor: float) -> "CameraIntrinsics":
         """Intrinsics after decimating the image by an integer factor."""
         return replace(
@@ -221,11 +232,14 @@ def point_covariance(noise: NoiseModel, intr: CameraIntrinsics, pixels, ranges):
 
     pixels (N, 2) or (2,), ranges matching. Power models give the rank-one
     k * r^p * m m^T; stereo propagates E = diag(sp^2, sp^2, sm^2) through
-    the triangulation Jacobian at disparity d = fx * b / r.
+    the triangulation Jacobian at disparity d = fx * b / r, and needs a
+    positive baseline b (ValueError otherwise).
     """
     px = np.atleast_2d(np.asarray(pixels, dtype=float))
     r = np.atleast_1d(np.asarray(ranges, dtype=float))
     if isinstance(noise, StereoNoise):
+        if not intr.baseline > 0.0:
+            raise ValueError(f"stereo noise needs a positive baseline, got {intr.baseline}")
         d = intr.fx * intr.baseline / r
         J = _stereo_jacobian(intr, px[:, 0], px[:, 1], d)
         E = np.diag([noise.sigma_p**2, noise.sigma_p**2, noise.sigma_m**2])

@@ -33,7 +33,6 @@ __all__ = [
     "CoverageReport",
     "coverage_eval",
     "intersection_area",
-    "CurvatureGate",
     "curvature_gate",
     "principal_curvatures",
 ]
@@ -490,17 +489,7 @@ def principal_curvatures(patch: Patch) -> np.ndarray:
     return curvature_k3(patch)[:2]
 
 
-@dataclass(frozen=True)
-class CurvatureGate:
-    kappa_min: float
-    kappa_max: float
-
-    def __post_init__(self):
-        if not self.kappa_min <= self.kappa_max:
-            raise ValueError("kappa_min must not exceed kappa_max")
-
-
-def curvature_gate(patch: Patch, gate: CurvatureGate) -> bool:
-    """Pass iff both principal curvatures lie in the closed gate interval."""
+def curvature_gate(patch: Patch, kappa_min: float, kappa_max: float) -> bool:
+    """Pass iff both principal curvatures lie in [kappa_min, kappa_max]."""
     k = principal_curvatures(patch)
-    return bool(gate.kappa_min <= k.min() and k.max() <= gate.kappa_max)
+    return bool(kappa_min <= k.min() and k.max() <= kappa_max)

@@ -17,7 +17,10 @@ import pytest
 from _oracles import loop_read_body, loop_write_cloud
 
 from patchscape import cli
-from patchscape.pose import rxy_for_zdir, rxy_to_r
+from patchscape.mapping import MapPatch, ValidationRecord, init_volume
+from patchscape.patch import BoundaryType as B
+from patchscape.patch import Patch, SurfaceType, boundaries, is_revolute, k3_map
+from patchscape.pose import Pose5, Pose6, rxy_for_zdir, rxy_from_r, rxy_to_r
 from patchscape.sensor import (
     CameraIntrinsics,
     ConstantNoise,
@@ -187,7 +190,7 @@ def test_opc_short_header_field_is_bad_input(tmp_path, capsys, index, line):
 
 @pytest.mark.parametrize(
     "edit", ["opc1_text", "header_not_ascii", "negative_size", "noise_k_negative",
-             "noise_sigma_zero"]
+             "noise_sigma_zero", "fx_negative"]
 )
 def test_opc_rejects_bad_file(tmp_path, capsys, edit):
     """An OPC1 text file or an unreadable header is bad input, named by path."""
@@ -206,6 +209,9 @@ def test_opc_rejects_bad_file(tmp_path, capsys, edit):
     elif edit == "noise_k_negative":
         _edit_header(path, 2, "noise constant -1e-06")
         where = f"{path}: constant noise k must be finite and non-negative"
+    elif edit == "fx_negative":
+        _edit_header(path, 1, "intrinsics -10 11 1.5 1 0.07")
+        where = f"{path}: fx and fy must be finite and positive"
     else:
         _edit_header(path, 2, "noise stereo 0 0.17")
         where = f"{path}: stereo noise sigma_p and sigma_m must be finite and positive"
@@ -401,6 +407,51 @@ def test_simulate_rejects_bad_noise(tmp_path, capsys, noise):
     assert cli.main(["simulate", "--scene", str(p), "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err.startswith("error: bad scene spec: ")
     assert not (tmp_path / "x_000.opc").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [({"baseline": 0.0}, "stereo noise needs a positive baseline"),
+     ({"fx": -131.25}, "fx and fy must be finite and positive"),
+     ({"focal": 131.25}, "")],
+    ids=["baseline_zero_stereo", "fx_negative", "unknown_key"],
+)
+def test_simulate_rejects_bad_intrinsics(tmp_path, capsys, edit, message):
+    spec = dict(_dome_spec({"model": "stereo"}), intrinsics=dict(SMALL_INTR, **edit))
+    p = tmp_path / "scene.json"
+    p.write_text(json.dumps(spec))
+    assert cli.main(["simulate", "--scene", str(p), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: bad scene spec: {message}")
+    assert not (tmp_path / "x_000.opc").exists()
+
+
+def test_simulate_accepts_zero_baseline_without_stereo(tmp_path, capsys):
+    spec = dict(_dome_spec({"model": "stereo"}), intrinsics=dict(SMALL_INTR, baseline=0.0))
+    p = tmp_path / "scene.json"
+    p.write_text(json.dumps(spec))
+    argv = ["simulate", "--scene", str(p), "--no-noise", "--out", str(tmp_path / "x")]
+    assert cli.main(argv) == 0
+    cloud, _ = cli.read_cloud(str(tmp_path / "x_000.opc"))
+    assert cloud.intrinsics.baseline == 0.0 and cloud.valid_mask.any()
+
+
+def test_simulate_seed_ignores_environment(tmp_path, monkeypatch):
+    """The seed is --seed, else 0; no environment variable changes it."""
+    monkeypatch.setenv("PATCHSCAPE_SEED", "5")
+    p = tmp_path / "scene.json"
+    p.write_text(json.dumps(dict(_dome_spec(), intrinsics=SMALL_INTR)))
+    assert cli.main(["simulate", "--scene", str(p), "--out", str(tmp_path / "x")]) == 0
+    assert json.loads((tmp_path / "x_truth.json").read_text())["seed"] == 0
+
+
+def test_json_dumps_one_line_form():
+    obj = {"a": [1.5, float("nan"), {"b": np.float64(0.1)}], "c": True, "d": np.arange(2)}
+    line = '{"a": [1.5, null, {"b": 0.10000000000000001}], "c": true, "d": [0, 1]}'
+    assert cli.json_dumps(obj, indent=None) == line
+    assert cli.json_dumps(obj) == (
+        '{\n  "a": [1.5, null, {\n    "b": 0.10000000000000001\n  }],\n'
+        '  "c": true,\n  "d": [0, 1]\n}'
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -712,3 +763,69 @@ def test_map_rejects_malformed_config(tmp_path, dome_dir, capsys, spec):
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: bad config: ")
     assert not (tmp_path / "map.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# Patch map records
+# ---------------------------------------------------------------------------
+
+# an r_xy that the rxy_from_r read of a 3-vector r perturbs in its last bit
+_RXY_PERTURBED = np.array([0.8217701239287258, -1.3812797174167781])
+_PAIRS = [(s, b) for s in SurfaceType for b in boundaries(s)]
+
+
+@pytest.mark.parametrize("s, b", _PAIRS, ids=[f"{s.value}-{b.value}" for s, b in _PAIRS])
+def test_patch_map_reads_back_exactly(tmp_path, s, b):
+    """write_patch_map then _patch_from_record gives the patch back bit for bit."""
+    assert not np.array_equal(rxy_from_r(rxy_to_r(_RXY_PERTURBED)), _RXY_PERTURBED)
+    rng = np.random.default_rng(3)
+    t = np.array([0.1, -0.2, 0.9]) + rng.normal(0.0, 0.01, 3)
+    if is_revolute(s, b):
+        pose = Pose5(_RXY_PERTURBED, t)
+    else:
+        pose = Pose6(rng.uniform(-2.0, 2.0, 3), t)
+    nk = k3_map(s).shape[1]
+    nd = {B.ELLIPSE: 2, B.CIRCLE: 1, B.AARECT: 2, B.CQUAD: 5}[b]
+    k, d = rng.normal(0.0, 3.0, nk), rng.uniform(0.05, 0.3, nd)
+    p = nk + nd + (2 if isinstance(pose, Pose5) else 3) + 3
+    a = rng.normal(size=(p, p))
+    patch = Patch(s, b, k, d, pose, a @ a.T * 1e-4 / 3.0)
+    state = init_volume()
+    state.patches.append(MapPatch(id=7, patch=patch, cell=(0, 0), seed_pixel=(1, 2),
+                                  seed_point=t, frame_index=0,
+                                  validation=ValidationRecord(0.001, 0, True, True, True)))
+    path = tmp_path / "map.json"
+    cli.write_patch_map(str(path), state)
+    (rec,) = json.loads(path.read_text())["patches"]
+    back = cli._patch_from_record(rec)
+    assert (back.s, back.b, type(back.pose)) == (s, b, type(pose))
+    assert back.k.tobytes() == patch.k.tobytes() and back.d.tobytes() == patch.d.tobytes()
+    r_in = pose.rxy if isinstance(pose, Pose5) else pose.r
+    r_out = back.pose.rxy if isinstance(back.pose, Pose5) else back.pose.r
+    assert r_out.tobytes() == r_in.tobytes()
+    assert back.pose.t.tobytes() == t.tobytes()
+    assert back.sigma.tobytes() == patch.sigma.tobytes()
+
+
+@pytest.mark.parametrize("command", ["validate", "track"])
+def test_revolute_record_with_nonzero_rz_is_bad_patch_map(tmp_path, dome_dir, dome_map,
+                                                          capsys, command):
+    """A sphere record holds r = [rx, ry, 0]; any other r[2] is a bad patch map."""
+    doc = json.loads(dome_map.read_text())
+    rec = doc["patches"][0]
+    doc["patches"] = [dict(rec, surface="sphere", boundary="circle", k=[-1.0], d=[0.1],
+                           r=[3.1, 0.0, 1e-3], sigma=None)]
+    pmap = tmp_path / "map.json"
+    pmap.write_text(json.dumps(doc))
+    if command == "validate":
+        argv = ["validate", "--map", str(pmap), "--cloud", str(dome_dir / "dome_000.opc")]
+    else:
+        argv = ["track", "--trajectory", str(_write_traj(tmp_path, n=2)), "--policy", "fv",
+                "--map", str(pmap)]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: bad patch map: ")
+    doc["patches"][0]["r"][2] = 0.0  # the same record as patch_rotvec writes it
+    pmap.write_text(json.dumps(doc))
+    assert cli.main(argv) in (0, 2)

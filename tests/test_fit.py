@@ -15,6 +15,7 @@ from patchscape.patch import (
     Patch,
     SurfaceType,
     boundary_contains,
+    k3_map,
     patch_frame,
 )
 from patchscape.pose import Pose5, Pose6
@@ -46,16 +47,18 @@ def _line(t0, n):
 
 # Each family's model (k3 map, rotation DoF, side-wall line) at a test
 # p = [k, r, a], the origin at t0 + a n/|n| on the line (t0, n)
+_K3_PARAB = k3_map(S.ELLIPTIC_PARABOLOID)  # the general paraboloid's map
+_K3_SPHERE, _K3_CCYL, _K3_PLANE = k3_map(S.SPHERE), k3_map(S.CIRCULAR_CYLINDER), k3_map(S.PLANE)
 _Z_AXIS = (0.0, 0.0, 1.0)
 _WALL = _line((0.0, 0.0, 1.0), (0.3, -0.2, 0.9))
 _MODEL_CASES = {
-    "paraboloid": (pf._K3_PARAB, 3, _line((0.05, -0.02, 0.0), (0.1, 0.2, 1.0)),
+    "paraboloid": (_K3_PARAB, 3, _line((0.05, -0.02, 0.0), (0.1, 0.2, 1.0)),
                    [2.0, 5.0, 0.2, -0.1, 0.3, 1.0]),
-    "sphere": (pf._K3_SPHERE, 2, _line((0.1, 0.2, 0.0), _Z_AXIS), [2.5, 0.4, -0.3, 0.9]),
-    "plane": (pf._K3_PLANE, 2, _line((0.05, 0.1, 0.0), (-0.2, 0.1, 1.0)), [0.3, -0.2, 1.0]),
-    "cylinder": (pf._K3_CCYL, 3, _line((0.05, 0.0, 0.0), (0.0, 0.3, 1.0)),
+    "sphere": (_K3_SPHERE, 2, _line((0.1, 0.2, 0.0), _Z_AXIS), [2.5, 0.4, -0.3, 0.9]),
+    "plane": (_K3_PLANE, 2, _line((0.05, 0.1, 0.0), (-0.2, 0.1, 1.0)), [0.3, -0.2, 1.0]),
+    "cylinder": (_K3_CCYL, 3, _line((0.05, 0.0, 0.0), (0.0, 0.3, 1.0)),
                  [4.0, 0.2, 0.1, -0.3, 1.1]),
-    "side_wall": (pf._K3_PARAB, 3, _WALL, [2.0, 5.0, 0.2, -0.1, 0.3, 0.07]),
+    "side_wall": (_K3_PARAB, 3, _WALL, [2.0, 5.0, 0.2, -0.1, 0.3, 0.07]),
 }
 
 
@@ -74,7 +77,7 @@ def _raw(model, pts, p):
 
 def test_model_parameter_jacobian_matches_fd():
     rng = np.random.default_rng(0)
-    model = pf._implicit_model(pf._K3_PARAB, 3, _line((0.1, -0.05, 0.0), _Z_AXIS))
+    model = pf._implicit_model(_K3_PARAB, 3, _line((0.1, -0.05, 0.0), _Z_AXIS))
     p = np.array([3.0, -7.0, 0.3, -0.2, 0.4, 1.2])
     pts = rng.uniform(-0.3, 0.3, (20, 3)) + [0, 0, 1]
     _, Jp = _raw(model, pts, p)
@@ -84,7 +87,7 @@ def test_model_parameter_jacobian_matches_fd():
 
 def test_model_point_gradient_matches_fd():
     rng = np.random.default_rng(1)
-    model = pf._implicit_model(pf._K3_CCYL, 3, _line((0.05, 0.0, 0.0), _Z_AXIS))
+    model = pf._implicit_model(_K3_CCYL, 3, _line((0.05, 0.0, 0.0), _Z_AXIS))
     p = np.array([4.0, 0.2, 0.1, -0.3, 1.1])
     pts = rng.uniform(-0.3, 0.3, (5, 3)) + [0, 0, 1]
     covs = np.broadcast_to(np.eye(3), (len(pts), 3, 3))
@@ -148,7 +151,7 @@ def test_normalized_residual_matches_tensor_oracle(case):
 
 def test_side_wall_model_jacobian_matches_fd():
     rng = np.random.default_rng(4)
-    model = pf._implicit_model(pf._K3_PARAB, 3, _WALL)
+    model = pf._implicit_model(_K3_PARAB, 3, _WALL)
     p = np.array([2.0, 5.0, 0.2, -0.1, 0.3, 0.07])
     pts = rng.uniform(-0.25, 0.25, (12, 3)) + [0, 0, 1]
     _, Jp = _raw(model, pts, p)
@@ -164,7 +167,7 @@ _SPHERE_P = np.array([3.0, 0.3, -0.2, 1.0])
 def test_wlm_invariant_to_uniform_cov_scale():
     # compare the physical quantities rather than the raw parameter vector
     rng = np.random.default_rng(5)
-    model = pf._implicit_model(pf._K3_SPHERE, 2, _SPHERE_LINE)
+    model = pf._implicit_model(_K3_SPHERE, 2, _SPHERE_LINE)
     pts = _sphere_points(_SPHERE_P, rng, 60)
     covs = _random_covs(rng, len(pts), scale=1e-5)
     p0 = _SPHERE_P + rng.normal(0, 0.02, 4)
@@ -189,7 +192,7 @@ def _sphere_points(p, rng, n):
 
 def test_wlm_converges_on_exact_sphere():
     rng = np.random.default_rng(6)
-    model = pf._implicit_model(pf._K3_SPHERE, 2, _SPHERE_LINE)
+    model = pf._implicit_model(_K3_SPHERE, 2, _SPHERE_LINE)
     pts = _sphere_points(_SPHERE_P, rng, 80)
     covs = np.broadcast_to(1e-8 * np.eye(3), (len(pts), 3, 3)).copy()
     res = wlm_minimize(model, _SPHERE_P + [0.3, 0.02, -0.02, -0.005], pts, covs)
@@ -202,7 +205,7 @@ def test_wlm_converges_on_exact_sphere():
 def test_wlm_reports_nonconvergence(monkeypatch):
     monkeypatch.setattr(pf, "_MAX_ITER", 2)
     rng = np.random.default_rng(7)
-    model = pf._implicit_model(pf._K3_SPHERE, 2, _SPHERE_LINE)
+    model = pf._implicit_model(_K3_SPHERE, 2, _SPHERE_LINE)
     pts = _sphere_points(_SPHERE_P, rng, 40)
     covs = np.broadcast_to(1e-8 * np.eye(3), (len(pts), 3, 3)).copy()
     res = wlm_minimize(model, _SPHERE_P + 0.3, pts, covs)
@@ -212,7 +215,7 @@ def test_wlm_reports_nonconvergence(monkeypatch):
 
 def test_wlm_builds_jacobian_only_at_accepted_steps():
     rng = np.random.default_rng(1)
-    model = pf._implicit_model(pf._K3_SPHERE, 2, _SPHERE_LINE)
+    model = pf._implicit_model(_K3_SPHERE, 2, _SPHERE_LINE)
     pts = _sphere_points(_SPHERE_P, rng, 60)
     pts = pts + rng.normal(0, 1e-3, pts.shape)
     covs = _random_covs(rng, len(pts), scale=1e-3)
@@ -292,31 +295,25 @@ def test_plane_spread_derivatives_match_fd():
     assert l_p >= l_m > 0.0
 
 
-def _finisher_map(x, nk, nr, extents, turn):
+def _finisher_map(x, nk, nr, stype, boundary):
     """(k, d, r', t) of the finisher and its Jacobian, from x = (m, k, r, t)."""
     m, k, r, t = np.split(x, np.cumsum([5, nk, nr]))
     r3 = r if nr == 3 else ps.rxy_to_r(r)
     R, dR = ps.exp_map(r3), ps.jac_exp(r3)[:nr]
-    d, r_new, J = pf._bound(m, k, r, R, dR, extents, turn)
+    d, r_new, J = pf._bound(m, k, r, R, dR, stype, boundary, 0.95)
     return np.concatenate([k, d, r_new, t]), J
 
 
-_LAM = coverage_scale(0.95)
 _FINISHER_CASES = {
-    # name: (nk, nr, extents, turn)
-    "circular": (1, 2, lambda m: pf._extents_circle_from_vxy(m, _LAM), None),
-    "elliptic": (2, 3, lambda m: pf._extents_ellipse_uncentered(m, _LAM), None),
-    "plane_circle": (0, 2, lambda m: pf._extents_plane(m, 0.95, B.CIRCLE), None),
-    "plane_ellipse_turn": (
-        0, 2, lambda m: pf._extents_plane(m, 0.95, B.ELLIPSE), lambda m: pf._plane_turn(m, 0.95),
-    ),
-    "plane_aarect_turn": (
-        0, 2, lambda m: pf._extents_plane(m, 0.95, B.AARECT), lambda m: pf._plane_turn(m, 0.95),
-    ),
-    "plane_cquad_turn": (
-        0, 2, lambda m: pf._extents_plane(m, 0.95, B.CQUAD), lambda m: pf._plane_turn(m, 0.95),
-    ),
-    "side_wall_no_shift": (1, 3, lambda m: pf._extents_rect(m, _LAM), None),
+    # name: (nk, nr, surface type, boundary); planes with a directional
+    # boundary turn to the principal axes
+    "circular": (1, 2, S.CIRCULAR_PARABOLOID, B.CIRCLE),
+    "elliptic": (2, 3, S.ELLIPTIC_PARABOLOID, B.ELLIPSE),
+    "plane_circle": (0, 2, S.PLANE, B.CIRCLE),
+    "plane_ellipse_turn": (0, 2, S.PLANE, B.ELLIPSE),
+    "plane_aarect_turn": (0, 2, S.PLANE, B.AARECT),
+    "plane_cquad_turn": (0, 2, S.PLANE, B.CQUAD),
+    "side_wall_no_shift": (1, 3, S.CIRCULAR_CYLINDER, B.AARECT),
 }
 
 

@@ -487,7 +487,7 @@ def test_saliency_config_validation():
         SaliencyConfig(r=0.0)
     with pytest.raises(ValueError):
         SaliencyConfig(phi_d=90.0)
-    gate = SaliencyConfig().gate
+    gate = SaliencyConfig()
     assert gate.kappa_min == pytest.approx(-13.6)
     assert gate.kappa_max == pytest.approx(19.7)
 

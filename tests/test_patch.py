@@ -13,7 +13,10 @@ from patchscape.patch import (
     Patch,
     SurfaceType,
     boundary_contains,
+    boundaries,
     curvature_k3,
+    is_revolute,
+    k3_map,
     patch_dof,
     patch_frame,
     projected_area,
@@ -29,9 +32,7 @@ B = BoundaryType
 
 
 def _mk(s, b, k, d, r=(0.1, -0.2, 0.3), t=(0.5, -0.4, 1.2), sigma=None):
-    revolute = (s, b) in {(S.CIRCULAR_PARABOLOID, B.CIRCLE), (S.SPHERE, B.CIRCLE),
-                          (S.PLANE, B.CIRCLE)}
-    pose = Pose5(np.asarray(r)[:2], t) if revolute else Pose6(r, t)
+    pose = Pose5(np.asarray(r)[:2], t) if is_revolute(s, b) else Pose6(r, t)
     return Patch(s, b, np.asarray(k, float), np.asarray(d, float), pose, sigma)
 
 
@@ -111,6 +112,23 @@ def test_curvature_expansion():
     assert np.allclose(curvature_k3(_mk(S.SPHERE, B.CIRCLE, [4], [0.2])), [4, 4, 4])
     assert np.allclose(curvature_k3(_mk(S.CIRCULAR_CYLINDER, B.AARECT,
                                         [4], [0.3, 0.2])), [0, 4, 4])
+
+
+def test_family_readers_agree_with_patch_rules():
+    """boundaries, k3_map and is_revolute state the rules a Patch enforces."""
+    pairs = {(s, b) for s in S for b in boundaries(s)}
+    assert pairs == {(s, b) for s, b, _, _ in ALL_TYPES}
+    for s in S:
+        for b in B:
+            if (s, b) not in pairs:
+                with pytest.raises(ValueError, match="cannot carry"):
+                    _mk(s, b, [1.0] * k3_map(s).shape[1], [0.1] * 5)
+    for s, b, k, d in ALL_TYPES:
+        p = _mk(s, b, k, d)
+        assert np.array_equal(curvature_k3(p), k3_map(s) @ p.k)
+        assert p.revolute == is_revolute(s, b)
+    assert {s for s, b in pairs if is_revolute(s, b)} == {
+        S.CIRCULAR_PARABOLOID, S.SPHERE, S.PLANE}
 
 
 # ---------------------------------------------------------------------------

@@ -272,3 +272,34 @@ def test_stereo_noise_depth_scaling():
     c_near = point_covariance(StereoNoise(), KINECT_640, (319.5, 239.5), 1.0)
     c_far = point_covariance(StereoNoise(), KINECT_640, (319.5, 239.5), 2.0)
     assert np.isclose(c_far[2, 2] / c_near[2, 2], 16.0)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("fx", 0.0, "fx and fy"), ("fx", -131.25, "fx and fy"), ("fy", float("nan"), "fx and fy"),
+     ("cx", float("inf"), "cx, cy and baseline"), ("baseline", float("nan"), "cx, cy and baseline"),
+     ("width", -1, "width and height"), ("height", 2.5, "width and height"),
+     ("width", True, "width and height")],
+    ids=["fx_zero", "fx_negative", "fy_nan", "cx_inf", "baseline_nan", "width_negative",
+         "height_float", "width_bool"],
+)
+def test_intrinsics_reject_bad_values(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message} must be"):
+        replace(TINY, **{field: value})
+
+
+def test_intrinsics_accept_zero_baseline_and_empty_image():
+    assert replace(TINY, baseline=0.0, width=0, height=0).baseline == 0.0
+
+
+@pytest.mark.parametrize("baseline", [0.0, -0.075])
+def test_stereo_noise_needs_positive_baseline(baseline):
+    intr = replace(TINY, baseline=baseline)
+    with pytest.raises(ValueError, match="stereo noise needs a positive baseline"):
+        point_covariance(StereoNoise(), intr, (31.5, 23.5), 1.0)
+    with pytest.raises(ValueError, match="stereo noise needs a positive baseline"):
+        sample_scene([ScenePlane(np.array([0.0, 0.0, 1.0]), 2.0)], intr, noise=StereoNoise())
+    # without stereo noise the baseline is unused
+    cloud = sample_scene([ScenePlane(np.array([0.0, 0.0, 1.0]), 2.0)], intr,
+                         noise=ConstantNoise(1e-6), rng=0)
+    assert np.isfinite(cloud.points).all()

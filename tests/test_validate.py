@@ -20,10 +20,10 @@ from patchscape.patch import (
     curvature_k3,
     quad_vertices,
 )
+from patchscape.mapping import SaliencyConfig
 from patchscape.pose import Pose5, Pose6
 from patchscape.validate import (
     CoverageConfig,
-    CurvatureGate,
     _closest_points,
     closest_point_exact,
     coverage_eval,
@@ -498,15 +498,15 @@ def test_coverage_config_validation():
 def test_curvature_gate_cases():
     plane = Patch(S.PLANE, B.AARECT, [], [0.1, 0.1], _ID6)
     assert np.allclose(principal_curvatures(plane), [0.0, 0.0])
-    assert curvature_gate(plane, CurvatureGate(-1e-9, 1e-9))
+    assert curvature_gate(plane, -1e-9, 1e-9)
     hot = Patch(S.CYLINDRIC_PARABOLOID, B.AARECT, [40.0], [0.1, 0.1], _ID6)
-    assert not curvature_gate(hot, CurvatureGate(-30.0, 30.0))
+    assert not curvature_gate(hot, -30.0, 30.0)
     edge = Patch(S.CYLINDRIC_PARABOLOID, B.AARECT, [30.0], [0.1, 0.1], _ID6)
-    assert curvature_gate(edge, CurvatureGate(-30.0, 30.0))  # closed interval
+    assert curvature_gate(edge, -30.0, 30.0)  # closed interval
     sph = Patch(S.SPHERE, B.CIRCLE, [-31.0], [0.02], _ID5)
-    assert not curvature_gate(sph, CurvatureGate(-30.0, 30.0))
+    assert not curvature_gate(sph, -30.0, 30.0)
 
 
 def test_curvature_gate_rejects_inverted_interval():
     with pytest.raises(ValueError):
-        CurvatureGate(1.0, -1.0)
+        SaliencyConfig(kappa_min=1.0, kappa_max=-1.0)
