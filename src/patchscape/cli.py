@@ -615,6 +615,8 @@ def cmd_track(args) -> int:
         try:
             with open(args.map) as f:
                 doc = json.load(f)
+            if not isinstance(doc, dict):
+                raise TypeError("the top level is not a JSON object")
             for rec in doc["patches"]:
                 patch = _patch_from_record(rec)
                 t = patch.pose.t
@@ -638,7 +640,7 @@ def cmd_track(args) -> int:
                         ),
                     )
                 )
-        except (OSError, ValueError, KeyError) as e:
+        except (OSError, ValueError, KeyError, TypeError) as e:
             return _fail(f"bad patch map: {e}")
 
     lines = []
@@ -683,6 +685,8 @@ def cmd_validate(args) -> int:
     except (OSError, ValueError) as e:
         return _fail(str(e))
     try:
+        if not isinstance(doc, dict):
+            raise TypeError("the top level is not a JSON object")
         recs = doc.get("patches", [])
         patches = [_patch_from_record(rec) for rec in recs]
     except (ValueError, KeyError, TypeError) as e:
@@ -750,7 +754,8 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--gravity", help="JSON {g: [...]} or {g_per_frame: [[...], ...]}, camera frame")
     m.add_argument("--config", help="pipeline config JSON")
     m.add_argument("--out", required=True, help="patch map output path")
-    m.add_argument("--stats", help="per-frame stats CSV path")
+    m.add_argument("--stats", help="per-frame stats CSV path; t_saliency_s covers decimation, "
+                   "the moment image and DtFP, t_seeds_s the seed walk and the normals it solves")
     m.add_argument("--seed", type=int, default=None)
     m.set_defaults(func=cmd_map)
 

@@ -1,16 +1,20 @@
 """Sparse patch mapping over organized clouds and the moving local volume.
 
 The mapping pipeline runs in stages on each organized range frame:
-optional median decimation of the saliency cloud, the hiking saliency
-filter, grid-based seed selection in the volume frame, per-seed
-neighborhood search over the seed's backprojected window (Euclidean
-distance, or chain distance on a triangle mesh built over that window
-alone), and patch fit/validate with curvature, residual, and coverage
-gates.
-Saliency runs its tests cheapest first: DtFP on the points, then DoNG on
-the coarse normal, then DoN on the fine one. Both normal scales come from
-one integral image of the frame, and each is solved only at the pixels
-that passed every test before it.
+optional median decimation of the saliency cloud, grid-based seed
+selection in the volume frame among the pixels that pass the hiking
+saliency filter, per-seed neighborhood search over the seed's
+backprojected window (Euclidean distance, or chain distance on a
+triangle mesh built over that window alone), and patch fit/validate
+with curvature, residual, and coverage gates.
+
+Saliency is solved seed first. Once per frame, map_step builds one
+integral image of the point moments and keeps the DtFP pixels; each seed
+cell then walks its DtFP pixels in a random order and tests them in
+growing chunks, DoNG on the coarse normal and then DoN on the fine one,
+each scale solved only at the pixels that passed every test before it,
+until the cell has its seeds. Normals are thus solved only at the pixels
+the seed draw visits, never over the whole frame.
 
 The map lives in a cubic local volumetric workspace whose frame sits at a
 top corner with y pointing down. The volume follows the camera under one
@@ -153,6 +157,11 @@ _BLOCK = 4096
 # Fewest valid points a window needs for its normal to be solved.
 _MIN_SUPPORT = 6
 
+# Pixels in the first chunk a seed cell's walk tests; later chunks double
+# up to _BLOCK, so a cell that finds its seeds early solves few normals
+# and a cell walked to its end pays NumPy's per-call overhead few times.
+_FIRST_CHUNK = 64
+
 
 def _moment_integral(points: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """(10, H + 1, W + 1) zero-padded running sums of [1, p, upper(p p^T)].
@@ -278,57 +287,55 @@ def _window_normals(s: np.ndarray) -> np.ndarray:
 
 def integral_normals(
     cloud: OrganizedCloud,
+    ii: np.ndarray,
     r: float,
-    *,
-    where: Optional[np.ndarray] = None,
+    v: np.ndarray,
+    u: np.ndarray,
     keep: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Two-scale normals by windowed covariance over one integral image.
+    """Two-scale normals at the pixels (v, u) from the frame's moment image.
 
-    Returns (N, N_s), two (H, W, 3) images: N uses window size 2 r f / Z(i)
-    pixels at each pixel, with f = cloud.intrinsics.fx, and N_s half that,
-    so both windows see roughly a metric r-ball (respectively r/2) on the
-    surface. Normals are unit and oriented toward the camera. N is solved at the valid pixels of the
-    boolean image where (default: every valid pixel). keep maps the (m, 3)
-    coarse normals of those m pixels, in row-major order, to an (m,)
-    boolean mask of the pixels that also need N_s (default: all of them).
-    Both images are NaN wherever their scale was not solved, and where the
-    window holds fewer than _MIN_SUPPORT valid points.
+    ii is _moment_integral of the cloud's points and valid mask. Returns
+    (N, N_s), two (m, 3) arrays for the m pixels: N uses window size
+    2 r f / Z(i) pixels at each pixel, with f = cloud.intrinsics.fx, and N_s
+    half that, so both windows see roughly a metric r-ball (respectively
+    r/2) on the surface. Normals are unit and oriented toward the camera.
+    N is solved at the valid pixels; keep maps N to an (m,) boolean mask of
+    the pixels that also need N_s (default: all of them). Rows are NaN
+    where their scale was not solved, and where the window holds fewer
+    than _MIN_SUPPORT valid points.
 
-    One integral image of the count, coordinate sums and the six distinct
-    second moments serves both scales. Each normal is the
-    smallest-eigenvalue eigenvector of its window covariance, in closed
-    form (trigonometric eigenvalues, a cross-product null vector and one
-    Rayleigh-quotient refinement). Windows whose relative eigen-gap
-    (lam_mid - lam_min) / |lam|_max falls below eps^(1/3), where the closed
-    form's error bound no longer holds, or whose result is not finite, are
-    solved by np.linalg.eigh instead. A pixel's normal does not depend on
-    which other pixels are solved.
+    The one moment image holds the count, coordinate sums and the six
+    distinct second moments, so any window costs four lookups and a pixel
+    is solved in O(1) whenever it is asked for (Holzer et al., IROS 2012).
+    Each normal is the smallest-eigenvalue eigenvector of its window
+    covariance, in closed form (trigonometric eigenvalues, a cross-product
+    null vector and one Rayleigh-quotient refinement). Windows whose
+    relative eigen-gap (lam_mid - lam_min) / |lam|_max falls below
+    eps^(1/3), where the closed form's error bound no longer holds, or
+    whose result is not finite, are solved by np.linalg.eigh instead. A
+    pixel's normal depends only on ii and its own point, not on which other
+    pixels are solved.
     """
     if r <= 0.0:
         raise ValueError("r must be positive")
-    fpx = cloud.intrinsics.fx
-    valid = cloud.valid_mask
-    ii = _moment_integral(cloud.points, valid)
+    z = cloud.points[v, u, 2]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        wpx = np.where(z > 0.0, 2.0 * r * cloud.intrinsics.fx / z, 0.0)
 
-    def solve(v: np.ndarray, u: np.ndarray, div: float) -> np.ndarray:
-        z = cloud.points[v, u, 2]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            wpx = np.where(z > 0.0, 2.0 * r * fpx / z, 0.0)
-        half = np.maximum((wpx / div).astype(int), 1)
-        n = np.full(cloud.points.shape, np.nan)
-        for b in range(0, len(v), _BLOCK):
-            blk = slice(b, b + _BLOCK)
-            s = _box_sums(ii, v[blk], u[blk], half[blk])
-            n[v[blk], u[blk]] = _window_normals(s)
+    def solve(at: np.ndarray, div: float) -> np.ndarray:
+        half = np.maximum((wpx[at] / div).astype(int), 1)
+        n = np.full((len(z), 3), np.nan)
+        for b in range(0, len(at), _BLOCK):
+            blk = at[b : b + _BLOCK]
+            n[blk] = _window_normals(_box_sums(ii, v[blk], u[blk], half[b : b + _BLOCK]))
         return n
 
-    v, u = np.nonzero(valid if where is None else valid & where)
-    n = solve(v, u, 2.0)
+    at = np.flatnonzero(np.isfinite(z))
+    n = solve(at, 2.0)
     if keep is not None:
-        fine = keep(n[v, u])
-        v, u = v[fine], u[fine]
-    return n, solve(v, u, 4.0)
+        at = at[keep(n[at])]
+    return n, solve(at, 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -389,36 +396,48 @@ def fixation_point(g, l_d: float, l_f: float) -> np.ndarray:
     return l_d * gv + l_f * np.cross(np.array([1.0, 0.0, 0.0]), gv)
 
 
-def saliency_filter(cloud: OrganizedCloud, g, cfg: SaliencyConfig = SaliencyConfig()) -> np.ndarray:
-    """Boolean pixel mask of points passing DtFP, DoNG and DoN.
+def _near_fixation(points: np.ndarray, gv: np.ndarray, cfg: SaliencyConfig) -> np.ndarray:
+    """DtFP: whether each (..., 3) point lies within cfg.R of the fixation point.
+
+    gv is the unit camera-frame gravity direction; NaN points fail.
+    """
+    with np.errstate(invalid="ignore"):
+        return np.linalg.norm(points - fixation_point(gv, cfg.l_d, cfg.l_f), axis=-1) <= cfg.R
+
+
+def saliency_filter(
+    cloud: OrganizedCloud, ii: np.ndarray, g, cfg: SaliencyConfig, v: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """(m,) boolean verdicts of DtFP, DoNG and DoN at the pixels (v, u).
 
     DtFP keeps points within R of the fixation point; DoNG drops slopes
     whose coarse normal N strays more than phi_g from the antigravity
     direction; DoN drops pixels whose fine normal N_s and N disagree by
-    more than phi_d. The tests run cheapest first, and each normal scale
-    is solved only where every test before it passed: DtFP from the
-    points alone, N at the DtFP pixels, DoNG on N, N_s at the DoNG
-    survivors, then DoN. The mask equals running all three tests on
-    normals solved at every valid pixel, since a pixel's normal does not
-    depend on which others are solved; it depends only on per-pixel
-    values, so it is order-free. g is the camera-frame gravity direction;
-    ValueError unless it is a finite, nonzero 3-vector.
+    more than phi_d. ii is the frame's moment image (_moment_integral).
+    The tests run cheapest first, and each normal scale is solved only
+    where every test before it passed: DtFP from the points alone, N at
+    the DtFP pixels, DoNG on N, N_s at the DoNG survivors, then DoN. A
+    pixel's verdict depends only on ii and its own point, so it equals
+    the verdict of all three tests run on normals solved at every valid
+    pixel, whichever other pixels are tested with it. g is the
+    camera-frame gravity direction; ValueError unless it is a finite,
+    nonzero 3-vector.
     """
     gv = _unit_vector(g, "gravity")
-    fix = fixation_point(gv, cfg.l_d, cfg.l_f)
+    ok = _near_fixation(cloud.points[v, u], gv, cfg)
+    at = np.flatnonzero(ok)
     cos_g = math.cos(math.radians(cfg.phi_g))
-    with np.errstate(invalid="ignore"):
-        near = np.linalg.norm(cloud.points - fix, axis=-1) <= cfg.R
 
     def dong(n: np.ndarray) -> np.ndarray:
         with np.errstate(invalid="ignore"):
             return -(n @ gv) >= cos_g
 
-    n, n_s = integral_normals(cloud, cfg.r, where=near, keep=dong)
-    # N_s is finite only at valid DtFP and DoNG pixels with N finite, and a
-    # NaN dot product fails DoN, so DoN alone is the mask
+    n, n_s = integral_normals(cloud, ii, cfg.r, v[at], u[at], keep=dong)
+    # N_s is finite only at valid DoNG pixels with N finite, and a NaN dot
+    # product fails DoN, so DoN alone decides the DtFP pixels
     with np.errstate(invalid="ignore"):
-        return np.einsum("hwi,hwi->hw", n, n_s) >= math.cos(math.radians(cfg.phi_d))
+        ok[at] = np.einsum("ij,ij->i", n, n_s) >= math.cos(math.radians(cfg.phi_d))
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -442,21 +461,31 @@ def _cells(volume: "VolumeState", p_vol: np.ndarray) -> Tuple[np.ndarray, np.nda
 
 def select_seeds(
     cloud: OrganizedCloud,
-    salient: np.ndarray,
+    candidates: np.ndarray,
+    salient: Callable[[np.ndarray, np.ndarray], np.ndarray],
     volume: "VolumeState",
     rng_seed=None,
 ) -> List[Seed]:
     """Pick up to n_g random salient seeds per occupied volume grid cell.
 
-    Points project onto the volume-frame xz plane of the volume's v_g x v_g
-    cells; cells are visited in increasing distance of their center from
-    the projected camera, and a cell holding m resident patches gets at
-    most n_g - m seeds. Deterministic for a fixed rng_seed.
+    candidates is the boolean pixel mask of the pixels that may be salient;
+    salient(v, u) returns the (m,) boolean verdicts at pixel arrays v, u.
+    Candidates project onto the volume-frame xz plane of the volume's
+    v_g x v_g cells; cells are visited in increasing distance of their
+    center from the projected camera, and a cell holding m resident
+    patches gets at most n_g - m seeds. Such a cell walks its candidates
+    in the order of one uniform random permutation, tests them with
+    salient in chunks that double from _FIRST_CHUNK up to _BLOCK pixels,
+    and stops at its n_g - m-th pass, so only the pixels the walk reaches
+    are tested; a cell with no salient pixel is walked to its end. The
+    first k passes of a uniform permutation form a uniform random k-subset
+    of the cell's salient pixels. A cell's seeds come in scan order.
+    Deterministic for a fixed rng_seed.
     """
     v_g, n_g = volume.v_g, volume.n_g
     rng = np.random.default_rng(rng_seed)
 
-    pix = np.argwhere(salient)
+    pix = np.argwhere(candidates)
     if len(pix) == 0:
         return []
     pts_cam = cloud.points[pix[:, 0], pix[:, 1]]
@@ -485,10 +514,15 @@ def select_seeds(
         if room <= 0:
             continue
         cands = by_cell[cell]
-        take = min(room, len(cands))
-        chosen = rng.choice(len(cands), size=take, replace=False)
-        for c in np.sort(chosen):
-            idx = cands[int(c)]
+        walk = cands[rng.permutation(len(cands))]
+        chosen: List[int] = []
+        b, size = 0, _FIRST_CHUNK
+        while len(chosen) < room and b < len(walk):
+            chunk = walk[b : b + size]
+            passed = chunk[salient(pix[chunk, 0], pix[chunk, 1])]
+            chosen.extend(passed[: room - len(chosen)].tolist())
+            b, size = b + size, min(2 * size, _BLOCK)
+        for idx in sorted(chosen):
             seeds.append(
                 Seed(
                     pixel=(int(pix[idx, 0]), int(pix[idx, 1])),
@@ -1011,8 +1045,10 @@ class MapStepResult:
 
     Each seed not admitted counts once in drops: too_few_points,
     fit_failed, its first failing gate, or budget. timings holds seconds
-    per stage: "saliency" (decimation and saliency_filter, including the
-    normals it solves), "seeds", "fit_validate" and "total".
+    per stage: "saliency" (decimation, the moment image and DtFP over the
+    frame), "seeds" (select_seeds, including the normals and the DoNG and
+    DoN tests it solves at the pixels its walk visits), "fit_validate" and
+    "total".
     """
 
     admitted: List[MapPatch]
@@ -1069,7 +1105,9 @@ def map_step(
 ) -> MapStepResult:
     """Run saliency, seeding, fitting, and gating over one frame.
 
-    Each seed runs one procedure: neighborhood() around its pixel in the
+    Saliency is tested only at the pixels select_seeds' walk visits, from
+    one moment image of the (possibly decimated) saliency cloud. Each
+    seed runs one procedure: neighborhood() around its pixel in the
     full-resolution cloud, fit_sample() of at most n_f points, fit_patch(),
     then gate_patch(). A seed failing a gate is dropped under the first
     failing one, in the order curvature, residual, coverage; an admitted
@@ -1086,10 +1124,16 @@ def map_step(
     )
 
     cfg = config.saliency
+    gv = _unit_vector(g, "gravity")
     sal_cloud = median_decimate(cloud, config.decimate) if config.decimate > 1 else cloud
-    mask = saliency_filter(sal_cloud, g, cfg)
+    ii = _moment_integral(sal_cloud.points, sal_cloud.valid_mask)
+    near = _near_fixation(sal_cloud.points, gv, cfg)
     result.timings["saliency"] = time.monotonic() - t_start
-    seeds = select_seeds(sal_cloud, mask, state, rng_seed=rng_seed)
+
+    def salient(v: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return saliency_filter(sal_cloud, ii, gv, cfg, v, u)
+
+    seeds = select_seeds(sal_cloud, near, salient, state, rng_seed=rng_seed)
     result.timings["seeds"] = time.monotonic() - t_start - result.timings["saliency"]
     result.n_seeds = len(seeds)
 

@@ -8,6 +8,9 @@ tensor_model and tensor_normalized_residual are the fit's residual in its
 direct form, with the per-point second-derivative tensor.
 kdtree_neighborhood and mesh_graph_neighborhood search the whole frame
 for the neighborhoods the pipeline finds in the seed's window.
+eigh_integral_normals and dense_saliency solve normals and saliency at
+every pixel, where the pipeline tests only the pixels its seed walk
+visits.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ def mc_region_area(contains, lo, hi, n, rng):
 def eigh_integral_normals(cloud, r, f=None, min_support=6):
     """Two-scale integral-image normals by batched LAPACK eigh at every pixel.
 
-    The direct form of patchscape.mapping.integral_normals: one set of
+    The dense form of patchscape.mapping.integral_normals: one set of
     integral images per scale, a full-frame window covariance, and the
     smallest-eigenvalue eigenvector from np.linalg.eigh. Same window
     sizes, support rule and camera-facing orientation.
@@ -148,9 +151,9 @@ def eigh_integral_normals(cloud, r, f=None, min_support=6):
 def dense_saliency(cloud, normals, g, cfg):
     """Boolean mask of DtFP, DoN and DoNG over normals solved at every pixel.
 
-    The two-scale form of patchscape.mapping.saliency_filter: all three
-    tests run over the whole frame on full (N, N_s) images, such as those
-    of integral_normals with default arguments or eigh_integral_normals.
+    The dense form of patchscape.mapping.saliency_filter: all three tests
+    run over the whole frame on full (N, N_s) images, such as those of
+    eigh_integral_normals or of integral_normals asked at every pixel.
     """
     import math
 

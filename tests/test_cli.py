@@ -829,3 +829,21 @@ def test_revolute_record_with_nonzero_rz_is_bad_patch_map(tmp_path, dome_dir, do
     doc["patches"][0]["r"][2] = 0.0  # the same record as patch_rotvec writes it
     pmap.write_text(json.dumps(doc))
     assert cli.main(argv) in (0, 2)
+
+
+@pytest.mark.parametrize("command", ["validate", "track"])
+@pytest.mark.parametrize("doc", [[], 3, "patches", None], ids=["list", "number", "string", "null"])
+def test_patch_map_that_is_not_an_object_is_bad_patch_map(tmp_path, dome_dir, capsys, command,
+                                                           doc):
+    pmap = tmp_path / "map.json"
+    pmap.write_text(json.dumps(doc))
+    if command == "validate":
+        argv = ["validate", "--map", str(pmap), "--cloud", str(dome_dir / "dome_000.opc")]
+    else:
+        argv = ["track", "--trajectory", str(_write_traj(tmp_path, n=2)), "--policy", "fv",
+                "--map", str(pmap)]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: bad patch map: the top level is not a JSON object\n"

@@ -1,9 +1,10 @@
 """Mapping pipeline tests.
 
-Dense normals are checked against analytic plane and sphere normals, and
-the frame-level machinery (decimation, saliency, seeding, neighborhoods,
-volume bookkeeping) against small synthetic organized clouds built
-directly from camera intrinsics. The end-to-end map_step runs on a ray-cast rocky ramp
+Normals solved at every pixel are checked against analytic plane and
+sphere normals and the eigh oracle, the seed walk against a one-pixel-at-a-
+time walk and a uniform draw, and the frame-level machinery (decimation,
+saliency, seeding, neighborhoods, volume bookkeeping) against small
+synthetic organized clouds built directly from camera intrinsics. The end-to-end map_step runs on a ray-cast rocky ramp
 whose ground truth curvatures are known.
 """
 
@@ -80,6 +81,32 @@ def _depth_cloud(intr, z):
 
 def _plane_cloud(z0=1.0, intr=TINY):
     return _depth_cloud(intr, np.full((intr.height, intr.width), z0))
+
+
+def _moments(cloud):
+    return mapping._moment_integral(cloud.points, cloud.valid_mask)
+
+
+def _every_pixel(cloud):
+    """(v, u) of every pixel of the frame, in row-major order."""
+    return np.indices(cloud.valid_mask.shape).reshape(2, -1)
+
+
+def _normal_images(cloud, r):
+    """integral_normals at every pixel, as two (H, W, 3) images."""
+    n, n_s = integral_normals(cloud, _moments(cloud), r, *_every_pixel(cloud))
+    return n.reshape(cloud.points.shape), n_s.reshape(cloud.points.shape)
+
+
+def _salient_mask(cloud, g, cfg=SaliencyConfig()):
+    """saliency_filter's verdict at every pixel, as an (H, W) mask."""
+    ok = saliency_filter(cloud, _moments(cloud), g, cfg, *_every_pixel(cloud))
+    return ok.reshape(cloud.valid_mask.shape)
+
+
+def _lookup(mask):
+    """A salient(v, u) callable that reads its verdicts from a boolean mask."""
+    return lambda v, u: mask[v, u]
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +214,13 @@ def test_median_decimate_rejects_bad_factor():
 
 
 # ---------------------------------------------------------------------------
-# Dense two-scale normals
+# Two-scale normals from one moment image
 # ---------------------------------------------------------------------------
 
 
 def test_integral_normals_fronto_plane_exact():
     cloud = _plane_cloud(1.0)
-    n, n_s = integral_normals(cloud, 0.08)
+    n, n_s = _normal_images(cloud, 0.08)
     assert n.shape == (TINY.height, TINY.width, 3)
     interior = n[5:-5, 5:-5]
     assert np.allclose(interior, [0.0, 0.0, -1.0], atol=1e-6)
@@ -213,7 +240,7 @@ def test_integral_normals_sphere_matches_analytic():
     pts = rays * t[..., None]
     cloud = OrganizedCloud(points=pts, cov=None, intrinsics=intr)
 
-    n, _ = integral_normals(cloud, 0.06)
+    n, _ = _normal_images(cloud, 0.06)
     valid = np.isfinite(n[..., 0]) & cloud.valid_mask
     # the visible hemisphere's outward normal already faces the camera
     outward = (pts[valid] - c) / rho
@@ -226,7 +253,7 @@ def test_integral_normals_handles_holes_and_orientation():
     z = np.full((TINY.height, TINY.width), 1.2)
     z[20:30, 30:45] = np.nan
     cloud = _depth_cloud(TINY, z)
-    n, n_s = integral_normals(cloud, 0.1)
+    n, n_s = _normal_images(cloud, 0.1)
     assert np.isnan(n[25, 35]).all()
     ok = np.isfinite(n[..., 0])
     # toward-camera orientation means negative dot with the point ray
@@ -238,9 +265,9 @@ def test_integral_normals_handles_holes_and_orientation():
 def test_integral_normals_rejects_bad_inputs():
     cloud = _plane_cloud()
     with pytest.raises(ValueError):
-        integral_normals(cloud, 0.0)
+        integral_normals(cloud, _moments(cloud), 0.0, *_every_pixel(cloud))
     with pytest.raises(ValueError):
-        integral_normals(replace(cloud, intrinsics=replace(TINY, fx=-1.0)), 0.1)
+        _normal_images(replace(cloud, intrinsics=replace(TINY, fx=-1.0)), 0.1)
 
 
 def _sym_psd(rng, lam):
@@ -313,7 +340,7 @@ def test_integral_normals_falls_back_to_eigh_on_degenerate_windows(monkeypatch):
         return eigh(a)
 
     monkeypatch.setattr(mapping.np.linalg, "eigh", spy)
-    n, n_s = integral_normals(cloud, 0.1)
+    n, n_s = _normal_images(cloud, 0.1)
     monkeypatch.setattr(mapping.np.linalg, "eigh", eigh)
     assert sum(calls) == 2 * 60  # every window, at both scales
     ref, ref_s = eigh_integral_normals(cloud, 0.1)
@@ -324,7 +351,7 @@ def test_integral_normals_falls_back_to_eigh_on_degenerate_windows(monkeypatch):
 @pytest.mark.parametrize("cfg", [SaliencyConfig(), ROCKY_SALIENCY])
 def test_integral_normals_saliency_matches_eigh_reference(rocky_cloud_noisy, cfg):
     cloud = rocky_cloud_noisy
-    new = integral_normals(cloud, cfg.r)
+    new = _normal_images(cloud, cfg.r)
     ref = eigh_integral_normals(cloud, cfg.r)
     for a, b in zip(new, ref):
         assert np.array_equal(np.isfinite(a), np.isfinite(b))
@@ -332,27 +359,29 @@ def test_integral_normals_saliency_matches_eigh_reference(rocky_cloud_noisy, cfg
         assert np.linalg.norm(np.cross(a[ok], b[ok]), axis=1).max() <= 1e-9
         assert (np.einsum("ij,ij->i", a[ok], b[ok]) > 0.0).all()
     g = _gravity_cam()
-    mask = saliency_filter(cloud, g, cfg)
+    mask = _salient_mask(cloud, g, cfg)
     assert mask.any()
     assert np.array_equal(mask, dense_saliency(cloud, ref, g, cfg))
 
 
 def test_integral_normals_solves_only_where_asked(rocky_cloud_noisy):
     cloud = median_decimate(rocky_cloud_noisy, 4)
-    dense_n, dense_ns = integral_normals(cloud, 0.15)
-    where = np.zeros(cloud.valid_mask.shape, dtype=bool)
-    where[::2] = True  # every other row, valid or not
+    dense_n, dense_ns = _normal_images(cloud, 0.15)
+    v, u = _every_pixel(cloud)
+    asked = v % 2 == 0  # every other row, valid or not
+    v, u = v[asked], u[asked]
 
     def keep(n):
         return n[:, 2] < -0.8
 
-    n, n_s = integral_normals(cloud, 0.15, where=where, keep=keep)
-    solved = where & cloud.valid_mask
+    n, n_s = integral_normals(cloud, _moments(cloud), 0.15, v, u, keep=keep)
+    assert n.shape == n_s.shape == (len(v), 3)
+    solved = cloud.valid_mask[v, u]
     with np.errstate(invalid="ignore"):
-        fine = solved & (dense_n[..., 2] < -0.8)
-    assert 0 < fine.sum() < solved.sum()
+        fine = solved & (dense_n[v, u, 2] < -0.8)
+    assert 0 < fine.sum() < solved.sum() < len(v)
     for got, want, at in ((n, dense_n, solved), (n_s, dense_ns, fine)):
-        assert np.array_equal(got[at], want[at], equal_nan=True)
+        assert np.array_equal(got[at], want[v[at], u[at]], equal_nan=True)
         assert np.isnan(got[~at]).all()
 
 
@@ -371,10 +400,10 @@ def test_fixation_point_formula():
 
 def test_saliency_distance_to_fixation_bound():
     cloud = _plane_cloud(1.0)
-    normals = integral_normals(cloud, 0.08)
+    normals = _normal_images(cloud, 0.08)
     # g toward +z puts the fixation point on the plane dead ahead
     cfg = SaliencyConfig(r=0.08, l_d=1.0, l_f=0.0, R=0.3, phi_g=10.0)
-    mask = saliency_filter(cloud, np.array([0.0, 0.0, 1.0]), cfg)
+    mask = _salient_mask(cloud, np.array([0.0, 0.0, 1.0]), cfg)
     assert mask.any()
     d = np.linalg.norm(cloud.points[mask] - np.array([0.0, 0.0, 1.0]), axis=1)
     assert d.max() <= 0.3 + 1e-12
@@ -386,10 +415,10 @@ def test_saliency_distance_to_fixation_bound():
 def test_saliency_slope_gate_cuts_tilted_gravity():
     cloud = _plane_cloud(1.0)
     cfg = SaliencyConfig(r=0.08, l_d=1.0, l_f=0.0, R=0.5, phi_g=35.0)
-    ok = saliency_filter(cloud, [0.0, 0.0, 1.0], cfg)
+    ok = _salient_mask(cloud, [0.0, 0.0, 1.0], cfg)
     assert ok.any()
     g_tilted = np.array([0.0, math.sin(math.radians(40.0)), math.cos(math.radians(40.0))])
-    none = saliency_filter(cloud, g_tilted, cfg)
+    none = _salient_mask(cloud, g_tilted, cfg)
     assert not none.any()
 
 
@@ -401,7 +430,7 @@ def test_saliency_normal_disagreement_cuts_creases():
     z = 1.0 + np.abs(u)[None, :] * np.ones((TINY.height, 1))
     cloud = _depth_cloud(TINY, z)
     cfg = SaliencyConfig(r=0.08, l_d=1.0, l_f=0.0, R=10.0, phi_d=10.0, phi_g=80.0)
-    mask = saliency_filter(cloud, [0.0, 0.0, 1.0], cfg)
+    mask = _salient_mask(cloud, [0.0, 0.0, 1.0], cfg)
     mid = TINY.width // 2
     band = mask[6:-6, mid - 8 : mid + 8]
     assert (~band).sum() >= 2 * band.shape[0]  # a cut column on each side
@@ -437,11 +466,11 @@ def test_saliency_cascade_matches_dense_oracle(rocky_cloud_noisy, frame, cfg):
     cloud = {"full": rocky_cloud_noisy, "decimated": median_decimate(rocky_cloud_noisy, 2),
              "holes": _holey(rocky_cloud_noisy)}[frame]
     g = _gravity_cam()
-    dense = integral_normals(cloud, cfg.r)
+    dense = _normal_images(cloud, cfg.r)
     if frame == "holes":
         near = cloud.valid_mask & _dtfp(cloud, g, cfg)
         assert (near & np.isfinite(dense[0][..., 0]) & np.isnan(dense[1][..., 0])).any()
-    mask = saliency_filter(cloud, g, cfg)
+    mask = _salient_mask(cloud, g, cfg)
     assert mask.any()
     assert np.array_equal(mask, dense_saliency(cloud, dense, g, cfg))
     assert np.array_equal(mask, dense_saliency(cloud, eigh_integral_normals(cloud, cfg.r), g, cfg))
@@ -453,7 +482,7 @@ def test_saliency_cascade_solves_each_scale_only_where_needed(
 ):
     cloud = rocky_cloud_noisy if frame == "full" else _holey(rocky_cloud_noisy)
     cfg, g = ROCKY_SALIENCY, _gravity_cam()
-    n, _ = integral_normals(cloud, cfg.r)
+    n, _ = _normal_images(cloud, cfg.r)
     near = cloud.valid_mask & _dtfp(cloud, g, cfg)
     with np.errstate(invalid="ignore"):
         dong = -(n @ (g / np.linalg.norm(g))) >= math.cos(math.radians(cfg.phi_g))
@@ -468,7 +497,7 @@ def test_saliency_cascade_solves_each_scale_only_where_needed(
         return window_normals(s)
 
     monkeypatch.setattr(mapping, "_window_normals", spy)
-    saliency_filter(cloud, g, cfg)
+    _salient_mask(cloud, g, cfg)
 
     def blocks(m):
         return [mapping._BLOCK] * (m // mapping._BLOCK) + [m % mapping._BLOCK] * bool(m % mapping._BLOCK)
@@ -478,8 +507,11 @@ def test_saliency_cascade_solves_each_scale_only_where_needed(
 
 @pytest.mark.parametrize("g", [[0.0, 0.0, 0.0], [0.0, np.nan, 1.0], [0.0, 1.0], [0.0, np.inf, 1.0]])
 def test_saliency_rejects_bad_gravity(g):
+    cloud = _plane_cloud()
     with pytest.raises(ValueError, match="gravity"):
-        saliency_filter(_plane_cloud(), g)
+        _salient_mask(cloud, g)
+    with pytest.raises(ValueError, match="gravity"):
+        map_step(init_volume(), cloud, g)
 
 
 def test_saliency_config_validation():
@@ -509,17 +541,21 @@ def _dummy_mappatch(cell, pid=0):
     return MapPatch(pid, p, cell, (0, 0), np.array([2.0, 2.0, 0.6]), 0, rec)
 
 
+def _every(v, u):
+    return np.ones(len(v), dtype=bool)
+
+
 def test_select_seeds_cell_cap_and_determinism():
     cloud = _plane_cloud(1.0)
     mask = cloud.valid_mask.copy()
     state = init_volume()
-    seeds = select_seeds(cloud, mask, state, rng_seed=4)
+    seeds = select_seeds(cloud, mask, _every, state, rng_seed=4)
     assert seeds
     cells = [s.cell for s in seeds]
     assert len(cells) == len(set(cells))  # n_g = 1: one per cell
-    again = select_seeds(cloud, mask, state, rng_seed=4)
+    again = select_seeds(cloud, mask, _every, state, rng_seed=4)
     assert [s.pixel for s in again] == [s.pixel for s in seeds]
-    other = select_seeds(cloud, mask, state, rng_seed=5)
+    other = select_seeds(cloud, mask, _every, state, rng_seed=5)
     assert [s.pixel for s in other] != [s.pixel for s in seeds]
     for s in seeds:
         assert mask[s.pixel]
@@ -530,10 +566,10 @@ def test_select_seeds_respects_resident_occupancy():
     cloud = _plane_cloud(1.0)
     mask = cloud.valid_mask.copy()
     state = init_volume()
-    free = select_seeds(cloud, mask, state, rng_seed=0)
+    free = select_seeds(cloud, mask, _every, state, rng_seed=0)
     taken_cell = free[0].cell
     state.patches.append(_dummy_mappatch(taken_cell))
-    refit = select_seeds(cloud, mask, state, rng_seed=0)
+    refit = select_seeds(cloud, mask, _every, state, rng_seed=0)
     assert taken_cell not in [s.cell for s in refit]
     assert len(refit) == len(free) - 1
 
@@ -541,9 +577,9 @@ def test_select_seeds_respects_resident_occupancy():
 def test_select_seeds_n_g_override_allows_more():
     cloud = _plane_cloud(1.0)
     state = init_volume()
-    one = select_seeds(cloud, cloud.valid_mask, state, rng_seed=1)
+    one = select_seeds(cloud, cloud.valid_mask, _every, state, rng_seed=1)
     state.n_g = 3
-    many = select_seeds(cloud, cloud.valid_mask, state, rng_seed=1)
+    many = select_seeds(cloud, cloud.valid_mask, _every, state, rng_seed=1)
     per_cell = {}
     for s in many:
         per_cell[s.cell] = per_cell.get(s.cell, 0) + 1
@@ -551,18 +587,23 @@ def test_select_seeds_n_g_override_allows_more():
     assert len(many) > len(one)
 
 
-def _loop_select_seeds(cloud, salient, volume, n_g, rng_seed):
-    """select_seeds with per-pixel dict grouping: the direct form."""
-    rng = np.random.default_rng(rng_seed)
-    pix = np.argwhere(salient)
-    pts_vol = xform_fwd(cloud.points[salient], volume.c_t.r, volume.c_t.t)
-    v_g = volume.v_g
-    w = volume.v_s / v_g
+def _cell_groups(cloud, candidates, volume):
+    """{cell: candidate pixels in scan order}, grouped one pixel at a time."""
+    pts_vol = xform_fwd(cloud.points[candidates], volume.c_t.r, volume.c_t.t)
+    w = volume.v_s / volume.v_g
     by_cell = {}
-    for idx, p in enumerate(pts_vol):
+    for (i, j), p in zip(np.argwhere(candidates), pts_vol):
         ix, iz = math.floor(p[0] / w), math.floor(p[2] / w)
-        if 0 <= ix < v_g and 0 <= iz < v_g:
-            by_cell.setdefault((ix, iz), []).append(idx)
+        if 0 <= ix < volume.v_g and 0 <= iz < volume.v_g:
+            by_cell.setdefault((ix, iz), []).append((int(i), int(j)))
+    return by_cell
+
+
+def _loop_select_seeds(cloud, candidates, salient, volume, n_g, rng_seed):
+    """select_seeds as a walk that tests one pixel at a time: the direct form."""
+    rng = np.random.default_rng(rng_seed)
+    by_cell = _cell_groups(cloud, candidates, volume)
+    w = volume.v_s / volume.v_g
     cam_xz = volume.c_t.t[[0, 2]]
     occupancy = {}
     for mp in volume.patches:
@@ -571,39 +612,160 @@ def _loop_select_seeds(cloud, salient, volume, n_g, rng_seed):
     def rank(cell):
         return (float(np.linalg.norm((np.array(cell, dtype=float) + 0.5) * w - cam_xz)), cell)
 
-    out = []
+    out, tested = [], []
     for cell in sorted(by_cell, key=rank):
         room = n_g - occupancy.get(cell, 0)
         if room <= 0:
             continue
         cands = by_cell[cell]
-        chosen = rng.choice(len(cands), size=min(room, len(cands)), replace=False)
-        out += [(tuple(int(x) for x in pix[cands[c]]), cell) for c in np.sort(chosen)]
-    return out
+        chosen = []
+        for c in rng.permutation(len(cands)):
+            if len(chosen) == room:
+                break
+            i, j = cands[c]
+            tested.append((i, j))
+            if salient(np.array([i]), np.array([j]))[0]:
+                chosen.append(c)
+        out += [(cands[c], cell) for c in sorted(chosen)]
+    return out, tested
+
+
+def _recording(salient):
+    """salient, plus the list of every pixel it was asked about, in call order."""
+    asked = []
+
+    def wrapped(v, u):
+        asked.extend(zip(v.tolist(), u.tolist()))
+        return salient(v, u)
+
+    return wrapped, asked
 
 
 def test_select_seeds_matches_loop_grouping(rocky_cloud_noisy):
-    cloud = rocky_cloud_noisy
+    cloud = median_decimate(rocky_cloud_noisy, 2)
+    g, cfg = _gravity_cam(), ROCKY_SALIENCY
+    near = cloud.valid_mask & _dtfp(cloud, g, cfg)
+    dense = _salient_mask(cloud, g, cfg)
+    # a sparse mask makes walks cross several chunks before their first pass
+    sparse = dense & (np.random.default_rng(0).random(near.shape) < 0.01)
     state = init_volume()
-    first = select_seeds(cloud, cloud.valid_mask, state, rng_seed=3)
+    first = select_seeds(cloud, near, _every, state, rng_seed=3)
     assert len({s.cell for s in first}) > 4
     state.patches.append(_dummy_mappatch(first[0].cell))
-    for n_g in (1, 3):
-        state.n_g = n_g
-        seeds = select_seeds(cloud, cloud.valid_mask, state, rng_seed=7)
-        ref = _loop_select_seeds(cloud, cloud.valid_mask, state, n_g, 7)
-        assert [(s.pixel, s.cell) for s in seeds] == ref
+    for mask in (dense, sparse):
+        for n_g in (1, 3):
+            state.n_g = n_g
+            salient, asked = _recording(_lookup(mask))
+            seeds = select_seeds(cloud, near, salient, state, rng_seed=7)
+            ref, tested = _loop_select_seeds(cloud, near, _lookup(mask), state, n_g, 7)
+            assert [(s.pixel, s.cell) for s in seeds] == ref
+            # each pixel is tested once: the loop's, plus the rest of the
+            # chunk each cell stopped in
+            assert len(set(asked)) == len(asked)
+            assert set(tested) <= set(asked)
+            assert len(asked) - len(tested) < len({s.cell for s in first}) * mapping._BLOCK
+            if mask is dense:
+                assert len(asked) < near.sum() / 4
+
+
+@pytest.fixture(scope="module")
+def small_salient_frame(rocky_cloud_noisy):
+    """(cloud, DtFP candidates, dense oracle mask) of a 1/8-resolution rocky frame.
+
+    On a v_g = 32 volume its salient pixels fall in cells of 1 to ~170.
+    """
+    cloud = median_decimate(rocky_cloud_noisy, 8)
+    g, cfg = _gravity_cam(), ROCKY_SALIENCY
+    dense = dense_saliency(cloud, eigh_integral_normals(cloud, cfg.r), g, cfg)
+    assert np.array_equal(_salient_mask(cloud, g, cfg), dense)
+    return cloud, cloud.valid_mask & _dtfp(cloud, g, cfg), dense
+
+
+def test_select_seeds_draws_uniformly_from_each_cells_salient_pixels(small_salient_frame):
+    # n_g = 1: under uniform sampling, each cell's seed over N independent
+    # draws is multinomial over its salient pixels with equal
+    # probabilities. One chi-square test per cell, family-wise alpha 1e-3
+    # (Bonferroni), fixed before the run.
+    from scipy.stats import chi2
+
+    alpha, n_draws = 1e-3, 1000
+    cloud, near, dense = small_salient_frame
+    state = init_volume(v_g=32)
+    salient_by_cell = {
+        cell: [px for px in pixels if dense[px]]
+        for cell, pixels in _cell_groups(cloud, near, state).items()
+    }
+    counts = {cell: Counter() for cell in salient_by_cell}
+    for rng_seed in range(n_draws):
+        for s in select_seeds(cloud, near, _lookup(dense), state, rng_seed=rng_seed):
+            counts[s.cell][s.pixel] += 1
+    tested = [cell for cell, px in salient_by_cell.items() if len(px) > 1]
+    assert len(tested) >= 8 and max(len(salient_by_cell[c]) for c in tested) > 100
+    for cell, pixels in salient_by_cell.items():
+        # one seed per draw in every cell with a salient pixel, none elsewhere
+        assert sum(counts[cell].values()) == (n_draws if pixels else 0)
+        assert set(counts[cell]) <= set(pixels)
+    for cell in tested:
+        pixels = salient_by_cell[cell]
+        expected = n_draws / len(pixels)
+        assert expected >= 5.0
+        stat = sum((counts[cell][px] - expected) ** 2 / expected for px in pixels)
+        assert stat <= chi2.ppf(1.0 - alpha / len(tested), len(pixels) - 1), cell
+
+
+def test_select_seeds_walks_a_cell_without_salient_pixels_to_its_end():
+    cloud = _plane_cloud(1.0)
+    state = init_volume()
+    groups = _cell_groups(cloud, cloud.valid_mask, state)
+    bare = max(groups, key=lambda c: len(groups[c]))
+    assert len(groups[bare]) > 2 * mapping._FIRST_CHUNK
+    mask = cloud.valid_mask.copy()
+    mask[tuple(np.array(groups[bare]).T)] = False
+    for rng_seed in range(5):
+        salient, asked = _recording(_lookup(mask))
+        seeds = select_seeds(cloud, cloud.valid_mask, salient, state, rng_seed=rng_seed)
+        assert {s.cell for s in seeds} == set(groups) - {bare}
+        assert set(groups[bare]) <= set(asked)
+        assert len(asked) == len(set(asked))
+
+
+def test_select_seeds_occupancy_and_n_g_cap_each_cell(small_salient_frame):
+    cloud, near, dense = small_salient_frame
+    state = init_volume(v_g=32, n_g=3)
+    salient_by_cell = {
+        cell: [px for px in pixels if dense[px]]
+        for cell, pixels in _cell_groups(cloud, near, state).items()
+    }
+    by_size = sorted((c for c in salient_by_cell if salient_by_cell[c]),
+                     key=lambda c: len(salient_by_cell[c]))
+    assert len(salient_by_cell[by_size[0]]) < 3  # fewer salient pixels than room
+    # residents: one patch in the largest cell, a full cell, an overfull cell
+    for cell, n in ((by_size[-1], 1), (by_size[-2], 3), (by_size[-3], 4)):
+        state.patches += [_dummy_mappatch(cell, pid=len(state.patches)) for _ in range(n)]
+    occupancy = Counter(mp.cell for mp in state.patches)
+    for rng_seed in range(5):
+        salient, asked = _recording(_lookup(dense))
+        seeds = select_seeds(cloud, near, salient, state, rng_seed=rng_seed)
+        per_cell = Counter(s.cell for s in seeds)
+        for cell, pixels in salient_by_cell.items():
+            room = max(state.n_g - occupancy[cell], 0)
+            assert per_cell[cell] == min(room, len(pixels)), cell
+        full = {cell for cell in salient_by_cell if occupancy[cell] >= state.n_g}
+        assert len(full) == 2
+        groups = _cell_groups(cloud, near, state)
+        assert not set(asked) & {px for cell in full for px in groups[cell]}
+        assert all(dense[s.pixel] for s in seeds)
 
 
 def test_select_seeds_empty_mask():
     cloud = _plane_cloud(1.0)
-    assert select_seeds(cloud, np.zeros_like(cloud.valid_mask), init_volume()) == []
+    assert select_seeds(cloud, np.zeros_like(cloud.valid_mask), _every, init_volume()) == []
 
 
 def test_select_seeds_orders_cells_near_camera_first():
     cloud = _plane_cloud(1.0)
     state = init_volume()
-    seeds = select_seeds(cloud, cloud.valid_mask, state, rng_seed=2)
+    seeds = select_seeds(cloud, cloud.valid_mask, _every, state, rng_seed=2)
     cam_xz = state.c_t.t[[0, 2]]
     w = state.v_s / state.v_g
     dists = [
@@ -878,23 +1040,41 @@ def test_map_step_empty_cloud_is_a_no_op():
     assert state.patches == []
 
 
+# rng seeds of the map_step ensemble tests, fixed before any run. A single
+# seed holds or fails by the luck of its draw; the thresholds below sit in
+# the lower tail of what the seed draw of the previous dense-mask sampler
+# gave on these seeds (see each test).
+ENSEMBLE_SEEDS = range(10)
+
+
+def _is_rock_cap(mp):
+    # true cap curvatures lie in [-2.2, -1.2]; the ramp adds little
+    k = np.asarray(mp.patch.k)
+    return mp.patch.s == S.ELLIPTIC_PARABOLOID and ((-2.6 < k) & (k < -0.8)).all()
+
+
 def test_map_step_admits_rock_caps(rocky_cloud):
-    state = init_volume()
-    res = map_step(state, rocky_cloud, _gravity_cam(), config=ROCKY_CONFIG, rng_seed=11)
-    assert res.n_seeds >= 3
-    assert len(res.admitted) >= 2
-    for mp in res.admitted:
-        assert mp.patch.s == S.ELLIPTIC_PARABOLOID
-        assert mp.validation.passed
-        assert mp.validation.residual <= 0.01
-        # true cap curvatures lie in [-2.2, -1.2]; the ramp adds little
-        assert (-2.6 < np.asarray(mp.patch.k)).all()
-        assert (np.asarray(mp.patch.k) < -0.8).all()
-        # stored pose is volume frame: transform back to camera depth
-        cam_t = np.asarray(mp.patch.pose.t) - state.c_t.t
-        assert 0.8 < np.linalg.norm(cam_t) < 2.0
-    assert state.patches == res.admitted
-    assert state.frame_index == 1
+    # The dense-mask sampler gave, on these 10 seeds: 4 seeds each, 2+
+    # admissions in 10 runs, an elliptic cap in 8. A seed on a cap's rim
+    # also admits hyperbolic patches (k ~ (-1.2, +5)), a true saddle where
+    # a cap meets the ramp, so the type is not asserted per patch.
+    runs_two, runs_cap = 0, 0
+    for rng_seed in ENSEMBLE_SEEDS:
+        state = init_volume()
+        res = map_step(state, rocky_cloud, _gravity_cam(), config=ROCKY_CONFIG, rng_seed=rng_seed)
+        assert res.n_seeds >= 3
+        for mp in res.admitted:
+            assert mp.validation.passed
+            assert mp.validation.residual <= 0.01
+            # stored pose is volume frame: transform back to camera depth
+            cam_t = np.asarray(mp.patch.pose.t) - state.c_t.t
+            assert 0.8 < np.linalg.norm(cam_t) < 2.0
+        assert state.patches == res.admitted
+        assert state.frame_index == 1
+        runs_two += len(res.admitted) >= 2
+        runs_cap += any(_is_rock_cap(mp) for mp in res.admitted)
+    assert runs_two >= 8
+    assert runs_cap >= 6
 
 
 def test_map_step_is_deterministic(rocky_cloud):
@@ -912,15 +1092,20 @@ def test_map_step_is_deterministic(rocky_cloud):
 
 
 def test_map_step_noisy_frame_still_yields_valid_patches(rocky_cloud_noisy):
-    state = init_volume()
-    res = map_step(
-        state, rocky_cloud_noisy, _gravity_cam(), config=ROCKY_CONFIG, rng_seed=11
-    )
-    assert res.n_attempts >= 3
-    assert len(res.admitted) >= 1
-    for mp in res.admitted:
-        assert mp.validation.residual <= 0.01
-        assert mp.validation.passed
+    # The dense-mask sampler gave, on these 10 seeds: 4 attempts each, an
+    # admission in 6 runs; coverage drops the rest.
+    runs_admitting = 0
+    for rng_seed in ENSEMBLE_SEEDS:
+        state = init_volume()
+        res = map_step(
+            state, rocky_cloud_noisy, _gravity_cam(), config=ROCKY_CONFIG, rng_seed=rng_seed
+        )
+        assert res.n_attempts >= 3
+        for mp in res.admitted:
+            assert mp.validation.residual <= 0.01
+            assert mp.validation.passed
+        runs_admitting += bool(res.admitted)
+    assert runs_admitting >= 3
 
 
 def test_map_step_decimated_seed_pixel_is_full_resolution(rocky_cloud):
