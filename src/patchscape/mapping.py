@@ -4,9 +4,9 @@ The mapping pipeline runs in stages on each organized range frame:
 optional median decimation of the saliency cloud, grid-based seed
 selection in the volume frame among the pixels that pass the hiking
 saliency filter, per-seed neighborhood search over the seed's
-backprojected window (Euclidean distance, or chain distance on a
-triangle mesh built over that window alone), and patch fit/validate
-with curvature, residual, and coverage gates.
+backprojected window (the Euclidean ball, or its part that a triangle
+mesh built over that window alone joins to the seed), and patch
+fit/validate with curvature, residual, and coverage gates.
 
 Saliency is solved seed first. Once per frame, map_step builds one
 integral image of the point moments and keeps the DtFP pixels; each seed
@@ -39,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components
 
 from patchscape import pose as _pose
 from patchscape.fit import MIN_FIT_POINTS, SURFACES, FitResult, coverage_scale, fit_patch
@@ -555,8 +555,8 @@ class NeighborhoodIndex:
     """Search method plus the triangle-mesh build thresholds.
 
     variant is a NeighborhoodVariant or its value: BACKPROJECTION (the
-    Euclidean r-ball) or TRIANGLE_MESH (the chain-distance r-ball). Both
-    search the seed's backprojected window only.
+    Euclidean r-ball) or TRIANGLE_MESH (the part of that ball the mesh
+    joins to the seed). Both search the seed's backprojected window only.
     """
 
     variant: NeighborhoodVariant = NeighborhoodVariant.BACKPROJECTION
@@ -678,58 +678,44 @@ def mesh_triangles(points: np.ndarray, index: NeighborhoodIndex) -> np.ndarray:
     return tri[keep]
 
 
-def _mesh_graph(points: np.ndarray, index: NeighborhoodIndex) -> sparse.csr_matrix:
-    """Edge-length weighted graph of the mesh over an (H, W, 3) grid."""
-    tri = mesh_triangles(points, index)
-    n = points.shape[0] * points.shape[1]
-    if len(tri) == 0:
-        return sparse.csr_matrix((n, n))
-    a = np.concatenate([tri[:, 0], tri[:, 1], tri[:, 2]])
-    b = np.concatenate([tri[:, 1], tri[:, 2], tri[:, 0]])
-    # an edge shared by two triangles appears twice; coo conversion sums
-    # duplicates, so deduplicate the undirected pairs first
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    uniq = np.unique(np.stack([lo, hi], axis=1), axis=0)
-    a, b = uniq[:, 0], uniq[:, 1]
-    p = points.reshape(-1, 3)
-    wgt = np.linalg.norm(p[a] - p[b], axis=1)
-    g = sparse.coo_matrix((wgt, (a, b)), shape=(n, n))
-    g = g.maximum(g.T)  # symmetrize: undirected graph
-    return g.tocsr()
-
-
 def neighborhood(
     index: NeighborhoodIndex, cloud: OrganizedCloud, seed, r: float
 ) -> Neighborhood:
     """All points within r of the seed, in row-major pixel order.
 
-    Backprojection returns the exact Euclidean r-ball over valid points;
-    the triangle mesh bounds the chain distance (shortest weighted edge
-    path) instead, so its neighborhoods never cross depth jumps. Both
-    look only at the seed's backprojected window. The seed is a (row,
-    col) pixel holding a valid point; the ball is centered on that point.
-    fit_sample draws the points a fit runs on.
+    Both variants take the Euclidean r-ball over the valid points of the
+    seed's backprojected window. Backprojection returns it whole; the
+    triangle mesh keeps the in-ball pixels that mesh_triangles joins to
+    the seed through edges between in-ball pixels, so its neighborhoods
+    never cross depth jumps. The seed is a (row, col) pixel holding a valid
+    point; the ball is centered on that point. fit_sample draws the points
+    a fit runs on.
     """
     if r <= 0.0:
         raise ValueError("r must be positive")
     (si, sj), s = _resolve_seed(cloud, seed)
 
-    if index.variant == NeighborhoodVariant.BACKPROJECTION:
-        rows, cols = _ball_pixels_backprojection(cloud, s, r)
-        win = cloud.points[rows, cols]
-        cand = np.argwhere(np.isfinite(win[..., 2]))
-        d = np.linalg.norm(win[cand[:, 0], cand[:, 1]] - s, axis=1)
-        sel = cand[d <= r]
-    else:
-        # A chain of length <= r never leaves the Euclidean r-ball, which
-        # lies in the window; one more pixel on every side keeps each
-        # triangle holding an edge between two in-ball pixels, so the
-        # window's mesh gives the whole frame's chain distances up to r.
-        rows, cols = _ball_pixels_backprojection(cloud, s, r, _PIXEL_MARGIN + 1)
-        win = cloud.points[rows, cols]
-        at = (si - rows.start) * win.shape[1] + (sj - cols.start)
-        dist = dijkstra(_mesh_graph(win, index), directed=False, indices=at, limit=r)
-        sel = np.argwhere(dist.reshape(win.shape[:2]) <= r)
+    # One more pixel on every side keeps whole each triangle that holds an
+    # edge between two in-ball pixels, so the window's mesh has every such
+    # edge of the whole frame's mesh.
+    mesh = index.variant == NeighborhoodVariant.TRIANGLE_MESH
+    margin = _PIXEL_MARGIN + 1 if mesh else _PIXEL_MARGIN
+    rows, cols = _ball_pixels_backprojection(cloud, s, r, margin)
+    win = cloud.points[rows, cols]
+    cand = np.argwhere(np.isfinite(win[..., 2]))
+    d = np.linalg.norm(win[cand[:, 0], cand[:, 1]] - s, axis=1)
+    sel = cand[d <= r]
+    if mesh:
+        # keep the in-ball pixels joined to the seed through in-ball edges
+        shape = win.shape[:2]
+        inball = np.zeros(shape, dtype=bool)
+        inball[sel[:, 0], sel[:, 1]] = True
+        edges = mesh_triangles(win, index)[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        edges = edges[inball.ravel()[edges].all(axis=1)]
+        n = inball.size
+        graph = sparse.coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
+        label = connected_components(graph, directed=False)[1].reshape(shape)
+        sel = sel[label[sel[:, 0], sel[:, 1]] == label[si - rows.start, sj - cols.start]]
     sel = sel + (rows.start, cols.start)
 
     pts = cloud.points[sel[:, 0], sel[:, 1]]
@@ -1073,10 +1059,11 @@ def gate_patch(
 ) -> ValidationRecord:
     """Every gate of a camera-frame patch fitted at one seed, even after a failure.
 
-    Curvature is bounded by config.saliency.gate; the exact residual of
-    the fit points must not exceed config.d_max; coverage judges data
-    support, so it sees the whole neighborhood nb_pts, and passes with no
-    bad cells when config.check_coverage is off.
+    Both principal curvatures must lie in [kappa_min, kappa_max] of
+    config.saliency; the exact residual of the fit points must not exceed
+    config.d_max; coverage judges data support, so it sees the whole
+    neighborhood nb_pts, and passes with no bad cells when
+    config.check_coverage is off.
     """
     R_l, t_l = patch_frame(patch)
     fit_local = (fit_pts - t_l) @ R_l

@@ -6,7 +6,7 @@ surface evaluators (implicit_eval, explicit_eval) and secant_area_bound
 make test points and error bounds; the pipeline itself needs neither.
 tensor_model and tensor_normalized_residual are the fit's residual in its
 direct form, with the per-point second-derivative tensor.
-kdtree_neighborhood and mesh_graph_neighborhood search the whole frame
+kdtree_neighborhood and connected_ball_neighborhood search the whole frame
 for the neighborhoods the pipeline finds in the seed's window.
 eigh_integral_normals and dense_saliency solve normals and saliency at
 every pixel, where the pipeline tests only the pixels its seed walk
@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import breadth_first_order
 from scipy.spatial import cKDTree
 
 from patchscape import pose as ps
@@ -190,30 +190,30 @@ def kdtree_neighborhood(cloud, seed, r):
     return _at_pixels(cloud, np.stack(np.unravel_index(flat_idx[np.sort(hits)], (h, w)), axis=1))
 
 
-def whole_frame_mesh_graph(cloud, index):
-    """Edge-length weighted graph of mesh_triangles over every pixel of the frame.
+def whole_frame_mesh_edges(cloud, index):
+    """(E, 2) flat pixel ids of the mesh_triangles edges over the whole frame.
 
     Each undirected edge is stored once, as (lower id, higher id).
     """
-    h, w = cloud.valid_mask.shape
     tri = mesh_triangles(cloud.points, index)
-    edges = np.sort(tri[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    key = np.unique(edges[:, 0] * (h * w) + edges[:, 1])
-    a, b = key // (h * w), key % (h * w)
-    p = cloud.points.reshape(-1, 3)
-    wgt = np.linalg.norm(p[a] - p[b], axis=1)
-    return sparse.coo_matrix((wgt, (a, b)), shape=(h * w, h * w)).tocsr()
+    return np.unique(np.sort(tri[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1), axis=0)
 
 
-def mesh_graph_neighborhood(cloud, graph, seed, r):
-    """Every point within chain distance r of the seed on a whole-frame graph.
+def connected_ball_neighborhood(cloud, edges, seed, r):
+    """The seed's connected part of the Euclidean r-ball on a whole-frame mesh.
 
-    The direct form of the TRIANGLE_MESH neighborhood: one Dijkstra from
-    the seed pixel over whole_frame_mesh_graph, hits in row-major order.
+    The direct form of the TRIANGLE_MESH neighborhood: every valid point
+    within r of the seed pixel's point, kept when a breadth-first search
+    from the seed over the whole_frame_mesh_edges between two such points
+    reaches it, hits in row-major order.
     """
     h, w = cloud.valid_mask.shape
-    dist = dijkstra(graph, directed=False, indices=seed[0] * w + seed[1], limit=r)
-    return _at_pixels(cloud, np.argwhere(dist.reshape(h, w) <= r))
+    with np.errstate(invalid="ignore"):
+        inball = (np.linalg.norm(cloud.points - cloud.points[tuple(seed)], axis=-1) <= r).ravel()
+    a, b = edges[inball[edges].all(axis=1)].T
+    graph = sparse.coo_matrix((np.ones(len(a)), (a, b)), shape=(h * w, h * w)).tocsr()
+    reached = breadth_first_order(graph, seed[0] * w + seed[1], directed=False, return_predecessors=False)
+    return _at_pixels(cloud, np.stack(np.unravel_index(np.sort(reached), (h, w)), axis=1))
 
 
 _UT = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
