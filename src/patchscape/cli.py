@@ -533,6 +533,8 @@ def cmd_fit(args) -> int:
     )
     out = patch_record(rec)
     out["gamma"] = cfg.gamma
+    # a solve stopped at the iteration cap is reported, not hidden
+    out.update(converged=fit.converged, iterations=fit.iterations, chi2=fit.chi2)
     print(json_dumps(out))
     return 0 if rec.validation.passed else 2
 

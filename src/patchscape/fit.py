@@ -41,13 +41,19 @@ boundary turns its frame to the principal axes of m. The finisher picks
 the extents rule and the turn itself, from the type, the boundary and
 gamma; the boundary is the plane_boundary of a plane fit and otherwise
 the first one the family lists.
+
+Per-point arrays are column-major: fit_patch takes points (n, 3) and
+covariances (n, 3, 3), drops the non-finite rows, and transposes once,
+to points (3, n) and covariances (3, 3, n). Every kernel after that (the
+plane, the residual model and its Jacobian (npar, n), the solver, the
+moments and their covariance) works on that layout, so each per-point
+operation runs along a contiguous length-n axis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -73,7 +79,6 @@ __all__ = [
 MIN_FIT_POINTS = 13
 
 _FLAT_EPS = 1e-2  # curvature magnitude below which a direction is flat
-_rowdot = partial(np.einsum, "ni,ni->n")  # dot products of matching rows
 
 
 def coverage_scale(gamma: float) -> float:
@@ -107,7 +112,10 @@ class WlmResult:
 
 
 class _Residual(NamedTuple):
-    """F = f / s at one p, with s = sqrt(max(g^T Sigma g, v_min)); jac() gives dF/dp."""
+    """F = f / s at one p, with s = sqrt(max(g^T Sigma g, v_min)); jac() gives dF/dp.
+
+    F and f are (n,), g = df/dq is (3, n), and jac() returns (npar, n).
+    """
 
     F: np.ndarray
     f: np.ndarray
@@ -120,45 +128,45 @@ def _implicit_model(K: np.ndarray, rot_dof: int, t_line):
 
     K is a family's k3_map; p packs [k, r, a], with t = t0 + a n/|n| on the
     side-wall line t_line = (t0, n). Returns model(points, covs, p, v_min)
-    -> _Residual.
+    -> _Residual, for points (3, n) and covariances (3, 3, n).
     """
     nk = K.shape[1]
-    t0, T = t_line[0], (t_line[1] / np.linalg.norm(t_line[1]))[:, None]  # t = t0 + T a
+    t0, T = t_line[0], t_line[1] / np.linalg.norm(t_line[1])  # t = t0 + T a
     npar = nk + rot_dof + 1
 
     def model(points, covs, p, v_min) -> _Residual:
-        k3 = K @ p[:nk] if nk else np.zeros(3)
+        k3 = (K @ p[:nk] if nk else np.zeros(3))[:, None]
         r3 = np.zeros(3)
         r3[:rot_dof] = p[nk : nk + rot_dof]
-        t = t0 + T @ p[nk + rot_dof :]
+        t = t0 + T * p[-1]
         R = _pose.exp_map(r3)
-        d = points - t
-        ql = d @ R
-        kql = ql * k3
-        f = _rowdot(ql, kql) - 2.0 * ql[:, 2]
+        d = points - t[:, None]
+        ql = R.T @ d
+        kql = k3 * ql
+        f = (ql * kql).sum(0) - 2.0 * ql[2]
         dfdql = 2.0 * kql
-        dfdql[:, 2] -= 2.0
-        g = dfdql @ R.T
-        cg = np.einsum("nij,nj->ni", covs, g)
-        v = np.maximum(_rowdot(g, cg), v_min)
+        dfdql[2] -= 2.0
+        g = R @ dfdql
+        cg = (covs * g).sum(1)
+        v = np.maximum((g * cg).sum(0), v_min)
         s = np.sqrt(v)
 
         def jac():
             # dF/dp = df/dp / s - f / (s v) cg^T d2f/dq dp, each parameter one
             # row; the contraction comes in closed form from c_l = R^T cg
             dR = _pose.jac_exp(r3)
-            cl = cg @ R
-            kcl = cl * k3
-            Jp, cgH = np.empty((2, npar, len(points)))
-            Jp[:nk] = K.T @ (ql * ql).T
-            cgH[:nk] = 2.0 * K.T @ (ql * cl).T
+            cl = R.T @ cg
+            kcl = k3 * cl
+            Jp, cgH = np.empty((2, npar, points.shape[1]))
+            Jp[:nk] = K.T @ (ql * ql)
+            cgH[:nk] = 2.0 * K.T @ (ql * cl)
             for m in range(rot_dof):
-                dql = d @ dR[m]  # = (dR_m^T) (q - t)
-                Jp[nk + m] = _rowdot(dfdql, dql)
-                cgH[nk + m] = _rowdot(cg @ dR[m], dfdql) + 2.0 * _rowdot(dql, kcl)
-            Jp[nk + rot_dof :] = -(g @ T).T
-            cgH[nk + rot_dof :] = (-2.0 * kcl @ R.T @ T).T
-            return np.ascontiguousarray((Jp / s - (f / (s * v)) * cgH).T)
+                dql = dR[m].T @ d  # = (dR_m^T) (q - t)
+                Jp[nk + m] = (dfdql * dql).sum(0)
+                cgH[nk + m] = (dfdql * (dR[m].T @ cg) + 2.0 * dql * kcl).sum(0)
+            Jp[-1] = -(T @ g)
+            cgH[-1] = -2.0 * (T @ R) @ kcl
+            return Jp / s - (f / (s * v)) * cgH
 
         return _Residual(f / s, f, g, jac)
 
@@ -168,6 +176,8 @@ def _implicit_model(K: np.ndarray, rot_dof: int, t_line):
 def wlm_minimize(model, p0, points, covs) -> WlmResult:
     """Damped least squares on the variance-normalized implicit residual.
 
+    points are (3, n) and covs (3, 3, n), passed through to model, whose
+    Jacobian J is (npar, n); a step solves (J J^T + lam I) dp = -J F.
     Scaling every point covariance by a common factor rescales all
     residuals uniformly and leaves the minimizer unchanged. Gauge
     directions (parameter moves that do not change the surface) are kept
@@ -184,10 +194,10 @@ def wlm_minimize(model, p0, points, covs) -> WlmResult:
     converged = False
     iters = 0
     for _ in range(_MAX_ITER):
-        A = J.T @ J
+        A = J @ J.T
         A.reshape(-1)[:: len(A) + 1] += lam  # strided view of the diagonal
         try:
-            step = np.linalg.solve(A, -(J.T @ F))
+            step = np.linalg.solve(A, -(J @ F))
         except np.linalg.LinAlgError:
             lam *= _DAMPING_UP
             continue
@@ -212,7 +222,7 @@ def wlm_minimize(model, p0, points, covs) -> WlmResult:
             lam *= _DAMPING_UP
             if lam > 1e12:
                 break
-    A = best_J.T @ best_J
+    A = best_J @ best_J.T
     # damping floor keeps gauge directions at a finite, documented variance
     A.reshape(-1)[:: len(A) + 1] += _DAMPING_INIT
     sigma = _pose.sym(np.linalg.inv(A))
@@ -227,10 +237,10 @@ def wlm_minimize(model, p0, points, covs) -> WlmResult:
 
 
 def _lls_plane(points):
-    """Least-squares plane (r_xy, centroid), its normal facing the origin."""
-    qbar = points.mean(axis=0)
-    _, _, Vt = np.linalg.svd(points - qbar, full_matrices=False)
-    n = Vt[-1]
+    """Least-squares plane (r_xy, centroid) of (3, n) points, its normal facing the origin."""
+    qbar = points.mean(axis=1)
+    U = np.linalg.svd(points - qbar[:, None], full_matrices=False)[0]
+    n = U[:, -1]
     if float(n @ qbar) > 0.0:
         n = -n
     return _pose.rxy_for_zdir(n), qbar
@@ -242,8 +252,7 @@ def _lls_plane(points):
 
 
 def _moments(points, R, t):
-    ql = (points - t) @ R
-    x, y = ql[:, 0], ql[:, 1]
+    x, y = R[:, :2].T @ (points - t[:, None])
     return np.array(
         [x.mean(), y.mean(), (x * x).mean(), (y * y).mean(), (x * y).mean()]
     )
@@ -256,23 +265,28 @@ def _moment_joint_sigma(points, covs, R, t, dR_cols, sigma_state, nk):
     projection with the state uncertainty pushed through the moment
     definition; the cross block keeps the two correlated downstream.
     """
-    n = len(points)
-    d = points - t
-    ql = d @ R
-    x, y = ql[:, 0], ql[:, 1]
-    M = np.zeros((n, 5, 3))
-    M[:, 0, 0] = 1.0
-    M[:, 1, 1] = 1.0
-    M[:, 2, 0] = 2.0 * x
-    M[:, 3, 1] = 2.0 * y
-    M[:, 4, 0] = y
-    M[:, 4, 1] = x
-    B = M @ R.T  # d m_i / d q_i, up to 1/n
-    sigma_m = np.tensordot(B @ covs, B, axes=([0, 2], [0, 2])) / n**2
+    n = points.shape[1]
+    d = points - t[:, None]
+    x, y = R[:, :2].T @ d
+    one, zero = np.ones(n), np.zeros(n)
+    # d m / d ql_i = (P_i e_x^T + Q_i e_y^T) / n, so d m / d q_i = (P_i u^T +
+    # Q_i w^T) / n with u, w the first two columns of R, and the moment
+    # block needs only u^T C_i u, u^T C_i w and w^T C_i w per point
+    P = np.array([one, zero, 2.0 * x, zero, y])
+    Q = np.array([zero, one, zero, 2.0 * y, x])
+    u, w = R[:, 0], R[:, 1]
+    uw_pairs = np.array([np.outer(u, u), np.outer(u, w), np.outer(w, w)]).reshape(3, 9)
+    uu, uw, ww = uw_pairs @ covs.reshape(9, n)
+    PQ = (P * uw) @ Q.T
+    sigma_m = ((P * uu) @ P.T + PQ + PQ.T + (Q * ww) @ Q.T) / n**2
 
-    # d m / d(k, r, t): r moves ql by d @ dR_j, t by -R^T
-    A_r = np.column_stack([np.einsum("nab,nb->a", M, d @ dRj) for dRj in dR_cols]) / n
-    A = np.hstack([np.zeros((5, nk)), A_r, -B.mean(axis=0)])
+    # d m / d(k, r, t): r moves ql by dR_j^T (q - t), t by -R^T
+    A_r = np.empty((5, len(dR_cols)))
+    for j, dRj in enumerate(dR_cols):
+        dx, dy = dRj[:, :2].T @ d
+        A_r[:, j] = (P @ dx + Q @ dy) / n
+    A_t = -(np.outer(P.mean(axis=1), u) + np.outer(Q.mean(axis=1), w))
+    A = np.hstack([np.zeros((5, nk)), A_r, A_t])
 
     cross = A @ sigma_state
     top = sigma_m + cross @ A.T
@@ -449,8 +463,10 @@ def fit_patch(
     else:
         cv = np.asarray(covs, dtype=float).reshape(-1, 3, 3)
     keep = np.isfinite(pts).all(axis=1) & np.isfinite(cv).all(axis=(1, 2))
-    pts, cv = pts[keep], cv[keep]
-    if len(pts) < MIN_FIT_POINTS:
+    # the one transpose: every kernel below takes (3, n) and (3, 3, n)
+    pts = np.ascontiguousarray(pts[keep].T)
+    cv = np.ascontiguousarray(cv[keep].transpose(1, 2, 0))
+    if pts.shape[1] < MIN_FIT_POINTS:
         raise ValueError(f"need at least {MIN_FIT_POINTS} points to fit a patch")
     coverage_scale(gamma)  # the finisher's check, before any solve: 0 < gamma < 1
 

@@ -5,7 +5,10 @@ independent references before its value is trusted anywhere else. The
 surface evaluators (implicit_eval, explicit_eval) and secant_area_bound
 make test points and error bounds; the pipeline itself needs neither.
 tensor_model and tensor_normalized_residual are the fit's residual in its
-direct form, with the per-point second-derivative tensor.
+direct form, with the per-point second-derivative tensor, and
+tensor_moment_joint_sigma is its moment covariance with the per-point
+(5, 3) moment Jacobian; all three take row-major (n, 3) points and
+(n, 3, 3) covariances, where the fit works on (3, n) and (3, 3, n).
 kdtree_neighborhood and connected_ball_neighborhood search the whole frame
 for the neighborhoods the pipeline finds in the seed's window.
 eigh_integral_normals and dense_saliency solve normals and saliency at
@@ -440,3 +443,34 @@ def tensor_normalized_residual(model, points, covs, p, v_min):
     gSH = np.einsum("ni,nip->np", cg, H)
     J = Jp / s[:, None] - (f / (s * v))[:, None] * gSH
     return F, J
+
+
+def tensor_moment_joint_sigma(points, covs, R, t, dR_cols, sigma_state, nk):
+    """The fit's joint covariance of (moments, state), building the (n, 5, 3)
+    derivative of each point's moment terms in the local frame.
+
+    points (n, 3), covs (n, 3, 3); the moments are the means of x, y, x^2,
+    y^2 and xy of the points in the frame (R, t), and the state is (k, r,
+    t) with covariance sigma_state, dR_cols the derivatives of R in r.
+    """
+    n = len(points)
+    d = points - t
+    ql = d @ R
+    x, y = ql[:, 0], ql[:, 1]
+    M = np.zeros((n, 5, 3))
+    M[:, 0, 0] = 1.0
+    M[:, 1, 1] = 1.0
+    M[:, 2, 0] = 2.0 * x
+    M[:, 3, 1] = 2.0 * y
+    M[:, 4, 0] = y
+    M[:, 4, 1] = x
+    B = M @ R.T  # d m_i / d q_i, up to 1/n
+    sigma_m = np.tensordot(B @ covs, B, axes=([0, 2], [0, 2])) / n**2
+
+    # d m / d(k, r, t): r moves ql by d @ dR_j, t by -R^T
+    A_r = np.column_stack([np.einsum("nab,nb->a", M, d @ dRj) for dRj in dR_cols]) / n
+    A = np.hstack([np.zeros((5, nk)), A_r, -B.mean(axis=0)])
+
+    cross = A @ sigma_state
+    top = sigma_m + cross @ A.T
+    return np.block([[top, cross], [cross.T, sigma_state]])

@@ -17,6 +17,7 @@ import pytest
 from _oracles import loop_read_body, loop_write_cloud
 
 from patchscape import cli
+from patchscape import fit as fit_module
 from patchscape.mapping import MapPatch, ValidationRecord, init_volume
 from patchscape.patch import BoundaryType as B
 from patchscape.patch import Patch, SurfaceType, boundaries, is_revolute, k3_map
@@ -470,6 +471,32 @@ def test_fit_admits_at_dome_apex(dome_dir, capsys):
     assert rec["validation"]["residual"] <= 0.01
     assert sorted(rec["k"]) == pytest.approx([-1.4, -1.1], abs=0.02)
     assert np.asarray(rec["sigma"]).shape == (10, 10)
+
+
+@pytest.mark.parametrize("max_iter", [None, 1], ids=["converged", "capped"])
+def test_fit_reports_solve_convergence(dome_dir, capsys, monkeypatch, max_iter):
+    # the record carries the solve's convergence flag, iterations and chi2
+    # as fit_patch returned them; a solve stopped at the iteration cap says
+    # so, and the exit code still follows the gates alone
+    if max_iter is not None:
+        monkeypatch.setattr(fit_module, "_MAX_ITER", max_iter)
+    fits = []
+
+    def recorded(*args, **kwargs):
+        fits.append(fit_module.fit_patch(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(cli, "fit_patch", recorded)
+    rc = cli.main(
+        ["fit", "--cloud", str(dome_dir / "dome_000.opc"), "--pixel", "320", "240",
+         "--radius", "0.12", "--n-f", "2000"]
+    )
+    rec = json.loads(capsys.readouterr().out)
+    (fit,) = fits
+    assert rec["converged"] is fit.converged is (max_iter is None)
+    assert rec["iterations"] == fit.iterations > 0
+    assert rec["chi2"] == fit.chi2 > 0.0
+    assert rc == (0 if all(rec["validation"]["gates"].values()) else 2)
 
 
 def test_fit_gate_failure_still_emits_record(dome_dir, capsys):

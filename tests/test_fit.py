@@ -25,6 +25,7 @@ from _oracles import (
     explicit_eval,
     implicit_eval,
     tensor_model,
+    tensor_moment_joint_sigma,
     tensor_normalized_residual,
 )
 
@@ -43,6 +44,24 @@ def _random_covs(rng, n, scale=1e-4):
 
 def _line(t0, n):
     return np.array(t0, dtype=float), np.array(n, dtype=float)
+
+
+def _cols(pts, covs):
+    """Row-major (n, 3) points and (n, 3, 3) covariances in the fit's
+    column-major layout: (3, n) and (3, 3, n)."""
+    return np.ascontiguousarray(pts.T), np.ascontiguousarray(covs.transpose(1, 2, 0))
+
+
+def _rows(model):
+    """A residual model at the tests' row-major boundary: it takes (n, 3)
+    points and (n, 3, 3) covariances, and gives g as (n, 3) and jac() as
+    (n, npar)."""
+
+    def rowmodel(pts, covs, p, v_min):
+        res = model(*_cols(pts, covs), p, v_min)
+        return res._replace(g=res.g.T, jac=lambda: res.jac().T)
+
+    return rowmodel
 
 
 # Each family's model (k3 map, rotation DoF, side-wall line) at a test
@@ -66,7 +85,7 @@ def _model_case(name, seed, n):
     k3_map, rot_dof, line, p = _MODEL_CASES[name]
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-0.25, 0.25, (n, 3)) + [0, 0, 1]
-    return pf._implicit_model(k3_map, rot_dof, line), np.array(p), pts, rng
+    return _rows(pf._implicit_model(k3_map, rot_dof, line)), np.array(p), pts, rng
 
 
 def _raw(model, pts, p):
@@ -77,7 +96,7 @@ def _raw(model, pts, p):
 
 def test_model_parameter_jacobian_matches_fd():
     rng = np.random.default_rng(0)
-    model = pf._implicit_model(_K3_PARAB, 3, _line((0.1, -0.05, 0.0), _Z_AXIS))
+    model = _rows(pf._implicit_model(_K3_PARAB, 3, _line((0.1, -0.05, 0.0), _Z_AXIS)))
     p = np.array([3.0, -7.0, 0.3, -0.2, 0.4, 1.2])
     pts = rng.uniform(-0.3, 0.3, (20, 3)) + [0, 0, 1]
     _, Jp = _raw(model, pts, p)
@@ -87,7 +106,7 @@ def test_model_parameter_jacobian_matches_fd():
 
 def test_model_point_gradient_matches_fd():
     rng = np.random.default_rng(1)
-    model = pf._implicit_model(_K3_CCYL, 3, _line((0.05, 0.0, 0.0), _Z_AXIS))
+    model = _rows(pf._implicit_model(_K3_CCYL, 3, _line((0.05, 0.0, 0.0), _Z_AXIS)))
     p = np.array([4.0, 0.2, 0.1, -0.3, 1.1])
     pts = rng.uniform(-0.3, 0.3, (5, 3)) + [0, 0, 1]
     covs = np.broadcast_to(np.eye(3), (len(pts), 3, 3))
@@ -151,7 +170,7 @@ def test_normalized_residual_matches_tensor_oracle(case):
 
 def test_side_wall_model_jacobian_matches_fd():
     rng = np.random.default_rng(4)
-    model = pf._implicit_model(_K3_PARAB, 3, _WALL)
+    model = _rows(pf._implicit_model(_K3_PARAB, 3, _WALL))
     p = np.array([2.0, 5.0, 0.2, -0.1, 0.3, 0.07])
     pts = rng.uniform(-0.25, 0.25, (12, 3)) + [0, 0, 1]
     _, Jp = _raw(model, pts, p)
@@ -171,8 +190,8 @@ def test_wlm_invariant_to_uniform_cov_scale():
     pts = _sphere_points(_SPHERE_P, rng, 60)
     covs = _random_covs(rng, len(pts), scale=1e-5)
     p0 = _SPHERE_P + rng.normal(0, 0.02, 4)
-    a = wlm_minimize(model, p0, pts, covs)
-    b = wlm_minimize(model, p0, pts, 10.0 * covs)
+    a = wlm_minimize(model, p0, *_cols(pts, covs))
+    b = wlm_minimize(model, p0, *_cols(pts, 10.0 * covs))
 
     def centre(p):
         R = ps.exp_map(ps.rxy_to_r(p[1:3]))
@@ -195,7 +214,7 @@ def test_wlm_converges_on_exact_sphere():
     model = pf._implicit_model(_K3_SPHERE, 2, _SPHERE_LINE)
     pts = _sphere_points(_SPHERE_P, rng, 80)
     covs = np.broadcast_to(1e-8 * np.eye(3), (len(pts), 3, 3)).copy()
-    res = wlm_minimize(model, _SPHERE_P + [0.3, 0.02, -0.02, -0.005], pts, covs)
+    res = wlm_minimize(model, _SPHERE_P + [0.3, 0.02, -0.02, -0.005], *_cols(pts, covs))
     assert res.converged
     assert abs(res.p[0] - 3.0) < 1e-6
     assert res.sigma.shape == (4, 4)
@@ -208,7 +227,7 @@ def test_wlm_reports_nonconvergence(monkeypatch):
     model = pf._implicit_model(_K3_SPHERE, 2, _SPHERE_LINE)
     pts = _sphere_points(_SPHERE_P, rng, 40)
     covs = np.broadcast_to(1e-8 * np.eye(3), (len(pts), 3, 3)).copy()
-    res = wlm_minimize(model, _SPHERE_P + 0.3, pts, covs)
+    res = wlm_minimize(model, _SPHERE_P + 0.3, *_cols(pts, covs))
     assert not res.converged
     assert res.iterations <= 2
 
@@ -238,8 +257,8 @@ def test_wlm_builds_jacobian_only_at_accepted_steps():
         return res._replace(jac=lambda: J)
 
     # a start from which the solve rejects some trials on its way to converge
-    lazy = wlm_minimize(counted, _SPHERE_P + 0.45, pts, covs)
-    ref = wlm_minimize(eager, _SPHERE_P + 0.45, pts, covs)
+    lazy = wlm_minimize(counted, _SPHERE_P + 0.45, *_cols(pts, covs))
+    ref = wlm_minimize(eager, _SPHERE_P + 0.45, *_cols(pts, covs))
     # one model call at p0 and one per trial; a trial is accepted when it
     # lowers chi2 below that of the current point
     assert len(calls) == 1 + lazy.iterations
@@ -330,6 +349,28 @@ def test_finisher_jacobian_matches_fd(case):
     J_fd = central_diff_jac(lambda q: _finisher_map(q, *args)[0], x)
     assert J.shape == J_fd.shape
     assert np.max(np.abs(J - J_fd)) < 1e-6
+
+
+@pytest.mark.parametrize("nk, nr", [(1, 2), (2, 3)], ids=["5dof", "6dof"])
+def test_moment_joint_sigma_matches_tensor_oracle(nk, nr):
+    # anisotropic covariances of different sizes, in a rotated frame with
+    # 2 (5-DoF) or 3 (6-DoF) rotation derivatives
+    rng = np.random.default_rng(25)
+    n = 300
+    r = np.array([0.4, -0.3, 0.2])[:nr]
+    r3 = r if nr == 3 else ps.rxy_to_r(r)
+    R, dR = ps.exp_map(r3), ps.jac_exp(r3)[:nr]
+    t = np.array([0.1, -0.05, 1.0])
+    pts = t + rng.uniform(-0.2, 0.2, (n, 3)) @ R.T
+    covs = _random_covs(rng, n, scale=1e-2) * rng.uniform(0.1, 10.0, (n, 1, 1))
+    # a state sigma small enough that the points' own noise is not lost in
+    # the moment block
+    A = rng.standard_normal((nk + nr + 3,) * 2) * 1e-3
+    sigma_state = A @ A.T
+    got = pf._moment_joint_sigma(*_cols(pts, covs), R, t, dR, sigma_state, nk)
+    want = tensor_moment_joint_sigma(pts, covs, R, t, dR, sigma_state, nk)
+    assert got.shape == want.shape == (5 + nk + nr + 3,) * 2
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_coverage_scale_value():
@@ -572,24 +613,49 @@ def test_fit_plane_extent_scale():
     assert abs(res.patch.d[0] - want) / want < 0.08
 
 
-@pytest.mark.parametrize("surface", ["paraboloid", "sphere", "cylinder", "plane"])
+# a true patch of each family fit_patch fits, by its surface argument
+_SURFACE_PATCHES = {
+    "paraboloid": Patch(S.ELLIPTIC_PARABOLOID, B.ELLIPSE, np.array([3.0, 7.0]),
+                        np.array([0.25, 0.2]), Pose6(_R_FACING, _T_OFF)),
+    "sphere": Patch(S.SPHERE, B.CIRCLE, np.array([4.0]), np.array([0.2]),
+                    Pose5((3.0, 0.4), _T_OFF)),
+    "cylinder": Patch(S.CIRCULAR_CYLINDER, B.AARECT, np.array([5.0]),
+                      np.array([0.25, 0.15]), Pose6(_R_FACING, _T_OFF)),
+    "plane": Patch(S.PLANE, B.ELLIPSE, np.array([]), np.array([0.25, 0.2]),
+                   Pose6(_R_FACING, _T_OFF)),
+}
+
+
+@pytest.mark.parametrize("surface", list(_SURFACE_PATCHES))
 def test_side_wall_keeps_center_on_line(surface):
     rng = np.random.default_rng(20)
-    maker = {
-        "paraboloid": Patch(S.ELLIPTIC_PARABOLOID, B.ELLIPSE, np.array([3.0, 7.0]),
-                            np.array([0.25, 0.2]), Pose6(_R_FACING, _T_OFF)),
-        "sphere": Patch(S.SPHERE, B.CIRCLE, np.array([4.0]), np.array([0.2]),
-                        Pose5((3.0, 0.4), _T_OFF)),
-        "cylinder": Patch(S.CIRCULAR_CYLINDER, B.AARECT, np.array([5.0]),
-                          np.array([0.25, 0.15]), Pose6(_R_FACING, _T_OFF)),
-        "plane": Patch(S.PLANE, B.ELLIPSE, np.array([]), np.array([0.25, 0.2]),
-                       Pose6(_R_FACING, _T_OFF)),
-    }[surface]
-    pts, covs = _make_data(maker, rng)
+    pts, covs = _make_data(_SURFACE_PATCHES[surface], rng)
     res = fit_patch(pts, covs, surface=surface)
     # the center and its covariance lie on the line through the data
     # centroid along the least-squares plane normal
     _assert_on_line(res.patch, pts)
+
+
+@pytest.mark.parametrize("n", [50, 2000])
+@pytest.mark.parametrize("surface", list(_SURFACE_PATCHES))
+def test_fit_patch_invariant_to_point_order(surface, n):
+    # the fit is a function of the point set: a permuted input, with each
+    # point keeping its own anisotropic covariance, gives the same patch up
+    # to summation order. A layout change that mixes coordinates of
+    # different points (a reshape where a transpose belongs) breaks this
+    rng = np.random.default_rng(27)
+    pts, _ = _make_data(_SURFACE_PATCHES[surface], rng, n=n)
+    # the floor keeps every direction's noise within ~10x of the points'
+    covs = _random_covs(rng, n) + 1e-8 * np.eye(3)
+    perm = rng.permutation(n)
+    a = fit_patch(pts, covs, surface=surface)
+    b = fit_patch(pts[perm], covs[perm], surface=surface)
+    assert a.converged and b.converged
+    assert (a.patch.s, a.patch.b) == (b.patch.s, b.patch.b)
+    (Ra, ta), (Rb, tb) = patch_frame(a.patch), patch_frame(b.patch)
+    for x, y in [(a.patch.k, b.patch.k), (a.patch.d, b.patch.d), (Ra, Rb), (ta, tb),
+                 (a.patch.sigma, b.patch.sigma)]:
+        assert np.max(np.abs(x - y), initial=0.0) <= 1e-9 * np.max(np.abs(x), initial=0.0)
 
 
 def test_fit_rejects_bad_input():
