@@ -16,10 +16,18 @@ validate on the frame it came from.
 Every random draw comes from one seed: --seed when given, else the
 config's "seed" (map only), else 0.
 
-A patch-map record stores the full rotation vector r of a patch. A
-revolute surface and boundary pair (patchscape.patch.is_revolute) reads
-back as a 5-DoF pose with r_xy = r[:2], so the record round-trips bit
-for bit; such a record whose r[2] is not 0 is a bad patch map.
+A patch map holds "format", "frame", "camera_in_volume" {r, t},
+"volume_world" {r, t}, "v_s" and "patches", a list of records with "id",
+"surface", "boundary", "k", "d", "r" (the full rotation vector), "t",
+"sigma", "seed_pixel" [row, col], "frame_index" and "validation"
+{"residual", "bad_cells", "gates": {"curvature", "residual", "coverage"}}.
+read_patch_map is its one reader, for validate and track --map alike. It
+needs every record key but "sigma", with JSON integers for the id, frame
+index, bad cells and seed pixel; without "camera_in_volume" the camera
+is at the volume origin. A revolute surface and boundary pair
+(patchscape.patch.is_revolute) reads back as a 5-DoF pose with r_xy =
+r[:2], so the record round-trips bit for bit; such a record whose r[2]
+is not 0 is a bad patch map.
 
 JSON numbers and the text header of a cloud file are written with 17
 significant digits, so files are byte-identical across runs and
@@ -133,6 +141,15 @@ def json_dumps(obj, indent: Optional[int] = 0) -> str:
         )
         return "{\n" + inner + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _load_json(path: str, kind: type):
+    """The JSON document of a file; ValueError unless its top level is a kind."""
+    with open(path) as f:
+        doc = json.load(f)
+    if not isinstance(doc, kind):
+        raise ValueError(f"the top level is not a JSON {'list' if kind is list else 'object'}")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -259,16 +276,13 @@ def patch_record(mp: _mapping.MapPatch) -> dict:
     }
 
 
+# a record's gates, each the ValidationRecord field "<gate>_ok"
+_GATES = ("curvature", "residual", "coverage")
+
+
 def _validation_fields(v: ValidationRecord) -> dict:
-    return {
-        "residual": v.residual,
-        "bad_cells": v.bad_cells,
-        "gates": {
-            "curvature": bool(v.curvature_ok),
-            "residual": bool(v.residual_ok),
-            "coverage": bool(v.coverage_ok),
-        },
-    }
+    gates = {g: bool(getattr(v, f"{g}_ok")) for g in _GATES}
+    return {"residual": v.residual, "bad_cells": v.bad_cells, "gates": gates}
 
 
 def _patch_from_record(rec: dict) -> Patch:
@@ -303,13 +317,45 @@ def write_patch_map(path: str, state: _mapping.VolumeState) -> None:
         f.write(json_dumps(doc) + "\n")
 
 
+def read_patch_map(path: str) -> Tuple[Pose6, List[_mapping.MapPatch]]:
+    """(camera_in_volume, patches) of a patch-map file; ValueError, KeyError
+    or TypeError when it is malformed. A record stores neither the volume
+    cell nor the seed point: cell is None, seed_point the patch origin."""
+    doc = _load_json(path, dict)
+    patches = []
+    for i, rec in enumerate(doc["patches"]):
+        key = f"patches[{i}]"
+        if not isinstance(rec, dict):
+            raise ValueError(f"{key} is not a JSON object")
+        pixel = tuple(_json_value(f"{key}.seed_pixel", int, x) for x in rec["seed_pixel"])
+        if len(pixel) != 2:
+            raise ValueError(f"{key}.seed_pixel must be [row, col]")
+        patch, v = _patch_from_record(rec), rec["validation"]
+        patches.append(_mapping.MapPatch(
+            id=_json_value(f"{key}.id", int, rec["id"]),
+            patch=patch,
+            cell=None,
+            seed_pixel=pixel,
+            seed_point=patch.pose.t.copy(),
+            frame_index=_json_value(f"{key}.frame_index", int, rec["frame_index"]),
+            validation=ValidationRecord(
+                _json_value(f"{key}.validation.residual", float, v["residual"]),
+                _json_value(f"{key}.validation.bad_cells", int, v["bad_cells"]),
+                *(_json_value(f"{key}.validation.gates.{g}", bool, v["gates"][g]) for g in _GATES),
+            ),
+        ))
+    return _pose6(doc.get("camera_in_volume", {"t": [0.0, 0.0, 0.0]})), patches
+
+
 # ---------------------------------------------------------------------------
 # Scene specs
 # ---------------------------------------------------------------------------
 
 
-def _pose6(d: dict) -> Pose6:
+def _pose6(d) -> Pose6:
     """Pose6 of a JSON {"r": [...], "t": [...]}; a missing r is no rotation."""
+    if not isinstance(d, dict):
+        raise ValueError("a pose is not a JSON object")
     return Pose6(np.asarray(d.get("r", [0.0, 0.0, 0.0]), float), np.asarray(d["t"], float))
 
 
@@ -321,8 +367,7 @@ def _pose_from_spec(d: dict):
 
 def load_scene_spec(path: str):
     """Parse a scene spec into (surfaces, intrinsics, camera, noise)."""
-    with open(path) as f:
-        spec = json.load(f)
+    spec = _load_json(path, dict)
     intr = spec.get("intrinsics", "kinect-640")
     if isinstance(intr, str):
         intr = intrinsics_preset(intr)
@@ -333,6 +378,8 @@ def load_scene_spec(path: str):
     noise = None if noise is None else _noise(noise["model"], noise)
     surfaces = []
     for entry in spec["surfaces"]:
+        if not isinstance(entry, dict):
+            raise ValueError("a surface is not a JSON object")
         kind = entry.get("type", "patch")
         if kind == "plane":
             surfaces.append(ScenePlane(np.asarray(entry["normal"], float), float(entry["offset"])))
@@ -350,6 +397,11 @@ def load_scene_spec(path: str):
         else:
             raise ValueError(f"unknown surface type: {kind}")
     return surfaces, intr, cam, noise
+
+
+def _read_trajectory(path: str) -> List[Pose6]:
+    """Camera poses of a trajectory file, a JSON list of {"r", "t"} objects."""
+    return [_pose6(p) for p in _load_json(path, list)]
 
 
 def _scene_truth(surfaces) -> List[dict]:
@@ -375,8 +427,8 @@ _JSON_KIND = {  # config field type: (JSON values it takes, their name)
 }
 
 
-def _config_value(key: str, kind, value):
-    """value as a config field of type kind, without coercion that would
+def _json_value(key: str, kind, value):
+    """A JSON value as a field of type kind, without coercion that would
     change it (int(8.9), bool("false"), float(true)).
 
     kind is a dataclass or function, called with the fields of a JSON
@@ -413,7 +465,7 @@ def _config_fields(key: str, kinds: dict, spec) -> dict:
     unknown = set(spec) - set(kinds)
     if unknown:
         raise ValueError(f"unknown keys {sorted(unknown)}" + (f" in {key}" if key else ""))
-    return {k: _config_value(f"{key}.{k}" if key else k, kinds[k], v) for k, v in spec.items()}
+    return {k: _json_value(f"{key}.{k}" if key else k, kinds[k], v) for k, v in spec.items()}
 
 
 def load_map_config(path: Optional[str]):
@@ -426,10 +478,7 @@ def load_map_config(path: Optional[str]):
     str fields only strings; an Enum field takes one of its values. An
     unknown key or a bad value raises ValueError.
     """
-    spec = {}
-    if path is not None:
-        with open(path) as f:
-            spec = json.load(f)
+    spec = {} if path is None else _load_json(path, dict)
     kinds = {**get_type_hints(MapConfig), "budgets": MapBudgets, "volume": init_volume,
              "seed": Optional[int]}
     try:
@@ -464,10 +513,8 @@ def cmd_simulate(args) -> int:
     poses = [cam] * args.frames
     if args.trajectory is not None:
         try:
-            with open(args.trajectory) as f:
-                traj = json.load(f)
-            poses = [_pose6(p) for p in traj]
-        except (OSError, ValueError, KeyError) as e:
+            poses = _read_trajectory(args.trajectory)
+        except (OSError, ValueError, KeyError, TypeError) as e:
             return _fail(f"bad trajectory: {e}")
 
     frame_paths = []
@@ -549,8 +596,7 @@ def cmd_map(args) -> int:
     gravities = None
     if args.gravity is not None:
         try:
-            with open(args.gravity) as f:
-                gspec = json.load(f)
+            gspec = _load_json(args.gravity, dict)
             if "g_per_frame" in gspec:
                 gravities = [np.asarray(g, float) for g in gspec["g_per_frame"]]
                 if not gravities:
@@ -603,10 +649,8 @@ def cmd_track(args) -> int:
     if args.policy not in [p.value for p in MovePolicy]:
         return _fail(f"unknown policy: {args.policy}")
     try:
-        with open(args.trajectory) as f:
-            traj = json.load(f)
-        poses = [_pose6(p) for p in traj]
-    except (OSError, ValueError, KeyError) as e:
+        poses = _read_trajectory(args.trajectory)
+    except (OSError, ValueError, KeyError, TypeError) as e:
         return _fail(f"bad trajectory: {e}")
     if not poses:
         return _fail("trajectory is empty")
@@ -615,35 +659,14 @@ def cmd_track(args) -> int:
 
     if args.map is not None:
         try:
-            with open(args.map) as f:
-                doc = json.load(f)
-            if not isinstance(doc, dict):
-                raise TypeError("the top level is not a JSON object")
-            for rec in doc["patches"]:
-                patch = _patch_from_record(rec)
-                t = patch.pose.t
-                inside, ij = _mapping._cells(state, t[None])
-                if not len(inside):  # outside the grid, as remap_patches drops it
-                    continue
-                state.patches.append(
-                    _mapping.MapPatch(
-                        id=int(rec["id"]),
-                        patch=patch,
-                        cell=tuple(ij[0].tolist()),
-                        seed_pixel=tuple(rec["seed_pixel"]),
-                        seed_point=t.copy(),
-                        frame_index=int(rec["frame_index"]),
-                        validation=ValidationRecord(
-                            residual=float(rec["validation"]["residual"]),
-                            bad_cells=int(rec["validation"]["bad_cells"]),
-                            curvature_ok=rec["validation"]["gates"]["curvature"],
-                            residual_ok=rec["validation"]["gates"]["residual"],
-                            coverage_ok=rec["validation"]["gates"]["coverage"],
-                        ),
-                    )
-                )
+            _, patches = read_patch_map(args.map)
         except (OSError, ValueError, KeyError, TypeError) as e:
             return _fail(f"bad patch map: {e}")
+        for mp in patches:
+            inside, ij = _mapping._cells(state, mp.patch.pose.t[None])
+            if len(inside):  # outside the grid it is dropped, as remap_patches drops it
+                mp.cell = tuple(ij[0].tolist())
+                state.patches.append(mp)
 
     lines = []
     for i, pose in enumerate(poses):
@@ -681,31 +704,25 @@ def cmd_track(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        with open(args.map) as f:
-            doc = json.load(f)
+        cam, patches = read_patch_map(args.map)
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        return _fail(f"bad patch map: {e}")
+    try:
         cloud, _ = read_cloud(args.cloud)
     except (OSError, ValueError) as e:
         return _fail(str(e))
-    try:
-        if not isinstance(doc, dict):
-            raise TypeError("the top level is not a JSON object")
-        recs = doc.get("patches", [])
-        patches = [_patch_from_record(rec) for rec in recs]
-    except (ValueError, KeyError, TypeError) as e:
-        return _fail(f"bad patch map: {e}")
     try:
         cfg, _, _, _ = load_map_config(args.config)
     except (OSError, ValueError) as e:
         return _fail(f"bad config: {e}")
 
-    to_cam = pose_inverse(_pose6(doc.get("camera_in_volume", {"t": [0.0, 0.0, 0.0]})))
+    to_cam = pose_inverse(cam)
     any_fail = False
-    for rec, patch in zip(recs, patches):
-        patch, _ = transform_patch(patch, to_cam)
-        entry = {"id": rec["id"]}
+    for mp in patches:
+        patch, _ = transform_patch(mp.patch, to_cam)
+        entry = {"id": mp.id}
         try:
-            pixel = np.array(rec["seed_pixel"], dtype=int)
-            nb = neighborhood(cfg.neighborhood, cloud, pixel, cfg.saliency.r)
+            nb = neighborhood(cfg.neighborhood, cloud, np.array(mp.seed_pixel), cfg.saliency.r)
             v = gate_patch(patch, nb.points, nb.points, cfg)
             entry.update(_validation_fields(v))
             entry["passed"] = v.passed

@@ -114,11 +114,10 @@ class WlmResult:
 class _Residual(NamedTuple):
     """F = f / s at one p, with s = sqrt(max(g^T Sigma g, v_min)); jac() gives dF/dp.
 
-    F and f are (n,), g = df/dq is (3, n), and jac() returns (npar, n).
+    F is (n,), g = df/dq is (3, n), and jac() returns (npar, n).
     """
 
     F: np.ndarray
-    f: np.ndarray
     g: np.ndarray  # df/dq
     jac: Callable[[], np.ndarray]
 
@@ -168,7 +167,7 @@ def _implicit_model(K: np.ndarray, rot_dof: int, t_line):
             cgH[-1] = -2.0 * (T @ R) @ kcl
             return Jp / s - (f / (s * v)) * cgH
 
-        return _Residual(f / s, f, g, jac)
+        return _Residual(f / s, g, jac)
 
     return model
 
@@ -383,25 +382,25 @@ def _plane_spread(m, gamma):
 
 
 def _extents_plane(m, gamma, boundary):
-    """Plane extents along the principal axes of the projected spread."""
-    l_p, l_m, _, dl_p, dl_m, _, drho = _plane_spread(m, gamma)
+    """Plane extents along the principal axes of the projected spread.
+
+    Returns (d, dd/dm, theta, dtheta/dm), theta the angle of those axes
+    about local z.
+    """
+    l_p, l_m, theta, dl_p, dl_m, dtheta, drho = _plane_spread(m, gamma)
     L = np.vstack([dl_p @ drho, dl_m @ drho])  # d(l+, l-)/dm
     if boundary == BoundaryType.CIRCLE:
-        return np.array([max(l_p, l_m)]), L[:1]  # l+ >= l- always
-    if boundary in (BoundaryType.ELLIPSE, BoundaryType.AARECT):
-        return np.array([l_p, l_m]), L
-    # convex quad equivalent to the principal rectangle
-    dd = math.hypot(l_p, l_m)
-    gam = math.atan2(l_m, l_p)
-    dd_dl = np.array([l_p, l_m]) / dd
-    dgam_dl = np.array([-l_m, l_p]) / (l_p**2 + l_m**2)
-    return np.array([dd, dd, dd, dd, gam]), np.vstack([dd_dl @ L] * 4 + [dgam_dl @ L])
-
-
-def _plane_turn(m, gamma):
-    """Angle of the principal axes about local z, and its derivative in m."""
-    _, _, theta, _, _, dtheta, drho = _plane_spread(m, gamma)
-    return theta, dtheta @ drho
+        d, J_dm = np.array([max(l_p, l_m)]), L[:1]  # l+ >= l- always
+    elif boundary in (BoundaryType.ELLIPSE, BoundaryType.AARECT):
+        d, J_dm = np.array([l_p, l_m]), L
+    else:
+        # convex quad equivalent to the principal rectangle
+        dd = math.hypot(l_p, l_m)
+        gam = math.atan2(l_m, l_p)
+        dd_dl = np.array([l_p, l_m]) / dd
+        dgam_dl = np.array([-l_m, l_p]) / (l_p**2 + l_m**2)
+        d, J_dm = np.array([dd, dd, dd, dd, gam]), np.vstack([dd_dl @ L] * 4 + [dgam_dl @ L])
+    return d, J_dm, theta, dtheta @ drho
 
 
 # ---------------------------------------------------------------------------
@@ -597,13 +596,12 @@ def _bound(m, k, r, R, dR, stype, boundary, gamma):
     nk, nr = len(k), len(r)
     plane = stype == SurfaceType.PLANE
     if plane:
-        d, J_dm = _extents_plane(m, gamma, boundary)
+        d, J_dm, theta, dth_dm = _extents_plane(m, gamma, boundary)
     else:
         d, J_dm = _CURVED_EXTENTS[boundary](m, coverage_scale(gamma))
     if not plane or is_revolute(stype, boundary):
         r_new, dr_dm, dr_dr = r, np.zeros((nr, 5)), np.eye(nr)
     else:
-        theta, dth_dm = _plane_turn(m, gamma)
         cs, sn = math.cos(theta), math.sin(theta)
         Rz = np.array([[cs, -sn, 0.0], [sn, cs, 0.0], [0.0, 0.0, 1.0]])
         dRz = np.array([[-sn, -cs, 0.0], [cs, -sn, 0.0], [0.0, 0.0, 0.0]])

@@ -87,13 +87,15 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def median_decimate(cloud: OrganizedCloud, factor: int = 2) -> OrganizedCloud:
+def median_decimate(cloud: OrganizedCloud, factor: int = 2) -> Tuple[OrganizedCloud, np.ndarray]:
     """Downsample by picking the median-depth member of each block.
 
     Each factor x factor block contributes the member point whose z is
     the (lower) median of the block's valid depths, so its measured
     covariance rides along. Blocks with no valid member become NaN.
-    Intrinsics are rescaled to the decimated grid.
+    Intrinsics are rescaled to the decimated grid. Returns (cloud,
+    source): source is (h, w, 2), the full-resolution (row, col) pixel of
+    the member each decimated pixel holds.
     """
     if factor < 1:
         raise ValueError("factor must be a positive integer")
@@ -119,21 +121,8 @@ def median_decimate(cloud: OrganizedCloud, factor: int = 2) -> OrganizedCloud:
     if cloud.cov is not None:
         cv = cloud.cov[rows, cols].copy()
         cv[n == 0] = np.nan
-    return OrganizedCloud(points=out, cov=cv, intrinsics=cloud.intrinsics.scaled(factor))
-
-
-def _decimated_source(
-    cloud: OrganizedCloud, pixel: Tuple[int, int], factor: int, point: np.ndarray
-) -> Tuple[int, int]:
-    """Full-resolution pixel of the block member median_decimate kept at pixel.
-
-    The decimated cloud holds an exact copy of that member's point, so the
-    member is found by comparing the block's points with it.
-    """
-    i0, j0 = pixel[0] * factor, pixel[1] * factor
-    block = cloud.points[i0 : i0 + factor, j0 : j0 + factor]
-    bi, bj = np.argwhere((block == point).all(axis=-1))[0]
-    return (i0 + int(bi), j0 + int(bj))
+    decimated = OrganizedCloud(points=out, cov=cv, intrinsics=cloud.intrinsics.scaled(factor))
+    return decimated, np.stack([rows, cols], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -1093,16 +1082,17 @@ def map_step(
     """Run saliency, seeding, fitting, and gating over one frame.
 
     Saliency is tested only at the pixels select_seeds' walk visits, from
-    one moment image of the (possibly decimated) saliency cloud. Each
-    seed runs one procedure: neighborhood() around its pixel in the
-    full-resolution cloud, fit_sample() of at most n_f points, fit_patch(),
-    then gate_patch(). A seed failing a gate is dropped under the first
-    failing one, in the order curvature, residual, coverage; an admitted
-    patch carries its ValidationRecord. A cell gets no more seeds than it
-    has room for under n_g, and admissions respect all budget caps. The
-    cloud and the gravity vector g are camera frame, so each patch's local
-    z axis faces the camera at the origin. Mutates state; deterministic
-    for a fixed rng_seed.
+    one moment image of the (possibly decimated) saliency cloud. Each seed
+    runs one procedure: neighborhood() around its pixel in the
+    full-resolution cloud (when decimating, the source pixel
+    median_decimate gives for it), fit_sample() of at most n_f points,
+    fit_patch(), then gate_patch(). A seed failing a gate is dropped under
+    the first failing one, in the order curvature, residual, coverage; an
+    admitted patch carries its ValidationRecord. A cell gets no more seeds
+    than it has room for under n_g, and admissions respect all budget
+    caps. The cloud and the gravity vector g are camera frame, so each
+    patch's local z axis faces the camera at the origin. Mutates state;
+    deterministic for a fixed rng_seed.
     """
     t_start = time.monotonic()
     state.frame_index += 1
@@ -1112,7 +1102,9 @@ def map_step(
 
     cfg = config.saliency
     gv = _unit_vector(g, "gravity")
-    sal_cloud = median_decimate(cloud, config.decimate) if config.decimate > 1 else cloud
+    sal_cloud, source = (
+        median_decimate(cloud, config.decimate) if config.decimate > 1 else (cloud, None)
+    )
     ii = _moment_integral(sal_cloud.points, sal_cloud.valid_mask)
     near = _near_fixation(sal_cloud.points, gv, cfg)
     result.timings["saliency"] = time.monotonic() - t_start
@@ -1141,10 +1133,8 @@ def map_step(
             break
 
         # seeds come from the (possibly decimated) saliency cloud; the
-        # search runs on the full cloud around the seed's own pixel there
-        seed_pixel = seed.pixel
-        if sal_cloud is not cloud:
-            seed_pixel = _decimated_source(cloud, seed.pixel, config.decimate, seed.point)
+        # search runs on the full cloud around the pixel the seed came from
+        seed_pixel = seed.pixel if source is None else tuple(source[seed.pixel].tolist())
         nb = neighborhood(config.neighborhood, cloud, seed_pixel, cfg.r)
         if len(nb.points) < MIN_FIT_POINTS:
             result.drops["too_few_points"] += 1

@@ -320,7 +320,9 @@ def sample_scene(
     """Render an organized cloud of the nearest scene hits.
 
     camera_pose maps camera to world (p_w = R p_cam + t); identity when
-    omitted. Deterministic for a fixed integer seed or seeded Generator.
+    omitted. With a noise model, cov is point_covariance at each hit's
+    noiseless range, and NaN at pixels with no return. Deterministic for
+    a fixed integer seed or seeded Generator.
     """
     if camera_pose is None:
         camera_pose = Pose6(np.zeros(3), np.zeros(3))
@@ -347,25 +349,16 @@ def sample_scene(
 
     cov = None
     if noise is not None:
+        # the hits' (u, v) as floats, which point_covariance takes without a copy
+        v, u = np.divmod(np.flatnonzero(hit).astype(float), W)
+        cov = np.full((H * W, 3, 3), np.nan)
+        cov[hit] = point_covariance(noise, intr, np.column_stack([u, v]), s_true[hit])
         if isinstance(noise, StereoNoise):
-            px = np.column_stack(
-                [
-                    np.tile(np.arange(W, dtype=float), H),
-                    np.repeat(np.arange(H, dtype=float), W),
-                ]
-            )
-            cov = np.full((H * W, 3, 3), np.nan)
-            cov[hit] = point_covariance(noise, intr, px[hit], s_true[hit])
             xi = rng.standard_normal((H * W, 3))
-            delta = np.zeros_like(pts)
-            L = np.linalg.cholesky(cov[hit])
-            delta[hit] = np.einsum("nij,nj->ni", L, xi[hit])
-            pts = pts + delta
+            pts[hit] += np.einsum("nij,nj->ni", np.linalg.cholesky(cov[hit]), xi[hit])
         else:
-            var = noise.k * s_true**noise.power
-            eps = rng.standard_normal(H * W) * np.sqrt(var)
+            eps = rng.standard_normal(H * W) * np.sqrt(noise.k * s_true**noise.power)
             pts = pts + rays_cam * np.where(hit, eps, 0.0)[:, None]
-            cov = var[:, None, None] * rays_cam[:, :, None] * rays_cam[:, None, :]
         cov = cov.reshape(H, W, 3, 3)
 
     pts[~hit] = np.nan

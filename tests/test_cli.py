@@ -390,10 +390,19 @@ def test_simulate_trajectory(tmp_path):
     assert bad == 1
 
 
-def test_simulate_rejects_bad_scene(tmp_path):
+@pytest.mark.parametrize(
+    "spec",
+    [{"surfaces": [{"type": "torus"}]}, {"surfaces": [3]}, [{"type": "plane"}],
+     {"camera": 3, "surfaces": []}],
+    ids=["unknown_type", "surface_not_object", "top_level_list", "camera_not_object"],
+)
+def test_simulate_rejects_bad_scene(tmp_path, capsys, spec):
     p = tmp_path / "scene.json"
-    p.write_text(json.dumps({"surfaces": [{"type": "torus"}]}))
+    p.write_text(json.dumps(spec))
     assert cli.main(["simulate", "--scene", str(p), "--out", str(tmp_path / "x")]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: bad scene spec: ")
+    assert len(out.err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -695,6 +704,28 @@ def test_track_empty_trajectory(tmp_path):
     assert cli.main(["track", "--trajectory", str(p), "--policy", "fv"]) == 1
 
 
+@pytest.mark.parametrize("command", ["simulate", "track"])
+@pytest.mark.parametrize(
+    "traj",
+    [[3], ["x"], {"t": [0.0, 0.0, 0.0]}, [{"t": {}}]],
+    ids=["entry_number", "entry_string", "top_level_object", "t_not_numbers"],
+)
+def test_bad_trajectory_is_bad_input(tmp_path, capsys, command, traj):
+    """simulate and track read --trajectory alike: exit 1 and one error line."""
+    tpath = tmp_path / "traj.json"
+    tpath.write_text(json.dumps(traj))
+    if command == "simulate":
+        argv = ["simulate", "--scene", str(_small_scene(tmp_path, None)),
+                "--trajectory", str(tpath), "--out", str(tmp_path / "x")]
+    else:
+        argv = ["track", "--trajectory", str(tpath), "--policy", "fv"]
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: bad trajectory: ")
+    assert len(out.err.splitlines()) == 1
+    assert not (tmp_path / "x_000.opc").exists()
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
@@ -803,7 +834,7 @@ _PAIRS = [(s, b) for s in SurfaceType for b in boundaries(s)]
 
 @pytest.mark.parametrize("s, b", _PAIRS, ids=[f"{s.value}-{b.value}" for s, b in _PAIRS])
 def test_patch_map_reads_back_exactly(tmp_path, s, b):
-    """write_patch_map then _patch_from_record gives the patch back bit for bit."""
+    """write_patch_map then read_patch_map gives the patch and its record back bit for bit."""
     assert not np.array_equal(rxy_from_r(rxy_to_r(_RXY_PERTURBED)), _RXY_PERTURBED)
     rng = np.random.default_rng(3)
     t = np.array([0.1, -0.2, 0.9]) + rng.normal(0.0, 0.01, 3)
@@ -818,13 +849,15 @@ def test_patch_map_reads_back_exactly(tmp_path, s, b):
     a = rng.normal(size=(p, p))
     patch = Patch(s, b, k, d, pose, a @ a.T * 1e-4 / 3.0)
     state = init_volume()
+    validation = ValidationRecord(0.001, 3, True, False, True)
     state.patches.append(MapPatch(id=7, patch=patch, cell=(0, 0), seed_pixel=(1, 2),
-                                  seed_point=t, frame_index=0,
-                                  validation=ValidationRecord(0.001, 0, True, True, True)))
+                                  seed_point=t, frame_index=4, validation=validation))
     path = tmp_path / "map.json"
     cli.write_patch_map(str(path), state)
-    (rec,) = json.loads(path.read_text())["patches"]
-    back = cli._patch_from_record(rec)
+    cam, (mp,) = cli.read_patch_map(str(path))
+    assert cam.r.tobytes() == state.c_t.r.tobytes() and cam.t.tobytes() == state.c_t.t.tobytes()
+    assert (mp.id, mp.seed_pixel, mp.frame_index, mp.validation) == (7, (1, 2), 4, validation)
+    back = mp.patch
     assert (back.s, back.b, type(back.pose)) == (s, b, type(pose))
     assert back.k.tobytes() == patch.k.tobytes() and back.d.tobytes() == patch.d.tobytes()
     r_in = pose.rxy if isinstance(pose, Pose5) else pose.r
@@ -832,6 +865,14 @@ def test_patch_map_reads_back_exactly(tmp_path, s, b):
     assert r_out.tobytes() == r_in.tobytes()
     assert back.pose.t.tobytes() == t.tobytes()
     assert back.sigma.tobytes() == patch.sigma.tobytes()
+
+
+def _map_reader_argv(command, pmap, tmp_path, dome_dir):
+    """argv of validate or track --map reading the patch map pmap."""
+    if command == "validate":
+        return ["validate", "--map", str(pmap), "--cloud", str(dome_dir / "dome_000.opc")]
+    return ["track", "--trajectory", str(_write_traj(tmp_path, n=2)), "--policy", "fv",
+            "--map", str(pmap)]
 
 
 @pytest.mark.parametrize("command", ["validate", "track"])
@@ -844,11 +885,7 @@ def test_revolute_record_with_nonzero_rz_is_bad_patch_map(tmp_path, dome_dir, do
                            r=[3.1, 0.0, 1e-3], sigma=None)]
     pmap = tmp_path / "map.json"
     pmap.write_text(json.dumps(doc))
-    if command == "validate":
-        argv = ["validate", "--map", str(pmap), "--cloud", str(dome_dir / "dome_000.opc")]
-    else:
-        argv = ["track", "--trajectory", str(_write_traj(tmp_path, n=2)), "--policy", "fv",
-                "--map", str(pmap)]
+    argv = _map_reader_argv(command, pmap, tmp_path, dome_dir)
     capsys.readouterr()
     assert cli.main(argv) == 1
     out = capsys.readouterr()
@@ -864,13 +901,34 @@ def test_patch_map_that_is_not_an_object_is_bad_patch_map(tmp_path, dome_dir, ca
                                                            doc):
     pmap = tmp_path / "map.json"
     pmap.write_text(json.dumps(doc))
-    if command == "validate":
-        argv = ["validate", "--map", str(pmap), "--cloud", str(dome_dir / "dome_000.opc")]
-    else:
-        argv = ["track", "--trajectory", str(_write_traj(tmp_path, n=2)), "--policy", "fv",
-                "--map", str(pmap)]
+    argv = _map_reader_argv(command, pmap, tmp_path, dome_dir)
     capsys.readouterr()
     assert cli.main(argv) == 1
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "error: bad patch map: the top level is not a JSON object\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "track"])
+@pytest.mark.parametrize(
+    "edit",
+    [lambda doc: doc.pop("patches"), lambda doc: doc["patches"].append([]),
+     lambda doc: doc["patches"][0].pop("id"), lambda doc: doc["patches"][0].pop("seed_pixel"),
+     lambda doc: doc["patches"][0].update(id="7"), lambda doc: doc["patches"][0].update(id=7.5),
+     lambda doc: doc["patches"][0].update(seed_pixel=[240.5, 320])],
+    ids=["no_patches", "record_not_object", "record_without_id", "record_without_seed_pixel",
+         "id_string", "id_fractional", "seed_pixel_fractional"],
+)
+def test_malformed_patch_map_is_bad_patch_map(tmp_path, dome_dir, dome_map, capsys, command,
+                                              edit):
+    """validate and track --map read a map through one reader: exit 1, one error line."""
+    doc = json.loads(dome_map.read_text())
+    edit(doc)
+    pmap = tmp_path / "map.json"
+    pmap.write_text(json.dumps(doc))
+    argv = _map_reader_argv(command, pmap, tmp_path, dome_dir)
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1 and out.err.startswith("error: bad patch map: ")

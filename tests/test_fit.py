@@ -91,7 +91,7 @@ def _model_case(name, seed, n):
 def _raw(model, pts, p):
     """(f, df/dp): with zero covariances and v_min = 1 the normalizer is 1."""
     res = model(pts, np.zeros((len(pts), 3, 3)), p, 1.0)
-    return res.f, res.jac()
+    return res.F, res.jac()
 
 
 def test_model_parameter_jacobian_matches_fd():
@@ -115,7 +115,7 @@ def test_model_point_gradient_matches_fd():
         def fi(q):
             varied = pts.copy()
             varied[i] = q
-            return np.array([model(varied, covs, p, 1e-12).f[i]])
+            return np.array([_raw(model, varied, p)[0][i]])
         g_fd = central_diff_jac(fi, pts[i])
         assert np.max(np.abs(g[i] - g_fd[0])) < 1e-6
 
@@ -128,8 +128,9 @@ def test_model_mixed_derivative_matches_fd():
         model, p, pts, rng = _model_case(case, 2, 12)
         covs = _random_covs(rng, len(pts), scale=1.0)
         res = model(pts, covs, p, 1e-12)
-        s = res.f / res.F
-        cgH = (_raw(model, pts, p)[1] / s[:, None] - res.jac()) * (s**3 / res.f)[:, None]
+        f, df_dp = _raw(model, pts, p)
+        s = f / res.F
+        cgH = (df_dp / s[:, None] - res.jac()) * (s**3 / f)[:, None]
         cg = np.einsum("nij,nj->ni", covs, res.g)
         fd = central_diff_jac(
             lambda q: np.einsum("ni,ni->n", cg, model(pts, covs, q, 1e-12).g), p

@@ -188,14 +188,34 @@ def test_median_decimate_picks_lower_median_member():
         ]
     )
     cloud = _depth_cloud(intr, z)
-    out = median_decimate(cloud, 2)
-    assert out.points.shape == (2, 2, 3)
+    out, source = median_decimate(cloud, 2)
+    assert out.points.shape == (2, 2, 3) and source.shape == (2, 2, 2)
     # four valid: lower median of {1,2,3,4} is 2, at full-res pixel (0, 1)
     assert np.allclose(out.points[0, 0], cloud.points[0, 1])
+    assert source[0, 0].tolist() == [0, 1]
     # single valid member carries through; fully invalid block stays NaN
     assert np.allclose(out.points[1, 0], cloud.points[2, 0])
+    assert source[1, 0].tolist() == [2, 0]
     assert np.isnan(out.points[1, 1]).all()
     assert out.intrinsics.fx == pytest.approx(intr.fx / 2)
+
+    # a holey frame whose size the factor does not divide: every kept point
+    # is its source pixel's point bit for bit, and every source pixel lies
+    # in its own block
+    rng = np.random.default_rng(4)
+    z = rng.uniform(0.5, 3.0, (TINY.height, TINY.width))
+    z[rng.random(z.shape) < 0.6] = np.nan
+    z[:20, :20] = np.nan  # whole blocks without a return at every factor
+    cloud = _depth_cloud(TINY, z)
+    for factor in (2, 3, 7):
+        out, source = median_decimate(cloud, factor)
+        kept = cloud.points[source[..., 0], source[..., 1]]
+        valid = out.valid_mask
+        assert valid.any() and not valid.all()
+        assert out.points[valid].tobytes() == kept[valid].tobytes()
+        assert np.isnan(kept[~valid]).all()
+        blocks = np.stack(np.indices(out.points.shape[:2]), axis=-1)
+        assert np.array_equal(source // factor, blocks)
 
 
 def test_median_decimate_carries_matching_covariance():
@@ -203,7 +223,7 @@ def test_median_decimate_carries_matching_covariance():
     z = np.array([[1.0, 2.0, 5.0, 6.0], [3.0, 4.0, 7.0, 8.0]])
     cov = np.arange(4 * 2 * 9, dtype=float).reshape(2, 4, 3, 3)
     cloud = OrganizedCloud(points=_depth_cloud(intr, z).points, cov=cov, intrinsics=intr)
-    out = median_decimate(cloud, 2)
+    out, _ = median_decimate(cloud, 2)
     assert np.allclose(out.cov[0, 0], cov[0, 1])
     assert np.allclose(out.cov[0, 1], cov[0, 3])
 
@@ -365,7 +385,7 @@ def test_integral_normals_saliency_matches_eigh_reference(rocky_cloud_noisy, cfg
 
 
 def test_integral_normals_solves_only_where_asked(rocky_cloud_noisy):
-    cloud = median_decimate(rocky_cloud_noisy, 4)
+    cloud, _ = median_decimate(rocky_cloud_noisy, 4)
     dense_n, dense_ns = _normal_images(cloud, 0.15)
     v, u = _every_pixel(cloud)
     asked = v % 2 == 0  # every other row, valid or not
@@ -444,7 +464,7 @@ def _holey(cloud):
     Fine windows there hold as few as one or two points, so _MIN_SUPPORT
     leaves some N_s unsolved where N exists.
     """
-    small = median_decimate(cloud, 8)
+    small, _ = median_decimate(cloud, 8)
     pts = small.points.copy()
     pts[np.random.default_rng(1).random(pts.shape[:2]) < 0.85] = np.nan
     return OrganizedCloud(points=pts, cov=None, intrinsics=small.intrinsics)
@@ -463,7 +483,7 @@ def _dtfp(cloud, g, cfg):
     ids=["default", "rocky", "decimated", "holes"],
 )
 def test_saliency_cascade_matches_dense_oracle(rocky_cloud_noisy, frame, cfg):
-    cloud = {"full": rocky_cloud_noisy, "decimated": median_decimate(rocky_cloud_noisy, 2),
+    cloud = {"full": rocky_cloud_noisy, "decimated": median_decimate(rocky_cloud_noisy, 2)[0],
              "holes": _holey(rocky_cloud_noisy)}[frame]
     g = _gravity_cam()
     dense = _normal_images(cloud, cfg.r)
@@ -642,7 +662,7 @@ def _recording(salient):
 
 
 def test_select_seeds_matches_loop_grouping(rocky_cloud_noisy):
-    cloud = median_decimate(rocky_cloud_noisy, 2)
+    cloud, _ = median_decimate(rocky_cloud_noisy, 2)
     g, cfg = _gravity_cam(), ROCKY_SALIENCY
     near = cloud.valid_mask & _dtfp(cloud, g, cfg)
     dense = _salient_mask(cloud, g, cfg)
@@ -674,7 +694,7 @@ def small_salient_frame(rocky_cloud_noisy):
 
     On a v_g = 32 volume its salient pixels fall in cells of 1 to ~170.
     """
-    cloud = median_decimate(rocky_cloud_noisy, 8)
+    cloud, _ = median_decimate(rocky_cloud_noisy, 8)
     g, cfg = _gravity_cam(), ROCKY_SALIENCY
     dense = dense_saliency(cloud, eigh_integral_normals(cloud, cfg.r), g, cfg)
     assert np.array_equal(_salient_mask(cloud, g, cfg), dense)

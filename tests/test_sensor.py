@@ -192,6 +192,25 @@ def test_covariance_is_noise_free():
     assert np.array_equal(a.cov, b.cov)
 
 
+@pytest.mark.parametrize(
+    "noise", [ConstantNoise(4e-6), LinearNoise(1e-5), QuadraticNoise(1e-6), StereoNoise()],
+    ids=["constant", "linear", "quadratic", "stereo"],
+)
+def test_covariance_is_point_covariance_at_hits_only(noise):
+    """Every noise model's cov is NaN exactly where a pixel has no return,
+    and point_covariance at the noiseless range of each hit."""
+    scene = [_facing_sphere()]  # the sphere cap leaves most pixels empty
+    clean = sample_scene(scene, TINY)
+    cloud = sample_scene(scene, TINY, noise=noise, rng=5)
+    hit = clean.valid_mask
+    assert hit.any() and not hit.all()
+    assert np.array_equal(cloud.valid_mask, hit)
+    assert np.isnan(cloud.cov[~hit]).all() and np.isfinite(cloud.cov[hit]).all()
+    v, u = np.nonzero(hit)
+    want = point_covariance(noise, TINY, np.column_stack([u, v]), clean.points[hit][:, 2])
+    assert np.array_equal(cloud.cov[hit], want)
+
+
 def test_constant_noise_std():
     k = 4e-6
     cloud = sample_scene([ScenePlane((0, 0, 1), 2.0)], TINY,
