@@ -317,20 +317,37 @@ def write_patch_map(path: str, state: _mapping.VolumeState) -> None:
         f.write(json_dumps(doc) + "\n")
 
 
+# the keys every patch-map record holds; "sigma" may be absent
+_RECORD_KEYS = ("id", "surface", "boundary", "k", "d", "r", "t", "seed_pixel", "frame_index",
+                "validation")
+
+
+def _require(key: str, obj, names) -> None:
+    """ValueError naming key and the first of names that obj lacks."""
+    for name in names:
+        if name not in obj:
+            raise ValueError(f'{key} has no "{name}"')
+
+
 def read_patch_map(path: str) -> Tuple[Pose6, List[_mapping.MapPatch]]:
     """(camera_in_volume, patches) of a patch-map file; ValueError, KeyError
     or TypeError when it is malformed. A record stores neither the volume
     cell nor the seed point: cell is None, seed_point the patch origin."""
     doc = _load_json(path, dict)
+    _require("the top level", doc, ("patches",))
     patches = []
     for i, rec in enumerate(doc["patches"]):
         key = f"patches[{i}]"
         if not isinstance(rec, dict):
             raise ValueError(f"{key} is not a JSON object")
+        _require(key, rec, _RECORD_KEYS)
+        v = rec["validation"]
+        _require(f"{key}.validation", v, ("residual", "bad_cells", "gates"))
+        _require(f"{key}.validation.gates", v["gates"], _GATES)
         pixel = tuple(_json_value(f"{key}.seed_pixel", int, x) for x in rec["seed_pixel"])
         if len(pixel) != 2:
             raise ValueError(f"{key}.seed_pixel must be [row, col]")
-        patch, v = _patch_from_record(rec), rec["validation"]
+        patch = _patch_from_record(rec)
         patches.append(_mapping.MapPatch(
             id=_json_value(f"{key}.id", int, rec["id"]),
             patch=patch,

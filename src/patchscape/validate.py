@@ -21,7 +21,6 @@ from .patch import (
     SurfaceType,
     boundary_contains,
     curvature_k3,
-    polygon_area,
     projected_area,
     quad_vertices,
 )
@@ -331,7 +330,8 @@ def coverage_eval(
     A cell is bad when it holds too few in-bounds points for its share of
     the boundary area or too many out-of-bounds points; the patch fails
     when bad cells outnumber the allowed fraction of the patch area.
-    Points projecting outside the grid are ignored.
+    Points projecting outside the grid are ignored. One array pass does
+    the whole grid: one bincount of the points and one _cell_areas call.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     w = config.w_c
@@ -341,32 +341,21 @@ def coverage_eval(
     xy = pts[:, :2]
     ij = np.floor((xy - lo) / w).astype(int)
     ongrid = (ij[:, 0] >= 0) & (ij[:, 0] < nx) & (ij[:, 1] >= 0) & (ij[:, 1] < ny)
-    inside = boundary_contains(patch, xy)
-    counts_in = np.zeros((nx, ny))
-    counts_out = np.zeros((nx, ny))
-    sel = ongrid & inside
-    np.add.at(counts_in, (ij[sel, 0], ij[sel, 1]), 1.0)
-    sel = ongrid & ~inside
-    np.add.at(counts_out, (ij[sel, 0], ij[sel, 1]), 1.0)
+    # one bincount: in-bounds points count in the first grid, the rest in the second
+    flat = ij[:, 0] * ny + ij[:, 1] + np.where(boundary_contains(patch, xy), 0, nx * ny)
+    counts_in, counts_out = np.bincount(flat[ongrid], minlength=2 * nx * ny).reshape(2, nx, ny)
 
     n_p = projected_area(patch) / (w * w)
     n_e = len(pts) / n_p
     t_i = config.zeta_i * n_e
     t_o = config.zeta_o * n_e
     t_p = config.t_p_factor * n_p
-    w2 = w * w
-    bad: List[Tuple[int, int]] = []
-    for ix in range(nx):
-        for iy in range(ny):
-            a_i = intersection_area(
-                patch.b, patch.d, (lo[0] + ix * w, lo[1] + iy * w), w
-            )
-            frac = a_i / w2
-            if counts_in[ix, iy] < frac * t_i or counts_out[ix, iy] > (1.0 - frac) * t_o:
-                bad.append((ix, iy))
+    frac = _cell_areas(patch.b, patch.d, lo, nx, ny, w) / (w * w)
+    bad = (counts_in < frac * t_i) | (counts_out > (1.0 - frac) * t_o)
+    bad_cells = tuple(map(tuple, np.argwhere(bad).tolist()))  # ix-major
     return CoverageReport(
-        passed=len(bad) <= t_p,
-        bad_cells=tuple(bad),
+        passed=len(bad_cells) <= t_p,
+        bad_cells=bad_cells,
         origin=(float(lo[0]), float(lo[1])),
         shape=(nx, ny),
         w_c=w,
@@ -380,103 +369,134 @@ def coverage_eval(
 # ---------------------------------------------------------------------------
 # Cell-boundary intersection areas
 # ---------------------------------------------------------------------------
+#
+# One kernel computes the overlap of every cell of a grid with the boundary;
+# intersection_area is its one-cell case. Ellipse and circle cells split at
+# the axes into per-quadrant pieces reflected into the first quadrant, where
+# each corner test and arc abscissa depends on one coordinate only, so it is
+# taken once per grid line. (x / a) ** 2 on a numpy scalar calls libm pow,
+# while array ** 2 computes x * x, which differs by an ulp on some inputs;
+# np.float_power keeps the pow result.
 
 
-def _ellipse_quadrant_cell(a, b, x0, y0, wx, wy) -> float:
-    """Secant approximation on a cell in the first quadrant (x0, y0 >= 0)."""
+def _half_axis(g0: np.ndarray, g1: np.ndarray, own, other):
+    """The pieces of the intervals [g0, g1] on the positive and the negative
+    half-axis, each reflected to >= 0, stacked along a leading axis of 2.
 
-    def inside(x, y):
-        return (x / a) ** 2 + (y / b) ** 2 <= 1.0
-
-    def fx(y):
-        return a * math.sqrt(max(0.0, 1.0 - (y / b) ** 2))
-
-    def fy(x):
-        return b * math.sqrt(max(0.0, 1.0 - (x / a) ** 2))
-
-    xc, yc = x0 + wx, y0 + wy
-    if inside(xc, yc):
-        return wx * wy
-    if not inside(x0, y0):
-        return 0.0
-    p1, p3 = inside(xc, y0), inside(x0, yc)
-    if p1 and p3:
-        # arc leaves via the top and right edges; full strip plus trapezoid
-        xb = fx(yc)
-        return (xb - x0) * wy + (xc - xb) * ((fy(xc) - y0) + (yc - fy(xc)) / 2.0)
-    if p1:
-        return (xc - x0) * ((fy(x0) - y0) + (fy(xc) - y0)) / 2.0
-    if p3:
-        return (yc - y0) * ((fx(y0) - x0) + (fx(yc) - x0)) / 2.0
-    return (fx(y0) - x0) * (fy(x0) - y0) / 2.0
+    Returns (start, end, width, live, (start / own)^2, (end / own)^2,
+    other * sqrt(1 - (start / own)^2), other * sqrt(1 - (end / own)^2)),
+    where end = start + width, the radicands are clamped at 0 and live marks
+    nonempty pieces.
+    """
+    s = np.stack([np.maximum(g0, 0.0), np.maximum(-g1, 0.0)])
+    wid = np.stack([g1, -g0]) - s
+    live = np.stack([g1 > 0.0, g0 < 0.0]) & (wid > 0.0)
+    c = s + wid
+    qs, qc = np.float_power(s / own, 2.0), np.float_power(c / own, 2.0)
+    fs = other * np.sqrt(np.maximum(1.0 - qs, 0.0))
+    fc = other * np.sqrt(np.maximum(1.0 - qc, 0.0))
+    return s, c, wid, live, qs, qc, fs, fc
 
 
-def _split_at_zero(lo: float, hi: float):
-    """Intervals of [lo, hi] per sign half-axis, reflected to >= 0."""
-    out = []
-    if hi > 0.0:
-        out.append((max(lo, 0.0), hi))
-    if lo < 0.0:
-        out.append((max(-hi, 0.0), -lo))
-    return out
+def _quadrant_areas(px, py) -> np.ndarray:
+    """Secant areas of the first-quadrant pieces px (along x) times py (along
+    y), of shape (2, nx, 2, ny): x half, x cell, y half, y cell.
+
+    The arc crosses a piece through at most two of its edges; each branch
+    takes the straight chord between the crossings.
+    """
+    x0, xc, wx, livex, qx0, qxc, fy0, fyc = (v[:, :, None, None] for v in px)
+    y0, yc, wy, livey, qy0, qyc, fx0, fxc = (v[None, None] for v in py)
+    p1, p3 = qxc + qy0 <= 1.0, qx0 + qyc <= 1.0
+    # the arc cuts the left and bottom edges (a triangle), the bottom and top
+    # (p3), the left and right (p1), or the top and right (a full strip plus
+    # a trapezoid); a later assignment takes precedence over an earlier one
+    area = (fx0 - x0) * (fy0 - y0) / 2.0
+    area = np.where(p3, (yc - y0) * ((fx0 - x0) + (fxc - x0)) / 2.0, area)
+    area = np.where(p1, (xc - x0) * ((fy0 - y0) + (fyc - y0)) / 2.0, area)
+    both = (fxc - x0) * wy + (xc - fxc) * ((fyc - y0) + (yc - fyc) / 2.0)
+    area = np.where(p1 & p3, both, area)
+    area = np.where(qx0 + qy0 > 1.0, 0.0, area)
+    area = np.where(qxc + qyc <= 1.0, wx * wy, area)
+    return np.where(livex & livey, area, 0.0)
 
 
-def _clip_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman clip of a polygon against a CCW convex polygon."""
-    out = [tuple(p) for p in subject]
+def _clipped_cell_areas(x0: np.ndarray, y0: np.ndarray, w: float, clip: np.ndarray):
+    """(nx, ny) areas of the cells clipped to the CCW convex polygon clip.
+
+    Sutherland-Hodgman over all cells at once: each cell is a row of
+    vertices, the first n of them live, compacted after every clip edge.
+    """
+    gx, gy = np.meshgrid(x0, y0, indexing="ij")
+    gx, gy = gx.ravel(), gy.ravel()
+    poly = np.stack(
+        [np.column_stack(c) for c in ((gx, gy), (gx + w, gy), (gx + w, gy + w), (gx, gy + w))],
+        axis=1,
+    )
+    n = np.full(len(gx), 4)
+
+    def successor(arr, n):
+        nxt = (np.arange(arr.shape[1]) + 1) % np.maximum(n, 1)[:, None]
+        return np.take_along_axis(arr, nxt if arr.ndim == 2 else nxt[..., None], axis=1)
+
     for i in range(len(clip)):
-        if not out:
-            break
-        a, bpt = clip[i], clip[(i + 1) % len(clip)]
-        ex, ey = bpt[0] - a[0], bpt[1] - a[1]
+        a, b = clip[i], clip[(i + 1) % len(clip)]
+        ex, ey = b[0] - a[0], b[1] - a[1]
+        side = ex * (poly[..., 1] - a[1]) - ey * (poly[..., 0] - a[0])
+        s_next = successor(side, n)
+        live = np.arange(poly.shape[1]) < n[:, None]
+        keep = live & (side >= 0.0)
+        cross = live & ((side >= 0.0) != (s_next >= 0.0))
+        t = side / np.where(cross, side - s_next, 1.0)
+        cut = poly + t[..., None] * (successor(poly, n) - poly)
+        ok = np.stack([keep, cross], axis=2).reshape(len(n), -1)
+        cand = np.stack([poly, cut], axis=2).reshape(len(n), -1, 2)
+        order = np.argsort(~ok, axis=1, kind="stable")
+        n = ok.sum(axis=1)
+        poly = np.take_along_axis(cand, order[..., None], axis=1)[:, : max(int(n.max()), 1)]
+    # shoelace about each cell's corner, where the terms are O(w^2) and do
+    # not cancel as absolute coordinates would
+    live = np.arange(poly.shape[1]) < n[:, None]
+    x, y = poly[..., 0] - gx[:, None], poly[..., 1] - gy[:, None]
+    terms = np.where(live, x * successor(y, n) - successor(x, n) * y, 0.0)
+    area = np.where(n >= 3, 0.5 * np.abs(terms.sum(axis=1)), 0.0)
+    return area.reshape(len(x0), len(y0))
 
-        def side(p):
-            return ex * (p[1] - a[1]) - ey * (p[0] - a[0])
 
-        inp, out = out, []
-        for j in range(len(inp)):
-            s, e = inp[j], inp[(j + 1) % len(inp)]
-            ss, se = side(s), side(e)
-            if ss >= 0.0:
-                out.append(s)
-            if (ss >= 0.0) != (se >= 0.0):
-                t = ss / (ss - se)
-                out.append((s[0] + t * (e[0] - s[0]), s[1] + t * (e[1] - s[1])))
-    return np.asarray(out, dtype=float).reshape(-1, 2)
+def _cell_areas(boundary: BoundaryType, d, lo, nx: int, ny: int, w: float) -> np.ndarray:
+    """(nx, ny) overlap areas of the grid cells lo + (ix, iy) w, of side w,
+    with the projected boundary."""
+    d = np.asarray(d, dtype=float)
+    x0 = lo[0] + np.arange(nx) * w
+    y0 = lo[1] + np.arange(ny) * w
+    if boundary == BoundaryType.AARECT:
+        ox = np.maximum(0.0, np.minimum(x0 + w, d[0]) - np.maximum(x0, -d[0]))
+        oy = np.maximum(0.0, np.minimum(y0 + w, d[1]) - np.maximum(y0, -d[1]))
+        total = ox[:, None] * oy
+    elif boundary == BoundaryType.CQUAD:
+        total = _clipped_cell_areas(x0, y0, w, quad_vertices(d))
+    else:
+        a, b = (d[0], d[0]) if boundary == BoundaryType.CIRCLE else (d[0], d[1])
+        q = _quadrant_areas(_half_axis(x0, x0 + w, a, b), _half_axis(y0, y0 + w, b, a))
+        # summed in the scalar rule's order: x half outer, y half inner
+        total = q[0, :, 0] + q[0, :, 1] + q[1, :, 0] + q[1, :, 1]
+    # clamp roundoff in both directions: exact corner tangency can leave a
+    # ~1e-30 sliver the strict bad-cell rule would demand points in, and a
+    # full cell summed from quadrant parts can exceed w_c^2 by an ulp
+    return np.where(total < 1e-12 * w * w, 0.0, np.minimum(total, w * w))
 
 
 def intersection_area(boundary: BoundaryType, d, cell_origin, w_c: float) -> float:
     """Overlap area between one grid cell and the projected boundary.
 
-    Exact for rectangles and convex quads; ellipses and circles use a
-    secant approximation of the arc inside each cell, a one-sided
-    underestimate of at most the circular segment at the boundary's
-    largest curvature over the cell diagonal.
+    The one-cell case of the grid kernel that coverage_eval runs. Exact for
+    rectangles and convex quads; ellipses and circles use a secant
+    approximation of the arc inside each cell, a one-sided underestimate of
+    at most the circular segment at the boundary's largest curvature over
+    the cell diagonal.
     """
-    d = np.asarray(d, dtype=float)
-    x0, y0 = float(cell_origin[0]), float(cell_origin[1])
-    if boundary == BoundaryType.AARECT:
-        ox = max(0.0, min(x0 + w_c, d[0]) - max(x0, -d[0]))
-        oy = max(0.0, min(y0 + w_c, d[1]) - max(y0, -d[1]))
-        total = ox * oy
-    elif boundary == BoundaryType.CQUAD:
-        cell = np.array(
-            [[x0, y0], [x0 + w_c, y0], [x0 + w_c, y0 + w_c], [x0, y0 + w_c]]
-        )
-        total = polygon_area(_clip_convex(cell, quad_vertices(d)))
-    else:
-        a, b = (d[0], d[0]) if boundary == BoundaryType.CIRCLE else (d[0], d[1])
-        total = 0.0
-        for xa, xb in _split_at_zero(x0, x0 + w_c):
-            for ya, yb in _split_at_zero(y0, y0 + w_c):
-                if xb - xa > 0.0 and yb - ya > 0.0:
-                    total += _ellipse_quadrant_cell(a, b, xa, ya, xb - xa, yb - ya)
-    # clamp roundoff in both directions: exact corner tangency can leave a
-    # ~1e-30 sliver the strict bad-cell rule would demand points in, and a
-    # full cell summed from quadrant parts can exceed w_c^2 by an ulp
-    if total < 1e-12 * w_c * w_c:
-        return 0.0
-    return min(total, w_c * w_c)
+    origin = (float(cell_origin[0]), float(cell_origin[1]))
+    return float(_cell_areas(boundary, d, origin, 1, 1, w_c)[0, 0])
 
 
 # ---------------------------------------------------------------------------

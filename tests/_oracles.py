@@ -13,7 +13,9 @@ kdtree_neighborhood and connected_ball_neighborhood search the whole frame
 for the neighborhoods the pipeline finds in the seed's window.
 eigh_integral_normals and dense_saliency solve normals and saliency at
 every pixel, where the pipeline tests only the pixels its seed walk
-visits.
+visits. cell_intersection_area and loop_coverage_eval compute coverage
+one cell at a time in scalar Python, where the pipeline takes the whole
+grid in one array pass.
 """
 
 from __future__ import annotations
@@ -27,7 +29,17 @@ from scipy.spatial import cKDTree
 
 from patchscape import pose as ps
 from patchscape.mapping import Neighborhood, mesh_triangles
-from patchscape.patch import SurfaceType, curvature_k3, patch_frame
+from patchscape.patch import (
+    BoundaryType,
+    SurfaceType,
+    boundary_contains,
+    curvature_k3,
+    patch_frame,
+    polygon_area,
+    projected_area,
+    quad_vertices,
+)
+from patchscape.validate import CoverageReport, _boundary_bbox
 
 
 def central_diff_jac(f, x, h=1e-6):
@@ -474,3 +486,140 @@ def tensor_moment_joint_sigma(points, covs, R, t, dR_cols, sigma_state, nk):
     cross = A @ sigma_state
     top = sigma_m + cross @ A.T
     return np.block([[top, cross], [cross.T, sigma_state]])
+
+
+def ellipse_quadrant_cell(a, b, x0, y0, wx, wy) -> float:
+    """Secant approximation on a cell in the first quadrant (x0, y0 >= 0)."""
+
+    def inside(x, y):
+        return (x / a) ** 2 + (y / b) ** 2 <= 1.0
+
+    def fx(y):
+        return a * math.sqrt(max(0.0, 1.0 - (y / b) ** 2))
+
+    def fy(x):
+        return b * math.sqrt(max(0.0, 1.0 - (x / a) ** 2))
+
+    xc, yc = x0 + wx, y0 + wy
+    if inside(xc, yc):
+        return wx * wy
+    if not inside(x0, y0):
+        return 0.0
+    p1, p3 = inside(xc, y0), inside(x0, yc)
+    if p1 and p3:
+        # arc leaves via the top and right edges; full strip plus trapezoid
+        xb = fx(yc)
+        return (xb - x0) * wy + (xc - xb) * ((fy(xc) - y0) + (yc - fy(xc)) / 2.0)
+    if p1:
+        return (xc - x0) * ((fy(x0) - y0) + (fy(xc) - y0)) / 2.0
+    if p3:
+        return (yc - y0) * ((fx(y0) - x0) + (fx(yc) - x0)) / 2.0
+    return (fx(y0) - x0) * (fy(x0) - y0) / 2.0
+
+
+def split_at_zero(lo: float, hi: float):
+    """Intervals of [lo, hi] per sign half-axis, reflected to >= 0."""
+    out = []
+    if hi > 0.0:
+        out.append((max(lo, 0.0), hi))
+    if lo < 0.0:
+        out.append((max(-hi, 0.0), -lo))
+    return out
+
+
+def clip_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
+    """Sutherland-Hodgman clip of a polygon against a CCW convex polygon."""
+    out = [tuple(p) for p in subject]
+    for i in range(len(clip)):
+        if not out:
+            break
+        a, bpt = clip[i], clip[(i + 1) % len(clip)]
+        ex, ey = bpt[0] - a[0], bpt[1] - a[1]
+
+        def side(p):
+            return ex * (p[1] - a[1]) - ey * (p[0] - a[0])
+
+        inp, out = out, []
+        for j in range(len(inp)):
+            s, e = inp[j], inp[(j + 1) % len(inp)]
+            ss, se = side(s), side(e)
+            if ss >= 0.0:
+                out.append(s)
+            if (ss >= 0.0) != (se >= 0.0):
+                t = ss / (ss - se)
+                out.append((s[0] + t * (e[0] - s[0]), s[1] + t * (e[1] - s[1])))
+    return np.asarray(out, dtype=float).reshape(-1, 2)
+
+
+def cell_intersection_area(boundary, d, cell_origin, w_c: float) -> float:
+    """Overlap area between one grid cell and the projected boundary, in
+    scalar Python: quadrant pieces of the secant rule for ellipses and
+    circles, a polygon clip for convex quads."""
+    d = np.asarray(d, dtype=float)
+    x0, y0 = float(cell_origin[0]), float(cell_origin[1])
+    if boundary == BoundaryType.AARECT:
+        ox = max(0.0, min(x0 + w_c, d[0]) - max(x0, -d[0]))
+        oy = max(0.0, min(y0 + w_c, d[1]) - max(y0, -d[1]))
+        total = ox * oy
+    elif boundary == BoundaryType.CQUAD:
+        cell = np.array(
+            [[x0, y0], [x0 + w_c, y0], [x0 + w_c, y0 + w_c], [x0, y0 + w_c]]
+        )
+        # shoelace about the cell corner: in absolute coordinates its two
+        # sums cancel, and their summation order moves the area by ~1e-14 w_c^2
+        total = polygon_area(clip_convex(cell, quad_vertices(d)) - (x0, y0))
+    else:
+        a, b = (d[0], d[0]) if boundary == BoundaryType.CIRCLE else (d[0], d[1])
+        total = 0.0
+        for xa, xb in split_at_zero(x0, x0 + w_c):
+            for ya, yb in split_at_zero(y0, y0 + w_c):
+                if xb - xa > 0.0 and yb - ya > 0.0:
+                    total += ellipse_quadrant_cell(a, b, xa, ya, xb - xa, yb - ya)
+    if total < 1e-12 * w_c * w_c:
+        return 0.0
+    return min(total, w_c * w_c)
+
+
+def loop_coverage_eval(patch, points, config) -> CoverageReport:
+    """coverage_eval with np.add.at counts and one cell_intersection_area
+    call per cell, bad cells collected in ix-major order."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    w = config.w_c
+    lo, hi = _boundary_bbox(patch)
+    nx = max(1, int(math.ceil((hi[0] - lo[0]) / w - 1e-12)))
+    ny = max(1, int(math.ceil((hi[1] - lo[1]) / w - 1e-12)))
+    xy = pts[:, :2]
+    ij = np.floor((xy - lo) / w).astype(int)
+    ongrid = (ij[:, 0] >= 0) & (ij[:, 0] < nx) & (ij[:, 1] >= 0) & (ij[:, 1] < ny)
+    inside = boundary_contains(patch, xy)
+    counts_in = np.zeros((nx, ny))
+    counts_out = np.zeros((nx, ny))
+    sel = ongrid & inside
+    np.add.at(counts_in, (ij[sel, 0], ij[sel, 1]), 1.0)
+    sel = ongrid & ~inside
+    np.add.at(counts_out, (ij[sel, 0], ij[sel, 1]), 1.0)
+
+    n_p = projected_area(patch) / (w * w)
+    n_e = len(pts) / n_p
+    t_i = config.zeta_i * n_e
+    t_o = config.zeta_o * n_e
+    t_p = config.t_p_factor * n_p
+    w2 = w * w
+    bad = []
+    for ix in range(nx):
+        for iy in range(ny):
+            a_i = cell_intersection_area(patch.b, patch.d, (lo[0] + ix * w, lo[1] + iy * w), w)
+            frac = a_i / w2
+            if counts_in[ix, iy] < frac * t_i or counts_out[ix, iy] > (1.0 - frac) * t_o:
+                bad.append((ix, iy))
+    return CoverageReport(
+        passed=len(bad) <= t_p,
+        bad_cells=tuple(bad),
+        origin=(float(lo[0]), float(lo[1])),
+        shape=(nx, ny),
+        w_c=w,
+        n_expected=n_e,
+        t_i=t_i,
+        t_o=t_o,
+        t_p=t_p,
+    )

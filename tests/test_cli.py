@@ -911,17 +911,21 @@ def test_patch_map_that_is_not_an_object_is_bad_patch_map(tmp_path, dome_dir, ca
 
 @pytest.mark.parametrize("command", ["validate", "track"])
 @pytest.mark.parametrize(
-    "edit",
-    [lambda doc: doc.pop("patches"), lambda doc: doc["patches"].append([]),
-     lambda doc: doc["patches"][0].pop("id"), lambda doc: doc["patches"][0].pop("seed_pixel"),
-     lambda doc: doc["patches"][0].update(id="7"), lambda doc: doc["patches"][0].update(id=7.5),
-     lambda doc: doc["patches"][0].update(seed_pixel=[240.5, 320])],
-    ids=["no_patches", "record_not_object", "record_without_id", "record_without_seed_pixel",
-         "id_string", "id_fractional", "seed_pixel_fractional"],
+    "edit, where",
+    [pytest.param(lambda doc: doc.pop("patches"), "", id="no_patches"),
+     pytest.param(lambda doc: doc["patches"].append([]), "", id="record_not_object"),
+     pytest.param(lambda doc: doc["patches"][0].pop("id"), "patches[0]", id="record_without_id"),
+     pytest.param(lambda doc: doc["patches"][0].pop("seed_pixel"), "patches[0]",
+                  id="record_without_seed_pixel"),
+     pytest.param(lambda doc: doc["patches"][0].update(id="7"), "", id="id_string"),
+     pytest.param(lambda doc: doc["patches"][0].update(id=7.5), "", id="id_fractional"),
+     pytest.param(lambda doc: doc["patches"][0].update(seed_pixel=[240.5, 320]), "",
+                  id="seed_pixel_fractional")],
 )
 def test_malformed_patch_map_is_bad_patch_map(tmp_path, dome_dir, dome_map, capsys, command,
-                                              edit):
-    """validate and track --map read a map through one reader: exit 1, one error line."""
+                                              edit, where):
+    """validate and track --map read a map through one reader: exit 1, one
+    error line, which names the record where one is at fault."""
     doc = json.loads(dome_map.read_text())
     edit(doc)
     pmap = tmp_path / "map.json"
@@ -932,3 +936,4 @@ def test_malformed_patch_map_is_bad_patch_map(tmp_path, dome_dir, dome_map, caps
     out = capsys.readouterr()
     assert out.out == ""
     assert len(out.err.splitlines()) == 1 and out.err.startswith("error: bad patch map: ")
+    assert where in out.err

@@ -2,7 +2,8 @@
 
 Closest points are checked against a dense-grid brute force, intersection
 areas against Monte-Carlo point sampling, and the coverage rules against
-directly constructed cell populations.
+directly constructed cell populations. The grid kernels are checked
+against their scalar per-cell oracles.
 """
 
 import math
@@ -24,7 +25,10 @@ from patchscape.mapping import SaliencyConfig
 from patchscape.pose import Pose5, Pose6
 from patchscape.validate import (
     CoverageConfig,
+    _boundary_bbox,
+    _cell_areas,
     _closest_points,
+    _half_axis,
     closest_point_exact,
     coverage_eval,
     curvature_gate,
@@ -33,7 +37,14 @@ from patchscape.validate import (
     residual,
 )
 
-from _oracles import brute_closest_paraboloid, explicit_eval, mc_region_area, secant_area_bound
+from _oracles import (
+    brute_closest_paraboloid,
+    cell_intersection_area,
+    explicit_eval,
+    loop_coverage_eval,
+    mc_region_area,
+    secant_area_bound,
+)
 
 S, B = SurfaceType, BoundaryType
 _ID5 = Pose5((0.0, 0.0), (0.0, 0.0, 0.0))
@@ -376,6 +387,69 @@ def test_intersection_monotone_under_shrink(ax, by, shrink, ox, oy, kind):
     assert small <= big + 1e-15
 
 
+def _random_d(bt, rng):
+    if bt == B.CQUAD:
+        return np.concatenate([rng.uniform(0.02, 0.12, 4), [rng.uniform(0.3, 1.2)]])
+    return rng.uniform(0.02, 0.12, 1 if bt == B.CIRCLE else 2)
+
+
+# grids with a cell corner exactly on the boundary: 3-4-5 points on circles
+# and on an ellipse of semi-axes 2.5 x 1.25, the ends of the axes, edges of
+# a rectangle on grid lines, and a grid anchored at a quad vertex
+_Q = np.array([0.09, 0.05, 0.07, 0.06, 0.7])
+_TANGENT_GRIDS = {
+    B.ELLIPSE: [([2.5, 1.25], (-2.5, -1.25), 20, 10, 0.25), ([2.5, 1.25], (0.0, 0.0), 10, 5, 0.25)],
+    B.CIRCLE: [([1.25], (-1.25, -1.25), 10, 10, 0.25), ([0.05], (-0.05, -0.05), 10, 10, 0.01)],
+    B.AARECT: [([0.5, 0.25], (-0.5, -0.25), 4, 2, 0.25),
+               ([0.05, 0.03], (-0.05, -0.03), 10, 6, 0.01)],
+    B.CQUAD: [(_Q, tuple(quad_vertices(_Q)[i]), 12, 12, 0.01) for i in range(4)]
+    + [(_Q, tuple(quad_vertices(_Q).min(axis=0)), 17, 12, 0.01)],
+}
+
+
+@pytest.mark.parametrize("bt", [B.ELLIPSE, B.CIRCLE, B.AARECT, B.CQUAD],
+                         ids=["ellipse", "circle", "aarect", "cquad"])
+def test_cell_areas_match_per_cell_oracle(bt):
+    """The grid kernel equals the scalar per-cell areas: bitwise for the
+    secant rule and rectangles, within 1e-15 w^2 for the quad clip."""
+    rng = np.random.default_rng(13)
+    grids = list(_TANGENT_GRIDS[bt])
+    for _ in range(300 if bt in (B.ELLIPSE, B.CIRCLE) else 60):
+        d, w = _random_d(bt, rng), rng.uniform(0.003, 0.02)
+        span = np.abs(quad_vertices(d)).max(axis=0) if bt == B.CQUAD else d * np.ones(2)
+        # anchors left of and below the origin, so cells straddle both axes
+        lo = tuple(rng.uniform(-1.3, 0.2, 2) * span)
+        nx, ny = (int(n) for n in rng.integers(1, 2.6 * span / w + 2))
+        grids.append((d, lo, nx, ny, w))
+    for d, lo, nx, ny, w in grids:
+        got = _cell_areas(bt, d, lo, nx, ny, w)
+        ref = np.array([
+            [cell_intersection_area(bt, d, (lo[0] + ix * w, lo[1] + iy * w), w) for iy in range(ny)]
+            for ix in range(nx)
+        ])
+        assert got.shape == (nx, ny)
+        if bt == B.CQUAD:
+            assert np.abs(got - ref).max() <= 1e-15 * w * w
+        else:
+            assert np.array_equal(got, ref)
+        ix, iy = nx // 2, ny // 2
+        assert intersection_area(bt, d, (lo[0] + ix * w, lo[1] + iy * w), w) == got[ix, iy]
+
+
+def test_half_axis_squares_round_as_scalar_pow():
+    """The per-grid-line squares of the secant rule equal the scalar rule's
+    (x / a) ** 2, which calls pow and differs from x * x by an ulp on ~0.1%
+    of inputs; the grid kernel is bitwise equal to the scalar rule only so."""
+    rng = np.random.default_rng(15)
+    a, w = 0.0731, 0.01
+    g0 = rng.uniform(-0.1, 0.1, 20_000)
+    s, c, _, _, qs, qc, _, _ = _half_axis(g0, g0 + w, a, 0.05)
+    for ends, q in ((s, qs), (c, qc)):
+        ref = np.array([(np.float64(v) / a) ** 2 for v in ends.ravel()]).reshape(ends.shape)
+        assert np.array_equal(q, ref)
+    assert np.count_nonzero(qs != (s / a) * (s / a)) > 0  # the case is exercised
+
+
 # ---------------------------------------------------------------------------
 # Coverage
 # ---------------------------------------------------------------------------
@@ -481,6 +555,40 @@ def test_coverage_invariant_to_point_order():
     a = coverage_eval(_PLANE_CIRCLE, pts, cfg)
     b = coverage_eval(_PLANE_CIRCLE, pts[rng.permutation(len(pts))], cfg)
     assert a == b
+
+
+def test_coverage_eval_matches_oracle():
+    """The one-pass grid gives the per-cell loop's report: the same bad
+    cells in the same order, N_e and verdict. Points include some exactly
+    on grid lines and some off the grid."""
+    rng = np.random.default_rng(14)
+    cfg = CoverageConfig()
+    w = cfg.w_c
+    verdicts = set()
+    for trial in range(48):
+        bt = [B.ELLIPSE, B.CIRCLE, B.AARECT, B.CQUAD][trial % 4]
+        d = _random_d(bt, rng)
+        patch = Patch(S.PLANE, bt, [], d, _ID5 if bt == B.CIRCLE else _ID6)
+        lo, hi = _boundary_bbox(patch)
+        n = int(rng.integers(20, 4000))
+        xy = rng.uniform(1.2 * lo, 1.2 * hi, (n, 2))
+        k = rng.integers(0, 1 + int((hi[0] - lo[0]) / w), n)
+        for axis in (0, 1):
+            on_line = rng.random(n) < 0.2
+            xy[on_line, axis] = lo[axis] + k[on_line] * w
+        if trial % 8 < 4:
+            # an even lattice fill of pitch w/3 from the grid anchor, which
+            # passes, plus a few of the stray points
+            gx, gy = (lo[a] + np.arange(int((hi[a] - lo[a]) * 3 / w) + 1) * (w / 3) for a in (0, 1))
+            lattice = np.stack(np.meshgrid(gx, gy, indexing="ij"), axis=-1).reshape(-1, 2)
+            xy = np.vstack([lattice[boundary_contains(patch, lattice)], xy[: n // 20]])
+        pts = np.column_stack([xy, rng.normal(0.0, 0.01, len(xy))])
+        got, ref = coverage_eval(patch, pts, cfg), loop_coverage_eval(patch, pts, cfg)
+        assert got.bad_cells == ref.bad_cells
+        assert got.n_expected == ref.n_expected
+        assert got.passed == ref.passed
+        verdicts.add(got.passed)
+    assert verdicts == {True, False}
 
 
 def test_coverage_config_validation():
