@@ -672,7 +672,10 @@ def cmd_track(args) -> int:
     if not poses:
         return _fail("trajectory is empty")
 
-    state = init_volume(poses[0], policy=args.policy, c_d=args.c_d, c_a=args.c_a)
+    try:
+        state = init_volume(poses[0], policy=args.policy, c_d=args.c_d, c_a=args.c_a)
+    except ValueError as e:
+        return _fail(str(e))
 
     if args.map is not None:
         try:

@@ -356,6 +356,8 @@ class SaliencyConfig:
     def __post_init__(self):
         if not (self.r > 0.0 and self.R > 0.0):
             raise ValueError("r and R must be positive")
+        if not (math.isfinite(self.l_d) and math.isfinite(self.l_f)):
+            raise ValueError("l_d and l_f must be finite")
         for name in ("phi_d", "phi_g"):
             v = getattr(self, name)
             if not 0.0 < v < 90.0:
@@ -813,10 +815,14 @@ def init_volume(
     """Volume placed so the camera starts at pose c_0 in its frame.
 
     policy is a MovePolicy or its value ("fv", "fc", "fd", "ff").
-    ValueError unless v_s is positive and finite, and v_g and n_g positive.
+    ValueError unless v_s is positive and finite, the remap thresholds c_d
+    and c_a are >= 0 (NaN is not; +inf never remaps), and v_g and n_g
+    positive.
     """
     if not (math.isfinite(v_s) and v_s > 0.0):
         raise ValueError("v_s must be positive and finite")
+    if not (c_d >= 0.0 and c_a >= 0.0):
+        raise ValueError(f"c_d and c_a must be >= 0, got {c_d} and {c_a}")
     if v_g < 1 or n_g < 1:
         raise ValueError("v_g and n_g must be positive")
     if camera_world is None:

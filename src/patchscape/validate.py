@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -43,165 +43,138 @@ __all__ = [
 #
 # One kernel solves every point of a patch at once; closest_point_exact is
 # its one-row case and residual calls it once per patch. Spheres and
-# circular cylinders reduce to center and axis geometry. Paraboloid family
-# members run Newton on the Lagrange multiplier of all rows together, from
-# the z-axis projection; each certification test is a mask over the rows.
-# Rows on a symmetry plane and rows left uncertified are solved one at a
-# time by the companion-matrix path, which also serves as the oracle
-# (solver="companion").
+# circular cylinders reduce to center and axis geometry. On the paraboloid
+# family z = (k1 x^2 + k2 y^2) / 2 the stationary points of the distance to
+# q are p(lam) = (q_x / (1 + lam k1), q_y / (1 + lam k2), q_z + lam), where
+# lam is a root of the secular equation
+#
+#     phi(lam) = sum_i k_i q_i^2 / (2 (1 + lam k_i)^2) - q_z - lam.
+#
+# On the interval I where every 1 + lam k_i > 0 the Lagrangian is convex in
+# p, so a root there is the global closest point, and phi' < 0, so there is
+# at most one (the trust-region analysis of More and Sorensen, 1983; Eberly,
+# "Distance from a Point to an Ellipse, an Ellipsoid, or a Hyperellipsoid").
+# The sign of phi(0) picks the half of I that holds the root, and phi at
+# half the pole bounding that half tells whether the root lies past it.
+# Past it, the unknown is t = lam - pole, so that the pole axis's
+# 1 + lam k_b = k_b t keeps its digits; short of it, lam itself. Either way
+# each row solves for u = |t| or |lam| in a bracket [0, m] by Newton steps,
+# bisecting when a step leaves the bracket or fails to halve the last move.
+# Hard case: the pole's axes hold q_i = 0 and phi has no root inside I.
+# Then lam is the pole, and the surface equation gives the free coordinate;
+# when k1 = k2 the solutions form a ring about the axis.
 
-# route to the companion path when a coordinate sits on a symmetry plane,
-# where backsubstitution denominators can vanish
-_SYM_TOL = 1e-8
-_DEN_TOL = 1e-8
+# Newton steps per row; after them the bracket is only bisected, which on
+# float bit patterns ends within 64 more
 _NEWTON_MAX = 50
 
 
-def _quintic_coeffs(k1: float, k2: float, q: np.ndarray) -> np.ndarray:
-    """Ascending coefficients of the closest-point polynomial in lambda, per row.
-
-    Substituting p(lam) = (I + lam K)^-1 (q + lam z) into the implicit
-    form and clearing (1 + lam k1)^2 (1 + lam k2)^2 = (1 + s lam + p lam^2)^2,
-    with s = k1 + k2 and p = k1 k2, gives a polynomial of degree up to
-    five. q has shape (n, 3); the result has shape (n, 6).
-    """
-    a, b, c = q[:, 0] * q[:, 0], q[:, 1] * q[:, 1], q[:, 2]
-    s, p = k1 + k2, k1 * k2
-    e1, e2, e3, e4 = 2.0 * s, s * s + 2.0 * p, 2.0 * s * p, p * p
-    out = np.empty((len(q), 6))
-    out[:, 0] = k1 * a + k2 * b - 2.0 * c
-    out[:, 1] = 2.0 * p * (a + b) - 2.0 * (c * e1 + 1.0)
-    out[:, 2] = p * (k2 * a + k1 * b) - 2.0 * (c * e2 + e1)
-    out[:, 3] = -2.0 * (c * e3 + e2)
-    out[:, 4] = -2.0 * (c * e4 + e3)
-    out[:, 5] = -2.0 * e4
-    return out
+def _bit_mid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Midpoint of non-negative floats in bit order: geometric across orders
+    of magnitude, arithmetic within one, and each bisection halves the count
+    of doubles in [lo, hi]."""
+    a = lo.view(np.int64)
+    return (a + ((hi.view(np.int64) - a) >> 1)).view(np.float64)
 
 
-def _polyval(coeffs: np.ndarray, x: float) -> float:
-    return float(np.polynomial.polynomial.polyval(x, coeffs))
+def _secular(k1, k2, x, y, z, lam, dx, dy):
+    """phi(lam) and phi'(lam) of the rows (x, y, z), given the denominators
+    dx = 1 + lam k1 and dy = 1 + lam k2."""
+    px, py = x / dx, y / dy
+    px, py = px * px, py * py
+    phi = 0.5 * (k1 * px + k2 * py) - z - lam
+    return phi, -1.0 - (k1 * k1 * px / dx + k2 * k2 * py / dy)
 
 
-def _polish_root(coeffs: np.ndarray, dcoeffs: np.ndarray, lam: float) -> float:
-    for _ in range(3):
-        fp = _polyval(dcoeffs, lam)
-        if fp == 0.0:
-            break
-        step = _polyval(coeffs, lam) / fp
-        lam -= step
-        if abs(step) <= 1e-14 * (1.0 + abs(lam)):
-            break
-    return lam
-
-
-def _backsub(k1: float, k2: float, q: np.ndarray, lam: float) -> List[np.ndarray]:
-    """Candidate surface points for one multiplier value.
-
-    A vanishing denominator with a nonzero numerator marks a spurious root
-    introduced by clearing; with a (near) zero numerator the component is
-    unconstrained and the surface equation fixes its magnitude instead.
-    """
-    k = (k1, k2)
-    den = (1.0 + lam * k1, 1.0 + lam * k2)
-    p = np.array([0.0, 0.0, q[2] + lam])
-    free = []
-    for m in (0, 1):
-        if abs(den[m]) > _DEN_TOL:
-            p[m] = q[m] / den[m]
-        elif abs(q[m]) <= _SYM_TOL:
-            free.append(m)
-        else:
-            return []
-    if not free:
-        return [p]
-    if len(free) == 2 and k1 != k2:
-        return []
-    km = k[free[0]]
-    if km == 0.0:
-        return []
-    ss = (2.0 * p[2] - sum(k[m] * p[m] * p[m] for m in (0, 1) if m not in free)) / km
-    if ss < -1e-12:
-        return []
-    p[free[0]] = math.sqrt(max(ss, 0.0))
-    return [p]
-
-
-# both take one point (3,) or rows (n, 3)
-def _surface_gap(k1: float, k2: float, p: np.ndarray):
-    x, y, z = p[..., 0], p[..., 1], p[..., 2]
-    return abs(k1 * x * x + k2 * y * y - 2.0 * z)
-
-
-def _gap_scale(k1: float, k2: float, q: np.ndarray):
-    x, y, z = q[..., 0], q[..., 1], q[..., 2]
-    return 1.0 + abs(k1) * x * x + abs(k2) * y * y + 2.0 * abs(z)
-
-
-def _companion_closest(k1, k2, q, coeffs) -> np.ndarray:
-    """Closest point to one row q from every real root of its polynomial."""
-    desc = np.trim_zeros(coeffs[::-1], "f")
-    dcoeffs = np.polynomial.polynomial.polyder(coeffs)
-    cands: List[np.ndarray] = []
-    if len(desc) >= 2:
-        roots = np.roots(desc)
-        keep = np.abs(roots.imag) <= 1e-7 * (1.0 + np.abs(roots.real))
-        for lam in roots[keep].real:
-            cands.extend(_backsub(k1, k2, q, _polish_root(coeffs, dcoeffs, lam)))
-    # exact pole branches when q lies on a symmetry plane; the companion
-    # eigenvalues smear such multiple roots and miss these candidates
-    for m, km in ((0, k1), (1, k2)):
-        if km != 0.0 and abs(q[m]) <= _SYM_TOL:
-            cands.extend(_backsub(k1, k2, q, -1.0 / km))
-    scale = _gap_scale(k1, k2, q)
-    for tol in (1e-10 * scale, 1e-7 * scale):
-        onsurf = [p for p in cands if _surface_gap(k1, k2, p) <= tol]
-        if onsurf:
-            return onsurf[int(np.argmin([np.dot(q - p, q - p) for p in onsurf]))]
-    # unreachable in practice; the z-axis projection is always feasible
-    return np.array([q[0], q[1], 0.5 * (k1 * q[0] ** 2 + k2 * q[1] ** 2)])
-
-
-def _newton_rows(k1, k2, q, coeffs, live):
-    """Newton from the z-axis projection on the rows flagged in live.
-
-    Returns the surface points and the mask of certified rows. A row is
-    certified when Newton converges within _NEWTON_MAX steps through
-    finite multipliers with |lam| <= 1e8, when I + lam K stays positive
-    definite, which makes the stationary point the global minimum (the
-    Lagrangian is then convex in p), and when the point lies on the surface.
-    Points of the other rows are meaningless.
-    """
-    polyval = np.polynomial.polynomial.polyval
-    dcoeffs = coeffs[:, 1:] * np.arange(1.0, 6.0)
-    lam = 0.5 * (k1 * q[:, 0] ** 2 + k2 * q[:, 1] ** 2) - q[:, 2]
-    converged = np.zeros(len(q), dtype=bool)
-    rows = np.flatnonzero(live)
-    for _ in range(_NEWTON_MAX):
+def _paraboloid_closest(k1: float, k2: float, q: np.ndarray) -> np.ndarray:
+    """Closest points on z = (k1 x^2 + k2 y^2) / 2 to the (n, 3) rows q."""
+    x, y, z = np.array(q.T)
+    phi0, dphi0 = _secular(k1, k2, x, y, z, 0.0, 1.0, 1.0)
+    lower = phi0 < 0.0  # the root lies below lam = 0, else at or above it
+    # half the pole that bounds that side of I, infinite on a side without one
+    half_lo = -0.5 / max(k1, k2) if max(k1, k2) > 0.0 else -np.inf
+    half_hi = -0.5 / min(k1, k2) if min(k1, k2) < 0.0 else np.inf
+    half = np.where(lower, half_lo, half_hi)
+    h = np.where(np.isfinite(half), half, 0.0)
+    phih = _secular(k1, k2, x, y, z, h, 1.0 + h * k1, 1.0 + h * k2)[0]
+    near = np.flatnonzero((h != 0.0) & (phih * phi0 > 0.0))  # the root lies past half
+    # each row solves for u in a bracket [0, m], where lam = a + sig u and the
+    # denominators are c_i + sig u k_i. Short of half the pole: a = 0, c_i = 1,
+    # u starts at the Newton step from lam = 0, and m is the nearer of half
+    # the pole and where phi's bound by the curvature terms of one sign is 0
+    sig = np.where(lower, -1.0, 1.0)
+    a, cx, cy, tol = np.zeros_like(x), np.ones_like(x), np.ones_like(x), np.ones_like(x)
+    reach = np.where(
+        lower,
+        z - 0.5 * (min(k1, 0.0) * x * x + min(k2, 0.0) * y * y),
+        0.5 * (max(k1, 0.0) * x * x + max(k2, 0.0) * y * y) - z,
+    )
+    m = np.minimum(np.abs(half), reach) + 0.0  # no -0.0 for the bit views
+    u = np.abs(phi0 / dphi0)
+    # past half the pole: a is the pole, c_i = 1 - k_i / k_b is exactly 0 on
+    # the pole's own axes, m is half the pole and Newton's tolerance is
+    # relative in t
+    kb = np.where(lower[near], max(k1, k2), min(k1, k2))
+    a[near], sig[near], m[near], tol[near] = 2.0 * half[near], -sig[near], np.abs(half[near]), 0.0
+    cx[near], cy[near] = 1.0 - k1 / kb, 1.0 - k2 / kb
+    on_x, on_y = cx[near] == 0.0, cy[near] == 0.0
+    xn, yn = x[near], y[near]
+    # phi at the pole without the pole's own axes gives the squared free
+    # coordinate there. The hard case: it is >= 0 and the first-order root
+    # t = q_b / (k_b p_b) is 0, or too small for a normal double
+    with np.errstate(divide="ignore", invalid="ignore"):
+        free2 = -2.0 / kb * _secular(
+            k1, k2, np.where(on_x, 0.0, xn), np.where(on_y, 0.0, yn), z[near], a[near],
+            np.where(on_x, 1.0, cx[near]), np.where(on_y, 1.0, cy[near]),
+        )[0]
+        q_pole = np.hypot(np.where(on_x, xn, 0.0), np.where(on_y, yn, 0.0))
+        u[near] = q_pole / (np.abs(kb) * np.sqrt(free2))
+    hard_n = (free2 >= 0.0) & ~(u[near] >= np.finfo(float).tiny)
+    hard = near[hard_n]
+    u = np.where(u <= m, u, 0.5 * m)
+    u[hard] = 0.0
+    rows, gone = np.delete(np.arange(len(x)), hard), True
+    ur, lo, hi, move = u[rows], np.zeros(len(rows)), m[rows], m[rows]
+    for it in range(_NEWTON_MAX + 64):
         if not rows.size:
             break
-        lr = lam[rows]
-        fp = polyval(lr, dcoeffs[rows].T, tensor=False)
-        ok = (fp != 0.0) & np.isfinite(lr) & (np.abs(lr) <= 1e8)
-        rows, lr = rows[ok], lr[ok]
-        step = polyval(lr, coeffs[rows].T, tensor=False) / fp[ok]
-        lr = lr - step
-        lam[rows] = lr
-        done = np.abs(step) <= 1e-12 * (1.0 + np.abs(lr))
-        converged[rows[done]] = True
-        rows = rows[~done]
-    den1, den2 = 1.0 + lam * k1, 1.0 + lam * k2
-    cert = converged & (den1 > 1e-12) & (den2 > 1e-12)
-    p = np.column_stack([q[:, 0] / den1, q[:, 1] / den2, q[:, 2] + lam])
-    return p, cert & (_surface_gap(k1, k2, p) <= 1e-9 * _gap_scale(k1, k2, q))
+        if gone:  # the constants of the rows still open
+            xr, yr, zr, ar, cxr, cyr, sr, tr = (w[rows] for w in (x, y, z, a, cx, cy, sig, tol))
+        v = sr * ur
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            phi, dphi = _secular(k1, k2, xr, yr, zr, ar + v, cxr + v * k1, cyr + v * k2)
+            g = sr * phi  # decreasing in u, as phi is in lam
+            step = g / dphi
+        lo = np.where(g > 0.0, ur, lo)
+        hi = np.where(g < 0.0, ur, hi)
+        un, size = ur - step, np.abs(step)
+        conv = (size <= 1e-12 * (ur + tr)) & np.isfinite(dphi)
+        newton = conv | ((un > lo) & (un < hi) & (size <= 0.5 * move) & (it < _NEWTON_MAX))
+        collapsed = hi.view(np.int64) - lo.view(np.int64) <= 1
+        un = np.where(newton, un, np.where(collapsed, hi, _bit_mid(lo, hi)))
+        move, ur = np.abs(un - ur), un
+        done = conv | collapsed
+        gone = done.any()
+        if gone:
+            u[rows[done]] = ur[done]
+            keep = ~done
+            rows, ur, lo, hi, move = rows[keep], ur[keep], lo[keep], hi[keep], move[keep]
+    v = sig * u
+    with np.errstate(divide="ignore", invalid="ignore"):  # the pole's axes of hard rows
+        p = np.stack([x / (cx + v * k1), y / (cy + v * k2), z + (a + v)], axis=1)
+    # hard rows: the free coordinate on the pole's first axis, signed as q
+    # there; when k1 = k2 this is the ring's point on the x axis
+    hx, hy, r = on_x[hard_n], on_y[hard_n], np.sqrt(free2[hard_n])
+    p[hard, 0] = np.where(hx, np.copysign(r, x[hard]), p[hard, 0])
+    p[hard, 1] = np.where(hy, np.where(hx, 0.0, np.copysign(r, y[hard])), p[hard, 1])
+    return p
 
 
-def _closest_points(patch: Patch, q: np.ndarray, solver: str = "auto"):
+def _closest_points(patch: Patch, q: np.ndarray):
     """Closest points on the unbounded surface to the (n, 3) local-frame rows q.
 
     Returns (points, distances) with shapes (n, 3) and (n,).
     """
-    if solver not in ("auto", "companion"):
-        raise ValueError("solver must be 'auto' or 'companion'")
     s = patch.s
     if s in (SurfaceType.SPHERE, SurfaceType.CIRCULAR_CYLINDER) and patch.k[0] != 0.0:
         kap = patch.k[0]
@@ -223,32 +196,24 @@ def _closest_points(patch: Patch, q: np.ndarray, solver: str = "auto"):
         p = q.copy()
         p[:, 2] = 0.0
         return p, np.abs(q[:, 2])
-    coeffs = _quintic_coeffs(k1, k2, q)
-    if solver == "auto":
-        sym = ((k1 != 0.0) & (np.abs(q[:, 0]) <= _SYM_TOL)) | (
-            (k2 != 0.0) & (np.abs(q[:, 1]) <= _SYM_TOL)
-        )
-        with np.errstate(all="ignore"):  # failed rows are masked, not used
-            p, cert = _newton_rows(k1, k2, q, coeffs, ~sym)
-    else:
-        p, cert = np.empty_like(q), np.zeros(len(q), dtype=bool)
-    for i in np.flatnonzero(~cert):
-        p[i] = _companion_closest(k1, k2, q[i], coeffs[i])
+    p = _paraboloid_closest(float(k1), float(k2), q)
     w = q - p
     return p, np.sqrt(np.sum(w * w, axis=1))
 
 
-def closest_point_exact(patch: Patch, q, solver: str = "auto"):
+def closest_point_exact(patch: Patch, q):
     """Closest point on the unbounded surface to one local-frame point.
 
-    The one-row case of the batch kernel that residual uses: batched Newton
-    on the Lagrange multiplier for paraboloid family members, certification
-    applied as a mask, and a per-point companion-matrix fallback for rows on
-    a symmetry plane or left uncertified (solver="companion" sends every
-    row there). Spheres and circular cylinders use center and axis
+    The one-row case of the batch kernel that residual uses. On paraboloid
+    family members it solves the secular equation of the Lagrange
+    multiplier by bracketed Newton steps on the interval where the
+    Lagrangian is convex, so its one root there is the global closest
+    point; when that root would sit on a pole whose axes hold q_i = 0 (the
+    hard case) the multiplier is the pole and the surface equation fixes the
+    free coordinate. Spheres and circular cylinders use center and axis
     geometry. Returns (point, distance).
     """
-    p, d = _closest_points(patch, np.asarray(q, dtype=float).reshape(1, 3), solver)
+    p, d = _closest_points(patch, np.asarray(q, dtype=float).reshape(1, 3))
     return p[0], float(d[0])
 
 
@@ -260,12 +225,11 @@ def closest_point_exact(patch: Patch, q, solver: str = "auto"):
 def residual(patch: Patch, points) -> float:
     """RMS Euclidean distance from local-frame points to the unbounded surface.
 
-    Every point is solved in one call of the closest-point kernel: batched
-    Newton with its certification applied as a mask, and a per-point
-    companion-matrix fallback for the rows it leaves (see
-    closest_point_exact). Points must be finite. Taubin's first- and
-    second-order distances (Taubin 1991) approximate this distance
-    without bounding it, so the gate does not use them.
+    Every point is solved in one call of the closest-point kernel, one
+    bracketed root of the secular equation per point, with the hard case
+    taken explicitly (see closest_point_exact). Points must be finite.
+    Taubin's first- and second-order distances (Taubin 1991) approximate
+    this distance without bounding it, so the gate does not use them.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) == 0:

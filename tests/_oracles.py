@@ -15,7 +15,10 @@ eigh_integral_normals and dense_saliency solve normals and saliency at
 every pixel, where the pipeline tests only the pixels its seed walk
 visits. cell_intersection_area and loop_coverage_eval compute coverage
 one cell at a time in scalar Python, where the pipeline takes the whole
-grid in one array pass.
+grid in one array pass. companion_closest_paraboloid finds a closest point
+from every real root of the closest-point quintic, one point at a time,
+where the pipeline brackets the one root of the secular equation that is
+the global minimum for all points at once.
 """
 
 from __future__ import annotations
@@ -104,6 +107,113 @@ def brute_closest_paraboloid(k1, k2, q, n=600):
         options={"xatol": 1e-13, "fatol": 1e-18, "maxiter": 4000},
     )
     return float(np.sqrt(min(res.fun, D2[i, j])))
+
+
+# a coordinate this close to a symmetry plane also tries the pole branch,
+# and a denominator this small marks a multiplier at a pole
+_SYM_TOL = 1e-8
+_DEN_TOL = 1e-8
+
+
+def _quintic_coeffs(k1, k2, q):
+    """Ascending coefficients of the closest-point polynomial in lam.
+
+    Substituting p(lam) = (I + lam K)^-1 (q + lam z) into the implicit form
+    and clearing (1 + lam k1)^2 (1 + lam k2)^2 = (1 + s lam + p lam^2)^2,
+    with s = k1 + k2 and p = k1 k2, gives a polynomial of degree up to five.
+    """
+    a, b, c = q[0] * q[0], q[1] * q[1], q[2]
+    s, p = k1 + k2, k1 * k2
+    e1, e2, e3, e4 = 2.0 * s, s * s + 2.0 * p, 2.0 * s * p, p * p
+    return np.array([
+        k1 * a + k2 * b - 2.0 * c,
+        2.0 * p * (a + b) - 2.0 * (c * e1 + 1.0),
+        p * (k2 * a + k1 * b) - 2.0 * (c * e2 + e1),
+        -2.0 * (c * e3 + e2),
+        -2.0 * (c * e4 + e3),
+        -2.0 * e4,
+    ])
+
+
+def _polish_secular(k1, k2, q, lam):
+    """Newton steps on phi(lam) = sum_i k_i q_i^2 / (2 (1 + lam k_i)^2) - q_z - lam.
+
+    The secular equation keeps its digits where the cleared quintic loses
+    them to a nearby cluster of roots at a pole.
+    """
+    for _ in range(8):
+        d1, d2 = 1.0 + lam * k1, 1.0 + lam * k2
+        with np.errstate(all="ignore"):
+            phi = 0.5 * (k1 * q[0] ** 2 / d1**2 + k2 * q[1] ** 2 / d2**2) - q[2] - lam
+            step = phi / (-1.0 - (k1 * k1 * q[0] ** 2 / d1**3 + k2 * k2 * q[1] ** 2 / d2**3))
+        if not np.isfinite(step):
+            break
+        lam -= step
+        if abs(step) <= 1e-15 * (1.0 + abs(lam)):
+            break
+    return lam
+
+
+def _backsub(k1, k2, q, lam):
+    """Candidate surface points for one multiplier value.
+
+    A vanishing denominator with a nonzero numerator marks a spurious root
+    introduced by clearing; with a (near) zero numerator the component is
+    unconstrained and the surface equation fixes its magnitude instead.
+    """
+    k = (k1, k2)
+    den = (1.0 + lam * k1, 1.0 + lam * k2)
+    p = np.array([0.0, 0.0, q[2] + lam])
+    free = []
+    for m in (0, 1):
+        if abs(den[m]) > _DEN_TOL:
+            p[m] = q[m] / den[m]
+        elif abs(q[m]) <= _SYM_TOL:
+            free.append(m)
+        else:
+            return []
+    if not free:
+        return [p]
+    if len(free) == 2 and k1 != k2:
+        return []
+    km = k[free[0]]
+    if km == 0.0:
+        return []
+    ss = (2.0 * p[2] - sum(k[m] * p[m] * p[m] for m in (0, 1) if m not in free)) / km
+    if ss < -1e-12:
+        return []
+    p[free[0]] = math.sqrt(max(ss, 0.0))
+    return [p]
+
+
+def companion_closest_paraboloid(k1, k2, q):
+    """Closest point on z = (k1 x^2 + k2 y^2) / 2 to q and its distance, one
+    point at a time from every real root of the closest-point quintic.
+
+    The companion-matrix roots of the quintic are polished on the secular
+    equation and back-substituted; a point on a symmetry plane also tries
+    the exact pole branch, which the companion eigenvalues smear. The
+    nearest candidate on the surface wins.
+    """
+    q = np.asarray(q, dtype=float)
+    coeffs = _quintic_coeffs(k1, k2, q)
+    desc = np.trim_zeros(coeffs[::-1], "f")
+    cands = []
+    if len(desc) >= 2:
+        roots = np.roots(desc)
+        keep = np.abs(roots.imag) <= 1e-7 * (1.0 + np.abs(roots.real))
+        for lam in roots[keep].real:
+            cands.extend(_backsub(k1, k2, q, _polish_secular(k1, k2, q, lam)))
+    for m, km in ((0, k1), (1, k2)):
+        if km != 0.0 and abs(q[m]) <= _SYM_TOL:
+            cands.extend(_backsub(k1, k2, q, -1.0 / km))
+    scale = 1.0 + abs(k1) * q[0] ** 2 + abs(k2) * q[1] ** 2 + 2.0 * abs(q[2])
+    for tol in (1e-10 * scale, 1e-7 * scale):
+        onsurf = [p for p in cands if abs(k1 * p[0] ** 2 + k2 * p[1] ** 2 - 2.0 * p[2]) <= tol]
+        if onsurf:
+            p = onsurf[int(np.argmin([np.dot(q - p, q - p) for p in onsurf]))]
+            return p, float(np.linalg.norm(q - p))
+    raise AssertionError(f"no candidate on the surface for q = {q.tolist()}")
 
 
 def mc_region_area(contains, lo, hi, n, rng):

@@ -677,6 +677,15 @@ def test_track_rejects_bad_down_forward(tmp_path, capsys, policy, vectors, messa
     assert out.err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("flag, value", [("--c-d", "nan"), ("--c-d", "-1"), ("--c-a", "nan")])
+def test_track_rejects_bad_remap_thresholds(tmp_path, capsys, flag, value):
+    traj = _write_traj(tmp_path, n=3)
+    assert cli.main(["track", "--trajectory", str(traj), "--policy", "fd", flag, value]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: c_d and c_a must be >= 0")
+
+
 def test_track_drops_preloaded_patch_outside_grid(tmp_path, dome_map, capsys):
     """A preloaded patch whose xz lies outside the volume grid is dropped at load."""
     doc = json.loads(dome_map.read_text())
@@ -803,13 +812,15 @@ def test_map_rejects_bad_gravity(tmp_path, dome_dir, capsys, spec):
      {"surface": "torus"}, {"saliency": {"kappa_min": 5.0, "kappa_max": -5.0}},
      {"budgets": {"n_s": -1}}, {"budgets": {"wall_clock_s": -1.0}},
      {"volume": {"v_s": -4.0}}, {"neighborhood": {"variant": "kdtree"}},
-     {"volume": {"n_g": 0}}],
+     {"volume": {"n_g": 0}}, {"volume": {"c_d": float("nan")}}, {"volume": {"c_a": -0.05}},
+     {"saliency": {"l_d": float("nan")}}],
     ids=["budget_typo", "unknown_key", "volume_typo", "gamma_above_one", "n_f_not_integer",
          "n_f_below_fit_minimum", "bool_as_string", "bool_as_integer", "d_max_negative",
          "d_max_infinite", "decimate_negative", "nested_bool_as_float",
          "nested_v_g_not_integer", "nested_string_as_integer", "surface_unknown",
          "kappa_range_inverted", "budget_count_negative", "budget_seconds_negative",
-         "volume_size_negative", "variant_kdtree_removed", "volume_n_g_zero"],
+         "volume_size_negative", "variant_kdtree_removed", "volume_n_g_zero",
+         "volume_c_d_nan", "volume_c_a_negative", "saliency_l_d_nan"],
 )
 def test_map_rejects_malformed_config(tmp_path, dome_dir, capsys, spec):
     cfg = tmp_path / "bad.json"

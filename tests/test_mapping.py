@@ -539,6 +539,11 @@ def test_saliency_config_validation():
         SaliencyConfig(r=0.0)
     with pytest.raises(ValueError):
         SaliencyConfig(phi_d=90.0)
+    # a NaN fixation point puts every pixel outside the region of interest:
+    # no seeds, and no error
+    for bad in ({"l_d": math.nan}, {"l_f": math.inf}):
+        with pytest.raises(ValueError, match="l_d and l_f must be finite"):
+            SaliencyConfig(**bad)
     gate = SaliencyConfig()
     assert gate.kappa_min == pytest.approx(-13.6)
     assert gate.kappa_max == pytest.approx(19.7)
@@ -953,6 +958,22 @@ def test_init_volume_places_camera_at_default():
     assert np.allclose(back.r, cam.r, atol=1e-12)
     assert np.allclose(back.t, cam.t, atol=1e-12)
     assert np.allclose(state.c_t.t, DEFAULT_CAMERA_IN_VOLUME.t)
+
+
+@pytest.mark.parametrize(
+    "c_d, c_a", [(math.nan, 0.05), (-1.0, 0.05), (0.3, math.nan), (0.3, -0.01)],
+    ids=["c_d_nan", "c_d_negative", "c_a_nan", "c_a_negative"],
+)
+def test_init_volume_rejects_bad_remap_thresholds(c_d, c_a):
+    # a NaN threshold would never remap and a negative one remap every frame
+    with pytest.raises(ValueError, match="c_d and c_a must be >= 0"):
+        init_volume(c_d=c_d, c_a=c_a)
+
+
+def test_init_volume_infinite_thresholds_never_remap():
+    state = init_volume(policy=MovePolicy.FC, c_d=math.inf, c_a=math.inf)
+    far = Pose6(np.array([0.0, 0.5, 0.0]), np.array([0.0, 0.0, 100.0]))
+    assert volume_update(state, far)[1] is None
 
 
 def test_volume_update_fv_never_remaps():

@@ -15,7 +15,8 @@ SRC = Path(patchscape.__file__).parent
 
 # closest_point_exact has no caller in the package: it is the one-row entry
 # to the residual kernel that the benchmark traces by name, and the tests
-# use it with solver="companion" as their closest-point reference.
+# check it, point by point, against the companion-matrix oracle in
+# tests/_oracles.py.
 # intersection_area has none either: it is the one-cell case of the grid
 # kernel that coverage_eval runs, the public form of a cell's overlap area
 # that the intersection tests check against Monte-Carlo areas. These are the

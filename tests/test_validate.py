@@ -1,9 +1,10 @@
 """Validation tests.
 
-Closest points are checked against a dense-grid brute force, intersection
-areas against Monte-Carlo point sampling, and the coverage rules against
-directly constructed cell populations. The grid kernels are checked
-against their scalar per-cell oracles.
+Closest points are checked against a dense-grid brute force and the
+companion-matrix oracle, intersection areas against Monte-Carlo point
+sampling, and the coverage rules against directly constructed cell
+populations. The grid kernels are checked against their scalar per-cell
+oracles.
 """
 
 import math
@@ -40,6 +41,7 @@ from patchscape.validate import (
 from _oracles import (
     brute_closest_paraboloid,
     cell_intersection_area,
+    companion_closest_paraboloid,
     explicit_eval,
     loop_coverage_eval,
     mc_region_area,
@@ -135,8 +137,8 @@ def test_newton_agrees_with_companion():
         kx, ky = rng.uniform(-8.0, 8.0, 2)
         patch = _parab(kx, ky) if kx != ky else _parab(kx, ky + 0.1)
         q = rng.uniform(0.05, 0.7, 3) * rng.choice([-1.0, 1.0], 3)
-        _, d_auto = closest_point_exact(patch, q, solver="auto")
-        _, d_ref = closest_point_exact(patch, q, solver="companion")
+        _, d_auto = closest_point_exact(patch, q)
+        _, d_ref = companion_closest_paraboloid(*curvature_k3(patch)[:2], q)
         assert d_auto == pytest.approx(d_ref, abs=1e-9)
 
 
@@ -192,8 +194,32 @@ def test_batch_kernel_matches_companion_per_row():
         patch = _parab(kx, ky)
         pts = _mixed_batch(patch, rng)
         _, d = _closest_points(patch, pts)
-        ref = [closest_point_exact(patch, q, solver="companion")[1] for q in pts]
+        k = curvature_k3(patch)[:2]
+        ref = [companion_closest_paraboloid(*k, q)[1] for q in pts]
         _assert_rows_agree(d, np.array(ref))
+
+
+def test_closest_point_near_symmetry_plane():
+    # |q_b| from 1e-12 to 1e-2 off the symmetry plane of each curved axis b,
+    # at z = 2 / k_b, beyond that section's centre of curvature, where the
+    # closest point of a point on the plane can leave it and the multiplier
+    # sits next to a pole; also a steep pair from the curvature gate's range
+    for kx, ky in _K_MATRIX + [(2.39, 19.15)]:
+        rows = []
+        for b, kb in enumerate((kx, ky)):
+            if kb == 0.0:
+                continue
+            for off in (1e-12, 1e-9, 1e-6, 1e-4, 1e-2):
+                q = np.zeros(3)
+                q[b], q[1 - b], q[2] = off, 0.05, 2.0 / kb
+                rows.append(q)
+        pts, patch = np.array(rows), _parab(kx, ky)
+        p, d = _closest_points(patch, pts)
+        gap = np.abs(0.5 * (kx * p[:, 0] ** 2 + ky * p[:, 1] ** 2) - p[:, 2])
+        assert np.all(gap <= 1e-12 * (1.0 + np.abs(p[:, 2]))), (kx, ky, gap.max())
+        brute = np.array([brute_closest_paraboloid(kx, ky, q) for q in pts])
+        assert d == pytest.approx(brute, abs=1e-9), (kx, ky)
+        assert residual(patch, pts) == pytest.approx(math.sqrt(np.mean(brute**2)), abs=1e-9)
 
 
 def test_batch_kernel_sphere_and_cylinder_rows():
