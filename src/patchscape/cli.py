@@ -163,19 +163,26 @@ def _noise(kind: str, params):
     """Noise model of a kind, None for "none".
 
     params gives the model's fields by name (a dict) or in field order (a
-    sequence); fields it leaves out keep the model's defaults.
+    sequence); fields it leaves out keep the model's defaults. A name the
+    model lacks, or a value past its last field, is ValueError.
     """
-    if kind == "none":
-        return None
-    if kind not in _NOISE:
+    if kind != "none" and kind not in _NOISE:
         raise ValueError(f"unknown noise model: {kind}")
-    cls = _NOISE[kind]
+    cls = _NOISE.get(kind)
+    names = [f.name for f in fields(cls)] if cls else []
     if not isinstance(params, dict):
-        params = dict(zip((f.name for f in fields(cls)), params))
+        if len(params) > len(names):
+            raise ValueError(f"noise model {kind} takes {len(names)} value(s), got {len(params)}")
+        params = dict(zip(names, params))
+    extra = [name for name in params if name not in names]
+    if extra:
+        raise ValueError(f"noise model {kind} has no {', '.join(extra)}")
+    if cls is None:
+        return None
     missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in params]
     if missing:
         raise ValueError(f"noise model {kind} needs {', '.join(missing)}")
-    return cls(**{f.name: float(params[f.name]) for f in fields(cls) if f.name in params})
+    return cls(**{name: float(v) for name, v in params.items()})
 
 
 def _noise_tag(noise) -> str:
@@ -212,11 +219,13 @@ def write_cloud(path: str, cloud: OrganizedCloud, noise=None) -> None:
             f.write(_rows(cvs[:, _UPPER], ok & np.isfinite(cvs).all(axis=1)))
 
 
-def _header(lines: List[str], i: int, key: str, n: int) -> List[str]:
-    """Values after key on header line i; ValueError unless there are n."""
+def _header(lines: List[str], i: int, key: str, n: int, more: bool = False) -> List[str]:
+    """Values after key on header line i; ValueError unless there are n (with more, at least n)."""
     vals = lines[i].split()
-    if vals[:1] != [key] or len(vals) < n + 1:
-        raise ValueError(f"header line {i + 1} needs {key!r} and {n} value(s)")
+    count = len(vals) - 1
+    if vals[:1] != [key] or count < n or count > n and not more:
+        raise ValueError(f"header line {i + 1} needs {key!r} and {'at least ' if more else ''}"
+                         f"{n} value(s)")
     return vals[1:]
 
 
@@ -233,10 +242,10 @@ def read_cloud(path: str) -> Tuple[OrganizedCloud, object]:
     if not lines[0].startswith("OPC2 "):
         raise ValueError(f"{path}: not an OPC2 cloud file")
     try:
-        w, h = (int(v) for v in _header(lines, 0, "OPC2", 2)[:2])
-        fx, fy, cx, cy, baseline = (float(v) for v in _header(lines, 1, "intrinsics", 5)[:5])
-        tag = _header(lines, 2, "noise", 1)
-        noise = _noise(tag[0], tag[1:])
+        w, h = (int(v) for v in _header(lines, 0, "OPC2", 2))
+        fx, fy, cx, cy, baseline = (float(v) for v in _header(lines, 1, "intrinsics", 5))
+        kind, *params = _header(lines, 2, "noise", 1, more=True)
+        noise = _noise(kind, params)
         has_cov = bool(int(_header(lines, 3, "cov", 1)[0]))
         intr = CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy, width=w, height=h, baseline=baseline)
     except ValueError as e:
@@ -392,7 +401,8 @@ def load_scene_spec(path: str):
         intr = CameraIntrinsics(**intr)
     cam = _pose6(spec.get("camera") or {"t": [0.0, 0.0, 0.0]})
     noise = spec.get("noise")
-    noise = None if noise is None else _noise(noise["model"], noise)
+    if noise is not None:
+        noise = _noise(noise["model"], {k: v for k, v in noise.items() if k != "model"})
     surfaces = []
     for entry in spec["surfaces"]:
         if not isinstance(entry, dict):

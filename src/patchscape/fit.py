@@ -526,8 +526,8 @@ def _classify_paraboloid(k2, r, sigma8):
 
     ax, ay = abs(k2[0]), abs(k2[1])
     if max(ax, ay) < _FLAT_EPS:
-        sigma = restate(np.zeros((0, 2)), _pose.jac_rxy(r))
-        return SurfaceType.PLANE, np.zeros(0), _pose.rxy_from_r(r), sigma
+        rxy, J_r = _pose.jac_rxy_of(_pose.exp_map(r), _pose.jac_exp(r))
+        return SurfaceType.PLANE, np.zeros(0), rxy, restate(np.zeros((0, 2)), J_r)
     if min(ax, ay) < _FLAT_EPS:
         # single curved direction; keep it on the local y axis
         if ay >= _FLAT_EPS:
@@ -535,10 +535,9 @@ def _classify_paraboloid(k2, r, sigma8):
         r_new, J_r = _swap_frame(r)
         return SurfaceType.CYLINDRIC_PARABOLOID, k2[:1], r_new, restate([[1.0, 0.0]], J_r)
     if abs(k2[0] - k2[1]) < _FLAT_EPS:
-        return (
-            SurfaceType.CIRCULAR_PARABOLOID, np.array([0.5 * (k2[0] + k2[1])]),
-            _pose.rxy_from_r(r), restate([[0.5, 0.5]], _pose.jac_rxy(r)),
-        )
+        rxy, J_r = _pose.jac_rxy_of(_pose.exp_map(r), _pose.jac_exp(r))
+        k = np.array([0.5 * (k2[0] + k2[1])])
+        return SurfaceType.CIRCULAR_PARABOLOID, k, rxy, restate([[0.5, 0.5]], J_r)
     stype = (
         SurfaceType.ELLIPTIC_PARABOLOID
         if k2[0] * k2[1] > 0.0

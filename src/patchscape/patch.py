@@ -251,21 +251,21 @@ def transform_patch(patch: Patch, T: Pose6):
 
     Returns (patch', J) where J is d(new params)/d(old params) over the
     canonical (k, d, r, t) order; sigma is carried through J when present.
+    The new rotation R_T R(r) reaches the pose through its chart map: a
+    5-DoF pose's r_xy through pose.jac_rxy_of, a 6-DoF pose's r through
+    pose.jac_log_of.
     """
     R_T = _pose.exp_map(T.r)
+    r = patch_rotvec(patch)
+    R_new = R_T @ _pose.exp_map(r)
+    dR = R_T @ _pose.jac_exp(r)
     t_new = R_T @ patch.pose.t + T.t
     if isinstance(patch.pose, Pose5):
-        zl_new = R_T @ _pose.exp_map(_pose.rxy_to_r(patch.pose.rxy))[:, 2]
-        rxy_new = _pose.rxy_for_zdir(zl_new)
-        J_r = np.linalg.pinv(_pose.jac_zaxis(rxy_new)) @ (
-            R_T @ _pose.jac_zaxis(patch.pose.rxy)
-        )
+        rxy_new, J_r = _pose.jac_rxy_of(R_new, dR[:2])
         new_pose = Pose5(rxy_new, t_new)
     else:
-        R_new = R_T @ _pose.exp_map(patch.pose.r)
-        r_new, J_r = _pose.jac_log_of(R_new, R_T @ _pose.jac_exp(patch.pose.r))
+        r_new, J_r = _pose.jac_log_of(R_new, dR)
         new_pose = Pose6(r_new, t_new)
     J = block_diag(np.eye(patch.k.size + patch.d.size), J_r, R_T)
     sigma = J @ patch.sigma @ J.T if patch.sigma is not None else None
     return replace(patch, pose=new_pose, sigma=sigma), J
-

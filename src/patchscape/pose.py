@@ -16,6 +16,16 @@ Conventions:
     first component with magnitude above 1e-9 * pi positive.
   - Chains apply their links right to left: the first link in the sequence
     acts on the point first.
+  - A rotation and its derivative blocks dR/dx_m reach a pose's parameters
+    through one of two chart maps: jac_log_of gives a 6-DoF pose's r =
+    log(R), and jac_rxy_of a 5-DoF pose's r_xy, the xy rotation vector
+    whose rotation takes zhat onto R zhat (rxy_for_zdir). The fit's frame
+    reductions and transform_patch change a rotation's chart only through
+    them.
+  - The 5-DoF chart folds at theta_xy = pi, where the z axis is -zhat:
+    every r_xy of norm pi aims it there. rxy_for_zdir returns (pi, 0) at
+    the fold, and jac_rxy_of takes the minimum-norm derivative, which is
+    the exact one wherever the chart is regular.
 
 Numerical policy:
   - Series branches for sin(theta)/theta style terms switch at
@@ -59,8 +69,7 @@ __all__ = [
     "sym",
     "jac_exp",
     "jac_log_of",
-    "jac_rxy",
-    "jac_zaxis",
+    "jac_rxy_of",
 ]
 
 # Series cutoff ~ eps^(1/4): below this the quoted Taylor forms of
@@ -340,37 +349,16 @@ def rxy_to_r(rxy) -> np.ndarray:
     return np.array([v[0], v[1], 0.0])
 
 
-def jac_zaxis(rxy) -> np.ndarray:
-    """Derivative of the local z axis R((r_xy, 0)) zhat: shape (3, 2)."""
-    dR = jac_exp(rxy_to_r(rxy))
-    return np.column_stack([dR[0][:, 2], dR[1][:, 2]])
-
-
 def rxy_from_r(r) -> np.ndarray:
-    """Two-component orientation with the same local z axis as r.
-
-    The reduced vector r_xy satisfies R((r_xy, 0)) zhat = R(r) zhat; it
-    drops the rotation about the surface's own z axis. When the z axis is
-    flipped all the way over (theta_xy = pi) the axis already lies in the
-    xy plane and the first two components of r are returned directly.
-    """
-    v = _as_vec3(r, "rotation vector")
-    zl = exp_map(v)[:, 2]
-    w = np.array([-zl[1], zl[0]])  # xy part of zhat x zl; z part is 0
-    s = float(np.linalg.norm(w))
-    cth = float(zl[2])
-    theta = math.atan2(s, cth)
-    if math.pi - theta <= 1e-6:
-        return v[:2].copy()
-    if theta <= _SERIES_EPS:
-        alpha = 1.0 - theta * theta / 6.0
-    else:
-        alpha = s / theta
-    return w / alpha
+    """Two-component orientation with the local z axis of r: R((r_xy, 0)) zhat = R(r) zhat."""
+    return rxy_for_zdir(exp_map(r)[:, 2])
 
 
 def rxy_for_zdir(zdir) -> np.ndarray:
-    """xy rotation vector whose rotation maps zhat onto the unit vector zdir."""
+    """xy rotation vector whose rotation maps zhat onto the unit vector zdir.
+
+    At the fold, zdir = -zhat, it is (pi, 0): a half turn about the x axis.
+    """
     v = _as_vec3(zdir, "direction")
     n = float(np.linalg.norm(v))
     if n == 0.0:
@@ -386,39 +374,18 @@ def rxy_for_zdir(zdir) -> np.ndarray:
     return w * (theta / s)
 
 
-def jac_rxy(r) -> np.ndarray:
-    """Derivative of rxy_from_r: shape (2, 3).
+def jac_rxy_of(R, dR_blocks):
+    """r_xy = rxy_for_zdir(R zhat) and dr_xy/dx, given the blocks dR/dx_m of each input x_m.
 
-    Built from the quotient rule on r_xy = (zhat x zl) / alpha(theta_xy)
-    with zl = R(r) zhat; on the theta_xy = pi branch the reduction is the
-    plain xy projection of r and the derivative is the projector.
+    The 5-DoF counterpart of jac_log_of. Returns (r_xy, J) with J of shape
+    (2, len(dR_blocks)), column m being pinv(dz/dr_xy) (dR/dx_m zhat), where
+    z(r_xy) = R((r_xy, 0)) zhat. Where the chart is regular that is the
+    exact derivative; at the fold dz/dr_xy has rank 1 and J is the
+    minimum-norm one.
     """
-    v = _as_vec3(r, "rotation vector")
-    R = exp_map(v)
-    zl = R[:, 2]
-    w3 = np.array([-zl[1], zl[0], 0.0])
-    s = float(np.linalg.norm(w3))
-    cth = float(zl[2])
-    theta = math.atan2(s, cth)
-    if math.pi - theta <= 1e-6:
-        return np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    # column m is d(zl)/dr_m; copied to C order, since matmul on the
-    # transposed view rounds differently in the last bit
-    dzl = jac_exp(v)[:, :, 2].T.copy()
-    zx = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])  # [zhat]_x
-    if theta <= _SERIES_EPS:
-        alpha = 1.0 - theta * theta / 6.0
-        dalpha = -theta / 3.0
-    else:
-        alpha = s / theta
-        dalpha = (theta * cth - s) / (theta * theta)
-    J3 = (zx @ dzl) / alpha
-    if s > 1e-12:
-        what = w3 / s
-        # dtheta/dzl, with cos^2 + sin^2 = 1 collapsing the atan2 quotient.
-        dtheta_dzl = cth * (what @ zx) - s * np.array([0.0, 0.0, 1.0])
-        J3 += np.outer(w3, (-dalpha / (alpha * alpha)) * (dtheta_dzl @ dzl))
-    return J3[:2]
+    rxy = rxy_for_zdir(np.asarray(R, dtype=float)[:, 2])
+    dz = np.asarray(dR_blocks, dtype=float).reshape(-1, 3, 3)[:, :, 2].T
+    return rxy, np.linalg.pinv(jac_exp(rxy_to_r(rxy))[:2, :, 2].T) @ dz
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,13 @@ def companion_closest_paraboloid(k1, k2, q):
     equation and back-substituted; a point on a symmetry plane also tries
     the exact pole branch, which the companion eigenvalues smear. The
     nearest candidate on the surface wins.
+
+    Limit: next to a pole it is no 1e-12 reference. It polishes and
+    back-substitutes in lambda, where 1 + lambda k_b loses digits, so a
+    point a small |q_b| off a curved axis's symmetry plane comes out up to
+    ~4e-11 relative off (seen at |q_b| = 1e-6; below _SYM_TOL the exact
+    pole branch takes over). Near-pole rows are checked against
+    brute_closest_paraboloid instead.
     """
     q = np.asarray(q, dtype=float)
     coeffs = _quintic_coeffs(k1, k2, q)

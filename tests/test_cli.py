@@ -178,7 +178,11 @@ def test_opc_rejects_garbage(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "index, line", [(2, "noise constant"), (2, "noise"), (1, "intrinsics 5 5"), (3, "cov")]
+    "index, line",
+    [(2, "noise constant"), (2, "noise"), (1, "intrinsics 5 5"), (3, "cov"),
+     # a trailing value past the line's last field
+     (0, "OPC2 4 3 7"), (1, "intrinsics 10 11 1.5 1 0.07 9"),
+     (2, "noise stereo 0.35 0.17 0.5"), (3, "cov 0 1")],
 )
 def test_opc_short_header_field_is_bad_input(tmp_path, capsys, index, line):
     path = tmp_path / "short.opc"
@@ -408,8 +412,9 @@ def test_simulate_rejects_bad_scene(tmp_path, capsys, spec):
 @pytest.mark.parametrize(
     "noise",
     [{"model": "constant", "k": -1e-6}, {"model": "linear", "k": float("inf")},
-     {"model": "stereo", "sigma_p": 0.0}, {"model": "stereo", "sigma_m": 0.0}],
-    ids=["k_negative", "k_infinite", "sigma_p_zero", "sigma_m_zero"],
+     {"model": "stereo", "sigma_p": 0.0}, {"model": "stereo", "sigma_m": 0.0},
+     {"model": "stereo", "sigma_q": 0.3}],
+    ids=["k_negative", "k_infinite", "sigma_p_zero", "sigma_m_zero", "unknown_field"],
 )
 def test_simulate_rejects_bad_noise(tmp_path, capsys, noise):
     p = tmp_path / "scene.json"

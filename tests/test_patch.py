@@ -330,6 +330,8 @@ def test_transform_moves_surface_points_rigidly(s, b, k, d):
     [
         (S.CIRCULAR_CYLINDER, B.AARECT, [4.0], [0.3, 0.2], (0.5, 0.2, -0.3)),
         (S.SPHERE, B.CIRCLE, [4.0], [0.2], (0.4, -0.3, 0.0)),
+        # head-on: |r_xy| = pi - 0.05, the z axis 0.05 rad from -zhat
+        (S.PLANE, B.CIRCLE, [], [0.25], (math.pi - 0.05) * np.array([0.6, -0.8, 0.0])),
     ],
 )
 def test_transform_jacobian_matches_finite_differences(s, b, k, d, r):

@@ -213,12 +213,20 @@ def test_log_jacobian_matches_geodesic_fd():
         assert rel_err(J[:, 0], fd) < 1e-5
 
 
-def test_jac_rxy_matches_fd():
+def test_jac_rxy_of_matches_fd():
+    # Random rotations, then rotations whose z axis sits 1e-1, 1e-2 and
+    # 1e-3 rad from -zhat, each with a spin about z: there the chart nears
+    # its fold and r_xy turns fast with the azimuth.
     rng = np.random.default_rng(23)
-    for _ in range(100):
-        r = random_rotvec(rng, lo=1e-2, hi=math.pi - 0.1)
-        J = pose.jac_rxy(r)
-        fd = central_diff_jac(lambda x: pose.rxy_from_r(x), r)
+    cases = [random_rotvec(rng, lo=1e-2, hi=math.pi - 0.1) for _ in range(100)]
+    for delta in (1e-1, 1e-2, 1e-3):
+        phi, spin = rng.uniform(-math.pi, math.pi, size=2)
+        rxy = (math.pi - delta) * np.array([math.cos(phi), math.sin(phi)])
+        R = pose.exp_map(pose.rxy_to_r(rxy)) @ pose.exp_map(np.array([0.0, 0.0, spin]))
+        cases.append(pose.log_map(R))
+    for r in cases:
+        _, J = pose.jac_rxy_of(pose.exp_map(r), pose.jac_exp(r))
+        fd = central_diff_jac(pose.rxy_from_r, r)
         assert rel_err(J, fd) < 1e-5
 
 
@@ -243,9 +251,17 @@ def test_rxy_of_pure_z_rotation_is_zero():
 
 
 def test_rxy_upside_down_branch():
+    # r = (pi, 0, 0) turns zhat onto -zhat, the fold, where dz/dr_xy has
+    # rank 1: J is the finite minimum-norm derivative, and r_xy still aims
+    # zhat at R zhat.
     r = np.array([math.pi, 0.0, 0.0])
-    np.testing.assert_allclose(pose.rxy_from_r(r), np.array([math.pi, 0.0]), atol=1e-12)
-    z = pose.exp_map(pose.rxy_to_r(pose.rxy_from_r(r)))[:, 2]
+    R = pose.exp_map(r)
+    rxy, J = pose.jac_rxy_of(R, pose.jac_exp(r))
+    np.testing.assert_array_equal(rxy, pose.rxy_from_r(r))
+    np.testing.assert_allclose(rxy, np.array([math.pi, 0.0]), atol=1e-12)
+    assert J.shape == (2, 3) and np.all(np.isfinite(J))
+    z = pose.exp_map(pose.rxy_to_r(rxy))[:, 2]
+    np.testing.assert_allclose(z, R[:, 2], atol=1e-15)
     np.testing.assert_allclose(z, [0.0, 0.0, -1.0], atol=1e-12)
 
 
