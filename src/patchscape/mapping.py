@@ -156,8 +156,11 @@ def _moment_integral(points: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """(10, H + 1, W + 1) zero-padded running sums of [1, p, upper(p p^T)].
 
     Any window's point count, coordinate sums and second moments are then
-    four lookups. The running sums are taken in place, so this image is the
-    only full-frame buffer.
+    four lookups. The sums run down the rows first, each row adding the one
+    above it, and then along each row, as np.cumsum over axis 1 and then
+    axis 2 would; the box sums, and so every normal and saliency verdict,
+    rely on that order for their last bits. The running sums are taken in
+    place, so this image is the only full-frame buffer.
     """
     h, w = valid.shape
     ii = np.zeros((10, h + 1, w + 1))
@@ -167,7 +170,10 @@ def _moment_integral(points: np.ndarray, valid: np.ndarray) -> np.ndarray:
         np.copyto(m[1 + c], points[..., c], where=valid)
     for c, (i, j) in enumerate(_UPPER):
         np.multiply(m[1 + i], m[1 + j], out=m[4 + c])
-    np.cumsum(ii, axis=1, out=ii)
+    # one contiguous row addition at a time: np.cumsum over axis 1 walks
+    # each column a row's stride apart, which costs more
+    for i in range(1, h + 1):
+        np.add(ii[:, i], ii[:, i - 1], out=ii[:, i])
     np.cumsum(ii, axis=2, out=ii)
     return ii
 
@@ -284,15 +290,15 @@ def integral_normals(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Two-scale normals at the pixels (v, u) from the frame's moment image.
 
-    ii is _moment_integral of the cloud's points and valid mask. Returns
-    (N, N_s), two (m, 3) arrays for the m pixels: N uses window size
-    2 r f / Z(i) pixels at each pixel, with f = cloud.intrinsics.fx, and N_s
-    half that, so both windows see roughly a metric r-ball (respectively
-    r/2) on the surface. Normals are unit and oriented toward the camera.
-    N is solved at the valid pixels; keep maps N to an (m,) boolean mask of
-    the pixels that also need N_s (default: all of them). Rows are NaN
-    where their scale was not solved, and where the window holds fewer
-    than _MIN_SUPPORT valid points.
+    ii is _moment_integral of the cloud's points and valid mask; ValueError
+    unless 0 < r < inf. Returns (N, N_s), two (m, 3) arrays for the m
+    pixels: N uses window size 2 r f / Z(i) pixels at each pixel, with
+    f = cloud.intrinsics.fx, and N_s half that, so both windows see roughly
+    a metric r-ball (respectively r/2) on the surface. Normals are unit and
+    oriented toward the camera. N is solved at the valid pixels; keep maps
+    N to an (m,) boolean mask of the pixels that also need N_s (default:
+    all of them). Rows are NaN where their scale was not solved, and where
+    the window holds fewer than _MIN_SUPPORT valid points.
 
     The one moment image holds the count, coordinate sums and the six
     distinct second moments, so any window costs four lookups and a pixel
@@ -306,8 +312,8 @@ def integral_normals(
     pixel's normal depends only on ii and its own point, not on which other
     pixels are solved.
     """
-    if r <= 0.0:
-        raise ValueError("r must be positive")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"r must be positive and finite, got {r}")
     z = cloud.points[v, u, 2]
     with np.errstate(invalid="ignore", divide="ignore"):
         wpx = np.where(z > 0.0, 2.0 * r * cloud.intrinsics.fx / z, 0.0)
@@ -336,7 +342,8 @@ def integral_normals(
 class SaliencyConfig:
     """Thresholds for the three hiking saliency tests.
 
-    r is the patch neighborhood radius; l_d and l_f locate the fixation
+    r is the patch neighborhood radius, and the normals' window radius, so
+    it must be finite; l_d and l_f locate the fixation
     point a body height down and two step lengths forward of the camera;
     R bounds the region of interest around it. phi_d and phi_g (degrees)
     gate the fine-vs-coarse normal angle and the normal-vs-antigravity
@@ -354,8 +361,8 @@ class SaliencyConfig:
     kappa_max: float = 19.7
 
     def __post_init__(self):
-        if not (self.r > 0.0 and self.R > 0.0):
-            raise ValueError("r and R must be positive")
+        if not (0.0 < self.r < math.inf and self.R > 0.0):
+            raise ValueError("r must be positive and finite, and R positive")
         if not (math.isfinite(self.l_d) and math.isfinite(self.l_f)):
             raise ValueError("l_d and l_f must be finite")
         for name in ("phi_d", "phi_g"):
@@ -387,13 +394,25 @@ def fixation_point(g, l_d: float, l_f: float) -> np.ndarray:
     return l_d * gv + l_f * np.cross(np.array([1.0, 0.0, 0.0]), gv)
 
 
+def _dist(points: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Euclidean distances of the (..., 3) points from the 3-vector c.
+
+    sqrt((dx dx + dy dy) + dz dz) over per-coordinate arrays: the operations
+    np.linalg.norm(points - c, axis=-1) does, in its order, so it matches
+    that norm bit for bit without the (..., 3) difference array and its
+    strided reduction. NaN where a point has a NaN coordinate.
+    """
+    dx, dy, dz = (points[..., k] - c[k] for k in range(3))
+    return np.sqrt((dx * dx + dy * dy) + dz * dz)
+
+
 def _near_fixation(points: np.ndarray, gv: np.ndarray, cfg: SaliencyConfig) -> np.ndarray:
     """DtFP: whether each (..., 3) point lies within cfg.R of the fixation point.
 
     gv is the unit camera-frame gravity direction; NaN points fail.
     """
     with np.errstate(invalid="ignore"):
-        return np.linalg.norm(points - fixation_point(gv, cfg.l_d, cfg.l_f), axis=-1) <= cfg.R
+        return _dist(points, fixation_point(gv, cfg.l_d, cfg.l_f)) <= cfg.R
 
 
 def saliency_filter(
@@ -445,9 +464,10 @@ class Seed:
 
 def _cells(volume: "VolumeState", p_vol: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Indices of the (n, 3) volume-frame points inside the xz grid, and their (ix, iz) cells."""
-    q = np.floor(p_vol[:, [0, 2]] / (volume.v_s / volume.v_g))
-    inside = np.flatnonzero(((q >= 0) & (q < volume.v_g)).all(axis=1))
-    return inside, q[inside].astype(int)
+    w, v_g = volume.v_s / volume.v_g, volume.v_g
+    qx, qz = np.floor(p_vol[:, 0] / w), np.floor(p_vol[:, 2] / w)
+    inside = np.flatnonzero((qx >= 0) & (qx < v_g) & (qz >= 0) & (qz < v_g))
+    return inside, np.stack([qx[inside], qz[inside]], axis=1).astype(int)
 
 
 def select_seeds(
@@ -476,20 +496,20 @@ def select_seeds(
     v_g, n_g = volume.v_g, volume.n_g
     rng = np.random.default_rng(rng_seed)
 
-    pix = np.argwhere(candidates)
-    if len(pix) == 0:
+    flat = np.flatnonzero(candidates)
+    if len(flat) == 0:
         return []
-    pts_cam = cloud.points[pix[:, 0], pix[:, 1]]
+    v, u = np.divmod(flat, candidates.shape[1])
+    pts_cam = cloud.points.reshape(-1, 3)[flat]
+    # the whole (n, 3) transform: its rounding decides the cells
     pts_vol = _pose.xform_fwd(pts_cam, volume.c_t.r, volume.c_t.t)
 
     ingrid, ij = _cells(volume, pts_vol)
 
-    # group by cell; the stable sort keeps each cell's pixels in scan order
+    # group by cell; each mask keeps the cell's pixels in scan order
     key = ij[:, 0] * v_g + ij[:, 1]
-    order = np.argsort(key, kind="stable")
-    cells, starts = np.unique(key[order], return_index=True)
-    groups = np.split(ingrid[order], starts[1:])
-    by_cell = {divmod(int(c), v_g): g for c, g in zip(cells, groups)}
+    occupied = np.flatnonzero(np.bincount(key)).tolist()
+    by_cell = {divmod(c, v_g): ingrid[key == c] for c in occupied}
 
     cam_xz = volume.c_t.t[[0, 2]]
     occupancy = Counter(mp.cell for mp in volume.patches)
@@ -510,13 +530,13 @@ def select_seeds(
         b, size = 0, _FIRST_CHUNK
         while len(chosen) < room and b < len(walk):
             chunk = walk[b : b + size]
-            passed = chunk[salient(pix[chunk, 0], pix[chunk, 1])]
+            passed = chunk[salient(v[chunk], u[chunk])]
             chosen.extend(passed[: room - len(chosen)].tolist())
             b, size = b + size, min(2 * size, _BLOCK)
         for idx in sorted(chosen):
             seeds.append(
                 Seed(
-                    pixel=(int(pix[idx, 0]), int(pix[idx, 1])),
+                    pixel=(int(v[idx]), int(u[idx])),
                     point=pts_cam[idx].copy(),
                     cell=cell,
                 )
@@ -679,11 +699,13 @@ def neighborhood(
     triangle mesh keeps the in-ball pixels that mesh_triangles joins to
     the seed through edges between in-ball pixels, so its neighborhoods
     never cross depth jumps. The seed is a (row, col) pixel holding a valid
-    point; the ball is centered on that point. fit_sample draws the points
-    a fit runs on.
+    point; the ball is centered on that point. ValueError unless r > 0; a
+    ball that reaches the camera plane (r >= the seed's depth, r = inf
+    included) searches the whole frame. fit_sample draws the points a fit
+    runs on.
     """
-    if r <= 0.0:
-        raise ValueError("r must be positive")
+    if not r > 0.0:
+        raise ValueError(f"r must be positive, got {r}")
     (si, sj), s = _resolve_seed(cloud, seed)
 
     # One more pixel on every side keeps whole each triangle that holds an
@@ -693,9 +715,8 @@ def neighborhood(
     margin = _PIXEL_MARGIN + 1 if mesh else _PIXEL_MARGIN
     rows, cols = _ball_pixels_backprojection(cloud, s, r, margin)
     win = cloud.points[rows, cols]
-    cand = np.argwhere(np.isfinite(win[..., 2]))
-    d = np.linalg.norm(win[cand[:, 0], cand[:, 1]] - s, axis=1)
-    sel = cand[d <= r]
+    with np.errstate(invalid="ignore"):
+        sel = np.argwhere(_dist(win, s) <= r)
     if mesh:
         # keep the in-ball pixels joined to the seed through in-ball edges
         shape = win.shape[:2]

@@ -13,7 +13,8 @@ kdtree_neighborhood and connected_ball_neighborhood search the whole frame
 for the neighborhoods the pipeline finds in the seed's window.
 eigh_integral_normals and dense_saliency solve normals and saliency at
 every pixel, where the pipeline tests only the pixels its seed walk
-visits. cell_intersection_area and loop_coverage_eval compute coverage
+visits. cumsum_moment_integral builds the moment image with two
+np.cumsum calls, where the pipeline adds one row at a time. cell_intersection_area and loop_coverage_eval compute coverage
 one cell at a time in scalar Python, where the pipeline takes the whole
 grid in one array pass. companion_closest_paraboloid finds a closest point
 from every real root of the closest-point quintic, one point at a time,
@@ -31,7 +32,7 @@ from scipy.sparse.csgraph import breadth_first_order
 from scipy.spatial import cKDTree
 
 from patchscape import pose as ps
-from patchscape.mapping import Neighborhood, mesh_triangles
+from patchscape.mapping import _UPPER, Neighborhood, mesh_triangles
 from patchscape.patch import (
     BoundaryType,
     SurfaceType,
@@ -230,6 +231,25 @@ def mc_region_area(contains, lo, hi, n, rng):
     u = lo + (hi - lo) * rng.random((n, 2))
     frac = float(np.count_nonzero(contains(u))) / n
     return frac * float(np.prod(hi - lo))
+
+
+def cumsum_moment_integral(points, valid):
+    """(10, H + 1, W + 1) zero-padded running sums of [1, p, upper(p p^T)].
+
+    The direct form of patchscape.mapping._moment_integral: the same
+    moment planes, summed by np.cumsum over the rows and then the columns.
+    """
+    h, w = valid.shape
+    ii = np.zeros((10, h + 1, w + 1))
+    m = ii[:, 1:, 1:]
+    m[0] = valid
+    for c in range(3):
+        np.copyto(m[1 + c], points[..., c], where=valid)
+    for c, (i, j) in enumerate(_UPPER):
+        np.multiply(m[1 + i], m[1 + j], out=m[4 + c])
+    np.cumsum(ii, axis=1, out=ii)
+    np.cumsum(ii, axis=2, out=ii)
+    return ii
 
 
 def eigh_integral_normals(cloud, r, f=None, min_support=6):

@@ -818,14 +818,14 @@ def test_map_rejects_bad_gravity(tmp_path, dome_dir, capsys, spec):
      {"budgets": {"n_s": -1}}, {"budgets": {"wall_clock_s": -1.0}},
      {"volume": {"v_s": -4.0}}, {"neighborhood": {"variant": "kdtree"}},
      {"volume": {"n_g": 0}}, {"volume": {"c_d": float("nan")}}, {"volume": {"c_a": -0.05}},
-     {"saliency": {"l_d": float("nan")}}],
+     {"saliency": {"l_d": float("nan")}}, {"saliency": {"r": float("inf")}}],
     ids=["budget_typo", "unknown_key", "volume_typo", "gamma_above_one", "n_f_not_integer",
          "n_f_below_fit_minimum", "bool_as_string", "bool_as_integer", "d_max_negative",
          "d_max_infinite", "decimate_negative", "nested_bool_as_float",
          "nested_v_g_not_integer", "nested_string_as_integer", "surface_unknown",
          "kappa_range_inverted", "budget_count_negative", "budget_seconds_negative",
          "volume_size_negative", "variant_kdtree_removed", "volume_n_g_zero",
-         "volume_c_d_nan", "volume_c_a_negative", "saliency_l_d_nan"],
+         "volume_c_d_nan", "volume_c_a_negative", "saliency_l_d_nan", "saliency_r_infinite"],
 )
 def test_map_rejects_malformed_config(tmp_path, dome_dir, capsys, spec):
     cfg = tmp_path / "bad.json"

@@ -62,6 +62,7 @@ from patchscape.sensor import (
 
 from _oracles import (
     connected_ball_neighborhood,
+    cumsum_moment_integral,
     dense_saliency,
     eigh_integral_normals,
     kdtree_neighborhood,
@@ -284,8 +285,9 @@ def test_integral_normals_handles_holes_and_orientation():
 
 def test_integral_normals_rejects_bad_inputs():
     cloud = _plane_cloud()
-    with pytest.raises(ValueError):
-        integral_normals(cloud, _moments(cloud), 0.0, *_every_pixel(cloud))
+    for r in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="r must be positive"):
+            integral_normals(cloud, _moments(cloud), r, *_every_pixel(cloud))
     with pytest.raises(ValueError):
         _normal_images(replace(cloud, intrinsics=replace(TINY, fx=-1.0)), 0.1)
 
@@ -476,6 +478,30 @@ def _dtfp(cloud, g, cfg):
         return np.linalg.norm(cloud.points - fixation_point(gv, cfg.l_d, cfg.l_f), axis=-1) <= cfg.R
 
 
+@pytest.mark.parametrize("frame", ["full", "decimated", "holes"])
+def test_moment_integral_matches_cumsum_oracle(rocky_cloud_noisy, frame):
+    cloud = {"full": rocky_cloud_noisy, "decimated": median_decimate(rocky_cloud_noisy, 2)[0],
+             "holes": _holey(rocky_cloud_noisy)}[frame]
+    got = _moments(cloud)
+    assert got.tobytes() == cumsum_moment_integral(cloud.points, cloud.valid_mask).tobytes()
+
+
+def test_dist_matches_linalg_norm():
+    rng = np.random.default_rng(5)
+    n = 6000
+    p = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(n, 3))
+    rows = np.flatnonzero(rng.random(n) < 0.1)
+    p[rows, rng.integers(0, 3, len(rows))] = np.nan
+    for c in (np.zeros(3), rng.normal(size=3) * [1e-6, 1.0, 1e6]):
+        for pts in (p, p.reshape(60, 100, 3)):
+            got = mapping._dist(pts, c)
+            want = np.linalg.norm(pts - c, axis=-1)
+            nan = np.isnan(want)
+            assert nan.sum() == len(rows)
+            assert np.array_equal(np.isnan(got), nan)
+            np.testing.assert_array_max_ulp(got[~nan], want[~nan], maxulp=1)
+
+
 @pytest.mark.parametrize(
     "frame, cfg",
     [("full", SaliencyConfig()), ("full", ROCKY_SALIENCY), ("decimated", ROCKY_SALIENCY),
@@ -535,8 +561,9 @@ def test_saliency_rejects_bad_gravity(g):
 
 
 def test_saliency_config_validation():
-    with pytest.raises(ValueError):
-        SaliencyConfig(r=0.0)
+    for r in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="r must be positive and finite"):
+            SaliencyConfig(r=r)
     with pytest.raises(ValueError):
         SaliencyConfig(phi_d=90.0)
     # a NaN fixation point puts every pixel outside the region of interest:
@@ -817,9 +844,10 @@ def test_neighborhood_backprojection_matches_kdtree():
 
 def test_neighborhood_backprojection_keeps_scan_order(rocky_cloud_noisy):
     cloud = rocky_cloud_noisy
-    seeds = [(240, 320), (100, 500), (400, 60), (2, 2)]
+    # (0, 0) and (0, 639) are frame corners: their windows are clipped on two sides
+    seeds = [(240, 320), (100, 500), (400, 60), (2, 2), (0, 0), (0, 639)]
     seeds = [sd for sd in seeds if np.isfinite(cloud.points[sd][2])]
-    assert len(seeds) >= 3
+    assert len(seeds) >= 4 and {(0, 0), (0, 639)} <= set(seeds)
     for seed in seeds:
         a = neighborhood(NeighborhoodIndex(), cloud, np.array(seed), 0.15)
         b = kdtree_neighborhood(cloud, seed, 0.15)
@@ -892,6 +920,10 @@ def test_neighborhood_mesh_matches_whole_frame_oracle(rocky_cloud_noisy):
     edges = whole_frame_mesh_edges(cloud, idx)
     valid = np.argwhere(cloud.valid_mask)
     seeds = valid[np.random.default_rng(3).choice(len(valid), 5, replace=False)]
+    # and the two valid frame corners, whose windows are clipped on two sides
+    corners = np.array([[0, 0], [0, cloud.valid_mask.shape[1] - 1]])
+    assert cloud.valid_mask[tuple(corners.T)].all()
+    seeds = np.vstack([seeds, corners])
     for r in (0.10, 0.15):
         for seed in seeds:
             a = neighborhood(idx, cloud, seed, r)
@@ -902,14 +934,38 @@ def test_neighborhood_mesh_matches_whole_frame_oracle(rocky_cloud_noisy):
             assert np.array_equal(a.covs, b.covs)
 
 
+@pytest.mark.parametrize("reach", ["camera_plane", "inf"])
+def test_neighborhood_ball_reaching_camera_plane_scans_whole_frame(rocky_cloud_noisy, reach):
+    # z_s - r <= 0: no pixel window bounds the ball, so both variants
+    # search the whole frame
+    cloud, _ = median_decimate(rocky_cloud_noisy, 4)
+    seed = (60, 80)
+    r = float(cloud.points[seed][2]) if reach == "camera_plane" else math.inf
+    h, w = cloud.valid_mask.shape
+    assert mapping._ball_pixels_backprojection(cloud, cloud.points[seed], r) == (
+        slice(0, h), slice(0, w))
+    mesh = NeighborhoodIndex(variant=NeighborhoodVariant.TRIANGLE_MESH)
+    oracles = [
+        (NeighborhoodIndex(), kdtree_neighborhood(cloud, seed, r)),
+        (mesh, connected_ball_neighborhood(cloud, whole_frame_mesh_edges(cloud, mesh), seed, r)),
+    ]
+    for index, b in oracles:
+        a = neighborhood(index, cloud, np.array(seed), r)
+        assert len(a.pixels) > cloud.valid_mask.sum() / 2
+        assert np.array_equal(a.pixels, b.pixels)  # row-major, element for element
+        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a.covs, b.covs)
+
+
 def test_neighborhood_rejects_bad_seeds():
     cloud = _plane_cloud(1.0)
     with pytest.raises(ValueError):
         neighborhood(NeighborhoodIndex(), cloud, np.array([999, 999]), 0.1)
     with pytest.raises(ValueError):
         neighborhood(NeighborhoodIndex(), cloud, np.array([np.nan, 0.0, 1.0]), 0.1)
-    with pytest.raises(ValueError):
-        neighborhood(NeighborhoodIndex(), cloud, (10, 10), -0.1)
+    for r in (-0.1, 0.0, np.nan):
+        with pytest.raises(ValueError, match="r must be positive"):
+            neighborhood(NeighborhoodIndex(), cloud, (10, 10), r)
     holes = cloud.points.copy()
     holes[10, 10] = np.nan
     holed = OrganizedCloud(points=holes, cov=None, intrinsics=cloud.intrinsics)
