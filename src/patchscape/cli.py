@@ -36,6 +36,17 @@ scene specs, configs, and remap logs are JSON. Diagnostics go to stderr;
 stdout stays machine readable. Exit codes: 0 success, 1 bad input, 2 gate
 failure.
 
+Bad input has one outcome in every subcommand: one stderr line
+"error: <what>: <message>", nothing on stdout, and exit 1. <what> names
+the input at fault (bad scene spec, bad trajectory, bad config, bad
+gravity file, bad patch map) or the step (fit failed); it is left out
+where the message already names the fault, as a cloud's path does. Every
+number read from a JSON input must be a JSON number: a string, true,
+false or null never stands in for one. Poses, gravity vectors and the
+numbers of a scene spec must also be finite; a config field checks its
+own range, and a patch-map record's k, d, r, t and sigma are read as
+written.
+
 An OPC2 file starts with four ASCII header lines, "OPC2 <width> <height>",
 "intrinsics <fx> <fy> <cx> <cy> <baseline>", "noise <kind> <field>..." and
 "cov <0|1>", each ended by a newline. A binary body follows: width * height
@@ -246,7 +257,10 @@ def read_cloud(path: str) -> Tuple[OrganizedCloud, object]:
         fx, fy, cx, cy, baseline = (float(v) for v in _header(lines, 1, "intrinsics", 5))
         kind, *params = _header(lines, 2, "noise", 1, more=True)
         noise = _noise(kind, params)
-        has_cov = bool(int(_header(lines, 3, "cov", 1)[0]))
+        (cov_flag,) = _header(lines, 3, "cov", 1)
+        if cov_flag not in ("0", "1"):
+            raise ValueError(f"cov must be 0 or 1, got {cov_flag}")
+        has_cov = cov_flag == "1"
         intr = CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy, width=w, height=h, baseline=baseline)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
@@ -370,7 +384,7 @@ def read_patch_map(path: str) -> Tuple[Pose6, List[_mapping.MapPatch]]:
                 *(_json_value(f"{key}.validation.gates.{g}", bool, v["gates"][g]) for g in _GATES),
             ),
         ))
-    return _pose6(doc.get("camera_in_volume", {"t": [0.0, 0.0, 0.0]})), patches
+    return _pose6("camera_in_volume", doc.get("camera_in_volume", {"t": [0.0, 0.0, 0.0]})), patches
 
 
 # ---------------------------------------------------------------------------
@@ -378,17 +392,37 @@ def read_patch_map(path: str) -> Tuple[Pose6, List[_mapping.MapPatch]]:
 # ---------------------------------------------------------------------------
 
 
-def _pose6(d) -> Pose6:
+def _number(key: str, value) -> float:
+    """A finite JSON number as a float; ValueError, naming key, for any
+    other value, a string, true or null included."""
+    try:
+        x = _json_value(key, float, value)
+    except OverflowError:  # an integer past the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{key} must be finite")
+    return x
+
+
+def _numbers(key: str, value, n: Optional[int] = None) -> np.ndarray:
+    """A JSON list of finite JSON numbers, n of them unless n is None, as floats."""
+    if not isinstance(value, list) or n is not None and len(value) != n:
+        raise ValueError(f"{key} must be a list of {'' if n is None else f'{n} '}JSON numbers")
+    return np.array([_number(f"{key}[{i}]", v) for i, v in enumerate(value)], dtype=float)
+
+
+def _pose6(key: str, d) -> Pose6:
     """Pose6 of a JSON {"r": [...], "t": [...]}; a missing r is no rotation."""
     if not isinstance(d, dict):
         raise ValueError("a pose is not a JSON object")
-    return Pose6(np.asarray(d.get("r", [0.0, 0.0, 0.0]), float), np.asarray(d["t"], float))
+    return Pose6(_numbers(f"{key}.r", d.get("r", [0.0, 0.0, 0.0]), 3),
+                 _numbers(f"{key}.t", d["t"], 3))
 
 
-def _pose_from_spec(d: dict):
-    if "rxy" in d:
-        return Pose5(np.asarray(d["rxy"], float), np.asarray(d["t"], float))
-    return _pose6(d)
+def _pose_from_spec(key: str, d):
+    if isinstance(d, dict) and "rxy" in d:
+        return Pose5(_numbers(f"{key}.rxy", d["rxy"], 2), _numbers(f"{key}.t", d["t"], 3))
+    return _pose6(key, d)
 
 
 def load_scene_spec(path: str):
@@ -398,26 +432,29 @@ def load_scene_spec(path: str):
     if isinstance(intr, str):
         intr = intrinsics_preset(intr)
     else:
-        intr = CameraIntrinsics(**intr)
-    cam = _pose6(spec.get("camera") or {"t": [0.0, 0.0, 0.0]})
+        intr = _json_value("intrinsics", CameraIntrinsics, intr)
+    cam = _pose6("camera", spec.get("camera") or {"t": [0.0, 0.0, 0.0]})
     noise = spec.get("noise")
     if noise is not None:
-        noise = _noise(noise["model"], {k: v for k, v in noise.items() if k != "model"})
+        noise = _noise(noise["model"], {k: _json_value(f"noise.{k}", float, v)
+                                        for k, v in noise.items() if k != "model"})
     surfaces = []
-    for entry in spec["surfaces"]:
+    for i, entry in enumerate(spec["surfaces"]):
+        key = f"surfaces[{i}]"
         if not isinstance(entry, dict):
             raise ValueError("a surface is not a JSON object")
         kind = entry.get("type", "patch")
         if kind == "plane":
-            surfaces.append(ScenePlane(np.asarray(entry["normal"], float), float(entry["offset"])))
+            surfaces.append(ScenePlane(_numbers(f"{key}.normal", entry["normal"], 3),
+                                       _number(f"{key}.offset", entry["offset"])))
         elif kind == "patch":
             surfaces.append(
                 Patch(
                     SurfaceType(entry["surface"]),
                     BoundaryType(entry["boundary"]),
-                    np.asarray(entry["k"], float),
-                    np.asarray(entry["d"], float),
-                    _pose_from_spec(entry["pose"]),
+                    _numbers(f"{key}.k", entry["k"]),
+                    _numbers(f"{key}.d", entry["d"]),
+                    _pose_from_spec(f"{key}.pose", entry["pose"]),
                     None,
                 )
             )
@@ -428,7 +465,26 @@ def load_scene_spec(path: str):
 
 def _read_trajectory(path: str) -> List[Pose6]:
     """Camera poses of a trajectory file, a JSON list of {"r", "t"} objects."""
-    return [_pose6(p) for p in _load_json(path, list)]
+    return [_pose6(f"[{i}]", p) for i, p in enumerate(_load_json(path, list))]
+
+
+def _read_gravity(path: Optional[str]) -> List[np.ndarray]:
+    """Camera-frame gravity per frame from a JSON {"g": [...]} or
+    {"g_per_frame": [[...], ...]}, whose last vector serves every later
+    frame; without a file, +y for every frame."""
+    if path is None:
+        return [np.array([0.0, 1.0, 0.0])]
+    spec = _load_json(path, dict)
+    if "g_per_frame" in spec:
+        gravities = [_numbers(f"g_per_frame[{i}]", g, 3)
+                     for i, g in enumerate(spec["g_per_frame"])]
+        if not gravities:
+            raise ValueError("g_per_frame is empty")
+    else:
+        gravities = [_numbers("g", spec["g"], 3)]
+    for g in gravities:
+        _mapping._unit_vector(g, "gravity")
+    return gravities
 
 
 def _scene_truth(surfaces) -> List[dict]:
@@ -524,33 +580,33 @@ def load_map_config(path: Optional[str]):
 # ---------------------------------------------------------------------------
 
 
-def _fail(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 1
+class _BadInput(Exception):
+    """Bad input to a subcommand; main prints it as one error line and exits 1."""
+
+
+def _checked(what: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), a bad-input exception it raises re-raised as
+    _BadInput(what + its message)."""
+    try:
+        return fn(*args, **kwargs)
+    except (OSError, ValueError, KeyError, TypeError, np.linalg.LinAlgError) as e:
+        raise _BadInput(f"{what}{e}") from e
 
 
 def cmd_simulate(args) -> int:
-    try:
-        surfaces, intr, cam, noise = load_scene_spec(args.scene)
-    except (OSError, ValueError, KeyError, TypeError) as e:
-        return _fail(f"bad scene spec: {e}")
+    surfaces, intr, cam, noise = _checked("bad scene spec: ", load_scene_spec, args.scene)
     if args.no_noise:
         noise = None
 
     poses = [cam] * args.frames
     if args.trajectory is not None:
-        try:
-            poses = _read_trajectory(args.trajectory)
-        except (OSError, ValueError, KeyError, TypeError) as e:
-            return _fail(f"bad trajectory: {e}")
+        poses = _checked("bad trajectory: ", _read_trajectory, args.trajectory)
 
     frame_paths = []
     for i, pose in enumerate(poses):
-        try:
-            cloud = sample_scene(surfaces, intr, camera_pose=pose, noise=noise,
-                                 rng=np.random.default_rng((args.seed, i)))
-        except ValueError as e:  # a noise model the camera cannot take
-            return _fail(f"bad scene spec: {e}")
+        # a noise model the camera cannot take fails here
+        cloud = _checked("bad scene spec: ", sample_scene, surfaces, intr, camera_pose=pose,
+                         noise=noise, rng=np.random.default_rng((args.seed, i)))
         path = f"{args.out}_{i:03d}.opc"
         write_cloud(path, cloud, noise)
         frame_paths.append(path)
@@ -569,32 +625,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    try:
-        cloud, _ = read_cloud(args.cloud)
-    except (OSError, ValueError) as e:
-        return _fail(str(e))
+    cloud, _ = _checked("", read_cloud, args.cloud)
     col, row = args.pixel
-    try:
-        cfg = MapConfig(
-            saliency=SaliencyConfig(r=args.radius), n_f=args.n_f, surface=args.surface,
-            gamma=args.gamma, d_max=args.d_max,
-        )
-        nb = neighborhood(cfg.neighborhood, cloud, np.array([row, col]), cfg.saliency.r)
-    except ValueError as e:
-        return _fail(str(e))
+    cfg = _checked("", lambda: MapConfig(
+        saliency=SaliencyConfig(r=args.radius), n_f=args.n_f, surface=args.surface,
+        gamma=args.gamma, d_max=args.d_max,
+    ))
+    nb = _checked("", neighborhood, cfg.neighborhood, cloud, np.array([row, col]), cfg.saliency.r)
     if len(nb.points) < MIN_FIT_POINTS:
-        return _fail(f"only {len(nb.points)} neighbors within {cfg.saliency.r} m")
+        raise _BadInput(f"only {len(nb.points)} neighbors within {cfg.saliency.r} m")
     fit_pts, fit_cvs = fit_sample(nb, cfg.n_f, np.random.default_rng(args.seed))
-    try:
-        fit = fit_patch(
-            fit_pts,
-            fit_cvs,
-            surface=cfg.surface,
-            plane_boundary=BoundaryType(args.boundary),
-            gamma=cfg.gamma,
-        )
-    except (ValueError, np.linalg.LinAlgError) as e:
-        return _fail(f"fit failed: {e}")
+    fit = _checked("fit failed: ", fit_patch, fit_pts, fit_cvs, surface=cfg.surface,
+                   plane_boundary=BoundaryType(args.boundary), gamma=cfg.gamma)
 
     rec = _mapping.MapPatch(
         id=0,
@@ -614,42 +656,17 @@ def cmd_fit(args) -> int:
 
 
 def cmd_map(args) -> int:
-    try:
-        cfg, budgets, state, cfg_seed = load_map_config(args.config)
-    except (OSError, ValueError) as e:
-        return _fail(f"bad config: {e}")
+    cfg, budgets, state, cfg_seed = _checked("bad config: ", load_map_config, args.config)
     seed = args.seed if args.seed is not None else (cfg_seed or 0)
-
-    gravities = None
-    if args.gravity is not None:
-        try:
-            gspec = _load_json(args.gravity, dict)
-            if "g_per_frame" in gspec:
-                gravities = [np.asarray(g, float) for g in gspec["g_per_frame"]]
-                if not gravities:
-                    raise ValueError("g_per_frame is empty")
-            else:
-                gravities = [np.asarray(gspec["g"], float)]
-            for g in gravities:
-                _mapping._unit_vector(g, "gravity")
-        except (OSError, ValueError, TypeError, KeyError) as e:
-            return _fail(f"bad gravity file: {e}")
+    gravities = _checked("bad gravity file: ", _read_gravity, args.gravity)
 
     stats_rows = []
     for i, frame in enumerate(args.frames):
         t0 = time.perf_counter()
-        try:
-            cloud, _ = read_cloud(frame)
-        except (OSError, ValueError) as e:
-            return _fail(str(e))
+        cloud, _ = _checked("", read_cloud, frame)
         t_read = time.perf_counter() - t0
-        if gravities is None:
-            g = np.array([0.0, 1.0, 0.0])
-        else:
-            g = gravities[min(i, len(gravities) - 1)]
-        res = map_step(
-            state, cloud, g, budgets=budgets, config=cfg, rng_seed=(seed, i)
-        )
+        g = gravities[min(i, len(gravities) - 1)]
+        res = map_step(state, cloud, g, budgets=budgets, config=cfg, rng_seed=(seed, i))
         row = {
             "frame": i,
             "seeds": res.n_seeds,
@@ -674,24 +691,14 @@ def cmd_map(args) -> int:
 
 def cmd_track(args) -> int:
     if args.policy not in [p.value for p in MovePolicy]:
-        return _fail(f"unknown policy: {args.policy}")
-    try:
-        poses = _read_trajectory(args.trajectory)
-    except (OSError, ValueError, KeyError, TypeError) as e:
-        return _fail(f"bad trajectory: {e}")
+        raise _BadInput(f"unknown policy: {args.policy}")
+    poses = _checked("bad trajectory: ", _read_trajectory, args.trajectory)
     if not poses:
-        return _fail("trajectory is empty")
-
-    try:
-        state = init_volume(poses[0], policy=args.policy, c_d=args.c_d, c_a=args.c_a)
-    except ValueError as e:
-        return _fail(str(e))
+        raise _BadInput("trajectory is empty")
+    state = _checked("", init_volume, poses[0], policy=args.policy, c_d=args.c_d, c_a=args.c_a)
 
     if args.map is not None:
-        try:
-            _, patches = read_patch_map(args.map)
-        except (OSError, ValueError, KeyError, TypeError) as e:
-            return _fail(f"bad patch map: {e}")
+        _, patches = _checked("bad patch map: ", read_patch_map, args.map)
         for mp in patches:
             inside, ij = _mapping._cells(state, mp.patch.pose.t[None])
             if len(inside):  # outside the grid it is dropped, as remap_patches drops it
@@ -700,10 +707,7 @@ def cmd_track(args) -> int:
 
     lines = []
     for i, pose in enumerate(poses):
-        try:
-            state, T = volume_update(state, pose, args.g, args.forward)
-        except ValueError as e:
-            return _fail(str(e))
+        state, T = _checked("", volume_update, state, pose, args.g, args.forward)
         culled: List[int] = []
         if T is not None:
             before = {mp.id for mp in state.patches}
@@ -733,18 +737,9 @@ def cmd_track(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        cam, patches = read_patch_map(args.map)
-    except (OSError, ValueError, KeyError, TypeError) as e:
-        return _fail(f"bad patch map: {e}")
-    try:
-        cloud, _ = read_cloud(args.cloud)
-    except (OSError, ValueError) as e:
-        return _fail(str(e))
-    try:
-        cfg, _, _, _ = load_map_config(args.config)
-    except (OSError, ValueError) as e:
-        return _fail(f"bad config: {e}")
+    cam, patches = _checked("bad patch map: ", read_patch_map, args.map)
+    cloud, _ = _checked("", read_cloud, args.cloud)
+    cfg, _, _, _ = _checked("bad config: ", load_map_config, args.config)
 
     to_cam = pose_inverse(cam)
     any_fail = False
@@ -830,7 +825,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _BadInput as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -181,15 +181,15 @@ def wlm_minimize(model, p0, points, covs) -> WlmResult:
     residuals uniformly and leaves the minimizer unchanged. Gauge
     directions (parameter moves that do not change the surface) are kept
     benign by the damping. A trial step evaluates F only; J is built at p0
-    and at accepted steps. On non-convergence the best parameters seen
-    are returned with converged False.
+    and at accepted steps. A step is accepted only when chi2 falls, so
+    the last accepted parameters are the best seen; on non-convergence
+    they are returned with converged False.
     """
     p = np.asarray(p0, dtype=float).copy()
     lam = _DAMPING_INIT
     res = model(points, covs, p, _V_MIN)
     F, J = res.F, res.jac()
     chi2 = float(F @ F)
-    best_p, best_chi2, best_J = p.copy(), chi2, J
     converged = False
     iters = 0
     for _ in range(_MAX_ITER):
@@ -211,8 +211,6 @@ def wlm_minimize(model, p0, points, covs) -> WlmResult:
             done = (chi2 - chi2_t) <= _CHI2_RTOL * chi2
             p = p + step
             F, J, chi2 = trial.F, trial.jac(), chi2_t
-            if chi2 < best_chi2:
-                best_p, best_chi2, best_J = p.copy(), chi2, J
             lam = max(lam / _DAMPING_DOWN, 1e-14)
             if done:
                 converged = True
@@ -221,12 +219,12 @@ def wlm_minimize(model, p0, points, covs) -> WlmResult:
             lam *= _DAMPING_UP
             if lam > 1e12:
                 break
-    A = best_J @ best_J.T
+    A = J @ J.T
     # damping floor keeps gauge directions at a finite, documented variance
     A.reshape(-1)[:: len(A) + 1] += _DAMPING_INIT
     sigma = _pose.sym(np.linalg.inv(A))
     return WlmResult(
-        p=best_p, sigma=sigma, chi2=best_chi2, iterations=iters, converged=converged
+        p=p, sigma=sigma, chi2=chi2, iterations=iters, converged=converged
     )
 
 

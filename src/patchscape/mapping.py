@@ -817,11 +817,6 @@ class VolumeState:
     frame_index: int = 0
     next_id: int = 0
 
-    def camera_world(self) -> Pose6:
-        return _pose.compose_chain(
-            [ChainLink(self.c_t, 1), ChainLink(self.pose_world, 1)]
-        )
-
 
 def init_volume(
     camera_world: Optional[Pose6] = None,

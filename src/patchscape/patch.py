@@ -157,10 +157,6 @@ class Patch:
                 raise ValueError(f"sigma must be ({p}, {p}), got {sig.shape}")
             object.__setattr__(self, "sigma", sig)
 
-    @property
-    def revolute(self) -> bool:
-        return isinstance(self.pose, Pose5)
-
 
 def patch_dof(patch: Patch) -> int:
     nr = 2 if isinstance(patch.pose, Pose5) else 3

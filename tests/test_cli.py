@@ -195,7 +195,7 @@ def test_opc_short_header_field_is_bad_input(tmp_path, capsys, index, line):
 
 @pytest.mark.parametrize(
     "edit", ["opc1_text", "header_not_ascii", "negative_size", "noise_k_negative",
-             "noise_sigma_zero", "fx_negative"]
+             "noise_sigma_zero", "fx_negative", "cov_two"]
 )
 def test_opc_rejects_bad_file(tmp_path, capsys, edit):
     """An OPC1 text file or an unreadable header is bad input, named by path."""
@@ -217,6 +217,10 @@ def test_opc_rejects_bad_file(tmp_path, capsys, edit):
     elif edit == "fx_negative":
         _edit_header(path, 1, "intrinsics -10 11 1.5 1 0.07")
         where = f"{path}: fx and fy must be finite and positive"
+    elif edit == "cov_two":
+        # the cloud holds covariances, so the body length matches a cov 1 header
+        _edit_header(path, 3, "cov 2")
+        where = f"{path}: cov must be 0 or 1, got 2"
     else:
         _edit_header(path, 2, "noise stereo 0 0.17")
         where = f"{path}: stereo noise sigma_p and sigma_m must be finite and positive"
@@ -397,8 +401,15 @@ def test_simulate_trajectory(tmp_path):
 @pytest.mark.parametrize(
     "spec",
     [{"surfaces": [{"type": "torus"}]}, {"surfaces": [3]}, [{"type": "plane"}],
-     {"camera": 3, "surfaces": []}],
-    ids=["unknown_type", "surface_not_object", "top_level_list", "camera_not_object"],
+     {"camera": 3, "surfaces": []},
+     {"surfaces": [{"type": "plane", "normal": [0.0, 0.0, 1.0], "offset": "1.0"}]},
+     {"surfaces": [{"type": "plane", "normal": [0.0, 0.0, 1.0], "offset": True}]},
+     {"surfaces": [{"type": "plane", "normal": ["0", "0", "1"], "offset": 1.0}]},
+     {"camera": {"t": [None, 0.0, 0.0]}, "surfaces": []},
+     {"surfaces": [{"type": "plane", "normal": [0.0, 0.0, 1.0], "offset": 10**400}]}],
+    ids=["unknown_type", "surface_not_object", "top_level_list", "camera_not_object",
+         "plane_offset_string", "plane_offset_true", "plane_normal_strings", "camera_t_null",
+         "plane_offset_past_float_range"],
 )
 def test_simulate_rejects_bad_scene(tmp_path, capsys, spec):
     p = tmp_path / "scene.json"
@@ -721,8 +732,10 @@ def test_track_empty_trajectory(tmp_path):
 @pytest.mark.parametrize("command", ["simulate", "track"])
 @pytest.mark.parametrize(
     "traj",
-    [[3], ["x"], {"t": [0.0, 0.0, 0.0]}, [{"t": {}}]],
-    ids=["entry_number", "entry_string", "top_level_object", "t_not_numbers"],
+    [[3], ["x"], {"t": [0.0, 0.0, 0.0]}, [{"t": {}}], [{"t": ["0", "0", "0"]}],
+     [{"t": [True, 0.0, 0.0]}], [{"t": [None, 0.0, 0.0]}]],
+    ids=["entry_number", "entry_string", "top_level_object", "t_not_numbers", "t_strings",
+         "t_true", "t_null"],
 )
 def test_bad_trajectory_is_bad_input(tmp_path, capsys, command, traj):
     """simulate and track read --trajectory alike: exit 1 and one error line."""
@@ -793,8 +806,9 @@ def test_validate_honours_check_coverage(tmp_path, dome_dir, dome_map, capsys):
 @pytest.mark.parametrize(
     "spec",
     [{"g": [0.0, 0.0, 0.0]}, {"g": [0.0, float("nan"), 1.0]}, {"g": [0.0, 1.0]},
-     {"g_per_frame": []}, {"g_per_frame": [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]}],
-    ids=["zero", "nan", "two_components", "empty_list", "one_bad_frame"],
+     {"g_per_frame": []}, {"g_per_frame": [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]},
+     {"g": ["0", "1", "0"]}, {"g": [False, True, False]}],
+    ids=["zero", "nan", "two_components", "empty_list", "one_bad_frame", "strings", "bools"],
 )
 def test_map_rejects_bad_gravity(tmp_path, dome_dir, capsys, spec):
     grav = tmp_path / "g.json"
@@ -804,39 +818,78 @@ def test_map_rejects_bad_gravity(tmp_path, dome_dir, capsys, spec):
          "--config", str(dome_dir / "cfg.json"), "--out", str(tmp_path / "map.json")]
     )
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error: bad gravity file: ")
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: bad gravity file: ")
+    assert len(out.err.splitlines()) == 1
+    assert not (tmp_path / "map.json").exists()
+
+
+# config files that map and validate must reject, by test id
+_BAD_CONFIGS = {
+    "budget_typo": {"budgets": {"n_S": 1}},
+    "unknown_key": {"n_ff": 50},
+    "volume_typo": {"volume": {"v_size": 4}},
+    "gamma_above_one": {"gamma": 1.5},
+    "n_f_not_integer": {"n_f": 8.9},
+    "n_f_below_fit_minimum": {"n_f": 12},
+    "bool_as_string": {"check_coverage": "false"},
+    "bool_as_integer": {"check_coverage": 0},
+    "d_max_negative": {"d_max": -0.01},
+    "d_max_infinite": {"d_max": float("inf")},
+    "decimate_negative": {"decimate": -1},
+    "nested_bool_as_float": {"coverage": {"w_c": True}},
+    "nested_v_g_not_integer": {"volume": {"v_g": 2.5}},
+    "nested_string_as_integer": {"budgets": {"n_s": "3"}},
+    "surface_unknown": {"surface": "torus"},
+    "kappa_range_inverted": {"saliency": {"kappa_min": 5.0, "kappa_max": -5.0}},
+    "budget_count_negative": {"budgets": {"n_s": -1}},
+    "budget_seconds_negative": {"budgets": {"wall_clock_s": -1.0}},
+    "volume_size_negative": {"volume": {"v_s": -4.0}},
+    "variant_kdtree_removed": {"neighborhood": {"variant": "kdtree"}},
+    "volume_n_g_zero": {"volume": {"n_g": 0}},
+    "volume_c_d_nan": {"volume": {"c_d": float("nan")}},
+    "volume_c_a_negative": {"volume": {"c_a": -0.05}},
+    "saliency_l_d_nan": {"saliency": {"l_d": float("nan")}},
+    "saliency_r_infinite": {"saliency": {"r": float("inf")}},
+}
+
+
+@pytest.mark.parametrize(
+    "command, spec",
+    [pytest.param("map", spec, id=name) for name, spec in _BAD_CONFIGS.items()]
+    + [pytest.param("validate", spec, id=f"validate-{name}")
+       for name, spec in _BAD_CONFIGS.items()],
+)
+def test_map_rejects_malformed_config(tmp_path, dome_dir, dome_map, capsys, command, spec):
+    """map and validate read --config alike: exit 1, nothing on stdout, one error line."""
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(spec))
+    cloud = str(dome_dir / "dome_000.opc")
+    if command == "map":
+        argv = ["map", cloud, "--config", str(cfg), "--out", str(tmp_path / "map.json")]
+    else:
+        argv = ["validate", "--map", str(dome_map), "--cloud", cloud, "--config", str(cfg)]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: bad config: ")
+    assert len(out.err.splitlines()) == 1
     assert not (tmp_path / "map.json").exists()
 
 
 @pytest.mark.parametrize(
-    "spec",
-    [{"budgets": {"n_S": 1}}, {"n_ff": 50}, {"volume": {"v_size": 4}},
-     {"gamma": 1.5}, {"n_f": 8.9}, {"n_f": 12}, {"check_coverage": "false"},
-     {"check_coverage": 0}, {"d_max": -0.01}, {"d_max": float("inf")}, {"decimate": -1},
-     {"coverage": {"w_c": True}}, {"volume": {"v_g": 2.5}}, {"budgets": {"n_s": "3"}},
-     {"surface": "torus"}, {"saliency": {"kappa_min": 5.0, "kappa_max": -5.0}},
-     {"budgets": {"n_s": -1}}, {"budgets": {"wall_clock_s": -1.0}},
-     {"volume": {"v_s": -4.0}}, {"neighborhood": {"variant": "kdtree"}},
-     {"volume": {"n_g": 0}}, {"volume": {"c_d": float("nan")}}, {"volume": {"c_a": -0.05}},
-     {"saliency": {"l_d": float("nan")}}, {"saliency": {"r": float("inf")}}],
-    ids=["budget_typo", "unknown_key", "volume_typo", "gamma_above_one", "n_f_not_integer",
-         "n_f_below_fit_minimum", "bool_as_string", "bool_as_integer", "d_max_negative",
-         "d_max_infinite", "decimate_negative", "nested_bool_as_float",
-         "nested_v_g_not_integer", "nested_string_as_integer", "surface_unknown",
-         "kappa_range_inverted", "budget_count_negative", "budget_seconds_negative",
-         "volume_size_negative", "variant_kdtree_removed", "volume_n_g_zero",
-         "volume_c_d_nan", "volume_c_a_negative", "saliency_l_d_nan", "saliency_r_infinite"],
+    "flags",
+    [["--gamma", "1.5"], ["--n-f", "5"], ["--radius", "nan"], ["--cloud", "missing.opc"]],
+    ids=["gamma_above_one", "n_f_below_fit_minimum", "radius_nan", "missing_cloud"],
 )
-def test_map_rejects_malformed_config(tmp_path, dome_dir, capsys, spec):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps(spec))
-    rc = cli.main(
-        ["map", str(dome_dir / "dome_000.opc"), "--config", str(cfg),
-         "--out", str(tmp_path / "map.json")]
-    )
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("error: bad config: ")
-    assert not (tmp_path / "map.json").exists()
+def test_fit_rejects_bad_flags(dome_dir, capsys, flags):
+    """A flag fit's MapConfig, neighborhood or cloud reader rejects: exit 1, one error line."""
+    argv = ["fit", "--cloud", str(dome_dir / "dome_000.opc"), "--pixel", "320", "240"]
+    capsys.readouterr()
+    assert cli.main(argv + flags) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
+    assert len(out.err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -936,7 +989,9 @@ def test_patch_map_that_is_not_an_object_is_bad_patch_map(tmp_path, dome_dir, ca
      pytest.param(lambda doc: doc["patches"][0].update(id="7"), "", id="id_string"),
      pytest.param(lambda doc: doc["patches"][0].update(id=7.5), "", id="id_fractional"),
      pytest.param(lambda doc: doc["patches"][0].update(seed_pixel=[240.5, 320]), "",
-                  id="seed_pixel_fractional")],
+                  id="seed_pixel_fractional"),
+     pytest.param(lambda doc: doc["camera_in_volume"].update(t=["0", "0", "0"]),
+                  "camera_in_volume.t[0]", id="camera_t_strings")],
 )
 def test_malformed_patch_map_is_bad_patch_map(tmp_path, dome_dir, dome_map, capsys, command,
                                               edit, where):

@@ -1010,7 +1010,7 @@ def test_mesh_triangles_prunes_jump_edges():
 def test_init_volume_places_camera_at_default():
     cam = Pose6(np.array([0.1, -0.2, 0.3]), np.array([5.0, 1.0, -2.0]))
     state = init_volume(cam)
-    back = state.camera_world()
+    back = compose_chain([ChainLink(state.c_t, 1), ChainLink(state.pose_world, 1)])
     assert np.allclose(back.r, cam.r, atol=1e-12)
     assert np.allclose(back.t, cam.t, atol=1e-12)
     assert np.allclose(state.c_t.t, DEFAULT_CAMERA_IN_VOLUME.t)
@@ -1062,7 +1062,7 @@ def test_volume_update_fc_restores_fixed_pose_on_drift():
         assert T is not None
         assert np.allclose(state.c_t.r, c_0.r, atol=1e-12)
         assert np.allclose(state.c_t.t, c_0.t, atol=1e-12)
-        back = state.camera_world()
+        back = compose_chain([ChainLink(state.c_t, 1), ChainLink(state.pose_world, 1)])
         assert np.allclose(back.r, cam.r, atol=1e-12)
         assert np.allclose(back.t, cam.t, atol=1e-12)
 

@@ -126,7 +126,7 @@ def test_family_readers_agree_with_patch_rules():
     for s, b, k, d in ALL_TYPES:
         p = _mk(s, b, k, d)
         assert np.array_equal(curvature_k3(p), k3_map(s) @ p.k)
-        assert p.revolute == is_revolute(s, b)
+        assert isinstance(p.pose, Pose5) == is_revolute(s, b)
     assert {s for s, b in pairs if is_revolute(s, b)} == {
         S.CIRCULAR_PARABOLOID, S.SPHERE, S.PLANE}
 
@@ -290,16 +290,17 @@ def _sample_world_points(patch, n=30, seed=5):
 
 
 def _pack(patch):
-    r = patch.pose.rxy if patch.revolute else patch.pose.r
+    r = patch.pose.rxy if isinstance(patch.pose, Pose5) else patch.pose.r
     return np.concatenate([patch.k, patch.d, r, patch.pose.t])
 
 
 def _unpack(template, x):
     nk, nd = template.k.size, template.d.size
-    nr = 2 if template.revolute else 3
+    revolute = isinstance(template.pose, Pose5)
+    nr = 2 if revolute else 3
     k, dd = x[:nk], x[nk : nk + nd]
     r, t = x[nk + nd : nk + nd + nr], x[nk + nd + nr :]
-    pose = Pose5(r, t) if template.revolute else Pose6(r, t)
+    pose = Pose5(r, t) if revolute else Pose6(r, t)
     return Patch(template.s, template.b, k, dd, pose)
 
 
