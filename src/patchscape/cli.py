@@ -40,12 +40,12 @@ Bad input has one outcome in every subcommand: one stderr line
 "error: <what>: <message>", nothing on stdout, and exit 1. <what> names
 the input at fault (bad scene spec, bad trajectory, bad config, bad
 gravity file, bad patch map) or the step (fit failed); it is left out
-where the message already names the fault, as a cloud's path does. Every
-number read from a JSON input must be a JSON number: a string, true,
-false or null never stands in for one. Poses, gravity vectors and the
-numbers of a scene spec must also be finite; a config field checks its
-own range, and a patch-map record's k, d, r, t and sigma are read as
-written.
+where the message already names the fault, as the path of a cloud or of
+an output file that cannot be written does. Every number read from a
+JSON input must be a JSON number: a string, true, false or null never
+stands in for one. Poses, gravity vectors, the numbers of a scene spec
+and a patch-map record's k, d, r, t and sigma must also be finite; a
+config field checks its own range.
 
 An OPC2 file starts with four ASCII header lines, "OPC2 <width> <height>",
 "intrinsics <fx> <fy> <cx> <cy> <baseline>", "noise <kind> <field>..." and
@@ -299,32 +299,40 @@ def patch_record(mp: _mapping.MapPatch) -> dict:
     }
 
 
-# a record's gates, each the ValidationRecord field "<gate>_ok"
-_GATES = ("curvature", "residual", "coverage")
-
-
 def _validation_fields(v: ValidationRecord) -> dict:
-    gates = {g: bool(getattr(v, f"{g}_ok")) for g in _GATES}
+    gates = {g: bool(getattr(v, f"{g}_ok")) for g in _mapping._GATES}
     return {"residual": v.residual, "bad_cells": v.bad_cells, "gates": gates}
 
 
-def _patch_from_record(rec: dict) -> Patch:
-    """The Patch of a patch-map record, exactly as written.
+def _patch_from_record(key: str, rec: dict) -> Patch:
+    """The Patch of the patch-map record at key, exactly as written.
 
-    A revolute pair takes the 5-DoF pose whose r_xy is r[:2], which
-    patch_rotvec wrote with r[2] = 0; a record with any other r[2] is
-    ValueError.
+    k, d, r, t and each row of sigma must be a list of finite JSON
+    numbers, and sigma must be square. A revolute pair takes the 5-DoF
+    pose whose r_xy is r[:2], which patch_rotvec wrote with r[2] = 0; a
+    record with any other r[2] is ValueError.
     """
     s, b = SurfaceType(rec["surface"]), BoundaryType(rec["boundary"])
-    r, t = np.asarray(rec["r"], float), np.asarray(rec["t"], float)
-    sigma = None if rec.get("sigma") is None else np.asarray(rec["sigma"], float)
+    r, t = _numbers(f"{key}.r", rec["r"], 3), _numbers(f"{key}.t", rec["t"], 3)
+    sigma = rec.get("sigma")
+    if sigma is not None:
+        if not isinstance(sigma, list):
+            raise ValueError(f"{key}.sigma must be a list of rows")
+        sigma = np.array([_numbers(f"{key}.sigma[{i}]", row, len(sigma))
+                          for i, row in enumerate(sigma)])
     if not is_revolute(s, b):
         pose = Pose6(r, t)
-    elif r.shape == (3,) and r[2] == 0.0:
+    elif r[2] == 0.0:
         pose = Pose5(r[:2], t)
     else:
         raise ValueError(f"a {s.value}/{b.value} patch needs r = [rx, ry, 0], got {rec['r']}")
-    return Patch(s, b, rec["k"], rec["d"], pose, sigma)
+    return Patch(s, b, _numbers(f"{key}.k", rec["k"]), _numbers(f"{key}.d", rec["d"]), pose,
+                 sigma)
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w") as f:
+        f.write(text)
 
 
 def write_patch_map(path: str, state: _mapping.VolumeState) -> None:
@@ -336,8 +344,7 @@ def write_patch_map(path: str, state: _mapping.VolumeState) -> None:
         "v_s": state.v_s,
         "patches": [patch_record(mp) for mp in state.patches],
     }
-    with open(path, "w") as f:
-        f.write(json_dumps(doc) + "\n")
+    _write_text(path, json_dumps(doc) + "\n")
 
 
 # the keys every patch-map record holds; "sigma" may be absent
@@ -366,11 +373,11 @@ def read_patch_map(path: str) -> Tuple[Pose6, List[_mapping.MapPatch]]:
         _require(key, rec, _RECORD_KEYS)
         v = rec["validation"]
         _require(f"{key}.validation", v, ("residual", "bad_cells", "gates"))
-        _require(f"{key}.validation.gates", v["gates"], _GATES)
+        _require(f"{key}.validation.gates", v["gates"], _mapping._GATES)
         pixel = tuple(_json_value(f"{key}.seed_pixel", int, x) for x in rec["seed_pixel"])
         if len(pixel) != 2:
             raise ValueError(f"{key}.seed_pixel must be [row, col]")
-        patch = _patch_from_record(rec)
+        patch = _patch_from_record(key, rec)
         patches.append(_mapping.MapPatch(
             id=_json_value(f"{key}.id", int, rec["id"]),
             patch=patch,
@@ -381,7 +388,8 @@ def read_patch_map(path: str) -> Tuple[Pose6, List[_mapping.MapPatch]]:
             validation=ValidationRecord(
                 _json_value(f"{key}.validation.residual", float, v["residual"]),
                 _json_value(f"{key}.validation.bad_cells", int, v["bad_cells"]),
-                *(_json_value(f"{key}.validation.gates.{g}", bool, v["gates"][g]) for g in _GATES),
+                *(_json_value(f"{key}.validation.gates.{g}", bool, v["gates"][g])
+                  for g in _mapping._GATES),
             ),
         ))
     return _pose6("camera_in_volume", doc.get("camera_in_volume", {"t": [0.0, 0.0, 0.0]})), patches
@@ -608,7 +616,7 @@ def cmd_simulate(args) -> int:
         cloud = _checked("bad scene spec: ", sample_scene, surfaces, intr, camera_pose=pose,
                          noise=noise, rng=np.random.default_rng((args.seed, i)))
         path = f"{args.out}_{i:03d}.opc"
-        write_cloud(path, cloud, noise)
+        _checked("", write_cloud, path, cloud, noise)
         frame_paths.append(path)
 
     truth = {
@@ -618,8 +626,7 @@ def cmd_simulate(args) -> int:
         "camera_per_frame": [{"r": p.r, "t": p.t} for p in poses],
         "surfaces": _scene_truth(surfaces),
     }
-    with open(f"{args.out}_truth.json", "w") as f:
-        f.write(json_dumps(truth) + "\n")
+    _checked("", _write_text, f"{args.out}_truth.json", json_dumps(truth) + "\n")
     print("\n".join(frame_paths))
     return 0
 
@@ -655,6 +662,13 @@ def cmd_fit(args) -> int:
     return 0 if rec.validation.passed else 2
 
 
+def _write_stats(path: str, rows: List[dict]) -> None:
+    with open(path, "w", newline="") as f:
+        writer = csv.DictWriter(f, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def cmd_map(args) -> int:
     cfg, budgets, state, cfg_seed = _checked("bad config: ", load_map_config, args.config)
     seed = args.seed if args.seed is not None else (cfg_seed or 0)
@@ -679,12 +693,9 @@ def cmd_map(args) -> int:
                     ("saliency", "seeds", "fit_validate", "total")})
         stats_rows.append(row)
 
-    write_patch_map(args.out, state)
+    _checked("", write_patch_map, args.out, state)
     if args.stats is not None and stats_rows:
-        with open(args.stats, "w", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=list(stats_rows[0]))
-            writer.writeheader()
-            writer.writerows(stats_rows)
+        _checked("", _write_stats, args.stats, stats_rows)
     print(args.out)
     return 0
 
@@ -728,8 +739,7 @@ def cmd_track(args) -> int:
     }, indent=None))
     text = "\n".join(lines) + "\n"
     if args.out is not None:
-        with open(args.out, "w") as f:
-            f.write(text)
+        _checked("", _write_text, args.out, text)
         print(args.out)
     else:
         print(text, end="")

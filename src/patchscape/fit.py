@@ -18,7 +18,10 @@ The fit runs in stages:
    elliptic/hyperbolic, reducing parameters accordingly.
 4. Boundary extents come from the first and second moments of the points
    projected to the local xy plane, scaled so a Gaussian scatter is
-   covered with probability gamma.
+   covered with probability gamma. One pass takes the moments together
+   with their covariance, and two rules turn them into extents: a curved
+   type scales the root second moment of each of its own axes, and a
+   plane takes the principal lengths of its centered spread.
 
 Measurement weighting follows the implicit-surface normalization: each
 residual is divided by the standard deviation induced by its 3x3 point
@@ -38,9 +41,9 @@ finisher takes the moments m of the projected points jointly with the
 state and maps (m, k, r, t) to the final (k, d, r, t): the extents d
 come from m, t stays on the line, and a plane with a directional
 boundary turns its frame to the principal axes of m. The finisher picks
-the extents rule and the turn itself, from the type, the boundary and
-gamma; the boundary is the plane_boundary of a plane fit and otherwise
-the first one the family lists.
+the extents rule (curved or plane) and the turn itself, from the type,
+the boundary and gamma; the boundary is the plane_boundary of a plane
+fit and otherwise the first one the family lists.
 
 Per-point arrays are column-major: fit_patch takes points (n, 3) and
 covariances (n, 3, 3), drops the non-finite rows, and transposes once,
@@ -244,27 +247,23 @@ def _lls_plane(points):
 
 
 # ---------------------------------------------------------------------------
-# Stage 4-5: moments of the projected points
+# Stage 4: the moments of the projected points, jointly with the state
 # ---------------------------------------------------------------------------
 
 
-def _moments(points, R, t):
-    x, y = R[:, :2].T @ (points - t[:, None])
-    return np.array(
-        [x.mean(), y.mean(), (x * x).mean(), (y * y).mean(), (x * y).mean()]
-    )
-
-
 def _moment_joint_sigma(points, covs, R, t, dR_cols, sigma_state, nk):
-    """Joint covariance of (moments, state) with state = (k, r, t).
+    """Moments m of the points projected to the local xy plane, and the
+    joint covariance of (m, state) with state = (k, r, t).
 
-    The moment block combines per-point noise pushed through the
-    projection with the state uncertainty pushed through the moment
-    definition; the cross block keeps the two correlated downstream.
+    m = (mean x, mean y, mean x^2, mean y^2, mean xy). The moment block
+    combines per-point noise pushed through the projection with the state
+    uncertainty pushed through the moment definition; the cross block
+    keeps the two correlated downstream.
     """
     n = points.shape[1]
     d = points - t[:, None]
     x, y = R[:, :2].T @ d
+    m = np.array([x.mean(), y.mean(), (x * x).mean(), (y * y).mean(), (x * y).mean()])
     one, zero = np.ones(n), np.zeros(n)
     # d m / d ql_i = (P_i e_x^T + Q_i e_y^T) / n, so d m / d q_i = (P_i u^T +
     # Q_i w^T) / n with u, w the first two columns of R, and the moment
@@ -287,11 +286,11 @@ def _moment_joint_sigma(points, covs, R, t, dR_cols, sigma_state, nk):
 
     cross = A @ sigma_state
     top = sigma_m + cross @ A.T
-    return np.block([[top, cross], [cross.T, sigma_state]])
+    return m, np.block([[top, cross], [cross.T, sigma_state]])
 
 
 # ---------------------------------------------------------------------------
-# Stage 6-9: boundary extents with Jacobians over (m, state)
+# Stage 4: two extents rules, curved types and planes, with dd/dm
 # ---------------------------------------------------------------------------
 
 
@@ -299,52 +298,35 @@ def _sqrt_floor(v):
     return math.sqrt(max(v, 1e-30))
 
 
-def _extents_rect(m, lam):
-    """Extents for axis-on-x types: x centered, y about the axis."""
-    sx = _sqrt_floor(m[2] - m[0] ** 2)
-    sy = _sqrt_floor(m[3])
-    d = np.array([lam * sx, lam * sy])
-    J_m = np.array(
-        [
-            [-lam * m[0] / sx, 0.0, 0.5 * lam / sx, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 0.5 * lam / sy, 0.0],
-        ]
-    )
-    return d, J_m
+def _extents_curved(m, lam, boundary):
+    """Extents of a curved type along its own axes, and dd/dm.
 
-
-def _extents_circle_from_vxy(m, lam):
-    sx = _sqrt_floor(m[2])
-    sy = _sqrt_floor(m[3])
-    J_m = np.zeros((1, 5))
-    if abs(m[2] - m[3]) < 1e-12:
-        d = lam * 0.5 * (sx + sy)
-        J_m[0, 2] = 0.25 * lam / sx
-        J_m[0, 3] = 0.25 * lam / sy
-    elif m[2] > m[3]:
-        d = lam * sx
-        J_m[0, 2] = 0.5 * lam / sx
-    else:
-        d = lam * sy
-        J_m[0, 3] = 0.5 * lam / sy
-    return np.array([d]), J_m
-
-
-def _extents_ellipse_uncentered(m, lam):
-    sx = _sqrt_floor(m[2])
-    sy = _sqrt_floor(m[3])
-    d = np.array([lam * sx, lam * sy])
+    Each axis is lam times the root of its second moment about the
+    origin, except the x axis of an AARECT, which takes its moment about
+    the points' mean. A circle takes the larger of the two axes, or their
+    mean when the moments tie.
+    """
+    centered = boundary == BoundaryType.AARECT
+    vx = m[2] - m[0] ** 2 if centered else m[2]
+    s = np.array([_sqrt_floor(vx), _sqrt_floor(m[3])])
     J_m = np.zeros((2, 5))
-    J_m[0, 2] = 0.5 * lam / sx
-    J_m[1, 3] = 0.5 * lam / sy
-    return d, J_m
+    J_m[0, 2], J_m[1, 3] = 0.5 * lam / s
+    if centered:
+        J_m[0, 0] = -lam * m[0] / s[0]
+    if boundary != BoundaryType.CIRCLE:
+        return lam * s, J_m
+    if abs(m[2] - m[3]) < 1e-12:
+        return np.array([lam * 0.5 * (s[0] + s[1])]), 0.5 * J_m.sum(axis=0, keepdims=True)
+    i = 0 if m[2] > m[3] else 1
+    return lam * s[i : i + 1], J_m[i : i + 1]
 
 
-def _plane_spread(m, gamma):
-    """Principal in-plane Gaussian containment lengths and derivatives.
+def _extents_plane(m, gamma, boundary):
+    """Plane extents along the principal axes of the projected spread.
 
-    Returns (l+, l-, theta, dl+/drho, dl-/drho, dtheta/drho, drho/dm)
-    with rho = (alpha, beta, phi) the centered second-moment parameters.
+    The centered second moments rho = (alpha, beta, phi) give the
+    principal Gaussian containment lengths l+ >= l- and the angle theta
+    of their axes about local z. Returns (d, dd/dm, theta, dtheta/dm).
     """
     alpha = m[2] - m[0] ** 2
     beta = 2.0 * (m[4] - m[0] * m[1])
@@ -370,23 +352,10 @@ def _plane_spread(m, gamma):
         de_m = np.array([1.0, 0.0, 1.0])
         dtheta = np.zeros(3)
         theta = 0.0
-    e_p = max(alpha + phi + sD, 1e-30)
-    e_m = max(alpha + phi - sD, 1e-30)
-    l_p = math.sqrt(c * e_p)
-    l_m = math.sqrt(c * e_m)
-    dl_p = (0.5 * c / l_p) * de_p
-    dl_m = (0.5 * c / l_m) * de_m
-    return l_p, l_m, theta, dl_p, dl_m, dtheta, drho_dm
-
-
-def _extents_plane(m, gamma, boundary):
-    """Plane extents along the principal axes of the projected spread.
-
-    Returns (d, dd/dm, theta, dtheta/dm), theta the angle of those axes
-    about local z.
-    """
-    l_p, l_m, theta, dl_p, dl_m, dtheta, drho = _plane_spread(m, gamma)
-    L = np.vstack([dl_p @ drho, dl_m @ drho])  # d(l+, l-)/dm
+    l_p = math.sqrt(c * max(alpha + phi + sD, 1e-30))
+    l_m = math.sqrt(c * max(alpha + phi - sD, 1e-30))
+    # d(l+, l-)/dm
+    L = np.vstack([((0.5 * c / l_p) * de_p) @ drho_dm, ((0.5 * c / l_m) * de_m) @ drho_dm])
     if boundary == BoundaryType.CIRCLE:
         d, J_dm = np.array([max(l_p, l_m)]), L[:1]  # l+ >= l- always
     elif boundary in (BoundaryType.ELLIPSE, BoundaryType.AARECT):
@@ -398,7 +367,7 @@ def _extents_plane(m, gamma, boundary):
         dd_dl = np.array([l_p, l_m]) / dd
         dgam_dl = np.array([-l_m, l_p]) / (l_p**2 + l_m**2)
         d, J_dm = np.array([dd, dd, dd, dd, gam]), np.vstack([dd_dl @ L] * 4 + [dgam_dl @ L])
-    return d, J_dm, theta, dtheta @ drho
+    return d, J_dm, theta, dtheta @ drho_dm
 
 
 # ---------------------------------------------------------------------------
@@ -558,26 +527,19 @@ def _finish(pts, cv, stype, boundary, k, r, t, sigma, gamma):
 
     (k, r, t) is the solved state of a surface of type stype with
     covariance sigma, r a 2-vector for a 5-DoF frame, t on the side-wall
-    line, where it stays. The boundary's extents come from the moments m
-    of the projected points, by a rule that (stype, boundary, gamma)
-    fixes (see _bound); a plane whose boundary is not revolute also
-    turns its frame to the principal axes of m.
+    line, where it stays. One pass takes the moments m of the projected
+    points and their joint covariance with the state; the boundary's
+    extents come from m by the curved or the plane rule, which
+    (stype, boundary, gamma) picks (see _bound), and a plane whose
+    boundary is not revolute also turns its frame to the principal axes
+    of m.
     """
     r3 = r if len(r) == 3 else _pose.rxy_to_r(r)
     R, dR = _pose.exp_map(r3), _pose.jac_exp(r3)[: len(r)]
-    m = _moments(pts, R, t)
-    joint = _moment_joint_sigma(pts, cv, R, t, dR, sigma, len(k))
+    m, joint = _moment_joint_sigma(pts, cv, R, t, dR, sigma, len(k))
     d, r_new, J = _bound(m, k, r, R, dR, stype, boundary, gamma)
     pose = Pose6(r_new, t) if len(r_new) == 3 else Pose5(r_new, t)
     return Patch(stype, boundary, k, d, pose, _pose.sym(J @ joint @ J.T))
-
-
-# a curved family's extents from the moments, by its boundary
-_CURVED_EXTENTS = {
-    BoundaryType.ELLIPSE: _extents_ellipse_uncentered,
-    BoundaryType.CIRCLE: _extents_circle_from_vxy,
-    BoundaryType.AARECT: _extents_rect,
-}
 
 
 def _bound(m, k, r, R, dR, stype, boundary, gamma):
@@ -595,7 +557,7 @@ def _bound(m, k, r, R, dR, stype, boundary, gamma):
     if plane:
         d, J_dm, theta, dth_dm = _extents_plane(m, gamma, boundary)
     else:
-        d, J_dm = _CURVED_EXTENTS[boundary](m, coverage_scale(gamma))
+        d, J_dm = _extents_curved(m, coverage_scale(gamma), boundary)
     if not plane or is_revolute(stype, boundary):
         r_new, dr_dm, dr_dr = r, np.zeros((nr, 5)), np.eye(nr)
     else:

@@ -780,6 +780,11 @@ class MapPatch:
     validation: "ValidationRecord"
 
 
+# the gates an admitted patch passes, in order: a patch that fails some is
+# dropped under the first; each is the ValidationRecord field "<gate>_ok"
+_GATES = ("curvature", "residual", "coverage")
+
+
 @dataclass(frozen=True)
 class ValidationRecord:
     residual: float
@@ -789,8 +794,13 @@ class ValidationRecord:
     coverage_ok: bool
 
     @property
+    def failed(self) -> Optional[str]:
+        """The first gate, in _GATES order, that the patch fails; None if it passes all."""
+        return next((g for g in _GATES if not getattr(self, f"{g}_ok")), None)
+
+    @property
     def passed(self) -> bool:
-        return self.curvature_ok and self.residual_ok and self.coverage_ok
+        return self.failed is None
 
 
 @dataclass
@@ -1055,14 +1065,7 @@ class MapStepResult:
     timings: Dict[str, float] = field(default_factory=dict)
 
 
-_DROP_REASONS = (
-    "too_few_points",
-    "fit_failed",
-    "curvature",
-    "residual",
-    "coverage",
-    "budget",
-)
+_DROP_REASONS = ("too_few_points", "fit_failed", *_GATES, "budget")
 
 
 def gate_patch(
@@ -1109,8 +1112,8 @@ def map_step(
     full-resolution cloud (when decimating, the source pixel
     median_decimate gives for it), fit_sample() of at most n_f points,
     fit_patch(), then gate_patch(). A seed failing a gate is dropped under
-    the first failing one, in the order curvature, residual, coverage; an
-    admitted patch carries its ValidationRecord. A cell gets no more seeds
+    the first failing one, its record's failed (curvature, residual, then
+    coverage); an admitted patch carries its ValidationRecord. A cell gets no more seeds
     than it has room for under n_g, and admissions respect all budget
     caps. The cloud and the gravity vector g are camera frame, so each
     patch's local z axis faces the camera at the origin. Mutates state;
@@ -1176,14 +1179,8 @@ def map_step(
             continue
         patch_cam = fit.patch
         record = gate_patch(patch_cam, fit_pts, nb.points, config)
-        if not record.passed:
-            # charged to the first failing gate
-            if not record.curvature_ok:
-                result.drops["curvature"] += 1
-            elif not record.residual_ok:
-                result.drops["residual"] += 1
-            else:
-                result.drops["coverage"] += 1
+        if record.failed is not None:
+            result.drops[record.failed] += 1
             continue
 
         patch_vol, _ = transform_patch(patch_cam, state.c_t)

@@ -31,7 +31,6 @@ __all__ = [
     "CoverageConfig",
     "CoverageReport",
     "coverage_eval",
-    "intersection_area",
     "curvature_gate",
     "principal_curvatures",
 ]
@@ -334,8 +333,8 @@ def coverage_eval(
 # Cell-boundary intersection areas
 # ---------------------------------------------------------------------------
 #
-# One kernel computes the overlap of every cell of a grid with the boundary;
-# intersection_area is its one-cell case. Ellipse and circle cells split at
+# One kernel computes the overlap of every cell of a grid with the
+# boundary. Ellipse and circle cells split at
 # the axes into per-quadrant pieces reflected into the first quadrant, where
 # each corner test and arc abscissa depends on one coordinate only, so it is
 # taken once per grid line. (x / a) ** 2 on a numpy scalar calls libm pow,
@@ -429,7 +428,13 @@ def _clipped_cell_areas(x0: np.ndarray, y0: np.ndarray, w: float, clip: np.ndarr
 
 def _cell_areas(boundary: BoundaryType, d, lo, nx: int, ny: int, w: float) -> np.ndarray:
     """(nx, ny) overlap areas of the grid cells lo + (ix, iy) w, of side w,
-    with the projected boundary."""
+    with the projected boundary.
+
+    Exact for rectangles and convex quads; ellipses and circles use a
+    secant approximation of the arc inside each cell, a one-sided
+    underestimate of at most the circular segment at the boundary's
+    largest curvature over the cell diagonal.
+    """
     d = np.asarray(d, dtype=float)
     x0 = lo[0] + np.arange(nx) * w
     y0 = lo[1] + np.arange(ny) * w
@@ -448,19 +453,6 @@ def _cell_areas(boundary: BoundaryType, d, lo, nx: int, ny: int, w: float) -> np
     # ~1e-30 sliver the strict bad-cell rule would demand points in, and a
     # full cell summed from quadrant parts can exceed w_c^2 by an ulp
     return np.where(total < 1e-12 * w * w, 0.0, np.minimum(total, w * w))
-
-
-def intersection_area(boundary: BoundaryType, d, cell_origin, w_c: float) -> float:
-    """Overlap area between one grid cell and the projected boundary.
-
-    The one-cell case of the grid kernel that coverage_eval runs. Exact for
-    rectangles and convex quads; ellipses and circles use a secant
-    approximation of the arc inside each cell, a one-sided underestimate of
-    at most the circular segment at the boundary's largest curvature over
-    the cell diagonal.
-    """
-    origin = (float(cell_origin[0]), float(cell_origin[1]))
-    return float(_cell_areas(boundary, d, origin, 1, 1, w_c)[0, 0])
 
 
 # ---------------------------------------------------------------------------

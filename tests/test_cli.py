@@ -892,6 +892,29 @@ def test_fit_rejects_bad_flags(dome_dir, capsys, flags):
     assert len(out.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("case", ["simulate", "map_out", "map_stats", "track_out"])
+def test_unwritable_output_is_bad_input(tmp_path, dome_dir, capsys, case):
+    """An output path in a missing directory: exit 1, one error line, empty stdout."""
+    missing = tmp_path / "missing"
+    dome = dome_dir / "dome_000.opc"
+    map_argv = ["map", str(dome), "--gravity", str(dome_dir / "g.json"),
+                "--config", str(dome_dir / "cfg.json")]
+    argv = {
+        "simulate": ["simulate", "--scene", str(_small_scene(tmp_path, None)),
+                     "--out", str(missing / "x")],
+        "map_out": map_argv + ["--out", str(missing / "map.json")],
+        "map_stats": map_argv + ["--out", str(tmp_path / "map.json"),
+                                 "--stats", str(missing / "stats.csv")],
+        "track_out": ["track", "--trajectory", str(_write_traj(tmp_path)), "--policy", "fv",
+                      "--out", str(missing / "log.jsonl")],
+    }[case]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
+    assert len(out.err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # Patch map records
 # ---------------------------------------------------------------------------
@@ -991,7 +1014,13 @@ def test_patch_map_that_is_not_an_object_is_bad_patch_map(tmp_path, dome_dir, ca
      pytest.param(lambda doc: doc["patches"][0].update(seed_pixel=[240.5, 320]), "",
                   id="seed_pixel_fractional"),
      pytest.param(lambda doc: doc["camera_in_volume"].update(t=["0", "0", "0"]),
-                  "camera_in_volume.t[0]", id="camera_t_strings")],
+                  "camera_in_volume.t[0]", id="camera_t_strings"),
+     pytest.param(lambda doc: doc["patches"][0].update(t=[str(x) for x in doc["patches"][0]["t"]]),
+                  "patches[0].t[0]", id="t_strings"),
+     pytest.param(lambda doc: doc["patches"][0]["k"].__setitem__(0, True), "patches[0].k[0]",
+                  id="k_bool"),
+     pytest.param(lambda doc: doc["patches"][0]["sigma"][0].__setitem__(0, "0.001"),
+                  "patches[0].sigma[0][0]", id="sigma_string")],
 )
 def test_malformed_patch_map_is_bad_patch_map(tmp_path, dome_dir, dome_map, capsys, command,
                                               edit, where):

@@ -287,29 +287,25 @@ def test_swap_frame_jacobian_matches_fd():
     assert np.max(np.abs(J - J_fd)) < 1e-6
 
 
-def test_extent_maps_match_fd():
+@pytest.mark.parametrize("boundary", [B.ELLIPSE, B.CIRCLE, B.AARECT], ids=lambda b: b.name)
+def test_extent_maps_match_fd(boundary):
     lam = coverage_scale(0.95)
     m = np.array([0.05, -0.02, 0.04, 0.02, 0.005])
-    _, J = pf._extents_rect(m, lam)
-    J_fd = central_diff_jac(lambda q: pf._extents_rect(q, lam)[0], m)
-    assert np.max(np.abs(J - J_fd)) < 1e-6
-    _, J = pf._extents_circle_from_vxy(m, lam)
-    J_fd = central_diff_jac(lambda q: pf._extents_circle_from_vxy(q, lam)[0], m)
-    assert np.max(np.abs(J - J_fd)) < 1e-6
-    _, J = pf._extents_ellipse_uncentered(m, lam)
-    J_fd = central_diff_jac(lambda q: pf._extents_ellipse_uncentered(q, lam)[0], m)
+    _, J = pf._extents_curved(m, lam, boundary)
+    J_fd = central_diff_jac(lambda q: pf._extents_curved(q, lam, boundary)[0], m)
     assert np.max(np.abs(J - J_fd)) < 1e-6
 
 
 def test_plane_spread_derivatives_match_fd():
+    # (l+, l-, theta) of the ELLIPSE boundary, which takes d = (l+, l-)
     m = np.array([0.05, -0.02, 0.04, 0.02, 0.005])
 
     def f(q):
-        l_p, l_m, theta, *_ = pf._plane_spread(q, 0.95)
-        return np.array([l_p, l_m, theta])
+        d, _, theta, _ = pf._extents_plane(q, 0.95, B.ELLIPSE)
+        return np.append(d, theta)
 
-    l_p, l_m, theta, dl_p, dl_m, dtheta, drho = pf._plane_spread(m, 0.95)
-    J = np.vstack([dl_p @ drho, dl_m @ drho, dtheta @ drho])
+    (l_p, l_m), J_d, _, dtheta = pf._extents_plane(m, 0.95, B.ELLIPSE)
+    J = np.vstack([J_d, dtheta])
     J_fd = central_diff_jac(f, m)
     assert np.max(np.abs(J - J_fd)) < 1e-6
     assert l_p >= l_m > 0.0
@@ -368,10 +364,14 @@ def test_moment_joint_sigma_matches_tensor_oracle(nk, nr):
     # the moment block
     A = rng.standard_normal((nk + nr + 3,) * 2) * 1e-3
     sigma_state = A @ A.T
-    got = pf._moment_joint_sigma(*_cols(pts, covs), R, t, dR, sigma_state, nk)
+    m, got = pf._moment_joint_sigma(*_cols(pts, covs), R, t, dR, sigma_state, nk)
     want = tensor_moment_joint_sigma(pts, covs, R, t, dR, sigma_state, nk)
     assert got.shape == want.shape == (5 + nk + nr + 3,) * 2
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # the moments come from the same projection
+    x, y = ((pts - t) @ R[:, :2]).T
+    want_m = [x.mean(), y.mean(), (x * x).mean(), (y * y).mean(), (x * y).mean()]
+    assert np.allclose(m, want_m, rtol=1e-12, atol=1e-15)
 
 
 def test_coverage_scale_value():

@@ -1391,6 +1391,14 @@ def test_gate_patch_evaluates_every_gate():
     assert rec.residual_ok == (ref.residual <= 0.0)
 
 
+def test_validation_record_charges_the_first_failing_gate():
+    # curvature comes before coverage in the gate order
+    rec = ValidationRecord(0.001, 3, curvature_ok=False, residual_ok=True, coverage_ok=False)
+    assert rec.failed == "curvature" and not rec.passed
+    ok = ValidationRecord(0.001, 0, True, True, True)
+    assert ok.failed is None and ok.passed
+
+
 @pytest.fixture(scope="module")
 def rocky_cloud_off_ray():
     # In this noise draw the valid pixel nearest the point of seed pixel

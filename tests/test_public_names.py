@@ -17,15 +17,12 @@ SRC = Path(patchscape.__file__).parent
 # to the residual kernel that the benchmark traces by name, and the tests
 # check it, point by point, against the companion-matrix oracle in
 # tests/_oracles.py.
-# intersection_area has none either: it is the one-cell case of the grid
-# kernel that coverage_eval runs, the public form of a cell's overlap area
-# that the intersection tests check against Monte-Carlo areas.
 # rxy_from_r has none either: perfbench/workloads.py imports it to rebuild
 # the 5-DoF pose of a revolute record from its full rotation vector, while
 # the package reduces its frames through pose.jac_rxy_of. These are the
 # only exceptions: any other name that loses its last package caller goes,
 # together with the tests that exercised it.
-ALLOWED_UNREFERENCED = {"closest_point_exact", "intersection_area", "rxy_from_r"}
+ALLOWED_UNREFERENCED = {"closest_point_exact", "rxy_from_r"}
 
 
 def _modules():

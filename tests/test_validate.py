@@ -33,7 +33,6 @@ from patchscape.validate import (
     closest_point_exact,
     coverage_eval,
     curvature_gate,
-    intersection_area,
     principal_curvatures,
     residual,
 )
@@ -47,6 +46,12 @@ from _oracles import (
     mc_region_area,
     secant_area_bound,
 )
+
+
+def _one_cell_area(boundary, d, cell_origin, w_c):
+    """Overlap area of one grid cell with the boundary: the one-cell grid kernel."""
+    return _cell_areas(boundary, d, cell_origin, 1, 1, w_c)[0, 0]
+
 
 S, B = SurfaceType, BoundaryType
 _ID5 = Pose5((0.0, 0.0), (0.0, 0.0, 0.0))
@@ -353,8 +358,8 @@ def test_intersection_full_and_empty_cells():
         (B.CQUAD, np.array([0.07, 0.08, 0.07, 0.08, 0.6])),
     ]
     for bt, d in cases:
-        assert intersection_area(bt, d, (-w / 2, -w / 2), w) == pytest.approx(w * w)
-        assert intersection_area(bt, d, (0.5, 0.5), w) == 0.0
+        assert _one_cell_area(bt, d, (-w / 2, -w / 2), w) == pytest.approx(w * w)
+        assert _one_cell_area(bt, d, (0.5, 0.5), w) == 0.0
 
 
 def test_intersection_rect_and_quad_match_mc():
@@ -369,7 +374,7 @@ def test_intersection_rect_and_quad_match_mc():
             d = np.concatenate([rng.uniform(0.04, 0.1, 4), [rng.uniform(0.3, 1.2)]])
             span = np.abs(quad_vertices(d)).max(axis=0)
         origin = rng.uniform(-1.2, 1.1, 2) * span
-        got = intersection_area(bt, d, origin, w)
+        got = _one_cell_area(bt, d, origin, w)
         ref = _mc_cell_area(bt, d, origin, w, 200_000, rng)
         assert abs(got - ref) < 8e-3 * w * w
 
@@ -385,7 +390,7 @@ def test_intersection_ellipse_within_secant_bound():
             bt, d = B.CIRCLE, rng.uniform(0.02, 0.12, 1)
             span = np.array([d[0], d[0]])
         origin = rng.uniform(-1.2, 1.1, 2) * span
-        got = intersection_area(bt, d, origin, w)
+        got = _one_cell_area(bt, d, origin, w)
         ref = _mc_cell_area(bt, d, origin, w, 200_000, rng)
         bound = secant_area_bound(d, w)
         mc_tol = 8e-3 * w * w
@@ -408,8 +413,8 @@ def test_intersection_monotone_under_shrink(ax, by, shrink, ox, oy, kind):
     bt = B.ELLIPSE if kind == "ellipse" else B.AARECT
     d = np.array([ax, by])
     origin = (ox * ax, oy * by)
-    big = intersection_area(bt, d, origin, w)
-    small = intersection_area(bt, d * shrink, origin, w)
+    big = _one_cell_area(bt, d, origin, w)
+    small = _one_cell_area(bt, d * shrink, origin, w)
     assert small <= big + 1e-15
 
 
@@ -459,7 +464,7 @@ def test_cell_areas_match_per_cell_oracle(bt):
         else:
             assert np.array_equal(got, ref)
         ix, iy = nx // 2, ny // 2
-        assert intersection_area(bt, d, (lo[0] + ix * w, lo[1] + iy * w), w) == got[ix, iy]
+        assert _one_cell_area(bt, d, (lo[0] + ix * w, lo[1] + iy * w), w) == got[ix, iy]
 
 
 def test_half_axis_squares_round_as_scalar_pow():
@@ -491,7 +496,7 @@ def _stratified_disc_fill(patch, cfg, density):
     for ix in range(n_cells):
         for iy in range(n_cells):
             lo = np.array([-r + ix * w, -r + iy * w])
-            a_i = intersection_area(patch.b, patch.d, lo, w)
+            a_i = _one_cell_area(patch.b, patch.d, lo, w)
             if a_i <= 0.0:
                 continue
             want = max(1, int(round(density * a_i)))
@@ -533,7 +538,7 @@ def test_coverage_half_disc_fails_with_counted_cells():
     for ix in range(report.shape[0]):
         for iy in range(report.shape[1]):
             lo = (report.origin[0] + ix * w, report.origin[1] + iy * w)
-            if lo[1] + w <= 0.0 and intersection_area(B.CIRCLE, [0.1], lo, w) > 0.0:
+            if lo[1] + w <= 0.0 and _one_cell_area(B.CIRCLE, [0.1], lo, w) > 0.0:
                 expected.add((ix, iy))
     assert expected <= set(report.bad_cells)
     assert len(report.bad_cells) > report.t_p
@@ -550,7 +555,7 @@ def test_coverage_rim_outside_points_flagged():
     for ix in range(report0.shape[0]):
         for iy in range(report0.shape[1]):
             lo = np.array([report0.origin[0] + ix * w, report0.origin[1] + iy * w])
-            a_i = intersection_area(B.CIRCLE, [0.1], lo, w)
+            a_i = _one_cell_area(B.CIRCLE, [0.1], lo, w)
             if 0.0 < a_i < 0.7 * w * w:
                 targets.append((ix, iy, lo))
             if len(targets) == 2:
