@@ -43,9 +43,12 @@ gravity file, bad patch map) or the step (fit failed); it is left out
 where the message already names the fault, as the path of a cloud or of
 an output file that cannot be written does. Every number read from a
 JSON input must be a JSON number: a string, true, false or null never
-stands in for one. Poses, gravity vectors, the numbers of a scene spec
-and a patch-map record's k, d, r, t and sigma must also be finite; a
-config field checks its own range.
+stands in for one, and an integer past the float range is no float.
+Poses, gravity vectors, the numbers of a scene spec and a patch-map
+record's k, d, r, t and sigma must also be finite, and a rotation vector
+short enough that its squared norm is finite; a config field checks its
+own range. map checks that its output paths can be written before it
+reads the first frame.
 
 An OPC2 file starts with four ASCII header lines, "OPC2 <width> <height>",
 "intrinsics <fx> <fy> <cx> <cy> <baseline>", "noise <kind> <field>..." and
@@ -55,15 +58,21 @@ order and, when cov is 1, as many covariance rows in the same order, each
 the upper triangle "xx xy xz yy yz zz" as 6 float64 values. A pixel with
 no return is an all-NaN point row; a covariance row is all NaN when its
 point or any of its entries is not finite. The body's size is exact, so a
-reader checks it against the header before parsing.
+reader checks it against the header before parsing. These rows are an
+OrganizedCloud's own packed layout (patchscape.sensor.COV_UPPER):
+write_cloud writes its rows as they are, and read_cloud reads the body
+with one readinto into a single array whose point and covariance parts
+are the cloud's points and cov, views of the stored rows.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import MISSING, fields, is_dataclass
@@ -202,10 +211,6 @@ def _noise_tag(noise) -> str:
     return " ".join([noise.kind] + [_g17(getattr(noise, f.name)) for f in fields(noise)])
 
 
-_UPPER = [0, 1, 2, 4, 5, 8]  # xx xy xz yy yz zz of a row-major 3x3
-_SYMMETRIC = [0, 1, 2, 1, 3, 4, 2, 4, 5]  # the 3x3 rebuilt from _UPPER's order
-
-
 def _rows(rows: np.ndarray, ok: np.ndarray) -> np.ndarray:
     """Little-endian float64 rows, the rows that are not ok all NaN."""
     return np.ascontiguousarray(np.where(ok[:, None], rows, np.nan), dtype="<f8")
@@ -226,8 +231,8 @@ def write_cloud(path: str, cloud: OrganizedCloud, noise=None) -> None:
         f.write(("\n".join(lines) + "\n").encode("ascii"))
         f.write(_rows(pts, ok))
         if cloud.cov is not None:
-            cvs = cloud.cov.reshape(-1, 9)
-            f.write(_rows(cvs[:, _UPPER], ok & np.isfinite(cvs).all(axis=1)))
+            cvs = cloud.cov.reshape(-1, 6)
+            f.write(_rows(cvs, ok & np.isfinite(cvs).all(axis=1)))
 
 
 def _header(lines: List[str], i: int, key: str, n: int, more: bool = False) -> List[str]:
@@ -240,41 +245,56 @@ def _header(lines: List[str], i: int, key: str, n: int, more: bool = False) -> L
     return vals[1:]
 
 
+def _read_body(f, path: str, count: int) -> np.ndarray:
+    """The rest of f as count float64 values, read with one readinto;
+    ValueError unless it holds exactly count * 8 bytes. The rest's size is
+    checked first, so a header that asks for more values than the file
+    holds allocates nothing."""
+    expect = count * 8
+    if not f.seekable():  # a pipe tells its size only once it is read
+        f = io.BytesIO(f.read())
+    start = f.tell()
+    found = f.seek(0, io.SEEK_END) - start
+    f.seek(start)
+    if found == expect:
+        vals = np.empty(count, dtype="<f8")
+        found = f.readinto(vals) + len(f.read())
+        if found == expect:
+            return vals.astype(float, copy=False)
+    raise ValueError(f"{path}: expected {expect} body bytes, found {found}")
+
+
 def read_cloud(path: str) -> Tuple[OrganizedCloud, object]:
+    """(cloud, noise model or None) of an OPC2 file; ValueError naming path
+    when it is malformed. The cloud's points and cov are views of the one
+    array its body is read into."""
     with open(path, "rb") as f:
         head = [f.readline() for _ in range(4)]
-        body = f.read()
-    try:
-        lines = [ln.decode("ascii").strip() for ln in head]
-    except UnicodeDecodeError:
-        raise ValueError(f"{path}: the header is not ASCII text") from None
-    if lines[0].startswith("OPC1 "):
-        raise ValueError(f"{path}: an OPC1 text cloud; this version reads OPC2 binary clouds")
-    if not lines[0].startswith("OPC2 "):
-        raise ValueError(f"{path}: not an OPC2 cloud file")
-    try:
-        w, h = (int(v) for v in _header(lines, 0, "OPC2", 2))
-        fx, fy, cx, cy, baseline = (float(v) for v in _header(lines, 1, "intrinsics", 5))
-        kind, *params = _header(lines, 2, "noise", 1, more=True)
-        noise = _noise(kind, params)
-        (cov_flag,) = _header(lines, 3, "cov", 1)
-        if cov_flag not in ("0", "1"):
-            raise ValueError(f"cov must be 0 or 1, got {cov_flag}")
-        has_cov = cov_flag == "1"
-        intr = CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy, width=w, height=h, baseline=baseline)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
-    n = w * h
-    expect = n * (9 if has_cov else 3) * 8
-    if len(body) != expect:
-        raise ValueError(f"{path}: expected {expect} body bytes, found {len(body)}")
-    vals = np.frombuffer(body, dtype="<f8")
-    pts = vals[:3 * n].astype(float)
-    cov = None
-    if has_cov:
-        cov = np.take(vals[3 * n:].reshape(n, 6), _SYMMETRIC, axis=1).astype(float, copy=False)
-        cov = cov.reshape(h, w, 3, 3)
-    return OrganizedCloud(points=pts.reshape(h, w, 3), cov=cov, intrinsics=intr), noise
+        try:
+            lines = [ln.decode("ascii").strip() for ln in head]
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: the header is not ASCII text") from None
+        if lines[0].startswith("OPC1 "):
+            raise ValueError(f"{path}: an OPC1 text cloud; this version reads OPC2 binary clouds")
+        if not lines[0].startswith("OPC2 "):
+            raise ValueError(f"{path}: not an OPC2 cloud file")
+        try:
+            w, h = (int(v) for v in _header(lines, 0, "OPC2", 2))
+            fx, fy, cx, cy, baseline = (float(v) for v in _header(lines, 1, "intrinsics", 5))
+            kind, *params = _header(lines, 2, "noise", 1, more=True)
+            noise = _noise(kind, params)
+            (cov_flag,) = _header(lines, 3, "cov", 1)
+            if cov_flag not in ("0", "1"):
+                raise ValueError(f"cov must be 0 or 1, got {cov_flag}")
+            has_cov = cov_flag == "1"
+            intr = CameraIntrinsics(fx=fx, fy=fy, cx=cx, cy=cy, width=w, height=h,
+                                    baseline=baseline)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
+        n = w * h
+        vals = _read_body(f, path, n * (9 if has_cov else 3))
+    cov = vals[3 * n:].reshape(h, w, 6) if has_cov else None
+    return OrganizedCloud(points=vals[:3 * n].reshape(h, w, 3), cov=cov, intrinsics=intr), noise
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +333,7 @@ def _patch_from_record(key: str, rec: dict) -> Patch:
     record with any other r[2] is ValueError.
     """
     s, b = SurfaceType(rec["surface"]), BoundaryType(rec["boundary"])
-    r, t = _numbers(f"{key}.r", rec["r"], 3), _numbers(f"{key}.t", rec["t"], 3)
+    r, t = _rotation(f"{key}.r", rec["r"], 3), _numbers(f"{key}.t", rec["t"], 3)
     sigma = rec.get("sigma")
     if sigma is not None:
         if not isinstance(sigma, list):
@@ -403,10 +423,7 @@ def read_patch_map(path: str) -> Tuple[Pose6, List[_mapping.MapPatch]]:
 def _number(key: str, value) -> float:
     """A finite JSON number as a float; ValueError, naming key, for any
     other value, a string, true or null included."""
-    try:
-        x = _json_value(key, float, value)
-    except OverflowError:  # an integer past the float range
-        x = math.inf
+    x = _json_value(key, float, value)
     if not math.isfinite(x):
         raise ValueError(f"{key} must be finite")
     return x
@@ -419,17 +436,26 @@ def _numbers(key: str, value, n: Optional[int] = None) -> np.ndarray:
     return np.array([_number(f"{key}[{i}]", v) for i, v in enumerate(value)], dtype=float)
 
 
+def _rotation(key: str, value, n: int) -> np.ndarray:
+    """A rotation vector (n = 3) or its xy part (n = 2) of n finite JSON
+    numbers whose squared norm, which pose.exp_map takes, is finite too."""
+    r = _numbers(key, value, n)
+    if not math.isfinite(sum(v * v for v in r.tolist())):
+        raise ValueError(f"{key} is too long for a rotation vector")
+    return r
+
+
 def _pose6(key: str, d) -> Pose6:
     """Pose6 of a JSON {"r": [...], "t": [...]}; a missing r is no rotation."""
     if not isinstance(d, dict):
         raise ValueError("a pose is not a JSON object")
-    return Pose6(_numbers(f"{key}.r", d.get("r", [0.0, 0.0, 0.0]), 3),
+    return Pose6(_rotation(f"{key}.r", d.get("r", [0.0, 0.0, 0.0]), 3),
                  _numbers(f"{key}.t", d["t"], 3))
 
 
 def _pose_from_spec(key: str, d):
     if isinstance(d, dict) and "rxy" in d:
-        return Pose5(_numbers(f"{key}.rxy", d["rxy"], 2), _numbers(f"{key}.t", d["t"], 3))
+        return Pose5(_rotation(f"{key}.rxy", d["rxy"], 2), _numbers(f"{key}.t", d["t"], 3))
     return _pose6(key, d)
 
 
@@ -525,7 +551,8 @@ def _json_value(key: str, kind, value):
     kind is a dataclass or function, called with the fields of a JSON
     object typed by its annotations; an Enum, built from its value; bool,
     int, float or str; or Optional of one, which also takes null.
-    ValueError for any other kind.
+    ValueError for any other kind, and for a float field given an integer
+    past the float range.
     """
     if get_origin(kind) is Union:
         if value is None:
@@ -546,7 +573,12 @@ def _json_value(key: str, kind, value):
     # bool is an int subclass: JSON true must not pass as 1 or 1.0
     if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
         raise ValueError(f"{key} must be {name}")
-    return float(value) if kind is float else value
+    if kind is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer past the float range
+        raise ValueError(f"{key} must be finite") from None
 
 
 def _config_fields(key: str, kinds: dict, spec) -> dict:
@@ -662,6 +694,16 @@ def cmd_fit(args) -> int:
     return 0 if rec.validation.passed else 2
 
 
+def _check_writable(path: str) -> None:
+    """The OSError that writing path would raise, if any, without changing
+    it: an existing file keeps its bytes, and a missing one is not left."""
+    existed = os.path.lexists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def _write_stats(path: str, rows: List[dict]) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=list(rows[0]))
@@ -673,6 +715,9 @@ def cmd_map(args) -> int:
     cfg, budgets, state, cfg_seed = _checked("bad config: ", load_map_config, args.config)
     seed = args.seed if args.seed is not None else (cfg_seed or 0)
     gravities = _checked("bad gravity file: ", _read_gravity, args.gravity)
+    for path in (args.out, args.stats):
+        if path is not None:
+            _checked("", _check_writable, path)
 
     stats_rows = []
     for i, frame in enumerate(args.frames):

@@ -45,7 +45,7 @@ from patchscape import pose as _pose
 from patchscape.fit import MIN_FIT_POINTS, SURFACES, FitResult, coverage_scale, fit_patch
 from patchscape.patch import Patch, patch_frame, projected_area, transform_patch
 from patchscape.pose import ChainLink, Pose6
-from patchscape.sensor import OrganizedCloud, project
+from patchscape.sensor import COV_UPPER, OrganizedCloud, project, unpack_cov
 from patchscape.validate import (
     CoverageConfig,
     coverage_eval,
@@ -92,7 +92,7 @@ def median_decimate(cloud: OrganizedCloud, factor: int = 2) -> Tuple[OrganizedCl
 
     Each factor x factor block contributes the member point whose z is
     the (lower) median of the block's valid depths, so its measured
-    covariance rides along. Blocks with no valid member become NaN.
+    covariance row rides along. Blocks with no valid member become NaN.
     Intrinsics are rescaled to the decimated grid. Returns (cloud,
     source): source is (h, w, 2), the full-resolution (row, col) pixel of
     the member each decimated pixel holds.
@@ -115,11 +115,11 @@ def median_decimate(cloud: OrganizedCloud, factor: int = 2) -> Tuple[OrganizedCl
     bi, bj = np.divmod(pick, factor)
     rows = np.arange(h2)[:, None] * factor + bi
     cols = np.arange(w2)[None, :] * factor + bj
-    out = cloud.points[rows, cols].copy()
+    out = cloud.points[rows, cols]
     out[n == 0] = np.nan
     cv = None
     if cloud.cov is not None:
-        cv = cloud.cov[rows, cols].copy()
+        cv = cloud.cov[rows, cols]
         cv[n == 0] = np.nan
     decimated = OrganizedCloud(points=out, cov=cv, intrinsics=cloud.intrinsics.scaled(factor))
     return decimated, np.stack([rows, cols], axis=-1)
@@ -131,8 +131,9 @@ def median_decimate(cloud: OrganizedCloud, factor: int = 2) -> Tuple[OrganizedCl
 
 
 # (row, col) of the six distinct entries of the symmetric p p^T, in the
-# order the moment image stores them after the count and the coordinates
-_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+# order the moment image stores them after the count and the coordinates:
+# the packed covariance order
+_UPPER = COV_UPPER
 
 # Closed-form eigenvectors are trusted down to this relative eigen-gap
 # (lam_mid - lam_min) / |lam|_max; see _smallest_eigvec for the bound.
@@ -588,7 +589,7 @@ class NeighborhoodIndex:
 @dataclass(frozen=True)
 class Neighborhood:
     points: np.ndarray  # (n, 3) camera frame
-    covs: Optional[np.ndarray]  # (n, 3, 3) or None
+    covs: Optional[np.ndarray]  # (n, 6) packed rows (sensor.COV_UPPER), or None
     pixels: np.ndarray  # (n, 2) int (row, col)
 
 
@@ -738,16 +739,18 @@ def neighborhood(
 def fit_sample(
     nb: Neighborhood, n_f: int, rng: np.random.Generator
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Points and covariances a fit runs on: at most n_f of the neighborhood.
+    """Points and (n, 3, 3) covariances a fit runs on: at most n_f of the
+    neighborhood.
 
     A uniform draw without replacement, kept in the neighborhood's order;
     a neighborhood of at most n_f points is taken whole and draws nothing
-    from rng.
+    from rng. Only the drawn rows are unpacked to 3x3.
     """
-    if len(nb.points) <= n_f:
-        return nb.points, nb.covs
-    pick = np.sort(rng.choice(len(nb.points), size=n_f, replace=False))
-    return nb.points[pick], (nb.covs[pick] if nb.covs is not None else None)
+    pts, cvs = nb.points, nb.covs
+    if len(pts) > n_f:
+        pick = np.sort(rng.choice(len(pts), size=n_f, replace=False))
+        pts, cvs = pts[pick], (cvs[pick] if cvs is not None else None)
+    return pts, (unpack_cov(cvs) if cvs is not None else None)
 
 
 # ---------------------------------------------------------------------------

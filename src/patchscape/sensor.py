@@ -15,6 +15,10 @@ with variance k, k*r, or k*r^2 (k in m^2, m, unitless), giving point
 covariance k * r^p * m m^T. The stereo model propagates pixel matching
 noise through the disparity relation d = fx * b / z and is full rank.
 Per-point covariances are always evaluated at the noiseless intersection.
+A cloud stores each one packed: the six distinct entries of the symmetric
+3x3, in COV_UPPER's order "xx xy xz yy yz zz", which is also the order of
+a covariance row in an OPC2 file. unpack_cov rebuilds the 3x3 of the rows
+a fit uses, mirroring the lower triangle from the upper.
 """
 
 from __future__ import annotations
@@ -45,6 +49,9 @@ __all__ = [
     "QuadraticNoise",
     "StereoNoise",
     "OrganizedCloud",
+    "COV_UPPER",
+    "pack_cov",
+    "unpack_cov",
     "pixel_rays",
     "project",
     "point_covariance",
@@ -160,12 +167,30 @@ class StereoNoise:
 NoiseModel = Union[ConstantNoise, LinearNoise, QuadraticNoise, StereoNoise]
 
 
+# (row, col) of the six distinct entries of a symmetric 3x3, in the order a
+# packed covariance row stores them: xx xy xz yy yz zz
+COV_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_PACK_ROWS, _PACK_COLS = (list(ix) for ix in zip(*COV_UPPER))
+# the packed entry of each row-major 3x3 entry: 0 1 2 / 1 3 4 / 2 4 5
+_UNPACK = [COV_UPPER.index((min(i, j), max(i, j))) for i in range(3) for j in range(3)]
+
+
+def pack_cov(full: np.ndarray) -> np.ndarray:
+    """(..., 6) packed rows of (..., 3, 3) covariances: their upper triangles."""
+    return full[..., _PACK_ROWS, _PACK_COLS]
+
+
+def unpack_cov(packed: np.ndarray) -> np.ndarray:
+    """(..., 3, 3) symmetric covariances of (..., 6) packed rows."""
+    return packed[..., _UNPACK].reshape(packed.shape[:-1] + (3, 3))
+
+
 @dataclass
 class OrganizedCloud:
     """Row-major organized point cloud in the camera frame."""
 
     points: np.ndarray  # (H, W, 3), NaN where no return
-    cov: Optional[np.ndarray]  # (H, W, 3, 3) or None
+    cov: Optional[np.ndarray]  # (H, W, 6) packed in COV_UPPER's order, or None
     intrinsics: CameraIntrinsics
 
     @property
@@ -320,9 +345,12 @@ def sample_scene(
     """Render an organized cloud of the nearest scene hits.
 
     camera_pose maps camera to world (p_w = R p_cam + t); identity when
-    omitted. With a noise model, cov is point_covariance at each hit's
-    noiseless range, and NaN at pixels with no return. Deterministic for
-    a fixed integer seed or seeded Generator.
+    omitted. With a noise model, cov holds the packed rows of
+    point_covariance at each hit's noiseless range, all NaN at pixels with
+    no return; stereo noise is drawn through the Cholesky factor of the
+    full 3x3, whose lower triangle can differ from the stored upper one in
+    its last bits. Deterministic for a fixed integer seed or seeded
+    Generator.
     """
     if camera_pose is None:
         camera_pose = Pose6(np.zeros(3), np.zeros(3))
@@ -351,15 +379,16 @@ def sample_scene(
     if noise is not None:
         # the hits' (u, v) as floats, which point_covariance takes without a copy
         v, u = np.divmod(np.flatnonzero(hit).astype(float), W)
-        cov = np.full((H * W, 3, 3), np.nan)
-        cov[hit] = point_covariance(noise, intr, np.column_stack([u, v]), s_true[hit])
+        full = point_covariance(noise, intr, np.column_stack([u, v]), s_true[hit])
         if isinstance(noise, StereoNoise):
             xi = rng.standard_normal((H * W, 3))
-            pts[hit] += np.einsum("nij,nj->ni", np.linalg.cholesky(cov[hit]), xi[hit])
+            pts[hit] += np.einsum("nij,nj->ni", np.linalg.cholesky(full), xi[hit])
         else:
             eps = rng.standard_normal(H * W) * np.sqrt(noise.k * s_true**noise.power)
             pts = pts + rays_cam * np.where(hit, eps, 0.0)[:, None]
-        cov = cov.reshape(H, W, 3, 3)
+        cov = np.full((H * W, 6), np.nan)
+        cov[hit] = pack_cov(full)
+        cov = cov.reshape(H, W, 6)
 
     pts[~hit] = np.nan
     return OrganizedCloud(points=pts.reshape(H, W, 3), cov=cov, intrinsics=intr)

@@ -32,7 +32,7 @@ from scipy.sparse.csgraph import breadth_first_order
 from scipy.spatial import cKDTree
 
 from patchscape import pose as ps
-from patchscape.mapping import _UPPER, Neighborhood, mesh_triangles
+from patchscape.mapping import Neighborhood, mesh_triangles
 from patchscape.patch import (
     BoundaryType,
     SurfaceType,
@@ -43,6 +43,7 @@ from patchscape.patch import (
     projected_area,
     quad_vertices,
 )
+from patchscape.sensor import COV_UPPER
 from patchscape.validate import CoverageReport, _boundary_bbox
 
 
@@ -245,7 +246,7 @@ def cumsum_moment_integral(points, valid):
     m[0] = valid
     for c in range(3):
         np.copyto(m[1 + c], points[..., c], where=valid)
-    for c, (i, j) in enumerate(_UPPER):
+    for c, (i, j) in enumerate(COV_UPPER):
         np.multiply(m[1 + i], m[1 + j], out=m[4 + c])
     np.cumsum(ii, axis=1, out=ii)
     np.cumsum(ii, axis=2, out=ii)
@@ -368,9 +369,6 @@ def connected_ball_neighborhood(cloud, edges, seed, r):
     return _at_pixels(cloud, np.stack(np.unravel_index(np.sort(reached), (h, w)), axis=1))
 
 
-_UT = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-
-
 def loop_write_cloud(path, cloud, noise=None):
     """OPC1 text writer, one Python format call per value and one line per record.
 
@@ -395,10 +393,10 @@ def loop_write_cloud(path, cloud, noise=None):
     for p, good in zip(pts, ok):
         lines.append(" ".join(_g17(v) for v in p) if good else "nan")
     if cloud.cov is not None:
-        cvs = cloud.cov.reshape(-1, 3, 3)
+        cvs = cloud.cov.reshape(-1, 6)
         for c, good in zip(cvs, ok):
             if good and np.isfinite(c).all():
-                lines.append(" ".join(_g17(c[i, j]) for i, j in _UT))
+                lines.append(" ".join(_g17(v) for v in c))
             else:
                 lines.append("nan")
     with open(path, "w") as f:
@@ -406,7 +404,7 @@ def loop_write_cloud(path, cloud, noise=None):
 
 
 def loop_read_body(path):
-    """(points, cov or None) of a well-formed OPC1 file, parsed record by record.
+    """(points, packed cov or None) of a well-formed OPC1 file, parsed record by record.
 
     Each value goes through float(), and a "nan" record leaves its row NaN.
     """
@@ -422,14 +420,11 @@ def loop_read_body(path):
             pts[i] = [float(t) for t in ln.split()]
     cov = None
     if has_cov:
-        cov = np.full((n, 3, 3), np.nan)
+        cov = np.full((n, 6), np.nan)
         for i, ln in enumerate(body[n:]):
             if ln != "nan":
-                u = [float(t) for t in ln.split()]
-                for v, (a, b) in zip(u, _UT):
-                    cov[i, a, b] = v
-                    cov[i, b, a] = v
-        cov = cov.reshape(h, w, 3, 3)
+                cov[i] = [float(t) for t in ln.split()]
+        cov = cov.reshape(h, w, 6)
     return pts.reshape(h, w, 3), cov
 
 

@@ -18,7 +18,7 @@ from _oracles import loop_read_body, loop_write_cloud
 
 from patchscape import cli
 from patchscape import fit as fit_module
-from patchscape.mapping import MapPatch, ValidationRecord, init_volume
+from patchscape.mapping import MapPatch, ValidationRecord, init_volume, map_step
 from patchscape.patch import BoundaryType as B
 from patchscape.patch import Patch, SurfaceType, boundaries, is_revolute, k3_map
 from patchscape.pose import Pose5, Pose6, rxy_for_zdir, rxy_from_r, rxy_to_r
@@ -30,6 +30,7 @@ from patchscape.sensor import (
     QuadraticNoise,
     ScenePlane,
     StereoNoise,
+    pack_cov,
     sample_scene,
 )
 
@@ -107,7 +108,7 @@ def _toy_cloud(with_cov: bool) -> OrganizedCloud:
     cov = None
     if with_cov:
         a = rng.normal(size=(3, 4, 3, 3))
-        cov = a @ a.transpose(0, 1, 3, 2) + 1e-6 * np.eye(3)
+        cov = pack_cov(a @ a.transpose(0, 1, 3, 2) + 1e-6 * np.eye(3))
         cov[1, 2] = np.nan
         cov[0, 0] = np.nan
     return OrganizedCloud(points=pts, cov=cov, intrinsics=intr)
@@ -195,10 +196,12 @@ def test_opc_short_header_field_is_bad_input(tmp_path, capsys, index, line):
 
 @pytest.mark.parametrize(
     "edit", ["opc1_text", "header_not_ascii", "negative_size", "noise_k_negative",
-             "noise_sigma_zero", "fx_negative", "cov_two"]
+             "noise_sigma_zero", "fx_negative", "cov_two", "size_past_the_file"]
 )
 def test_opc_rejects_bad_file(tmp_path, capsys, edit):
-    """An OPC1 text file or an unreadable header is bad input, named by path."""
+    """An OPC1 text file, an unreadable header or one that asks for more
+    body than the file holds (which allocates none) is bad input, named by
+    path."""
     path = tmp_path / "bad.opc"
     cloud = _toy_cloud(True)
     cli.write_cloud(str(path), cloud)
@@ -221,6 +224,9 @@ def test_opc_rejects_bad_file(tmp_path, capsys, edit):
         # the cloud holds covariances, so the body length matches a cov 1 header
         _edit_header(path, 3, "cov 2")
         where = f"{path}: cov must be 0 or 1, got 2"
+    elif edit == "size_past_the_file":
+        _edit_header(path, 0, "OPC2 100000 100000")
+        where = f"{path}: expected {10**10 * 9 * 8} body bytes, found {12 * 9 * 8}"
     else:
         _edit_header(path, 2, "noise stereo 0 0.17")
         where = f"{path}: stereo noise sigma_p and sigma_m must be finite and positive"
@@ -259,6 +265,9 @@ def _put_rows(block, record, rows):
     [pytest.param(_put_rows(block, record, rows), id=f"{block}-{record}-{name}")
      for name, rows in (("one", [1]), ("every", range(12))) for block, record in _BAD_RECORDS]
     + [pytest.param(bytearray.pop, id="one_byte_short"),  # drops the last byte
+       pytest.param(lambda body: body.__delitem__(slice(-8, None)), id="one_float_short"),
+       pytest.param(lambda body: body.extend(np.array([1.0]).astype("<f8").tobytes()),
+                    id="one_float_long"),
        pytest.param(_put_rows("cov", "1 2 3 4 5 6", [12]), id="one_row_long")],
 )
 def test_opc_rejects_bad_body_record(tmp_path, capsys, edit):
@@ -280,6 +289,55 @@ def test_opc_rejects_bad_body_record(tmp_path, capsys, edit):
     _assert_bad_input(tmp_path, capsys, path, where)
 
 
+@pytest.mark.parametrize("short", [False, True], ids=["whole", "one_float_short"])
+def test_opc_reads_a_pipe(tmp_path, short):
+    """A pipe, whose size is known only once it is read, reads as its file
+    does, and a body one float short is still bad input."""
+    path = tmp_path / "c.opc"
+    cli.write_cloud(str(path), _toy_cloud(True))
+    data = path.read_bytes()
+    r, w = os.pipe()
+    os.write(w, data[:-8] if short else data)  # the toy cloud fits in the pipe's buffer
+    os.close(w)
+    try:
+        if short:
+            where = f"/dev/fd/{r}: expected {12 * 9 * 8} body bytes, found {12 * 9 * 8 - 8}"
+            with pytest.raises(ValueError, match=f"^{re.escape(where)}$"):
+                cli.read_cloud(f"/dev/fd/{r}")
+        else:
+            back, _ = cli.read_cloud(f"/dev/fd/{r}")
+            want, _ = cli.read_cloud(str(path))
+            np.testing.assert_array_equal(back.points, want.points)
+            np.testing.assert_array_equal(back.cov, want.cov)
+    finally:
+        os.close(r)
+
+
+def test_mapping_a_frame_from_its_file_is_mapping_it_in_memory(tmp_path):
+    """A rendered stereo frame maps to the same patches, bit for bit, in
+    memory and after write_cloud and read_cloud.
+
+    The stereo J E J^T is not bit-symmetric, so a cloud that kept its full
+    3x3 covariances would fit on lower triangles that its file drops; the
+    cloud holds the packed rows its file stores.
+    """
+    scene, cfg = tmp_path / "scene.json", tmp_path / "cfg.json"
+    scene.write_text(json.dumps(_dome_spec({"model": "stereo"})))
+    cfg.write_text(json.dumps(MAP_CFG))
+    surfaces, intr, cam, noise = cli.load_scene_spec(str(scene))
+    config, budgets, _, seed = cli.load_map_config(str(cfg))
+    cloud = sample_scene(surfaces, intr, camera_pose=cam, noise=noise, rng=0)
+    cli.write_cloud(str(tmp_path / "frame.opc"), cloud, noise)
+    back, _ = cli.read_cloud(str(tmp_path / "frame.opc"))
+    runs = []
+    for frame in (cloud, back):
+        res = map_step(init_volume(), frame, [0.0, 0.0, 1.0], budgets=budgets, config=config,
+                       rng_seed=(seed, 0))
+        runs.append([(mp.id, mp.patch.k.tobytes(), mp.patch.pose.t.tobytes(),
+                      mp.patch.sigma.tobytes()) for mp in res.admitted])
+    assert runs[0] and runs[0] == runs[1]
+
+
 def _planted_frame() -> OrganizedCloud:
     """Seeded stereo frame of a floor plane, with edge-case values planted.
 
@@ -296,8 +354,8 @@ def _planted_frame() -> OrganizedCloud:
     pts[47, 0] = [-0.0, 5e-324, 1.7976931348623157e308]
     pts[47, 1, 0] = 1e-300
     pts[47, 3, 1] = np.inf  # a point with one non-finite value is all NaN
-    cov[47, 0] = [[1e-300, -0.0, 5e-324], [-0.0, 1.0, 2.0], [5e-324, 2.0, 1.7976931348623157e308]]
-    cov[47, 2, 2, 1] = np.nan
+    cov[47, 0] = [1e-300, -0.0, 5e-324, 1.0, 2.0, 1.7976931348623157e308]
+    cov[47, 2, 4] = np.nan
     return OrganizedCloud(points=pts, cov=cov, intrinsics=intr)
 
 
@@ -439,8 +497,9 @@ def test_simulate_rejects_bad_noise(tmp_path, capsys, noise):
     "edit, message",
     [({"baseline": 0.0}, "stereo noise needs a positive baseline"),
      ({"fx": -131.25}, "fx and fy must be finite and positive"),
-     ({"focal": 131.25}, "")],
-    ids=["baseline_zero_stereo", "fx_negative", "unknown_key"],
+     ({"focal": 131.25}, ""),
+     ({"fx": 10**400}, "intrinsics.fx must be finite")],
+    ids=["baseline_zero_stereo", "fx_negative", "unknown_key", "fx_past_float_range"],
 )
 def test_simulate_rejects_bad_intrinsics(tmp_path, capsys, edit, message):
     spec = dict(_dome_spec({"model": "stereo"}), intrinsics=dict(SMALL_INTR, **edit))
@@ -892,6 +951,28 @@ def test_fit_rejects_bad_flags(dome_dir, capsys, flags):
     assert len(out.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("case", ["out_in_missing_dir", "stats_in_missing_dir_out_exists",
+                                  "stats_in_missing_dir_out_new"])
+def test_map_checks_output_paths_before_the_first_frame(tmp_path, dome_dir, capsys,
+                                                       monkeypatch, case):
+    """An unwritable --out or --stats is bad input before any frame is read;
+    the check leaves an existing output's bytes and no new file behind."""
+    calls = []
+    monkeypatch.setattr(cli, "read_cloud", lambda path: calls.append(path))
+    missing, old, new = tmp_path / "missing" / "x", tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text("old")
+    out, stats = {"out_in_missing_dir": (missing, new),
+                  "stats_in_missing_dir_out_exists": (old, missing),
+                  "stats_in_missing_dir_out_new": (new, missing)}[case]
+    capsys.readouterr()
+    assert cli.main(["map", str(dome_dir / "dome_000.opc"), "--out", str(out),
+                     "--stats", str(stats)]) == 1
+    got = capsys.readouterr()
+    assert got.out == "" and got.err.startswith("error: ") and len(got.err.splitlines()) == 1
+    assert str(missing) in got.err and calls == []
+    assert list(tmp_path.iterdir()) == [old] and old.read_text() == "old"
+
+
 @pytest.mark.parametrize("case", ["simulate", "map_out", "map_stats", "track_out"])
 def test_unwritable_output_is_bad_input(tmp_path, dome_dir, capsys, case):
     """An output path in a missing directory: exit 1, one error line, empty stdout."""
@@ -1020,7 +1101,16 @@ def test_patch_map_that_is_not_an_object_is_bad_patch_map(tmp_path, dome_dir, ca
      pytest.param(lambda doc: doc["patches"][0]["k"].__setitem__(0, True), "patches[0].k[0]",
                   id="k_bool"),
      pytest.param(lambda doc: doc["patches"][0]["sigma"][0].__setitem__(0, "0.001"),
-                  "patches[0].sigma[0][0]", id="sigma_string")],
+                  "patches[0].sigma[0][0]", id="sigma_string"),
+     # exp_map squares a rotation vector, so a finite 1e308 overflows it
+     pytest.param(lambda doc: doc["patches"][0]["r"].__setitem__(0, 1e308),
+                  "patches[0].r is too long for a rotation vector", id="r_past_rotation_range"),
+     pytest.param(lambda doc: doc["camera_in_volume"]["r"].__setitem__(0, 1e308),
+                  "camera_in_volume.r is too long for a rotation vector",
+                  id="camera_r_past_rotation_range"),
+     pytest.param(lambda doc: doc["patches"][0]["validation"].update(residual=10**400),
+                  "patches[0].validation.residual must be finite",
+                  id="residual_past_float_range")],
 )
 def test_malformed_patch_map_is_bad_patch_map(tmp_path, dome_dir, dome_map, capsys, command,
                                               edit, where):

@@ -58,6 +58,7 @@ from patchscape.sensor import (
     StereoNoise,
     pixel_rays,
     sample_scene,
+    unpack_cov,
 )
 
 from _oracles import (
@@ -222,11 +223,12 @@ def test_median_decimate_picks_lower_median_member():
 def test_median_decimate_carries_matching_covariance():
     intr = replace(TINY, width=4, height=2, cx=1.5, cy=0.5)
     z = np.array([[1.0, 2.0, 5.0, 6.0], [3.0, 4.0, 7.0, 8.0]])
-    cov = np.arange(4 * 2 * 9, dtype=float).reshape(2, 4, 3, 3)
+    cov = np.arange(4 * 2 * 6, dtype=float).reshape(2, 4, 6)
     cloud = OrganizedCloud(points=_depth_cloud(intr, z).points, cov=cov, intrinsics=intr)
     out, _ = median_decimate(cloud, 2)
-    assert np.allclose(out.cov[0, 0], cov[0, 1])
-    assert np.allclose(out.cov[0, 1], cov[0, 3])
+    assert out.cov.shape == (1, 2, 6)
+    assert np.array_equal(out.cov[0, 0], cov[0, 1])
+    assert np.array_equal(out.cov[0, 1], cov[0, 3])
 
 
 def test_median_decimate_rejects_bad_factor():
@@ -859,22 +861,26 @@ def test_neighborhood_backprojection_keeps_scan_order(rocky_cloud_noisy):
 
 def test_fit_sample_subsamples_to_n_f():
     plane = _plane_cloud(1.0)
-    cov = np.arange(plane.points.size * 3, dtype=float).reshape(*plane.points.shape, 3)
+    cov = np.arange(plane.points.size * 2, dtype=float).reshape(*plane.points.shape[:2], 6)
     cloud = OrganizedCloud(points=plane.points, cov=cov, intrinsics=plane.intrinsics)
     full = neighborhood(NeighborhoodIndex(), cloud, (30, 40), 0.2)
     pts, cvs = fit_sample(full, 50, np.random.default_rng(9))
-    assert len(pts) == 50 and len(cvs) == 50
-    # a uniform draw without replacement, kept in scan order
+    assert len(pts) == 50 and cvs.shape == (50, 3, 3)
+    # a uniform draw without replacement, kept in scan order; each drawn
+    # packed row xx xy xz yy yz zz unpacked to its symmetric 3x3
     pick = np.sort(np.random.default_rng(9).choice(len(full.points), size=50, replace=False))
     assert np.array_equal(pts, full.points[pick])
-    assert np.array_equal(cvs, full.covs[pick])
+    a = full.covs[pick].T
+    assert np.array_equal(cvs.transpose(1, 2, 0), [[a[0], a[1], a[2]],
+                                                   [a[1], a[3], a[4]],
+                                                   [a[2], a[4], a[5]]])
     assert set(map(tuple, pts)) <= set(map(tuple, full.points))
     again, _ = fit_sample(full, 50, np.random.default_rng(9))
     assert np.array_equal(again, pts)
     # a neighborhood within n_f is taken whole and draws nothing
     rng = np.random.default_rng(9)
     whole, whole_cvs = fit_sample(full, len(full.points), rng)
-    assert whole is full.points and whole_cvs is full.covs
+    assert whole is full.points and np.array_equal(whole_cvs, unpack_cov(full.covs))
     assert rng.bit_generator.state == np.random.default_rng(9).bit_generator.state
 
 

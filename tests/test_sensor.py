@@ -16,6 +16,7 @@ from patchscape.sensor import (
     ScenePlane,
     StereoNoise,
     intrinsics_preset,
+    pack_cov,
     pixel_rays,
     point_covariance,
     project,
@@ -208,7 +209,8 @@ def test_covariance_is_point_covariance_at_hits_only(noise):
     assert np.isnan(cloud.cov[~hit]).all() and np.isfinite(cloud.cov[hit]).all()
     v, u = np.nonzero(hit)
     want = point_covariance(noise, TINY, np.column_stack([u, v]), clean.points[hit][:, 2])
-    assert np.array_equal(cloud.cov[hit], want)
+    assert cloud.cov.shape == (TINY.height, TINY.width, 6)
+    assert np.array_equal(cloud.cov[hit], pack_cov(want))
 
 
 def test_constant_noise_std():
