@@ -13,21 +13,30 @@ fitted, so the residual validate reports for a patch can differ from the
 one its map stores, and a patch admitted just under d_max can fail
 validate on the frame it came from.
 
-Every random draw comes from one seed: --seed when given, else the
-config's "seed" (map only), else 0.
+Every random draw comes from one non-negative seed: --seed when given,
+else the config's "seed" (map only), else 0.
 
-A patch map holds "format", "frame", "camera_in_volume" {r, t},
-"volume_world" {r, t}, "v_s" and "patches", a list of records with "id",
-"surface", "boundary", "k", "d", "r" (the full rotation vector), "t",
-"sigma", "seed_pixel" [row, col], "frame_index" and "validation"
-{"residual", "bad_cells", "gates": {"curvature", "residual", "coverage"}}.
-read_patch_map is its one reader, for validate and track --map alike. It
-needs every record key but "sigma", with JSON integers for the id, frame
-index, bad cells and seed pixel; without "camera_in_volume" the camera
-is at the volume origin. A revolute surface and boundary pair
-(patchscape.patch.is_revolute) reads back as a 5-DoF pose with r_xy =
-r[:2], so the record round-trips bit for bit; such a record whose r[2]
-is not 0 is a bad patch map.
+Every JSON input (scene spec, trajectory, gravity file, map config and
+patch map) is read by _json_value from one schema, an annotated function
+or dataclass whose parameters are a JSON object's keys. At every level an
+object rejects unknown keys and names a required key it lacks (<key> has
+no "<name>"); a number must be a finite JSON number (a string, a bool,
+null, NaN or an integer past the float range never is one), and an int
+field takes only JSON integers; null stands only for an Optional field;
+and a rotation vector's squared norm, which pose.exp_map takes, must be
+finite. The type a schema builds checks its own range.
+
+A patch has one JSON shape, "surface", "boundary", "k", "d", "r" (the full
+rotation vector) and "t", read by _patch in a scene spec's "surfaces" (so
+the surfaces simulate writes to _truth.json read back) and in a patch map
+alike. A revolute pair (patchscape.patch.is_revolute) reads back as a
+5-DoF pose with r_xy = r[:2], so a patch round-trips bit for bit; its r[2]
+must be 0. A patch map holds "format", "frame", "camera_in_volume" {r, t}
+(the volume origin when absent), "volume_world" {r, t}, "v_s" and
+"patches", records of a patch's fields and "id", "sigma" (optional),
+"seed_pixel" [row, col], "frame_index" and "validation" {"residual",
+"bad_cells", "gates": {"curvature", "residual", "coverage"}}.
+read_patch_map reads it for validate and track --map alike.
 
 JSON numbers and the text header of a cloud file are written with 17
 significant digits, so files are byte-identical across runs and
@@ -41,14 +50,8 @@ Bad input has one outcome in every subcommand: one stderr line
 the input at fault (bad scene spec, bad trajectory, bad config, bad
 gravity file, bad patch map) or the step (fit failed); it is left out
 where the message already names the fault, as the path of a cloud or of
-an output file that cannot be written does. Every number read from a
-JSON input must be a JSON number: a string, true, false or null never
-stands in for one, and an integer past the float range is no float.
-Poses, gravity vectors, the numbers of a scene spec and a patch-map
-record's k, d, r, t and sigma must also be finite, and a rotation vector
-short enough that its squared norm is finite; a config field checks its
-own range. map checks that its output paths can be written before it
-reads the first frame.
+an output file that cannot be written does. map checks that its output
+paths can be written before it reads the first frame.
 
 An OPC2 file starts with four ASCII header lines, "OPC2 <width> <height>",
 "intrinsics <fx> <fy> <cx> <cy> <baseline>", "noise <kind> <field>..." and
@@ -56,7 +59,8 @@ An OPC2 file starts with four ASCII header lines, "OPC2 <width> <height>",
 point rows of 3 little-endian float64 values "x y z" in row-major pixel
 order and, when cov is 1, as many covariance rows in the same order, each
 the upper triangle "xx xy xz yy yz zz" as 6 float64 values. A pixel with
-no return is an all-NaN point row; a covariance row is all NaN when its
+no return is an all-NaN point row (read_cloud reads a row with a finite z
+but a non-finite x or y as one); a covariance row is all NaN when its
 point or any of its entries is not finite. The body's size is exact, so a
 reader checks it against the header before parsing. These rows are an
 OrganizedCloud's own packed layout (patchscape.sensor.COV_UPPER):
@@ -69,17 +73,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import inspect
 import io
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass, replace
 from enum import Enum
-from inspect import isfunction
 from typing import (
-    List, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints,
+    List, Literal, NewType, Optional, Sequence, Tuple, Union, get_args, get_origin,
+    get_type_hints,
 )
 
 import numpy as np
@@ -163,13 +169,128 @@ def json_dumps(obj, indent: Optional[int] = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _load_json(path: str, kind: type):
-    """The JSON document of a file; ValueError unless its top level is a kind."""
+# ---------------------------------------------------------------------------
+# The typed JSON reader
+# ---------------------------------------------------------------------------
+
+
+_JSON_KIND = {  # a scalar field's type: (JSON values it takes, their name)
+    bool: (bool, "true or false"),
+    int: (int, "a JSON integer"),
+    float: ((int, float), "a JSON number"),
+    str: (str, "a JSON string"),
+}
+
+Vec3 = Tuple[float, float, float]
+# a rotation vector, whose squared norm pose.exp_map takes
+Rotvec = NewType("Rotvec", Vec3)
+
+
+class _Tagged:
+    """Kind of a JSON object whose tag key names the schema in kinds that
+    reads its other keys; an object without the tag takes default."""
+
+    tag: str
+    kinds: dict
+    default: Optional[str] = None
+
+
+def _where(key: str) -> str:
+    return key or "the top level"
+
+
+def _sub(key: str, name: str) -> str:
+    return f"{key}.{name}" if key else name
+
+
+@functools.lru_cache(maxsize=None)
+def _schema(kind) -> Tuple[dict, tuple, tuple]:
+    """(types, keys, rest) of a schema: the type of each parameter, the
+    parameters a JSON key names, and the positional-only ones."""
+    params = inspect.signature(kind).parameters.values()
+    return (get_type_hints(kind), tuple(p for p in params if p.kind is not p.POSITIONAL_ONLY),
+            tuple(p for p in params if p.kind is p.POSITIONAL_ONLY))
+
+
+def _json_value(key: str, kind, value):
+    """A JSON value read as kind, without coercion that would change it
+    (int(8.9), bool("false"), float(true)); ValueError naming key, its path
+    in the document ("" at the top level), when it does not fit. kind is:
+    - a schema, a dataclass or function called with a JSON object's keys,
+      each read as its parameter's annotation; a positional-only parameter
+      takes the keys no other one names, read as its own kind;
+    - a _Tagged subclass, an Enum (built from its value) or a Literal;
+    - List[X], a fixed-length Tuple (Vec3) or Rotvec;
+    - Optional[X], which also takes null, or Union[str, X];
+    - bool, int, float or str.
+    """
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is Union:
+        if value is None and type(None) in args:
+            return None
+        kinds = [a for a in args if a is not type(None)]
+        return _json_value(key, str if isinstance(value, str) and str in kinds else kinds[-1],
+                           value)
+    if origin is list or origin is tuple:
+        if not isinstance(value, list) or origin is tuple and len(value) != len(args):
+            size = f" of {len(args)} values" if origin is tuple else ""
+            raise ValueError(f"{_where(key)} must be a JSON list{size}")
+        items = [_json_value(f"{key}[{i}]", args[i if origin is tuple else 0], v)
+                 for i, v in enumerate(value)]
+        return items if origin is list else tuple(items)
+    if kind is Rotvec:
+        r = _json_value(key, Vec3, value)
+        if not math.isfinite(sum(v * v for v in r)):
+            raise ValueError(f"{key} is too long for a rotation vector")
+        return r
+    if origin is Literal or isinstance(kind, type) and issubclass(kind, Enum):
+        values = list(args) if origin is Literal else [m.value for m in kind]
+        if value not in values:
+            raise ValueError(f"{key} must be one of {values}")
+        return value if origin is Literal else kind(value)
+    tagged = isinstance(kind, type) and issubclass(kind, _Tagged)
+    if (tagged or is_dataclass(kind) or inspect.isfunction(kind)) and not isinstance(value, dict):
+        raise ValueError(f"{_where(key)} is not a JSON object")
+    if tagged:
+        if kind.tag not in value and kind.default is None:
+            raise ValueError(f'{_where(key)} has no "{kind.tag}"')
+        tag = value.get(kind.tag, kind.default)
+        if tag not in list(kind.kinds):
+            raise ValueError(f"{_sub(key, kind.tag)} must be one of {list(kind.kinds)}")
+        return _json_value(key, kind.kinds[tag], {k: v for k, v in value.items() if k != kind.tag})
+    if is_dataclass(kind) or inspect.isfunction(kind):
+        types, named, rest = _schema(kind)
+        names = [p.name for p in named]
+        unknown = [] if rest else sorted(set(value) - set(names))
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}" + (f" in {key}" if key else ""))
+        for p in named:
+            if p.default is p.empty and p.name not in value:
+                raise ValueError(f'{_where(key)} has no "{p.name}"')
+        ours = {k: _json_value(_sub(key, k), types[k], v) for k, v in value.items() if k in names}
+        others = {k: v for k, v in value.items() if k not in names}
+        return kind(*(_json_value(key, types[p.name], others) for p in rest), **ours)
+    if kind not in _JSON_KIND:
+        raise ValueError(f"{key} cannot be read from JSON")
+    accepted, name = _JSON_KIND[kind]
+    # bool is an int subclass: JSON true must not pass as 1 or 1.0
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"{key} must be {name}")
+    if kind is int or kind is float:
+        try:
+            x = float(value)
+        except OverflowError:  # a JSON integer past the float range
+            x = math.inf
+        if not math.isfinite(x):
+            raise ValueError(f"{key} must be finite")
+        return x if kind is float else value
+    return value
+
+
+def _read_json(path: str, kind):
+    """The JSON document of a file, read as kind."""
     with open(path) as f:
-        doc = json.load(f)
-    if not isinstance(doc, kind):
-        raise ValueError(f"the top level is not a JSON {'list' if kind is list else 'object'}")
-    return doc
+        return _json_value("", kind, json.load(f))
 
 
 # ---------------------------------------------------------------------------
@@ -179,30 +300,23 @@ def _load_json(path: str, kind: type):
 _NOISE = {cls.kind: cls for cls in (ConstantNoise, LinearNoise, QuadraticNoise, StereoNoise)}
 
 
-def _noise(kind: str, params):
-    """Noise model of a kind, None for "none".
+def _noise(kind: str, params: List[str]):
+    """Noise model of an OPC2 header's noise line, None for "none".
 
-    params gives the model's fields by name (a dict) or in field order (a
-    sequence); fields it leaves out keep the model's defaults. A name the
-    model lacks, or a value past its last field, is ValueError.
+    params gives the model's fields in field order; fields it leaves out
+    keep the model's defaults. A value past the last field, or a missing
+    field without a default, is ValueError.
     """
     if kind != "none" and kind not in _NOISE:
         raise ValueError(f"unknown noise model: {kind}")
     cls = _NOISE.get(kind)
-    names = [f.name for f in fields(cls)] if cls else []
-    if not isinstance(params, dict):
-        if len(params) > len(names):
-            raise ValueError(f"noise model {kind} takes {len(names)} value(s), got {len(params)}")
-        params = dict(zip(names, params))
-    extra = [name for name in params if name not in names]
-    if extra:
-        raise ValueError(f"noise model {kind} has no {', '.join(extra)}")
-    if cls is None:
-        return None
-    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in params]
+    names = fields(cls) if cls else ()
+    if len(params) > len(names):
+        raise ValueError(f"noise model {kind} takes {len(names)} value(s), got {len(params)}")
+    missing = [f.name for f in names[len(params):] if f.default is MISSING]
     if missing:
         raise ValueError(f"noise model {kind} needs {', '.join(missing)}")
-    return cls(**{name: float(v) for name, v in params.items()})
+    return cls(*(float(v) for v in params)) if cls else None
 
 
 def _noise_tag(noise) -> str:
@@ -293,8 +407,15 @@ def read_cloud(path: str) -> Tuple[OrganizedCloud, object]:
             raise ValueError(f"{path}: {e}") from None
         n = w * h
         vals = _read_body(f, path, n * (9 if has_cov else 3))
+    pts = vals[:3 * n].reshape(n, 3)
+    finite = np.isfinite(pts)
+    no_return = finite[:, 2] & ~(finite[:, 0] & finite[:, 1])
+    if no_return.any():  # a finite z alone would pass valid_mask
+        pts[no_return] = np.nan
+        if has_cov:
+            vals[3 * n:].reshape(n, 6)[no_return] = np.nan
     cov = vals[3 * n:].reshape(h, w, 6) if has_cov else None
-    return OrganizedCloud(points=vals[:3 * n].reshape(h, w, 3), cov=cov, intrinsics=intr), noise
+    return OrganizedCloud(points=pts.reshape(h, w, 3), cov=cov, intrinsics=intr), noise
 
 
 # ---------------------------------------------------------------------------
@@ -324,32 +445,6 @@ def _validation_fields(v: ValidationRecord) -> dict:
     return {"residual": v.residual, "bad_cells": v.bad_cells, "gates": gates}
 
 
-def _patch_from_record(key: str, rec: dict) -> Patch:
-    """The Patch of the patch-map record at key, exactly as written.
-
-    k, d, r, t and each row of sigma must be a list of finite JSON
-    numbers, and sigma must be square. A revolute pair takes the 5-DoF
-    pose whose r_xy is r[:2], which patch_rotvec wrote with r[2] = 0; a
-    record with any other r[2] is ValueError.
-    """
-    s, b = SurfaceType(rec["surface"]), BoundaryType(rec["boundary"])
-    r, t = _rotation(f"{key}.r", rec["r"], 3), _numbers(f"{key}.t", rec["t"], 3)
-    sigma = rec.get("sigma")
-    if sigma is not None:
-        if not isinstance(sigma, list):
-            raise ValueError(f"{key}.sigma must be a list of rows")
-        sigma = np.array([_numbers(f"{key}.sigma[{i}]", row, len(sigma))
-                          for i, row in enumerate(sigma)])
-    if not is_revolute(s, b):
-        pose = Pose6(r, t)
-    elif r[2] == 0.0:
-        pose = Pose5(r[:2], t)
-    else:
-        raise ValueError(f"a {s.value}/{b.value} patch needs r = [rx, ry, 0], got {rec['r']}")
-    return Patch(s, b, _numbers(f"{key}.k", rec["k"]), _numbers(f"{key}.d", rec["d"]), pose,
-                 sigma)
-
-
 def _write_text(path: str, text: str) -> None:
     with open(path, "w") as f:
         f.write(text)
@@ -367,252 +462,134 @@ def write_patch_map(path: str, state: _mapping.VolumeState) -> None:
     _write_text(path, json_dumps(doc) + "\n")
 
 
-# the keys every patch-map record holds; "sigma" may be absent
-_RECORD_KEYS = ("id", "surface", "boundary", "k", "d", "r", "t", "seed_pixel", "frame_index",
-                "validation")
+# ---------------------------------------------------------------------------
+# Input schemas, one per JSON input
+# ---------------------------------------------------------------------------
+
+_ORIGIN = Pose6(np.zeros(3), np.zeros(3))
 
 
-def _require(key: str, obj, names) -> None:
-    """ValueError naming key and the first of names that obj lacks."""
-    for name in names:
-        if name not in obj:
-            raise ValueError(f'{key} has no "{name}"')
+def _pose(t: Vec3, r: Rotvec = (0.0, 0.0, 0.0)) -> Pose6:
+    """A camera or volume pose; without r, no rotation."""
+    return Pose6(r, t)
+
+
+def _patch(surface: SurfaceType, boundary: BoundaryType, k: List[float], d: List[float],
+           r: Rotvec, t: Vec3) -> Patch:
+    """A patch as _patch_fields writes it. A revolute pair takes the 5-DoF
+    pose whose r_xy is r[:2], which patch_rotvec writes with r[2] = 0; any
+    other r[2] is ValueError."""
+    if not is_revolute(surface, boundary):
+        pose = Pose6(r, t)
+    elif r[2] == 0.0:
+        pose = Pose5(r[:2], t)
+    else:
+        raise ValueError(f"a {surface.value}/{boundary.value} patch needs r = [rx, ry, 0], "
+                         f"got {list(r)}")
+    return Patch(surface, boundary, k, d, pose)
+
+
+def _gates(curvature: bool, residual: bool, coverage: bool) -> Tuple[bool, bool, bool]:
+    return curvature, residual, coverage
+
+
+def _validation(residual: float, bad_cells: int, gates: _gates) -> ValidationRecord:
+    return ValidationRecord(residual, bad_cells, *gates)
+
+
+def _map_record(patch: _patch, /, id: int, seed_pixel: Tuple[int, int], frame_index: int,
+                validation: _validation,
+                sigma: Optional[List[List[float]]] = None) -> _mapping.MapPatch:
+    """A patch-map record: a patch's fields and the record's own. It stores
+    neither the volume cell nor the seed point: cell is None, seed_point
+    the patch origin. sigma, when given, is a square list of rows."""
+    if sigma is not None:
+        if any(len(row) != len(sigma) for row in sigma):
+            raise ValueError("sigma must be a square list of rows")
+        patch = replace(patch, sigma=np.array(sigma, dtype=float))
+    return _mapping.MapPatch(id=id, patch=patch, cell=None, seed_pixel=seed_pixel,
+                             seed_point=patch.pose.t.copy(), frame_index=frame_index,
+                             validation=validation)
+
+
+def _patch_map(patches: List[_map_record], format: Literal["patch-map"] = "patch-map",
+               frame: Literal["volume"] = "volume", camera_in_volume: _pose = _ORIGIN,
+               volume_world: Optional[_pose] = None, v_s: Optional[float] = None):
+    """(camera_in_volume, patches); the other keys are checked, not used."""
+    return camera_in_volume, patches
+
+
+def _plane(normal: Vec3, offset: float) -> ScenePlane:
+    return ScenePlane(normal, offset)
+
+
+class _SceneSurface(_Tagged):
+    tag, kinds, default = "type", {"patch": _patch, "plane": _plane}, "patch"
+
+
+class _NoiseSpec(_Tagged):
+    tag, kinds = "model", {"none": lambda: None, **_NOISE}
+
+
+def _scene_spec(surfaces: List[_SceneSurface],
+                intrinsics: Union[str, CameraIntrinsics] = "kinect-640",
+                camera: Optional[_pose] = None, noise: Optional[_NoiseSpec] = None):
+    """(surfaces, intrinsics, camera, noise) of a scene spec: intrinsics is
+    CameraIntrinsics' fields or a preset name, camera a pose (the origin
+    when absent or null), and noise {"model": kind, field: value, ...}."""
+    if isinstance(intrinsics, str):
+        intrinsics = intrinsics_preset(intrinsics)
+    return surfaces, intrinsics, _ORIGIN if camera is None else camera, noise
+
+
+def _gravity(g: Optional[Vec3] = None,
+             g_per_frame: Optional[List[Vec3]] = None) -> List[np.ndarray]:
+    """Camera-frame gravity per frame: g for every frame, or g_per_frame,
+    whose last vector serves every later frame. Each must be finite and
+    nonzero."""
+    if (g is None) == (g_per_frame is None):
+        raise ValueError('a gravity file holds one of "g" and "g_per_frame"')
+    gravities = [g] if g_per_frame is None else g_per_frame
+    if not gravities:
+        raise ValueError("g_per_frame is empty")
+    for v in gravities:
+        _mapping._unit_vector(v, "gravity")
+    return [np.array(v) for v in gravities]
+
+
+def _map_config(config: MapConfig, /, budgets: MapBudgets = MapBudgets(),
+                volume: Optional[init_volume] = None, seed: Optional[int] = None):
+    """(MapConfig, MapBudgets, initial VolumeState, seed or None); every key
+    but budgets, volume (init_volume's arguments) and seed is a MapConfig
+    field. The seed must be non-negative, as numpy's seeds are."""
+    if seed is not None and seed < 0:
+        raise ValueError("seed must be non-negative")
+    return config, budgets, init_volume() if volume is None else volume, seed
 
 
 def read_patch_map(path: str) -> Tuple[Pose6, List[_mapping.MapPatch]]:
-    """(camera_in_volume, patches) of a patch-map file; ValueError, KeyError
-    or TypeError when it is malformed. A record stores neither the volume
-    cell nor the seed point: cell is None, seed_point the patch origin."""
-    doc = _load_json(path, dict)
-    _require("the top level", doc, ("patches",))
-    patches = []
-    for i, rec in enumerate(doc["patches"]):
-        key = f"patches[{i}]"
-        if not isinstance(rec, dict):
-            raise ValueError(f"{key} is not a JSON object")
-        _require(key, rec, _RECORD_KEYS)
-        v = rec["validation"]
-        _require(f"{key}.validation", v, ("residual", "bad_cells", "gates"))
-        _require(f"{key}.validation.gates", v["gates"], _mapping._GATES)
-        pixel = tuple(_json_value(f"{key}.seed_pixel", int, x) for x in rec["seed_pixel"])
-        if len(pixel) != 2:
-            raise ValueError(f"{key}.seed_pixel must be [row, col]")
-        patch = _patch_from_record(key, rec)
-        patches.append(_mapping.MapPatch(
-            id=_json_value(f"{key}.id", int, rec["id"]),
-            patch=patch,
-            cell=None,
-            seed_pixel=pixel,
-            seed_point=patch.pose.t.copy(),
-            frame_index=_json_value(f"{key}.frame_index", int, rec["frame_index"]),
-            validation=ValidationRecord(
-                _json_value(f"{key}.validation.residual", float, v["residual"]),
-                _json_value(f"{key}.validation.bad_cells", int, v["bad_cells"]),
-                *(_json_value(f"{key}.validation.gates.{g}", bool, v["gates"][g])
-                  for g in _mapping._GATES),
-            ),
-        ))
-    return _pose6("camera_in_volume", doc.get("camera_in_volume", {"t": [0.0, 0.0, 0.0]})), patches
-
-
-# ---------------------------------------------------------------------------
-# Scene specs
-# ---------------------------------------------------------------------------
-
-
-def _number(key: str, value) -> float:
-    """A finite JSON number as a float; ValueError, naming key, for any
-    other value, a string, true or null included."""
-    x = _json_value(key, float, value)
-    if not math.isfinite(x):
-        raise ValueError(f"{key} must be finite")
-    return x
-
-
-def _numbers(key: str, value, n: Optional[int] = None) -> np.ndarray:
-    """A JSON list of finite JSON numbers, n of them unless n is None, as floats."""
-    if not isinstance(value, list) or n is not None and len(value) != n:
-        raise ValueError(f"{key} must be a list of {'' if n is None else f'{n} '}JSON numbers")
-    return np.array([_number(f"{key}[{i}]", v) for i, v in enumerate(value)], dtype=float)
-
-
-def _rotation(key: str, value, n: int) -> np.ndarray:
-    """A rotation vector (n = 3) or its xy part (n = 2) of n finite JSON
-    numbers whose squared norm, which pose.exp_map takes, is finite too."""
-    r = _numbers(key, value, n)
-    if not math.isfinite(sum(v * v for v in r.tolist())):
-        raise ValueError(f"{key} is too long for a rotation vector")
-    return r
-
-
-def _pose6(key: str, d) -> Pose6:
-    """Pose6 of a JSON {"r": [...], "t": [...]}; a missing r is no rotation."""
-    if not isinstance(d, dict):
-        raise ValueError("a pose is not a JSON object")
-    return Pose6(_rotation(f"{key}.r", d.get("r", [0.0, 0.0, 0.0]), 3),
-                 _numbers(f"{key}.t", d["t"], 3))
-
-
-def _pose_from_spec(key: str, d):
-    if isinstance(d, dict) and "rxy" in d:
-        return Pose5(_rotation(f"{key}.rxy", d["rxy"], 2), _numbers(f"{key}.t", d["t"], 3))
-    return _pose6(key, d)
+    """(camera_in_volume, patches) of a patch-map file; ValueError, or
+    OSError, when it cannot be read."""
+    return _read_json(path, _patch_map)
 
 
 def load_scene_spec(path: str):
     """Parse a scene spec into (surfaces, intrinsics, camera, noise)."""
-    spec = _load_json(path, dict)
-    intr = spec.get("intrinsics", "kinect-640")
-    if isinstance(intr, str):
-        intr = intrinsics_preset(intr)
-    else:
-        intr = _json_value("intrinsics", CameraIntrinsics, intr)
-    cam = _pose6("camera", spec.get("camera") or {"t": [0.0, 0.0, 0.0]})
-    noise = spec.get("noise")
-    if noise is not None:
-        noise = _noise(noise["model"], {k: _json_value(f"noise.{k}", float, v)
-                                        for k, v in noise.items() if k != "model"})
-    surfaces = []
-    for i, entry in enumerate(spec["surfaces"]):
-        key = f"surfaces[{i}]"
-        if not isinstance(entry, dict):
-            raise ValueError("a surface is not a JSON object")
-        kind = entry.get("type", "patch")
-        if kind == "plane":
-            surfaces.append(ScenePlane(_numbers(f"{key}.normal", entry["normal"], 3),
-                                       _number(f"{key}.offset", entry["offset"])))
-        elif kind == "patch":
-            surfaces.append(
-                Patch(
-                    SurfaceType(entry["surface"]),
-                    BoundaryType(entry["boundary"]),
-                    _numbers(f"{key}.k", entry["k"]),
-                    _numbers(f"{key}.d", entry["d"]),
-                    _pose_from_spec(f"{key}.pose", entry["pose"]),
-                    None,
-                )
-            )
-        else:
-            raise ValueError(f"unknown surface type: {kind}")
-    return surfaces, intr, cam, noise
-
-
-def _read_trajectory(path: str) -> List[Pose6]:
-    """Camera poses of a trajectory file, a JSON list of {"r", "t"} objects."""
-    return [_pose6(f"[{i}]", p) for i, p in enumerate(_load_json(path, list))]
-
-
-def _read_gravity(path: Optional[str]) -> List[np.ndarray]:
-    """Camera-frame gravity per frame from a JSON {"g": [...]} or
-    {"g_per_frame": [[...], ...]}, whose last vector serves every later
-    frame; without a file, +y for every frame."""
-    if path is None:
-        return [np.array([0.0, 1.0, 0.0])]
-    spec = _load_json(path, dict)
-    if "g_per_frame" in spec:
-        gravities = [_numbers(f"g_per_frame[{i}]", g, 3)
-                     for i, g in enumerate(spec["g_per_frame"])]
-        if not gravities:
-            raise ValueError("g_per_frame is empty")
-    else:
-        gravities = [_numbers("g", spec["g"], 3)]
-    for g in gravities:
-        _mapping._unit_vector(g, "gravity")
-    return gravities
+    return _read_json(path, _scene_spec)
 
 
 def _scene_truth(surfaces) -> List[dict]:
-    out = []
-    for s in surfaces:
-        if isinstance(s, ScenePlane):
-            out.append({"type": "plane", "normal": s.normal, "offset": s.offset})
-        else:
-            out.append({"type": "patch", **_patch_fields(s)})
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Map config files
-# ---------------------------------------------------------------------------
-
-
-_JSON_KIND = {  # config field type: (JSON values it takes, their name)
-    bool: (bool, "true or false"),
-    int: (int, "a JSON integer"),
-    float: ((int, float), "a JSON number"),
-    str: (str, "a JSON string"),
-}
-
-
-def _json_value(key: str, kind, value):
-    """A JSON value as a field of type kind, without coercion that would
-    change it (int(8.9), bool("false"), float(true)).
-
-    kind is a dataclass or function, called with the fields of a JSON
-    object typed by its annotations; an Enum, built from its value; bool,
-    int, float or str; or Optional of one, which also takes null.
-    ValueError for any other kind, and for a float field given an integer
-    past the float range.
-    """
-    if get_origin(kind) is Union:
-        if value is None:
-            return None
-        (kind,) = (a for a in get_args(kind) if a is not type(None))
-    if is_dataclass(kind) or isfunction(kind):
-        hints = get_type_hints(kind)
-        hints.pop("return", None)
-        return kind(**_config_fields(key, hints, value))
-    if isinstance(kind, type) and issubclass(kind, Enum):
-        values = [m.value for m in kind]
-        if value not in values:
-            raise ValueError(f"{key} must be one of {values}")
-        return kind(value)
-    if kind not in _JSON_KIND:
-        raise ValueError(f"{key} cannot be set in a config")
-    accepted, name = _JSON_KIND[kind]
-    # bool is an int subclass: JSON true must not pass as 1 or 1.0
-    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
-        raise ValueError(f"{key} must be {name}")
-    if kind is not float:
-        return value
-    try:
-        return float(value)
-    except OverflowError:  # a JSON integer past the float range
-        raise ValueError(f"{key} must be finite") from None
-
-
-def _config_fields(key: str, kinds: dict, spec) -> dict:
-    """Keyword arguments from a JSON object, each value typed by kinds[name]."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"{key or 'config'} must be a JSON object")
-    unknown = set(spec) - set(kinds)
-    if unknown:
-        raise ValueError(f"unknown keys {sorted(unknown)}" + (f" in {key}" if key else ""))
-    return {k: _json_value(f"{key}.{k}" if key else k, kinds[k], v) for k, v in spec.items()}
+    """A scene's surfaces as a scene spec's "surfaces"."""
+    return [{"type": "plane", "normal": s.normal, "offset": s.offset}
+            if isinstance(s, ScenePlane) else {"type": "patch", **_patch_fields(s)}
+            for s in surfaces]
 
 
 def load_map_config(path: Optional[str]):
-    """Config JSON -> (MapConfig, MapBudgets, initial VolumeState, seed or None).
-
-    Only the keys the spec gives are set; the rest keep the MapConfig,
-    MapBudgets and init_volume defaults. Values are checked at every
-    level, nested configs included: int fields take only JSON integers,
-    bool fields only true or false, float fields only JSON numbers and
-    str fields only strings; an Enum field takes one of its values. An
-    unknown key or a bad value raises ValueError.
-    """
-    spec = {} if path is None else _load_json(path, dict)
-    kinds = {**get_type_hints(MapConfig), "budgets": MapBudgets, "volume": init_volume,
-             "seed": Optional[int]}
-    try:
-        vals = _config_fields("", kinds, spec)
-        budgets = vals.pop("budgets", None) or MapBudgets()
-        volume = vals.pop("volume", None) or init_volume()
-        seed = vals.pop("seed", None)
-        cfg = MapConfig(**vals)
-    except (TypeError, OverflowError) as e:
-        raise ValueError(str(e)) from e
-    return cfg, budgets, volume, seed
+    """Config JSON -> (MapConfig, MapBudgets, initial VolumeState, seed or
+    None); the keys it leaves out keep MapConfig's, MapBudgets' and
+    init_volume's defaults."""
+    return _map_config(MapConfig()) if path is None else _read_json(path, _map_config)
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +617,7 @@ def cmd_simulate(args) -> int:
 
     poses = [cam] * args.frames
     if args.trajectory is not None:
-        poses = _checked("bad trajectory: ", _read_trajectory, args.trajectory)
+        poses = _checked("bad trajectory: ", _read_json, args.trajectory, List[_pose])
 
     frame_paths = []
     for i, pose in enumerate(poses):
@@ -714,7 +691,8 @@ def _write_stats(path: str, rows: List[dict]) -> None:
 def cmd_map(args) -> int:
     cfg, budgets, state, cfg_seed = _checked("bad config: ", load_map_config, args.config)
     seed = args.seed if args.seed is not None else (cfg_seed or 0)
-    gravities = _checked("bad gravity file: ", _read_gravity, args.gravity)
+    gravities = ([np.array([0.0, 1.0, 0.0])] if args.gravity is None  # +y for every frame
+                 else _checked("bad gravity file: ", _read_json, args.gravity, _gravity))
     for path in (args.out, args.stats):
         if path is not None:
             _checked("", _check_writable, path)
@@ -734,8 +712,7 @@ def cmd_map(args) -> int:
         }
         row.update({f"drop_{k}": v for k, v in res.drops.items()})
         row["t_read_s"] = round(t_read, 6)
-        row.update({f"t_{k}_s": round(res.timings.get(k, 0.0), 6) for k in
-                    ("saliency", "seeds", "fit_validate", "total")})
+        row.update({f"t_{k}_s": round(v, 6) for k, v in res.timings.items()})
         stats_rows.append(row)
 
     _checked("", write_patch_map, args.out, state)
@@ -748,7 +725,7 @@ def cmd_map(args) -> int:
 def cmd_track(args) -> int:
     if args.policy not in [p.value for p in MovePolicy]:
         raise _BadInput(f"unknown policy: {args.policy}")
-    poses = _checked("bad trajectory: ", _read_trajectory, args.trajectory)
+    poses = _checked("bad trajectory: ", _read_json, args.trajectory, List[_pose])
     if not poses:
         raise _BadInput("trajectory is empty")
     state = _checked("", init_volume, poses[0], policy=args.policy, c_d=args.c_d, c_a=args.c_a)
@@ -806,7 +783,7 @@ def cmd_validate(args) -> int:
             v = gate_patch(patch, nb.points, nb.points, cfg)
             entry.update(_validation_fields(v))
             entry["passed"] = v.passed
-        except ValueError as e:
+        except (ValueError, OverflowError) as e:  # huge extents overflow the coverage grid
             entry.update({"error": str(e), "passed": False})
         any_fail |= not entry["passed"]
         print(json_dumps(entry, indent=None))
@@ -881,6 +858,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise _BadInput("--seed must be non-negative")
         return args.func(args)
     except _BadInput as e:
         print(f"error: {e}", file=sys.stderr)

@@ -379,7 +379,8 @@ def _unit_vector(v, name: str) -> np.ndarray:
     vv = np.asarray(v, dtype=float)
     if vv.size != 3:
         raise ValueError(f"{name} must have 3 components, got {vv.size}")
-    norm = np.linalg.norm(vv)
+    with np.errstate(over="ignore"):  # an overflowing norm is not finite
+        norm = np.linalg.norm(vv)
     if not (np.isfinite(norm) and norm > 0.0):
         raise ValueError(f"{name} must be finite and nonzero, got {vv.ravel().tolist()}")
     return vv.reshape(3) / norm
@@ -768,6 +769,7 @@ class MovePolicy(Enum):
 # Default initial camera pose in the volume: centered in x, mid-height,
 # just behind the front face.
 DEFAULT_CAMERA_IN_VOLUME = Pose6(np.zeros(3), np.array([2.0, 2.0, -0.4]))
+_MAX_GRID = 1024  # most seed cells along a side; select_seeds bincounts v_g**2 cells
 
 
 @dataclass
@@ -845,15 +847,15 @@ def init_volume(
 
     policy is a MovePolicy or its value ("fv", "fc", "fd", "ff").
     ValueError unless v_s is positive and finite, the remap thresholds c_d
-    and c_a are >= 0 (NaN is not; +inf never remaps), and v_g and n_g
-    positive.
+    and c_a are >= 0 (NaN is not; +inf never remaps), v_g lies in [1,
+    _MAX_GRID] and n_g is positive.
     """
     if not (math.isfinite(v_s) and v_s > 0.0):
         raise ValueError("v_s must be positive and finite")
     if not (c_d >= 0.0 and c_a >= 0.0):
         raise ValueError(f"c_d and c_a must be >= 0, got {c_d} and {c_a}")
-    if v_g < 1 or n_g < 1:
-        raise ValueError("v_g and n_g must be positive")
+    if not 1 <= v_g <= _MAX_GRID or n_g < 1:
+        raise ValueError(f"v_g must lie in [1, {_MAX_GRID}] and n_g be positive")
     if camera_world is None:
         camera_world = Pose6(np.zeros(3), np.zeros(3))
     pose_world = _pose.compose_chain(
@@ -990,6 +992,9 @@ def remap_patches(
 # ---------------------------------------------------------------------------
 
 
+_MAX_DECIMATE = 4096  # widest block; median_decimate sorts decimate**2 depths per block
+
+
 @dataclass(frozen=True)
 class MapConfig:
     """Per-frame pipeline options feeding map_step.
@@ -998,7 +1003,7 @@ class MapConfig:
     of the cloud, or regular grids of perfectly good data read as holes.
     ValueError unless n_f is at least the fit minimum, surface is one of
     fit.SURFACES, 0 < gamma < 1, d_max is finite and non-negative, and
-    decimate is non-negative.
+    decimate lies in [0, _MAX_DECIMATE].
     """
 
     saliency: SaliencyConfig = SaliencyConfig()
@@ -1019,8 +1024,8 @@ class MapConfig:
         coverage_scale(self.gamma)  # the fit's own check: 0 < gamma < 1
         if not (math.isfinite(self.d_max) and self.d_max >= 0.0):
             raise ValueError("d_max must be finite and non-negative")
-        if not self.decimate >= 0:
-            raise ValueError("decimate must be non-negative")
+        if not 0 <= self.decimate <= _MAX_DECIMATE:
+            raise ValueError(f"decimate must lie in [0, {_MAX_DECIMATE}]")
 
 
 @dataclass(frozen=True)

@@ -159,9 +159,10 @@ class StereoNoise:
     kind = "stereo"
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v > 0.0 for v in (self.sigma_p, self.sigma_m)):
+        # point_covariance squares them
+        if not all(math.isfinite(v * v) and v > 0.0 for v in (self.sigma_p, self.sigma_m)):
             raise ValueError(f"stereo noise sigma_p and sigma_m must be finite and positive, "
-                             f"got {self.sigma_p} and {self.sigma_m}")
+                             f"with finite squares, got {self.sigma_p} and {self.sigma_m}")
 
 
 NoiseModel = Union[ConstantNoise, LinearNoise, QuadraticNoise, StereoNoise]
@@ -258,17 +259,20 @@ def point_covariance(noise: NoiseModel, intr: CameraIntrinsics, pixels, ranges):
     pixels (N, 2) or (2,), ranges matching. Power models give the rank-one
     k * r^p * m m^T; stereo propagates E = diag(sp^2, sp^2, sm^2) through
     the triangulation Jacobian at disparity d = fx * b / r, and needs a
-    positive baseline b (ValueError otherwise).
+    positive baseline b and a finite covariance (ValueError otherwise).
     """
     px = np.atleast_2d(np.asarray(pixels, dtype=float))
     r = np.atleast_1d(np.asarray(ranges, dtype=float))
     if isinstance(noise, StereoNoise):
         if not intr.baseline > 0.0:
             raise ValueError(f"stereo noise needs a positive baseline, got {intr.baseline}")
-        d = intr.fx * intr.baseline / r
-        J = _stereo_jacobian(intr, px[:, 0], px[:, 1], d)
-        E = np.diag([noise.sigma_p**2, noise.sigma_p**2, noise.sigma_m**2])
-        cov = J @ E @ np.swapaxes(J, -1, -2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = intr.fx * intr.baseline / r
+            J = _stereo_jacobian(intr, px[:, 0], px[:, 1], d)
+            E = np.diag([noise.sigma_p**2, noise.sigma_p**2, noise.sigma_m**2])
+            cov = J @ E @ np.swapaxes(J, -1, -2)
+        if not np.isfinite(cov).all():
+            raise ValueError("stereo noise covariance overflows at these intrinsics and ranges")
     else:
         m = pixel_rays(intr, px)
         var = noise.k * r ** noise.power

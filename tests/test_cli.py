@@ -7,13 +7,19 @@ the admission-friendly geometry: every gate passes at its apex, so exit
 codes separate cleanly from fit quality.
 """
 
+import contextlib
+import copy
+import io
 import json
 import os
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from _oracles import loop_read_body, loop_write_cloud
 
 from patchscape import cli
@@ -52,7 +58,8 @@ def _dome_spec(noise=None):
                 "boundary": "ellipse",
                 "k": [-1.4, -1.1],
                 "d": [0.5, 0.5],
-                "pose": {"r": list(r), "t": [0.0, 0.0, 1.0]},
+                "r": list(r),
+                "t": [0.0, 0.0, 1.0],
             }
         ],
     }
@@ -1127,3 +1134,339 @@ def test_malformed_patch_map_is_bad_patch_map(tmp_path, dome_dir, dome_map, caps
     assert out.out == ""
     assert len(out.err.splitlines()) == 1 and out.err.startswith("error: bad patch map: ")
     assert where in out.err
+
+
+# ---------------------------------------------------------------------------
+# One reader for every JSON input
+# ---------------------------------------------------------------------------
+
+
+def test_nan_x_with_finite_z_reads_as_no_return(tmp_path, capsys):
+    """A point row with a non-finite x and a finite z is a pixel with no
+    return: map admits what it admits when that row is all NaN."""
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(_dome_spec({"model": "stereo"})))
+    assert cli.main(["simulate", "--scene", str(scene), "--seed", "3",
+                     "--out", str(tmp_path / "dome")]) == 0
+    cfg, grav = tmp_path / "cfg.json", tmp_path / "g.json"
+    cfg.write_text(json.dumps(MAP_CFG))
+    grav.write_text(json.dumps({"g": [0.0, 0.0, 1.0]}))
+    data = (tmp_path / "dome_000.opc").read_bytes()
+    head = len(b"\n".join(data.split(b"\n", 4)[:4])) + 1
+    at = head + (5 * 640 + 5) * 24  # the point row of pixel (5, 5)
+    maps = []
+    for name, row in (("no_return", [np.nan] * 3), ("nan_x", [np.nan, 0.1, 1.0])):
+        frame = tmp_path / f"{name}.opc"
+        frame.write_bytes(data[:at] + np.array(row, "<f8").tobytes() + data[at + 24:])
+        cloud, _ = cli.read_cloud(str(frame))
+        assert np.isnan(cloud.points[5, 5]).all() and np.isnan(cloud.cov[5, 5]).all()
+        out = tmp_path / f"{name}.map.json"
+        assert cli.main(["map", str(frame), "--config", str(cfg), "--gravity", str(grav),
+                         "--out", str(out)]) == 0
+        maps.append(json.loads(out.read_text())["patches"])
+    assert maps[0] and maps[0] == maps[1]
+
+
+@pytest.mark.parametrize("command", ["map", "validate"])
+@pytest.mark.parametrize(
+    "spec, message",
+    [({"volume": {"v_g": 10**400}}, "volume.v_g must be finite"),
+     ({"volume": {"v_g": 1025}}, "v_g must lie in [1, 1024]"),
+     ({"decimate": 10**22}, "decimate must lie in [0, 4096]"),
+     ({"budgets": {"n_s": 10**400}}, "budgets.n_s must be finite")],
+    ids=["v_g_past_float_range", "v_g_past_grid_bound", "decimate_past_bound",
+         "budget_past_float_range"],
+)
+def test_config_integer_past_its_range_is_bad_config(tmp_path, dome_dir, dome_map, capsys,
+                                                     command, spec, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(spec))
+    cloud = str(dome_dir / "dome_000.opc")
+    if command == "map":
+        argv = ["map", cloud, "--config", str(cfg), "--out", str(tmp_path / "map.json")]
+    else:
+        argv = ["validate", "--map", str(dome_map), "--cloud", cloud, "--config", str(cfg)]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(f"error: bad config: {message}")
+    assert len(out.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "map", "map_config"])
+def test_negative_seed_is_bad_input(tmp_path, dome_dir, capsys, command):
+    """numpy takes no negative seed: a negative --seed or config seed is bad input."""
+    cloud = str(dome_dir / "dome_000.opc")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    argv = {
+        "simulate": ["simulate", "--scene", str(_small_scene(tmp_path, None)), "--seed", "-1",
+                     "--out", str(tmp_path / "x")],
+        "fit": ["fit", "--cloud", cloud, "--pixel", "320", "240", "--seed", "-1"],
+        "map": ["map", cloud, "--seed", "-1", "--out", str(tmp_path / "m.json")],
+        "map_config": ["map", cloud, "--config", str(cfg), "--out", str(tmp_path / "m.json")],
+    }[command]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and len(out.err.splitlines()) == 1
+    assert re.match(r"error: (bad config: seed|--seed) must be non-negative", out.err)
+
+
+def test_truth_surfaces_are_a_scene(tmp_path):
+    """The surfaces simulate writes to _truth.json render the frames their
+    scene rendered, byte for byte."""
+    spec = dict(_dome_spec({"model": "stereo"}), intrinsics=SMALL_INTR)
+    spec["surfaces"].append({"type": "plane", "normal": [0.0, -1.0, 0.0], "offset": -0.3})
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(spec))
+    assert cli.main(["simulate", "--scene", str(scene), "--seed", "4",
+                     "--out", str(tmp_path / "a")]) == 0
+    truth = json.loads((tmp_path / "a_truth.json").read_text())
+    scene.write_text(json.dumps(dict(spec, surfaces=truth["surfaces"])))
+    assert cli.main(["simulate", "--scene", str(scene), "--seed", "4",
+                     "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a_000.opc").read_bytes() == (tmp_path / "b_000.opc").read_bytes()
+
+
+@pytest.mark.parametrize("rz, rc", [(0.0, 0), (1e-3, 1)], ids=["rz_zero", "rz_nonzero"])
+def test_revolute_scene_patch_takes_r_xy0(tmp_path, capsys, rz, rc):
+    """A sphere/circle scene patch reads r = [rx, ry, 0] as its 5-DoF pose,
+    as a patch-map record does; another r[2] is a bad scene spec."""
+    r = rxy_to_r(rxy_for_zdir(np.array([0.0, 0.0, -1.0])))
+    sphere = {"surface": "sphere", "boundary": "circle", "k": [-2.0], "d": [0.3],
+              "r": [r[0], r[1], rz], "t": [0.0, 0.0, 1.0]}
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"intrinsics": SMALL_INTR, "surfaces": [sphere]}))
+    capsys.readouterr()
+    assert cli.main(["simulate", "--scene", str(scene), "--out", str(tmp_path / "s")]) == rc
+    if rc:
+        assert capsys.readouterr().err.startswith(
+            "error: bad scene spec: a sphere/circle patch needs r = [rx, ry, 0]")
+    else:
+        cloud, _ = cli.read_cloud(str(tmp_path / "s_000.opc"))
+        assert cloud.valid_mask[60, 80]
+        (s,) = json.loads((tmp_path / "s_truth.json").read_text())["surfaces"]
+        assert s["r"] == [r[0], r[1], 0.0]
+
+
+def _unknown_key_docs(dome_map):
+    """(input kind, document with an unknown key "nosie", the key path that names it)."""
+    record = json.loads(dome_map.read_text())
+    record["patches"][0]["validation"]["gates"]["nosie"] = 1
+    return [
+        ("scene", dict(_dome_spec(), nosie={"model": "stereo"}), "unknown keys ['nosie']"),
+        ("scene", _dome_spec({"model": "stereo", "nosie": 1}), "['nosie'] in noise"),
+        ("scene", dict(_dome_spec(), intrinsics=dict(SMALL_INTR, nosie=1)),
+         "['nosie'] in intrinsics"),
+        ("scene", dict(_dome_spec(), camera={"t": [0.0, 0.0, 0.0], "nosie": 1}),
+         "['nosie'] in camera"),
+        ("scene", {"surfaces": [dict(_dome_spec()["surfaces"][0], nosie=1)]},
+         "['nosie'] in surfaces[0]"),
+        ("trajectory", [{"t": [0.0, 0.0, 0.0], "rot": [0.0, 0.0, 1.0]}], "['rot'] in [0]"),
+        ("gravity", {"g": [0.0, 0.0, 1.0], "nosie": 1}, "unknown keys ['nosie']"),
+        ("config", {"saliency": {"r": 0.1, "nosie": 1}}, "['nosie'] in saliency"),
+        ("config", {"volume": {"nosie": 1}}, "['nosie'] in volume"),
+        ("patch map", dict(json.loads(dome_map.read_text()), nosie=1), "unknown keys ['nosie']"),
+        ("patch map", record, "['nosie'] in patches[0].validation.gates"),
+    ]
+
+
+def test_every_input_rejects_an_unknown_key(tmp_path, dome_dir, dome_map, capsys):
+    """Each JSON input kind is bad input when any of its objects holds a key
+    its schema lacks, and the message names the key and where it is."""
+    doc_path = tmp_path / "doc.json"
+    cloud, traj = str(dome_dir / "dome_000.opc"), str(_write_traj(tmp_path, n=2))
+    argv = {
+        "scene": ["simulate", "--scene", str(doc_path), "--out", str(tmp_path / "x")],
+        "trajectory": ["track", "--trajectory", str(doc_path), "--policy", "fv"],
+        "gravity": ["map", cloud, "--gravity", str(doc_path), "--out", str(tmp_path / "m")],
+        "config": ["map", cloud, "--config", str(doc_path), "--out", str(tmp_path / "m")],
+        "patch map": ["track", "--trajectory", traj, "--policy", "fv", "--map", str(doc_path)],
+    }
+    for kind, doc, where in _unknown_key_docs(dome_map):
+        doc_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(argv[kind]) == 1, (kind, where)
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(f"error: bad {kind}")
+        assert where in out.err and len(out.err.splitlines()) == 1
+
+
+# ---------------------------------------------------------------------------
+# The bad-input contract, property-tested
+# ---------------------------------------------------------------------------
+
+# values that stand in for a valid leaf: each type JSON has, zero and a
+# negative count, and numbers at and past the edge of the float range
+_BAD_VALUES = ["0", "", True, False, None, [], {}, [0.0], -1, 0, 0.5, 1e308,
+               float("nan"), float("inf"), 10**400, 2**63]
+
+
+def _paths(doc, path=()):
+    """The path of every value in a JSON document, the document's own () first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for k, v in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _paths(v, path + (k,))
+
+
+def _one_edit(doc):
+    """Strategy of a JSON document with one edit: a value replaced by a bad
+    one, a key or list item dropped, or an unknown key added to an object."""
+    paths = list(_paths(doc))
+    inner = [p for p in paths if p]
+    objects = [p for p in paths if isinstance(_at(doc, p), dict)]
+    return st.one_of(
+        st.tuples(st.just("replace"), st.sampled_from(inner), st.sampled_from(_BAD_VALUES)),
+        st.tuples(st.just("drop"), st.sampled_from(inner), st.none()),
+        st.tuples(st.just("add"), st.sampled_from(objects), st.sampled_from(_BAD_VALUES)),
+    ).map(lambda edit: _edited(doc, *edit))
+
+
+def _at(doc, path):
+    for k in path:
+        doc = doc[k]
+    return doc
+
+
+def _edited(doc, edit, path, bad):
+    doc = copy.deepcopy(doc)
+    if edit == "add":
+        _at(doc, path)["nosie"] = bad
+    elif edit == "drop":
+        del _at(doc, path[:-1])[path[-1]]
+    else:
+        _at(doc, path[:-1])[path[-1]] = bad
+    return doc
+
+
+def _assert_contract(argv):
+    """cli.main(argv) exits 0 or 2, or 1 with an empty stdout and one
+    stderr line starting "error: ". A warning is a stderr line of its own,
+    as the console script prints it, not an exception."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(argv)
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    assert rc in (0, 2) or (rc, out.getvalue(), len(lines)) == (1, "", 1) and \
+        lines[0].startswith("error: "), (rc, out.getvalue(), lines)
+
+
+_FUZZ = settings(max_examples=100, derandomize=True, database=None, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A small stereo dome frame, its config, gravity file, a trajectory and
+    a two-record patch map (a 6-DoF and a 5-DoF patch) of valid inputs."""
+    d = tmp_path_factory.mktemp("fuzz")
+    spec = dict(_dome_spec({"model": "stereo"}), intrinsics=SMALL_INTR)
+    (d / "scene.json").write_text(json.dumps(spec))
+    assert cli.main(["simulate", "--scene", str(d / "scene.json"), "--seed", "3",
+                     "--out", str(d / "dome")]) == 0
+    state = init_volume()
+    dome = Patch(SurfaceType.ELLIPTIC_PARABOLOID, B.ELLIPSE, [-1.4, -1.1], [0.1, 0.1],
+                 Pose6([3.0, 0.1, 0.0], [2.0, 2.0, 0.6]), 1e-4 * np.eye(10))
+    sphere = Patch(SurfaceType.SPHERE, B.CIRCLE, [-2.0], [0.1],
+                   Pose5([3.0, 0.1], [2.1, 2.0, 0.6]), 1e-4 * np.eye(7))
+    for i, patch in enumerate((dome, sphere)):
+        state.patches.append(MapPatch(id=i, patch=patch, cell=(0, 0), seed_pixel=(60, 80 + i),
+                                      seed_point=patch.pose.t, frame_index=1,
+                                      validation=ValidationRecord(0.001, 0, True, True, True)))
+    cli.write_patch_map(str(d / "map.json"), state)
+    return d
+
+
+@_FUZZ
+@given(doc=_one_edit({
+    "intrinsics": SMALL_INTR,
+    "noise": {"model": "stereo", "sigma_p": 0.35},
+    "camera": {"r": [0.0, 0.1, 0.0], "t": [0.0, 0.0, -0.1]},
+    "surfaces": [_dome_spec()["surfaces"][0],
+                 {"type": "plane", "normal": [0.0, -1.0, 0.0], "offset": -0.3}],
+}))
+def test_scene_spec_edits_keep_the_contract(fuzz_dir, doc):
+    (fuzz_dir / "edited.json").write_text(json.dumps(doc))
+    _assert_contract(["simulate", "--scene", str(fuzz_dir / "edited.json"),
+                      "--out", str(fuzz_dir / "sim")])
+
+
+@_FUZZ
+@given(doc=_one_edit({
+    "saliency": {"r": 0.12, "l_d": 1.0, "l_f": 0.0, "R": 0.35, "phi_g": 60.0},
+    "neighborhood": {"variant": "triangle_mesh", "t_jump": 0.02},
+    "coverage": {"w_c": 0.01, "zeta_i": 0.8},
+    "n_f": 200, "surface": "paraboloid", "gamma": 0.95, "d_max": 0.02,
+    "check_coverage": True, "decimate": 2, "seed": 11,
+    "budgets": {"n_s": 10, "work_units": 20, "wall_clock_s": 60.0, "area_target": 5.0},
+    "volume": {"v_s": 4.0, "policy": "fd", "c_d": 0.3, "c_a": 0.05, "v_g": 8, "n_g": 2},
+}))
+def test_map_config_edits_keep_the_contract(fuzz_dir, doc):
+    (fuzz_dir / "edited.json").write_text(json.dumps(doc))
+    _assert_contract(["map", str(fuzz_dir / "dome_000.opc"), "--config",
+                      str(fuzz_dir / "edited.json"), "--out", str(fuzz_dir / "out.json")])
+
+
+@_FUZZ
+@given(doc=_one_edit({"g_per_frame": [[0.0, 0.0, 1.0], [0.0, 0.1, 1.0]]}) |
+       _one_edit({"g": [0.0, 0.0, 1.0]}))
+def test_gravity_edits_keep_the_contract(fuzz_dir, doc):
+    (fuzz_dir / "edited.json").write_text(json.dumps(doc))
+    _assert_contract(["map", str(fuzz_dir / "dome_000.opc"), "--gravity",
+                      str(fuzz_dir / "edited.json"), "--out", str(fuzz_dir / "out.json")])
+
+
+@pytest.mark.parametrize("command", ["simulate", "track"])
+@_FUZZ
+@given(doc=_one_edit([{"t": [0.0, 0.0, 0.0]}, {"r": [0.0, 0.1, 0.0], "t": [0.2, 0.0, 0.2]},
+                      {"r": [0.0, 0.2, 0.0], "t": [0.4, 0.0, 0.4]}]))
+def test_trajectory_edits_keep_the_contract(fuzz_dir, command, doc):
+    (fuzz_dir / "edited.json").write_text(json.dumps(doc))
+    traj = ["--trajectory", str(fuzz_dir / "edited.json")]
+    if command == "simulate":
+        _assert_contract(["simulate", "--scene", str(fuzz_dir / "scene.json"), *traj,
+                          "--out", str(fuzz_dir / "sim")])
+    else:
+        _assert_contract(["track", *traj, "--policy", "fd", "--c-d", "0.15"])
+
+
+@pytest.mark.parametrize("command", ["validate", "track"])
+@_FUZZ
+@given(edit=st.data())
+def test_patch_map_edits_keep_the_contract(fuzz_dir, command, edit):
+    doc = edit.draw(_one_edit(json.loads((fuzz_dir / "map.json").read_text())))
+    (fuzz_dir / "edited.json").write_text(json.dumps(doc))
+    pmap = ["--map", str(fuzz_dir / "edited.json")]
+    if command == "validate":
+        _assert_contract(["validate", *pmap, "--cloud", str(fuzz_dir / "dome_000.opc")])
+    else:
+        traj = fuzz_dir / "traj.json"
+        traj.write_text(json.dumps([{"t": [0.0, 0.0, 0.2 * i]} for i in range(3)]))
+        _assert_contract(["track", "--trajectory", str(traj), "--policy", "fd", "--c-d", "0.15",
+                          *pmap])
+
+
+@_FUZZ
+@given(edit=st.data())
+def test_opc2_header_edits_keep_the_contract(fuzz_dir, edit):
+    """One token of the header replaced by a bad one, dropped or added."""
+    data = (fuzz_dir / "dome_000.opc").read_bytes()
+    lines = data.split(b"\n", 4)
+    header = [ln.decode().split() for ln in lines[:4]]
+    i = edit.draw(st.integers(0, 3))
+    j = edit.draw(st.integers(0, len(header[i])))
+    bad = edit.draw(st.sampled_from(["x", "", "-1", "0", "2", "0.5", "nan", "inf", "1e308",
+                                     str(2**63), "stereo", "none"]))
+    how = edit.draw(st.sampled_from(["replace", "drop", "add"]))
+    if how == "add" or j == len(header[i]):
+        header[i].insert(j, bad)
+    elif how == "drop":
+        del header[i][j]
+    else:
+        header[i][j] = bad
+    lines[:4] = [" ".join(tokens).encode() for tokens in header]
+    (fuzz_dir / "edited.opc").write_bytes(b"\n".join(lines))
+    _assert_contract(["map", str(fuzz_dir / "edited.opc"), "--out", str(fuzz_dir / "out.json")])
