@@ -6,13 +6,19 @@ The fit runs in stages:
    smallest principal direction, oriented toward the origin: points are
    camera frame, so the plane faces the camera). Its centroid and normal
    define the side-wall line that holds the patch origin in every later
-   solve. The plane is refined by a weighted nonlinear solve unless a
-   general paraboloid was requested.
+   solve. A plane fit refines it by a weighted nonlinear solve.
 2. For curved families, a weighted Levenberg-Marquardt solve of the
    unified implicit quadric over curvature, orientation, and the
    position along the line. Which curvatures a family frees, and whether
    its frame is 5- or 6-DoF, come from the family table in
-   patchscape.patch (k3_map, is_revolute).
+   patchscape.patch (k3_map, is_revolute). Every curved solve starts
+   from one linear fit in the stage-1 plane frame, the height
+   z = c + e x + f y + (a x^2 + 2 b x y + c' y^2) / 2, whose shape
+   operator W = [[a, b], [b, c']] gives the principal curvatures and
+   directions and whose c gives the place on the line: the paraboloid
+   starts from both eigenpairs, the cylinder puts its axis along the
+   flatter direction and takes the other curvature, and the sphere takes
+   the mean curvature.
 3. A general paraboloid is classified by its fitted curvatures: flat
    (plane), single-curved (cylindric), equal-curved (circular), or
    elliptic/hyperbolic, reducing parameters accordingly.
@@ -246,6 +252,22 @@ def _lls_plane(points):
     return _pose.rxy_for_zdir(n), qbar
 
 
+def _shape_start(points, R0, qbar):
+    """Linear start for the curved solves, in the plane frame (R0, qbar).
+
+    Fits the height z = c + e x + f y + (a x^2 + 2 b x y + c' y^2) / 2 of
+    the (3, n) points by linear least squares and returns the eigenvalues
+    of the shape operator W = [[a, b], [b, c']] in ascending order, their
+    eigenvectors as columns, and c, the height where the surface meets the
+    side-wall line.
+    """
+    x, y, z = R0.T @ (points - qbar[:, None])
+    A = np.array([np.ones_like(x), x, y, 0.5 * x * x, x * y, 0.5 * y * y])
+    c, _, _, a, b, c2 = np.linalg.lstsq(A.T, z, rcond=None)[0]
+    w, V = np.linalg.eigh([[a, b], [b, c2]])
+    return w, V, float(c)
+
+
 # ---------------------------------------------------------------------------
 # Stage 4: the moments of the projected points, jointly with the state
 # ---------------------------------------------------------------------------
@@ -386,14 +408,9 @@ class FitResult:
 # axis swap taking x to the old y direction (z fixed): R' = R W
 _W_SWAP = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
-# the families fit_patch fits, by the name its surface argument takes;
-# "paraboloid" fits a general paraboloid and classifies it
-_FITS = {
-    "plane": SurfaceType.PLANE,
-    "sphere": SurfaceType.SPHERE,
-    "cylinder": SurfaceType.CIRCULAR_CYLINDER,
-}
-SURFACES = ("paraboloid", *_FITS)
+# the names fit_patch's surface argument takes; "paraboloid" fits a
+# general paraboloid and classifies it
+SURFACES = ("paraboloid", "plane", "sphere", "cylinder")
 
 
 def fit_patch(
@@ -438,42 +455,42 @@ def fit_patch(
 
     # ---- stage 1: plane and the side-wall line -----------------------
     rxy0, qbar = _lls_plane(pts)
-    wall_n = _pose.exp_map(_pose.rxy_to_r(rxy0))[:, 2]
-    runs = []
+    R0 = _pose.exp_map(_pose.rxy_to_r(rxy0))
+    wall_n = R0[:, 2]
 
-    def solve(stype, r0, t0):
-        """Solve a type's surface from zero curvature and t0's place on the
-        line; return (k, r, t) and its covariance."""
-        K = k3_map(stype)
-        nk = K.shape[1]
-        model = _implicit_model(K, len(r0), (qbar, wall_n))
-        p0 = np.concatenate([np.zeros(nk), r0, [float(wall_n @ (t0 - qbar))]])
-        res = wlm_minimize(model, p0, pts, cv)
-        runs.append(res)
-        # the single side-wall lift: (k, r, a) -> (k, r, qbar + a n)
-        J = block_diag(np.eye(len(res.p) - 1), wall_n[:, None])
-        t = qbar + res.p[-1] * wall_n
-        return res.p[:nk], res.p[nk:-1], t, J @ res.sigma @ J.T
+    def spun(v):
+        """6-DoF r of the plane frame turned about its z so that local x
+        lies along v, a unit direction in that frame's xy plane."""
+        Rz = np.array([[v[0], -v[1], 0.0], [v[1], v[0], 0.0], [0.0, 0.0, 1.0]])
+        return _pose.log_map(R0 @ Rz)
 
     # ---- stages 2-3: surface solve and finish ------------------------
-    if surface == "paraboloid":
-        # a general paraboloid frees kx and ky, as the elliptic family does
-        k2, r, t, sigma = solve(SurfaceType.ELLIPTIC_PARABOLOID, _pose.rxy_to_r(rxy0), qbar)
-        stype, k, r, sigma = _classify_paraboloid(k2, r, sigma)
+    if surface == "plane":
+        stype, k0, r0, a0 = SurfaceType.PLANE, [], rxy0, 0.0
     else:
-        stype = _FITS[surface]
-        k, r, t, sigma = solve(SurfaceType.PLANE, rxy0, qbar)
-        if stype != SurfaceType.PLANE:
-            r0 = r if is_revolute(stype, boundaries(stype)[0]) else _pose.rxy_to_r(r)
-            k, r, t, sigma = solve(stype, r0, t)
+        w, V, a0 = _shape_start(pts, R0, qbar)
+        if surface == "paraboloid":
+            # a general paraboloid frees kx and ky, as the elliptic family does
+            stype, k0, r0 = SurfaceType.ELLIPTIC_PARABOLOID, w, spun(V[:, 0])
+        elif surface == "cylinder":
+            # the axis, local x, takes the flatter direction
+            curved = int(abs(w[1]) >= abs(w[0]))
+            stype = SurfaceType.CIRCULAR_CYLINDER
+            k0, r0 = w[curved : curved + 1], spun(V[:, 1 - curved])
+        else:
+            stype, k0, r0 = SurfaceType.SPHERE, [w.mean()], rxy0
+    K = k3_map(stype)
+    model = _implicit_model(K, len(r0), (qbar, wall_n))
+    res = wlm_minimize(model, np.concatenate([k0, r0, [a0]]), pts, cv)
+    # the single side-wall lift: (k, r, a) -> (k, r, qbar + a n)
+    nk = K.shape[1]
+    J = block_diag(np.eye(len(res.p) - 1), wall_n[:, None])
+    k, r, t, sigma = res.p[:nk], res.p[nk:-1], qbar + res.p[-1] * wall_n, J @ res.sigma @ J.T
+    if surface == "paraboloid":
+        stype, k, r, sigma = _classify_paraboloid(k, r, sigma)
     boundary = plane_boundary if surface == "plane" else boundaries(stype)[0]
     patch = _finish(pts, cv, stype, boundary, k, r, t, sigma, gamma)
-    return FitResult(
-        patch,
-        all(res.converged for res in runs),
-        runs[-1].chi2,
-        sum(res.iterations for res in runs),
-    )
+    return FitResult(patch, res.converged, res.chi2, res.iterations)
 
 
 # ---------------------------------------------------------------------------

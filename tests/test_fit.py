@@ -446,6 +446,8 @@ def test_fit_elliptic_paraboloid():
     pts, covs = _make_data(true, rng, pairs=True)
     res = fit_patch(pts, covs, surface="paraboloid")
     assert res.converged
+    # the linear shape-operator start leaves LM a few steps
+    assert res.iterations <= 10
     assert res.patch.s == S.ELLIPTIC_PARABOLOID
     assert np.allclose(res.patch.k, [3.0, 7.0], atol=0.1)
     assert abs(res.patch.k[0]) < abs(res.patch.k[1])
@@ -565,6 +567,22 @@ def test_fit_cylinder():
     _fit_and_check_surface(true, res)
 
 
+def test_fit_cylinder_axis_at_every_seed():
+    # the axis starts along the flatter principal direction of the linear
+    # start, so no draw leaves it across the curved direction
+    true = Patch(S.CIRCULAR_CYLINDER, B.AARECT, np.array([5.0]),
+                 np.array([0.25, 0.15]), Pose6(_R_FACING, _T_OFF))
+    Rt, _ = patch_frame(true)
+    off = {}
+    for seed in range(20):
+        pts, covs = _make_data(true, np.random.default_rng(seed))
+        Rf, _ = patch_frame(fit_patch(pts, covs, surface="cylinder").patch)
+        axis_err = math.degrees(math.acos(min(1.0, abs(Rf[:, 0] @ Rt[:, 0]))))
+        if axis_err >= 1.0:
+            off[seed] = axis_err
+    assert off == {}
+
+
 @pytest.mark.parametrize("boundary", [B.ELLIPSE, B.CIRCLE, B.AARECT, B.CQUAD])
 def test_fit_plane_boundaries(boundary):
     rng = np.random.default_rng(18)
@@ -625,6 +643,15 @@ _SURFACE_PATCHES = {
     "plane": Patch(S.PLANE, B.ELLIPSE, np.array([]), np.array([0.25, 0.2]),
                    Pose6(_R_FACING, _T_OFF)),
 }
+
+
+def test_fit_paraboloid_converges_on_plane_data():
+    # a flat surface has no principal directions to search for: from the
+    # linear start LM stops well inside its iteration cap
+    for seed in range(10):
+        pts, covs = _make_data(_SURFACE_PATCHES["plane"], np.random.default_rng(seed),
+                               n=150, sigma=5e-4)
+        assert fit_patch(pts, covs, surface="paraboloid").converged, seed
 
 
 @pytest.mark.parametrize("surface", list(_SURFACE_PATCHES))
