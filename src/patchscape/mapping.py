@@ -639,56 +639,34 @@ def mesh_triangles(points: np.ndarray, index: NeighborhoodIndex) -> np.ndarray:
     before triangles form; surviving triangles are then pruned when their
     longest 3D side exceeds index.t_es or the longest-to-shortest ratio
     exceeds index.t_ar. points is an (H, W, 3) organized grid, NaN where
-    there is no return. Returns (M, 3) flat pixel ids (row * W + col).
+    there is no return. Returns (M, 3) flat pixel ids (row * W + col): the
+    upper triangles (tl, tr, bl), then the lower (tr, bl, br), each in
+    row-major block order.
     """
-    h, w = points.shape[:2]
+    tl, tr, bl, br = np.s_[:-1, :-1], np.s_[:-1, 1:], np.s_[1:, :-1], np.s_[1:, 1:]
     z = points[..., 2]
     valid = np.isfinite(z)
 
-    def edge_ok(a_idx, b_idx):
-        ok = valid[a_idx] & valid[b_idx]
-        with np.errstate(invalid="ignore"):
-            ok &= np.abs(z[a_idx] - z[b_idx]) <= index.t_jump
-        return ok
+    def edge(a, b):
+        """Per edge a-b of every block: both ends valid and no jump, and its 3D length."""
+        return (valid[a] & valid[b] & (np.abs(z[a] - z[b]) <= index.t_jump),
+                np.linalg.norm(points[a] - points[b], axis=-1))
 
-    ii, jj = np.meshgrid(np.arange(h - 1), np.arange(w - 1), indexing="ij")
-    tl = (ii, jj)
-    tr = (ii, jj + 1)
-    bl = (ii + 1, jj)
-    br = (ii + 1, jj + 1)
-    e_top = edge_ok(tl, tr)
-    e_left = edge_ok(tl, bl)
-    e_diag = edge_ok(tr, bl)
-    e_bot = edge_ok(bl, br)
-    e_right = edge_ok(tr, br)
+    def kept(*edges):
+        """Per block, whether the triangle of these three edges passes every prune."""
+        (ok_a, a), (ok_b, b), (ok_c, c) = edges
+        longest, shortest = np.maximum(np.maximum(a, b), c), np.minimum(np.minimum(a, b), c)
+        return (ok_a & ok_b & ok_c & (longest <= index.t_es) & (shortest > 0.0)
+                & (longest <= index.t_ar * shortest))
 
-    def flat(idx):
-        return idx[0] * w + idx[1]
-
-    tris = []
-    upper = e_top & e_left & e_diag
-    lower = e_diag & e_bot & e_right
-    if np.any(upper):
-        tris.append(np.stack([flat(tl)[upper], flat(tr)[upper], flat(bl)[upper]], axis=1))
-    if np.any(lower):
-        tris.append(np.stack([flat(tr)[lower], flat(bl)[lower], flat(br)[lower]], axis=1))
-    if not tris:
-        return np.zeros((0, 3), dtype=int)
-    tri = np.concatenate(tris, axis=0)
-
-    p = points.reshape(-1, 3)
-    sides = np.stack(
-        [
-            np.linalg.norm(p[tri[:, 0]] - p[tri[:, 1]], axis=1),
-            np.linalg.norm(p[tri[:, 1]] - p[tri[:, 2]], axis=1),
-            np.linalg.norm(p[tri[:, 2]] - p[tri[:, 0]], axis=1),
-        ],
-        axis=1,
-    )
-    longest = sides.max(axis=1)
-    shortest = sides.min(axis=1)
-    keep = (longest <= index.t_es) & (shortest > 0.0) & (longest <= index.t_ar * shortest)
-    return tri[keep]
+    # +-inf depths meet in inf - inf, and an inf t_ar in inf * 0: both are masked out
+    with np.errstate(invalid="ignore", over="ignore"):
+        diag = edge(tr, bl)
+        upper = kept(edge(tl, tr), edge(tl, bl), diag)
+        lower = kept(diag, edge(bl, br), edge(tr, br))
+    ids = np.arange(z.size).reshape(z.shape)
+    return np.concatenate([np.stack([ids[tl][upper], ids[tr][upper], ids[bl][upper]], axis=1),
+                           np.stack([ids[tr][lower], ids[bl][lower], ids[br][lower]], axis=1)])
 
 
 def neighborhood(

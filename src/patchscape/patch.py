@@ -145,6 +145,14 @@ class Patch:
             raise ValueError(
                 f"{self.b.value} needs {_D_LEN[self.b]} extents, got {self.d.size}"
             )
+        if not all(0.0 < x < math.inf for x in self.d.tolist()):
+            raise ValueError(f"{self.b.value} extents must be finite and positive, "
+                             f"got {self.d.tolist()}")
+        # a cquad's diagonals cross at the origin, so with positive extents
+        # and gamma in (0, pi/2) its vertices turn counter-clockwise at every
+        # corner: the convex quad boundary_contains and the coverage grid take
+        if self.b == BoundaryType.CQUAD and not self.d[4] < math.pi / 2:
+            raise ValueError(f"cquad angle gamma must be below pi/2, got {self.d[4]}")
         revolute = is_revolute(self.s, self.b)
         if revolute and not isinstance(self.pose, Pose5):
             raise ValueError(f"{self.s.value}/{self.b.value} patches use a 5-DoF pose")

@@ -298,36 +298,26 @@ def _cast_patch(patch: Patch, o_w, m_w) -> np.ndarray:
     hb = m @ (k3 * o) - m[:, 2]
     C = float(o @ (k3 * o) - 2.0 * o[2])
 
-    n = len(m)
-    cand = np.full((n, 2), np.inf)
+    best = np.full(len(m), np.inf)
     lin = np.abs(A) < 1e-14
-    quad = ~lin
     with np.errstate(divide="ignore", invalid="ignore"):
-        # linear rays (flat along the ray): A s^2 + 2 hb s + C = 0 -> s = -C / (2 hb)
+        # a ray flat along the patch (A = 0) meets it once, at -C / (2 hb);
+        # others at the cancellation-free roots qq / A and C / qq
         s_lin = np.where(np.abs(hb) > 1e-300, -C / (2.0 * hb), np.inf)
-        cand[lin, 0] = s_lin[lin]
         D = hb * hb - A * C
-        ok = quad & (D >= 0.0)
-        sqrtD = np.sqrt(np.where(D >= 0.0, D, 0.0))
-        qq = -(hb + np.where(hb >= 0.0, 1.0, -1.0) * sqrtD)
-        s1 = np.where(ok & (np.abs(A) > 0), qq / A, np.inf)
-        s2 = np.where(ok & (np.abs(qq) > 0), C / qq, np.inf)
-        cand[quad, 0] = s1[quad]
-        cand[quad, 1] = s2[quad]
+        qq = -(hb + np.where(hb >= 0.0, 1.0, -1.0) * np.sqrt(np.where(D >= 0.0, D, 0.0)))
+        real = ~lin & (D >= 0.0)
+        roots = (np.where(lin, s_lin, np.where(real, qq / A, np.inf)),
+                 np.where(real & (np.abs(qq) > 0), C / qq, np.inf))
 
-    best = np.full(n, np.inf)
-    for j in (0, 1):
-        s = cand[:, j]
+    for s in roots:
         live = np.isfinite(s) & (s > _S_MIN)
-        if not np.any(live):
-            continue
         q = o[None, :] + s[live, None] * m[live]
         good = boundary_contains(patch, q[:, :2])
         if patch.s in (SurfaceType.SPHERE, SurfaceType.CIRCULAR_CYLINDER):
             kz = patch.k[0] * q[:, 2]
             good &= (kz >= 0.0) & (kz <= 1.0)
-        sl = np.where(good, s[live], np.inf)
-        best[live] = np.minimum(best[live], sl)
+        best[live] = np.minimum(best[live], np.where(good, s[live], np.inf))
     return best
 
 

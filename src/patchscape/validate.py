@@ -258,6 +258,8 @@ class CoverageConfig:
             raise ValueError("w_c must be positive")
         if not 0.0 <= self.zeta_o <= self.zeta_i <= 1.0:
             raise ValueError("need 0 <= zeta_o <= zeta_i <= 1")
+        if not self.t_p_factor >= 0.0:
+            raise ValueError("t_p_factor must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ tensor_moment_joint_sigma is its moment covariance with the per-point
 (5, 3) moment Jacobian; all three take row-major (n, 3) points and
 (n, 3, 3) covariances, where the fit works on (3, n) and (3, 3, n).
 kdtree_neighborhood and connected_ball_neighborhood search the whole frame
-for the neighborhoods the pipeline finds in the seed's window.
+for the neighborhoods the pipeline finds in the seed's window, and
+loop_mesh_triangles tests one grid triangle at a time in Python floats,
+where the pipeline takes each family of grid edges in one array pass.
 eigh_integral_normals and dense_saliency solve normals and saliency at
 every pixel, where the pipeline tests only the pixels its seed walk
 visits. cumsum_moment_integral builds the moment image with two
@@ -350,6 +352,37 @@ def whole_frame_mesh_edges(cloud, index):
     """
     tri = mesh_triangles(cloud.points, index)
     return np.unique(np.sort(tri[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1), axis=0)
+
+
+def loop_mesh_triangles(points, index):
+    """mesh_triangles as one Python loop over triangles, in Python floats.
+
+    Per 2x2 block in row-major order, the upper (tl, tr, bl) and the lower
+    (tr, bl, br) triangle; all uppers come first. A triangle is kept when
+    each of its edges joins two finite depths at most index.t_jump apart,
+    and every side is at most index.t_es, positive, and at most index.t_ar
+    times every other side. A NaN side fails every comparison.
+    """
+    h, w = points.shape[:2]
+    p = points.reshape(-1, 3).tolist()
+
+    def side(a, b):
+        return math.sqrt(sum((x - y) ** 2 for x, y in zip(p[a], p[b])))
+
+    def kept(tri):
+        edges = [(tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])]
+        if not all(math.isfinite(p[a][2]) and math.isfinite(p[b][2])
+                   and abs(p[a][2] - p[b][2]) <= index.t_jump for a, b in edges):
+            return False
+        sides = [side(a, b) for a, b in edges]
+        return all(s <= index.t_es and s > 0.0 for s in sides) and all(
+            s <= index.t_ar * o for s in sides for o in sides)
+
+    blocks = [(i * w + j, i * w + j + 1, (i + 1) * w + j, (i + 1) * w + j + 1)
+              for i in range(h - 1) for j in range(w - 1)]
+    upper = [(tl, tr, bl) for tl, tr, bl, _ in blocks]
+    lower = [(tr, bl, br) for _, tr, bl, br in blocks]
+    return np.array([tri for tri in upper + lower if kept(tri)], dtype=int).reshape(-1, 3)
 
 
 def connected_ball_neighborhood(cloud, edges, seed, r):

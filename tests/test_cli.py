@@ -471,10 +471,13 @@ def test_simulate_trajectory(tmp_path):
      {"surfaces": [{"type": "plane", "normal": [0.0, 0.0, 1.0], "offset": True}]},
      {"surfaces": [{"type": "plane", "normal": ["0", "0", "1"], "offset": 1.0}]},
      {"camera": {"t": [None, 0.0, 0.0]}, "surfaces": []},
-     {"surfaces": [{"type": "plane", "normal": [0.0, 0.0, 1.0], "offset": 10**400}]}],
+     {"surfaces": [{"type": "plane", "normal": [0.0, 0.0, 1.0], "offset": 10**400}]},
+     # extents that bound no region: the patch rejects them before a render
+     {**_dome_spec(), "surfaces": [{**_dome_spec()["surfaces"][0], "d": [0.0, 0.5]}]},
+     {**_dome_spec(), "surfaces": [{**_dome_spec()["surfaces"][0], "d": [-0.5, 0.5]}]}],
     ids=["unknown_type", "surface_not_object", "top_level_list", "camera_not_object",
          "plane_offset_string", "plane_offset_true", "plane_normal_strings", "camera_t_null",
-         "plane_offset_past_float_range"],
+         "plane_offset_past_float_range", "d_zero", "d_negative"],
 )
 def test_simulate_rejects_bad_scene(tmp_path, capsys, spec):
     p = tmp_path / "scene.json"
@@ -917,6 +920,7 @@ _BAD_CONFIGS = {
     "volume_c_a_negative": {"volume": {"c_a": -0.05}},
     "saliency_l_d_nan": {"saliency": {"l_d": float("nan")}},
     "saliency_r_infinite": {"saliency": {"r": float("inf")}},
+    "t_p_factor_negative": {"coverage": {"t_p_factor": -0.3}},
 }
 
 
@@ -1117,7 +1121,11 @@ def test_patch_map_that_is_not_an_object_is_bad_patch_map(tmp_path, dome_dir, ca
                   id="camera_r_past_rotation_range"),
      pytest.param(lambda doc: doc["patches"][0]["validation"].update(residual=10**400),
                   "patches[0].validation.residual must be finite",
-                  id="residual_past_float_range")],
+                  id="residual_past_float_range"),
+     pytest.param(lambda doc: doc["patches"][0]["d"].__setitem__(0, 0.0),
+                  "extents must be finite and positive", id="d_zero"),
+     pytest.param(lambda doc: doc["patches"][0]["d"].__setitem__(0, -0.1),
+                  "extents must be finite and positive", id="d_negative")],
 )
 def test_malformed_patch_map_is_bad_patch_map(tmp_path, dome_dir, dome_map, capsys, command,
                                               edit, where):

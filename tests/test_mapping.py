@@ -67,6 +67,7 @@ from _oracles import (
     dense_saliency,
     eigh_integral_normals,
     kdtree_neighborhood,
+    loop_mesh_triangles,
     whole_frame_mesh_edges,
 )
 
@@ -1006,6 +1007,53 @@ def test_mesh_triangles_prunes_jump_edges():
     p = _depth_cloud(TINY, z).points.reshape(-1, 3)[:, 2]
     spans = np.ptp(p[tri], axis=1)
     assert spans.max() < 1e-9  # no triangle mixes both depth levels
+
+
+def test_mesh_triangles_prunes_long_sides():
+    """A frontal plane at 1 m on a 100 px/m grid: sides 1 cm, 1 cm and the
+    1.414 cm diagonal, so t_es keeps every triangle or none around 1.414 cm."""
+    points = _plane_cloud(1.0).points
+    every = 2 * (TINY.height - 1) * (TINY.width - 1)
+    assert len(mesh_triangles(points, NeighborhoodIndex(t_es=0.0141))) == 0
+    assert len(mesh_triangles(points, NeighborhoodIndex(t_es=0.0142))) == every
+
+
+def test_mesh_triangles_prunes_slivers():
+    """Rows 1/3 cm apart and columns 1 cm apart: every triangle's longest
+    side is sqrt(10) times its shortest, which t_ar = 3 prunes and 3.2 keeps."""
+    points = _plane_cloud(1.0, replace(TINY, fy=300.0)).points
+    every = 2 * (TINY.height - 1) * (TINY.width - 1)
+    assert len(mesh_triangles(points, NeighborhoodIndex(t_ar=3.0))) == 0
+    assert len(mesh_triangles(points, NeighborhoodIndex(t_ar=3.2))) == every
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mesh_triangles_match_loop_oracle(seed):
+    """Noisy grids with no-return rows, NaN-x rows with finite z, +-inf
+    depths, an inf x and inf thresholds: the same triangles, in the same
+    order, as a per-triangle Python loop, and no floating-point warning."""
+    rng = np.random.default_rng(seed)
+    h, w = rng.integers(2, 16, size=2)
+    u, v = np.meshgrid(np.arange(w) * 0.005, np.arange(h) * 0.005)
+    points = np.stack([u, v, np.ones((h, w))], axis=-1) + rng.normal(0.0, 0.001, (h, w, 3))
+    points[rng.integers(h)] = np.nan
+    points[rng.integers(h), :, 0] = np.nan
+    points[rng.integers(h), rng.integers(w), 2] = np.inf
+    points[rng.integers(h), rng.integers(w), 2] = -np.inf
+    points[rng.integers(h), rng.integers(w), 0] = np.inf
+    for t_jump, t_es, t_ar in [(0.002, 0.01, 2.0), (0.02, 0.05, 5.0), (math.inf,) * 3]:
+        index = NeighborhoodIndex(t_es=t_es, t_ar=t_ar, t_jump=t_jump)
+        tri = mesh_triangles(points, index)
+        assert tri.dtype == int and tri.shape[1:] == (3,)
+        assert np.array_equal(tri, loop_mesh_triangles(points, index))
+
+
+@pytest.mark.parametrize("shape", [(1, 9), (9, 1), (1, 1), (0, 4)])
+def test_mesh_triangles_of_a_line_is_empty(shape):
+    """A grid one pixel high or wide holds no 2x2 block: a (0, 3) int array."""
+    points = np.ones(shape + (3,))
+    tri = mesh_triangles(points, NeighborhoodIndex())
+    assert tri.shape == (0, 3) and tri.dtype == int
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,33 @@ def test_rejects_wrong_extent_count():
         _mk(S.PLANE, B.AARECT, [], [0.1])
 
 
+@pytest.mark.parametrize(
+    "b, d",
+    [(B.ELLIPSE, [0.0, 0.1]), (B.ELLIPSE, [-0.1, 0.1]), (B.CIRCLE, [math.nan]),
+     (B.AARECT, [0.1, math.inf]), (B.CQUAD, [0.3, 0.0, 0.3, 0.3, 0.6]),
+     (B.CQUAD, [0.3, 0.3, 0.3, 0.3, 0.0]), (B.CQUAD, [0.3, 0.3, 0.3, 0.3, -0.6]),
+     (B.CQUAD, [0.3, 0.3, 0.3, 0.3, math.pi / 2]), (B.CQUAD, [0.3, 0.3, 0.3, 0.3, 2.0])],
+    ids=["ellipse_zero", "ellipse_negative", "circle_nan", "aarect_inf", "cquad_zero_extent",
+         "cquad_gamma_zero", "cquad_gamma_negative", "cquad_gamma_right", "cquad_gamma_obtuse"],
+)
+def test_rejects_extents_that_bound_no_region(b, d):
+    """Every extent is finite and positive, and a cquad's gamma lies in
+    (0, pi/2): past pi/2 its vertices run clockwise."""
+    with pytest.raises(ValueError, match="extents must be finite and positive|gamma"):
+        _mk(S.PLANE, b, [], d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(1e-3, 10.0), min_size=4, max_size=4),
+       st.floats(1e-3, math.pi / 2 - 1e-3))
+def test_accepted_cquads_turn_counter_clockwise(radii, gam):
+    """Positive extents and gamma in (0, pi/2) put the quad's diagonals
+    across the origin, so every accepted cquad is convex and CCW."""
+    v = quad_vertices(_mk(S.PLANE, B.CQUAD, [], radii + [gam]).d)
+    e = np.roll(v, -1, axis=0) - v
+    assert (e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1) > 0.0).all()
+
+
 def test_rejects_incompatible_boundary():
     with pytest.raises(ValueError):
         _mk(S.SPHERE, B.AARECT, [1.0], [0.1, 0.1])

@@ -23,7 +23,7 @@ from patchscape.sensor import (
     sample_scene,
 )
 
-from _oracles import implicit_eval
+from _oracles import central_diff_jac, implicit_eval, rel_err
 
 S, B = SurfaceType, BoundaryType
 
@@ -171,6 +171,21 @@ def test_concave_sphere_far_sheet_excluded():
     assert np.all(pts[:, 2] >= 1.5 - 1e-9)
 
 
+def test_rays_flat_along_a_cylindric_paraboloid_hit_it():
+    """The image row through cy runs along the patch's straight local x
+    axis, where the ray's quadratic term A vanishes and the cast takes the
+    one root -C / (2 hb): those hits, and all others, lie on the surface."""
+    intr = replace(TINY, height=47, cy=23.0)  # row 23 holds v = cy
+    patch = Patch(S.CYLINDRIC_PARABOLOID, B.AARECT, np.array([-3.0]), np.array([0.3, 0.3]),
+                  Pose6((0.0, math.pi, 0.0), (0.0, 0.1, 2.0)))
+    cloud = sample_scene([patch], intr)
+    assert cloud.valid_mask[23].sum() >= 10
+    val, ok = implicit_eval(patch, cloud.points[cloud.valid_mask])
+    assert np.max(np.abs(val)) < 1e-9 and ok.all()
+    # local y = -0.1 on the flat row, so the depth is 2 - k y^2 / 2
+    assert np.allclose(cloud.points[23][cloud.valid_mask[23], 2], 2.0 + 1.5 * 0.01)
+
+
 # ---------------------------------------------------------------------------
 # Noise
 # ---------------------------------------------------------------------------
@@ -272,6 +287,24 @@ def test_stereo_covariance_formula():
     E = np.diag([noise.sigma_p**2, noise.sigma_p**2, noise.sigma_m**2])
     assert np.allclose(cov, J @ E @ J.T)
     assert np.all(np.linalg.eigvalsh(cov) > 0.0)
+
+
+@pytest.mark.xfail(strict=True, reason="the stereo Jacobian takes raw pixel (u, v), where "
+                   "the triangulation needs (u - cx, v - cy)")
+@pytest.mark.parametrize("u, v, z", [(319.5, 239.5, 1.2), (400.0, 300.0, 2.0)],
+                         ids=["image_centre", "off_centre"])
+def test_stereo_covariance_follows_the_triangulation(u, v, z):
+    """point_covariance propagates E through the Jacobian of the sensor's own
+    triangulation p(u, v, d) = pixel_rays(u, v) * fx b / d, here by central
+    differences. At the image centre the lateral spread is sigma_p z / fx."""
+    intr, noise = KINECT_640, StereoNoise()
+
+    def triangulate(x):
+        return pixel_rays(intr, x[:2])[0] * intr.fx * intr.baseline / x[2]
+
+    J = central_diff_jac(triangulate, [u, v, intr.fx * intr.baseline / z])
+    E = np.diag([noise.sigma_p**2, noise.sigma_p**2, noise.sigma_m**2])
+    assert rel_err(point_covariance(noise, intr, (u, v), z), J @ E @ J.T) < 1e-6
 
 
 def test_stereo_sampling_matches_covariance():
