@@ -269,7 +269,13 @@ def _json_value(key: str, kind, value):
                 raise ValueError(f'{_where(key)} has no "{p.name}"')
         ours = {k: _json_value(_sub(key, k), types[k], v) for k, v in value.items() if k in names}
         others = {k: v for k, v in value.items() if k not in names}
-        return kind(*(_json_value(key, types[p.name], others) for p in rest), **ours)
+        positional = [_json_value(key, types[p.name], others) for p in rest]
+        try:
+            return kind(*positional, **ours)
+        except ValueError as e:  # the constructor's own check: name the record
+            if not key:
+                raise
+            raise ValueError(f"{key}: {e}") from None
     if kind not in _JSON_KIND:
         raise ValueError(f"{key} cannot be read from JSON")
     accepted, name = _JSON_KIND[kind]

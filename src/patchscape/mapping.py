@@ -10,11 +10,12 @@ fit/validate with curvature, residual, and coverage gates.
 
 Saliency is solved seed first. Once per frame, map_step builds one
 integral image of the point moments and keeps the DtFP pixels; each seed
-cell then walks its DtFP pixels in a random order and tests them in
-growing chunks, DoNG on the coarse normal and then DoN on the fine one,
-each scale solved only at the pixels that passed every test before it,
-until the cell has its seeds. Normals are thus solved only at the pixels
-the seed draw visits, never over the whole frame.
+cell then walks its DtFP pixels in a random order, in growing chunks,
+until the cell has its seeds. The walks run in rounds: one round tests
+the next chunk of every unfinished cell at once, DoNG on the coarse
+normal and then DoN on the fine one, each scale solved only at the
+pixels that passed every test before it. Normals are thus solved only at
+the pixels the seed draw visits, never over the whole frame.
 
 The map lives in a cubic local volumetric workspace whose frame sits at a
 top corner with y pointing down. The volume follows the camera under one
@@ -92,7 +93,9 @@ def median_decimate(cloud: OrganizedCloud, factor: int = 2) -> Tuple[OrganizedCl
 
     Each factor x factor block contributes the member point whose z is
     the (lower) median of the block's valid depths, so its measured
-    covariance row rides along. Blocks with no valid member become NaN.
+    covariance row rides along. Among members tied at that depth, the
+    earliest in row-major block order is picked. Blocks with no valid
+    member become NaN.
     Intrinsics are rescaled to the decimated grid. Returns (cloud,
     source): source is (h, w, 2), the full-resolution (row, col) pixel of
     the member each decimated pixel holds.
@@ -104,9 +107,9 @@ def median_decimate(cloud: OrganizedCloud, factor: int = 2) -> Tuple[OrganizedCl
     pts = cloud.points[: h2 * factor, : w2 * factor]
     z = pts[..., 2].reshape(h2, factor, w2, factor).transpose(0, 2, 1, 3)
     z = z.reshape(h2, w2, factor * factor)
-    zs = np.where(np.isfinite(z), z, np.inf)
-    order = np.argsort(zs, axis=2)
-    n = np.isfinite(z).sum(axis=2)
+    finite = np.isfinite(z)
+    order = np.argsort(np.where(finite, z, np.inf), axis=2, kind="stable")
+    n = np.count_nonzero(finite, axis=2)
     pick = np.take_along_axis(
         order, np.maximum(n - 1, 0)[..., None] // 2, axis=2
     )[..., 0]
@@ -115,12 +118,13 @@ def median_decimate(cloud: OrganizedCloud, factor: int = 2) -> Tuple[OrganizedCl
     bi, bj = np.divmod(pick, factor)
     rows = np.arange(h2)[:, None] * factor + bi
     cols = np.arange(w2)[None, :] * factor + bj
-    out = cloud.points[rows, cols]
-    out[n == 0] = np.nan
+    src, empty = rows * w + cols, n == 0
+    out = np.take(cloud.points.reshape(-1, 3), src, axis=0)
+    out[empty] = np.nan
     cv = None
     if cloud.cov is not None:
-        cv = cloud.cov[rows, cols]
-        cv[n == 0] = np.nan
+        cv = np.take(cloud.cov.reshape(-1, 6), src, axis=0)
+        cv[empty] = np.nan
     decimated = OrganizedCloud(points=out, cov=cv, intrinsics=cloud.intrinsics.scaled(factor))
     return decimated, np.stack([rows, cols], axis=-1)
 
@@ -190,10 +194,10 @@ def _box_sums(ii: np.ndarray, v: np.ndarray, u: np.ndarray, half: np.ndarray) ->
     hi_v = np.clip(v + half + 1, 0, h1 - 1) * w1
     lo_u = np.clip(u - half, 0, w1 - 1)
     hi_u = np.clip(u + half + 1, 0, w1 - 1)
-    s = flat[:, hi_v + hi_u]
-    s -= flat[:, lo_v + hi_u]
-    s -= flat[:, hi_v + lo_u]
-    s += flat[:, lo_v + lo_u]
+    s = np.take(flat, hi_v + hi_u, axis=1)
+    s -= np.take(flat, lo_v + hi_u, axis=1)
+    s -= np.take(flat, hi_v + lo_u, axis=1)
+    s += np.take(flat, lo_v + lo_u, axis=1)
     return s
 
 
@@ -327,7 +331,9 @@ def integral_normals(
             n[blk] = _window_normals(_box_sums(ii, v[blk], u[blk], half[b : b + _BLOCK]))
         return n
 
-    at = np.flatnonzero(np.isfinite(z))
+    # row-major pixel order keeps each block's lookups close in the image
+    at = np.lexsort((u, v))
+    at = at[np.isfinite(z[at])]
     n = solve(at, 2.0)
     if keep is not None:
         at = at[keep(n[at])]
@@ -487,22 +493,25 @@ def select_seeds(
     v_g x v_g cells; cells are visited in increasing distance of their
     center from the projected camera, and a cell holding m resident
     patches gets at most n_g - m seeds. Such a cell walks its candidates
-    in the order of one uniform random permutation, tests them with
-    salient in chunks that double from _FIRST_CHUNK up to _BLOCK pixels,
-    and stops at its n_g - m-th pass, so only the pixels the walk reaches
-    are tested; a cell with no salient pixel is walked to its end. The
-    first k passes of a uniform permutation form a uniform random k-subset
-    of the cell's salient pixels. A cell's seeds come in scan order.
-    Deterministic for a fixed rng_seed.
+    in the order of one uniform random permutation, drawn for every cell
+    up front in cell order, in chunks that double from _FIRST_CHUNK up to
+    _BLOCK pixels, and stops at its n_g - m-th pass; a cell with no
+    salient pixel is walked to its end. The walks run in rounds: round r
+    tests chunk r of every cell that still has room and untested pixels
+    in one salient call over the concatenated chunks, so only the pixels
+    the walks reach are tested, and a frame makes as many calls as its
+    longest walk has chunks. The first k passes of a uniform permutation
+    form a uniform random k-subset of the cell's salient pixels. A cell's
+    seeds come in scan order. Deterministic for a fixed rng_seed.
     """
     v_g, n_g = volume.v_g, volume.n_g
     rng = np.random.default_rng(rng_seed)
+    width = candidates.shape[1]
 
     flat = np.flatnonzero(candidates)
     if len(flat) == 0:
         return []
-    v, u = np.divmod(flat, candidates.shape[1])
-    pts_cam = cloud.points.reshape(-1, 3)[flat]
+    pts_cam = np.take(cloud.points.reshape(-1, 3), flat, axis=0)
     # the whole (n, 3) transform: its rounding decides the cells
     pts_vol = _pose.xform_fwd(pts_cam, volume.c_t.r, volume.c_t.t)
 
@@ -521,28 +530,28 @@ def select_seeds(
         center = (np.array(cell, dtype=float) + 0.5) * w
         return (float(np.linalg.norm(center - cam_xz)), cell)
 
+    # every walk is drawn up front, in cell order, as one cell at a time
+    # would draw it; round r then tests chunk r of every live walk at once
+    room = {c: n_g - occupancy.get(c, 0) for c in sorted(by_cell, key=cell_rank)}
+    walk = {c: by_cell[c][rng.permutation(len(by_cell[c]))] for c in room if room[c] > 0}
+    chosen: Dict[Tuple[int, int], List[int]] = {c: [] for c in walk}
+    live, b, size = list(walk), 0, _FIRST_CHUNK
+    while live:
+        chunks = [walk[c][b : b + size] for c in live]
+        ok = salient(*np.divmod(flat[np.concatenate(chunks)], width))
+        at = 0
+        for c, chunk in zip(live, chunks):
+            passed = chunk[ok[at : at + len(chunk)]]
+            at += len(chunk)
+            chosen[c].extend(passed[: room[c] - len(chosen[c])].tolist())
+        b, size = b + size, min(2 * size, _BLOCK)
+        live = [c for c in live if len(chosen[c]) < room[c] and b < len(walk[c])]
+
     seeds: List[Seed] = []
-    for cell in sorted(by_cell, key=cell_rank):
-        room = n_g - occupancy.get(cell, 0)
-        if room <= 0:
-            continue
-        cands = by_cell[cell]
-        walk = cands[rng.permutation(len(cands))]
-        chosen: List[int] = []
-        b, size = 0, _FIRST_CHUNK
-        while len(chosen) < room and b < len(walk):
-            chunk = walk[b : b + size]
-            passed = chunk[salient(v[chunk], u[chunk])]
-            chosen.extend(passed[: room - len(chosen)].tolist())
-            b, size = b + size, min(2 * size, _BLOCK)
-        for idx in sorted(chosen):
-            seeds.append(
-                Seed(
-                    pixel=(int(v[idx]), int(u[idx])),
-                    point=pts_cam[idx].copy(),
-                    cell=cell,
-                )
-            )
+    for c in walk:
+        for idx in sorted(chosen[c]):
+            row, col = divmod(int(flat[idx]), width)
+            seeds.append(Seed(pixel=(row, col), point=pts_cam[idx].copy(), cell=c))
     return seeds
 
 

@@ -506,7 +506,7 @@ def test_simulate_rejects_bad_noise(tmp_path, capsys, noise):
 @pytest.mark.parametrize(
     "edit, message",
     [({"baseline": 0.0}, "stereo noise needs a positive baseline"),
-     ({"fx": -131.25}, "fx and fy must be finite and positive"),
+     ({"fx": -131.25}, "intrinsics: fx and fy must be finite and positive"),
      ({"focal": 131.25}, ""),
      ({"fx": 10**400}, "intrinsics.fx must be finite")],
     ids=["baseline_zero_stereo", "fx_negative", "unknown_key", "fx_past_float_range"],
@@ -1123,9 +1123,9 @@ def test_patch_map_that_is_not_an_object_is_bad_patch_map(tmp_path, dome_dir, ca
                   "patches[0].validation.residual must be finite",
                   id="residual_past_float_range"),
      pytest.param(lambda doc: doc["patches"][0]["d"].__setitem__(0, 0.0),
-                  "extents must be finite and positive", id="d_zero"),
+                  "patches[0]: ellipse extents must be finite and positive", id="d_zero"),
      pytest.param(lambda doc: doc["patches"][0]["d"].__setitem__(0, -0.1),
-                  "extents must be finite and positive", id="d_negative")],
+                  "patches[0]: ellipse extents must be finite and positive", id="d_negative")],
 )
 def test_malformed_patch_map_is_bad_patch_map(tmp_path, dome_dir, dome_map, capsys, command,
                                               edit, where):
@@ -1179,7 +1179,7 @@ def test_nan_x_with_finite_z_reads_as_no_return(tmp_path, capsys):
 @pytest.mark.parametrize(
     "spec, message",
     [({"volume": {"v_g": 10**400}}, "volume.v_g must be finite"),
-     ({"volume": {"v_g": 1025}}, "v_g must lie in [1, 1024]"),
+     ({"volume": {"v_g": 1025}}, "volume: v_g must lie in [1, 1024]"),
      ({"decimate": 10**22}, "decimate must lie in [0, 4096]"),
      ({"budgets": {"n_s": 10**400}}, "budgets.n_s must be finite")],
     ids=["v_g_past_float_range", "v_g_past_grid_bound", "decimate_past_bound",
@@ -1250,7 +1250,7 @@ def test_revolute_scene_patch_takes_r_xy0(tmp_path, capsys, rz, rc):
     assert cli.main(["simulate", "--scene", str(scene), "--out", str(tmp_path / "s")]) == rc
     if rc:
         assert capsys.readouterr().err.startswith(
-            "error: bad scene spec: a sphere/circle patch needs r = [rx, ry, 0]")
+            "error: bad scene spec: surfaces[0]: a sphere/circle patch needs r = [rx, ry, 0]")
     else:
         cloud, _ = cli.read_cloud(str(tmp_path / "s_000.opc"))
         assert cloud.valid_mask[60, 80]

@@ -221,6 +221,27 @@ def test_median_decimate_picks_lower_median_member():
         assert np.array_equal(source // factor, blocks)
 
 
+def test_median_decimate_breaks_depth_ties_by_block_order():
+    # quantized depths tie inside most blocks; tied members hold the same z
+    # but another x, y and covariance, so the pick must not depend on the
+    # sort the platform happens to use
+    intr = replace(TINY, width=64, height=64, cx=31.5, cy=31.5)
+    z = np.random.default_rng(6).choice([0.5, 1.0, 1.5], size=(64, 64))
+    cov = np.random.default_rng(7).random((64, 64, 6))
+    cloud = OrganizedCloud(points=_depth_cloud(intr, z).points, cov=cov, intrinsics=intr)
+    out, source = median_decimate(cloud, 2)
+    n_tied = 0
+    for i, j in np.ndindex(32, 32):
+        members = [(2 * i + a, 2 * j + b) for a in range(2) for b in range(2)]
+        ranked = sorted(members, key=lambda px: z[px])  # a stable sort
+        pick = ranked[1]
+        n_tied += z[ranked[0]] == z[pick] or z[ranked[2]] == z[pick]
+        assert tuple(source[i, j]) == pick
+        assert out.points[i, j].tobytes() == cloud.points[pick].tobytes()
+        assert out.cov[i, j].tobytes() == cov[pick].tobytes()
+    assert n_tied > 512
+
+
 def test_median_decimate_carries_matching_covariance():
     intr = replace(TINY, width=4, height=2, cx=1.5, cy=0.5)
     z = np.array([[1.0, 2.0, 5.0, 6.0], [3.0, 4.0, 7.0, 8.0]])
@@ -654,8 +675,11 @@ def _cell_groups(cloud, candidates, volume):
     return by_cell
 
 
-def _loop_select_seeds(cloud, candidates, salient, volume, n_g, rng_seed):
-    """select_seeds as a walk that tests one pixel at a time: the direct form."""
+def _loop_select_seeds(cloud, candidates, salient, volume, n_g, rng_seed, walks=None):
+    """select_seeds as a walk that tests one pixel at a time: the direct form.
+
+    walks, when given, is filled with {cell: its pixels in walk order}.
+    """
     rng = np.random.default_rng(rng_seed)
     by_cell = _cell_groups(cloud, candidates, volume)
     w = volume.v_s / volume.v_g
@@ -674,7 +698,10 @@ def _loop_select_seeds(cloud, candidates, salient, volume, n_g, rng_seed):
             continue
         cands = by_cell[cell]
         chosen = []
-        for c in rng.permutation(len(cands)):
+        perm = rng.permutation(len(cands))
+        if walks is not None:
+            walks[cell] = [cands[c] for c in perm]
+        for c in perm:
             if len(chosen) == room:
                 break
             i, j = cands[c]
@@ -782,6 +809,49 @@ def test_select_seeds_walks_a_cell_without_salient_pixels_to_its_end():
         assert {s.cell for s in seeds} == set(groups) - {bare}
         assert set(groups[bare]) <= set(asked)
         assert len(asked) == len(set(asked))
+
+
+def _chunk_ends(n):
+    """Where the chunks of a walk over n pixels end: _FIRST_CHUNK, doubling up to _BLOCK."""
+    ends, size = [], mapping._FIRST_CHUNK
+    while not ends or ends[-1] < n:
+        ends.append(min((ends[-1] if ends else 0) + size, n))
+        size = min(2 * size, mapping._BLOCK)
+    return ends
+
+
+@pytest.mark.parametrize("n_g", [1, 3])
+def test_select_seeds_tests_every_cell_in_one_call_per_round(small_salient_frame, n_g):
+    # each cell is asked exactly the prefix of its walk up to the end of the
+    # chunk it stopped in, and all cells share one salient call per round
+    cloud, near, dense = small_salient_frame
+    state = init_volume(v_g=32, n_g=n_g)
+    pixel_cell = {px: cell for cell, pixels in _cell_groups(cloud, near, state).items()
+                  for px in pixels}
+    for rng_seed in range(3):
+        calls = []
+
+        def salient(v, u):
+            calls.append(len(v))
+            return dense[v, u]
+
+        recorded, asked = _recording(salient)
+        select_seeds(cloud, near, recorded, state, rng_seed=rng_seed)
+        walks = {}
+        _, tested = _loop_select_seeds(cloud, near, _lookup(dense), state, n_g, rng_seed, walks)
+        n_tested = Counter(pixel_cell[px] for px in tested)
+        asked_by_cell = {}
+        for px in asked:
+            asked_by_cell.setdefault(pixel_cell[px], []).append(px)
+        assert set(asked_by_cell) == set(walks)
+        rounds = {}
+        for cell, walk in walks.items():
+            ends = _chunk_ends(len(walk))
+            stop = next(k for k, e in enumerate(ends) if e >= n_tested[cell])
+            rounds[cell] = stop + 1
+            assert asked_by_cell[cell] == walk[: ends[stop]], cell
+        assert len(walks) > 10 and sum(rounds.values()) > 3 * max(rounds.values())
+        assert len(calls) <= max(rounds.values())
 
 
 def test_select_seeds_occupancy_and_n_g_cap_each_cell(small_salient_frame):
