@@ -739,9 +739,9 @@ def cmd_track(args) -> int:
     if args.map is not None:
         _, patches = _checked("bad patch map: ", read_patch_map, args.map)
         for mp in patches:
-            inside, ij = _mapping._cells(state, mp.patch.pose.t[None])
+            inside, key = _mapping._cells(state, mp.patch.pose.t[None, [0, 2]])
             if len(inside):  # outside the grid it is dropped, as remap_patches drops it
-                mp.cell = tuple(ij[0].tolist())
+                mp.cell = divmod(int(key[0]), state.v_g)
                 state.patches.append(mp)
 
     lines = []
@@ -837,7 +837,10 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("--config", help="pipeline config JSON")
     m.add_argument("--out", required=True, help="patch map output path")
     m.add_argument("--stats", help="per-frame stats CSV path; t_saliency_s covers decimation, "
-                   "the moment image and DtFP, t_seeds_s the seed walk and the normals it solves")
+                   "the moment image and DtFP, t_seeds_s the seed walk and the normals it "
+                   "solves, t_neighborhood_s the neighborhoods and fit draws, t_fit_s the "
+                   "batched fits, t_gates_s the batched gates and the admissions, and "
+                   "t_fit_validate_s the sum of those three")
     m.add_argument("--seed", type=int, default=None)
     m.set_defaults(func=cmd_map)
 

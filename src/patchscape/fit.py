@@ -51,19 +51,22 @@ the extents rule (curved or plane) and the turn itself, from the type,
 the boundary and gamma; the boundary is the plane_boundary of a plane
 fit and otherwise the first one the family lists.
 
-Per-point arrays are column-major: fit_patch takes points (n, 3) and
-covariances (n, 3, 3), drops the non-finite rows, and transposes once,
-to points (3, n) and covariances (3, 3, n). Every kernel after that (the
-plane, the residual model and its Jacobian (npar, n), the solver, the
-moments and their covariance) works on that layout, so each per-point
-operation runs along a contiguous length-n axis.
+Per-point arrays are column-major: fit_patches takes each seed's points
+(n, 3) and covariances (n, 3, 3), drops the non-finite rows, and
+transposes once, to points (3, n) and covariances (3, 3, n). Seeds with
+the same n stack to (s, 3, n) and (s, 3, 3, n). Stage 1 (the planes and
+the linear shape starts) and the finisher's moments and their covariance
+take a stack in one pass; the residual model, its Jacobian (npar, n) and
+the solver take one seed's (3, n) slice. Each per-point operation runs
+along a contiguous length-n axis, and a stacked operation does per seed
+what it does alone, to the bit. fit_patch is the batch of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -77,6 +80,7 @@ __all__ = [
     "WlmResult",
     "wlm_minimize",
     "FitResult",
+    "fit_patches",
     "fit_patch",
     "coverage_scale",
     "MIN_FIT_POINTS",
@@ -242,30 +246,40 @@ def wlm_minimize(model, p0, points, covs) -> WlmResult:
 # ---------------------------------------------------------------------------
 
 
-def _lls_plane(points):
-    """Least-squares plane (r_xy, centroid) of (3, n) points, its normal facing the origin."""
-    qbar = points.mean(axis=1)
-    U = np.linalg.svd(points - qbar[:, None], full_matrices=False)[0]
-    n = U[:, -1]
-    if float(n @ qbar) > 0.0:
-        n = -n
-    return _pose.rxy_for_zdir(n), qbar
+def _lls_planes(points):
+    """Least-squares planes of (s, 3, n) points.
+
+    Returns the centroids (s, 3), the centered points (s, 3, n), and the
+    r_xy of each plane frame, whose normal (the smallest principal
+    direction) faces the origin.
+    """
+    qbar = points.mean(axis=2)
+    centered = points - qbar[:, :, None]
+    U = np.linalg.svd(centered, full_matrices=False)[0]
+    rxy = [
+        _pose.rxy_for_zdir(-n if float(n @ q) > 0.0 else n) for n, q in zip(U[:, :, -1], qbar)
+    ]
+    return qbar, centered, rxy
 
 
-def _shape_start(points, R0, qbar):
-    """Linear start for the curved solves, in the plane frame (R0, qbar).
+def _shape_starts(centered, R0):
+    """Linear starts for the curved solves, in the plane frames R0 (s, 3, 3).
 
     Fits the height z = c + e x + f y + (a x^2 + 2 b x y + c' y^2) / 2 of
-    the (3, n) points by linear least squares and returns the eigenvalues
-    of the shape operator W = [[a, b], [b, c']] in ascending order, their
-    eigenvectors as columns, and c, the height where the surface meets the
-    side-wall line.
+    each seed's centered (3, n) points by linear least squares and returns
+    the eigenvalues (s, 2) of the shape operators W = [[a, b], [b, c']] in
+    ascending order, their eigenvectors (s, 2, 2) as columns, and the
+    heights c where the surfaces meet their side-wall lines.
     """
-    x, y, z = R0.T @ (points - qbar[:, None])
-    A = np.array([np.ones_like(x), x, y, 0.5 * x * x, x * y, 0.5 * y * y])
-    c, _, _, a, b, c2 = np.linalg.lstsq(A.T, z, rcond=None)[0]
-    w, V = np.linalg.eigh([[a, b], [b, c2]])
-    return w, V, float(c)
+    x, y, z = (R0.transpose(0, 2, 1) @ centered).transpose(1, 0, 2)
+    A = np.stack([np.ones_like(x), x, y, 0.5 * x * x, x * y, 0.5 * y * y], axis=1)
+    W, c = np.empty((len(A), 2, 2)), []
+    for Ai, zi, Wi in zip(A, z, W):
+        ci, _, _, Wi[0, 0], Wi[1, 0], Wi[1, 1] = np.linalg.lstsq(Ai.T, zi, rcond=None)[0]
+        Wi[0, 1] = Wi[1, 0]
+        c.append(float(ci))
+    w, V = np.linalg.eigh(W)
+    return w, V, c
 
 
 # ---------------------------------------------------------------------------
@@ -273,42 +287,56 @@ def _shape_start(points, R0, qbar):
 # ---------------------------------------------------------------------------
 
 
-def _moment_joint_sigma(points, covs, R, t, dR_cols, sigma_state, nk):
-    """Moments m of the points projected to the local xy plane, and the
-    joint covariance of (m, state) with state = (k, r, t).
+def _moments(points, covs, R, t, dR):
+    """Moments m of (s, 3, n) points projected to each seed's local xy
+    plane, and their first-order sensitivities.
 
-    m = (mean x, mean y, mean x^2, mean y^2, mean xy). The moment block
-    combines per-point noise pushed through the projection with the state
-    uncertainty pushed through the moment definition; the cross block
-    keeps the two correlated downstream.
+    R (s, 3, 3) and t (s, 3) are the seeds' frames, and dR (s, nr, 3, 3)
+    the derivatives of R by nr rotation parameters. m = (mean x, mean y,
+    mean x^2, mean y^2, mean xy). Returns m (s, 5), the moment covariance
+    from per-point noise (s, 5, 5), dm/dr (s, 5, nr) and dm/dt (s, 5, 3).
     """
-    n = points.shape[1]
-    d = points - t[:, None]
-    x, y = R[:, :2].T @ d
-    m = np.array([x.mean(), y.mean(), (x * x).mean(), (y * y).mean(), (x * y).mean()])
-    one, zero = np.ones(n), np.zeros(n)
+    s, _, n = points.shape
+    d = points - t[:, :, None]
+    x, y = (R[:, :, :2].transpose(0, 2, 1) @ d).transpose(1, 0, 2)
+    m = np.stack([x.mean(1), y.mean(1), (x * x).mean(1), (y * y).mean(1), (x * y).mean(1)], 1)
+    one, zero = np.ones((s, n)), np.zeros((s, n))
     # d m / d ql_i = (P_i e_x^T + Q_i e_y^T) / n, so d m / d q_i = (P_i u^T +
     # Q_i w^T) / n with u, w the first two columns of R, and the moment
     # block needs only u^T C_i u, u^T C_i w and w^T C_i w per point
-    P = np.array([one, zero, 2.0 * x, zero, y])
-    Q = np.array([zero, one, zero, 2.0 * y, x])
-    u, w = R[:, 0], R[:, 1]
-    uw_pairs = np.array([np.outer(u, u), np.outer(u, w), np.outer(w, w)]).reshape(3, 9)
-    uu, uw, ww = uw_pairs @ covs.reshape(9, n)
-    PQ = (P * uw) @ Q.T
-    sigma_m = ((P * uu) @ P.T + PQ + PQ.T + (Q * ww) @ Q.T) / n**2
+    P = np.stack([one, zero, 2.0 * x, zero, y], axis=1)
+    Q = np.stack([zero, one, zero, 2.0 * y, x], axis=1)
+    u, w = R[:, :, 0], R[:, :, 1]
+    outer = [a[:, :, None] * b[:, None, :] for a, b in ((u, u), (u, w), (w, w))]
+    uw_pairs = np.stack(outer, axis=1).reshape(s, 3, 9)
+    uu, uw, ww = (uw_pairs @ covs.reshape(s, 9, n)).transpose(1, 0, 2)
+    Pt, Qt = P.transpose(0, 2, 1), Q.transpose(0, 2, 1)
+    PQ = (P * uw[:, None]) @ Qt
+    sigma_m = ((P * uu[:, None]) @ Pt + PQ + PQ.transpose(0, 2, 1) + (Q * ww[:, None]) @ Qt) / n**2
 
-    # d m / d(k, r, t): r moves ql by dR_j^T (q - t), t by -R^T
-    A_r = np.empty((5, len(dR_cols)))
-    for j, dRj in enumerate(dR_cols):
-        dx, dy = dRj[:, :2].T @ d
-        A_r[:, j] = (P @ dx + Q @ dy) / n
-    A_t = -(np.outer(P.mean(axis=1), u) + np.outer(Q.mean(axis=1), w))
+    # d m / d(r, t): r moves ql by dR_j^T (q - t), t by -R^T
+    A_r = np.empty((s, 5, dR.shape[1]))
+    for j in range(dR.shape[1]):
+        dx, dy = (dR[:, j, :, :2].transpose(0, 2, 1) @ d).transpose(1, 0, 2)
+        A_r[:, :, j] = ((P @ dx[:, :, None] + Q @ dy[:, :, None]) / n)[:, :, 0]
+    A_t = -(P.mean(axis=2)[:, :, None] * u[:, None] + Q.mean(axis=2)[:, :, None] * w[:, None])
+    return m, sigma_m, A_r, A_t
+
+
+def _joint_sigma(sigma_m, A_r, A_t, sigma_state, nk):
+    """Joint covariance of one seed's moments m and state = (k, r, t).
+
+    sigma_m, A_r = dm/dr and A_t = dm/dt are the seed's rows of _moments.
+    The moment block combines per-point noise pushed through the
+    projection with the state uncertainty pushed through the moment
+    definition; the cross block keeps the two correlated downstream.
+    """
     A = np.hstack([np.zeros((5, nk)), A_r, A_t])
-
     cross = A @ sigma_state
-    top = sigma_m + cross @ A.T
-    return m, np.block([[top, cross], [cross.T, sigma_state]])
+    joint = np.empty((5 + len(sigma_state),) * 2)
+    joint[:5, :5] = sigma_m + cross @ A.T
+    joint[:5, 5:], joint[5:, :5], joint[5:, 5:] = cross, cross.T, sigma_state
+    return joint
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +441,68 @@ _W_SWAP = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 SURFACES = ("paraboloid", "plane", "sphere", "cylinder")
 
 
+def _columns(points, covs):
+    """The finite rows of (n, 3) points and (n, 3, 3) covariances, as
+    (3, n) and (3, 3, n); ValueError if fewer than MIN_FIT_POINTS remain."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    if covs is None:
+        cv = np.broadcast_to(np.eye(3), (len(pts), 3, 3))
+    else:
+        cv = np.asarray(covs, dtype=float).reshape(-1, 3, 3)
+    keep = np.isfinite(pts).all(axis=1) & np.isfinite(cv).all(axis=(1, 2))
+    if np.count_nonzero(keep) < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} points to fit a patch")
+    # the one transpose: every kernel below takes (3, n) and (3, 3, n)
+    return np.ascontiguousarray(pts[keep].T), np.ascontiguousarray(cv[keep].transpose(1, 2, 0))
+
+
+def fit_patches(
+    samples: Sequence[Tuple[np.ndarray, Optional[np.ndarray]]],
+    surface: str = "paraboloid",
+    plane_boundary: BoundaryType = BoundaryType.ELLIPSE,
+    gamma: float = 0.95,
+) -> List[Union[FitResult, ValueError, np.linalg.LinAlgError]]:
+    """Fit one bounded patch to each (points, covs) sample of a batch.
+
+    Each sample gets the fit that fit_patch gives it alone, to the bit.
+    Samples with the same number of finite points form one stack, whose
+    stage 1 (centroids, SVD planes, the linear shape starts' frame change
+    and eigenpairs) and finisher moments (projected moments and their
+    covariance) run as one array pass each; every solve runs on its own
+    seed. ValueError for a surface or gamma that no fit takes. Returns one
+    entry per sample: its FitResult, or the ValueError or LinAlgError its
+    fit raised, which leaves the other samples' fits unchanged.
+    """
+    if surface not in SURFACES:
+        raise ValueError(f"surface must be one of {SURFACES}")
+    coverage_scale(gamma)  # the finisher's check, before any solve: 0 < gamma < 1
+    out: List = [None] * len(samples)
+    stacks: Dict[int, list] = {}
+    for i, (points, covs) in enumerate(samples):
+        try:
+            pts, cv = _columns(points, covs)
+        except ValueError as e:
+            out[i] = e
+            continue
+        stacks.setdefault(pts.shape[1], []).append((i, pts, cv))
+    for members in stacks.values():
+        pts = np.stack([m[1] for m in members])
+        cv = np.stack([m[2] for m in members])
+        try:
+            fits = _fit_stack(pts, cv, surface, plane_boundary, gamma)
+        except (ValueError, np.linalg.LinAlgError):
+            # one seed failed the stack: fit each seed alone to tell which
+            fits = []
+            for j in range(len(members)):
+                try:
+                    fits += _fit_stack(pts[j : j + 1], cv[j : j + 1], surface, plane_boundary, gamma)
+                except (ValueError, np.linalg.LinAlgError) as e:
+                    fits.append(e)
+        for (i, _, _), fit in zip(members, fits):
+            out[i] = fit
+    return out
+
+
 def fit_patch(
     points,
     covs=None,
@@ -433,64 +523,67 @@ def fit_patch(
     patch origin is held on the side-wall line through the data centroid
     along the initial plane normal, which keeps the patch centered on the
     data. A point whose coordinates or covariance are not all finite is
-    dropped.
+    dropped. The batch of one of fit_patches; raises what that fit raised.
 
     Returns a FitResult whose patch carries the propagated (k, d, r, t)
     covariance.
     """
-    if surface not in SURFACES:
-        raise ValueError(f"surface must be one of {SURFACES}")
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    if covs is None:
-        cv = np.broadcast_to(np.eye(3), (len(pts), 3, 3))
-    else:
-        cv = np.asarray(covs, dtype=float).reshape(-1, 3, 3)
-    keep = np.isfinite(pts).all(axis=1) & np.isfinite(cv).all(axis=(1, 2))
-    # the one transpose: every kernel below takes (3, n) and (3, 3, n)
-    pts = np.ascontiguousarray(pts[keep].T)
-    cv = np.ascontiguousarray(cv[keep].transpose(1, 2, 0))
-    if pts.shape[1] < MIN_FIT_POINTS:
-        raise ValueError(f"need at least {MIN_FIT_POINTS} points to fit a patch")
-    coverage_scale(gamma)  # the finisher's check, before any solve: 0 < gamma < 1
+    fit = fit_patches([(points, covs)], surface, plane_boundary, gamma)[0]
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
-    # ---- stage 1: plane and the side-wall line -----------------------
-    rxy0, qbar = _lls_plane(pts)
-    R0 = _pose.exp_map(_pose.rxy_to_r(rxy0))
-    wall_n = R0[:, 2]
 
-    def spun(v):
-        """6-DoF r of the plane frame turned about its z so that local x
-        lies along v, a unit direction in that frame's xy plane."""
-        Rz = np.array([[v[0], -v[1], 0.0], [v[1], v[0], 0.0], [0.0, 0.0, 1.0]])
-        return _pose.log_map(R0 @ Rz)
+def _fit_stack(pts, cv, surface, plane_boundary, gamma) -> List[FitResult]:
+    """fit_patch of every seed of points (s, 3, n) and covariances (s, 3, 3, n)."""
+    # ---- stage 1: planes and the side-wall lines ---------------------
+    qbar, centered, rxy0 = _lls_planes(pts)
+    R0 = np.stack([_pose.exp_map(_pose.rxy_to_r(rxy)) for rxy in rxy0])
+    if surface != "plane":
+        w, V, c = _shape_starts(centered, R0)
 
-    # ---- stages 2-3: surface solve and finish ------------------------
-    if surface == "plane":
-        stype, k0, r0, a0 = SurfaceType.PLANE, [], rxy0, 0.0
-    else:
-        w, V, a0 = _shape_start(pts, R0, qbar)
-        if surface == "paraboloid":
-            # a general paraboloid frees kx and ky, as the elliptic family does
-            stype, k0, r0 = SurfaceType.ELLIPTIC_PARABOLOID, w, spun(V[:, 0])
-        elif surface == "cylinder":
-            # the axis, local x, takes the flatter direction
-            curved = int(abs(w[1]) >= abs(w[0]))
-            stype = SurfaceType.CIRCULAR_CYLINDER
-            k0, r0 = w[curved : curved + 1], spun(V[:, 1 - curved])
+    # ---- stages 2-3: surface solves, one seed at a time --------------
+    states = []
+    for i in range(len(pts)):
+        wall_n = R0[i, :, 2]
+
+        def spun(v):
+            """6-DoF r of the plane frame turned about its z so that local x
+            lies along v, a unit direction in that frame's xy plane."""
+            Rz = np.array([[v[0], -v[1], 0.0], [v[1], v[0], 0.0], [0.0, 0.0, 1.0]])
+            return _pose.log_map(R0[i] @ Rz)
+
+        if surface == "plane":
+            stype, k0, r0, a0 = SurfaceType.PLANE, [], rxy0[i], 0.0
         else:
-            stype, k0, r0 = SurfaceType.SPHERE, [w.mean()], rxy0
-    K = k3_map(stype)
-    model = _implicit_model(K, len(r0), (qbar, wall_n))
-    res = wlm_minimize(model, np.concatenate([k0, r0, [a0]]), pts, cv)
-    # the single side-wall lift: (k, r, a) -> (k, r, qbar + a n)
-    nk = K.shape[1]
-    J = block_diag(np.eye(len(res.p) - 1), wall_n[:, None])
-    k, r, t, sigma = res.p[:nk], res.p[nk:-1], qbar + res.p[-1] * wall_n, J @ res.sigma @ J.T
-    if surface == "paraboloid":
-        stype, k, r, sigma = _classify_paraboloid(k, r, sigma)
-    boundary = plane_boundary if surface == "plane" else boundaries(stype)[0]
-    patch = _finish(pts, cv, stype, boundary, k, r, t, sigma, gamma)
-    return FitResult(patch, res.converged, res.chi2, res.iterations)
+            wi, Vi, a0 = w[i], V[i], c[i]
+            if surface == "paraboloid":
+                # a general paraboloid frees kx and ky, as the elliptic family does
+                stype, k0, r0 = SurfaceType.ELLIPTIC_PARABOLOID, wi, spun(Vi[:, 0])
+            elif surface == "cylinder":
+                # the axis, local x, takes the flatter direction
+                curved = int(abs(wi[1]) >= abs(wi[0]))
+                stype = SurfaceType.CIRCULAR_CYLINDER
+                k0, r0 = wi[curved : curved + 1], spun(Vi[:, 1 - curved])
+            else:
+                stype, k0, r0 = SurfaceType.SPHERE, [wi.mean()], rxy0[i]
+        K = k3_map(stype)
+        model = _implicit_model(K, len(r0), (qbar[i], wall_n))
+        res = wlm_minimize(model, np.concatenate([k0, r0, [a0]]), pts[i], cv[i])
+        # the single side-wall lift: (k, r, a) -> (k, r, qbar + a n)
+        nk = K.shape[1]
+        J = block_diag(np.eye(len(res.p) - 1), wall_n[:, None])
+        k, r, t, sigma = res.p[:nk], res.p[nk:-1], qbar[i] + res.p[-1] * wall_n, J @ res.sigma @ J.T
+        if surface == "paraboloid":
+            stype, k, r, sigma = _classify_paraboloid(k, r, sigma)
+        boundary = plane_boundary if surface == "plane" else boundaries(stype)[0]
+        states.append((res, stype, boundary, k, r, t, sigma))
+
+    # ---- stage 4: bound every solved surface -------------------------
+    return [
+        FitResult(patch, res.converged, res.chi2, res.iterations)
+        for patch, (res, *_) in zip(_finish(pts, cv, [st[1:] for st in states], gamma), states)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -539,24 +632,33 @@ def _swap_frame(r):
     return _pose.jac_log_of(_pose.exp_map(r) @ _W_SWAP, _pose.jac_exp(r) @ _W_SWAP)
 
 
-def _finish(pts, cv, stype, boundary, k, r, t, sigma, gamma):
-    """Bound a solved surface and carry its covariance to (k, d, r, t).
+def _finish(pts, cv, states, gamma):
+    """Bound solved surfaces and carry their covariances to (k, d, r, t).
 
-    (k, r, t) is the solved state of a surface of type stype with
-    covariance sigma, r a 2-vector for a 5-DoF frame, t on the side-wall
-    line, where it stays. One pass takes the moments m of the projected
-    points and their joint covariance with the state; the boundary's
-    extents come from m by the curved or the plane rule, which
+    pts (s, 3, n) and cv (s, 3, 3, n) hold the seeds' points; states[i] is
+    seed i's (stype, boundary, k, r, t, sigma): the solved state of a
+    surface of type stype with covariance sigma, r a 2-vector for a 5-DoF
+    frame, t on the side-wall line, where it stays. One stacked pass takes
+    the moments m of every seed's projected points and their sensitivities,
+    and each seed then takes their joint covariance with its state; the
+    boundary's extents come from m by the curved or the plane rule, which
     (stype, boundary, gamma) picks (see _bound), and a plane whose
-    boundary is not revolute also turns its frame to the principal axes
-    of m.
+    boundary is not revolute also turns its frame to the principal axes of
+    m. Returns one Patch per seed.
     """
-    r3 = r if len(r) == 3 else _pose.rxy_to_r(r)
-    R, dR = _pose.exp_map(r3), _pose.jac_exp(r3)[: len(r)]
-    m, joint = _moment_joint_sigma(pts, cv, R, t, dR, sigma, len(k))
-    d, r_new, J = _bound(m, k, r, R, dR, stype, boundary, gamma)
-    pose = Pose6(r_new, t) if len(r_new) == 3 else Pose5(r_new, t)
-    return Patch(stype, boundary, k, d, pose, _pose.sym(J @ joint @ J.T))
+    r3 = [r if len(r) == 3 else _pose.rxy_to_r(r) for _, _, _, r, _, _ in states]
+    R = np.stack([_pose.exp_map(r) for r in r3])
+    dR = np.stack([_pose.jac_exp(r) for r in r3])
+    t = np.stack([st[4] for st in states])
+    m, sigma_m, A_r, A_t = _moments(pts, cv, R, t, dR)
+    patches = []
+    for i, (stype, boundary, k, r, t_i, sigma) in enumerate(states):
+        nr = len(r)
+        joint = _joint_sigma(sigma_m[i], A_r[i, :, :nr], A_t[i], sigma, len(k))
+        d, r_new, J = _bound(m[i], k, r, R[i], dR[i, :nr], stype, boundary, gamma)
+        pose = Pose6(r_new, t_i) if len(r_new) == 3 else Pose5(r_new, t_i)
+        patches.append(Patch(stype, boundary, k, d, pose, _pose.sym(J @ joint @ J.T)))
+    return patches
 
 
 def _bound(m, k, r, R, dR, stype, boundary, gamma):
@@ -583,13 +685,11 @@ def _bound(m, k, r, R, dR, stype, boundary, gamma):
         dRz = np.array([[-sn, -cs, 0.0], [cs, -sn, 0.0], [0.0, 0.0, 0.0]])
         r_new, J_log = _pose.jac_log_of(R @ Rz, [R @ dRz, *(dR @ Rz)])
         dr_dm, dr_dr = np.outer(J_log[:, 0], dth_dm), J_log[:, 1:]
+    # rows (k, d, r', t), columns (m, k, r, t)
     nd, nq = len(d), len(r_new)
-    J = np.block(
-        [
-            [np.zeros((nk, 5)), np.eye(nk), np.zeros((nk, nr + 3))],
-            [J_dm, np.zeros((nd, nk + nr + 3))],
-            [dr_dm, np.zeros((nq, nk)), dr_dr, np.zeros((nq, 3))],
-            [np.zeros((3, 5 + nk + nr)), np.eye(3)],
-        ]
-    )
+    J = np.zeros((nk + nd + nq + 3, 5 + nk + nr + 3))
+    J[:nk, 5 : 5 + nk] = np.eye(nk)
+    J[nk : nk + nd, :5] = J_dm
+    J[nk + nd : -3, :5], J[nk + nd : -3, 5 + nk : -3] = dr_dm, dr_dr
+    J[-3:, -3:] = np.eye(3)
     return d, r_new, J

@@ -6,7 +6,9 @@ selection in the volume frame among the pixels that pass the hiking
 saliency filter, per-seed neighborhood search over the seed's
 backprojected window (the Euclidean ball, or its part that a triangle
 mesh built over that window alone joins to the seed), and patch
-fit/validate with curvature, residual, and coverage gates.
+fit/validate with curvature, residual, and coverage gates. The fits and
+the gates take every seed of a frame in one batched pass each, and the
+seeds are then admitted one at a time, in seed order, under the budgets.
 
 Saliency is solved seed first. Once per frame, map_step builds one
 integral image of the point moments and keeps the DtFP pixels; each seed
@@ -43,16 +45,15 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from patchscape import pose as _pose
-from patchscape.fit import MIN_FIT_POINTS, SURFACES, FitResult, coverage_scale, fit_patch
+from patchscape.fit import MIN_FIT_POINTS, SURFACES, coverage_scale, fit_patches
 from patchscape.patch import Patch, patch_frame, projected_area, transform_patch
 from patchscape.pose import ChainLink, Pose6
 from patchscape.sensor import COV_UPPER, OrganizedCloud, project, unpack_cov
-from patchscape.validate import (
-    CoverageConfig,
-    coverage_eval,
-    curvature_gate,
-    residual,
-)
+from patchscape.validate import CoverageConfig, coverage_evals, curvature_gate, residuals
+
+# not called here; perfbench/layers.py still traces these names in this module
+from patchscape.fit import fit_patch  # noqa: F401
+from patchscape.validate import coverage_eval, residual  # noqa: F401
 
 __all__ = [
     "median_decimate",
@@ -76,6 +77,7 @@ __all__ = [
     "MapPatch",
     "ValidationRecord",
     "MapConfig",
+    "gate_patches",
     "gate_patch",
     "MapBudgets",
     "MapStepResult",
@@ -470,12 +472,16 @@ class Seed:
     cell: Tuple[int, int]  # (ix, iz) on the volume xz grid
 
 
-def _cells(volume: "VolumeState", p_vol: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Indices of the (n, 3) volume-frame points inside the xz grid, and their (ix, iz) cells."""
-    w, v_g = volume.v_s / volume.v_g, volume.v_g
-    qx, qz = np.floor(p_vol[:, 0] / w), np.floor(p_vol[:, 2] / w)
-    inside = np.flatnonzero((qx >= 0) & (qx < v_g) & (qz >= 0) & (qz < v_g))
-    return inside, np.stack([qx[inside], qz[inside]], axis=1).astype(int)
+def _cells(volume: "VolumeState", xz: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Indices of the (n, 2) volume-frame (x, z) rows inside the xz grid, and
+    the keys ix * v_g + iz of their (ix, iz) cells; floors xz to cell units
+    in place."""
+    v_g = volume.v_g
+    xz /= volume.v_s / v_g
+    np.floor(xz, out=xz)
+    x, z = xz.T
+    inside = np.flatnonzero((np.minimum(x, z) >= 0) & (np.maximum(x, z) < v_g))
+    return inside, (x[inside] * v_g + z[inside]).astype(int)
 
 
 def select_seeds(
@@ -512,13 +518,13 @@ def select_seeds(
     if len(flat) == 0:
         return []
     pts_cam = np.take(cloud.points.reshape(-1, 3), flat, axis=0)
-    # the whole (n, 3) transform: its rounding decides the cells
-    pts_vol = _pose.xform_fwd(pts_cam, volume.c_t.r, volume.c_t.t)
+    # only the volume-frame x and z decide the cells, in the rounding of
+    # the rows R[[0, 2]] of the camera-to-volume transform
+    xz = pts_cam @ _pose.exp_map(volume.c_t.r)[[0, 2]].T
+    xz += volume.c_t.t[[0, 2]]
+    ingrid, key = _cells(volume, xz)
 
-    ingrid, ij = _cells(volume, pts_vol)
-
-    # group by cell; each mask keeps the cell's pixels in scan order
-    key = ij[:, 0] * v_g + ij[:, 1]
+    # group by cell; each group keeps the cell's pixels in scan order
     occupied = np.flatnonzero(np.bincount(key)).tolist()
     by_cell = {divmod(c, v_g): ingrid[key == c] for c in occupied}
 
@@ -533,7 +539,7 @@ def select_seeds(
     # every walk is drawn up front, in cell order, as one cell at a time
     # would draw it; round r then tests chunk r of every live walk at once
     room = {c: n_g - occupancy.get(c, 0) for c in sorted(by_cell, key=cell_rank)}
-    walk = {c: by_cell[c][rng.permutation(len(by_cell[c]))] for c in room if room[c] > 0}
+    walk = {c: rng.permutation(by_cell[c]) for c in room if room[c] > 0}
     chosen: Dict[Tuple[int, int], List[int]] = {c: [] for c in walk}
     live, b, size = list(walk), 0, _FIRST_CHUNK
     while live:
@@ -956,10 +962,11 @@ def remap_patches(
         origin = new_patch.pose.t
         if np.any(origin < 0.0) or np.any(origin > state.v_s):
             continue
-        inside, ij = _cells(state, seed_v[None])
+        inside, key = _cells(state, seed_v[None, [0, 2]])
         if not len(inside):
             continue
-        kept.append(replace(mp, patch=new_patch, seed_point=seed_v, cell=tuple(ij[0].tolist())))
+        cell = divmod(int(key[0]), state.v_g)
+        kept.append(replace(mp, patch=new_patch, seed_point=seed_v, cell=cell))
 
     if cull_excess:
         # oldest patches (lowest ids) keep their cells
@@ -1021,12 +1028,15 @@ class MapBudgets:
 
     n_s caps the total resident patch count. work_units caps the number
     of fit attempts this call, the deterministic stand-in for a per-frame
-    time slice; wall_clock_s enforces a real time limit instead (set only
-    from a map config file's budgets, no command line flag; inherently
-    nondeterministic). area_target stops admissions once the summed
-    projected patch areas reach it. Once any cap is reached, the seeds not
-    yet tried count as "budget" drops. None leaves a cap off; ValueError
-    for a negative or NaN cap.
+    time slice; wall_clock_s is a real time limit instead (set only from a
+    map config file's budgets, no command line flag; inherently
+    nondeterministic). The fits and gates of a frame run as one batch, so
+    wall_clock_s is checked once, after seed selection and before the
+    batch: a frame whose saliency and seeding outlast it drops every seed
+    as "budget", and any other frame runs all its seeds. area_target stops
+    admissions once the summed projected patch areas reach it. Once any cap
+    is reached, the seeds not yet tried count as "budget" drops. None leaves
+    a cap off; ValueError for a negative or NaN cap.
     """
 
     n_s: Optional[int] = None
@@ -1049,8 +1059,10 @@ class MapStepResult:
     fit_failed, its first failing gate, or budget. timings holds seconds
     per stage: "saliency" (decimation, the moment image and DtFP over the
     frame), "seeds" (select_seeds, including the normals and the DoNG and
-    DoN tests it solves at the pixels its walk visits), "fit_validate" and
-    "total".
+    DoN tests it solves at the pixels its walk visits), "neighborhood"
+    (every seed's neighborhood and fit draw), "fit" (the batched fits),
+    "gates" (the batched gates and the admissions), "fit_validate" (the
+    sum of the last three) and "total".
     """
 
     admitted: List[MapPatch]
@@ -1063,32 +1075,50 @@ class MapStepResult:
 _DROP_REASONS = ("too_few_points", "fit_failed", *_GATES, "budget")
 
 
+def gate_patches(
+    patches: List[Patch], fit_pts: List[np.ndarray], nb_pts: List[np.ndarray], config: MapConfig
+) -> List[ValidationRecord]:
+    """Every gate of camera-frame patches, each fitted at one seed, even after a failure.
+
+    patches[i] was fitted to the points fit_pts[i] of the neighborhood
+    nb_pts[i]. Both principal curvatures must lie in [kappa_min,
+    kappa_max] of config.saliency; the exact residual of the fit points
+    must not exceed config.d_max; coverage judges data support, so it sees
+    the whole neighborhood, and passes with no bad cells when
+    config.check_coverage is off. The residuals of all patches take one
+    validate.residuals pass, and their coverage one validate.coverage_evals
+    pass.
+    """
+    frames = [patch_frame(p) for p in patches]
+    fit_local = [(f - t_l) @ R_l for f, (R_l, t_l) in zip(fit_pts, frames)]
+    res = residuals(patches, fit_local).tolist()
+    cover = [(True, 0)] * len(patches)
+    if config.check_coverage:
+        nb_local = [
+            fl if nb is f else (nb - t_l) @ R_l
+            for f, nb, fl, (R_l, t_l) in zip(fit_pts, nb_pts, fit_local, frames)
+        ]
+        reports = coverage_evals(patches, nb_local, config.coverage)
+        cover = [(bool(r.passed), len(r.bad_cells)) for r in reports]
+    sal = config.saliency
+    return [
+        ValidationRecord(
+            residual=r,
+            bad_cells=n_bad,
+            curvature_ok=curvature_gate(p, sal.kappa_min, sal.kappa_max),
+            residual_ok=r <= config.d_max,
+            coverage_ok=cov_ok,
+        )
+        for p, r, (cov_ok, n_bad) in zip(patches, res, cover)
+    ]
+
+
 def gate_patch(
     patch: Patch, fit_pts: np.ndarray, nb_pts: np.ndarray, config: MapConfig
 ) -> ValidationRecord:
-    """Every gate of a camera-frame patch fitted at one seed, even after a failure.
-
-    Both principal curvatures must lie in [kappa_min, kappa_max] of
-    config.saliency; the exact residual of the fit points must not exceed
-    config.d_max; coverage judges data support, so it sees the whole
-    neighborhood nb_pts, and passes with no bad cells when
-    config.check_coverage is off.
-    """
-    R_l, t_l = patch_frame(patch)
-    fit_local = (fit_pts - t_l) @ R_l
-    res = float(residual(patch, fit_local))
-    cov_ok, n_bad = True, 0
-    if config.check_coverage:
-        nb_local = fit_local if nb_pts is fit_pts else (nb_pts - t_l) @ R_l
-        report = coverage_eval(patch, nb_local, config.coverage)
-        cov_ok, n_bad = bool(report.passed), len(report.bad_cells)
-    return ValidationRecord(
-        residual=res,
-        bad_cells=n_bad,
-        curvature_ok=curvature_gate(patch, config.saliency.kappa_min, config.saliency.kappa_max),
-        residual_ok=res <= config.d_max,
-        coverage_ok=cov_ok,
-    )
+    """Every gate of a camera-frame patch fitted at one seed: the batch of
+    one of gate_patches."""
+    return gate_patches([patch], [fit_pts], [nb_pts], config)[0]
 
 
 def map_step(
@@ -1102,15 +1132,21 @@ def map_step(
     """Run saliency, seeding, fitting, and gating over one frame.
 
     Saliency is tested only at the pixels select_seeds' walk visits, from
-    one moment image of the (possibly decimated) saliency cloud. Each seed
-    runs one procedure: neighborhood() around its pixel in the
-    full-resolution cloud (when decimating, the source pixel
-    median_decimate gives for it), fit_sample() of at most n_f points,
-    fit_patch(), then gate_patch(). A seed failing a gate is dropped under
-    the first failing one, its record's failed (curvature, residual, then
-    coverage); an admitted patch carries its ValidationRecord. A cell gets no more seeds
-    than it has room for under n_g, and admissions respect all budget
-    caps. The cloud and the gravity vector g are camera frame, so each
+    one moment image of the (possibly decimated) saliency cloud. The seeds
+    then run in batched phases. In seed order, each takes neighborhood()
+    around its pixel in the full-resolution cloud (when decimating, the
+    source pixel median_decimate gives for it) and fit_sample() of at most
+    n_f points, until work_units seeds have fit samples. fit_patches() fits
+    all samples at once, and gate_patches() gates all fits at once. Seeds
+    are then admitted in seed order: each outcome is the one a
+    seed-at-a-time loop of neighborhood, fit_sample, fit_patch and
+    gate_patch gives, and n_s, work_units and area_target stop the
+    admissions where that loop stops (wall_clock_s: see MapBudgets). A
+    seed whose fit raised is dropped as fit_failed, and a seed failing a
+    gate under the first failing one, its record's failed (curvature,
+    residual, then coverage); an admitted patch carries its
+    ValidationRecord. A cell gets no more seeds than it has room for under
+    n_g. The cloud and the gravity vector g are camera frame, so each
     patch's local z axis faces the camera at the origin. Mutates state;
     deterministic for a fixed rng_seed.
     """
@@ -1127,57 +1163,81 @@ def map_step(
     )
     ii = _moment_integral(sal_cloud.points, sal_cloud.valid_mask)
     near = _near_fixation(sal_cloud.points, gv, cfg)
-    result.timings["saliency"] = time.monotonic() - t_start
+    t_stage = time.monotonic()
+    result.timings["saliency"] = t_stage - t_start
+
+    def lap(stage: str) -> None:
+        nonlocal t_stage
+        now = time.monotonic()
+        result.timings[stage] = now - t_stage
+        t_stage = now
 
     def salient(v: np.ndarray, u: np.ndarray) -> np.ndarray:
         return saliency_filter(sal_cloud, ii, gv, cfg, v, u)
 
     seeds = select_seeds(sal_cloud, near, salient, state, rng_seed=rng_seed)
-    result.timings["seeds"] = time.monotonic() - t_start - result.timings["saliency"]
+    lap("seeds")
     result.n_seeds = len(seeds)
 
+    # the one wall clock check, ahead of the batch
+    late = budgets.wall_clock_s is not None and time.monotonic() - t_start > budgets.wall_clock_s
+    # neighborhoods and fit draws in seed order, so the rng is drawn as a
+    # seed-at-a-time loop draws it; a seed past the work-unit cap gets none
     rng = np.random.default_rng(rng_seed)
-    area_sum = sum(projected_area(mp.patch) for mp in state.patches)
-
-    for pos, seed in enumerate(seeds):
-        if (
-            (budgets.n_s is not None and len(state.patches) >= budgets.n_s)
-            or (budgets.work_units is not None and result.n_attempts >= budgets.work_units)
-            or (
-                budgets.wall_clock_s is not None
-                and time.monotonic() - t_start > budgets.wall_clock_s
-            )
-            or (budgets.area_target is not None and area_sum >= budgets.area_target)
-        ):
-            result.drops["budget"] += len(seeds) - pos
+    work: List[Optional[Tuple[Tuple[int, int], Neighborhood, np.ndarray]]] = []
+    samples = []
+    for seed in [] if late else seeds:
+        if budgets.work_units is not None and len(samples) >= budgets.work_units:
             break
-
         # seeds come from the (possibly decimated) saliency cloud; the
         # search runs on the full cloud around the pixel the seed came from
         seed_pixel = seed.pixel if source is None else tuple(source[seed.pixel].tolist())
         nb = neighborhood(config.neighborhood, cloud, seed_pixel, cfg.r)
         if len(nb.points) < MIN_FIT_POINTS:
-            result.drops["too_few_points"] += 1
+            work.append(None)
             continue
         fit_pts, fit_cvs = fit_sample(nb, config.n_f, rng)
+        work.append((seed_pixel, nb, fit_pts))
+        samples.append((fit_pts, fit_cvs))
+    lap("neighborhood")
 
+    fits = fit_patches(samples, surface=config.surface, gamma=config.gamma)
+    lap("fit")
+
+    fitted = [(w, f) for w, f in zip((w for w in work if w is not None), fits)
+              if not isinstance(f, Exception)]
+    records = iter(gate_patches(
+        [f.patch for _, f in fitted], [w[2] for w, _ in fitted], [w[1].points for w, _ in fitted],
+        config,
+    ))
+
+    # admissions in seed order, under every cap but the wall clock
+    area_sum = sum(projected_area(mp.patch) for mp in state.patches)
+    fit_iter = iter(fits)
+    for pos, seed in enumerate(seeds):
+        if (
+            late
+            or (budgets.n_s is not None and len(state.patches) >= budgets.n_s)
+            or (budgets.work_units is not None and result.n_attempts >= budgets.work_units)
+            or (budgets.area_target is not None and area_sum >= budgets.area_target)
+        ):
+            result.drops["budget"] += len(seeds) - pos
+            break
+        if work[pos] is None:
+            result.drops["too_few_points"] += 1
+            continue
+        seed_pixel = work[pos][0]
         result.n_attempts += 1
-        try:
-            fit: FitResult = fit_patch(
-                fit_pts,
-                fit_cvs,
-                surface=config.surface,
-                gamma=config.gamma,
-            )
-        except (ValueError, np.linalg.LinAlgError):
+        fit = next(fit_iter)
+        if isinstance(fit, Exception):
             result.drops["fit_failed"] += 1
             continue
-        patch_cam = fit.patch
-        record = gate_patch(patch_cam, fit_pts, nb.points, config)
+        record = next(records)
         if record.failed is not None:
             result.drops[record.failed] += 1
             continue
 
+        patch_cam = fit.patch
         patch_vol, _ = transform_patch(patch_cam, state.c_t)
         seed_vol = _pose.xform_fwd(seed.point, state.c_t.r, state.c_t.t)
         mp = MapPatch(
@@ -1193,9 +1253,7 @@ def map_step(
         state.patches.append(mp)
         area_sum += projected_area(patch_cam)
         result.admitted.append(mp)
-    total = time.monotonic() - t_start
-    result.timings["fit_validate"] = (
-        total - result.timings["saliency"] - result.timings["seeds"]
-    )
-    result.timings["total"] = total
+    lap("gates")
+    result.timings["fit_validate"] = sum(result.timings[k] for k in ("neighborhood", "fit", "gates"))
+    result.timings["total"] = time.monotonic() - t_start
     return result

@@ -3,15 +3,17 @@
 Three independent tests: the RMS exact Euclidean distance of local-frame
 points to the unbounded surface, boundary coverage on a local-frame grid,
 and a curvature gate. Each is a pure function of a fitted patch and (for
-the first two) its local-frame sample points; mapping.gate_patch runs all
-three for the pipeline.
+the first two) its local-frame sample points. The first two take a batch
+of patches, each with its own points, in one array pass (residuals,
+coverage_evals); residual and coverage_eval are their one-patch cases.
+mapping.gate_patches runs all three for every seed of a frame.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -27,10 +29,10 @@ from .patch import (
 
 __all__ = [
     "closest_point_exact",
-    "residual",
+    "residuals",
     "CoverageConfig",
     "CoverageReport",
-    "coverage_eval",
+    "coverage_evals",
     "curvature_gate",
     "principal_curvatures",
 ]
@@ -40,12 +42,13 @@ __all__ = [
 # Exact closest point
 # ---------------------------------------------------------------------------
 #
-# One kernel solves every point of a patch at once; closest_point_exact is
-# its one-row case and residual calls it once per patch. Spheres and
-# circular cylinders reduce to center and axis geometry. On the paraboloid
-# family z = (k1 x^2 + k2 y^2) / 2 the stationary points of the distance to
-# q are p(lam) = (q_x / (1 + lam k1), q_y / (1 + lam k2), q_z + lam), where
-# lam is a root of the secular equation
+# One kernel solves every point of a batch of patches at once, each row with
+# its own patch's curvatures; residuals calls it once for every patch of a
+# frame, and residual and closest_point_exact are its one-patch cases.
+# Spheres and circular cylinders reduce to center and axis geometry. On the
+# paraboloid family z = (k1 x^2 + k2 y^2) / 2 the stationary points of the
+# distance to q are p(lam) = (q_x / (1 + lam k1), q_y / (1 + lam k2),
+# q_z + lam), where lam is a root of the secular equation
 #
 #     phi(lam) = sum_i k_i q_i^2 / (2 (1 + lam k_i)^2) - q_z - lam.
 #
@@ -85,14 +88,17 @@ def _secular(k1, k2, x, y, z, lam, dx, dy):
     return phi, -1.0 - (k1 * k1 * px / dx + k2 * k2 * py / dy)
 
 
-def _paraboloid_closest(k1: float, k2: float, q: np.ndarray) -> np.ndarray:
-    """Closest points on z = (k1 x^2 + k2 y^2) / 2 to the (n, 3) rows q."""
+def _paraboloid_closest(k1: np.ndarray, k2: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Closest points on z = (k1 x^2 + k2 y^2) / 2 to the (n, 3) rows q, where
+    k1 and k2 are (n,) arrays holding each row's own curvatures."""
     x, y, z = np.array(q.T)
     phi0, dphi0 = _secular(k1, k2, x, y, z, 0.0, 1.0, 1.0)
     lower = phi0 < 0.0  # the root lies below lam = 0, else at or above it
     # half the pole that bounds that side of I, infinite on a side without one
-    half_lo = -0.5 / max(k1, k2) if max(k1, k2) > 0.0 else -np.inf
-    half_hi = -0.5 / min(k1, k2) if min(k1, k2) < 0.0 else np.inf
+    k_hi, k_lo = np.maximum(k1, k2), np.minimum(k1, k2)
+    with np.errstate(divide="ignore"):
+        half_lo = np.where(k_hi > 0.0, -0.5 / k_hi, -np.inf)
+        half_hi = np.where(k_lo < 0.0, -0.5 / k_lo, np.inf)
     half = np.where(lower, half_lo, half_hi)
     h = np.where(np.isfinite(half), half, 0.0)
     phih = _secular(k1, k2, x, y, z, h, 1.0 + h * k1, 1.0 + h * k2)[0]
@@ -105,17 +111,18 @@ def _paraboloid_closest(k1: float, k2: float, q: np.ndarray) -> np.ndarray:
     a, cx, cy, tol = np.zeros_like(x), np.ones_like(x), np.ones_like(x), np.ones_like(x)
     reach = np.where(
         lower,
-        z - 0.5 * (min(k1, 0.0) * x * x + min(k2, 0.0) * y * y),
-        0.5 * (max(k1, 0.0) * x * x + max(k2, 0.0) * y * y) - z,
+        z - 0.5 * (np.minimum(k1, 0.0) * x * x + np.minimum(k2, 0.0) * y * y),
+        0.5 * (np.maximum(k1, 0.0) * x * x + np.maximum(k2, 0.0) * y * y) - z,
     )
     m = np.minimum(np.abs(half), reach) + 0.0  # no -0.0 for the bit views
     u = np.abs(phi0 / dphi0)
     # past half the pole: a is the pole, c_i = 1 - k_i / k_b is exactly 0 on
     # the pole's own axes, m is half the pole and Newton's tolerance is
     # relative in t
-    kb = np.where(lower[near], max(k1, k2), min(k1, k2))
+    k1n, k2n = k1[near], k2[near]
+    kb = np.where(lower[near], k_hi[near], k_lo[near])
     a[near], sig[near], m[near], tol[near] = 2.0 * half[near], -sig[near], np.abs(half[near]), 0.0
-    cx[near], cy[near] = 1.0 - k1 / kb, 1.0 - k2 / kb
+    cx[near], cy[near] = 1.0 - k1n / kb, 1.0 - k2n / kb
     on_x, on_y = cx[near] == 0.0, cy[near] == 0.0
     xn, yn = x[near], y[near]
     # phi at the pole without the pole's own axes gives the squared free
@@ -123,7 +130,7 @@ def _paraboloid_closest(k1: float, k2: float, q: np.ndarray) -> np.ndarray:
     # t = q_b / (k_b p_b) is 0, or too small for a normal double
     with np.errstate(divide="ignore", invalid="ignore"):
         free2 = -2.0 / kb * _secular(
-            k1, k2, np.where(on_x, 0.0, xn), np.where(on_y, 0.0, yn), z[near], a[near],
+            k1n, k2n, np.where(on_x, 0.0, xn), np.where(on_y, 0.0, yn), z[near], a[near],
             np.where(on_x, 1.0, cx[near]), np.where(on_y, 1.0, cy[near]),
         )[0]
         q_pole = np.hypot(np.where(on_x, xn, 0.0), np.where(on_y, yn, 0.0))
@@ -138,10 +145,12 @@ def _paraboloid_closest(k1: float, k2: float, q: np.ndarray) -> np.ndarray:
         if not rows.size:
             break
         if gone:  # the constants of the rows still open
-            xr, yr, zr, ar, cxr, cyr, sr, tr = (w[rows] for w in (x, y, z, a, cx, cy, sig, tol))
+            xr, yr, zr, ar, cxr, cyr, sr, tr, k1r, k2r = (
+                w[rows] for w in (x, y, z, a, cx, cy, sig, tol, k1, k2)
+            )
         v = sr * ur
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            phi, dphi = _secular(k1, k2, xr, yr, zr, ar + v, cxr + v * k1, cyr + v * k2)
+            phi, dphi = _secular(k1r, k2r, xr, yr, zr, ar + v, cxr + v * k1r, cyr + v * k2r)
             g = sr * phi  # decreasing in u, as phi is in lam
             step = g / dphi
         lo = np.where(g > 0.0, ur, lo)
@@ -169,35 +178,69 @@ def _paraboloid_closest(k1: float, k2: float, q: np.ndarray) -> np.ndarray:
     return p
 
 
+# the closest-point geometry of a patch's rows: a sphere or circular
+# cylinder's center and axis, the plane z = 0, or the paraboloid kernel
+_ROUND, _FLAT, _PARABOLOID = range(3)
+
+
+def _closest_rows(patches: Sequence[Patch], counts: Sequence[int], q: np.ndarray):
+    """Closest points on the unbounded surfaces to the (n, 3) local-frame rows
+    q: the first counts[0] rows belong to patches[0], the next counts[1] to
+    patches[1], and so on.
+
+    Every row of each geometry is solved in one pass, the paraboloid rows in
+    one _paraboloid_closest call. Returns (points, distances) with shapes
+    (n, 3) and (n,).
+    """
+    kind, kap, k1, k2 = [], [], [], []
+    for patch in patches:
+        c1, c2 = curvature_k3(patch)[:2]
+        round_ = patch.s in (SurfaceType.SPHERE, SurfaceType.CIRCULAR_CYLINDER)
+        if round_ and patch.k[0] != 0.0:
+            kind.append(_ROUND)
+        else:
+            kind.append(_FLAT if c1 == 0.0 and c2 == 0.0 else _PARABOLOID)
+        kap.append(patch.k[0] if round_ else 0.0)
+        k1.append(c1)
+        k2.append(c2)
+    kind, kap, k1, k2 = (np.repeat(np.array(v), counts) for v in (kind, kap, k1, k2))
+    cyl = np.repeat([p.s == SurfaceType.CIRCULAR_CYLINDER for p in patches], counts)
+    p, dist = np.empty_like(q), np.empty(len(q))
+
+    at = np.flatnonzero(kind == _ROUND)
+    if at.size:
+        qr, kr = q[at], kap[at]
+        radius = 1.0 / np.abs(kr)
+        # nearest center point: the sphere center, or the foot on the axis
+        c = np.zeros_like(qr)
+        c[:, 2] = 1.0 / kr
+        c[:, 0] = np.where(cyl[at], qr[:, 0], 0.0)
+        w = qr - c
+        rho = np.sqrt(np.sum(w * w, axis=1))
+        u = np.zeros_like(qr)
+        u[:, 2] = -np.copysign(1.0, kr)
+        off = rho > 0.0
+        u[off] = w[off] / rho[off, None]
+        p[at], dist[at] = c + radius[:, None] * u, np.abs(rho - radius)
+
+    at = np.flatnonzero(kind == _FLAT)
+    p[at, :2], p[at, 2], dist[at] = q[at, :2], 0.0, np.abs(q[at, 2])
+
+    at = np.flatnonzero(kind == _PARABOLOID)
+    if at.size:
+        qp = q[at]
+        p[at] = pp = _paraboloid_closest(k1[at], k2[at], qp)
+        w = qp - pp
+        dist[at] = np.sqrt(np.sum(w * w, axis=1))
+    return p, dist
+
+
 def _closest_points(patch: Patch, q: np.ndarray):
     """Closest points on the unbounded surface to the (n, 3) local-frame rows q.
 
     Returns (points, distances) with shapes (n, 3) and (n,).
     """
-    s = patch.s
-    if s in (SurfaceType.SPHERE, SurfaceType.CIRCULAR_CYLINDER) and patch.k[0] != 0.0:
-        kap = patch.k[0]
-        radius = 1.0 / abs(kap)
-        # nearest center point: the sphere center, or the foot on the axis
-        c = np.zeros_like(q)
-        c[:, 2] = 1.0 / kap
-        if s == SurfaceType.CIRCULAR_CYLINDER:
-            c[:, 0] = q[:, 0]
-        w = q - c
-        rho = np.sqrt(np.sum(w * w, axis=1))
-        u = np.zeros_like(q)
-        u[:, 2] = -math.copysign(1.0, kap)
-        off = rho > 0.0
-        u[off] = w[off] / rho[off, None]
-        return c + radius * u, np.abs(rho - radius)
-    k1, k2 = curvature_k3(patch)[:2]
-    if k1 == 0.0 and k2 == 0.0:
-        p = q.copy()
-        p[:, 2] = 0.0
-        return p, np.abs(q[:, 2])
-    p = _paraboloid_closest(float(k1), float(k2), q)
-    w = q - p
-    return p, np.sqrt(np.sum(w * w, axis=1))
+    return _closest_rows([patch], [len(q)], q)
 
 
 def closest_point_exact(patch: Patch, q):
@@ -221,22 +264,37 @@ def closest_point_exact(patch: Patch, q):
 # ---------------------------------------------------------------------------
 
 
+def residuals(patches: Sequence[Patch], points: Sequence) -> np.ndarray:
+    """RMS Euclidean distance of each patch's local-frame points to its unbounded surface.
+
+    points[i] holds the points of patches[i]. Every point of every patch
+    is solved in one call of the closest-point kernel, one bracketed root
+    of the secular equation per point, with the hard case taken explicitly
+    (see closest_point_exact). Each patch needs at least one point, and
+    every point must be finite. Taubin's first- and second-order
+    distances (Taubin 1991) approximate this distance without bounding it,
+    so the gate does not use them.
+    """
+    pts = [np.asarray(p, dtype=float).reshape(-1, 3) for p in points]
+    counts = [len(p) for p in pts]
+    if not all(counts):
+        raise ValueError("residual needs at least one point")
+    q = np.concatenate(pts) if pts else np.empty((0, 3))
+    if not np.isfinite(q).all():
+        raise ValueError("residual needs finite points")
+    d = _closest_rows(patches, counts, q)[1]
+    ends = np.cumsum(counts).tolist()
+    return np.array([
+        math.sqrt(float(np.mean(d[e - c : e] * d[e - c : e]))) for c, e in zip(counts, ends)
+    ])
+
+
 def residual(patch: Patch, points) -> float:
     """RMS Euclidean distance from local-frame points to the unbounded surface.
 
-    Every point is solved in one call of the closest-point kernel, one
-    bracketed root of the secular equation per point, with the hard case
-    taken explicitly (see closest_point_exact). Points must be finite.
-    Taubin's first- and second-order distances (Taubin 1991) approximate
-    this distance without bounding it, so the gate does not use them.
+    The one-patch case of residuals.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    if len(pts) == 0:
-        raise ValueError("residual needs at least one point")
-    if not np.isfinite(pts).all():
-        raise ValueError("residual needs finite points")
-    d = _closest_points(patch, pts)[1]
-    return float(math.sqrt(float(np.mean(d * d))))
+    return float(residuals([patch], [points])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -287,48 +345,81 @@ def _boundary_bbox(patch: Patch):
     return v.min(axis=0), v.max(axis=0)
 
 
+def _grid(patch: Patch, w: float):
+    """Anchor and (nx, ny) cell counts of the coverage grid of side w over
+    the patch's boundary bounding box."""
+    lo, hi = _boundary_bbox(patch)
+    nx = max(1, int(math.ceil((hi[0] - lo[0]) / w - 1e-12)))
+    ny = max(1, int(math.ceil((hi[1] - lo[1]) / w - 1e-12)))
+    return lo, nx, ny
+
+
+def coverage_evals(
+    patches: Sequence[Patch], points: Sequence, config: CoverageConfig = CoverageConfig()
+) -> List[CoverageReport]:
+    """Grid test of how well local-frame points populate each boundary.
+
+    points[i] holds the points of patches[i]. A cell is bad when it holds
+    too few in-bounds points for its share of the boundary area or too many
+    out-of-bounds points; a patch fails when bad cells outnumber the
+    allowed fraction of its area. Points projecting outside their grid are
+    ignored. Every grid of the batch sits at its own offset in one count
+    array, so one bincount counts the points of all of them; each grid's
+    cell areas take one _cell_areas call.
+    """
+    w = config.w_c
+    pts = [np.asarray(p, dtype=float).reshape(-1, 3) for p in points]
+    grids = [_grid(patch, w) for patch in patches]
+    # patch i counts its in-bounds points in cells base_i + [0, nx ny) and
+    # its other points in the nx ny cells after those
+    base = np.cumsum([0] + [2 * nx * ny for _, nx, ny in grids]).tolist()
+    flat = [np.zeros(0, dtype=int)]
+    for patch, p, (lo, nx, ny), b in zip(patches, pts, grids, base):
+        # cell coordinates as floats, a column at a time; each is an
+        # integer, or not finite off the grid
+        ix, iy = ((p[:, k] - lo[k]) / w for k in (0, 1))
+        np.floor(ix, out=ix)
+        np.floor(iy, out=iy)
+        ongrid = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
+        ix *= ny
+        ix += iy
+        ix += np.where(boundary_contains(patch, p[:, :2]), b, b + nx * ny)
+        flat.append(ix[ongrid].astype(int))
+    cells = np.bincount(np.concatenate(flat), minlength=base[-1])
+
+    reports = []
+    for patch, p, (lo, nx, ny), b in zip(patches, pts, grids, base):
+        counts_in, counts_out = cells[b : b + 2 * nx * ny].reshape(2, nx, ny)
+        n_p = projected_area(patch) / (w * w)
+        n_e = len(p) / n_p
+        t_i = config.zeta_i * n_e
+        t_o = config.zeta_o * n_e
+        t_p = config.t_p_factor * n_p
+        frac = _cell_areas(patch.b, patch.d, lo, nx, ny, w) / (w * w)
+        bad = (counts_in < frac * t_i) | (counts_out > (1.0 - frac) * t_o)
+        bad_cells = tuple(map(tuple, np.argwhere(bad).tolist()))  # ix-major
+        reports.append(CoverageReport(
+            passed=len(bad_cells) <= t_p,
+            bad_cells=bad_cells,
+            origin=(float(lo[0]), float(lo[1])),
+            shape=(nx, ny),
+            w_c=w,
+            n_expected=n_e,
+            t_i=t_i,
+            t_o=t_o,
+            t_p=t_p,
+        ))
+    return reports
+
+
 def coverage_eval(
     patch: Patch, points, config: CoverageConfig = CoverageConfig()
 ) -> CoverageReport:
     """Grid test of how well local-frame points populate the boundary.
 
-    A cell is bad when it holds too few in-bounds points for its share of
-    the boundary area or too many out-of-bounds points; the patch fails
-    when bad cells outnumber the allowed fraction of the patch area.
-    Points projecting outside the grid are ignored. One array pass does
-    the whole grid: one bincount of the points and one _cell_areas call.
+    The one-patch case of coverage_evals.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    w = config.w_c
-    lo, hi = _boundary_bbox(patch)
-    nx = max(1, int(math.ceil((hi[0] - lo[0]) / w - 1e-12)))
-    ny = max(1, int(math.ceil((hi[1] - lo[1]) / w - 1e-12)))
-    xy = pts[:, :2]
-    ij = np.floor((xy - lo) / w).astype(int)
-    ongrid = (ij[:, 0] >= 0) & (ij[:, 0] < nx) & (ij[:, 1] >= 0) & (ij[:, 1] < ny)
-    # one bincount: in-bounds points count in the first grid, the rest in the second
-    flat = ij[:, 0] * ny + ij[:, 1] + np.where(boundary_contains(patch, xy), 0, nx * ny)
-    counts_in, counts_out = np.bincount(flat[ongrid], minlength=2 * nx * ny).reshape(2, nx, ny)
-
-    n_p = projected_area(patch) / (w * w)
-    n_e = len(pts) / n_p
-    t_i = config.zeta_i * n_e
-    t_o = config.zeta_o * n_e
-    t_p = config.t_p_factor * n_p
-    frac = _cell_areas(patch.b, patch.d, lo, nx, ny, w) / (w * w)
-    bad = (counts_in < frac * t_i) | (counts_out > (1.0 - frac) * t_o)
-    bad_cells = tuple(map(tuple, np.argwhere(bad).tolist()))  # ix-major
-    return CoverageReport(
-        passed=len(bad_cells) <= t_p,
-        bad_cells=bad_cells,
-        origin=(float(lo[0]), float(lo[1])),
-        shape=(nx, ny),
-        w_c=w,
-        n_expected=n_e,
-        t_i=t_i,
-        t_o=t_o,
-        t_p=t_p,
-    )
+    return coverage_evals([patch], [points], config)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -21,20 +21,26 @@ one cell at a time in scalar Python, where the pipeline takes the whole
 grid in one array pass. companion_closest_paraboloid finds a closest point
 from every real root of the closest-point quintic, one point at a time,
 where the pipeline brackets the one root of the secular equation that is
-the global minimum for all points at once.
+the global minimum for all points at once. loop_map_step runs a frame's
+seeds one at a time (neighborhood, fit_sample, fit_patch, gate_patch,
+admit) under budgets checked before every seed, where the pipeline fits
+and gates all seeds of a frame in one batched pass each.
 """
 
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.spatial import cKDTree
 
+from patchscape import mapping as pm
 from patchscape import pose as ps
-from patchscape.mapping import Neighborhood, mesh_triangles
+from patchscape.fit import MIN_FIT_POINTS, fit_patch
+from patchscape.mapping import MapBudgets, MapConfig, MapPatch, MapStepResult, Neighborhood, mesh_triangles
 from patchscape.patch import (
     BoundaryType,
     SurfaceType,
@@ -788,3 +794,73 @@ def loop_coverage_eval(patch, points, config) -> CoverageReport:
         t_o=t_o,
         t_p=t_p,
     )
+
+
+def loop_map_step(state, cloud, g, budgets=MapBudgets(), config=MapConfig(), rng_seed=None):
+    """map_step with its seeds run one at a time, without timings.
+
+    Saliency and seeding are map_step's own. Then, before each seed, every
+    budget cap is checked, the wall clock included; the seed takes its
+    neighborhood, its fit sample, fit_patch and gate_patch, and is dropped
+    or admitted before the next seed starts.
+    """
+    t_start = time.monotonic()
+    state.frame_index += 1
+    result = MapStepResult(
+        admitted=[], n_seeds=0, n_attempts=0, drops={k: 0 for k in pm._DROP_REASONS}
+    )
+    cfg = config.saliency
+    gv = pm._unit_vector(g, "gravity")
+    sal_cloud, source = (
+        pm.median_decimate(cloud, config.decimate) if config.decimate > 1 else (cloud, None)
+    )
+    ii = pm._moment_integral(sal_cloud.points, sal_cloud.valid_mask)
+    near = pm._near_fixation(sal_cloud.points, gv, cfg)
+    seeds = pm.select_seeds(
+        sal_cloud, near, lambda v, u: pm.saliency_filter(sal_cloud, ii, gv, cfg, v, u), state,
+        rng_seed=rng_seed,
+    )
+    result.n_seeds = len(seeds)
+    rng = np.random.default_rng(rng_seed)
+    area_sum = sum(projected_area(mp.patch) for mp in state.patches)
+    for pos, seed in enumerate(seeds):
+        if (
+            (budgets.n_s is not None and len(state.patches) >= budgets.n_s)
+            or (budgets.work_units is not None and result.n_attempts >= budgets.work_units)
+            or (budgets.wall_clock_s is not None
+                and time.monotonic() - t_start > budgets.wall_clock_s)
+            or (budgets.area_target is not None and area_sum >= budgets.area_target)
+        ):
+            result.drops["budget"] += len(seeds) - pos
+            break
+        seed_pixel = seed.pixel if source is None else tuple(source[seed.pixel].tolist())
+        nb = pm.neighborhood(config.neighborhood, cloud, seed_pixel, cfg.r)
+        if len(nb.points) < MIN_FIT_POINTS:
+            result.drops["too_few_points"] += 1
+            continue
+        fit_pts, fit_cvs = pm.fit_sample(nb, config.n_f, rng)
+        result.n_attempts += 1
+        try:
+            fit = fit_patch(fit_pts, fit_cvs, surface=config.surface, gamma=config.gamma)
+        except (ValueError, np.linalg.LinAlgError):
+            result.drops["fit_failed"] += 1
+            continue
+        record = pm.gate_patch(fit.patch, fit_pts, nb.points, config)
+        if record.failed is not None:
+            result.drops[record.failed] += 1
+            continue
+        patch_vol, _ = pm.transform_patch(fit.patch, state.c_t)
+        mp = MapPatch(
+            id=state.next_id,
+            patch=patch_vol,
+            cell=seed.cell,
+            seed_pixel=seed_pixel,
+            seed_point=ps.xform_fwd(seed.point, state.c_t.r, state.c_t.t),
+            frame_index=state.frame_index,
+            validation=record,
+        )
+        state.next_id += 1
+        state.patches.append(mp)
+        area_sum += projected_area(fit.patch)
+        result.admitted.append(mp)
+    return result

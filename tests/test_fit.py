@@ -364,7 +364,8 @@ def test_moment_joint_sigma_matches_tensor_oracle(nk, nr):
     # the moment block
     A = rng.standard_normal((nk + nr + 3,) * 2) * 1e-3
     sigma_state = A @ A.T
-    m, got = pf._moment_joint_sigma(*_cols(pts, covs), R, t, dR, sigma_state, nk)
+    m, sigma_m, A_r, A_t = pf._moments(*(a[None] for a in (*_cols(pts, covs), R, t, dR)))
+    got = pf._joint_sigma(sigma_m[0], A_r[0], A_t[0], sigma_state, nk)
     want = tensor_moment_joint_sigma(pts, covs, R, t, dR, sigma_state, nk)
     assert got.shape == want.shape == (5 + nk + nr + 3,) * 2
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

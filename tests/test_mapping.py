@@ -8,6 +8,7 @@ synthetic organized clouds built directly from camera intrinsics. The end-to-end
 whose ground truth curvatures are known.
 """
 
+import copy
 import math
 from collections import Counter
 from dataclasses import replace
@@ -67,6 +68,7 @@ from _oracles import (
     dense_saliency,
     eigh_integral_normals,
     kdtree_neighborhood,
+    loop_map_step,
     loop_mesh_triangles,
     whole_frame_mesh_edges,
 )
@@ -882,6 +884,26 @@ def test_select_seeds_occupancy_and_n_g_cap_each_cell(small_salient_frame):
         assert all(dense[s.pixel] for s in seeds)
 
 
+def test_select_seeds_cells_match_the_full_transform(rocky_cloud_noisy):
+    # every salient pixel in the grid is a seed, in the cell of its point
+    # under the whole camera-to-volume transform, though select_seeds
+    # computes only the volume-frame x and z
+    cloud, _ = median_decimate(rocky_cloud_noisy, 8)
+    valid = np.argwhere(cloud.valid_mask)
+    rng = np.random.default_rng(17)
+    for trial in range(12):
+        state = init_volume(v_g=int(rng.integers(4, 40)), n_g=10**6)
+        state.c_t = Pose6(rng.normal(0.0, 0.3, 3), state.c_t.t + rng.normal(0.0, 0.5, 3))
+        p_vol = xform_fwd(cloud.points[tuple(valid.T)], state.c_t.r, state.c_t.t)
+        ij = np.floor(p_vol[:, [0, 2]] / (state.v_s / state.v_g))
+        inside = ((ij >= 0) & (ij < state.v_g)).all(axis=1)
+        cells = ij[inside].astype(int).tolist()
+        want = {tuple(p): tuple(c) for p, c in zip(valid[inside].tolist(), cells)}
+        seeds = select_seeds(cloud, cloud.valid_mask, _every, state, rng_seed=trial)
+        assert {s.pixel: s.cell for s in seeds} == want
+        assert len(seeds) == len(want) > 0
+
+
 def test_select_seeds_empty_mask():
     cloud = _plane_cloud(1.0)
     assert select_seeds(cloud, np.zeros_like(cloud.valid_mask), _every, init_volume()) == []
@@ -1483,6 +1505,126 @@ def test_map_step_keeps_every_cell_within_n_g(rocky_cloud):
         res = map_step(state, rocky_cloud, _gravity_cam(), config=ROCKY_CONFIG, rng_seed=rng_seed)
         _assert_every_seed_counted(res)
     assert max(Counter(mp.cell for mp in state.patches).values()) == 2
+
+
+def _patch_bytes(mp):
+    p = mp.patch
+    arrays = (p.k, p.d, getattr(p.pose, "r", getattr(p.pose, "rxy", None)), p.pose.t, p.sigma,
+              mp.seed_point)
+    return (mp.id, mp.cell, mp.seed_pixel, mp.frame_index, p.s, p.b, type(p.pose),
+            *(np.asarray(a).tobytes() for a in arrays), mp.validation)
+
+
+def _assert_same_step(cloud, config, budgets=MapBudgets(), rng_seed=11, state=None):
+    """map_step and the seed-at-a-time loop agree to the bit on one frame."""
+    state = init_volume() if state is None else state
+    got_state, want_state = copy.deepcopy(state), copy.deepcopy(state)
+    got = map_step(got_state, cloud, _gravity_cam(), budgets=budgets, config=config, rng_seed=rng_seed)
+    want = loop_map_step(want_state, cloud, _gravity_cam(), budgets=budgets, config=config,
+                         rng_seed=rng_seed)
+    assert (got.n_seeds, got.n_attempts, got.drops) == (want.n_seeds, want.n_attempts, want.drops)
+    assert [_patch_bytes(mp) for mp in got.admitted] == [_patch_bytes(mp) for mp in want.admitted]
+    assert [_patch_bytes(mp) for mp in got_state.patches] == [
+        _patch_bytes(mp) for mp in want_state.patches
+    ]
+    assert got_state.next_id == want_state.next_id
+    _assert_every_seed_counted(got)
+    return got
+
+
+_MESH = NeighborhoodIndex(variant=NeighborhoodVariant.TRIANGLE_MESH)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        replace(ROCKY_CONFIG, n_f=50),
+        replace(ROCKY_CONFIG, n_f=50, neighborhood=_MESH),
+        replace(ROCKY_CONFIG, n_f=50, decimate=2),
+        replace(ROCKY_CONFIG, n_f=50, surface="plane"),
+        replace(ROCKY_CONFIG, n_f=50, surface="sphere"),
+        replace(ROCKY_CONFIG, n_f=50, surface="cylinder"),
+        replace(ROCKY_CONFIG, n_f=50, check_coverage=False),
+    ],
+    ids=["paraboloid", "mesh", "decimate", "plane", "sphere", "cylinder", "no_coverage"],
+)
+def test_map_step_batch_matches_seed_loop(rocky_cloud_noisy, config):
+    for rng_seed in (11, 12):
+        res = _assert_same_step(rocky_cloud_noisy, config, rng_seed=rng_seed)
+        assert res.n_attempts >= 3
+
+
+def test_map_step_batch_matches_seed_loop_on_ragged_samples(rocky_cloud_noisy, monkeypatch):
+    # n_f above some neighborhoods: the fit samples differ in size, so the
+    # batch fits several stacks
+    sizes = []
+    fit_patches = mapping.fit_patches
+
+    def recorded(samples, **kw):
+        sizes.extend(len(pts) for pts, _ in samples)
+        return fit_patches(samples, **kw)
+
+    monkeypatch.setattr(mapping, "fit_patches", recorded)
+    cfg = replace(ROCKY_CONFIG, saliency=replace(ROCKY_SALIENCY, r=0.05), n_f=1200)
+    for rng_seed in (11, 12):
+        _assert_same_step(rocky_cloud_noisy, cfg, rng_seed=rng_seed)
+    assert len(set(sizes)) > 2 and sizes.count(1200) > 1
+
+
+@pytest.mark.parametrize(
+    "budgets",
+    [MapBudgets(work_units=2), MapBudgets(n_s=1), MapBudgets(area_target=0.01),
+     MapBudgets(work_units=0), MapBudgets(n_s=0)],
+    ids=["work_units", "n_s", "area_target", "no_work", "no_room"],
+)
+def test_map_step_batch_matches_seed_loop_under_caps(rocky_cloud, budgets):
+    res = _assert_same_step(rocky_cloud, ROCKY_CONFIG, budgets=budgets)
+    # each cap stops the frame before its last seed
+    assert res.drops["budget"] > 0
+
+
+def test_map_step_batch_matches_seed_loop_with_resident_patches(rocky_cloud):
+    state = init_volume(n_g=2)
+    map_step(state, rocky_cloud, _gravity_cam(), config=ROCKY_CONFIG, rng_seed=12)
+    assert state.patches
+    _assert_same_step(rocky_cloud, ROCKY_CONFIG, budgets=MapBudgets(n_s=len(state.patches) + 1),
+                      state=state)
+
+
+def test_map_step_batch_drops_only_the_seed_whose_fit_fails(rocky_cloud_noisy, monkeypatch):
+    # the solve raises for one seed's sample, found by its first point
+    import patchscape.fit as pf
+
+    cfg = replace(ROCKY_CONFIG, n_f=50)
+    firsts = []
+    wlm = pf.wlm_minimize
+
+    def recorded(model, p0, points, covs):
+        firsts.append(points[:, 0].copy())
+        return wlm(model, p0, points, covs)
+
+    monkeypatch.setattr(pf, "wlm_minimize", recorded)
+    ref = map_step(init_volume(), rocky_cloud_noisy, _gravity_cam(), config=cfg, rng_seed=11)
+    assert ref.n_attempts >= 3 and ref.drops["fit_failed"] == 0
+    bad = firsts[1]
+
+    def failing(model, p0, points, covs):
+        if np.array_equal(points[:, 0], bad):
+            raise np.linalg.LinAlgError("singular")
+        return wlm(model, p0, points, covs)
+
+    monkeypatch.setattr(pf, "wlm_minimize", failing)
+    res = _assert_same_step(rocky_cloud_noisy, cfg)
+    assert res.drops["fit_failed"] == 1 and res.n_attempts == ref.n_attempts
+
+
+def test_map_step_stage_times_add_up(rocky_cloud):
+    res = map_step(init_volume(), rocky_cloud, _gravity_cam(), config=ROCKY_CONFIG, rng_seed=11)
+    t = res.timings
+    assert list(t) == ["saliency", "seeds", "neighborhood", "fit", "gates", "fit_validate", "total"]
+    assert all(v >= 0.0 for v in t.values())
+    assert t["fit_validate"] == t["neighborhood"] + t["fit"] + t["gates"]
+    assert sum(t[k] for k in ("saliency", "seeds", "fit_validate")) <= t["total"] + 1e-9
 
 
 def _half_covered_cap():

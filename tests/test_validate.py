@@ -29,12 +29,15 @@ from patchscape.validate import (
     _boundary_bbox,
     _cell_areas,
     _closest_points,
+    _closest_rows,
     _half_axis,
     closest_point_exact,
     coverage_eval,
+    coverage_evals,
     curvature_gate,
     principal_curvatures,
     residual,
+    residuals,
 )
 
 from _oracles import (
@@ -479,6 +482,64 @@ def test_half_axis_squares_round_as_scalar_pow():
         ref = np.array([(np.float64(v) / a) ** 2 for v in ends.ravel()]).reshape(ends.shape)
         assert np.array_equal(q, ref)
     assert np.count_nonzero(qs != (s / a) * (s / a)) > 0  # the case is exercised
+
+
+def test_residuals_of_a_batch_equal_each_patch_alone():
+    # one kernel call over mixed families, the hard-case rows included,
+    # gives each patch its own residual and closest points to the bit
+    rng = np.random.default_rng(15)
+    patches = [_parab(kx, ky) for kx, ky in _K_MATRIX] + [
+        Patch(S.SPHERE, B.CIRCLE, [2.0], [0.3], _ID5),
+        Patch(S.SPHERE, B.CIRCLE, [0.0], [0.3], _ID5),
+        Patch(S.CIRCULAR_CYLINDER, B.AARECT, [-3.0], [0.3, 0.2], _ID6),
+        _PLANE_CIRCLE,
+    ]
+    order = rng.permutation(len(patches))
+    patches = [patches[i] for i in order]
+    pts = [_mixed_batch(p, rng)[: int(rng.integers(1, 69))] for p in patches]
+    got = residuals(patches, pts)
+    assert got.tolist() == [residual(p, q) for p, q in zip(patches, pts)]
+    p_all, d_all = _closest_rows(patches, [len(q) for q in pts], np.vstack(pts))
+    at = 0
+    for patch, q in zip(patches, pts):
+        p, d = _closest_points(patch, q)
+        assert np.array_equal(p_all[at : at + len(q)], p)
+        assert np.array_equal(d_all[at : at + len(q)], d)
+        at += len(q)
+    with pytest.raises(ValueError):
+        residuals(patches[:2], [pts[0], np.zeros((0, 3))])
+
+
+def test_coverage_evals_of_a_batch_equal_each_patch_alone():
+    # one bincount over every grid of the batch gives each patch the report
+    # coverage_eval and the per-cell loop give it alone
+    rng = np.random.default_rng(16)
+    cfg = CoverageConfig()
+    patches, pts = [], []
+    for trial in range(12):
+        bt = [B.ELLIPSE, B.CIRCLE, B.AARECT, B.CQUAD][trial % 4]
+        d = _random_d(bt, rng)
+        patch = Patch(S.PLANE, bt, [], d, _ID5 if bt == B.CIRCLE else _ID6)
+        lo, hi = _boundary_bbox(patch)
+        xy = rng.uniform(1.2 * lo, 1.2 * hi, (int(rng.integers(1, 3000)), 2))
+        xy[: len(xy) // 5, 0] = lo[0] + rng.integers(0, 5, len(xy) // 5) * cfg.w_c  # on grid lines
+        if trial % 3 == 0:
+            # an even lattice fill of pitch w/3 from the grid anchor, which passes
+            w = cfg.w_c
+            gx, gy = (lo[a] + np.arange(int((hi[a] - lo[a]) * 3 / w) + 1) * (w / 3) for a in (0, 1))
+            lattice = np.stack(np.meshgrid(gx, gy, indexing="ij"), axis=-1).reshape(-1, 2)
+            xy = np.vstack([lattice[boundary_contains(patch, lattice)], xy[:5]])
+        patches.append(patch)
+        pts.append(np.column_stack([xy, rng.normal(0.0, 0.01, len(xy))]))
+    got = coverage_evals(patches, pts, cfg)
+    assert got == [coverage_eval(p, q, cfg) for p, q in zip(patches, pts)]
+    for report, patch, q in zip(got, patches, pts):
+        ref = loop_coverage_eval(patch, q, cfg)
+        assert (report.bad_cells, report.n_expected, report.passed) == (
+            ref.bad_cells, ref.n_expected, ref.passed
+        )
+    assert {r.passed for r in got} == {True, False}
+    assert coverage_evals([], [], cfg) == []
 
 
 # ---------------------------------------------------------------------------
