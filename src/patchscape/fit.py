@@ -166,7 +166,7 @@ def _implicit_model(K: np.ndarray, rot_dof: int, t_line):
         def jac():
             # dF/dp = df/dp / s - f / (s v) cg^T d2f/dq dp, each parameter one
             # row; the contraction comes in closed form from c_l = R^T cg
-            dR = _pose.jac_exp(r3)
+            dR = _pose._jac_exp_at(R, r3)
             cl = R.T @ cg
             kcl = k3 * cl
             Jp, cgH = np.empty((2, npar, points.shape[1]))
@@ -648,7 +648,7 @@ def _finish(pts, cv, states, gamma):
     """
     r3 = [r if len(r) == 3 else _pose.rxy_to_r(r) for _, _, _, r, _, _ in states]
     R = np.stack([_pose.exp_map(r) for r in r3])
-    dR = np.stack([_pose.jac_exp(r) for r in r3])
+    dR = np.stack([_pose._jac_exp_at(R_i, r) for R_i, r in zip(R, r3)])
     t = np.stack([st[4] for st in states])
     m, sigma_m, A_r, A_t = _moments(pts, cv, R, t, dR)
     patches = []

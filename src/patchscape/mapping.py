@@ -90,14 +90,68 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+# Widest block whose median member median_decimate finds by counting ranks:
+# the count compares every pair of members, decimate**4 / 2 plane
+# comparisons, and wider blocks take a stable sort instead.
+_RANK_MEMBERS = 16
+
+
+def _median_members(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Median member and valid-member count of each block of depths.
+
+    z is (h2, f, w2, f): block (i, j) holds z[i, :, j, :], whose member
+    a f + b is z[i, a, j, b]. Returns (pick, n), both (h2, w2): n counts
+    the block's finite depths, and pick is the member at position
+    (n - 1) // 2 (0 when n = 0) of the stable order by key, the depth with
+    every non-finite depth set to +inf.
+    """
+    h2, f, w2, _ = z.shape
+    m = f * f
+    if m > _RANK_MEMBERS:
+        z = z.transpose(0, 2, 1, 3).reshape(h2, w2, m)
+        finite = np.isfinite(z)
+        order = np.argsort(np.where(finite, z, np.inf), axis=2, kind="stable")
+        n = np.count_nonzero(finite, axis=2)
+        pick = np.take_along_axis(order, np.maximum(n - 1, 0)[..., None] // 2, axis=2)[..., 0]
+        return pick, n
+
+    # member-major planes: key[i] holds member i of every block
+    key = np.empty((f, f, h2, w2))
+    np.copyto(key, z.transpose(1, 3, 0, 2))
+    key = key.reshape(m, h2, w2)
+    finite = np.isfinite(key)
+    np.copyto(key, np.inf, where=~finite)
+    n = finite.sum(axis=0, dtype=np.uint8)
+    # stable rank of member i: the members with a smaller key plus the
+    # earlier members with an equal one; it starts at i, each later member
+    # below i adds one to i's rank, and takes one from its own
+    rank = np.empty((m, h2, w2), dtype=np.uint8)
+    rank[:] = np.arange(m, dtype=np.uint8)[:, None, None]
+    for i in range(m - 1):
+        below = key[i + 1 :] < key[i]
+        rank[i] += below.sum(axis=0, dtype=np.uint8)
+        rank[i + 1 :] -= below
+    # the ranks of a block are 0 .. m - 1, so exactly one member matches
+    target = (np.maximum(n, 1) - 1) // 2
+    pick = np.zeros((h2, w2), dtype=np.intp)
+    for i in range(1, m):
+        np.copyto(pick, i, where=rank[i] == target)
+    return pick, n
+
+
 def median_decimate(cloud: OrganizedCloud, factor: int = 2) -> Tuple[OrganizedCloud, np.ndarray]:
     """Downsample by picking the median-depth member of each block.
 
     Each factor x factor block contributes the member point whose z is
     the (lower) median of the block's valid depths, so its measured
-    covariance row rides along. Among members tied at that depth, the
-    earliest in row-major block order is picked. Blocks with no valid
-    member become NaN.
+    covariance row rides along. With n valid members, it is the member at
+    position (n - 1) // 2 when the block's members, in row-major block
+    order, are stably sorted by depth (non-finite depths last). Among
+    members tied at that depth this is not always the earliest: a block
+    whose four depths all tie gives member (0, 1). Blocks with no valid
+    member become NaN. Blocks of at most _RANK_MEMBERS members find that
+    member by counting each member's rank with comparisons between member
+    planes; wider blocks sort.
     Intrinsics are rescaled to the decimated grid. Returns (cloud,
     source): source is (h, w, 2), the full-resolution (row, col) pixel of
     the member each decimated pixel holds.
@@ -106,15 +160,8 @@ def median_decimate(cloud: OrganizedCloud, factor: int = 2) -> Tuple[OrganizedCl
         raise ValueError("factor must be a positive integer")
     h, w = cloud.points.shape[:2]
     h2, w2 = h // factor, w // factor
-    pts = cloud.points[: h2 * factor, : w2 * factor]
-    z = pts[..., 2].reshape(h2, factor, w2, factor).transpose(0, 2, 1, 3)
-    z = z.reshape(h2, w2, factor * factor)
-    finite = np.isfinite(z)
-    order = np.argsort(np.where(finite, z, np.inf), axis=2, kind="stable")
-    n = np.count_nonzero(finite, axis=2)
-    pick = np.take_along_axis(
-        order, np.maximum(n - 1, 0)[..., None] // 2, axis=2
-    )[..., 0]
+    z = cloud.points[: h2 * factor, : w2 * factor, 2]
+    pick, n = _median_members(z.reshape(h2, factor, w2, factor))
 
     # block-member index back to full-resolution pixel coordinates
     bi, bj = np.divmod(pick, factor)
@@ -333,8 +380,10 @@ def integral_normals(
             n[blk] = _window_normals(_box_sums(ii, v[blk], u[blk], half[b : b + _BLOCK]))
         return n
 
-    # row-major pixel order keeps each block's lookups close in the image
-    at = np.lexsort((u, v))
+    # row-major pixel order keeps each block's lookups close in the image;
+    # pixels met more than once may come in any order, as each row depends
+    # on its own pixel alone
+    at = np.argsort(v * cloud.points.shape[1] + u)
     at = at[np.isfinite(z[at])]
     n = solve(at, 2.0)
     if keep is not None:
@@ -725,8 +774,9 @@ def neighborhood(
         sel = sel[label[sel[:, 0], sel[:, 1]] == label[si - rows.start, sj - cols.start]]
     sel = sel + (rows.start, cols.start)
 
-    pts = cloud.points[sel[:, 0], sel[:, 1]]
-    cvs = cloud.cov[sel[:, 0], sel[:, 1]] if cloud.cov is not None else None
+    flat = sel[:, 0] * cloud.points.shape[1] + sel[:, 1]
+    pts = np.take(cloud.points.reshape(-1, 3), flat, axis=0)
+    cvs = np.take(cloud.cov.reshape(-1, 6), flat, axis=0) if cloud.cov is not None else None
     return Neighborhood(points=pts, covs=cvs, pixels=sel)
 
 
@@ -986,7 +1036,9 @@ def remap_patches(
 # ---------------------------------------------------------------------------
 
 
-_MAX_DECIMATE = 4096  # widest block; median_decimate sorts decimate**2 depths per block
+# widest block; past _RANK_MEMBERS members, median_decimate sorts
+# decimate**2 depths per block
+_MAX_DECIMATE = 4096
 
 
 @dataclass(frozen=True)
@@ -1075,6 +1127,15 @@ class MapStepResult:
 _DROP_REASONS = ("too_few_points", "fit_failed", *_GATES, "budget")
 
 
+def _minus(pts: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(n, 3) points less t, one column at a time: the same bits as the
+    (n, 3) - (3,) broadcast, whose inner loop runs three elements at a time."""
+    d = np.empty_like(pts)
+    for c in range(3):
+        np.subtract(pts[:, c], t[c], out=d[:, c])
+    return d
+
+
 def gate_patches(
     patches: List[Patch], fit_pts: List[np.ndarray], nb_pts: List[np.ndarray], config: MapConfig
 ) -> List[ValidationRecord]:
@@ -1090,12 +1151,13 @@ def gate_patches(
     pass.
     """
     frames = [patch_frame(p) for p in patches]
-    fit_local = [(f - t_l) @ R_l for f, (R_l, t_l) in zip(fit_pts, frames)]
+    fit_local = [_minus(f, t_l) @ R_l for f, (R_l, t_l) in zip(fit_pts, frames)]
     res = residuals(patches, fit_local).tolist()
     cover = [(True, 0)] * len(patches)
     if config.check_coverage:
+        # coverage reads the local x and y alone
         nb_local = [
-            fl if nb is f else (nb - t_l) @ R_l
+            fl if nb is f else _minus(nb, t_l) @ R_l[:, :2]
             for f, nb, fl, (R_l, t_l) in zip(fit_pts, nb_pts, fit_local, frames)
         ]
         reports = coverage_evals(patches, nb_local, config.coverage)

@@ -226,13 +226,18 @@ def _jr_inv(r: np.ndarray) -> np.ndarray:
     return _rodrigues_form(x, y, z, 0.5, e)
 
 
+def _jac_exp_at(R: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """jac_exp(r) from R = exp_map(r), which the caller already holds."""
+    return R @ np.array([skew(c) for c in _jr(r).T.tolist()])
+
+
 def jac_exp(r) -> np.ndarray:
     """Derivative of the Rodrigues matrix: shape (3, 3, 3), [m] = dR/dr_m.
 
     dR/dr_m = R(r) [J_r(r) e_m]_x.
     """
     v = _as_vec3(r, "rotation vector")
-    return exp_map(v) @ np.array([skew(c) for c in _jr(v).T.tolist()])
+    return _jac_exp_at(exp_map(v), v)
 
 
 def _fix_pi_sign(r: np.ndarray) -> np.ndarray:

@@ -359,7 +359,8 @@ def coverage_evals(
 ) -> List[CoverageReport]:
     """Grid test of how well local-frame points populate each boundary.
 
-    points[i] holds the points of patches[i]. A cell is bad when it holds
+    points[i] holds the points of patches[i], one row each, of which only
+    the local x and y columns are read. A cell is bad when it holds
     too few in-bounds points for its share of the boundary area or too many
     out-of-bounds points; a patch fails when bad cells outnumber the
     allowed fraction of its area. Points projecting outside their grid are
@@ -368,7 +369,7 @@ def coverage_evals(
     cell areas take one _cell_areas call.
     """
     w = config.w_c
-    pts = [np.asarray(p, dtype=float).reshape(-1, 3) for p in points]
+    pts = [np.asarray(p, dtype=float) for p in points]
     grids = [_grid(patch, w) for patch in patches]
     # patch i counts its in-bounds points in cells base_i + [0, nx ny) and
     # its other points in the nx ny cells after those

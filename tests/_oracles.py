@@ -9,6 +9,9 @@ direct form, with the per-point second-derivative tensor, and
 tensor_moment_joint_sigma is its moment covariance with the per-point
 (5, 3) moment Jacobian; all three take row-major (n, 3) points and
 (n, 3, 3) covariances, where the fit works on (3, n) and (3, 3, n).
+loop_median_decimate picks each block's median member with a stable
+Python sort, one block at a time, where the pipeline ranks the members of
+small blocks by comparing member planes.
 kdtree_neighborhood and connected_ball_neighborhood search the whole frame
 for the neighborhoods the pipeline finds in the seed's window, and
 loop_mesh_triangles tests one grid triangle at a time in Python floats,
@@ -331,6 +334,33 @@ def dense_saliency(cloud, normals, g, cfg):
         don = np.einsum("hwi,hwi->hw", n, n_s) >= math.cos(math.radians(cfg.phi_d))
         dong = -(n @ gv) >= math.cos(math.radians(cfg.phi_g))
     return ok & near & don & dong
+
+
+def loop_median_decimate(cloud, factor):
+    """median_decimate one block at a time: (points, cov, source).
+
+    Each block's members, in row-major block order, are stably sorted by
+    depth with every non-finite depth as +inf, and the member at position
+    (n - 1) // 2 of the n finite ones is picked; a block with none picks
+    its first member and keeps NaN. cov is None when the cloud has none.
+    """
+    h2, w2 = (s // factor for s in cloud.points.shape[:2])
+    pts = np.full((h2, w2, 3), np.nan)
+    cov = None if cloud.cov is None else np.full((h2, w2, 6), np.nan)
+    source = np.zeros((h2, w2, 2), dtype=int)
+    for i in range(h2):
+        for j in range(w2):
+            members = [(i * factor + a, j * factor + b) for a in range(factor) for b in range(factor)]
+            z = [float(cloud.points[px][2]) for px in members]
+            key = [d if math.isfinite(d) else math.inf for d in z]
+            n = sum(math.isfinite(d) for d in z)
+            pick = members[sorted(range(len(members)), key=key.__getitem__)[max(n - 1, 0) // 2]]
+            source[i, j] = pick
+            if n:
+                pts[i, j] = cloud.points[pick]
+                if cov is not None:
+                    cov[i, j] = cloud.cov[pick]
+    return pts, cov, source
 
 
 def _at_pixels(cloud, sel):

@@ -69,6 +69,7 @@ from _oracles import (
     eigh_integral_normals,
     kdtree_neighborhood,
     loop_map_step,
+    loop_median_decimate,
     loop_mesh_triangles,
     whole_frame_mesh_edges,
 )
@@ -242,6 +243,42 @@ def test_median_decimate_breaks_depth_ties_by_block_order():
         assert out.points[i, j].tobytes() == cloud.points[pick].tobytes()
         assert out.cov[i, j].tobytes() == cov[pick].tobytes()
     assert n_tied > 512
+
+
+@pytest.mark.parametrize("factor", range(1, 9))
+def test_median_decimate_matches_loop_oracle(factor):
+    # a 61x83 frame, which no factor past 1 divides; depths tie, hold NaN,
+    # +-inf and +-0.0, and x, y and the covariance differ per pixel, so a
+    # different pick among tied members shows. Factors 1-4 rank the block
+    # members and 5-8 sort them.
+    rng = np.random.default_rng(factor)
+    intr = replace(TINY, width=83, height=61, cx=41.0, cy=30.0)
+    pts = rng.normal(size=(61, 83, 3))
+    z = rng.choice([0.5, 1.0, 1.5, 0.0, -0.0, np.nan, np.inf, -np.inf], size=(61, 83))
+    smooth = rng.random((61, 83)) < 0.3
+    z[smooth] = rng.uniform(0.5, 2.0, smooth.sum())
+    z[rng.random((61, 83)) < 0.05] = np.nan  # also blocks of one valid member, or none
+    z[:8, :8] = np.nan
+    pts[..., 2] = z
+    cloud = OrganizedCloud(points=pts, cov=rng.random((61, 83, 6)), intrinsics=intr)
+    out, source = median_decimate(cloud, factor)
+    want_pts, want_cov, want_source = loop_median_decimate(cloud, factor)
+    assert source.tobytes() == want_source.tobytes()
+    assert out.points.tobytes() == want_pts.tobytes()
+    assert out.cov.tobytes() == want_cov.tobytes()
+    assert out.valid_mask.any() and not out.valid_mask.all()
+
+
+@pytest.mark.parametrize("factor", [2, 3, 4, 5])
+def test_median_decimate_picks_the_middle_of_an_all_tied_block(factor):
+    # the member at position (n - 1) // 2 of the stable order, which for a
+    # block of four tied depths is (0, 1), not the earliest member (0, 0)
+    intr = replace(TINY, width=factor, height=factor, cx=0.0, cy=0.0)
+    cloud = _depth_cloud(intr, np.ones((factor, factor)))
+    out, source = median_decimate(cloud, factor)
+    pick = divmod((factor * factor - 1) // 2, factor)
+    assert tuple(source[0, 0]) == pick
+    assert out.points[0, 0].tobytes() == cloud.points[pick].tobytes()
 
 
 def test_median_decimate_carries_matching_covariance():
@@ -431,6 +468,25 @@ def test_integral_normals_solves_only_where_asked(rocky_cloud_noisy):
     for got, want, at in ((n, dense_n, solved), (n_s, dense_ns, fine)):
         assert np.array_equal(got[at], want[v[at], u[at]], equal_nan=True)
         assert np.isnan(got[~at]).all()
+
+
+def test_integral_normals_rows_follow_their_own_pixel(rocky_cloud_noisy):
+    # a shuffled pixel list with repeats gives every pixel the bytes it gets
+    # in a list of distinct pixels, whatever order the pixels are solved in
+    cloud, _ = median_decimate(rocky_cloud_noisy, 4)
+    ii = _moments(cloud)
+    v, u = _every_pixel(cloud)
+
+    def keep(n):
+        return n[:, 2] < -0.8
+
+    n, n_s = integral_normals(cloud, ii, 0.15, v, u, keep=keep)
+    rng = np.random.default_rng(8)
+    at = rng.permutation(np.concatenate([np.arange(len(v)), rng.choice(len(v), len(v) // 2)]))
+    got, got_s = integral_normals(cloud, ii, 0.15, v[at], u[at], keep=keep)
+    assert np.isfinite(n_s).any() and np.isnan(n).any()
+    assert got.tobytes() == n[at].tobytes()
+    assert got_s.tobytes() == n_s[at].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -533,6 +533,8 @@ def test_coverage_evals_of_a_batch_equal_each_patch_alone():
         pts.append(np.column_stack([xy, rng.normal(0.0, 0.01, len(xy))]))
     got = coverage_evals(patches, pts, cfg)
     assert got == [coverage_eval(p, q, cfg) for p, q in zip(patches, pts)]
+    # coverage reads the local x and y alone
+    assert coverage_evals(patches, [q[:, :2] for q in pts], cfg) == got
     for report, patch, q in zip(got, patches, pts):
         ref = loop_coverage_eval(patch, q, cfg)
         assert (report.bad_cells, report.n_expected, report.passed) == (
