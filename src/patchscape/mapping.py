@@ -90,10 +90,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-# Widest block whose median member median_decimate finds by counting ranks:
-# the count compares every pair of members, decimate**4 / 2 plane
-# comparisons, and wider blocks take a stable sort instead.
-_RANK_MEMBERS = 16
+# Widest block median_decimate takes: the rank count holds ranks and valid
+# counts in uint8, so a block has at most 255 members, and 15 x 15 = 225 is
+# the widest square block that fits.
+_MAX_DECIMATE = 15
 
 
 def _median_members(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -107,14 +107,6 @@ def _median_members(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """
     h2, f, w2, _ = z.shape
     m = f * f
-    if m > _RANK_MEMBERS:
-        z = z.transpose(0, 2, 1, 3).reshape(h2, w2, m)
-        finite = np.isfinite(z)
-        order = np.argsort(np.where(finite, z, np.inf), axis=2, kind="stable")
-        n = np.count_nonzero(finite, axis=2)
-        pick = np.take_along_axis(order, np.maximum(n - 1, 0)[..., None] // 2, axis=2)[..., 0]
-        return pick, n
-
     # member-major planes: key[i] holds member i of every block
     key = np.empty((f, f, h2, w2))
     np.copyto(key, z.transpose(1, 3, 0, 2))
@@ -149,15 +141,15 @@ def median_decimate(cloud: OrganizedCloud, factor: int = 2) -> Tuple[OrganizedCl
     order, are stably sorted by depth (non-finite depths last). Among
     members tied at that depth this is not always the earliest: a block
     whose four depths all tie gives member (0, 1). Blocks with no valid
-    member become NaN. Blocks of at most _RANK_MEMBERS members find that
-    member by counting each member's rank with comparisons between member
-    planes; wider blocks sort.
+    member become NaN. Every block finds that member by counting each
+    member's rank with comparisons between member planes. ValueError
+    unless 1 <= factor <= _MAX_DECIMATE.
     Intrinsics are rescaled to the decimated grid. Returns (cloud,
     source): source is (h, w, 2), the full-resolution (row, col) pixel of
     the member each decimated pixel holds.
     """
-    if factor < 1:
-        raise ValueError("factor must be a positive integer")
+    if not 1 <= factor <= _MAX_DECIMATE:
+        raise ValueError(f"factor must lie in [1, {_MAX_DECIMATE}]")
     h, w = cloud.points.shape[:2]
     h2, w2 = h // factor, w // factor
     z = cloud.points[: h2 * factor, : w2 * factor, 2]
@@ -1036,11 +1028,6 @@ def remap_patches(
 # ---------------------------------------------------------------------------
 
 
-# widest block; past _RANK_MEMBERS members, median_decimate sorts
-# decimate**2 depths per block
-_MAX_DECIMATE = 4096
-
-
 @dataclass(frozen=True)
 class MapConfig:
     """Per-frame pipeline options feeding map_step.
@@ -1049,7 +1036,8 @@ class MapConfig:
     of the cloud, or regular grids of perfectly good data read as holes.
     ValueError unless n_f is at least the fit minimum, surface is one of
     fit.SURFACES, 0 < gamma < 1, d_max is finite and non-negative, and
-    decimate lies in [0, _MAX_DECIMATE].
+    decimate lies in [0, _MAX_DECIMATE]: median_decimate counts ranks in
+    uint8, which holds the 225 members of a 15 x 15 block but not 256.
     """
 
     saliency: SaliencyConfig = SaliencyConfig()

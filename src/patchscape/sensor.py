@@ -81,13 +81,19 @@ class CameraIntrinsics:
                              f"got {self.width!r} and {self.height!r}")
 
     def scaled(self, factor: float) -> "CameraIntrinsics":
-        """Intrinsics after decimating the image by an integer factor."""
+        """Intrinsics after decimating the image by an integer factor.
+
+        Decimated pixel j stands for the block of full-resolution pixels
+        j f .. j f + f - 1, whose centre is j f + (f - 1) / 2, so the
+        principal point moves to (c - (f - 1) / 2) / f.
+        """
+        shift = (factor - 1) / 2
         return replace(
             self,
             fx=self.fx / factor,
             fy=self.fy / factor,
-            cx=self.cx / factor,
-            cy=self.cy / factor,
+            cx=(self.cx - shift) / factor,
+            cy=(self.cy - shift) / factor,
             width=int(self.width // factor),
             height=int(self.height // factor),
         )

@@ -235,14 +235,6 @@ def _closest_rows(patches: Sequence[Patch], counts: Sequence[int], q: np.ndarray
     return p, dist
 
 
-def _closest_points(patch: Patch, q: np.ndarray):
-    """Closest points on the unbounded surface to the (n, 3) local-frame rows q.
-
-    Returns (points, distances) with shapes (n, 3) and (n,).
-    """
-    return _closest_rows([patch], [len(q)], q)
-
-
 def closest_point_exact(patch: Patch, q):
     """Closest point on the unbounded surface to one local-frame point.
 
@@ -255,7 +247,7 @@ def closest_point_exact(patch: Patch, q):
     free coordinate. Spheres and circular cylinders use center and axis
     geometry. Returns (point, distance).
     """
-    p, d = _closest_points(patch, np.asarray(q, dtype=float).reshape(1, 3))
+    p, d = _closest_rows([patch], [1], np.asarray(q, dtype=float).reshape(1, 3))
     return p[0], float(d[0])
 
 

@@ -11,7 +11,7 @@ tensor_moment_joint_sigma is its moment covariance with the per-point
 (n, 3, 3) covariances, where the fit works on (3, n) and (3, 3, n).
 loop_median_decimate picks each block's median member with a stable
 Python sort, one block at a time, where the pipeline ranks the members of
-small blocks by comparing member planes.
+every block by comparing member planes.
 kdtree_neighborhood and connected_ball_neighborhood search the whole frame
 for the neighborhoods the pipeline finds in the seed's window, and
 loop_mesh_triangles tests one grid triangle at a time in Python floats,

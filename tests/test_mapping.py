@@ -245,12 +245,13 @@ def test_median_decimate_breaks_depth_ties_by_block_order():
     assert n_tied > 512
 
 
-@pytest.mark.parametrize("factor", range(1, 9))
+@pytest.mark.parametrize("factor", range(1, 16))
 def test_median_decimate_matches_loop_oracle(factor):
     # a 61x83 frame, which no factor past 1 divides; depths tie, hold NaN,
     # +-inf and +-0.0, and x, y and the covariance differ per pixel, so a
-    # different pick among tied members shows. Factors 1-4 rank the block
-    # members and 5-8 sort them.
+    # different pick among tied members shows. Factors 1-15 cover every
+    # block width median_decimate takes; the all-NaN corner holds an empty
+    # block at each of them.
     rng = np.random.default_rng(factor)
     intr = replace(TINY, width=83, height=61, cx=41.0, cy=30.0)
     pts = rng.normal(size=(61, 83, 3))
@@ -258,7 +259,7 @@ def test_median_decimate_matches_loop_oracle(factor):
     smooth = rng.random((61, 83)) < 0.3
     z[smooth] = rng.uniform(0.5, 2.0, smooth.sum())
     z[rng.random((61, 83)) < 0.05] = np.nan  # also blocks of one valid member, or none
-    z[:8, :8] = np.nan
+    z[:15, :15] = np.nan
     pts[..., 2] = z
     cloud = OrganizedCloud(points=pts, cov=rng.random((61, 83, 6)), intrinsics=intr)
     out, source = median_decimate(cloud, factor)
@@ -269,7 +270,7 @@ def test_median_decimate_matches_loop_oracle(factor):
     assert out.valid_mask.any() and not out.valid_mask.all()
 
 
-@pytest.mark.parametrize("factor", [2, 3, 4, 5])
+@pytest.mark.parametrize("factor", [2, 3, 4, 5, 15])
 def test_median_decimate_picks_the_middle_of_an_all_tied_block(factor):
     # the member at position (n - 1) // 2 of the stable order, which for a
     # block of four tied depths is (0, 1), not the earliest member (0, 0)
@@ -293,8 +294,12 @@ def test_median_decimate_carries_matching_covariance():
 
 
 def test_median_decimate_rejects_bad_factor():
-    with pytest.raises(ValueError):
-        median_decimate(_plane_cloud(), 0)
+    # past 15, a block's 256 or more members overflow the uint8 rank count
+    for factor in (0, 16):
+        with pytest.raises(ValueError, match=r"^factor must lie in \[1, 15\]$"):
+            median_decimate(_plane_cloud(), factor)
+    with pytest.raises(ValueError, match=r"^decimate must lie in \[0, 15\]$"):
+        MapConfig(decimate=16)
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,21 @@ def test_preset_values():
 
 def test_scaled_intrinsics():
     h = KINECT_640.scaled(2)
-    assert h.fx == 262.5 and h.cx == 159.75
+    assert h.fx == 262.5 and h.cx == 159.5
     assert (h.width, h.height) == (320, 240)
+
+
+@pytest.mark.parametrize("factor", [2, 3, 4])
+def test_scaled_intrinsics_project_block_centres_onto_decimated_pixels(factor):
+    # a point on the ray through the centre of block (i, j) must project to
+    # decimated pixel (j, i)
+    small = KINECT_640.scaled(factor)
+    i, j = np.meshgrid(np.arange(small.height), np.arange(small.width), indexing="ij")
+    centre = np.stack([j.ravel(), i.ravel()], axis=1) * factor + (factor - 1) / 2
+    z = np.random.default_rng(factor).uniform(0.5, 5.0, len(centre))
+    pts = pixel_rays(KINECT_640, centre) * z[:, None]
+    want = np.stack([j.ravel(), i.ravel()], axis=1)
+    assert np.allclose(project(small, pts), want, rtol=0.0, atol=1e-9)
 
 
 def test_project_backproject_round_trip():

@@ -28,7 +28,6 @@ from patchscape.validate import (
     CoverageConfig,
     _boundary_bbox,
     _cell_areas,
-    _closest_points,
     _closest_rows,
     _half_axis,
     closest_point_exact,
@@ -201,7 +200,7 @@ def test_batch_kernel_matches_companion_per_row():
     for kx, ky in _K_MATRIX:
         patch = _parab(kx, ky)
         pts = _mixed_batch(patch, rng)
-        _, d = _closest_points(patch, pts)
+        _, d = _closest_rows([patch], [len(pts)], pts)
         k = curvature_k3(patch)[:2]
         ref = [companion_closest_paraboloid(*k, q)[1] for q in pts]
         _assert_rows_agree(d, np.array(ref))
@@ -222,7 +221,7 @@ def test_closest_point_near_symmetry_plane():
                 q[b], q[1 - b], q[2] = off, 0.05, 2.0 / kb
                 rows.append(q)
         pts, patch = np.array(rows), _parab(kx, ky)
-        p, d = _closest_points(patch, pts)
+        p, d = _closest_rows([patch], [len(pts)], pts)
         gap = np.abs(0.5 * (kx * p[:, 0] ** 2 + ky * p[:, 1] ** 2) - p[:, 2])
         assert np.all(gap <= 1e-12 * (1.0 + np.abs(p[:, 2]))), (kx, ky, gap.max())
         brute = np.array([brute_closest_paraboloid(kx, ky, q) for q in pts])
@@ -241,7 +240,7 @@ def test_batch_kernel_sphere_and_cylinder_rows():
         # rows at the center (sphere) or on the axis (cylinder) lie one
         # radius from the surface
         for patch, centered in ((sph, [0]), (cyl, [0, 1])):
-            p, d = _closest_points(patch, pts)
+            p, d = _closest_rows([patch], [len(pts)], pts)
             one = [closest_point_exact(patch, q) for q in pts]
             _assert_rows_agree(d, np.array([dist for _, dist in one]))
             assert np.array_equal(p, [pt for pt, _ in one])
@@ -258,7 +257,7 @@ def test_residual_batch_equals_points_one_at_a_time():
     for patch in patches:
         pts = _mixed_batch(patch, rng)
         d = np.array([closest_point_exact(patch, q)[1] for q in pts])
-        assert np.array_equal(_closest_points(patch, pts)[1], d)
+        assert np.array_equal(_closest_rows([patch], [len(pts)], pts)[1], d)
         assert residual(patch, pts) == math.sqrt(float(np.mean(d * d)))
 
 
@@ -502,7 +501,7 @@ def test_residuals_of_a_batch_equal_each_patch_alone():
     p_all, d_all = _closest_rows(patches, [len(q) for q in pts], np.vstack(pts))
     at = 0
     for patch, q in zip(patches, pts):
-        p, d = _closest_points(patch, q)
+        p, d = _closest_rows([patch], [len(q)], q)
         assert np.array_equal(p_all[at : at + len(q)], p)
         assert np.array_equal(d_all[at : at + len(q)], d)
         at += len(q)
