@@ -616,14 +616,22 @@ def _checked(what: str, fn, *args, **kwargs):
         raise _BadInput(f"{what}{e}") from e
 
 
+def _read_trajectory(path: str) -> List[Pose6]:
+    """The camera poses of a --trajectory file, a JSON list of at least one pose."""
+    poses = _checked("bad trajectory: ", _read_json, path, List[_pose])
+    if not poses:
+        raise _BadInput("bad trajectory: it holds no pose")
+    return poses
+
+
 def cmd_simulate(args) -> int:
+    if args.frames < 1:
+        raise _BadInput("--frames must be at least 1")
     surfaces, intr, cam, noise = _checked("bad scene spec: ", load_scene_spec, args.scene)
     if args.no_noise:
         noise = None
 
-    poses = [cam] * args.frames
-    if args.trajectory is not None:
-        poses = _checked("bad trajectory: ", _read_json, args.trajectory, List[_pose])
+    poses = [cam] * args.frames if args.trajectory is None else _read_trajectory(args.trajectory)
 
     frame_paths = []
     for i, pose in enumerate(poses):
@@ -731,9 +739,7 @@ def cmd_map(args) -> int:
 def cmd_track(args) -> int:
     if args.policy not in [p.value for p in MovePolicy]:
         raise _BadInput(f"unknown policy: {args.policy}")
-    poses = _checked("bad trajectory: ", _read_json, args.trajectory, List[_pose])
-    if not poses:
-        raise _BadInput("trajectory is empty")
+    poses = _read_trajectory(args.trajectory)
     state = _checked("", init_volume, poses[0], policy=args.policy, c_d=args.c_d, c_a=args.c_a)
 
     if args.map is not None:
@@ -810,7 +816,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("simulate", help="render organized clouds of a synthetic scene")
     s.add_argument("--scene", required=True, help="scene spec JSON")
-    s.add_argument("--frames", type=int, default=1)
+    s.add_argument("--frames", type=int, default=1,
+                   help="frames at the scene's camera pose, at least 1; --trajectory overrides it")
     s.add_argument("--trajectory", help="JSON list of per-frame camera poses")
     s.add_argument("--no-noise", action="store_true", help="disable the spec's noise model")
     s.add_argument("--seed", type=int, default=0)

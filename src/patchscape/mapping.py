@@ -6,9 +6,9 @@ selection in the volume frame among the pixels that pass the hiking
 saliency filter, per-seed neighborhood search over the seed's
 backprojected window (the Euclidean ball, or its part that a triangle
 mesh built over that window alone joins to the seed), and patch
-fit/validate with curvature, residual, and coverage gates. The fits and
-the gates take every seed of a frame in one batched pass each, and the
-seeds are then admitted one at a time, in seed order, under the budgets.
+fit/validate with curvature, residual, and coverage gates. The seeds of
+a frame run in three phases: try (neighborhoods and fit draws in seed
+order), fit and gate (one batched pass each) and admit (in seed order).
 
 Saliency is solved seed first. Once per frame, map_step builds one
 integral image of the point moments and keeps the DtFP pixels; each seed
@@ -1066,17 +1066,16 @@ class MapConfig:
 class MapBudgets:
     """Stopping rules for one map_step call.
 
-    n_s caps the total resident patch count. work_units caps the number
-    of fit attempts this call, the deterministic stand-in for a per-frame
-    time slice; wall_clock_s is a real time limit instead (set only from a
-    map config file's budgets, no command line flag; inherently
-    nondeterministic). The fits and gates of a frame run as one batch, so
-    wall_clock_s is checked once, after seed selection and before the
-    batch: a frame whose saliency and seeding outlast it drops every seed
-    as "budget", and any other frame runs all its seeds. area_target stops
-    admissions once the summed projected patch areas reach it. Once any cap
-    is reached, the seeds not yet tried count as "budget" drops. None leaves
-    a cap off; ValueError for a negative or NaN cap.
+    n_s caps the total resident patch count, and area_target the summed
+    projected patch area. work_units caps the number of fit attempts this
+    call, the deterministic stand-in for a per-frame time slice;
+    wall_clock_s is a real time limit instead (set only from a map config
+    file's budgets, no command line flag; inherently nondeterministic),
+    checked once, after seed selection and before the batched fits. One
+    rule follows: a seed is tried unless the wall clock ran out before the
+    batch or work_units seeds already have fit samples, and every seed not
+    tried, or after an n_s or area_target stop, is a "budget" drop. None
+    leaves a cap off; ValueError for a negative or NaN cap.
     """
 
     n_s: Optional[int] = None
@@ -1096,13 +1095,16 @@ class MapStepResult:
     """One frame's admissions, seed accounting and stage times.
 
     Each seed not admitted counts once in drops: too_few_points,
-    fit_failed, its first failing gate, or budget. timings holds seconds
-    per stage: "saliency" (decimation, the moment image and DtFP over the
-    frame), "seeds" (select_seeds, including the normals and the DoNG and
-    DoN tests it solves at the pixels its walk visits), "neighborhood"
-    (every seed's neighborhood and fit draw), "fit" (the batched fits),
-    "gates" (the batched gates and the admissions), "fit_validate" (the
-    sum of the last three) and "total".
+    fit_failed, its first failing gate, or budget. A seed is tried unless
+    the wall clock ran out before the batch or work_units seeds already
+    had fit samples, and every seed not tried, or after an n_s or
+    area_target stop, is a budget drop. timings holds seconds per stage:
+    "saliency" (decimation, the moment image and DtFP over the frame),
+    "seeds" (select_seeds, including the normals and the DoNG and DoN
+    tests it solves at the pixels its walk visits), "neighborhood" (every
+    seed's neighborhood and fit draw), "fit" (the batched fits), "gates"
+    (the batched gates and the admissions), "fit_validate" (the sum of the
+    last three) and "total".
     """
 
     admitted: List[MapPatch]
@@ -1183,24 +1185,24 @@ def map_step(
 
     Saliency is tested only at the pixels select_seeds' walk visits, from
     one moment image of the (possibly decimated) saliency cloud. The seeds
-    then run in batched phases. In seed order, each takes neighborhood()
-    around its pixel in the full-resolution cloud (when decimating, the
-    source pixel median_decimate gives for it) and fit_sample() of at most
-    n_f points, until work_units seeds have fit samples. fit_patches() fits
-    all samples at once, and gate_patches() gates all fits at once. Seeds
-    are then admitted in seed order: each outcome is the one a
+    then run in three phases. Try: in seed order, each seed takes
+    neighborhood() around its pixel in the full-resolution cloud (when
+    decimating, the source pixel median_decimate gives for it) and
+    fit_sample() of at most n_f points, none below MIN_FIT_POINTS. Fit and
+    gate: one fit_patches() and one gate_patches() call make each tried
+    seed a drop reason (too_few_points, fit_failed, or its record's failed:
+    curvature, residual, then coverage) or a fit and its ValidationRecord.
+    Admit: in seed order, until n_s or area_target stops the frame. A seed
+    is tried unless the wall clock ran out before the batch or work_units
+    seeds already have samples, and every seed not tried, or after an n_s
+    or area_target stop, is a budget drop. Each outcome is the one a
     seed-at-a-time loop of neighborhood, fit_sample, fit_patch and
-    gate_patch gives, and n_s, work_units and area_target stop the
-    admissions where that loop stops (wall_clock_s: see MapBudgets). A
-    seed whose fit raised is dropped as fit_failed, and a seed failing a
-    gate under the first failing one, its record's failed (curvature,
-    residual, then coverage); an admitted patch carries its
-    ValidationRecord. A cell gets no more seeds than it has room for under
+    gate_patch gives. A cell gets no more seeds than it has room for under
     n_g. The cloud and the gravity vector g are camera frame, so each
     patch's local z axis faces the camera at the origin. Mutates state;
     deterministic for a fixed rng_seed.
     """
-    t_start = time.monotonic()
+    stamps = [time.monotonic()]  # the start, then the end of each stage
     state.frame_index += 1
     result = MapStepResult(
         admitted=[], n_seeds=0, n_attempts=0, drops={k: 0 for k in _DROP_REASONS}
@@ -1213,97 +1215,75 @@ def map_step(
     )
     ii = _moment_integral(sal_cloud.points, sal_cloud.valid_mask)
     near = _near_fixation(sal_cloud.points, gv, cfg)
-    t_stage = time.monotonic()
-    result.timings["saliency"] = t_stage - t_start
-
-    def lap(stage: str) -> None:
-        nonlocal t_stage
-        now = time.monotonic()
-        result.timings[stage] = now - t_stage
-        t_stage = now
+    stamps.append(time.monotonic())
 
     def salient(v: np.ndarray, u: np.ndarray) -> np.ndarray:
         return saliency_filter(sal_cloud, ii, gv, cfg, v, u)
 
     seeds = select_seeds(sal_cloud, near, salient, state, rng_seed=rng_seed)
-    lap("seeds")
+    stamps.append(time.monotonic())
     result.n_seeds = len(seeds)
 
-    # the one wall clock check, ahead of the batch
-    late = budgets.wall_clock_s is not None and time.monotonic() - t_start > budgets.wall_clock_s
-    # neighborhoods and fit draws in seed order, so the rng is drawn as a
-    # seed-at-a-time loop draws it; a seed past the work-unit cap gets none
+    # try: (pixel, neighborhood, fit sample or None) per tried seed, drawn
+    # from rng in seed order as a seed-at-a-time loop draws them
+    late = budgets.wall_clock_s is not None and stamps[-1] - stamps[0] > budgets.wall_clock_s
     rng = np.random.default_rng(rng_seed)
-    work: List[Optional[Tuple[Tuple[int, int], Neighborhood, np.ndarray]]] = []
-    samples = []
+    tried, n_samples = [], 0
     for seed in [] if late else seeds:
-        if budgets.work_units is not None and len(samples) >= budgets.work_units:
+        if budgets.work_units is not None and n_samples >= budgets.work_units:
             break
         # seeds come from the (possibly decimated) saliency cloud; the
         # search runs on the full cloud around the pixel the seed came from
-        seed_pixel = seed.pixel if source is None else tuple(source[seed.pixel].tolist())
-        nb = neighborhood(config.neighborhood, cloud, seed_pixel, cfg.r)
-        if len(nb.points) < MIN_FIT_POINTS:
-            work.append(None)
-            continue
-        fit_pts, fit_cvs = fit_sample(nb, config.n_f, rng)
-        work.append((seed_pixel, nb, fit_pts))
-        samples.append((fit_pts, fit_cvs))
-    lap("neighborhood")
+        pixel = seed.pixel if source is None else tuple(source[seed.pixel].tolist())
+        nb = neighborhood(config.neighborhood, cloud, pixel, cfg.r)
+        sample = fit_sample(nb, config.n_f, rng) if len(nb.points) >= MIN_FIT_POINTS else None
+        n_samples += sample is not None
+        tried.append((pixel, nb, sample))
+    stamps.append(time.monotonic())
 
-    fits = fit_patches(samples, surface=config.surface, gamma=config.gamma)
-    lap("fit")
+    # fit and gate: each tried seed's outcome, a drop reason or (fit, record)
+    fits = iter(fit_patches([s for *_, s in tried if s is not None],
+                            surface=config.surface, gamma=config.gamma))
+    stamps.append(time.monotonic())
+    outcomes = ["too_few_points" if s is None else next(fits) for *_, s in tried]
+    outcomes = ["fit_failed" if isinstance(o, Exception) else o for o in outcomes]
+    fitted = [i for i, o in enumerate(outcomes) if not isinstance(o, str)]
+    records = gate_patches([outcomes[i].patch for i in fitted], [tried[i][2][0] for i in fitted],
+                           [tried[i][1].points for i in fitted], config)
+    for i, record in zip(fitted, records):
+        outcomes[i] = record.failed or (outcomes[i], record)
 
-    fitted = [(w, f) for w, f in zip((w for w in work if w is not None), fits)
-              if not isinstance(f, Exception)]
-    records = iter(gate_patches(
-        [f.patch for _, f in fitted], [w[2] for w, _ in fitted], [w[1].points for w, _ in fitted],
-        config,
-    ))
-
-    # admissions in seed order, under every cap but the wall clock
+    # admit the tried seeds in seed order, until the n_s or area_target cap
     area_sum = sum(projected_area(mp.patch) for mp in state.patches)
-    fit_iter = iter(fits)
-    for pos, seed in enumerate(seeds):
-        if (
-            late
-            or (budgets.n_s is not None and len(state.patches) >= budgets.n_s)
-            or (budgets.work_units is not None and result.n_attempts >= budgets.work_units)
-            or (budgets.area_target is not None and area_sum >= budgets.area_target)
+    for seed, (pixel, _, sample), outcome in zip(seeds, tried, outcomes):
+        if (budgets.n_s is not None and len(state.patches) >= budgets.n_s) or (
+            budgets.area_target is not None and area_sum >= budgets.area_target
         ):
-            result.drops["budget"] += len(seeds) - pos
             break
-        if work[pos] is None:
-            result.drops["too_few_points"] += 1
-            continue
-        seed_pixel = work[pos][0]
-        result.n_attempts += 1
-        fit = next(fit_iter)
-        if isinstance(fit, Exception):
-            result.drops["fit_failed"] += 1
-            continue
-        record = next(records)
-        if record.failed is not None:
-            result.drops[record.failed] += 1
+        result.n_attempts += sample is not None
+        if isinstance(outcome, str):
+            result.drops[outcome] += 1
             continue
 
-        patch_cam = fit.patch
-        patch_vol, _ = transform_patch(patch_cam, state.c_t)
-        seed_vol = _pose.xform_fwd(seed.point, state.c_t.r, state.c_t.t)
+        fit, record = outcome
+        patch_vol, _ = transform_patch(fit.patch, state.c_t)
         mp = MapPatch(
             id=state.next_id,
             patch=patch_vol,
             cell=seed.cell,
-            seed_pixel=seed_pixel,
-            seed_point=seed_vol,
+            seed_pixel=pixel,
+            seed_point=_pose.xform_fwd(seed.point, state.c_t.r, state.c_t.t),
             frame_index=state.frame_index,
             validation=record,
         )
         state.next_id += 1
         state.patches.append(mp)
-        area_sum += projected_area(patch_cam)
+        area_sum += projected_area(fit.patch)
         result.admitted.append(mp)
-    lap("gates")
-    result.timings["fit_validate"] = sum(result.timings[k] for k in ("neighborhood", "fit", "gates"))
-    result.timings["total"] = time.monotonic() - t_start
+    # the seeds the admissions did not reach: not tried, or after a cap
+    result.drops["budget"] = len(seeds) - len(result.admitted) - sum(result.drops.values())
+    stamps.append(time.monotonic())
+    stages = ("saliency", "seeds", "neighborhood", "fit", "gates")
+    t = result.timings = {k: b - a for k, a, b in zip(stages, stamps, stamps[1:])}
+    t.update(fit_validate=t["neighborhood"] + t["fit"] + t["gates"], total=stamps[-1] - stamps[0])
     return result

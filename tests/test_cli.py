@@ -559,6 +559,16 @@ def test_simulate_accepts_zero_baseline_without_stereo(tmp_path, capsys):
     assert cloud.intrinsics.baseline == 0.0 and cloud.valid_mask.any()
 
 
+@pytest.mark.parametrize("frames", ["0", "-1"])
+def test_simulate_rejects_fewer_than_one_frame(tmp_path, capsys, frames):
+    argv = ["simulate", "--scene", str(_small_scene(tmp_path, None)), "--frames", frames,
+            "--out", str(tmp_path / "x")]
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: --frames must be at least 1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.json"]
+
+
 def test_simulate_seed_ignores_environment(tmp_path, monkeypatch):
     """The seed is --seed, else 0; no environment variable changes it."""
     monkeypatch.setenv("PATCHSCAPE_SEED", "5")
@@ -687,8 +697,13 @@ def test_map_admits_and_reports(dome_dir, dome_map):
         assert rec["frame_index"] == 1
     stats = (dome_dir / "stats.csv").read_text().splitlines()
     header = stats[0].split(",")
-    assert header[:4] == ["frame", "seeds", "fits", "admitted"]
-    assert "drop_coverage" in header and "t_total_s" in header
+    assert header == [
+        "frame", "seeds", "fits", "admitted",
+        "drop_too_few_points", "drop_fit_failed", "drop_curvature", "drop_residual",
+        "drop_coverage", "drop_budget",
+        "t_read_s", "t_saliency_s", "t_seeds_s", "t_neighborhood_s", "t_fit_s", "t_gates_s",
+        "t_fit_validate_s", "t_total_s",
+    ]
     row = dict(zip(header, stats[1].split(",")))
     assert int(row["admitted"]) == len(doc["patches"])
     assert float(row["t_total_s"]) > 0
@@ -830,10 +845,10 @@ def test_track_empty_trajectory(tmp_path):
 @pytest.mark.parametrize("command", ["simulate", "track"])
 @pytest.mark.parametrize(
     "traj",
-    [[3], ["x"], {"t": [0.0, 0.0, 0.0]}, [{"t": {}}], [{"t": ["0", "0", "0"]}],
+    [[], [3], ["x"], {"t": [0.0, 0.0, 0.0]}, [{"t": {}}], [{"t": ["0", "0", "0"]}],
      [{"t": [True, 0.0, 0.0]}], [{"t": [None, 0.0, 0.0]}]],
-    ids=["entry_number", "entry_string", "top_level_object", "t_not_numbers", "t_strings",
-         "t_true", "t_null"],
+    ids=["empty", "entry_number", "entry_string", "top_level_object", "t_not_numbers",
+         "t_strings", "t_true", "t_null"],
 )
 def test_bad_trajectory_is_bad_input(tmp_path, capsys, command, traj):
     """simulate and track read --trajectory alike: exit 1 and one error line."""

@@ -1644,6 +1644,23 @@ def test_map_step_batch_matches_seed_loop_under_caps(rocky_cloud, budgets):
     assert res.drops["budget"] > 0
 
 
+@pytest.mark.parametrize(
+    "budgets, counts",
+    [(MapBudgets(work_units=2), (2, 1, 1)), (MapBudgets(wall_clock_s=1e9), (3, 1, 0))],
+    ids=["work_units", "wall_clock_never_out"],
+)
+def test_map_step_batch_matches_seed_loop_around_too_few_points(rocky_cloud_noisy, budgets,
+                                                                counts):
+    # 8 mm mesh neighborhoods: the seeds run fit, too few points, fit, fit,
+    # so two work units put the too-few seed before the cap and the last
+    # seed after it, and a wall clock that never runs out tries them all
+    cfg = replace(ROCKY_CONFIG, saliency=replace(ROCKY_SALIENCY, r=0.008), n_f=50,
+                  neighborhood=_MESH)
+    res = _assert_same_step(rocky_cloud_noisy, cfg, budgets=budgets)
+    assert res.n_seeds == 4
+    assert (res.n_attempts, res.drops["too_few_points"], res.drops["budget"]) == counts
+
+
 def test_map_step_batch_matches_seed_loop_with_resident_patches(rocky_cloud):
     state = init_volume(n_g=2)
     map_step(state, rocky_cloud, _gravity_cam(), config=ROCKY_CONFIG, rng_seed=12)
