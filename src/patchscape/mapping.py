@@ -11,13 +11,16 @@ a frame run in three phases: try (neighborhoods and fit draws in seed
 order), fit and gate (one batched pass each) and admit (in seed order).
 
 Saliency is solved seed first. Once per frame, map_step builds one
-integral image of the point moments and keeps the DtFP pixels; each seed
-cell then walks its DtFP pixels in a random order, in growing chunks,
-until the cell has its seeds. The walks run in rounds: one round tests
-the next chunk of every unfinished cell at once, DoNG on the coarse
-normal and then DoN on the fine one, each scale solved only at the
-pixels that passed every test before it. Normals are thus solved only at
-the pixels the seed draw visits, never over the whole frame.
+integral image of the point moments and keeps the DtFP pixels. The image
+is stored column-major, each pixel's ten running sums side by side, so a
+window corner is one contiguous row; it is built in blocks of image rows
+with no full-frame buffer besides itself. Each seed cell then walks its
+DtFP pixels in a random order, in growing chunks, until the cell has its
+seeds. The walks run in rounds: one round tests the next chunk of every
+unfinished cell at once, DoNG on the coarse normal and then DoN on the
+fine one, each scale solved only at the pixels that passed every test
+before it. Normals are thus solved only at the pixels the seed draw
+visits, never over the whole frame.
 
 The map lives in a cubic local volumetric workspace whose frame sits at a
 top corner with y pointing down. The volume follows the camera under one
@@ -197,49 +200,72 @@ _MIN_SUPPORT = 6
 # and a cell walked to its end pays NumPy's per-call overhead few times.
 _FIRST_CHUNK = 64
 
+# Image rows _moment_integral fills per block: the block's (_ROWS, 10, W)
+# moment planes, under 1 MB at 640 wide, stay in a core's L2 cache from the
+# fill through the running sums to the transposed copy.
+_ROWS = 16
+
 
 def _moment_integral(points: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """(10, H + 1, W + 1) zero-padded running sums of [1, p, upper(p p^T)].
+    """(W + 1, (H + 1) * 10) zero-padded running sums of [1, p, upper(p p^T)].
 
-    Any window's point count, coordinate sums and second moments are then
-    four lookups. The sums run down the rows first, each row adding the one
-    above it, and then along each row, as np.cumsum over axis 1 and then
-    axis 2 would; the box sums, and so every normal and saliency verdict,
-    rely on that order for their last bits. The running sums are taken in
-    place, so this image is the only full-frame buffer.
+    Image column j is row j, and the ten sums over the window [0, i) x
+    [0, j) sit side by side at [j, 10 i : 10 i + 10], so any window's point
+    count, coordinate sums and second moments are four contiguous 80-byte
+    reads. The image is built _ROWS image rows at a time in a small
+    buffer: fill the ten moment planes, add the running column sums one
+    image row at a time, and copy the block transposed into its columns of
+    the image. Once every block is in, each row of the image adds the one
+    before it. Every sum is formed by the same adds, in the same order, as
+    np.cumsum down the rows and then along them of the (10, H + 1, W + 1)
+    image would form it; the box sums, and so every normal and saliency
+    verdict, rely on that order for their last bits. The image is the only
+    full-frame buffer.
     """
     h, w = valid.shape
-    ii = np.zeros((10, h + 1, w + 1))
-    m = ii[:, 1:, 1:]
-    m[0] = valid
-    for c in range(3):
-        np.copyto(m[1 + c], points[..., c], where=valid)
-    for c, (i, j) in enumerate(_UPPER):
-        np.multiply(m[1 + i], m[1 + j], out=m[4 + c])
-    # one contiguous row addition at a time: np.cumsum over axis 1 walks
-    # each column a row's stride apart, which costs more
-    for i in range(1, h + 1):
-        np.add(ii[:, i], ii[:, i - 1], out=ii[:, i])
-    np.cumsum(ii, axis=2, out=ii)
+    ii = np.zeros((w + 1, (h + 1) * 10))
+    cols = ii.reshape(w + 1, h + 1, 10)[1:]  # pixel (i, j) sums at cols[j, i + 1]
+    buf = np.zeros((_ROWS + 1, 10, w))  # buf[0] carries the column sums of the rows above
+    for i0 in range(0, h, _ROWS):
+        n = min(_ROWS, h - i0)
+        m, ok = buf[1 : n + 1], valid[i0 : i0 + n]
+        m[:, 0] = ok
+        m[:, 1:4] = 0.0
+        for c in range(3):
+            np.copyto(m[:, 1 + c], points[i0 : i0 + n, :, c], where=ok)
+        for c, (i, j) in enumerate(_UPPER):
+            np.multiply(m[:, 1 + i], m[:, 1 + j], out=m[:, 4 + c])
+        for r in range(1, n + 1):
+            np.add(buf[r - 1], buf[r], out=buf[r])
+        np.copyto(cols[:, i0 + 1 : i0 + n + 1], m.transpose(2, 0, 1))
+        buf[0] = buf[n]
+    # one contiguous row addition per image column: np.cumsum runs each
+    # pixel's sums as one serial chain of adds, which costs more
+    for j in range(1, w + 1):
+        np.add(ii[j - 1], ii[j], out=ii[j])
     return ii
 
 
 def _box_sums(ii: np.ndarray, v: np.ndarray, u: np.ndarray, half: np.ndarray) -> np.ndarray:
     """(10, n) moment sums over frame-clipped windows centered at pixels (v, u).
 
-    Each window spans half[i] pixels on every side of its center.
+    Each window spans half[i] pixels on every side of its center. ii is a
+    _moment_integral image; each window corner is one row of ten sums of
+    ii viewed as ((W + 1) (H + 1), 10), so the four corners are four
+    gathers of (n, 10) rows, and the result is the transposed view of
+    their sum.
     """
-    _, h1, w1 = ii.shape
-    flat = ii.reshape(len(ii), -1)
-    lo_v = np.clip(v - half, 0, h1 - 1) * w1
-    hi_v = np.clip(v + half + 1, 0, h1 - 1) * w1
-    lo_u = np.clip(u - half, 0, w1 - 1)
-    hi_u = np.clip(u + half + 1, 0, w1 - 1)
-    s = np.take(flat, hi_v + hi_u, axis=1)
-    s -= np.take(flat, lo_v + hi_u, axis=1)
-    s -= np.take(flat, hi_v + lo_u, axis=1)
-    s += np.take(flat, lo_v + lo_u, axis=1)
-    return s
+    w1, h1 = len(ii), ii.shape[1] // 10
+    flat = ii.reshape(-1, 10)
+    lo_v = np.clip(v - half, 0, h1 - 1)
+    hi_v = np.clip(v + half + 1, 0, h1 - 1)
+    lo_u = np.clip(u - half, 0, w1 - 1) * h1
+    hi_u = np.clip(u + half + 1, 0, w1 - 1) * h1
+    s = np.take(flat, hi_u + hi_v, axis=0)
+    s -= np.take(flat, hi_u + lo_v, axis=0)
+    s -= np.take(flat, lo_u + hi_v, axis=0)
+    s += np.take(flat, lo_u + lo_v, axis=0)
+    return s.T
 
 
 def _null_vector(a, lam: np.ndarray) -> np.ndarray:
@@ -349,6 +375,10 @@ def integral_normals(
     The one moment image holds the count, coordinate sums and the six
     distinct second moments, so any window costs four lookups and a pixel
     is solved in O(1) whenever it is asked for (Holzer et al., IROS 2012).
+    The image is column-major with each pixel's ten sums side by side, so
+    each lookup is one contiguous row of ten sums, and a block of pixels
+    costs four (n, 10) gathers. A window wider than the frame is clipped
+    to the whole frame, however small Z(i) is.
     Each normal is the smallest-eigenvalue eigenvector of its window
     covariance, in closed form (trigonometric eigenvalues, a cross-product
     null vector and one Rayleigh-quotient refinement). Windows whose
@@ -361,11 +391,14 @@ def integral_normals(
     if not 0.0 < r < math.inf:
         raise ValueError(f"r must be positive and finite, got {r}")
     z = cloud.points[v, u, 2]
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         wpx = np.where(z > 0.0, 2.0 * r * cloud.intrinsics.fx / z, 0.0)
+    # a half-width of max(H, W) already clips to the whole frame; capped
+    # before the cast, an inf or huge one cannot wrap around to a negative
+    cap = max(cloud.points.shape[:2])
 
     def solve(at: np.ndarray, div: float) -> np.ndarray:
-        half = np.maximum((wpx[at] / div).astype(int), 1)
+        half = np.maximum(np.minimum(wpx[at] / div, cap).astype(int), 1)
         n = np.full((len(z), 3), np.nan)
         for b in range(0, len(at), _BLOCK):
             blk = at[b : b + _BLOCK]
@@ -451,10 +484,19 @@ def _dist(points: np.ndarray, c: np.ndarray) -> np.ndarray:
     sqrt((dx dx + dy dy) + dz dz) over per-coordinate arrays: the operations
     np.linalg.norm(points - c, axis=-1) does, in its order, so it matches
     that norm bit for bit without the (..., 3) difference array and its
-    strided reduction. NaN where a point has a NaN coordinate.
+    strided reduction. The sum is built in place in one buffer, with one
+    more for each coordinate's square. NaN where a point has a NaN
+    coordinate.
     """
-    dx, dy, dz = (points[..., k] - c[k] for k in range(3))
-    return np.sqrt((dx * dx + dy * dy) + dz * dz)
+    d = points[..., 0] - c[0]
+    d *= d
+    t = points[..., 1] - c[1]
+    t *= t
+    d += t
+    np.subtract(points[..., 2], c[2], out=t)
+    t *= t
+    d += t
+    return np.sqrt(d, out=d)
 
 
 def _near_fixation(points: np.ndarray, gv: np.ndarray, cfg: SaliencyConfig) -> np.ndarray:

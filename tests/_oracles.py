@@ -18,8 +18,9 @@ loop_mesh_triangles tests one grid triangle at a time in Python floats,
 where the pipeline takes each family of grid edges in one array pass.
 eigh_integral_normals and dense_saliency solve normals and saliency at
 every pixel, where the pipeline tests only the pixels its seed walk
-visits. cumsum_moment_integral builds the moment image with two
-np.cumsum calls, where the pipeline adds one row at a time. cell_intersection_area and loop_coverage_eval compute coverage
+visits. cumsum_moment_integral builds the (10, H + 1, W + 1) moment
+image with two np.cumsum calls, where the pipeline builds it column-major,
+each pixel's ten sums side by side, in blocks of image rows. cell_intersection_area and loop_coverage_eval compute coverage
 one cell at a time in scalar Python, where the pipeline takes the whole
 grid in one array pass. companion_closest_paraboloid finds a closest point
 from every real root of the closest-point quintic, one point at a time,
@@ -277,8 +278,10 @@ def eigh_integral_normals(cloud, r, f=None, min_support=6):
     h, w = valid.shape
     fpx = float(f) if f is not None else cloud.intrinsics.fx
     z = points[..., 2]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        wpx = np.where(valid & (z > 0.0), 2.0 * r * fpx / z, 0.0)
+    # a window of 4 max(H, W) px already clips to the whole frame at either
+    # scale; an uncapped inf would wrap around in the int cast
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        wpx = np.minimum(np.where(valid & (z > 0.0), 2.0 * r * fpx / z, 0.0), 4 * max(h, w))
 
     def integral(img):
         out = np.zeros((h + 1, w + 1) + img.shape[2:])

@@ -360,6 +360,22 @@ def test_integral_normals_rejects_bad_inputs():
         _normal_images(replace(cloud, intrinsics=replace(TINY, fx=-1.0)), 0.1)
 
 
+def test_integral_normals_window_wider_than_any_frame_is_the_whole_frame():
+    # at z = 1e-310 the window width 2 r f / z overflows to inf; the pixel's
+    # windows clip to the whole frame, with no overflow or cast warning
+    intr = replace(TINY, width=30, height=20, cx=14.5, cy=9.5)
+    rows, cols = np.indices((intr.height, intr.width))
+    z = 1.0 + 0.01 * cols + 0.02 * rows
+    z[10, 15] = 1e-310
+    cloud = _depth_cloud(intr, z)
+    ii = cumsum_moment_integral(cloud.points, cloud.valid_mask)
+    whole = ii[:, -1, -1] - ii[:, 0, -1] - ii[:, -1, 0] + ii[:, 0, 0]
+    want = mapping._window_normals(whole[:, None])
+    assert np.isfinite(want).all()
+    n, n_s = integral_normals(cloud, _moments(cloud), 0.1, np.array([10]), np.array([15]))
+    assert np.array_equal(n, want) and np.array_equal(n_s, want)
+
+
 def _sym_psd(rng, lam):
     """Random-orientation symmetric matrices with eigenvalues lam (n, 3)."""
     q, _ = np.linalg.qr(rng.normal(size=(len(lam), 3, 3)))
@@ -565,12 +581,73 @@ def _dtfp(cloud, g, cfg):
         return np.linalg.norm(cloud.points - fixation_point(gv, cfg.l_d, cfg.l_f), axis=-1) <= cfg.R
 
 
-@pytest.mark.parametrize("frame", ["full", "decimated", "holes"])
+def _oracle_layout(ii):
+    """A _moment_integral image as the (10, H + 1, W + 1) array of the oracle."""
+    return np.ascontiguousarray(ii.reshape(len(ii), -1, 10).transpose(2, 1, 0))
+
+
+_ODD_FRAMES = ["ragged", "short", "one_pixel", "one_row", "one_column", "all_invalid",
+               "signed_zeros", "huge"]
+
+
+def _odd_frame(kind):
+    """(points, valid) of a frame whose size or values the moment image must
+    take as the oracle does: a height that is not a multiple of _ROWS, one
+    block's worth or less, a single pixel, row or column, no valid pixel,
+    coordinates of +-0.0, and coordinates whose moments overflow."""
+    rows = mapping._ROWS
+    shape = {"ragged": (2 * rows + 5, 23), "short": (rows - 3, 41), "one_pixel": (1, 1),
+             "one_row": (1, 29), "one_column": (rows + 1, 1)}.get(kind, (rows + 2, 13))
+    rng = np.random.default_rng(7)
+    p = rng.normal(size=shape + (3,))
+    if kind == "signed_zeros":
+        p[rng.random(p.shape) < 0.6] = 0.0
+        p[rng.random(p.shape) < 0.5] *= -1.0
+    if kind == "huge":
+        p *= 10.0 ** rng.uniform(100.0, 300.0, size=p.shape)
+    if kind != "one_pixel":
+        p[rng.random(shape) < (1.0 if kind == "all_invalid" else 0.2)] = np.nan
+    return p, np.isfinite(p).all(axis=-1)
+
+
+@pytest.mark.parametrize("frame", ["full", "decimated", "holes", *_ODD_FRAMES])
 def test_moment_integral_matches_cumsum_oracle(rocky_cloud_noisy, frame):
-    cloud = {"full": rocky_cloud_noisy, "decimated": median_decimate(rocky_cloud_noisy, 2)[0],
-             "holes": _holey(rocky_cloud_noisy)}[frame]
-    got = _moments(cloud)
-    assert got.tobytes() == cumsum_moment_integral(cloud.points, cloud.valid_mask).tobytes()
+    if frame in _ODD_FRAMES:
+        points, valid = _odd_frame(frame)
+    else:
+        cloud = {"full": rocky_cloud_noisy, "decimated": median_decimate(rocky_cloud_noisy, 2)[0],
+                 "holes": _holey(rocky_cloud_noisy)}[frame]
+        points, valid = cloud.points, cloud.valid_mask
+    if frame == "signed_zeros":
+        assert np.signbit(points[valid & (points[..., 0] == 0.0), 0]).any()
+    # "huge": the moments overflow to inf, and their sums to NaN
+    quiet = {"over": "ignore", "invalid": "ignore"} if frame == "huge" else {}
+    with np.errstate(**quiet):
+        got = _oracle_layout(mapping._moment_integral(points, valid))
+        want = cumsum_moment_integral(points, valid)
+    if frame == "huge":
+        assert not np.isfinite(want).all()
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["ragged", "short", "one_pixel", "one_row", "one_column"])
+def test_box_sums_match_cumsum_oracle_corners(kind):
+    # every pixel of the frame, at half-widths that clip the window on one,
+    # several or every side, up to three times the frame
+    points, valid = _odd_frame(kind)
+    h, w = valid.shape
+    ii = cumsum_moment_integral(points, valid)
+    v, u = np.indices((h, w)).reshape(2, -1)
+    rng = np.random.default_rng(3)
+    for half in (np.ones_like(v), rng.integers(1, 3 * max(h, w) + 1, len(v)),
+                 np.full_like(v, 3 * max(h, w))):
+        lo_v, hi_v = np.clip(v - half, 0, h), np.clip(v + half + 1, 0, h)
+        lo_u, hi_u = np.clip(u - half, 0, w), np.clip(u + half + 1, 0, w)
+        want = ii[:, hi_v, hi_u] - ii[:, lo_v, hi_u] - ii[:, hi_v, lo_u] + ii[:, lo_v, lo_u]
+        got = mapping._box_sums(mapping._moment_integral(points, valid), v, u, half)
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
 def test_dist_matches_linalg_norm():
