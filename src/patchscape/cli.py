@@ -745,7 +745,7 @@ def cmd_track(args) -> int:
     if args.map is not None:
         _, patches = _checked("bad patch map: ", read_patch_map, args.map)
         for mp in patches:
-            inside, key = _mapping._cells(state, mp.patch.pose.t[None, [0, 2]])
+            inside, key = _mapping._cells(state, *mp.patch.pose.t[[0, 2], None])
             if len(inside):  # outside the grid it is dropped, as remap_patches drops it
                 mp.cell = divmod(int(key[0]), state.v_g)
                 state.patches.append(mp)

@@ -14,13 +14,14 @@ Saliency is solved seed first. Once per frame, map_step builds one
 integral image of the point moments and keeps the DtFP pixels. The image
 is stored column-major, each pixel's ten running sums side by side, so a
 window corner is one contiguous row; it is built in blocks of image rows
-with no full-frame buffer besides itself. Each seed cell then walks its
-DtFP pixels in a random order, in growing chunks, until the cell has its
-seeds. The walks run in rounds: one round tests the next chunk of every
-unfinished cell at once, DoNG on the coarse normal and then DoN on the
-fine one, each scale solved only at the pixels that passed every test
-before it. Normals are thus solved only at the pixels the seed draw
-visits, never over the whole frame.
+with no full-frame buffer besides itself. One product keys every pixel
+to its volume grid cell. Each seed cell then walks its DtFP pixels in a
+random order, in growing chunks, until the cell has its seeds, or until
+960 tested pixels have shown no pass. The walks run in rounds: one round
+tests the next chunk of every unfinished cell at once, DoNG on the
+coarse normal and then DoN on the fine one, each scale solved only at
+the pixels that passed every test before it. Normals are thus solved
+only at the pixels the seed draw visits, never over the whole frame.
 
 The map lives in a cubic local volumetric workspace whose frame sits at a
 top corner with y pointing down. The volume follows the camera under one
@@ -197,8 +198,13 @@ _MIN_SUPPORT = 6
 
 # Pixels in the first chunk a seed cell's walk tests; later chunks double
 # up to _BLOCK, so a cell that finds its seeds early solves few normals
-# and a cell walked to its end pays NumPy's per-call overhead few times.
+# and a long walk pays NumPy's per-call overhead few times.
 _FIRST_CHUNK = 64
+
+# Pixels a seed cell's walk tests before it stops with no pass: the end of
+# the walk's fourth chunk (64 + 128 + 256 + 512), so no chunk is split. A
+# cell with a pass walks on until it has its seeds.
+_BARREN_WALK = 960
 
 # Image rows _moment_integral fills per block: the block's (_ROWS, 10, W)
 # moment planes, under 1 MB at 640 wide, stay in a core's L2 cache from the
@@ -223,7 +229,11 @@ def _moment_integral(points: np.ndarray, valid: np.ndarray) -> np.ndarray:
     full-frame buffer.
     """
     h, w = valid.shape
-    ii = np.zeros((w + 1, (h + 1) * 10))
+    ii = np.empty((w + 1, (h + 1) * 10))
+    # zero the padding: the frame's zero column (image row 0) and zero row
+    # (each image row's first ten sums); the blocks and row adds write the rest
+    ii[0] = 0.0
+    ii[:, :10] = 0.0
     cols = ii.reshape(w + 1, h + 1, 10)[1:]  # pixel (i, j) sums at cols[j, i + 1]
     buf = np.zeros((_ROWS + 1, 10, w))  # buf[0] carries the column sums of the rows above
     for i0 in range(0, h, _ROWS):
@@ -555,15 +565,20 @@ class Seed:
     cell: Tuple[int, int]  # (ix, iz) on the volume xz grid
 
 
-def _cells(volume: "VolumeState", xz: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Indices of the (n, 2) volume-frame (x, z) rows inside the xz grid, and
-    the keys ix * v_g + iz of their (ix, iz) cells; floors xz to cell units
-    in place."""
+def _cells(
+    volume: "VolumeState", x: np.ndarray, z: np.ndarray, keep: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Indices of the volume-frame points (x, z) inside the xz grid, among
+    those keep marks when it is given, and the keys ix * v_g + iz of their
+    (ix, iz) cells; floors the rows x and z to cell units in place."""
     v_g = volume.v_g
-    xz /= volume.v_s / v_g
-    np.floor(xz, out=xz)
-    x, z = xz.T
-    inside = np.flatnonzero((np.minimum(x, z) >= 0) & (np.maximum(x, z) < v_g))
+    for c in (x, z):
+        c /= volume.v_s / v_g
+        np.floor(c, out=c)
+    ok = (np.minimum(x, z) >= 0) & (np.maximum(x, z) < v_g)
+    if keep is not None:
+        ok &= keep
+    inside = np.flatnonzero(ok)
     return inside, (x[inside] * v_g + z[inside]).astype(int)
 
 
@@ -584,30 +599,32 @@ def select_seeds(
     patches gets at most n_g - m seeds. Such a cell walks its candidates
     in the order of one uniform random permutation, drawn for every cell
     up front in cell order, in chunks that double from _FIRST_CHUNK up to
-    _BLOCK pixels, and stops at its n_g - m-th pass; a cell with no
-    salient pixel is walked to its end. The walks run in rounds: round r
-    tests chunk r of every cell that still has room and untested pixels
-    in one salient call over the concatenated chunks, so only the pixels
-    the walks reach are tested, and a frame makes as many calls as its
-    longest walk has chunks. The first k passes of a uniform permutation
-    form a uniform random k-subset of the cell's salient pixels. A cell's
-    seeds come in scan order. Deterministic for a fixed rng_seed.
+    _BLOCK pixels, and stops at its n_g - m-th pass or its last pixel. A
+    barren walk stops sooner: a cell none of whose first _BARREN_WALK =
+    960 tested pixels passed gets no seed, so a cell whose salient share
+    is s is left without one with probability (1 - s)^960 (0.8% at s =
+    0.5%, 6.5e-5 at s = 1%); a cell with a pass walks on. The walks run in
+    rounds: round r tests chunk r of every live cell in one salient call
+    over the concatenated chunks, so only the pixels the walks reach are
+    tested, and a frame makes as many calls as its longest walk has
+    chunks. The first k passes of a uniform permutation form a uniform
+    random k-subset of the cell's salient pixels. A cell's seeds come in
+    scan order. Deterministic for a fixed rng_seed.
     """
     v_g, n_g = volume.v_g, volume.n_g
     rng = np.random.default_rng(rng_seed)
     width = candidates.shape[1]
 
-    flat = np.flatnonzero(candidates)
-    if len(flat) == 0:
-        return []
-    pts_cam = np.take(cloud.points.reshape(-1, 3), flat, axis=0)
     # only the volume-frame x and z decide the cells, in the rounding of
-    # the rows R[[0, 2]] of the camera-to-volume transform
-    xz = pts_cam @ _pose.exp_map(volume.c_t.r)[[0, 2]].T
-    xz += volume.c_t.t[[0, 2]]
-    ingrid, key = _cells(volume, xz)
+    # the rows R[[0, 2]] of the camera-to-volume transform. Every pixel is
+    # keyed in one product, with no gather; a NaN, infinite or overflowing
+    # coordinate keys its pixel outside the grid.
+    with np.errstate(invalid="ignore", over="ignore"):
+        xz = _pose.exp_map(volume.c_t.r)[[0, 2]] @ cloud.points.reshape(-1, 3).T
+        xz += volume.c_t.t[[0, 2], None]
+        ingrid, key = _cells(volume, *xz, keep=candidates.ravel())
 
-    # group by cell; each group keeps the cell's pixels in scan order
+    # group flat pixel ids by cell; each group keeps its pixels in scan order
     occupied = np.flatnonzero(np.bincount(key)).tolist()
     by_cell = {divmod(c, v_g): ingrid[key == c] for c in occupied}
 
@@ -627,20 +644,23 @@ def select_seeds(
     live, b, size = list(walk), 0, _FIRST_CHUNK
     while live:
         chunks = [walk[c][b : b + size] for c in live]
-        ok = salient(*np.divmod(flat[np.concatenate(chunks)], width))
+        ok = salient(*np.divmod(np.concatenate(chunks), width))
         at = 0
         for c, chunk in zip(live, chunks):
             passed = chunk[ok[at : at + len(chunk)]]
             at += len(chunk)
             chosen[c].extend(passed[: room[c] - len(chosen[c])].tolist())
         b, size = b + size, min(2 * size, _BLOCK)
-        live = [c for c in live if len(chosen[c]) < room[c] and b < len(walk[c])]
+        # a cell walks on while it has room and untested pixels, and, past
+        # _BARREN_WALK tested pixels, only if one of them passed
+        live = [c for c in live if len(chosen[c]) < room[c] and b < len(walk[c])
+                and (chosen[c] or b < _BARREN_WALK)]
 
     seeds: List[Seed] = []
     for c in walk:
         for idx in sorted(chosen[c]):
-            row, col = divmod(int(flat[idx]), width)
-            seeds.append(Seed(pixel=(row, col), point=pts_cam[idx].copy(), cell=c))
+            pixel = divmod(idx, width)
+            seeds.append(Seed(pixel=pixel, point=cloud.points[pixel].copy(), cell=c))
     return seeds
 
 
@@ -1046,7 +1066,7 @@ def remap_patches(
         origin = new_patch.pose.t
         if np.any(origin < 0.0) or np.any(origin > state.v_s):
             continue
-        inside, key = _cells(state, seed_v[None, [0, 2]])
+        inside, key = _cells(state, *seed_v[[0, 2], None])
         if not len(inside):
             continue
         cell = divmod(int(key[0]), state.v_g)
@@ -1252,8 +1272,11 @@ def map_step(
 
     cfg = config.saliency
     gv = _unit_vector(g, "gravity")
+    # nothing on the map path reads the saliency cloud's covariances, so
+    # the decimation gathers none
     sal_cloud, source = (
-        median_decimate(cloud, config.decimate) if config.decimate > 1 else (cloud, None)
+        median_decimate(replace(cloud, cov=None), config.decimate)
+        if config.decimate > 1 else (cloud, None)
     )
     ii = _moment_integral(sal_cloud.points, sal_cloud.valid_mask)
     near = _near_fixation(sal_cloud.points, gv, cfg)

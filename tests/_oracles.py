@@ -20,7 +20,10 @@ eigh_integral_normals and dense_saliency solve normals and saliency at
 every pixel, where the pipeline tests only the pixels its seed walk
 visits. cumsum_moment_integral builds the (10, H + 1, W + 1) moment
 image with two np.cumsum calls, where the pipeline builds it column-major,
-each pixel's ten sums side by side, in blocks of image rows. cell_intersection_area and loop_coverage_eval compute coverage
+each pixel's ten sums side by side, in blocks of image rows.
+gather_select_seeds keys the gathered candidate points to their grid
+cells, where the pipeline keys every pixel of the frame in one product.
+cell_intersection_area and loop_coverage_eval compute coverage
 one cell at a time in scalar Python, where the pipeline takes the whole
 grid in one array pass. companion_closest_paraboloid finds a closest point
 from every real root of the closest-point quintic, one point at a time,
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 
 import numpy as np
 from scipy import sparse
@@ -337,6 +341,57 @@ def dense_saliency(cloud, normals, g, cfg):
         don = np.einsum("hwi,hwi->hw", n, n_s) >= math.cos(math.radians(cfg.phi_d))
         dong = -(n @ gv) >= math.cos(math.radians(cfg.phi_g))
     return ok & near & don & dong
+
+
+def gather_select_seeds(cloud, candidates, salient, volume, rng_seed=None):
+    """select_seeds keyed on the gathered candidate points: [(pixel, point, cell)].
+
+    The candidates' points are gathered into an (n, 3) array and keyed by
+    the (n, 3) @ (3, 2) product with the rows R[[0, 2]] of the
+    camera-to-volume transform; cells group candidate indices, and each
+    seed's point comes from the gathered array. The walks, their rng
+    stream and the barren-walk rule are select_seeds' own.
+    """
+    v_g, n_g = volume.v_g, volume.n_g
+    rng = np.random.default_rng(rng_seed)
+    width = candidates.shape[1]
+    flat = np.flatnonzero(candidates)
+    if len(flat) == 0:
+        return []
+    pts_cam = np.take(cloud.points.reshape(-1, 3), flat, axis=0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        xz = pts_cam @ ps.exp_map(volume.c_t.r)[[0, 2]].T
+        xz += volume.c_t.t[[0, 2]]
+        xz /= volume.v_s / v_g
+    np.floor(xz, out=xz)
+    x, z = xz.T
+    ingrid = np.flatnonzero((np.minimum(x, z) >= 0) & (np.maximum(x, z) < v_g))
+    key = (x[ingrid] * v_g + z[ingrid]).astype(int)
+    by_cell = {divmod(c, v_g): ingrid[key == c] for c in np.unique(key).tolist()}
+
+    cam_xz, w = volume.c_t.t[[0, 2]], volume.v_s / v_g
+    occupancy = Counter(mp.cell for mp in volume.patches)
+
+    def cell_rank(cell):
+        return (float(np.linalg.norm((np.array(cell, dtype=float) + 0.5) * w - cam_xz)), cell)
+
+    room = {c: n_g - occupancy.get(c, 0) for c in sorted(by_cell, key=cell_rank)}
+    walk = {c: rng.permutation(by_cell[c]) for c in room if room[c] > 0}
+    chosen = {c: [] for c in walk}
+    live, b, size = list(walk), 0, pm._FIRST_CHUNK
+    while live:
+        chunks = [walk[c][b : b + size] for c in live]
+        ok = salient(*np.divmod(flat[np.concatenate(chunks)], width))
+        at = 0
+        for c, chunk in zip(live, chunks):
+            passed = chunk[ok[at : at + len(chunk)]]
+            at += len(chunk)
+            chosen[c].extend(passed[: room[c] - len(chosen[c])].tolist())
+        b, size = b + size, min(2 * size, pm._BLOCK)
+        live = [c for c in live if len(chosen[c]) < room[c] and b < len(walk[c])
+                and (chosen[c] or b < pm._BARREN_WALK)]
+    return [(divmod(int(flat[idx]), width), pts_cam[idx].copy(), c)
+            for c in walk for idx in sorted(chosen[c])]
 
 
 def loop_median_decimate(cloud, factor):
